@@ -3,14 +3,13 @@
 Verbs: roots, space, classify, curvature, witness, verify.  JSON goes to
 stdout (sorted keys, deterministic given --seed), a one-line human summary
 to stderr.  Exit codes: 0 success, 1 validation failure, 2 usage error,
-3 survivor-list mismatch.  FINSLERCLASS_THREADS caps internal parallelism.
+3 survivor-list mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -28,11 +27,14 @@ TOLERANCES = {
 }
 
 
-def _threads() -> int:
+def _positive_int(text: str) -> int:
     try:
-        return max(1, int(os.environ.get("FINSLERCLASS_THREADS", "1")))
+        n = int(text)
     except ValueError:
-        return 1
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def _json_default(o):
@@ -122,13 +124,12 @@ def cmd_classify(args) -> int:
 def cmd_curvature(args) -> int:
     space = _load_space(args.space)
     norm = _make_norm(space, args.metric, args.seed)
-    rep = curvature.sample_flags(space, norm, args.samples, args.seed,
-                                 workers=_threads())
+    rep = curvature.sample_flags(space, norm, args.samples, args.seed)
     rep["space"] = space.name
     rep["metric"] = args.metric
     rep["seed"] = args.seed
     rep["tolerances"] = TOLERANCES
-    _emit(rep, f"{space.name}: {args.samples} flags, K in "
+    _emit(rep, f"{space.name}: {rep['flags']} flags, K in "
                f"[{rep['K_min']:.6g}, {rep['K_max']:.6g}]")
     return 0
 
@@ -185,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--space", required=True)
     pk.add_argument("--metric", default="quadratic",
                     help="quadratic | randers[:eps] | quartic[:seed] | norm.json")
-    pk.add_argument("--samples", type=int, default=50)
+    pk.add_argument("--samples", type=_positive_int, default=50)
     pk.add_argument("--seed", type=int, default=0)
     pk.set_defaults(fn=cmd_curvature)
 

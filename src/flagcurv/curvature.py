@@ -112,13 +112,11 @@ class CurvatureEngine:
         w = np.asarray(w, dtype=float)
         g, cf = _pack if _pack is not None else self._gram(u)
         eta = _eta if _eta is not None else self.eta(u, _pack=(g, cf))[0]
-        d = self.space.dim_m
         Bu = np.einsum("j,ijk->ik", u, self.Cm)   # [e_i, u]_m
         Bw = np.einsum("j,ijk->ik", w, self.Cm)   # [e_i, w]_m
         rhs = Bw @ (g @ u) + Bu @ (g @ w) + g @ self.brm(w, u)
         if np.linalg.norm(eta) > 0:
-            cart = np.array([self.norm.cartan3(u, w, e, eta) for e in np.eye(d)])
-            rhs = rhs - 2.0 * cart
+            rhs = rhs - 2.0 * self.norm.cartan_vec(u, w, eta)
         return cho_solve(cf, 0.5 * rhs)
 
     def _d_eta_n(self, u, w, eta, step_scale=FD_POLE_STEP):
@@ -139,16 +137,20 @@ class CurvatureEngine:
         w = np.asarray(w, dtype=float)
         g, cf = self._gram(u)
         eta, _ = self.eta(u, _pack=(g, cf))
+        return self._riemann_quadratic(u, w, g, cf, eta)[0]
+
+    def _riemann_quadratic(self, u, w, g, cf, eta):
+        """(<R_u(w), w>_u, finite-difference pole step) given the Gram
+        matrix, its Cholesky factor and eta at u."""
         nw = self.connection_n(u, w, _pack=(g, cf), _eta=eta)
-        dn, _ = self._d_eta_n(u, w, eta)
-        rt = dn
+        rt, h = self._d_eta_n(u, w, eta)
         rt = rt - self.connection_n(u, nw, _pack=(g, cf), _eta=eta)
         rt = rt + self.connection_n(u, self.brm(u, w), _pack=(g, cf), _eta=eta)
         rt = rt - self.brm(u, nw)
         # h-term: <[[w,u]_h, w], u>_u
         hpart = self.brh(w, u)
         zh = np.einsum("a,akl,k->l", hpart, self.Kh, w)
-        return float(zh @ g @ u + rt @ g @ w)
+        return float(zh @ g @ u + rt @ g @ w), h
 
     # -- flags ---------------------------------------------------------------
     def _flag_gate(self, u, v, g):
@@ -163,8 +165,7 @@ class CurvatureEngine:
         g, cf = self._gram(u)
         denom = self._flag_gate(u, v, g)
         eta, resid = self.eta(u, _pack=(g, cf))
-        q = self.riemann_quadratic(u, v)
-        _, h = self._d_eta_n(u, v, eta)
+        q, h = self._riemann_quadratic(u, v, g, cf, eta)
         return CurvatureReport(
             k=q / denom, method="invariant-frame",
             eta_norm=float(np.linalg.norm(eta)), solve_residual=resid, fd_step=h,
@@ -321,48 +322,48 @@ def verify_exclusion_witness(space: CosetSpace, seed: int = 0,
 
 
 def sample_flags(space: CosetSpace, norm: MinkowskiNorm, n: int, seed: int,
-                 zero_tol: float = 1e-8, workers: int = 1) -> dict:
-    """Random-flag curvature sampling report; deterministic for a given
-    seed regardless of the worker count."""
+                 zero_tol: float = 1e-8) -> dict:
+    """Random-flag curvature sampling report, deterministic for a given
+    seed.  Candidate pairs come from one seeded stream, at most 2n+8 of
+    them, and evaluation stops once n flags are accepted."""
+    if n < 1:
+        raise ValueError(f"need at least one flag to sample, got {n}")
     rng = np.random.default_rng(seed)
     eng = CurvatureEngine(space, norm)
     d = space.dim_m
-    pairs = [(rng.standard_normal(d), rng.standard_normal(d))
-             for _ in range(2 * n + 8)]
-
-    def one(pair):
-        u, v = pair
+    ks, zero_flags, agree = [], [], []
+    evaluated = rejected = 0
+    resid = eta_norm = fd_step = 0.0
+    for _ in range(2 * n + 8):
+        if len(ks) >= n:
+            break
+        u, v = rng.standard_normal(d), rng.standard_normal(d)
+        evaluated += 1
         try:
             rep = eng.flag_curvature(u, v)
-        except ValueError:
-            return None
-        commuting = eng.br_full_norm(u, v) < COMMUTE_TOL
-        agree = None
-        if commuting:
-            rep2 = eng.flag_curvature_commutative(u, v, cross_check=False)
-            agree = abs(rep2.k - rep.k) / max(abs(rep.k), abs(rep2.k), 1.0)
-        return (u, v, rep.k, agree)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, pairs))
-    else:
-        results = [one(p) for p in pairs]
-    ks, zero_flags, agree = [], [], []
-    for res in results:
-        if res is None or len(ks) >= n:
+        except ValueError:  # degenerate flag or failed Cholesky
+            rejected += 1
             continue
-        u, v, k, ag = res
-        ks.append(k)
-        if abs(k) < zero_tol:
-            zero_flags.append({"u": u.tolist(), "v": v.tolist(), "K": k})
-        if ag is not None:
-            agree.append(ag)
+        ks.append(rep.k)
+        resid = max(resid, rep.solve_residual)
+        eta_norm = max(eta_norm, rep.eta_norm)
+        fd_step = max(fd_step, rep.fd_step)
+        if abs(rep.k) < zero_tol:
+            zero_flags.append({"u": u.tolist(), "v": v.tolist(), "K": rep.k})
+        if eng.br_full_norm(u, v) < COMMUTE_TOL:
+            rep2 = eng.flag_curvature_commutative(u, v, cross_check=False)
+            agree.append(abs(rep2.k - rep.k) / max(abs(rep.k), abs(rep2.k), 1.0))
+    if not ks:
+        raise ValueError(f"all {evaluated} candidate flags were rejected")
     return {
         "flags": len(ks),
         "K_min": float(np.min(ks)),
         "K_max": float(np.max(ks)),
         "zero_flags": zero_flags,
         "method_agreement_max_rel_err": float(np.max(agree)) if agree else None,
+        "candidates_evaluated": evaluated,
+        "rejected": rejected,
+        "max_solve_residual": resid,
+        "max_eta_norm": eta_norm,
+        "max_fd_step": fd_step,
     }

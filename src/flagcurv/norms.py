@@ -25,7 +25,8 @@ FD_REL_STEP = 1e-5
 
 
 class MinkowskiNorm:
-    """Interface: value, gram (Hessian inner product matrix), cartan3."""
+    """Interface: value, gram (Hessian inner product matrix), cartan_vec;
+    cartan3 contracts cartan_vec with its last argument."""
 
     dim: int
     reversible: bool
@@ -37,9 +38,13 @@ class MinkowskiNorm:
         """Matrix of <u,v>_y over the declared m-basis."""
         raise NotImplementedError
 
-    def cartan3(self, y, u, v, w) -> float:
-        """Cartan tensor C_y(u,v,w)."""
+    def cartan_vec(self, y, u, v) -> np.ndarray:
+        """The vector (C_y(u,v,e_k))_k over the declared m-basis."""
         raise NotImplementedError
+
+    def cartan3(self, y, u, v, w) -> float:
+        """Cartan tensor C_y(u,v,w), linear in w."""
+        return float(self.cartan_vec(y, u, v) @ np.asarray(w, dtype=float))
 
     def rescale(self, lam: float) -> "MinkowskiNorm":
         """The norm lam*F."""
@@ -72,9 +77,9 @@ class Quadratic(MinkowskiNorm):
         _check_nonzero(np.asarray(y))
         return self.q.copy()
 
-    def cartan3(self, y, u, v, w) -> float:
+    def cartan_vec(self, y, u, v) -> np.ndarray:
         _check_nonzero(np.asarray(y))
-        return 0.0
+        return np.zeros(self.dim)
 
     def rescale(self, lam: float) -> "Quadratic":
         return Quadratic(lam ** 2 * self.q)
@@ -114,29 +119,24 @@ class Randers(MinkowskiNorm):
         # symmetric by construction: b b' appears once in `mix` @ b
         return 0.5 * (g + g.T)
 
-    def cartan3(self, y, u, v, w) -> float:
+    def cartan_vec(self, y, u, v) -> np.ndarray:
+        # C = 1/4 D^3[F^2] with F^2 = alpha^2 + 2 alpha beta + beta^2,
+        # last slot left open
         y = np.asarray(y, dtype=float)
         _check_nonzero(y)
-        u, v, w = (np.asarray(t, dtype=float) for t in (u, v, w))
-        qy = self.q @ y
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        qy, qu, qv = self.q @ y, self.q @ u, self.q @ v
         alpha = np.sqrt(y @ qy)
         beta = float(self.b @ y)
-        au, av, aw = qy @ u / alpha, qy @ v / alpha, qy @ w / alpha
-
-        def d2(x1, x2, a1, a2):
-            return (x1 @ self.q @ x2) / alpha - a1 * a2 / alpha
-
-        d3 = (
-            -((u @ self.q @ v) * aw + (u @ self.q @ w) * av + (v @ self.q @ w) * au) / alpha ** 2
-            + 3.0 * au * av * aw / alpha ** 2
-        )
-        # C = 1/4 D^3[F^2] with F^2 = alpha^2 + 2 alpha beta + beta^2
-        val = 2.0 * (
-            beta * d3
-            + d2(u, v, au, av) * float(self.b @ w)
-            + d2(u, w, au, aw) * float(self.b @ v)
-            + d2(v, w, av, aw) * float(self.b @ u)
-        )
+        a = qy / alpha
+        au, av = a @ u, a @ v
+        uqv = u @ qv
+        d3 = (-(uqv * a + av * qu + au * qv) + 3.0 * au * av * a) / alpha ** 2
+        d2u = (qu - au * a) / alpha
+        d2v = (qv - av * a) / alpha
+        d2uv = (uqv - au * av) / alpha
+        val = 2.0 * (beta * d3 + d2uv * self.b + d2u * float(self.b @ v)
+                     + d2v * float(self.b @ u))
         return 0.25 * val
 
     def rescale(self, lam: float) -> "Randers":
@@ -160,6 +160,7 @@ class Quartic(MinkowskiNorm):
             raise ValueError("Quartic needs at least one positive weight")
         self.dim = self.qs[0].shape[0]
         self.reversible = True
+        self._qstack = np.array(self.qs)
 
     def _p(self, y):
         vals = np.array([y @ q @ y for q in self.qs])
@@ -190,33 +191,26 @@ class Quartic(MinkowskiNorm):
         g = d2p / (4.0 * sp) - np.outer(dp, dp) / (8.0 * p * sp)
         return 0.5 * (g + g.T)
 
-    def cartan3(self, y, u, v, w) -> float:
+    def cartan_vec(self, y, u, v) -> np.ndarray:
+        # C = 1/4 D^3[sqrt P], last slot left open; rows of the stacks
+        # run over the quadratics Q_k
         y = np.asarray(y, dtype=float)
         _check_nonzero(y)
-        u, v, w = (np.asarray(t, dtype=float) for t in (u, v, w))
-        qy, vals, p = self._derivs(y)
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        qs, wk = self._qstack, self.weights
+        qy, qu, qv = qs @ y, qs @ u, qs @ v
+        vals, gu, gv, uqv = qy @ y, qy @ u, qy @ v, qu @ v
+        p = float(wk @ vals ** 2)
         sp = np.sqrt(p)
-
-        def dP(x):
-            return 4.0 * float(sum(wk * vk * (gk @ x) for wk, vk, gk in zip(self.weights, vals, qy)))
-
-        def d2P(x1, x2):
-            return 4.0 * float(sum(
-                wk * (2.0 * (gk @ x1) * (gk @ x2) + vk * (x1 @ qk @ x2))
-                for wk, vk, qk, gk in zip(self.weights, vals, self.qs, qy)
-            ))
-
-        def d3P(x1, x2, x3):
-            return 8.0 * float(sum(
-                wk * ((x1 @ qk @ x2) * (gk @ x3) + (x1 @ qk @ x3) * (gk @ x2)
-                      + (x2 @ qk @ x3) * (gk @ x1))
-                for wk, qk, gk in zip(self.weights, self.qs, qy)
-            ))
-
-        du, dv, dw = dP(u), dP(v), dP(w)
-        term = d3P(u, v, w) / (2.0 * sp)
-        term -= (d2P(u, v) * dw + d2P(u, w) * dv + d2P(v, w) * du) / (4.0 * p * sp)
-        term += 3.0 * du * dv * dw / (8.0 * p ** 2 * sp)
+        dp = 4.0 * (wk * vals) @ qy
+        du, dv = dp @ u, dp @ v
+        d2uv = 4.0 * float(wk @ (2.0 * gu * gv + vals * uqv))
+        d2u = 4.0 * ((2.0 * wk * gu) @ qy + (wk * vals) @ qu)
+        d2v = 4.0 * ((2.0 * wk * gv) @ qy + (wk * vals) @ qv)
+        d3 = 8.0 * ((wk * uqv) @ qy + (wk * gv) @ qu + (wk * gu) @ qv)
+        term = d3 / (2.0 * sp)
+        term -= (d2uv * dp + d2u * dv + d2v * du) / (4.0 * p * sp)
+        term += 3.0 * du * dv * dp / (8.0 * p ** 2 * sp)
         return 0.25 * term
 
     def rescale(self, lam: float) -> "Quartic":
@@ -284,6 +278,9 @@ class GenericNorm(MinkowskiNorm):
                 for sw in (1.0, -1.0):
                     tot += su * sv * sw * self._f2(y + h * (su * u + sv * v + sw * w))
         return tot / (32.0 * h ** 3)
+
+    def cartan_vec(self, y, u, v) -> np.ndarray:
+        return np.array([self.cartan3(y, u, v, e) for e in np.eye(self.dim)])
 
     def rescale(self, lam: float) -> "GenericNorm":
         return GenericNorm(lambda y: lam * self.fn(y), self.dim, self.reversible, self.rel_step)
@@ -452,7 +449,9 @@ def invariant_quadratic_space(space, tol: float = 1e-8) -> list:
             M[:, idx] = (A @ S - S @ A).ravel()
         rows.append(M)
     stack = np.vstack(rows) if rows else np.zeros((1, len(pairs)))
-    _, sv, vt = np.linalg.svd(stack)
+    # thin SVD unless the stack is short (h = 0), where only the full one
+    # returns the null-space rows of vt
+    _, sv, vt = np.linalg.svd(stack, full_matrices=stack.shape[0] < stack.shape[1])
     null = [vt[k] for k in range(vt.shape[0]) if (sv[k] if k < len(sv) else 0.0) < tol]
     out = []
     for coeffs in null:

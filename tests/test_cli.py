@@ -88,6 +88,9 @@ def test_curvature_verb_and_determinism():
     assert o1 == o2
     rep = json.loads(o1)
     assert rep["flags"] == 12 and "tolerances" in rep
+    assert rep["candidates_evaluated"] == rep["flags"] + rep["rejected"]
+    assert 0 <= rep["max_solve_residual"] < 1e-10
+    assert rep["max_eta_norm"] > 0 and rep["max_fd_step"] > 0
 
 
 def test_curvature_with_norm_file(tmp_path):
@@ -101,6 +104,28 @@ def test_curvature_with_norm_file(tmp_path):
                            "--metric", str(path), "--samples", "5", "--seed", "1"])
     assert code == 0
     assert json.loads(out)["flags"] == 5
+
+
+def test_curvature_samples_below_one_is_a_usage_error():
+    for n in ("0", "-3", "two"):
+        code, out, err = invoke(["curvature", "--space", "preset:sphere_un(3)",
+                                 "--samples", n])
+        assert code == 2 and out == ""
+        assert "--samples" in err
+
+
+def test_curvature_summary_counts_returned_flags(monkeypatch):
+    from flagcurv import curvature
+
+    def short(space, norm, n, seed):
+        return {"flags": n - 2, "K_min": 0.5, "K_max": 1.0, "zero_flags": [],
+                "method_agreement_max_rel_err": None}
+
+    monkeypatch.setattr(curvature, "sample_flags", short)
+    code, out, err = invoke(["curvature", "--space", "preset:sphere_un(3)",
+                             "--samples", "7"])
+    assert code == 0 and json.loads(out)["flags"] == 5
+    assert ": 5 flags," in err
 
 
 def test_witness_verb():

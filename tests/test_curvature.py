@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from flagcurv.liealg import AlgebraSpec, realize
 from flagcurv.coset import SubalgebraSpec, build_coset, preset
@@ -265,8 +266,81 @@ def test_sampling_report_shape(bn2):
     rep = sample_flags(bn2, norm, 15, seed=1)
     assert rep["flags"] == 15
     assert rep["K_min"] <= rep["K_max"]
-    rep2 = sample_flags(bn2, norm, 15, seed=1, workers=2)
-    assert rep2 == rep  # worker count cannot change the report
+    # independent rebuild: the same seeded pairs through flag_curvature,
+    # keeping the first 15 that pass
+    eng = CurvatureEngine(bn2, norm)
+    rng = np.random.default_rng(1)
+    kept, tried, rejected = [], 0, 0
+    while len(kept) < 15:
+        u, v = rng.standard_normal(bn2.dim_m), rng.standard_normal(bn2.dim_m)
+        tried += 1
+        try:
+            kept.append(eng.flag_curvature(u, v))
+        except ValueError:
+            rejected += 1
+    ks = [r.k for r in kept]
+    assert rep == {
+        "flags": 15,
+        "K_min": min(ks),
+        "K_max": max(ks),
+        "zero_flags": [],
+        "method_agreement_max_rel_err": None,
+        "candidates_evaluated": tried,
+        "rejected": rejected,
+        "max_solve_residual": max(r.solve_residual for r in kept),
+        "max_eta_norm": max(r.eta_norm for r in kept),
+        "max_fd_step": max(r.fd_step for r in kept),
+    }
+    assert rep["max_eta_norm"] > 0 and rep["max_fd_step"] > 0
+
+
+def test_sampling_counts_rejected_flags(su2_group):
+    # every other Gram matrix is negative definite, so every other
+    # candidate fails the Cholesky factorization
+    class Flaky(Quadratic):
+        calls = 0
+
+        def gram(self, y):
+            Flaky.calls += 1
+            if Flaky.calls % 2:
+                return -self.q
+            return super().gram(y)
+
+    rep = sample_flags(su2_group, Flaky(np.eye(3)), 4, seed=0)
+    assert rep["flags"] == 4
+    assert rep["rejected"] == rep["candidates_evaluated"] - 4 > 0
+    with pytest.raises(ValueError, match="all 10 candidate flags were rejected"):
+        sample_flags(su2_group, Quadratic(-np.eye(3)), 1, seed=0)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_sampling_needs_a_positive_count(bn2, n):
+    with pytest.raises(ValueError, match="at least one"):
+        sample_flags(bn2, Quadratic(np.eye(bn2.dim_m)), n, seed=0)
+
+
+def test_connection_matches_scalar_cartan_loop(bn2, un3):
+    """The vector Cartan contraction in connection_n agrees with the
+    right-hand side built from d scalar cartan3 calls, each of which leaves
+    a different slot of the tensor open."""
+    b = un3.to_m(un3.embed(un3.t_m[0]))
+    cases = [(bn2, random_invariant_norm(bn2, 5)), (un3, random_invariant_norm(un3, 2)),
+             (un3, Randers(np.eye(un3.dim_m), 0.25 * b / np.linalg.norm(b)))]
+    rng = np.random.default_rng(21)
+    for sp, norm in cases:
+        eng = CurvatureEngine(sp, norm)
+        for _ in range(3):
+            u, w = rng.standard_normal(sp.dim_m), rng.standard_normal(sp.dim_m)
+            g, cf = eng._gram(u)
+            e, _ = eng.eta(u, _pack=(g, cf))
+            assert np.linalg.norm(e) > 1e-6
+            Bu = np.einsum("j,ijk->ik", u, eng.Cm)
+            Bw = np.einsum("j,ijk->ik", w, eng.Cm)
+            cart = np.array([norm.cartan3(u, w, ek, e) for ek in np.eye(sp.dim_m)])
+            rhs = Bw @ (g @ u) + Bu @ (g @ w) + g @ eng.brm(w, u) - 2.0 * cart
+            want = cho_solve(cf, 0.5 * rhs)
+            got = eng.connection_n(u, w)
+            assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1.0)
 
 
 def test_engine_requires_matching_dimension(bn2):

@@ -90,6 +90,20 @@ def test_randers_gram_and_cartan_against_fd():
         assert abs(norm.cartan3(y, u, v, w) - fd_cartan(norm, y, u, v, w)) < 1e-6
 
 
+@pytest.mark.parametrize("make", [
+    lambda d, rng: Randers(_pd_matrix(d, rng), 0.15 * rng.standard_normal(d)),
+    lambda d, rng: Quartic(0.5 + rng.random(3), [_pd_matrix(d, rng) for _ in range(3)]),
+])
+def test_cartan_vec_against_fd_oracle(make):
+    d, rng = 4, np.random.default_rng(7)
+    norm = make(d, rng)
+    for _ in range(3):
+        y, u, v = (rng.standard_normal(d) for _ in range(3))
+        got = norm.cartan_vec(y, u, v)
+        want = [fd_cartan(norm, y, u, v, e) for e in np.eye(d)]
+        assert np.abs(got - want).max() < 1e-6 * max(1.0, np.abs(got).max())
+
+
 def test_cartan_symmetry_and_base_annihilation():
     d = 4
     for norm in (Randers(np.eye(d), np.array([0.2, 0, 0, 0.0])),
@@ -129,6 +143,25 @@ def test_reversibility_flags():
     assert abs(nr.value(y) - nr.value(-y)) > 1e-3
     n4 = Quartic([1.0, 2.0], [_pd_matrix(d, RNG), _pd_matrix(d, RNG)])
     assert n4.value(y) == n4.value(-y)
+
+
+@pytest.mark.parametrize("make", [
+    lambda d: Quadratic(_pd_matrix(d, RNG)),
+    lambda d: Randers(_pd_matrix(d, RNG), 0.1 * RNG.standard_normal(d)),
+    lambda d: Quartic(0.5 + RNG.random(3), [_pd_matrix(d, RNG) for _ in range(3)]),
+    lambda d: GenericNorm(Quartic([1.0, 2.0], [_pd_matrix(d, RNG), _pd_matrix(d, RNG)]).value, d),
+])
+def test_cartan_vec_matches_scalar_cartan(make):
+    d = 5
+    norm = make(d)
+    for _ in range(3):
+        y, u, v = (RNG.standard_normal(d) for _ in range(3))
+        want = np.array([norm.cartan3(y, u, v, e) for e in np.eye(d)])
+        got = norm.cartan_vec(y, u, v)
+        assert got.shape == (d,)
+        assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
+    with pytest.raises(ValueError, match="origin"):
+        norm.cartan_vec(np.zeros(d), u, v)
 
 
 def test_generic_norm_fd_fallback():
@@ -180,6 +213,32 @@ def test_random_invariant_norm_determinism_and_reversibility(bn2):
     y = RNG.standard_normal(bn2.dim_m)
     assert n1.value(y) == n1.value(-y)
     assert np.linalg.eigvalsh(n1.gram(y)).min() > 0
+
+
+@pytest.mark.parametrize("name,params", [
+    ("su2_group", None), ("bn_excluded_subcase1", (2,)), ("sphere_un", (3,)),
+])
+def test_invariant_basis_same_as_full_svd(monkeypatch, name, params):
+    """The thin SVD keeps the basis of the full decomposition, including
+    the short stack of a space with h = 0."""
+    if params is None:
+        from fractions import Fraction
+        from flagcurv.coset import SubalgebraSpec, build_coset
+        from flagcurv.liealg import AlgebraSpec, realize
+        space = build_coset(realize(AlgebraSpec((("A", 1, Fraction(1)),))),
+                            SubalgebraSpec(), name="su(2) group")
+    else:
+        space = preset(name, *params)
+    thin = invariant_quadratic_space(space)
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, full_matrices=True: svd(a, full_matrices=True))
+    full = invariant_quadratic_space(space)
+    assert len(thin) == len(full) > 0
+    if params is None:
+        assert len(full) == 6  # every symmetric form on su(2) is invariant
+    for s, t in zip(thin, full):
+        assert np.abs(s - t).max() <= 1e-12
 
 
 def test_invariant_quadratics_commute_with_isotropy(bn2):
