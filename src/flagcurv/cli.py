@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="reproduce a survivor list")
     pv.add_argument("--theorem", type=int, choices=(1, 2, 3), required=True)
-    pv.add_argument("--max-rank", type=int, default=8)
+    pv.add_argument("--max-rank", type=_positive_int, default=8)
     pv.add_argument("--full", action="store_true",
                     help="include the per-subcase rows in the report")
     pv.set_defaults(fn=cmd_verify)

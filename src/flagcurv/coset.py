@@ -100,9 +100,12 @@ def tvec_dot(spec: AlgebraSpec, u: TVec, v: TVec) -> QNum:
     """Bi-invariant inner product on t, exact (per-factor scales enter)."""
     out = Q0
     for (fam, rank, scale), a, b in zip(spec.factors, u.factors, v.factors):
-        out = out + QNum.of(scale) * a.dot(b)
+        ab = a.dot(b)
+        if not ab.is_zero():
+            out = out + QNum.of(scale) * ab
     for s, x, y in zip(spec.abelian_scales, u.abelian, v.abelian):
-        out = out + QNum.of(s) * x * y
+        if not (x.is_zero() or y.is_zero()):
+            out = out + QNum.of(s) * x * y
     return out
 
 

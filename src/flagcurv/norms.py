@@ -9,7 +9,7 @@ Three built-in families, all with closed-form derivatives:
 The Quartic family is positive definite whenever every Q_k is; it is this
 library's reversible non-Riemannian test family.  A GenericNorm wrapper
 provides finite-difference derivatives (central differences, relative step
-1e-5, one Richardson level) for user-supplied norm callables; the same
+eps^(1/4), one Richardson level) for user-supplied norm callables; the same
 machinery doubles as an independent cross-check oracle in the tests.
 """
 
@@ -22,6 +22,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 FD_REL_STEP = 1e-5
+# float64 second differences of F^2 carry roundoff of about eps F^2 / h^2;
+# balancing it against the O(h^2) truncation of one central difference
+# gives a relative step of eps^(1/4) (about 1.2e-4).
+GENERIC_REL_STEP = float(np.finfo(float).eps) ** 0.25
 
 
 class MinkowskiNorm:
@@ -229,7 +233,7 @@ class GenericNorm(MinkowskiNorm):
     finite differences with one Richardson extrapolation level."""
 
     def __init__(self, fn: Callable[[np.ndarray], float], dim: int,
-                 reversible: bool = False, rel_step: float = FD_REL_STEP):
+                 reversible: bool = False, rel_step: float = GENERIC_REL_STEP):
         self.fn = fn
         self.dim = dim
         self.reversible = reversible

@@ -18,10 +18,12 @@ against known h-roots.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .rootsys import (
     Q0,
@@ -29,6 +31,7 @@ from .rootsys import (
     RootVector,
     angle as root_angle,
     build_root_system,
+    exact_inverse,
     rv,
     solve_exact,
 )
@@ -36,7 +39,6 @@ from .liealg import AlgebraSpec
 from .coset import (
     CosetSpace,
     TVec,
-    in_span,
     lift_root,
     orthocomplement_in_t,
     tvec_dot,
@@ -57,11 +59,42 @@ def _flatten(tv: TVec) -> list:
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class RootData:
+    """The roots of an AlgebraSpec lifted to t, with their plane keys."""
+
+    g_roots: tuple         # factor by factor, each in root-system order
+    factor_of: Mapping     # root -> factor index
+    canonical: Mapping     # root -> canonical sign of its plane
+    keys: tuple            # distinct plane keys in order of first appearance
+    root_set: frozenset
+
+
+@functools.lru_cache(maxsize=None)
+def _factor_roots(family: str, rank: int) -> tuple:
+    return build_root_system(family, rank, _relaxed=True).roots
+
+
+@functools.lru_cache(maxsize=128)
+def _root_data(spec: AlgebraSpec) -> RootData:
+    """Root data of spec, built once per spec and shared read-only."""
+    g_roots = []
+    factor_of = {}
+    for idx, (fam, rank, _) in enumerate(spec.factors):
+        for r in _factor_roots(fam, rank):
+            tv = lift_root(spec, idx, r)
+            g_roots.append(tv)
+            factor_of[tv] = idx
+    canonical = {r: r.canonical_sign() for r in g_roots}
+    keys = tuple(dict.fromkeys(canonical.values()))
+    return RootData(tuple(g_roots), MappingProxyType(factor_of),
+                    MappingProxyType(canonical), keys, frozenset(g_roots))
+
+
 @dataclass
 class RootLevelSpace:
     spec: AlgebraSpec
-    g_roots: tuple
-    factor_of: dict
+    root_data: RootData
     cartan_h: tuple
     h_roots: frozenset
     t_m: tuple
@@ -71,38 +104,34 @@ class RootLevelSpace:
     _pr_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _float_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
+    @property
+    def g_roots(self) -> tuple:
+        return self.root_data.g_roots
+
+    @property
+    def factor_of(self) -> Mapping:
+        return self.root_data.factor_of
+
     def pr_h(self, v: TVec) -> TVec:
+        """Exact projection of v in t onto t cap h: v minus its projection
+        onto t cap m, which is the exact orthocomplement of cartan_h."""
         out = self._pr_cache.get(v)
         if out is None:
-            out = self._projector()(v)
+            ginv = self._float_cache.get("t_m_gram_inverse")
+            if ginv is None:
+                ginv = self._float_cache["t_m_gram_inverse"] = exact_inverse(
+                    [[tvec_dot(self.spec, a, b) for b in self.t_m] for a in self.t_m])
+            rhs = [tvec_dot(self.spec, a, v) for a in self.t_m]
+            out = v
+            for row, b in zip(ginv, self.t_m):
+                c = Q0
+                for rj, xj in zip(row, rhs):
+                    if not (rj.is_zero() or xj.is_zero()):
+                        c = c + rj * xj
+                if not c.is_zero():
+                    out = out - b.scale(c)
             self._pr_cache[v] = out
         return out
-
-    def _projector(self):
-        """Cached exact projector onto span(cartan_h)."""
-        proj = self._float_cache.get("projector")
-        if proj is None:
-            from .rootsys import exact_inverse
-            span = list(self.cartan_h)
-            if not span:
-                proj = lambda v: zero_tvec(self.spec)
-            else:
-                ginv = exact_inverse(
-                    [[tvec_dot(self.spec, a, b) for b in span] for a in span])
-
-                def proj(v, _span=span, _ginv=ginv):
-                    rhs = [tvec_dot(self.spec, a, v) for a in _span]
-                    out = zero_tvec(self.spec)
-                    for row, b in zip(_ginv, _span):
-                        c = Q0
-                        for rj, xj in zip(row, rhs):
-                            if not (rj.is_zero() or xj.is_zero()):
-                                c = c + rj * xj
-                        if not c.is_zero():
-                            out = out + b.scale(c)
-                    return out
-            self._float_cache["projector"] = proj
-        return proj
 
     def float_roots(self):
         """(N x D) float matrix of all roots, cached."""
@@ -113,23 +142,11 @@ class RootLevelSpace:
         return self._float_cache["roots"]
 
     def in_t_h(self, v: TVec) -> bool:
-        return in_span(self.spec, self.cartan_h, v)
+        """Whether v in t lies in span(cartan_h), i.e. is orthogonal to t_m."""
+        return all(tvec_dot(self.spec, b, v).is_zero() for b in self.t_m)
 
-    def in_t_m_span(self, v: TVec) -> bool:
-        return in_span(self.spec, self.t_m, v)
-
-    def canonical(self, v: TVec) -> TVec:
-        return v.canonical_sign()
-
-    def plane_keys(self) -> list:
-        seen = []
-        done = set()
-        for r in self.g_roots:
-            c = self.canonical(r)
-            if c not in done:
-                done.add(c)
-                seen.append(c)
-        return seen
+    def plane_keys(self) -> tuple:
+        return self.root_data.keys
 
     def copy_working(self) -> "RootLevelSpace":
         return replace(self, h_roots=frozenset(self.h_roots),
@@ -140,27 +157,17 @@ def make_root_level_space(spec: AlgebraSpec, cartan_h: Sequence[TVec],
                           h_roots: Iterable[TVec] = (), name: str = "",
                           assignment: Optional[dict] = None,
                           complete_h: bool = True) -> RootLevelSpace:
-    g_roots = []
-    factor_of = {}
-    for idx, (fam, rank, _) in enumerate(spec.factors):
-        rs = build_root_system(fam, rank, _relaxed=True)
-        for r in rs.roots:
-            tv = lift_root(spec, idx, r)
-            g_roots.append(tv)
-            factor_of[tv] = idx
+    rd = _root_data(spec)
     hset = set()
     for v in h_roots:
         hset.add(v)
         hset.add(-v)
     t_m = tuple(orthocomplement_in_t(spec, list(cartan_h)))
-    asg = {}
-    for r in g_roots:
-        asg[r.canonical_sign()] = None
+    asg = dict.fromkeys(rd.keys)
     for k, v in (assignment or {}).items():
         asg[k.canonical_sign()] = v
-    return RootLevelSpace(spec, tuple(g_roots), factor_of, tuple(cartan_h),
-                          frozenset(hset), t_m, asg, name=name,
-                          complete_h=complete_h)
+    return RootLevelSpace(spec, rd, tuple(cartan_h), frozenset(hset), t_m, asg,
+                          name=name, complete_h=complete_h)
 
 
 def root_level_from_coset(space: CosetSpace) -> RootLevelSpace:
@@ -302,7 +309,7 @@ def key_lemma_1_applies(space: RootLevelSpace, alpha: TVec) -> bool:
     """True iff alpha is a g-root lying in t cap h and is the only root of
     g in the affine line alpha + (t cap m); a positively curved space must
     then have alpha in Delta_h with its plane inside h."""
-    if alpha not in set(space.g_roots):
+    if alpha not in space.root_data.root_set:
         raise ValueError("alpha is not a root of g")
     if not space.in_t_h(alpha):
         raise ValueError("alpha is not contained in t cap h")
@@ -312,7 +319,7 @@ def key_lemma_1_applies(space: RootLevelSpace, alpha: TVec) -> bool:
 
 def key_lemma_2_details(space: RootLevelSpace, g1: TVec, g2: TVec) -> dict:
     """Evaluate conditions (1)-(4) of the commuting-pair exclusion lemma."""
-    roots = set(space.g_roots)
+    roots = space.root_data.root_set
     if g1 not in roots or g2 not in roots:
         raise ValueError("inputs must be roots of g")
     w = space.t_m[0]
@@ -396,6 +403,7 @@ def propagate_assignment(space: RootLevelSpace, rule_order: Optional[list] = Non
     asg = sp.assignment
     pr_of = {r: sp.pr_h(r) for r in sp.g_roots}
     keys = sp.plane_keys()
+    roots, canonical = sp.root_data.root_set, sp.root_data.canonical
 
     def set_plane(key, val, why):
         cur = asg.get(key)
@@ -475,13 +483,10 @@ def propagate_assignment(space: RootLevelSpace, rule_order: Optional[list] = Non
             for b in keys:
                 if asg[b] != "h" or a == b:
                     continue
-                roots = set(sp.g_roots)
-                plus = (a + b) if (a + b) in roots else None
-                minus = (a - b) if (a - b) in roots else None
-                targets = [t for t in (plus, minus) if t is not None]
+                targets = [t for t in (a + b, a - b) if t in roots]
                 if len(targets) != 1:
                     continue  # the two-root cone case carries no containment
-                tgt = targets[0].canonical_sign()
+                tgt = canonical[targets[0]]
                 changed |= set_plane(
                     tgt, asg[a],
                     f"bracket of plane({_fmt(a)})={asg[a]} with h-plane({_fmt(b)})")
@@ -602,7 +607,7 @@ def revalidate_witness(space: RootLevelSpace, witness: Witness) -> bool:
 
 
 def _check_root_facts(space: RootLevelSpace, payload: dict) -> bool:
-    roots = set(space.g_roots)
+    roots = space.root_data.root_set
     spec = space.spec
     for fact in payload.get("facts", []):
         tag = fact[0]
@@ -639,7 +644,7 @@ def _assignment_consistent(space: RootLevelSpace) -> bool:
     """Bracket compatibility of a full plane assignment: the image of an
     h-plane and an m-plane under a single-root bracket must be an m-plane,
     of two h-planes an h-plane."""
-    roots = set(space.g_roots)
+    roots, canonical = space.root_data.root_set, space.root_data.canonical
     keys = space.plane_keys()
     for a in keys:
         for b in keys:
@@ -651,7 +656,7 @@ def _assignment_consistent(space: RootLevelSpace) -> bool:
             targets = [t for t in (a + b, a - b) if t in roots]
             if len(targets) != 1:
                 continue
-            tgt = targets[0].canonical_sign()
+            tgt = canonical[targets[0]]
             if space.assignment.get(tgt) not in (va, None):
                 return False
     return True
@@ -1018,7 +1023,7 @@ def evaluate_subcase(sc: Subcase) -> Verdict:
                        witness=Witness("root_combinatorial", sc.payload))
     if sc.kind == "g2_rotation":
         g1, g2 = sc.payload["gamma1"], sc.payload["gamma2"]
-        roots = set(space.g_roots)
+        roots = space.root_data.root_set
         ap = space.pr_h(la)
         ok = (g1 in roots and g2 in roots
               and tvec_dot(space.spec, g1, g2).is_zero()
@@ -1118,7 +1123,7 @@ def classify_case2(space: RootLevelSpace) -> Verdict:
     # Wallach-pair search in the second factor
     cand = [r for r in roots_b if r != beta and r != -beta
             and r not in space.h_roots]
-    rootset = set(space.g_roots)
+    rootset = space.root_data.root_set
     for g1, g2 in itertools.combinations(sorted(cand, key=lambda t: t.floats()), 2):
         if g1 == -g2:
             continue
@@ -1158,7 +1163,7 @@ def _factor_component_tvec(spec: AlgebraSpec, tv: TVec, idx: int) -> TVec:
 
 
 def _kl2_pair_search(space: RootLevelSpace, candidates: list):
-    rootset = set(space.g_roots)
+    rootset = space.root_data.root_set
     for g1, g2 in itertools.combinations(sorted(candidates, key=lambda t: t.floats()), 2):
         if g1 == -g2:
             continue
@@ -1431,7 +1436,9 @@ def verify_theorem(part: int, max_rank: int = 8) -> dict:
         "extra": extra,
         "unresolved": sorted(set(unresolved)),
         "rows": rows,
-        "match": not missing and not extra and (part != 3 or bool(unresolved)),
+        # a scan that evaluated no row confirms nothing
+        "match": bool(rows) and not missing and not extra
+                 and (part != 3 or bool(unresolved)),
     }
     return report
 
@@ -1459,8 +1466,7 @@ def case1_candidates(max_rank: int = 8) -> list:
     out = []
 
     def orth_roots(fam, rank, w1):
-        rs = build_root_system(fam, rank, _relaxed=True)
-        return [r for r in rs.roots if r.dot(w1).is_zero()]
+        return [r for r in _factor_roots(fam, rank) if r.dot(w1).is_zero()]
 
     for rank in range(1, max_rank + 1):
         w1 = _e(rank + 1, *([(0, rank)] + [(j, -1) for j in range(1, rank + 1)]))

@@ -10,27 +10,17 @@ E6/E7 need sqrt3/sqrt2 in their last coordinate, G2 lives in R^2 with sqrt3.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
+from operator import attrgetter
 from typing import Sequence
 
 _SQRT2 = sqrt(2.0)
 _SQRT3 = sqrt(3.0)
 _SQRT6 = sqrt(6.0)
 
-# Rational bounds used when a floating sign estimate is too close to zero.
-_LO = {
-    2: Fraction(665857, 470832),
-    3: Fraction(716035, 413403),
-    6: Fraction(3880899, 1584290),
-}
-_HI = {
-    2: Fraction(665858, 470832),
-    3: Fraction(716036, 413403),
-    6: Fraction(3880900, 1584290),
-}
+_F0 = Fraction(0)
 
 
 def _frac(x) -> Fraction:
@@ -43,77 +33,147 @@ def _frac(x) -> Fraction:
     raise TypeError(f"expected rational, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class QNum:
-    """Element a + b*sqrt2 + c*sqrt3 + d*sqrt6 of Q(sqrt2, sqrt3)."""
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
 
-    a: Fraction = Fraction(0)
-    b: Fraction = Fraction(0)
-    c: Fraction = Fraction(0)
-    d: Fraction = Fraction(0)
+
+def _sign2(a: Fraction, b: Fraction) -> int:
+    """Exact sign of a + b*sqrt2 for rational a, b."""
+    sa, sb = _sign(a), _sign(b)
+    if sa == sb or sb == 0:
+        return sa
+    if sa == 0:
+        return sb
+    # opposite signs: compare a^2 with 2 b^2
+    return sa * _sign(a * a - 2 * b * b)
+
+
+def _add0(x: Fraction, y: Fraction) -> Fraction:
+    """Sum of two irrational coefficients, zero kept as the shared _F0."""
+    if x is _F0:
+        return y
+    if y is _F0:
+        return x
+    return (x + y) or _F0
+
+
+class QNum:
+    """Element a + b*sqrt2 + c*sqrt3 + d*sqrt6 of Q(sqrt2, sqrt3).
+
+    Immutable: the coefficients are read-only properties over private
+    slots, the way `Fraction` guards its numerator.  A zero coefficient of
+    sqrt2, sqrt3 or sqrt6 is always the shared `_F0` object, so rationality
+    is three identity tests and rational operands take one-Fraction fast
+    paths.  The hash is cached and equals hash((a, b, c, d)).
+    """
+
+    __slots__ = ("_a", "_b", "_c", "_d", "_hash")
+
+    def __init__(self, a=_F0, b=_F0, c=_F0, d=_F0):
+        self._a = _frac(a)
+        self._b = _frac(b) or _F0
+        self._c = _frac(c) or _F0
+        self._d = _frac(d) or _F0
+        self._hash = None
+
+    a = property(attrgetter("_a"))
+    b = property(attrgetter("_b"))
+    c = property(attrgetter("_c"))
+    d = property(attrgetter("_d"))
 
     @staticmethod
     def of(x) -> "QNum":
         if isinstance(x, QNum):
             return x
-        return QNum(_frac(x))
+        return _make(_frac(x), _F0, _F0, _F0)
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _frac(self.a))
-        object.__setattr__(self, "b", _frac(self.b))
-        object.__setattr__(self, "c", _frac(self.c))
-        object.__setattr__(self, "d", _frac(self.d))
+    def __eq__(self, o):
+        if o.__class__ is not QNum:
+            return NotImplemented
+        return (self._a, self._b, self._c, self._d) == (o._a, o._b, o._c, o._d)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self._a, self._b, self._c, self._d))
+        return h
 
     # -- ring structure -------------------------------------------------
     def __add__(self, o) -> "QNum":
-        o = QNum.of(o)
-        return QNum(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+        if o.__class__ is not QNum:
+            o = QNum.of(o)
+        b1, c1, d1 = self._b, self._c, self._d
+        b2, c2, d2 = o._b, o._c, o._d
+        if b1 is _F0 and c1 is _F0 and d1 is _F0 and b2 is _F0 and c2 is _F0 and d2 is _F0:
+            return _make(self._a + o._a, _F0, _F0, _F0)
+        return _make(self._a + o._a, _add0(b1, b2), _add0(c1, c2), _add0(d1, d2))
 
     __radd__ = __add__
 
     def __neg__(self) -> "QNum":
-        return QNum(-self.a, -self.b, -self.c, -self.d)
+        b, c, d = self._b, self._c, self._d
+        if b is _F0 and c is _F0 and d is _F0:
+            return _make(-self._a, _F0, _F0, _F0)
+        return _make(-self._a, -b or _F0, -c or _F0, -d or _F0)
 
     def __sub__(self, o) -> "QNum":
-        return self + (-QNum.of(o))
+        if o.__class__ is not QNum:
+            o = QNum.of(o)
+        b2, c2, d2 = o._b, o._c, o._d
+        if self._b is _F0 and self._c is _F0 and self._d is _F0 \
+                and b2 is _F0 and c2 is _F0 and d2 is _F0:
+            return _make(self._a - o._a, _F0, _F0, _F0)
+        return self + (-o)
 
     def __rsub__(self, o) -> "QNum":
-        return QNum.of(o) + (-self)
+        return QNum.of(o) - self
 
     def __mul__(self, o) -> "QNum":
-        o = QNum.of(o)
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = o.a, o.b, o.c, o.d
+        if o.__class__ is not QNum:
+            o = QNum.of(o)
+        a1, b1, c1, d1 = self._a, self._b, self._c, self._d
+        a2, b2, c2, d2 = o._a, o._b, o._c, o._d
+        if b1 is _F0 and c1 is _F0 and d1 is _F0:
+            if b2 is _F0 and c2 is _F0 and d2 is _F0:
+                return _make(a1 * a2, _F0, _F0, _F0)
+            return o._scaled(a1)
+        if b2 is _F0 and c2 is _F0 and d2 is _F0:
+            return self._scaled(a2)
         # sqrt2*sqrt3 = sqrt6, sqrt2*sqrt6 = 2*sqrt3, sqrt3*sqrt6 = 3*sqrt2
-        if b1 == c1 == d1 == 0:
-            return QNum(a1 * a2, a1 * b2, a1 * c2, a1 * d2)
-        if b2 == c2 == d2 == 0:
-            return QNum(a1 * a2, b1 * a2, c1 * a2, d1 * a2)
-        return QNum(
+        return _make(
             a1 * a2 + 2 * b1 * b2 + 3 * c1 * c2 + 6 * d1 * d2,
-            a1 * b2 + b1 * a2 + 3 * (c1 * d2 + d1 * c2),
-            a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
-            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+            (a1 * b2 + b1 * a2 + 3 * (c1 * d2 + d1 * c2)) or _F0,
+            (a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2)) or _F0,
+            (a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2) or _F0,
         )
 
     __rmul__ = __mul__
 
+    def _scaled(self, r: Fraction) -> "QNum":
+        """self * r for a rational r."""
+        if not r:
+            return Q0
+        b, c, d = self._b, self._c, self._d
+        return _make(self._a * r, _F0 if b is _F0 else b * r,
+                     _F0 if c is _F0 else c * r, _F0 if d is _F0 else d * r)
+
     def _conj2(self) -> "QNum":
         # sqrt2 -> -sqrt2 (and hence sqrt6 -> -sqrt6)
-        return QNum(self.a, -self.b, self.c, -self.d)
+        return QNum(self._a, -self._b, self._c, -self._d)
 
     def _conj3(self) -> "QNum":
         # sqrt3 -> -sqrt3 (and hence sqrt6 -> -sqrt6)
-        return QNum(self.a, self.b, -self.c, -self.d)
+        return QNum(self._a, self._b, -self._c, -self._d)
 
     def inverse(self) -> "QNum":
         if self.is_zero():
             raise ZeroDivisionError("QNum division by zero")
+        if self.is_rational():
+            return _make(1 / self._a, _F0, _F0, _F0)
         t = self._conj2() * self._conj3() * self._conj2()._conj3()
         n = self * t  # rational: the field norm
-        assert n.b == n.c == n.d == 0
-        inv = Fraction(1) / n.a
-        return QNum(t.a * inv, t.b * inv, t.c * inv, t.d * inv)
+        assert n.is_rational()
+        return t._scaled(1 / n._a)
 
     def __truediv__(self, o) -> "QNum":
         return self * QNum.of(o).inverse()
@@ -123,29 +183,28 @@ class QNum:
 
     # -- comparisons ----------------------------------------------------
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
+        return self._b is _F0 and self._c is _F0 and self._d is _F0 and not self._a
 
     def is_rational(self) -> bool:
-        return self.b == 0 and self.c == 0 and self.d == 0
+        return self._b is _F0 and self._c is _F0 and self._d is _F0
 
     def sign(self) -> int:
-        """Exact sign, falling back to rational interval bounds near zero."""
-        if self.is_zero():
-            return 0
-        f = float(self)
-        if abs(f) > 1e-9:
-            return 1 if f > 0 else -1
-        lo = self.a + min(self.b * _LO[2], self.b * _HI[2]) \
-            + min(self.c * _LO[3], self.c * _HI[3]) \
-            + min(self.d * _LO[6], self.d * _HI[6])
-        hi = self.a + max(self.b * _LO[2], self.b * _HI[2]) \
-            + max(self.c * _LO[3], self.c * _HI[3]) \
-            + max(self.d * _LO[6], self.d * _HI[6])
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        raise ArithmeticError(f"cannot determine sign of {self}")
+        """Exact sign by the field tower, with no float shortcut.
+
+        Write x = p + q*sqrt3 with p = a + b*sqrt2 and q = c + d*sqrt2 in
+        Q(sqrt2).  When p and q differ in sign, x has the sign of p exactly
+        when p^2 > 3 q^2, an element of Q(sqrt2) decided the same way one
+        level down.
+        """
+        a, b, c, d = self._a, self._b, self._c, self._d
+        sp, sq = _sign2(a, b), _sign2(c, d)
+        if sp == sq or sq == 0:
+            return sp
+        if sp == 0:
+            return sq
+        # p^2 - 3 q^2 = (a^2 + 2b^2 - 3c^2 - 6d^2) + (2ab - 6cd) sqrt2
+        return sp * _sign2(a * a + 2 * b * b - 3 * c * c - 6 * d * d,
+                           2 * a * b - 6 * c * d)
 
     def __lt__(self, o) -> bool:
         return (self - QNum.of(o)).sign() < 0
@@ -154,25 +213,41 @@ class QNum:
         return (self - QNum.of(o)).sign() <= 0
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * _SQRT2 \
-            + float(self.c) * _SQRT3 + float(self.d) * _SQRT6
+        if self._b is _F0 and self._c is _F0 and self._d is _F0:
+            return float(self._a)
+        return float(self._a) + float(self._b) * _SQRT2 \
+            + float(self._c) * _SQRT3 + float(self._d) * _SQRT6
 
     def __repr__(self) -> str:
-        return f"QNum({self.a}, {self.b}, {self.c}, {self.d})"
+        return f"QNum({self._a}, {self._b}, {self._c}, {self._d})"
 
     def __str__(self) -> str:
         parts = []
-        for coef, tag in ((self.a, ""), (self.b, "*r2"), (self.c, "*r3"), (self.d, "*r6")):
+        for coef, tag in ((self._a, ""), (self._b, "*r2"), (self._c, "*r3"), (self._d, "*r6")):
             if coef != 0:
                 parts.append(f"{coef}{tag}")
         return " + ".join(parts) if parts else "0"
 
     def to_json(self) -> dict:
-        return {"a": str(self.a), "b": str(self.b), "c": str(self.c), "d": str(self.d)}
+        return {"a": str(self._a), "b": str(self._b), "c": str(self._c), "d": str(self._d)}
 
     @staticmethod
     def from_json(obj: dict) -> "QNum":
         return QNum(Fraction(obj["a"]), Fraction(obj["b"]), Fraction(obj["c"]), Fraction(obj["d"]))
+
+
+_new_qnum = object.__new__
+
+
+def _make(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> QNum:
+    """Internal constructor: Fraction coefficients, zero b/c/d as _F0."""
+    q = _new_qnum(QNum)
+    q._a = a
+    q._b = b
+    q._c = c
+    q._d = d
+    q._hash = None
+    return q
 
 
 Q0 = QNum()
@@ -215,7 +290,8 @@ class RootVector:
         self._check(o)
         out = Q0
         for x, y in zip(self.coords, o.coords):
-            out = out + x * y
+            if not (x.is_zero() or y.is_zero()):
+                out = out + x * y
         return out
 
     def is_zero(self) -> bool:
@@ -622,32 +698,3 @@ def exact_inverse(rows: Sequence[Sequence[QNum]]) -> list:
                 f = m[rr][c]
                 m[rr] = [x - f * y for x, y in zip(m[rr], m[c])]
     return [row[n:] for row in m]
-
-
-def exact_rank(rows: Sequence[Sequence[QNum]]) -> int:
-    """Rank of a small matrix over Q(sqrt2, sqrt3)."""
-    m = [list(row) for row in rows]
-    nrow = len(m)
-    ncol = len(m[0]) if nrow else 0
-    rank = 0
-    for c in range(ncol):
-        pr = None
-        for rr in range(rank, nrow):
-            if not m[rr][c].is_zero():
-                pr = rr
-                break
-        if pr is None:
-            continue
-        m[rank], m[pr] = m[pr], m[rank]
-        inv = m[rank][c].inverse()
-        m[rank] = [x * inv for x in m[rank]]
-        for rr in range(nrow):
-            if rr != rank and not m[rr][c].is_zero():
-                f = m[rr][c]
-                m[rr] = [x - f * y for x, y in zip(m[rr], m[rank])]
-        rank += 1
-    return rank
-
-
-def roots_to_json_str(rs: RootSystem) -> str:
-    return json.dumps(rs.to_json(), sort_keys=True)

@@ -1,10 +1,20 @@
 """Command-line interface: verbs, exit codes, determinism, file schemas."""
 
 import contextlib
+import hashlib
 import io
 import json
 
+import pytest
+
 from flagcurv.cli import run
+
+# SHA-256 of `verify --theorem k --full` stdout at the default rank bound 8.
+VERIFY_FULL_SHA256 = {
+    1: "f76efe8025edd71286417adce45ad96988711e6fcb2d6ba222fb40ac010babaa",
+    2: "d60bb180e53cd503912acf1969b44a68f08af404dd31ea9a74c4ea52e2ef7f53",
+    3: "423dc787f250103e49b1e63e8d08d665143b760814e025379d7ccf91fb470d17",
+}
 
 
 def invoke(argv):
@@ -147,6 +157,27 @@ def test_verify_verb_exit_codes():
     assert code == 0 and "rows" in json.loads(out)
     code, out, _ = invoke(["verify", "--theorem", "1", "--max-rank", "2"])
     assert code == 0  # the scanned-rank restriction keeps small bounds consistent
+
+
+@pytest.mark.parametrize("theorem", [1, 2, 3])
+def test_verify_full_stdout_is_pinned(theorem):
+    code, out, _ = invoke(["verify", "--theorem", str(theorem), "--full"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FULL_SHA256[theorem]
+
+
+@pytest.mark.parametrize("bad", ["0", "-1", "x"])
+def test_verify_max_rank_must_be_a_positive_integer(bad):
+    code, out, _ = invoke(["verify", "--theorem", "1", "--max-rank", bad])
+    assert code == 2 and out == ""
+
+
+def test_verify_without_rows_is_not_a_match():
+    # theorem 1 has no case-III subcase at rank 1
+    code, out, _ = invoke(["verify", "--theorem", "1", "--max-rank", "1", "--full"])
+    assert code == 3
+    rep = json.loads(out)
+    assert rep["rows"] == [] and not rep["match"]
 
 
 def test_verify_mismatch_exits_three(monkeypatch):

@@ -165,13 +165,14 @@ def test_cartan_vec_matches_scalar_cartan(make):
 
 
 def test_generic_norm_fd_fallback():
+    rng = np.random.default_rng(11)
     d = 3
-    q = _pd_matrix(d, RNG)
-    ref = Quadratic(q)
-    gen = GenericNorm(ref.value, d, reversible=True)
-    y, u, v, w = (RNG.standard_normal(d) for _ in range(4))
-    assert abs(gen.g_inner(y, u, v) - ref.g_inner(y, u, v)) < 1e-6
-    assert abs(gen.cartan3(y, u, v, w)) < 1e-5
+    for _ in range(25):
+        ref = Quadratic(_pd_matrix(d, rng))
+        gen = GenericNorm(ref.value, d, reversible=True)
+        y, u, v, w = (rng.standard_normal(d) for _ in range(4))
+        assert abs(gen.g_inner(y, u, v) - ref.g_inner(y, u, v)) < 1e-6
+        assert abs(gen.cartan3(y, u, v, w)) < 1e-5
 
 
 def test_hessian_undefined_at_origin():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from flagcurv.coset import lift_root, preset, tvec_from_parts
+from flagcurv.coset import in_span, lift_root, preset, project_to_span, tvec_from_parts
 from flagcurv.liealg import AlgebraSpec
 from flagcurv.rootsys import QNum, build_root_system, rv, weyl_reflect
 from flagcurv.obstruct import (
@@ -60,6 +60,22 @@ def test_sphere_presentation_is_case_three():
 
 
 # -- key lemmas --------------------------------------------------------------
+
+@pytest.mark.parametrize("make", [
+    lambda: case2_space("C", 3, _e(3, (0, 2))),
+    lambda: case3_space("B", 4, _e(4, (0, 1), (1, 1)), _e(4, (2, -1), (3, -1))),
+    lambda: root_level_from_coset(preset("sphere_un", 4)),
+])
+def test_pr_h_matches_projection_onto_cartan_h(make):
+    # pr_h and in_t_h work through t cap m; the oracle solves the Gram
+    # system of cartan_h instead
+    sp = make()
+    assert sp.cartan_h and sp.t_m
+    for r in sp.g_roots:
+        assert sp.pr_h(r) == project_to_span(sp.spec, sp.cartan_h, r)
+        assert sp.in_t_h(r) == in_span(sp.spec, sp.cartan_h, r)
+    assert any(sp.in_t_h(r) for r in sp.g_roots)
+
 
 def test_key_lemma_1_examples():
     sp = case3_space("A", 3, _e(4, (0, 1), (3, -1)), _e(4, (2, 1), (1, -1)))
