@@ -21,6 +21,7 @@ TOLERANCES = {
     "linear_solve_residual": 1e-10,
     "reductive_closure": 1e-10,
     "subalgebra_closure": 1e-8,
+    "norm_invariance": 1e-8,
     "fd_comparison_relative": 1e-5,
     "witness_u_map": 1e-7,
     "witness_curvature": 1e-6,
@@ -64,10 +65,14 @@ def _make_norm(space: coset.CosetSpace, text: str, seed: int):
         return norms.Quadratic(np.eye(space.dim_m))
     if text.startswith("randers"):
         eps = float(text.split(":", 1)[1]) if ":" in text else 0.2
-        b = space.to_m(space.embed(space.t_m[0]))
+        # b: the t cap m direction projected onto the Ad(H)-fixed vectors
+        fixed = norms.invariant_vectors(space)
+        b = np.zeros(space.dim_m)
+        if space.t_m and len(fixed):
+            b = fixed.T @ (fixed @ space.to_m(space.embed(space.t_m[0])))
         nb = np.linalg.norm(b)
         if nb < 1e-12:
-            raise ValueError("no invariant direction available for the Randers form")
+            raise ValueError("no Ad(H)-fixed vector of m along t cap m for the Randers form")
         return norms.Randers(np.eye(space.dim_m), eps * b / nb)
     if text.startswith("quartic") or text.startswith("invariant"):
         s = int(text.split(":", 1)[1]) if ":" in text else seed
@@ -124,7 +129,12 @@ def cmd_classify(args) -> int:
 def cmd_curvature(args) -> int:
     space = _load_space(args.space)
     norm = _make_norm(space, args.metric, args.seed)
+    resid = norms.check_invariance(norm, space)["max_residual"]
+    if not resid <= TOLERANCES["norm_invariance"]:
+        raise ValueError(f"norm is not Ad(H)-invariant: residual {resid:.2e} "
+                         f"above {TOLERANCES['norm_invariance']:g}")
     rep = curvature.sample_flags(space, norm, args.samples, args.seed)
+    rep["invariance_residual"] = resid
     rep["space"] = space.name
     rep["metric"] = args.metric
     rep["seed"] = args.seed

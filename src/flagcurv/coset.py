@@ -5,7 +5,11 @@ verified subalgebra h and of its bi-invariant orthogonal complement m.
 Exact Cartan data in the coordinate field Q(sqrt2, sqrt3) is carried
 alongside the floating matrices; all projections of Cartan vectors are
 exact, matrix projections are numeric with a fixed tolerance ladder
-(closure gate 1e-8, reductivity 1e-10, orthogonality 1e-12).
+(closure gate 1e-8, reductivity 1e-10, orthogonality 1e-12, membership of
+file-given generators in g 1e-10).  Every factor, sp(n) included, is a
+plain matrix block (sp(n) inside su(2n)), so the closure, reductivity and
+structure-tensor checks take the coordinates of all bracket pairs at once
+from RealizedAlgebra.bracket_coords.
 """
 
 from __future__ import annotations
@@ -30,16 +34,18 @@ from .rootsys import (
 from .liealg import (
     AlgebraElement,
     AlgebraSpec,
-    QuatMatrix,
     RealizedAlgebra,
     _eij,
     gram_schmidt,
+    quat_block,
+    quat_unit,
     realize,
 )
 
 CLOSURE_TOL = 1e-8
 REDUCTIVE_TOL = 1e-10
 ORTHO_TOL = 1e-12
+MEMBER_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +260,7 @@ class CosetSpace:
         self.m_basis = full[self.dim_h:]
         self.dim_m = len(self.m_basis)
 
-        self._h_co = np.array([alg.coords(b) for b in h_basis]) if h_basis else np.zeros((0, self.dim_g))
+        self._h_co = np.array([alg.coords(b) for b in h_basis]).reshape(-1, self.dim_g)
         self._m_co = np.array([alg.coords(b) for b in self.m_basis])
 
         self.t_m = orthocomplement_in_t(alg.spec, self.cartan_h)
@@ -265,16 +271,10 @@ class CosetSpace:
 
     # -- verification -----------------------------------------------------
     def _verify(self):
-        alg = self.algebra
-        for i, hi in enumerate(self.h_basis):
-            for mj in self.m_basis:
-                if abs(alg.inner(hi, mj)) > ORTHO_TOL:
-                    raise AssertionError("h and m are not orthogonal")
-        worst = 0.0
-        for hi in self.h_basis:
-            for mj in self.m_basis:
-                br = alg.bracket(hi, mj)
-                worst = max(worst, np.linalg.norm(self._h_co @ alg.coords(br)))
+        if self.dim_h and np.abs(self._h_co @ self._m_co.T).max() > ORTHO_TOL:
+            raise AssertionError("h and m are not orthogonal")
+        hm = self.algebra.bracket_coords(self.h_basis, self.m_basis) @ self._h_co.T
+        worst = float(np.linalg.norm(hm, axis=-1).max()) if hm.size else 0.0
         if worst > REDUCTIVE_TOL:
             raise AssertionError(f"reductive condition violated: {worst:.2e}")
         for tv in self.t_m:
@@ -325,24 +325,15 @@ class CosetSpace:
         """(Cm, Ch, Kh): m-m brackets onto m and h, and h-m brackets onto m."""
         if self._tensors is None:
             alg = self.algebra
-            d, dh = self.dim_m, self.dim_h
-            Cm = np.zeros((d, d, d))
-            Ch = np.zeros((d, d, dh))
-            for i in range(d):
-                for j in range(i + 1, d):
-                    br = alg.bracket(self.m_basis[i], self.m_basis[j])
-                    co = alg.coords(br)
-                    mi = self._m_co @ co
-                    hi = self._h_co @ co
-                    Cm[i, j] = mi
-                    Cm[j, i] = -mi
-                    Ch[i, j] = hi
-                    Ch[j, i] = -hi
-            Kh = np.zeros((dh, d, d))
-            for a in range(dh):
-                for k in range(d):
-                    br = alg.bracket(self.h_basis[a], self.m_basis[k])
-                    Kh[a, k] = self._m_co @ alg.coords(br)
+            mm = alg.bracket_coords(self.m_basis, self.m_basis)
+            # keep the i < j brackets and mirror them, so Cm and Ch are
+            # exactly antisymmetric in their first two slots
+            upper = np.triu(np.ones((self.dim_m, self.dim_m), dtype=bool), 1)
+            mm = np.where(upper[:, :, None], mm, 0.0)
+            mm = mm - mm.transpose(1, 0, 2)
+            Cm = mm @ self._m_co.T
+            Ch = mm @ self._h_co.T
+            Kh = alg.bracket_coords(self.h_basis, self.m_basis) @ self._m_co.T
             self._tensors = (Cm, Ch, Kh)
         return self._tensors
 
@@ -472,13 +463,10 @@ def build_coset(algebra: RealizedAlgebra, spec: SubalgebraSpec,
     h_basis = gram_schmidt(algebra, gens)
     if len(h_basis) == algebra.dim:
         raise ValueError("h = g: degenerate coset space")
-    h_co = np.array([algebra.coords(b) for b in h_basis])
-    worst = 0.0
-    for i in range(len(h_basis)):
-        for j in range(i + 1, len(h_basis)):
-            br = algebra.bracket(h_basis[i], h_basis[j])
-            co = algebra.coords(br)
-            worst = max(worst, np.linalg.norm(co - h_co.T @ (h_co @ co)))
+    h_co = np.array([algebra.coords(b) for b in h_basis]).reshape(-1, algebra.dim)
+    hh = algebra.bracket_coords(h_basis, h_basis)
+    off = hh - (hh @ h_co.T) @ h_co
+    worst = float(np.linalg.norm(off, axis=-1).max()) if off.size else 0.0
     if worst > CLOSURE_TOL:
         raise ValueError(f"not a subalgebra: bracket closure residual {worst:.2e}")
     return CosetSpace(algebra, name, h_basis, spec.cartan_h, **kw)
@@ -746,12 +734,11 @@ def preset_sphere_spn_sp1(n: int) -> CosetSpace:
         raise ValueError("sphere_spn_sp1 needs n >= 2")
     spec = AlgebraSpec((("C", n, Fraction(1)), ("C", 1, Fraction(1))))
     alg = realize(spec)
-    sz = alg.factors[0].size
     gens = []
     for part in ("x", "y", "z"):
         gens.append(alg.from_blocks([
-            QuatMatrix.unit(sz, 0, 0, part),
-            QuatMatrix.unit(1, 0, 0, part),
+            quat_unit(n, part, [(0, 0, 1)]),
+            quat_unit(1, part, [(0, 0, 1)]),
         ]))
     cart = [tvec_from_parts(spec, {0: _coords_unit(n, 0), 1: [1]})]
     cart += [lift_root(spec, 0, _unit(n, i)) for i in range(1, n)]
@@ -927,37 +914,69 @@ def preset(name: str, *params) -> CosetSpace:
 
 
 def space_from_json(obj: dict, name: str = "from file") -> CosetSpace:
-    """Build a coset space from the space-definition JSON schema."""
-    from .liealg import QuatMatrix as _QM
-    import numpy as _np
+    """Build a coset space from the space-definition JSON schema.
 
-    spec = AlgebraSpec.from_json(obj["algebra"])
-    alg = realize(spec)
-    cartan_h = tuple(tvec_from_json(spec, tv) for tv in obj.get("cartan_h", []))
-    h_roots = []
-    for entry in obj.get("h_roots", []):
-        h_roots.append((int(entry["factor"]), RootVector.from_json(entry["root"])))
-    extra = []
-    for gen in obj.get("extra_generators", []):
-        blocks = []
-        for blk, f in zip(gen["blocks"], alg.factors):
-            kind, data = blk["kind"], blk["data"]
-            if kind == "quaternion":
-                blocks.append(_QM(*[_np.array(c, dtype=float) for c in data]))
-            elif kind == "complex":
-                blocks.append(_np.array(data[0], dtype=float)
-                              + 1j * _np.array(data[1], dtype=float))
-            else:
-                blocks.append(_np.array(data, dtype=float))
-        extra.append(alg.from_blocks(blocks, _np.array(gen.get("abelian", []), dtype=float)
-                                     if gen.get("abelian") else None))
+    Fails closed with ValueError on a malformed schema, on a block whose
+    kind or shape does not fit its factor, and on an extra generator that
+    does not lie in g (off_algebra residual above MEMBER_TOL).  An sp(n)
+    block may be given as "quaternion" ([w, x, y, z], each n x n) or as
+    "complex" (2n x 2n)."""
+    try:
+        spec = AlgebraSpec.from_json(obj["algebra"])
+        alg = realize(spec)
+        cartan_h = tuple(tvec_from_json(spec, tv) for tv in obj.get("cartan_h", []))
+        h_roots = []
+        for entry in obj.get("h_roots", []):
+            factor, root = int(entry["factor"]), RootVector.from_json(entry["root"])
+            if not (0 <= factor < len(alg.factors)
+                    and alg.factors[factor]._canonical(root) in alg.factors[factor].planes):
+                raise ValueError(f"h_roots: {root} is not a root of factor {factor}")
+            h_roots.append((factor, root))
+        extra = [_generator_from_json(alg, gen) for gen in obj.get("extra_generators", [])]
+        more = obj.get("h_root_vectors")
+        if more is not None:
+            hvecs = _negclose([tvec_from_json(spec, tv) for tv in more])
+        else:
+            hvecs = _negclose([lift_root(spec, f, r) for f, r in h_roots])
+        name = obj.get("name", name)
+    except (KeyError, TypeError, AttributeError, IndexError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed space file: {type(exc).__name__}: {exc}") from None
+    for k, x in enumerate(extra):
+        resid = alg.off_algebra(x)
+        if not resid <= MEMBER_TOL:
+            raise ValueError(f"extra generator {k} does not lie in g: residual {resid:.2e}")
     sub = SubalgebraSpec(cartan_h=cartan_h, h_roots=tuple(h_roots),
                          extra_generators=tuple(extra))
-    hvecs = _negclose([lift_root(spec, f, r) for f, r in h_roots]) if h_roots else ()
-    more = obj.get("h_root_vectors")
-    if more is not None:
-        hvecs = _negclose([tvec_from_json(spec, tv) for tv in more])
-    return build_coset(alg, sub, name=obj.get("name", name), h_root_vectors=hvecs)
+    return build_coset(alg, sub, name=name, h_root_vectors=hvecs)
+
+
+def _generator_from_json(alg: RealizedAlgebra, gen: dict) -> AlgebraElement:
+    if len(gen["blocks"]) != len(alg.factors):
+        raise ValueError(f"extra generator has {len(gen['blocks'])} blocks "
+                         f"for {len(alg.factors)} factors")
+    blocks = []
+    for blk, f in zip(gen["blocks"], alg.factors):
+        kind, data = blk["kind"], blk["data"]
+        if kind == "real" and f.dtype is float:
+            blocks.append(_json_matrix(data, f.size))
+        elif kind == "complex" and f.dtype is complex and len(data) == 2:
+            blocks.append(_json_matrix(data[0], f.size) + 1j * _json_matrix(data[1], f.size))
+        elif kind == "quaternion" and f.family == "C" and len(data) == 4:
+            w, x, y, z = (_json_matrix(c, f.rank) for c in data)
+            blocks.append(quat_block(w + 1j * x, y + 1j * z))
+        else:
+            raise ValueError(f"a {kind!r} block does not fit factor {f.family}{f.rank}")
+    abelian = np.array(gen.get("abelian") or np.zeros(alg.spec.abelian_dim), dtype=float)
+    if abelian.shape != (alg.spec.abelian_dim,) or not np.isfinite(abelian).all():
+        raise ValueError(f"extra generator needs {alg.spec.abelian_dim} finite abelian entries")
+    return alg.from_blocks(blocks, abelian)
+
+
+def _json_matrix(data, n: int) -> np.ndarray:
+    m = np.array(data, dtype=float)
+    if m.shape != (n, n) or not np.isfinite(m).all():
+        raise ValueError(f"block of shape {m.shape} where a finite {n} x {n} matrix belongs")
+    return m
 
 
 def parse_preset(text: str) -> CosetSpace:
@@ -979,37 +998,13 @@ def parse_preset(text: str) -> CosetSpace:
 
 def _ad_exp(algebra: RealizedAlgebra, t: float, v: AlgebraElement):
     """Ad(exp(t v)) as a map on algebra elements (matrix conjugation)."""
-    exps = []
-    for f, b in zip(algebra.factors, v.blocks):
-        if isinstance(b, QuatMatrix):
-            cm = _quat_to_complex(b)
-            exps.append(("quat", expm(t * cm), None))
-        else:
-            exps.append(("mat", expm(t * np.asarray(b, dtype=complex)), None))
+    exps = [expm(t * np.asarray(b, dtype=complex)) for b in v.blocks]
 
     def apply(x: AlgebraElement) -> AlgebraElement:
         blocks = []
-        for (kind, e, _), bx in zip(exps, x.blocks):
-            if kind == "quat":
-                cm = _quat_to_complex(bx)
-                blocks.append(_complex_to_quat(e @ cm @ np.conj(e.T)))
-            else:
-                out = e @ np.asarray(bx, dtype=complex) @ np.conj(e.T)
-                blocks.append(out if np.iscomplexobj(bx) else out.real)
+        for e, bx in zip(exps, x.blocks):
+            out = e @ np.asarray(bx, dtype=complex) @ np.conj(e.T)
+            blocks.append(out if np.iscomplexobj(bx) else out.real)
         return algebra.from_blocks(blocks, x.abelian.copy())
 
     return apply
-
-
-def _quat_to_complex(q: QuatMatrix) -> np.ndarray:
-    """Standard embedding of an n x n quaternion matrix into C^{2n x 2n}."""
-    a = q.w + 1j * q.x
-    b = q.y + 1j * q.z
-    return np.block([[a, b], [-np.conj(b), np.conj(a)]])
-
-
-def _complex_to_quat(m: np.ndarray) -> QuatMatrix:
-    n = m.shape[0] // 2
-    a = m[:n, :n]
-    b = m[:n, n:]
-    return QuatMatrix(a.real, a.imag, b.real, b.imag)

@@ -1,11 +1,15 @@
 """Matrix realizations of the classical compact Lie algebras.
 
 su(n+1), so(m) and sp(n) are realized with the standard Cartan generators
-and root-plane bases; sp(n) is kept in native quaternion scalars.  The
-bi-invariant inner product is -Re tr(xy) per factor, normalized so that the
-Cartan generators realize the root-system coordinates isometrically (factor
-1/2 for the orthogonal families), with an optional positive scale per factor
-and the Euclidean product on the abelian part.
+and root-plane bases, all as plain matrices: su(n+1) complex, so(m) real,
+and sp(n) as complex 2n x 2n matrices inside su(2n), the quaternion matrix
+a + b j being [[a, b], [-conj b, conj a]].  The bi-invariant inner product
+is -Re tr(xy) per factor, normalized so that the Cartan generators realize
+the root-system coordinates isometrically (factor 1/2 for the orthogonal
+and symplectic families), with an optional positive scale per factor and
+the Euclidean product on the abelian part.  Coordinates over the
+orthonormal ambient basis are one product with its cached dual matrix, and
+the brackets of many pairs are one broadcast matmul per factor.
 """
 
 from __future__ import annotations
@@ -17,92 +21,6 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .rootsys import RootVector, build_root_system
-
-
-@dataclass(frozen=True)
-class Quaternion:
-    """Real quaternion w + x*i + y*j + z*k."""
-
-    w: float = 0.0
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
-
-    def __add__(self, o: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w + o.w, self.x + o.x, self.y + o.y, self.z + o.z)
-
-    def __mul__(self, o: "Quaternion") -> "Quaternion":
-        return Quaternion(
-            self.w * o.w - self.x * o.x - self.y * o.y - self.z * o.z,
-            self.w * o.x + self.x * o.w + self.y * o.z - self.z * o.y,
-            self.w * o.y - self.x * o.z + self.y * o.w + self.z * o.x,
-            self.w * o.z + self.x * o.y - self.y * o.x + self.z * o.w,
-        )
-
-    def conj(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def norm2(self) -> float:
-        return self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2
-
-
-class QuatMatrix:
-    """Quaternionic matrix stored as four real component matrices."""
-
-    __slots__ = ("w", "x", "y", "z")
-
-    def __init__(self, w, x=None, y=None, z=None):
-        self.w = np.asarray(w, dtype=float)
-        sh = self.w.shape
-        self.x = np.zeros(sh) if x is None else np.asarray(x, dtype=float)
-        self.y = np.zeros(sh) if y is None else np.asarray(y, dtype=float)
-        self.z = np.zeros(sh) if z is None else np.asarray(z, dtype=float)
-
-    @staticmethod
-    def zeros(n: int) -> "QuatMatrix":
-        return QuatMatrix(np.zeros((n, n)))
-
-    @staticmethod
-    def unit(n: int, i: int, j: int, part: str, value: float = 1.0) -> "QuatMatrix":
-        m = QuatMatrix.zeros(n)
-        getattr(m, part)[i, j] = value
-        return m
-
-    def copy(self) -> "QuatMatrix":
-        return QuatMatrix(self.w.copy(), self.x.copy(), self.y.copy(), self.z.copy())
-
-    def __add__(self, o: "QuatMatrix") -> "QuatMatrix":
-        return QuatMatrix(self.w + o.w, self.x + o.x, self.y + o.y, self.z + o.z)
-
-    def __sub__(self, o: "QuatMatrix") -> "QuatMatrix":
-        return QuatMatrix(self.w - o.w, self.x - o.x, self.y - o.y, self.z - o.z)
-
-    def __rmul__(self, c: float) -> "QuatMatrix":
-        return QuatMatrix(c * self.w, c * self.x, c * self.y, c * self.z)
-
-    def matmul(self, o: "QuatMatrix") -> "QuatMatrix":
-        # quaternion product expanded over the i,j,k components
-        return QuatMatrix(
-            self.w @ o.w - self.x @ o.x - self.y @ o.y - self.z @ o.z,
-            self.w @ o.x + self.x @ o.w + self.y @ o.z - self.z @ o.y,
-            self.w @ o.y - self.x @ o.z + self.y @ o.w + self.z @ o.x,
-            self.w @ o.z + self.x @ o.y - self.y @ o.x + self.z @ o.w,
-        )
-
-    def conj_t(self) -> "QuatMatrix":
-        return QuatMatrix(self.w.T.copy(), -self.x.T.copy(), -self.y.T.copy(), -self.z.T.copy())
-
-    def re_trace(self) -> float:
-        return float(np.trace(self.w))
-
-    def frob2(self) -> float:
-        return float((self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2).sum())
-
-    def entry(self, i: int, j: int) -> Quaternion:
-        return Quaternion(self.w[i, j], self.x[i, j], self.y[i, j], self.z[i, j])
-
-    def to_json(self):
-        return [self.w.tolist(), self.x.tolist(), self.y.tolist(), self.z.tolist()]
 
 
 @dataclass(frozen=True)
@@ -209,29 +127,6 @@ class AlgebraElement:
     def norm(self) -> float:
         return float(np.sqrt(max(self.algebra.inner(self, self), 0.0)))
 
-    def frob2(self) -> float:
-        """Plain component-wise squared magnitude, for residual reporting."""
-        out = float(self.abelian @ self.abelian)
-        for b in self.blocks:
-            if isinstance(b, QuatMatrix):
-                out += b.frob2()
-            else:
-                out += float((np.abs(b) ** 2).sum())
-        return out
-
-    def to_json(self):
-        blocks = []
-        for b in self.blocks:
-            if isinstance(b, QuatMatrix):
-                blocks.append({"kind": "quaternion", "data": b.to_json()})
-            elif np.iscomplexobj(b):
-                blocks.append(
-                    {"kind": "complex", "data": [b.real.tolist(), b.imag.tolist()]}
-                )
-            else:
-                blocks.append({"kind": "real", "data": b.tolist()})
-        return {"blocks": blocks, "abelian": self.abelian.tolist()}
-
 
 @dataclass
 class RootPlanePair:
@@ -247,14 +142,29 @@ class RootPlanePair:
     y: AlgebraElement
 
 
-def _su_cartan(n1: int) -> list:
-    return [1j * _eij(n1, i, i, complex) for i in range(n1)]
-
-
 def _eij(n: int, i: int, j: int, dtype) -> np.ndarray:
     m = np.zeros((n, n), dtype=dtype)
     m[i, j] = 1
     return m
+
+
+def quat_block(a, b) -> np.ndarray:
+    """The complex 2n x 2n block of the quaternion matrix a + b j, where
+    a = w + x i and b = y + z i are complex n x n."""
+    return np.block([[a, b], [-np.conj(b), np.conj(a)]])
+
+
+_QUAT_UNITS = {"w": (1, 0), "x": (1j, 0), "y": (0, 1), "z": (0, 1j)}
+
+
+def quat_unit(n: int, part: str, entries) -> np.ndarray:
+    """Complex block of the quaternion n x n matrix with c times the unit
+    `part` (w, x, y or z) at each (i, j, c) of entries."""
+    ca, cb = _QUAT_UNITS[part]
+    e = np.zeros((n, n), dtype=complex)
+    for i, j, c in entries:
+        e[i, j] += c
+    return quat_block(ca * e, cb * e)
 
 
 class RealizedAlgebra:
@@ -274,6 +184,12 @@ class RealizedAlgebra:
             f.init_planes()
         self.dim = sum(f.dim for f in self.factors) + spec.abelian_dim
         self._ambient_basis: Optional[list] = None
+        self._dual: Optional[np.ndarray] = None
+        self._slices = []  # column range of each factor in the flat layout
+        start = 0
+        for f in self.factors:
+            self._slices.append(slice(start, start + f.flat_len))
+            start += f.flat_len
 
     # -- element constructors -------------------------------------------
     def zero(self) -> AlgebraElement:
@@ -327,26 +243,56 @@ class RealizedAlgebra:
 
     def ambient_basis(self) -> list:
         """Orthonormal basis of the whole algebra under the bi-invariant
-        inner product (cached)."""
+        inner product (cached, together with its dual matrix)."""
         if self._ambient_basis is None:
             raw = []
             for f in self.factors:
                 raw.extend(f.spanning_set())
             for k in range(self.spec.abelian_dim):
                 raw.append(self.abelian_unit(k))
-            self._ambient_basis = gram_schmidt(self, raw)
-            assert len(self._ambient_basis) == self.dim
+            basis = gram_schmidt(self, raw)
+            assert len(basis) == self.dim
+            # row k pairs with flat(x) to give inner(x, basis[k]):
+            # -Re tr(x b) = -Re sum(x * b^T), with the abelian weights
+            scales = np.array([float(s) for s in self.spec.abelian_scales])
+            self._dual = np.array([
+                np.concatenate([-f.weight * f.flat(np.conj(b.T))
+                                for f, b in zip(self.factors, e.blocks)]
+                               + [scales * e.abelian])
+                for e in basis
+            ])
+            self._ambient_basis = basis
         return self._ambient_basis
 
-    def coords(self, x: AlgebraElement) -> np.ndarray:
-        basis = self.ambient_basis()
-        return np.array([self.inner(x, b) for b in basis])
+    def _flat(self, x: AlgebraElement) -> np.ndarray:
+        return np.concatenate([f.flat(b) for f, b in zip(self.factors, x.blocks)]
+                              + [x.abelian])
 
-    def from_coords(self, c: np.ndarray) -> AlgebraElement:
+    def coords(self, x: AlgebraElement) -> np.ndarray:
+        """Coordinates of x over the orthonormal ambient basis."""
+        self.ambient_basis()
+        return self._dual @ self._flat(x)
+
+    def off_algebra(self, x: AlgebraElement) -> float:
+        """Distance of x's matrices from the realized algebra, relative to
+        their size: x minus its re-expansion from coords(x)."""
         basis = self.ambient_basis()
-        out = self.zero()
-        for ci, b in zip(c, basis):
-            out = out + float(ci) * b
+        flat = self._flat(x)
+        rebuilt = np.array([self._flat(b) for b in basis]).T @ (self._dual @ flat)
+        return float(np.linalg.norm(flat - rebuilt) / max(np.linalg.norm(flat), 1e-300))
+
+    def bracket_coords(self, xs: Sequence[AlgebraElement],
+                       ys: Sequence[AlgebraElement]) -> np.ndarray:
+        """coords([x_i, y_j]) for every pair, shape (len(xs), len(ys), dim):
+        one broadcast matmul per factor, then one product with the dual."""
+        self.ambient_basis()
+        out = np.zeros((len(xs), len(ys), self.dim))
+        if not (len(xs) and len(ys)):
+            return out
+        for k, (f, cols) in enumerate(zip(self.factors, self._slices)):
+            a = np.stack([x.blocks[k] for x in xs])[:, None]
+            b = np.stack([y.blocks[k] for y in ys])[None]
+            out += f.flat(a @ b - b @ a) @ self._dual[:, cols].T
         return out
 
 
@@ -361,21 +307,23 @@ class _FactorRealization:
         self.scale = scale
         self.root_system = build_root_system(fam, rank, _relaxed=True)
         if fam == "A":
-            self.kind = "complex"
+            self.dtype = complex
             self.size = rank + 1
             self.dim = (rank + 1) ** 2 - 1
             self.kappa = Fraction(1)
         elif fam in ("B", "D"):
-            self.kind = "real"
+            self.dtype = float
             self.size = 2 * rank + 1 if fam == "B" else 2 * rank
             self.dim = self.size * (self.size - 1) // 2
             self.kappa = Fraction(1, 2)
-        else:  # C
-            self.kind = "quaternion"
-            self.size = rank
+        else:  # C: sp(n) inside su(2n), where -Re tr doubles the quaternion trace
+            self.dtype = complex
+            self.size = 2 * rank
             self.dim = rank * (2 * rank + 1)
-            self.kappa = Fraction(1)
+            self.kappa = Fraction(1, 2)
         self.weight = float(self.kappa * scale)
+        # length of a flattened block: complex entries as (re, im) pairs
+        self.flat_len = self.size ** 2 * (2 if self.dtype is complex else 1)
         ncart = rank + 1 if fam == "A" else rank  # A uses ambient coordinates
         self.cartan = [self._cartan_matrix(i) for i in range(ncart)]
         self.planes = {}
@@ -388,21 +336,22 @@ class _FactorRealization:
 
     # -- block-level helpers ----------------------------------------------
     def zero_block(self):
-        if self.kind == "complex":
-            return np.zeros((self.size, self.size), dtype=complex)
-        if self.kind == "real":
-            return np.zeros((self.size, self.size))
-        return QuatMatrix.zeros(self.size)
+        return np.zeros((self.size, self.size), dtype=self.dtype)
 
     def commutator(self, a, b):
-        if isinstance(a, QuatMatrix):
-            return a.matmul(b) - b.matmul(a)
         return a @ b - b @ a
 
     def re_trace_product(self, a, b) -> float:
-        if isinstance(a, QuatMatrix):
-            return -a.matmul(b).re_trace()
-        return float(-np.trace(a @ b).real)
+        """-Re tr(a b), without forming the product."""
+        return float(-(a * b.T).real.sum())
+
+    def flat(self, m) -> np.ndarray:
+        """Real flattening of a block, or of a stack of blocks along the
+        leading axes: row-major entries, complex ones as (re, im) pairs."""
+        m = np.ascontiguousarray(m, dtype=self.dtype)
+        if self.dtype is complex:
+            m = m.view(float)
+        return m.reshape(m.shape[:-2] + (-1,))
 
     def _canonical(self, root: RootVector) -> RootVector:
         return root if root._sort_key() >= (-root)._sort_key() else -root
@@ -418,7 +367,7 @@ class _FactorRealization:
         if self.family == "D":
             a, b = 2 * i, 2 * i + 1
             return _eij(n, a, b, float) - _eij(n, b, a, float)
-        return QuatMatrix.unit(self.size, i, i, "x")  # sp: i*E_ii
+        return quat_unit(self.rank, "x", [(i, i, 1)])  # sp: i*E_ii
 
     def cartan_block(self, v: Optional[RootVector]):
         if v is None:
@@ -445,7 +394,7 @@ class _FactorRealization:
         def put(block):
             out.append(alg.single_block(self.index, block))
 
-        if self.kind == "complex":
+        if self.family == "A":
             for i in range(n - 1):
                 d = np.zeros((n, n), dtype=complex)
                 d[i, i] = 1j
@@ -455,25 +404,20 @@ class _FactorRealization:
                 for j in range(i + 1, n):
                     put(_eij(n, i, j, complex) - _eij(n, j, i, complex))
                     put(1j * (_eij(n, i, j, complex) + _eij(n, j, i, complex)))
-        elif self.kind == "real":
+        elif self.family in ("B", "D"):
             for i in range(n):
                 for j in range(i + 1, n):
                     put(_eij(n, i, j, float) - _eij(n, j, i, float))
         else:
-            for i in range(n):
+            r = self.rank
+            for i in range(r):
                 for part in ("x", "y", "z"):
-                    put(QuatMatrix.unit(n, i, i, part))
-            for i in range(n):
-                for j in range(i + 1, n):
-                    m = QuatMatrix.zeros(n)
-                    m.w[i, j] = 1.0
-                    m.w[j, i] = -1.0
-                    put(m)
+                    put(quat_unit(r, part, [(i, i, 1)]))
+            for i in range(r):
+                for j in range(i + 1, r):
+                    put(quat_unit(r, "w", [(i, j, 1), (j, i, -1)]))
                     for part in ("x", "y", "z"):
-                        m = QuatMatrix.zeros(n)
-                        getattr(m, part)[i, j] = 1.0
-                        getattr(m, part)[j, i] = 1.0
-                        put(m)
+                        put(quat_unit(r, part, [(i, j, 1), (j, i, 1)]))
         return out
 
     # -- root planes --------------------------------------------------------
@@ -529,32 +473,20 @@ class _FactorRealization:
                     - _eij(n, aj, bi, float) - _eij(n, bj, ai, float)
                 )
             return x, y
-        # sp(n)
+        # sp(n): quaternion units of the rank x rank presentation
+        r = self.rank
         nz = [k for k, c in enumerate(cf) if abs(c) > 0.5]
         if len(nz) == 1:
             i = nz[0]
-            return (
-                QuatMatrix.unit(n, i, i, "y"),
-                QuatMatrix.unit(n, i, i, "z"),
-            )
+            return quat_unit(r, "y", [(i, i, 1)]), quat_unit(r, "z", [(i, i, 1)])
         i, j = nz
         if cf[i] * cf[j] < 0:
             if cf[i] < 0:
                 i, j = j, i
-            x = QuatMatrix.zeros(n)
-            x.w[i, j] = 1.0
-            x.w[j, i] = -1.0
-            y = QuatMatrix.zeros(n)
-            y.x[i, j] = 1.0
-            y.x[j, i] = 1.0
-            return x, y
-        x = QuatMatrix.zeros(n)
-        x.y[i, j] = 1.0
-        x.y[j, i] = 1.0
-        y = QuatMatrix.zeros(n)
-        y.z[i, j] = 1.0
-        y.z[j, i] = 1.0
-        return x, y
+            return (quat_unit(r, "w", [(i, j, 1), (j, i, -1)]),
+                    quat_unit(r, "x", [(i, j, 1), (j, i, 1)]))
+        return (quat_unit(r, "y", [(i, j, 1), (j, i, 1)]),
+                quat_unit(r, "z", [(i, j, 1), (j, i, 1)]))
 
     def _build_plane(self, root: RootVector) -> RootPlanePair:
         alg = self.algebra

@@ -293,8 +293,9 @@ class GenericNorm(MinkowskiNorm):
 # ---------------------------------------------------------------------------
 # Finite-difference oracles (also used as the fallback path above).  For the
 # built-in families the oracle evaluates F^2 in extended precision so the
-# documented step 1e-5 is not drowned by float64 cancellation; user-supplied
-# callables get the float64 path of GenericNorm.
+# documented step 1e-5 (rel_step) is not drowned by float64 cancellation;
+# other norms get the float64 path of GenericNorm at its own step
+# GENERIC_REL_STEP, since 1e-5 would leave float64 roundoff near 1e-5.
 # ---------------------------------------------------------------------------
 
 def _mp_f2(norm: MinkowskiNorm):
@@ -336,7 +337,7 @@ def fd_g_inner(norm: MinkowskiNorm, y, u, v, rel_step: float = FD_REL_STEP) -> f
     v = np.asarray(v, dtype=float)
     f2 = _mp_f2(norm)
     if f2 is None:
-        return GenericNorm(norm.value, norm.dim, norm.reversible, rel_step).g_fd(y, u, v)
+        return GenericNorm(norm.value, norm.dim, norm.reversible).g_fd(y, u, v)
     import mpmath
     with mpmath.workdps(40):
         h0 = mpmath.mpf(rel_step) * mpmath.mpf(float(np.linalg.norm(y)))
@@ -358,7 +359,7 @@ def fd_cartan(norm: MinkowskiNorm, y, u, v, w, rel_step: float = FD_REL_STEP) ->
     y = np.asarray(y, dtype=float)
     f2 = _mp_f2(norm)
     if f2 is None:
-        return GenericNorm(norm.value, norm.dim, norm.reversible, rel_step).cartan3(y, u, v, w)
+        return GenericNorm(norm.value, norm.dim, norm.reversible).cartan3(y, u, v, w)
     import mpmath
     u, v, w = (np.asarray(t, dtype=float) for t in (u, v, w))
     with mpmath.workdps(40):
@@ -465,6 +466,17 @@ def invariant_quadratic_space(space, tol: float = 1e-8) -> list:
             S[j, i] += c if i != j else 0.0
         out.append(0.5 * (S + S.T))
     return out
+
+
+def invariant_vectors(space, tol: float = 1e-8) -> np.ndarray:
+    """Orthonormal rows spanning the Ad(h)-fixed vectors of m: the common
+    null space of every ad(h)|_m."""
+    _, _, Kh = space.structure_tensors()
+    d = space.dim_m
+    if not len(Kh):
+        return np.eye(d)
+    _, sv, vt = np.linalg.svd(Kh.reshape(-1, d))
+    return vt[sv < tol]
 
 
 def random_invariant_norm(space, seed: int, k: int = 3) -> Quartic:

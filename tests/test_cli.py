@@ -201,3 +201,66 @@ def test_usage_and_validation_errors():
     assert code == 1
     assert "error" in json.loads(out)
     assert invoke(["space", "build", "--file", "/nonexistent.json"])[0] == 1
+
+
+def _space_file(tmp_path, obj):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _assert_fails_closed(argv, match):
+    code, out, err = invoke(argv)
+    assert code == 1 and "Traceback" not in err
+    assert match in json.loads(out)["error"]
+
+
+def _sp2_file(blocks):
+    return {
+        "algebra": {"factors": [{"family": "C", "rank": 2, "scale": "1"}],
+                    "abelian_dim": 0},
+        "extra_generators": [{"blocks": blocks}],
+    }
+
+
+def test_space_file_with_malformed_schema_fails_closed(tmp_path):
+    path = _space_file(tmp_path, {"algebra": 5})
+    _assert_fails_closed(["space", "build", "--file", path], "malformed space file")
+
+
+def test_space_file_block_must_fit_its_factor(tmp_path):
+    path = _space_file(tmp_path, _sp2_file(
+        [{"kind": "real", "data": [[0.0, 1.0], [-1.0, 0.0]]}]))
+    _assert_fails_closed(["space", "build", "--file", path], "does not fit factor C2")
+
+
+def test_space_file_generator_outside_g_fails_closed(tmp_path):
+    # w = E_11 is a real diagonal quaternion matrix: not in sp(2)
+    zero = [[0.0, 0.0], [0.0, 0.0]]
+    path = _space_file(tmp_path, _sp2_file(
+        [{"kind": "quaternion", "data": [[[1.0, 0.0], [0.0, 0.0]], zero, zero, zero]}]))
+    _assert_fails_closed(["space", "build", "--file", path], "does not lie in g")
+
+
+def test_randers_needs_a_fixed_vector():
+    # SO(5) acts irreducibly on m = R^5: no invariant Randers form
+    _assert_fails_closed(["curvature", "--space", "preset:sphere_so2n(3)",
+                          "--metric", "randers", "--samples", "3"], "Ad(H)-fixed")
+
+
+def test_randers_on_a_space_with_a_fixed_vector():
+    code, out, _ = invoke(["curvature", "--space", "preset:sphere_un(3)",
+                           "--metric", "randers", "--samples", "3"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["flags"] == 3 and rep["invariance_residual"] < 1e-12
+
+
+def test_norm_file_must_be_invariant(tmp_path):
+    import numpy as np
+    from flagcurv.norms import Quadratic, norm_to_json_str
+    a = np.random.default_rng(0).standard_normal((5, 5))
+    path = tmp_path / "norm.json"
+    path.write_text(norm_to_json_str(Quadratic(a @ a.T + np.eye(5))))
+    _assert_fails_closed(["curvature", "--space", "preset:sphere_un(3)",
+                          "--metric", str(path), "--samples", "3"], "not Ad(H)-invariant")

@@ -262,3 +262,77 @@ def test_normalize_diagonal_a1_identity_rotation_and_error():
            u_basis[2] + 4.0 * v_basis[2]]
     with pytest.raises(ValueError, match="diagonal A1"):
         normalize_diagonal_a1(alg, bad, ref)
+
+
+def _pairwise_tensors(sp):
+    """Per-pair oracle: bracket, then inner with each basis vector (the
+    h- and m-bases are orthonormal)."""
+    alg = sp.algebra
+
+    def co(x, basis):
+        return np.array([alg.inner(x, b) for b in basis])
+
+    d, dh = sp.dim_m, sp.dim_h
+    Cm, Ch, Kh = np.zeros((d, d, d)), np.zeros((d, d, dh)), np.zeros((dh, d, d))
+    for i, x in enumerate(sp.m_basis):
+        for j, y in enumerate(sp.m_basis):
+            br = alg.bracket(x, y)
+            Cm[i, j], Ch[i, j] = co(br, sp.m_basis), co(br, sp.h_basis)
+    for a, h in enumerate(sp.h_basis):
+        for k, y in enumerate(sp.m_basis):
+            Kh[a, k] = co(alg.bracket(h, y), sp.m_basis)
+    return Cm, Ch, Kh
+
+
+@pytest.mark.parametrize("key", [
+    ("a1a1_diagonal", (1,)),          # A + A
+    ("bn_excluded_subcase1", (2,)),   # B
+    ("sphere_so2n", (3,)),            # D
+    ("cn_excluded_subcase1", (3,)),   # C
+    ("sphere_spn_sp1", (2,)),         # C + C
+    ("sphere_un", (3,)),              # A plus an abelian part
+])
+def test_batched_structure_tensors_match_pairwise_oracle(spaces, key):
+    sp = spaces[key]
+    for got, want in zip(sp.structure_tensors(), _pairwise_tensors(sp)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-12
+    Cm, Ch, _ = sp.structure_tensors()
+    assert np.array_equal(Cm, -Cm.transpose(1, 0, 2))
+    assert np.array_equal(Ch, -Ch.transpose(1, 0, 2))
+
+
+def test_quaternion_and_complex_space_files_agree():
+    """Sp(2)Sp(1)/Sp(1)Sp(1) from a file, its diagonal Sp(1) given once as
+    quaternion blocks and once as their complex 2n x 2n form."""
+    from flagcurv.coset import space_from_json, tvec_to_json
+    from flagcurv.liealg import quat_unit
+
+    spec = AlgebraSpec((("C", 2, Fraction(1)), ("C", 1, Fraction(1))))
+    cart = [tvec_from_parts(spec, {0: [1, 0], 1: [1]}),
+            tvec_from_parts(spec, {0: [0, 1]})]
+    base = {
+        "algebra": spec.to_json(),
+        "cartan_h": [tvec_to_json(tv) for tv in cart],
+        "h_roots": [{"factor": 0, "root": rv(0, 2).to_json()}],
+    }
+
+    def quat(n, part):
+        comps = [[[0.0] * n for _ in range(n)] for _ in "wxyz"]
+        comps["wxyz".index(part)][0][0] = 1.0
+        return {"kind": "quaternion", "data": comps}
+
+    def cplx(n, part):
+        m = quat_unit(n, part, [(0, 0, 1)])
+        return {"kind": "complex", "data": [m.real.tolist(), m.imag.tolist()]}
+
+    built = []
+    for make in (quat, cplx):
+        obj = dict(base, extra_generators=[
+            {"blocks": [make(2, part), make(1, part)]} for part in "xyz"])
+        built.append(space_from_json(obj))
+    a, b = built
+    assert (a.dim_h, a.dim_m) == (b.dim_h, b.dim_m) == (6, 7)
+    assert np.array_equal(a._m_co, b._m_co)
+    for x, y in zip(a.structure_tensors(), b.structure_tensors()):
+        assert np.array_equal(x, y)

@@ -8,7 +8,6 @@ import pytest
 
 from flagcurv.liealg import (
     AlgebraSpec,
-    Quaternion,
     bracket,
     cartan_embed,
     gram_schmidt,
@@ -28,21 +27,19 @@ def algebras():
     }
 
 
-def test_quaternion_algebra():
-    i = Quaternion(0, 1, 0, 0)
-    j = Quaternion(0, 0, 1, 0)
-    k = Quaternion(0, 0, 0, 1)
-    assert i * j == k and j * k == i and k * i == j
-    a = Quaternion(1, 2, -1, 0.5)
-    b = Quaternion(-2, 0, 3, 1)
-    c = Quaternion(0.5, 1, 1, -3)
-    lhs = (a * b) * c
-    rhs = a * (b * c)
-    assert abs(lhs.w - rhs.w) < TOL and abs(lhs.x - rhs.x) < TOL
-    ab = (a * b).conj()
-    ba = b.conj() * a.conj()
-    assert abs(ab.w - ba.w) < TOL and abs(ab.z - ba.z) < TOL
-    assert abs(a.norm2() - (a * a.conj()).w) < TOL
+def test_sp_basis_blocks_are_skew_hermitian_and_symplectic():
+    """Every C-factor basis block lies in u(2n) and in sp(2n, C)."""
+    for rank in (1, 2, 3):
+        alg = realize(AlgebraSpec((("C", rank, Fraction(1)),)))
+        n = rank
+        J = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
+        basis = alg.ambient_basis()
+        assert len(basis) == rank * (2 * rank + 1)
+        for e in basis:
+            X = e.blocks[0]
+            assert X.shape == (2 * n, 2 * n)
+            assert np.abs(X + X.conj().T).max() < TOL
+            assert np.abs(X.T @ J + J @ X).max() < TOL
 
 
 def test_su4_plane_matches_standard_presentation(algebras):
@@ -54,12 +51,19 @@ def test_su4_plane_matches_standard_presentation(algebras):
     assert np.allclose(x, expected, atol=TOL) or np.allclose(x, -expected, atol=TOL)
 
 
-def test_sp3_long_plane_is_quaternionic_diagonal(algebras):
+def test_sp3_long_plane_sits_in_the_j_entries(algebras):
+    """The plane of 2e_1 is spanned by j E_11 and k E_11: in the complex
+    model only the (0, n) and (n, 0) entries are nonzero, of modulus 1."""
     f = algebras[("C", 3)].factors[0]
+    n = f.rank
     p = f.plane(rv(2, 0, 0))
     for m in (p.x.blocks[0], p.y.blocks[0]):
-        assert abs(m.w).max() < TOL and m.x[0, 0] == 0
-        assert abs(m.y[0, 0]) + abs(m.z[0, 0]) == 1.0
+        rest = m.copy()
+        rest[0, n] = rest[n, 0] = 0
+        assert np.abs(rest).max() == 0
+        assert abs(abs(m[0, n]) - 1.0) < TOL and abs(abs(m[n, 0]) - 1.0) < TOL
+    # one real (j) and one imaginary (k) direction
+    assert {abs(p.x.blocks[0][0, n].real) > 0.5, abs(p.y.blocks[0][0, n].real) > 0.5} == {True, False}
 
 
 def test_so7_cartan_generator(algebras):

@@ -173,6 +173,8 @@ def test_generic_norm_fd_fallback():
         y, u, v, w = (rng.standard_normal(d) for _ in range(4))
         assert abs(gen.g_inner(y, u, v) - ref.g_inner(y, u, v)) < 1e-6
         assert abs(gen.cartan3(y, u, v, w)) < 1e-5
+        # no mpmath form for a GenericNorm: the oracle takes the float64 path
+        assert abs(fd_g_inner(gen, y, u, v) - ref.g_inner(y, u, v)) < 1e-6
 
 
 def test_hessian_undefined_at_origin():
