@@ -273,7 +273,7 @@ class CosetSpace:
     def _verify(self):
         if self.dim_h and np.abs(self._h_co @ self._m_co.T).max() > ORTHO_TOL:
             raise AssertionError("h and m are not orthogonal")
-        hm = self.algebra.bracket_coords(self.h_basis, self.m_basis) @ self._h_co.T
+        hm = self.algebra.bracket_coords(self.h_basis, self.m_basis, self._h_co)
         worst = float(np.linalg.norm(hm, axis=-1).max()) if hm.size else 0.0
         if worst > REDUCTIVE_TOL:
             raise AssertionError(f"reductive condition violated: {worst:.2e}")
@@ -325,15 +325,16 @@ class CosetSpace:
         """(Cm, Ch, Kh): m-m brackets onto m and h, and h-m brackets onto m."""
         if self._tensors is None:
             alg = self.algebra
-            mm = alg.bracket_coords(self.m_basis, self.m_basis)
+            mm = alg.bracket_coords(self.m_basis, self.m_basis,
+                                    np.vstack([self._m_co, self._h_co]))
             # keep the i < j brackets and mirror them, so Cm and Ch are
             # exactly antisymmetric in their first two slots
             upper = np.triu(np.ones((self.dim_m, self.dim_m), dtype=bool), 1)
             mm = np.where(upper[:, :, None], mm, 0.0)
             mm = mm - mm.transpose(1, 0, 2)
-            Cm = mm @ self._m_co.T
-            Ch = mm @ self._h_co.T
-            Kh = alg.bracket_coords(self.h_basis, self.m_basis) @ self._m_co.T
+            Cm = np.ascontiguousarray(mm[..., :self.dim_m])
+            Ch = np.ascontiguousarray(mm[..., self.dim_m:])
+            Kh = alg.bracket_coords(self.h_basis, self.m_basis, self._m_co)
             self._tensors = (Cm, Ch, Kh)
         return self._tensors
 
@@ -464,8 +465,9 @@ def build_coset(algebra: RealizedAlgebra, spec: SubalgebraSpec,
     if len(h_basis) == algebra.dim:
         raise ValueError("h = g: degenerate coset space")
     h_co = np.array([algebra.coords(b) for b in h_basis]).reshape(-1, algebra.dim)
-    hh = algebra.bracket_coords(h_basis, h_basis)
-    off = hh - (hh @ h_co.T) @ h_co
+    # the part of each [h_i, h_j] outside h, over an orthonormal complement
+    comp = np.linalg.svd(h_co)[2][len(h_basis):]
+    off = algebra.bracket_coords(h_basis, h_basis, comp)
     worst = float(np.linalg.norm(off, axis=-1).max()) if off.size else 0.0
     if worst > CLOSURE_TOL:
         raise ValueError(f"not a subalgebra: bracket closure residual {worst:.2e}")
@@ -918,9 +920,10 @@ def space_from_json(obj: dict, name: str = "from file") -> CosetSpace:
 
     Fails closed with ValueError on a malformed schema, on a block whose
     kind or shape does not fit its factor, and on an extra generator that
-    does not lie in g (off_algebra residual above MEMBER_TOL).  An sp(n)
-    block may be given as "quaternion" ([w, x, y, z], each n x n) or as
-    "complex" (2n x 2n)."""
+    does not lie in g (off_algebra residual above MEMBER_TOL).  A "real"
+    block fits every factor and a "complex" one the su and sp factors; an
+    sp(n) block may also be given as "quaternion" ([w, x, y, z], each
+    n x n)."""
     try:
         spec = AlgebraSpec.from_json(obj["algebra"])
         alg = realize(spec)
@@ -957,8 +960,8 @@ def _generator_from_json(alg: RealizedAlgebra, gen: dict) -> AlgebraElement:
     blocks = []
     for blk, f in zip(gen["blocks"], alg.factors):
         kind, data = blk["kind"], blk["data"]
-        if kind == "real" and f.dtype is float:
-            blocks.append(_json_matrix(data, f.size))
+        if kind == "real":
+            blocks.append(_json_matrix(data, f.size).astype(f.dtype))
         elif kind == "complex" and f.dtype is complex and len(data) == 2:
             blocks.append(_json_matrix(data[0], f.size) + 1j * _json_matrix(data[1], f.size))
         elif kind == "quaternion" and f.family == "C" and len(data) == 4:

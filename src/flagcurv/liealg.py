@@ -9,7 +9,8 @@ the root-system coordinates isometrically (factor 1/2 for the orthogonal
 and symplectic families), with an optional positive scale per factor and
 the Euclidean product on the abelian part.  Coordinates over the
 orthonormal ambient basis are one product with its cached dual matrix, and
-the brackets of many pairs are one broadcast matmul per factor.
+the brackets of many pairs are one broadcast matmul per factor, taken in
+chunks of bounded size.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .rootsys import RootVector, build_root_system
+
+# entries per batched bracket temporary (about 1 MB of float64)
+PAIR_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -282,17 +286,26 @@ class RealizedAlgebra:
         return float(np.linalg.norm(flat - rebuilt) / max(np.linalg.norm(flat), 1e-300))
 
     def bracket_coords(self, xs: Sequence[AlgebraElement],
-                       ys: Sequence[AlgebraElement]) -> np.ndarray:
-        """coords([x_i, y_j]) for every pair, shape (len(xs), len(ys), dim):
-        one broadcast matmul per factor, then one product with the dual."""
+                       ys: Sequence[AlgebraElement], rows: np.ndarray) -> np.ndarray:
+        """rows @ coords([x_i, y_j]) for every pair, shape
+        (len(xs), len(ys), len(rows)).  The xs go through in chunks, each
+        with one broadcast matmul per factor and one product with the dual,
+        so no temporary holds more than about PAIR_CHUNK entries."""
         self.ambient_basis()
-        out = np.zeros((len(xs), len(ys), self.dim))
+        rows = np.asarray(rows).reshape(-1, self.dim)
+        out = np.zeros((len(xs), len(ys), len(rows)))
         if not (len(xs) and len(ys)):
             return out
-        for k, (f, cols) in enumerate(zip(self.factors, self._slices)):
-            a = np.stack([x.blocks[k] for x in xs])[:, None]
-            b = np.stack([y.blocks[k] for y in ys])[None]
-            out += f.flat(a @ b - b @ a) @ self._dual[:, cols].T
+        width = max([self.dim] + [f.flat_len for f in self.factors])
+        step = max(1, PAIR_CHUNK // (len(ys) * width))
+        bs = [np.stack([y.blocks[k] for y in ys])[None] for k in range(len(self.factors))]
+        for i in range(0, len(xs), step):
+            chunk = xs[i:i + step]
+            co = np.zeros((len(chunk), len(ys), self.dim))
+            for k, (f, cols, b) in enumerate(zip(self.factors, self._slices, bs)):
+                a = np.stack([x.blocks[k] for x in chunk])[:, None]
+                co += f.flat(a @ b - b @ a) @ self._dual[:, cols].T
+            out[i:i + step] = co @ rows.T
         return out
 
 

@@ -26,6 +26,8 @@ FD_REL_STEP = 1e-5
 # balancing it against the O(h^2) truncation of one central difference
 # gives a relative step of eps^(1/4) (about 1.2e-4).
 GENERIC_REL_STEP = float(np.finfo(float).eps) ** 0.25
+# singular values below this bound span the Ad(h)-invariant null spaces
+NULL_TOL = 1e-8
 
 
 class MinkowskiNorm:
@@ -293,7 +295,7 @@ class GenericNorm(MinkowskiNorm):
 # ---------------------------------------------------------------------------
 # Finite-difference oracles (also used as the fallback path above).  For the
 # built-in families the oracle evaluates F^2 in extended precision so the
-# documented step 1e-5 (rel_step) is not drowned by float64 cancellation;
+# documented step FD_REL_STEP is not drowned by float64 cancellation;
 # other norms get the float64 path of GenericNorm at its own step
 # GENERIC_REL_STEP, since 1e-5 would leave float64 roundoff near 1e-5.
 # ---------------------------------------------------------------------------
@@ -330,7 +332,7 @@ def _mp_f2(norm: MinkowskiNorm):
     return None
 
 
-def fd_g_inner(norm: MinkowskiNorm, y, u, v, rel_step: float = FD_REL_STEP) -> float:
+def fd_g_inner(norm: MinkowskiNorm, y, u, v) -> float:
     """Independent FD evaluation of <u,v>_y from norm values only."""
     y = np.asarray(y, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -340,7 +342,7 @@ def fd_g_inner(norm: MinkowskiNorm, y, u, v, rel_step: float = FD_REL_STEP) -> f
         return GenericNorm(norm.value, norm.dim, norm.reversible).g_fd(y, u, v)
     import mpmath
     with mpmath.workdps(40):
-        h0 = mpmath.mpf(rel_step) * mpmath.mpf(float(np.linalg.norm(y)))
+        h0 = mpmath.mpf(FD_REL_STEP) * mpmath.mpf(float(np.linalg.norm(y)))
         ym = [mpmath.mpf(t) for t in y]
 
         def d2(h):
@@ -354,7 +356,7 @@ def fd_g_inner(norm: MinkowskiNorm, y, u, v, rel_step: float = FD_REL_STEP) -> f
         return float(0.5 * (4 * b - a) / 3)
 
 
-def fd_cartan(norm: MinkowskiNorm, y, u, v, w, rel_step: float = FD_REL_STEP) -> float:
+def fd_cartan(norm: MinkowskiNorm, y, u, v, w) -> float:
     """Independent FD evaluation of C_y(u,v,w) from norm values only."""
     y = np.asarray(y, dtype=float)
     f2 = _mp_f2(norm)
@@ -363,7 +365,7 @@ def fd_cartan(norm: MinkowskiNorm, y, u, v, w, rel_step: float = FD_REL_STEP) ->
     import mpmath
     u, v, w = (np.asarray(t, dtype=float) for t in (u, v, w))
     with mpmath.workdps(40):
-        h = mpmath.mpf(rel_step) * mpmath.mpf(float(np.linalg.norm(y)))
+        h = mpmath.mpf(FD_REL_STEP) * mpmath.mpf(float(np.linalg.norm(y)))
         ym = [mpmath.mpf(t) for t in y]
         tot = mpmath.mpf(0)
         for su in (1, -1):
@@ -437,7 +439,7 @@ def check_invariance(norm: MinkowskiNorm, space, n_samples: int = 20,
     return {"max_residual": worst, "samples": n_samples}
 
 
-def invariant_quadratic_space(space, tol: float = 1e-8) -> list:
+def invariant_quadratic_space(space, tol: float = NULL_TOL) -> list:
     """Basis of Ad(h)-invariant symmetric forms on m: symmetric matrices
     commuting with every ad(h)|_m (the m-basis is bi-invariant orthonormal,
     so ad(h)|_m is skew and invariance reads [ad(h), S] = 0)."""
@@ -468,7 +470,7 @@ def invariant_quadratic_space(space, tol: float = 1e-8) -> list:
     return out
 
 
-def invariant_vectors(space, tol: float = 1e-8) -> np.ndarray:
+def invariant_vectors(space) -> np.ndarray:
     """Orthonormal rows spanning the Ad(h)-fixed vectors of m: the common
     null space of every ad(h)|_m."""
     _, _, Kh = space.structure_tensors()
@@ -476,7 +478,7 @@ def invariant_vectors(space, tol: float = 1e-8) -> np.ndarray:
     if not len(Kh):
         return np.eye(d)
     _, sv, vt = np.linalg.svd(Kh.reshape(-1, d))
-    return vt[sv < tol]
+    return vt[sv < NULL_TOL]
 
 
 def random_invariant_norm(space, seed: int, k: int = 3) -> Quartic:

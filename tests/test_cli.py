@@ -231,7 +231,21 @@ def test_space_file_with_malformed_schema_fails_closed(tmp_path):
 def test_space_file_block_must_fit_its_factor(tmp_path):
     path = _space_file(tmp_path, _sp2_file(
         [{"kind": "real", "data": [[0.0, 1.0], [-1.0, 0.0]]}]))
-    _assert_fails_closed(["space", "build", "--file", path], "does not fit factor C2")
+    _assert_fails_closed(["space", "build", "--file", path], "finite 4 x 4 matrix")
+
+
+def test_space_file_real_block_in_su_factor_builds(tmp_path):
+    # a real antisymmetric matrix is an element of su(3)
+    path = _space_file(tmp_path, {
+        "algebra": {"factors": [{"family": "A", "rank": 2, "scale": "1"}],
+                    "abelian_dim": 0},
+        "extra_generators": [{"blocks": [{"kind": "real", "data": [
+            [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}]}],
+    })
+    code, out, err = invoke(["space", "build", "--file", path])
+    assert code == 0
+    report = json.loads(out.splitlines()[0])
+    assert (report["dim_h"], report["dim_m"]) == (1, 7)
 
 
 def test_space_file_generator_outside_g_fails_closed(tmp_path):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from flagcurv import liealg
 from flagcurv.liealg import AlgebraSpec, realize
 from flagcurv.coset import (
     SubalgebraSpec,
@@ -300,6 +301,15 @@ def test_batched_structure_tensors_match_pairwise_oracle(spaces, key):
     Cm, Ch, _ = sp.structure_tensors()
     assert np.array_equal(Cm, -Cm.transpose(1, 0, 2))
     assert np.array_equal(Ch, -Ch.transpose(1, 0, 2))
+
+
+def test_bracket_coords_chunks_agree(spaces, monkeypatch):
+    """One pair per chunk gives the pairs of one whole chunk."""
+    sp = spaces[("sphere_spn_sp1", (2,))]
+    alg, rows = sp.algebra, np.eye(sp.dim_g)
+    whole = alg.bracket_coords(sp.h_basis, sp.m_basis, rows)
+    monkeypatch.setattr(liealg, "PAIR_CHUNK", 1)
+    assert np.abs(alg.bracket_coords(sp.h_basis, sp.m_basis, rows) - whole).max() < 1e-14
 
 
 def test_quaternion_and_complex_space_files_agree():
