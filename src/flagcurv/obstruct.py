@@ -8,6 +8,11 @@ propagation with a derivation trace, the hardcoded case-III subcase tables
 and case-I decision procedures, and the survivor-list verification with
 rank bound.
 
+A root-level space is the datum (spec, w, Delta_h, assignment): the
+algebra g, one vector w spanning t cap m (the rank setting
+rk G = rk H + 1), the isotropy roots and the plane assignment.  Every
+projection to t cap h is the exact one along w.
+
 A RootLevelSpace may carry *partial* knowledge of the isotropy root system
 Delta_h (a verified lower bound); every rule used on such spaces is sound
 against any enlargement of Delta_h that an actual subalgebra could provide:
@@ -31,7 +36,6 @@ from .rootsys import (
     RootVector,
     angle as root_angle,
     build_root_system,
-    exact_inverse,
     rv,
     solve_exact,
 )
@@ -40,7 +44,6 @@ from .coset import (
     CosetSpace,
     TVec,
     lift_root,
-    orthocomplement_in_t,
     tvec_dot,
     tvec_from_parts,
     zero_tvec,
@@ -95,14 +98,18 @@ def _root_data(spec: AlgebraSpec) -> RootData:
 class RootLevelSpace:
     spec: AlgebraSpec
     root_data: RootData
-    cartan_h: tuple
+    w: TVec                # spans t cap m
     h_roots: frozenset
-    t_m: tuple
     assignment: dict
     name: str = ""
     complete_h: bool = True  # False when h_roots is only a verified lower bound
     _pr_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _float_cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._ww = tvec_dot(self.spec, self.w, self.w)
+        if self._ww.is_zero():
+            raise ValueError("t cap m needs a nonzero generator w")
 
     @property
     def g_roots(self) -> tuple:
@@ -113,23 +120,11 @@ class RootLevelSpace:
         return self.root_data.factor_of
 
     def pr_h(self, v: TVec) -> TVec:
-        """Exact projection of v in t onto t cap h: v minus its projection
-        onto t cap m, which is the exact orthocomplement of cartan_h."""
+        """Exact projection of v in t onto t cap h: v - (<w,v>/<w,w>) w."""
         out = self._pr_cache.get(v)
         if out is None:
-            ginv = self._float_cache.get("t_m_gram_inverse")
-            if ginv is None:
-                ginv = self._float_cache["t_m_gram_inverse"] = exact_inverse(
-                    [[tvec_dot(self.spec, a, b) for b in self.t_m] for a in self.t_m])
-            rhs = [tvec_dot(self.spec, a, v) for a in self.t_m]
-            out = v
-            for row, b in zip(ginv, self.t_m):
-                c = Q0
-                for rj, xj in zip(row, rhs):
-                    if not (rj.is_zero() or xj.is_zero()):
-                        c = c + rj * xj
-                if not c.is_zero():
-                    out = out - b.scale(c)
+            c = tvec_dot(self.spec, self.w, v)
+            out = v if c.is_zero() else v - self.w.scale(c / self._ww)
             self._pr_cache[v] = out
         return out
 
@@ -142,8 +137,8 @@ class RootLevelSpace:
         return self._float_cache["roots"]
 
     def in_t_h(self, v: TVec) -> bool:
-        """Whether v in t lies in span(cartan_h), i.e. is orthogonal to t_m."""
-        return all(tvec_dot(self.spec, b, v).is_zero() for b in self.t_m)
+        """Whether v in t lies in t cap h, i.e. is orthogonal to w."""
+        return tvec_dot(self.spec, self.w, v).is_zero()
 
     def plane_keys(self) -> tuple:
         return self.root_data.keys
@@ -153,20 +148,20 @@ class RootLevelSpace:
                        assignment=dict(self.assignment))
 
 
-def make_root_level_space(spec: AlgebraSpec, cartan_h: Sequence[TVec],
+def make_root_level_space(spec: AlgebraSpec, w: TVec,
                           h_roots: Iterable[TVec] = (), name: str = "",
                           assignment: Optional[dict] = None,
                           complete_h: bool = True) -> RootLevelSpace:
+    """Root-level space of spec with t cap m spanned by w."""
     rd = _root_data(spec)
     hset = set()
     for v in h_roots:
         hset.add(v)
         hset.add(-v)
-    t_m = tuple(orthocomplement_in_t(spec, list(cartan_h)))
     asg = dict.fromkeys(rd.keys)
     for k, v in (assignment or {}).items():
         asg[k.canonical_sign()] = v
-    return RootLevelSpace(spec, rd, tuple(cartan_h), frozenset(hset), t_m, asg,
+    return RootLevelSpace(spec, rd, w, frozenset(hset), asg,
                           name=name, complete_h=complete_h)
 
 
@@ -175,8 +170,11 @@ def root_level_from_coset(space: CosetSpace) -> RootLevelSpace:
     read off the matrix decomposition."""
     import numpy as np
 
+    if len(space.t_m) != 1:
+        raise ValueError("not an odd-dimensional positively curved candidate: "
+                         "rank equality fails")
     spec = space.algebra.spec
-    rls = make_root_level_space(spec, space.cartan_h, space.h_root_vectors,
+    rls = make_root_level_space(spec, space.t_m[0], space.h_root_vectors,
                                 name=space.name)
     for f in space.algebra.factors:
         for root in f.planes:
@@ -200,75 +198,59 @@ def root_level_from_coset(space: CosetSpace) -> RootLevelSpace:
 # ---------------------------------------------------------------------------
 
 def _projection_groups(space: RootLevelSpace) -> dict:
-    """Roots grouped by their exact projection to t cap h.
+    """Roots grouped by their exact projection to t cap h; singletons are
+    left out.
 
-    A float pass clusters candidate groups (distinct exact projections of
-    root data are separated far beyond the 1e-6 window); every multi-member
-    cluster is then confirmed exactly, so the grouping is exact.
+    A float pass projects along w in the scaled form of tvec_dot and puts
+    each root with the first root inside a 1e-6 window (distinct exact
+    projections of root data are separated far beyond it); every
+    multi-member cluster is then confirmed exactly, so the grouping is
+    exact.
     """
     import numpy as np
 
     if "pr_groups" in space._float_cache:
         return space._float_cache["pr_groups"]
     R = space.float_roots()
-    if space.cartan_h:
-        A = np.array([[float(x) for x in _flatten(b)] for b in space.cartan_h]).T
-        sol, *_ = np.linalg.lstsq(A, R.T, rcond=None)
-        P = (A @ sol).T
-    else:
-        P = np.zeros_like(R)
-    n = len(space.g_roots)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    dist = np.max(np.abs(P[:, None, :] - P[None, :, :]), axis=2)
-    for i, j in zip(*np.nonzero(dist < 1e-6)):
-        if i < j:
-            ri, rj = find(int(i)), find(int(j))
-            if ri != rj:
-                parent[rj] = ri
-    cluster_map: dict = {}
-    for i in range(n):
-        cluster_map.setdefault(find(i), []).append(i)
-    clusters = list(cluster_map.values())
+    spec, w = space.spec, space.w
+    wf = np.array([float(x) for x in _flatten(w)])
+    scales = [float(s) for (_, _, s), f in zip(spec.factors, w.factors) for _ in f.coords]
+    dw = np.array(scales + [float(s) for s in spec.abelian_scales]) * wf
+    P = R - np.outer(R @ dw / (wf @ dw), wf)
+    close = np.max(np.abs(P[:, None, :] - P[None, :, :]), axis=2) < 1e-6
+    clusters: dict = {}
+    for i, first in enumerate(close.argmax(axis=1)):
+        clusters.setdefault(int(first), []).append(space.g_roots[i])
     groups: dict = {}
-    for cl in clusters:
-        if len(cl) < 2:
+    for members in clusters.values():
+        if len(members) < 2:
             continue  # singleton projections never participate in case pairs
-        rep = space.g_roots[cl[0]]
-        pr = space.pr_h(rep)
-        members = [rep]
-        for i in cl[1:]:
-            r = space.g_roots[i]
-            if space.pr_h(r) != pr:
-                raise AssertionError("projection clustering failed; data too dense")
-            members.append(r)
-        groups.setdefault(pr, []).extend(members)
+        pr = space.pr_h(members[0])
+        if any(space.pr_h(r) != pr for r in members[1:]):
+            raise AssertionError("projection clustering failed; data too dense")
+        groups[pr] = members
     space._float_cache["pr_groups"] = groups
     return groups
 
 
-def classify_case(space: RootLevelSpace) -> str:
-    """'I', 'II' or 'III' (priority III > II > I)."""
-    if len(space.t_m) != 1:
-        raise ValueError("not an odd-dimensional positively curved candidate: "
-                         "rank equality fails")
-    case = "I"
+def _case_pairs(space: RootLevelSpace):
+    """Root pairs whose common projection to t cap h is an h-root, in the
+    scan order of every case decision (projections by float coordinates,
+    then root order).  A nonzero common projection keeps a pair
+    independent."""
     for pr, roots in sorted(_projection_groups(space).items(),
                             key=lambda kv: kv[0].floats()):
-        if pr.is_zero() or pr not in space.h_roots or len(roots) < 2:
-            continue
-        for a, b in itertools.combinations(roots, 2):
-            if a == b or a == -b:
-                continue
-            if space.factor_of[a] == space.factor_of[b]:
-                return "III"
-            case = "II"
+        if not pr.is_zero() and pr in space.h_roots:
+            yield from itertools.combinations(roots, 2)
+
+
+def classify_case(space: RootLevelSpace) -> str:
+    """'I', 'II' or 'III' (priority III > II > I)."""
+    case = "I"
+    for a, b in _case_pairs(space):
+        if space.factor_of[a] == space.factor_of[b]:
+            return "III"
+        case = "II"
     return case
 
 
@@ -313,8 +295,8 @@ def key_lemma_1_applies(space: RootLevelSpace, alpha: TVec) -> bool:
         raise ValueError("alpha is not a root of g")
     if not space.in_t_h(alpha):
         raise ValueError("alpha is not contained in t cap h")
-    members = _span_members(space, list(space.t_m), shift=alpha)
-    return all(space.g_roots[i] == alpha for i in members)
+    # the roots on alpha + R w are the roots r with pr_h(r) == alpha
+    return alpha not in _projection_groups(space)
 
 
 def key_lemma_2_details(space: RootLevelSpace, g1: TVec, g2: TVec) -> dict:
@@ -322,7 +304,7 @@ def key_lemma_2_details(space: RootLevelSpace, g1: TVec, g2: TVec) -> dict:
     roots = space.root_data.root_set
     if g1 not in roots or g2 not in roots:
         raise ValueError("inputs must be roots of g")
-    w = space.t_m[0]
+    w = space.w
     cond = {}
     cond[1] = g1 not in space.h_roots and g2 not in space.h_roots
     cond[2] = (g1 + g2) not in roots and (g1 - g2) not in roots
@@ -403,7 +385,6 @@ def propagate_assignment(space: RootLevelSpace, rule_order: Optional[list] = Non
     asg = sp.assignment
     pr_of = {r: sp.pr_h(r) for r in sp.g_roots}
     keys = sp.plane_keys()
-    roots, canonical = sp.root_data.root_set, sp.root_data.canonical
 
     def set_plane(key, val, why):
         cur = asg.get(key)
@@ -477,26 +458,15 @@ def propagate_assignment(space: RootLevelSpace, rule_order: Optional[list] = Non
 
     def rule_bc():
         changed = False
-        for a in keys:
-            if asg[a] not in ("h", "m"):
-                continue
-            for b in keys:
-                if asg[b] != "h" or a == b:
-                    continue
-                targets = [t for t in (a + b, a - b) if t in roots]
-                if len(targets) != 1:
-                    continue  # the two-root cone case carries no containment
-                tgt = canonical[targets[0]]
-                changed |= set_plane(
-                    tgt, asg[a],
-                    f"bracket of plane({_fmt(a)})={asg[a]} with h-plane({_fmt(b)})")
+        for a, b, tgt in _bracket_images(sp):
+            changed |= set_plane(
+                tgt, asg[a],
+                f"bracket of plane({_fmt(a)})={asg[a]} with h-plane({_fmt(b)})")
         return changed
 
     def rule_f():
         changed = False
         for p in sorted(h_roots, key=lambda t: t.floats()):
-            if any(p == r or p == -r for r in sp.t_m):
-                continue
             cls = hat_class(p)
             if not cls:
                 continue
@@ -640,26 +610,31 @@ def _check_root_facts(space: RootLevelSpace, payload: dict) -> bool:
     return True
 
 
+def _bracket_images(space: RootLevelSpace):
+    """(a, b, target) for each plane a assigned to h or m, each other
+    h-plane b, and the plane of the single root among a + b, a - b: the
+    bracket puts target where a is.  Assignments are read as the scan goes,
+    so a caller may assign targets on the way."""
+    roots, canonical = space.root_data.root_set, space.root_data.canonical
+    asg = space.assignment
+    keys = space.plane_keys()
+    for a in keys:
+        if asg.get(a) not in ("h", "m"):
+            continue
+        for b in keys:
+            if b == a or asg.get(b) != "h":
+                continue
+            targets = [t for t in (a + b, a - b) if t in roots]
+            if len(targets) == 1:  # the two-root cone case carries no containment
+                yield a, b, canonical[targets[0]]
+
+
 def _assignment_consistent(space: RootLevelSpace) -> bool:
     """Bracket compatibility of a full plane assignment: the image of an
     h-plane and an m-plane under a single-root bracket must be an m-plane,
     of two h-planes an h-plane."""
-    roots, canonical = space.root_data.root_set, space.root_data.canonical
-    keys = space.plane_keys()
-    for a in keys:
-        for b in keys:
-            if a == b or space.assignment.get(b) != "h":
-                continue
-            va = space.assignment.get(a)
-            if va not in ("h", "m"):
-                continue
-            targets = [t for t in (a + b, a - b) if t in roots]
-            if len(targets) != 1:
-                continue
-            tgt = canonical[targets[0]]
-            if space.assignment.get(tgt) not in (va, None):
-                return False
-    return True
+    asg = space.assignment
+    return all(asg.get(tgt) in (asg[a], None) for a, _, tgt in _bracket_images(space))
 
 # ---------------------------------------------------------------------------
 # Case III: canonical subcase tables
@@ -694,9 +669,7 @@ def case3_space(family: str, rank: int, alpha: RootVector, beta: RootVector,
     verified lower bound for any isotropy algebra realizing the datum)."""
     spec = AlgebraSpec(((family, rank, Fraction(1)),))
     la, lb = lift_root(spec, 0, alpha), lift_root(spec, 0, beta)
-    w = la - lb
-    cart = orthocomplement_in_t(spec, [w])
-    sp = make_root_level_space(spec, cart, name=name, complete_h=False)
+    sp = make_root_level_space(spec, la - lb, name=name, complete_h=False)
     ap = sp.pr_h(la)
     if ap != sp.pr_h(lb):
         raise AssertionError("subcase datum is inconsistent")
@@ -1079,9 +1052,7 @@ def case2_space(g2_family: str, g2_rank: int, beta: RootVector,
     spec = AlgebraSpec((("A", 1, Fraction(1)), (g2_family, g2_rank, Fraction(1))))
     alpha = lift_root(spec, 0, rv(1, -1))
     lb = lift_root(spec, 1, beta)
-    w = alpha - lb
-    cart = orthocomplement_in_t(spec, [w])
-    sp = make_root_level_space(spec, cart, name=name, complete_h=False)
+    sp = make_root_level_space(spec, alpha - lb, name=name, complete_h=False)
     hset = {sp.pr_h(alpha), -sp.pr_h(alpha)}
     for r in sp.g_roots:
         if sp.factor_of[r] == 1 and tvec_dot(spec, r, lb).is_zero():
@@ -1098,18 +1069,8 @@ def classify_case2(space: RootLevelSpace) -> Verdict:
     if classify_case(space) != "II":
         raise ValueError("not a case-II space")
     # locate the cross-factor projection pair
-    pair = None
-    for pr, roots in sorted(_projection_groups(space).items(),
-                            key=lambda kv: kv[0].floats()):
-        if pr.is_zero() or pr not in space.h_roots:
-            continue
-        for a, b in itertools.combinations(roots, 2):
-            if space.factor_of[a] != space.factor_of[b]:
-                pair = (a, b)
-                break
-        if pair:
-            break
-    alpha, beta = pair
+    alpha, beta = next((a, b) for a, b in _case_pairs(space)
+                       if space.factor_of[a] != space.factor_of[b])
     fa, fb = space.factor_of[alpha], space.factor_of[beta]
     # the factor contributing only +-alpha is the A1 side
     roots_a = [r for r in space.g_roots if space.factor_of[r] == fa]
@@ -1182,7 +1143,7 @@ def classify_case1(space: RootLevelSpace) -> Verdict:
     if classify_case(space) != "I":
         raise ValueError("not a case-I space")
     spec = space.spec
-    w = space.t_m[0]
+    w = space.w
     w0_nonzero = any(not x.is_zero() for x in w.abelian)
     active = [i for i in range(len(spec.factors))
               if not w.factors[i].is_zero()]
@@ -1308,8 +1269,7 @@ def _case1_table_match(space: RootLevelSpace, i: int) -> Optional[Verdict]:
     (A_2, R+R) and the so(5) = sp(2) coincidence."""
     spec = space.spec
     fam, rank, _ = spec.factors[i]
-    w = space.t_m[0]
-    wi = _factor_component_tvec(spec, w, i)
+    wi = _factor_component_tvec(spec, space.w, i)
     froots = [r for r in space.g_roots if space.factor_of[r] == i]
     orth = [r for r in froots if tvec_dot(spec, r, wi).is_zero()]
     h2 = [r for r in froots if r in space.h_roots]
@@ -1436,9 +1396,10 @@ def verify_theorem(part: int, max_rank: int = 8) -> dict:
         "extra": extra,
         "unresolved": sorted(set(unresolved)),
         "rows": rows,
-        # a scan that evaluated no row confirms nothing
+        # a scan that evaluated no row confirms nothing; part 3 must leave
+        # its simple transitive exemplars (rank 2 and up) unresolved
         "match": bool(rows) and not missing and not extra
-                 and (part != 3 or bool(unresolved)),
+                 and (part != 3 or max_rank < 2 or bool(unresolved)),
     }
     return report
 
@@ -1448,8 +1409,7 @@ def _case1_block_space(fam, rank, label, w1: RootVector, abelian: bool,
     spec = AlgebraSpec(((fam, rank, Fraction(1)),),
                        abelian_dim=1 if abelian else 0)
     w = tvec_from_parts(spec, {0: list(w1.coords)}, abelian=[1] if abelian else [])
-    cart = orthocomplement_in_t(spec, [w])
-    sp = make_root_level_space(spec, cart, name=label)
+    sp = make_root_level_space(spec, w, name=label)
     hset = set()
     for r in h2_roots:
         tv = lift_root(spec, 0, r)
@@ -1462,7 +1422,8 @@ def case1_candidates(max_rank: int = 8) -> list:
     """Finite case-I candidate pool: one torus direction per classical
     family and rank (the direction whose orthogonal subsystem is maximal),
     the special A2 directions, the exceptional families at one direction,
-    plus multi-factor and simple-transitive exemplars."""
+    plus multi-factor and simple-transitive exemplars; every simple factor
+    has rank at most max_rank."""
     out = []
 
     def orth_roots(fam, rank, w1):
@@ -1495,19 +1456,17 @@ def case1_candidates(max_rank: int = 8) -> list:
                "G2": lambda r: 2, "E6": lambda r: 6, "E7": lambda r: 7}
     for fam, rank in [("B", 3), ("B", 4), ("D", 4), ("F4", 4), ("G2", 2),
                       ("E6", 6), ("E7", 7)]:
-        if rank > max_rank:
-            continue
         w1 = _g2_root(0, 2) if fam == "G2" else _e(ambient[fam](rank), (0, 1))
         out.append(_case1_block_space(
             fam, rank, f"U(1)x{fam}{rank} non-table candidate", w1, True,
             orth_roots(fam, rank, w1)))
     # simple transitive groups: unresolved
-    for rank in range(2, min(4, max_rank) + 1):
+    for rank in range(2, 5):
         w1 = _e(rank + 1, *([(0, rank)] + [(j, -1) for j in range(1, rank + 1)]))
         out.append(_case1_block_space(
             "A", rank, f"SU({rank+1})/SU({rank})", w1, False,
             orth_roots("A", rank, w1)))
-    for rank in range(3, min(4, max_rank) + 1):
+    for rank in range(3, 5):
         w1 = _e(rank, (0, 1))
         out.append(_case1_block_space(
             "C", rank, f"Sp({rank})/Sp({rank-1})", w1, False,
@@ -1523,14 +1482,13 @@ def case1_candidates(max_rank: int = 8) -> list:
     out.append(_two_factor_space("A1 x C3 along the long root", ("A", 1), ("C", 3),
                                  rv(1, -1), rv(2, 0, 0)))
     out.append(_three_factor_space())
-    return out
+    return [sp for sp in out if all(r <= max_rank for _, r, _ in sp.spec.factors)]
 
 
 def _two_factor_space(label, f1, f2, w1: RootVector, w2: RootVector) -> RootLevelSpace:
     spec = AlgebraSpec(((f1[0], f1[1], Fraction(1)), (f2[0], f2[1], Fraction(1))))
     w = tvec_from_parts(spec, {0: list(w1.coords), 1: list(w2.coords)})
-    cart = orthocomplement_in_t(spec, [w])
-    sp = make_root_level_space(spec, cart, name=label)
+    sp = make_root_level_space(spec, w, name=label)
     hset = set()
     for r in sp.g_roots:
         idx = sp.factor_of[r]
@@ -1543,9 +1501,7 @@ def _two_factor_space(label, f1, f2, w1: RootVector, w2: RootVector) -> RootLeve
 def _three_factor_space() -> RootLevelSpace:
     spec = AlgebraSpec((("A", 1, Fraction(1)),) * 3)
     w = tvec_from_parts(spec, {0: [1, -1], 1: [1, -1], 2: [1, -1]})
-    cart = orthocomplement_in_t(spec, [w])
-    sp = make_root_level_space(spec, cart, name="three A1 factors")
-    return replace(sp, h_roots=frozenset())
+    return make_root_level_space(spec, w, name="three A1 factors")
 
 # ---------------------------------------------------------------------------
 # Full classification of a concrete space
@@ -1594,17 +1550,8 @@ def classify_space(space: RootLevelSpace) -> dict:
         verdict = classify_case2(space)
         return {"case": "II", "verdict": verdict.to_json()}
     # case III: locate a same-factor pair and match the canonical table
-    pair = None
-    for pr, roots in sorted(_projection_groups(space).items(),
-                            key=lambda kv: kv[0].floats()):
-        if pr.is_zero() or pr not in space.h_roots:
-            continue
-        for a, b in itertools.combinations(roots, 2):
-            if a != b and a != -b and space.factor_of[a] == space.factor_of[b]:
-                pair = (a, b)
-                break
-        if pair:
-            break
+    pair = next((a, b) for a, b in _case_pairs(space)
+                if space.factor_of[a] == space.factor_of[b])
     sc = match_case3_subcase(space, *pair)
     verdict = evaluate_subcase(sc)
     return {"case": "III", "subcase": sc.describe(), "verdict": verdict.to_json()}

@@ -600,24 +600,17 @@ def _proportional(u: RootVector, v: RootVector) -> bool:
 # classification layers.  Vectors are plain tuples of QNum.
 # ---------------------------------------------------------------------------
 
-def solve_exact(rows: Sequence[Sequence[QNum]], rhs: Sequence[QNum]):
-    """Solve a small exact linear system; returns None when inconsistent.
-
-    `rows` are equations (one per coordinate), columns are unknowns.  When
-    the system is underdetermined a particular solution with free unknowns
-    set to zero is returned.
-    """
-    m = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
+def _row_reduce(m: list, ncol: int) -> list:
+    """Gauss-Jordan elimination, in place, of the row lists m over their
+    first ncol columns (further columns ride along); returns the pivot
+    columns in order.  Pivot rows end up first, with a unit pivot."""
     nrow = len(m)
-    ncol = len(rows[0]) if nrow else 0
     pivots = []
-    r = 0
     for c in range(ncol):
-        pr = None
-        for rr in range(r, nrow):
-            if not m[rr][c].is_zero():
-                pr = rr
-                break
+        r = len(pivots)
+        if r == nrow:
+            break
+        pr = next((rr for rr in range(r, nrow) if not m[rr][c].is_zero()), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
@@ -628,12 +621,21 @@ def solve_exact(rows: Sequence[Sequence[QNum]], rhs: Sequence[QNum]):
                 f = m[rr][c]
                 m[rr] = [x - f * y for x, y in zip(m[rr], m[r])]
         pivots.append(c)
-        r += 1
-        if r == nrow:
-            break
-    for rr in range(r, nrow):
-        if not m[rr][ncol].is_zero():
-            return None
+    return pivots
+
+
+def solve_exact(rows: Sequence[Sequence[QNum]], rhs: Sequence[QNum]):
+    """Solve a small exact linear system; returns None when inconsistent.
+
+    `rows` are equations (one per coordinate), columns are unknowns.  When
+    the system is underdetermined a particular solution with free unknowns
+    set to zero is returned.
+    """
+    m = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
+    ncol = len(rows[0]) if m else 0
+    pivots = _row_reduce(m, ncol)
+    if any(not row[ncol].is_zero() for row in m[len(pivots):]):
+        return None
     sol = [Q0] * ncol
     for i, c in enumerate(pivots):
         sol[c] = m[i][ncol]
@@ -643,32 +645,12 @@ def solve_exact(rows: Sequence[Sequence[QNum]], rhs: Sequence[QNum]):
 def exact_nullspace(rows: Sequence[Sequence[QNum]]) -> list:
     """Basis of the solution space of A x = 0 over Q(sqrt2, sqrt3)."""
     m = [list(row) for row in rows]
-    nrow = len(m)
-    ncol = len(m[0]) if nrow else 0
-    pivots = []
-    r = 0
-    for c in range(ncol):
-        pr = None
-        for rr in range(r, nrow):
-            if not m[rr][c].is_zero():
-                pr = rr
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
-        for rr in range(nrow):
-            if rr != r and not m[rr][c].is_zero():
-                f = m[rr][c]
-                m[rr] = [x - f * y for x, y in zip(m[rr], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrow:
-            break
-    free = [c for c in range(ncol) if c not in pivots]
+    ncol = len(m[0]) if m else 0
+    pivots = _row_reduce(m, ncol)
     basis = []
-    for fc in free:
+    for fc in range(ncol):
+        if fc in pivots:
+            continue
         vec = [Q0] * ncol
         vec[fc] = Q1
         for i, pc in enumerate(pivots):
@@ -682,19 +664,6 @@ def exact_inverse(rows: Sequence[Sequence[QNum]]) -> list:
     n = len(rows)
     m = [list(row) + [Q1 if i == j else Q0 for j in range(n)]
          for i, row in enumerate(rows)]
-    for c in range(n):
-        pr = None
-        for rr in range(c, n):
-            if not m[rr][c].is_zero():
-                pr = rr
-                break
-        if pr is None:
-            raise ArithmeticError("matrix is singular")
-        m[c], m[pr] = m[pr], m[c]
-        inv = m[c][c].inverse()
-        m[c] = [x * inv for x in m[c]]
-        for rr in range(n):
-            if rr != c and not m[rr][c].is_zero():
-                f = m[rr][c]
-                m[rr] = [x - f * y for x, y in zip(m[rr], m[c])]
+    if len(_row_reduce(m, n)) < n:
+        raise ArithmeticError("matrix is singular")
     return [row[n:] for row in m]

@@ -4,9 +4,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flagcurv
 from flagcurv.cli import run
 
 # SHA-256 of `verify --theorem k --full` stdout at the default rank bound 8.
@@ -166,6 +171,26 @@ def test_verify_full_stdout_is_pinned(theorem):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FULL_SHA256[theorem]
 
 
+def test_verify_stdout_does_not_depend_on_the_hash_seed():
+    src = str(Path(flagcurv.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "flagcurv.cli", "verify", "--theorem", "3", "--full"],
+            capture_output=True, text=True, env=env, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+
+
+def test_verify_theorem_3_keeps_to_the_rank_bound():
+    code, out, _ = invoke(["verify", "--theorem", "3", "--max-rank", "1"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["survivors"] == ["S^3 = U(2)/U(1)"] and rep["match"]
+
+
 @pytest.mark.parametrize("bad", ["0", "-1", "x"])
 def test_verify_max_rank_must_be_a_positive_integer(bad):
     code, out, _ = invoke(["verify", "--theorem", "1", "--max-rank", bad])
@@ -221,6 +246,15 @@ def _sp2_file(blocks):
                     "abelian_dim": 0},
         "extra_generators": [{"blocks": blocks}],
     }
+
+
+def test_classify_without_rank_equality_fails_closed(tmp_path):
+    # the SU(3) group: t cap m is the whole 2-dim torus
+    path = _space_file(tmp_path, {
+        "algebra": {"factors": [{"family": "A", "rank": 2, "scale": "1"}],
+                    "abelian_dim": 0},
+        "name": "su(3) group"})
+    _assert_fails_closed(["classify", "--space", path], "rank equality fails")
 
 
 def test_space_file_with_malformed_schema_fails_closed(tmp_path):

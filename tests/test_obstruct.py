@@ -6,13 +6,23 @@ from fractions import Fraction
 
 import pytest
 
-from flagcurv.coset import in_span, lift_root, preset, project_to_span, tvec_from_parts
-from flagcurv.liealg import AlgebraSpec
+from flagcurv.coset import (
+    SubalgebraSpec,
+    build_coset,
+    in_span,
+    lift_root,
+    orthocomplement_in_t,
+    preset,
+    project_to_span,
+    tvec_from_parts,
+)
+from flagcurv.liealg import AlgebraSpec, realize
 from flagcurv.rootsys import QNum, build_root_system, rv, weyl_reflect
 from flagcurv.obstruct import (
     PropagationContradiction,
     _e,
     _g2_root,
+    _projection_groups,
     angle_lemma_check,
     case1_candidates,
     case2_space,
@@ -46,10 +56,13 @@ def test_classify_case_examples():
 
 
 def test_classify_case_rank_equality_gate():
-    spec = AlgebraSpec((("A", 2, Fraction(1)),))
-    sp = make_root_level_space(spec, [])  # trivial isotropy: t cap m is 2-dim
+    # trivial isotropy in SU(3): t cap m is 2-dim, so there is no root-level
+    # space with a single generator w
+    group = build_coset(realize(AlgebraSpec((("A", 2, Fraction(1)),))),
+                        SubalgebraSpec(), name="su(3) group")
+    assert len(group.t_m) == 2
     with pytest.raises(ValueError, match="rank equality"):
-        classify_case(sp)
+        root_level_from_coset(group)
 
 
 def test_sphere_presentation_is_case_three():
@@ -67,14 +80,30 @@ def test_sphere_presentation_is_case_three():
     lambda: root_level_from_coset(preset("sphere_un", 4)),
 ])
 def test_pr_h_matches_projection_onto_cartan_h(make):
-    # pr_h and in_t_h work through t cap m; the oracle solves the Gram
-    # system of cartan_h instead
+    # pr_h and in_t_h work along w; the oracle solves the Gram system of
+    # cartan_h = w^perp instead
     sp = make()
-    assert sp.cartan_h and sp.t_m
+    cartan_h = orthocomplement_in_t(sp.spec, [sp.w])
+    assert cartan_h
     for r in sp.g_roots:
-        assert sp.pr_h(r) == project_to_span(sp.spec, sp.cartan_h, r)
-        assert sp.in_t_h(r) == in_span(sp.spec, sp.cartan_h, r)
+        assert sp.pr_h(r) == project_to_span(sp.spec, cartan_h, r)
+        assert sp.in_t_h(r) == in_span(sp.spec, cartan_h, r)
     assert any(sp.in_t_h(r) for r in sp.g_roots)
+
+
+def test_unequal_factor_scales_group_by_the_exact_projection():
+    # A1 (scale 1) + A1 (scale 2) with w = alpha - beta: pr_h(alpha) ==
+    # pr_h(beta) in the scaled form, a cross-factor pair on an h-root
+    spec = AlgebraSpec((("A", 1, Fraction(1)), ("A", 1, Fraction(2))))
+    alpha, beta = lift_root(spec, 0, rv(1, -1)), lift_root(spec, 1, rv(1, -1))
+    sp = make_root_level_space(spec, alpha - beta)
+    assert sp.pr_h(alpha) == sp.pr_h(beta)
+    sp = make_root_level_space(spec, alpha - beta, h_roots=[sp.pr_h(alpha)])
+    exact = {}
+    for r in sp.g_roots:
+        exact.setdefault(sp.pr_h(r), []).append(r)
+    assert _projection_groups(sp) == {p: rs for p, rs in exact.items() if len(rs) > 1}
+    assert classify_case(sp) == "II"
 
 
 def test_key_lemma_1_examples():
@@ -85,7 +114,7 @@ def test_key_lemma_1_examples():
     assert key_lemma_1_applies(sp, e34)
     # B2 with t cap m = R e1: the affine line through e2 contains e2 +- e1
     spec = AlgebraSpec((("B", 2, Fraction(1)),))
-    sp2 = make_root_level_space(spec, [lift_root(spec, 0, rv(0, 1))])
+    sp2 = make_root_level_space(spec, lift_root(spec, 0, rv(1, 0)))
     e2 = lift_root(spec, 0, rv(0, 1))
     assert not key_lemma_1_applies(sp2, e2)
     not_in_th = lift_root(spec, 0, rv(1, 1))
@@ -356,9 +385,7 @@ def test_classify_case1_examples():
     # simple transitive group: unresolved
     spec = AlgebraSpec((("A", 3, Fraction(1)),))
     w = tvec_from_parts(spec, {0: [3, -1, -1, -1]})
-    from flagcurv.coset import orthocomplement_in_t
-    cart = orthocomplement_in_t(spec, [w])
-    sp = make_root_level_space(spec, cart, h_roots=[
+    sp = make_root_level_space(spec, w, h_roots=[
         lift_root(spec, 0, _e(4, (i, 1), (j, -1)))
         for i in range(1, 4) for j in range(1, 4) if i != j])
     v = classify_case1(sp)

@@ -3,16 +3,24 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagcurv.rootsys import (
+    Q0,
+    Q1,
     QNum,
     RootSystem,
     angle,
     build_root_system,
+    exact_inverse,
+    exact_nullspace,
     is_root,
     root_sum_status,
     rv,
+    solve_exact,
     weyl_reflect,
 )
 
@@ -131,3 +139,65 @@ def test_serialization_roundtrip():
     back = RootSystem.from_json(json.loads(blob))
     assert set(back.roots) == set(rs.roots)
     assert back.family == "G2" and back.rank == 2
+
+
+# -- exact linear algebra ------------------------------------------------------
+
+_entries = st.builds(lambda n, d: QNum(Fraction(n, d)),
+                     st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def _matrices(draw, square=False):
+    nrow = draw(st.integers(1, 4))
+    ncol = nrow if square else draw(st.integers(1, 4))
+    row = st.lists(_entries, min_size=ncol, max_size=ncol)
+    return draw(st.lists(row, min_size=nrow, max_size=nrow))
+
+
+def _apply(rows, x):
+    out = []
+    for row in rows:
+        acc = Q0
+        for a, b in zip(row, x):
+            acc = acc + a * b
+        out.append(acc)
+    return out
+
+
+def _rank(rows):
+    return int(np.linalg.matrix_rank(np.array([[float(x) for x in r] for r in rows])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices(square=True))
+def test_exact_inverse_is_a_two_sided_identity(a):
+    n = len(a)
+    if _rank(a) < n:
+        with pytest.raises(ArithmeticError):
+            exact_inverse(a)
+        return
+    inv = exact_inverse(a)
+    cols = [[inv[i][j] for i in range(n)] for j in range(n)]
+    assert [_apply(a, c) for c in cols] == [[Q1 if i == j else Q0 for i in range(n)]
+                                           for j in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices(), st.data())
+def test_solve_exact_solves_consistent_and_rejects_inconsistent(a, data):
+    x = data.draw(st.lists(_entries, min_size=len(a[0]), max_size=len(a[0])))
+    b = _apply(a, x)
+    sol = solve_exact(a, b)
+    assert sol is not None and _apply(a, sol) == b
+    # a repeated equation with another right-hand side has no solution
+    assert solve_exact(a + [a[0]], b + [b[0] + Q1]) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices())
+def test_exact_nullspace_is_a_basis_of_the_kernel(a):
+    null = exact_nullspace(a)
+    assert len(null) == len(a[0]) - _rank(a)
+    for v in null:
+        assert all(y.is_zero() for y in _apply(a, v))
