@@ -3,8 +3,9 @@
 A CosetSpace pairs a realized matrix algebra with an orthonormal basis of a
 verified subalgebra h and of its bi-invariant orthogonal complement m.
 Exact Cartan data in the coordinate field Q(sqrt2, sqrt3) is carried
-alongside the floating matrices; all projections of Cartan vectors are
-exact, matrix projections are numeric with a fixed tolerance ladder
+alongside the floating matrices; all projections of Cartan vectors, and the
+grouping, order and sign of the hat blocks they label, are exact (no float
+pass), matrix projections are numeric with a fixed tolerance ladder
 (closure gate 1e-8, reductivity 1e-10, orthogonality 1e-12, membership of
 file-given generators in g 1e-10).  Every factor, sp(n) included, is a
 plain matrix block (sp(n) inside su(2n)), so the closure, reductivity and
@@ -14,13 +15,14 @@ from RealizedAlgebra.bracket_coords.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .rootsys import (
     Q0,
@@ -28,6 +30,8 @@ from .rootsys import (
     QNum,
     RootVector,
     exact_nullspace,
+    leading_sign,
+    lex_sorted,
     rv,
     solve_exact,
 )
@@ -85,21 +89,33 @@ class TVec:
             tuple(c * a for a in self.abelian),
         )
 
+    def __hash__(self) -> int:
+        # cached; the value is the dataclass hash, so set order is unchanged
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.factors, self.abelian))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    @functools.cached_property
+    def coords(self) -> tuple:
+        """All exact coordinates in one tuple, factor blocks then abelian:
+        the key of the one lexicographic order on torus vectors."""
+        return tuple(x for f in self.factors for x in f.coords) + self.abelian
+
+    def with_coords(self, coords) -> "TVec":
+        """The TVec of the same shape with the given flat coordinates."""
+        it = iter(coords)
+        factors = tuple(RootVector(tuple(itertools.islice(it, f.ambient_dim)))
+                        for f in self.factors)
+        return TVec(factors, tuple(it))
+
     def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.factors) and all(x.is_zero() for x in self.abelian)
-
-    def floats(self) -> tuple:
-        out = []
-        for f in self.factors:
-            out.extend(float(x) for x in f.coords)
-        out.extend(float(x) for x in self.abelian)
-        return tuple(out)
-
-    def _sort_key(self):
-        return self.floats()
+        return all(x.is_zero() for x in self.coords)
 
     def canonical_sign(self) -> "TVec":
-        return self if self._sort_key() >= (-self)._sort_key() else -self
+        """The one of +-self whose first nonzero coordinate is positive."""
+        return -self if leading_sign(self.coords) < 0 else self
 
 
 def tvec_dot(spec: AlgebraSpec, u: TVec, v: TVec) -> QNum:
@@ -238,7 +254,6 @@ class CosetSpace:
     def __init__(self, algebra: RealizedAlgebra, name: str,
                  h_basis: list, cartan_h: Sequence[TVec],
                  h_root_vectors: Sequence[TVec] = (),
-                 plane_assignments: Optional[dict] = None,
                  witness_planes: Optional[dict] = None,
                  case_label: Optional[str] = None):
         self.algebra = algebra
@@ -246,7 +261,6 @@ class CosetSpace:
         self.h_basis = h_basis
         self.cartan_h = tuple(cartan_h)
         self.h_root_vectors = tuple(h_root_vectors)
-        self.plane_assignments = plane_assignments
         self.witness_planes = witness_planes
         self.case_label = case_label
 
@@ -302,23 +316,9 @@ class CosetSpace:
     def pr_m(self, x: AlgebraElement) -> AlgebraElement:
         return self.from_m(self.to_m(x))
 
-    def pr_h(self, x: AlgebraElement) -> AlgebraElement:
-        out = self.algebra.zero()
-        for c, b in zip(self.to_h(x), self.h_basis):
-            out = out + float(c) * b
-        return out
-
     # -- exact projections --------------------------------------------------
     def pr_h_exact(self, tv: TVec) -> TVec:
         return project_to_span(self.algebra.spec, self.cartan_h, tv)
-
-    def g_root_list(self) -> list:
-        """All (factor_index, root) pairs of the algebra."""
-        out = []
-        for f in self.algebra.factors:
-            for root in f.planes:
-                out.append((f.index, root))
-        return out
 
     # -- structure tensors for the curvature engine -------------------------
     def structure_tensors(self):
@@ -346,6 +346,23 @@ class CosetSpace:
 
     def hathat_decomposition(self, alpha_prime: TVec) -> list:
         return _build_hathat(self, alpha_prime)
+
+    def plane_assignment(self) -> dict:
+        """Where each root plane of g lies, read off the matrices: 'h', 'm'
+        or 'split', keyed by the canonical sign of its lifted root."""
+        out = {}
+        spec = self.algebra.spec
+        for f in self.algebra.factors:
+            for root, p in f.planes.items():
+                xin, yin = (np.linalg.norm(self.to_m(v)) for v in (p.x, p.y))
+                if xin < 1e-9 and yin < 1e-9:
+                    kind = "h"
+                elif abs(xin - 1.0) < 1e-9 and abs(yin - 1.0) < 1e-9:
+                    kind = "m"
+                else:
+                    kind = "split"
+                out[lift_root(spec, f.index, root).canonical_sign()] = kind
+        return out
 
     def plane_m_part(self, factor: int, root: RootVector) -> list:
         """Orthonormal m-coordinates spanned by the m-part of a root plane."""
@@ -381,40 +398,40 @@ class HatBlock:
 class HatDecomposition:
     blocks: list  # of HatBlock; blocks[0] is the g0 block
 
-    def block_of(self, alpha_prime: TVec, spec: AlgebraSpec) -> HatBlock:
-        key = alpha_prime.canonical_sign().floats()
-        for b in self.blocks:
-            if np.allclose(b.alpha_prime.floats(), key, atol=1e-12):
-                return b
-        raise KeyError("no hat block with that projection")
+
+def _plane_classes(space: CosetSpace, project) -> tuple:
+    """The root planes of g by the exact projection of their roots: the
+    planes projecting to zero, then (canonical projection, planes) pairs in
+    the exact lexicographic order.  Planes are (factor, root) pairs."""
+    zero, groups = [], {}
+    for f in space.algebra.factors:
+        for root in f.planes:
+            pr = project(lift_root(space.algebra.spec, f.index, root))
+            if pr.is_zero():
+                zero.append((f.index, root))
+            else:
+                groups.setdefault(pr.canonical_sign(), []).append((f.index, root))
+    return zero, [(pr, groups[pr]) for pr in lex_sorted(groups)]
+
+
+def _m_rows(space: CosetSpace, planes, t_vecs=()) -> list:
+    """Orthonormal m-coordinates spanned by the Cartan vectors t_vecs and the
+    given root planes."""
+    vecs = [space.to_m(space.embed(tv)) for tv in t_vecs]
+    for factor, root in planes:
+        p = space.algebra.factors[factor].plane(root)
+        vecs.extend([space.to_m(p.x), space.to_m(p.y)])
+    return _orthonormal_rows(vecs)
 
 
 def _build_hat(space: CosetSpace) -> HatDecomposition:
-    spec = space.algebra.spec
-    zero_key = None
-    groups: dict = {}
-    g0_roots = []
-    g0_vecs = [space.to_m(space.embed(tv)) for tv in space.t_m]
-    for factor, root in space.g_root_list():
-        lifted = lift_root(spec, factor, root)
-        if space.t_m and in_span(spec, space.t_m, lifted):
-            g0_roots.append((factor, root))
-            p = space.algebra.factors[factor].plane(root)
-            g0_vecs.extend([space.to_m(p.x), space.to_m(p.y)])
-            continue
-        pr = space.pr_h_exact(lifted)
-        key = tuple(pr.canonical_sign().floats())
-        groups.setdefault(key, (pr.canonical_sign(), []))[1].append((factor, root))
-    blocks = [HatBlock(zero_tvec(spec), tuple(g0_roots), _orthonormal_rows(g0_vecs))]
-    for key in sorted(groups):
-        pr, roots = groups[key]
-        vecs = []
-        for factor, root in roots:
-            p = space.algebra.factors[factor].plane(root)
-            vecs.extend([space.to_m(p.x), space.to_m(p.y)])
-        basis = _orthonormal_rows(vecs)
+    zero, classes = _plane_classes(space, space.pr_h_exact)
+    blocks = [HatBlock(zero_tvec(space.algebra.spec), tuple(zero),
+                       _m_rows(space, zero, space.t_m))]
+    for pr, planes in classes:
+        basis = _m_rows(space, planes)
         if basis:
-            blocks.append(HatBlock(pr, tuple(roots), basis))
+            blocks.append(HatBlock(pr, tuple(planes), basis))
     return HatDecomposition(blocks)
 
 
@@ -422,24 +439,12 @@ def _build_hathat(space: CosetSpace, alpha_prime: TVec) -> list:
     if alpha_prime.is_zero():
         raise ValueError("hat-hat decomposition needs a nonzero projection vector")
     spec = space.algebra.spec
-    t_prime = orthocomplement_in_t(spec, list(space.t_m) + [alpha_prime])
     # t' is the orthocomplement of alpha' inside t cap h
-    zero_vecs = [space.to_m(space.embed(tv)) for tv in space.t_m]
-    groups: dict = {}
-    for factor, root in space.g_root_list():
-        lifted = lift_root(spec, factor, root)
-        pr = project_to_span(spec, t_prime, lifted) if t_prime else zero_tvec(spec)
-        p = space.algebra.factors[factor].plane(root)
-        vecs = [space.to_m(p.x), space.to_m(p.y)]
-        if pr.is_zero():
-            zero_vecs.extend(vecs)
-            continue
-        key = tuple(pr.canonical_sign().floats())
-        groups.setdefault(key, (pr.canonical_sign(), []))[1].extend(vecs)
-    out = [(zero_tvec(spec), _orthonormal_rows(zero_vecs))]
-    for key in sorted(groups):
-        pr, vecs = groups[key]
-        basis = _orthonormal_rows(vecs)
+    t_prime = orthocomplement_in_t(spec, list(space.t_m) + [alpha_prime])
+    zero, classes = _plane_classes(space, lambda v: project_to_span(spec, t_prime, v))
+    out = [(zero_tvec(spec), _m_rows(space, zero, space.t_m))]
+    for pr, planes in classes:
+        basis = _m_rows(space, planes)
         if basis:
             out.append((pr, basis))
     return out
@@ -650,15 +655,8 @@ def _so_generators(algebra: RealizedAlgebra, factor: int, rows: list) -> list:
 
 
 def _negclose(vectors: Iterable[TVec]) -> tuple:
-    out = []
-    seen = set()
-    for v in vectors:
-        for w in (v, -v):
-            key = w.floats()
-            if key not in seen:
-                seen.add(key)
-                out.append(w)
-    return tuple(out)
+    """The vectors and their negatives, each once, in order of appearance."""
+    return tuple(dict.fromkeys(w for v in vectors for w in (v, -v)))
 
 
 def preset_sphere_so2n(n: int) -> CosetSpace:
@@ -932,7 +930,7 @@ def space_from_json(obj: dict, name: str = "from file") -> CosetSpace:
         for entry in obj.get("h_roots", []):
             factor, root = int(entry["factor"]), RootVector.from_json(entry["root"])
             if not (0 <= factor < len(alg.factors)
-                    and alg.factors[factor]._canonical(root) in alg.factors[factor].planes):
+                    and root.canonical_sign() in alg.factors[factor].planes):
                 raise ValueError(f"h_roots: {root} is not a root of factor {factor}")
             h_roots.append((factor, root))
         extra = [_generator_from_json(alg, gen) for gen in obj.get("extra_generators", [])]
@@ -999,9 +997,16 @@ def parse_preset(text: str) -> CosetSpace:
     return preset(name.strip(), *params)
 
 
+def _expm_skew(x: np.ndarray) -> np.ndarray:
+    """exp(x) of a skew-Hermitian matrix x through the eigendecomposition of
+    the Hermitian -i x (Higham, Functions of Matrices, 2008, ch. 10)."""
+    lam, q = np.linalg.eigh(-1j * np.asarray(x, dtype=complex))
+    return (q * np.exp(1j * lam)) @ q.conj().T
+
+
 def _ad_exp(algebra: RealizedAlgebra, t: float, v: AlgebraElement):
     """Ad(exp(t v)) as a map on algebra elements (matrix conjugation)."""
-    exps = [expm(t * np.asarray(b, dtype=complex)) for b in v.blocks]
+    exps = [_expm_skew(t * np.asarray(b)) for b in v.blocks]
 
     def apply(x: AlgebraElement) -> AlgebraElement:
         blocks = []

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .coset import CosetSpace
 from .norms import MinkowskiNorm
@@ -86,38 +85,40 @@ class CurvatureEngine:
 
     # -- the implicit operators -------------------------------------------
     def _gram(self, u):
+        """The Gram matrix g_u, gated on positive definiteness by its
+        Cholesky factorization."""
         g = self.norm.gram(u)
         try:
-            cf = cho_factor(g)
+            np.linalg.cholesky(g)
         except np.linalg.LinAlgError as exc:
             raise ValueError("Hessian Gram matrix not positive definite") from exc
-        return g, cf
+        return g
 
-    def eta(self, u: np.ndarray, _pack=None):
+    def eta(self, u: np.ndarray, _g=None):
         """Spray vector: <eta(u), w>_u = <u, [w,u]_m>_u for all w."""
         u = np.asarray(u, dtype=float)
         if np.linalg.norm(u) == 0:
             raise ValueError("eta undefined at the origin")
-        g, cf = _pack if _pack is not None else self._gram(u)
+        g = _g if _g is not None else self._gram(u)
         Bu = np.einsum("j,ijk->ik", u, self.Cm)  # Bu[i] = [e_i, u]_m
         rhs = Bu @ (g @ u)
-        eta = cho_solve(cf, rhs)
+        eta = np.linalg.solve(g, rhs)
         resid = float(np.linalg.norm(g @ eta - rhs))
         return eta, resid
 
-    def connection_n(self, u: np.ndarray, w: np.ndarray, _pack=None,
+    def connection_n(self, u: np.ndarray, w: np.ndarray, _g=None,
                      _eta=None) -> np.ndarray:
         """Connection operator N(u, w) as an m-coordinate vector."""
         u = np.asarray(u, dtype=float)
         w = np.asarray(w, dtype=float)
-        g, cf = _pack if _pack is not None else self._gram(u)
-        eta = _eta if _eta is not None else self.eta(u, _pack=(g, cf))[0]
+        g = _g if _g is not None else self._gram(u)
+        eta = _eta if _eta is not None else self.eta(u, _g=g)[0]
         Bu = np.einsum("j,ijk->ik", u, self.Cm)   # [e_i, u]_m
         Bw = np.einsum("j,ijk->ik", w, self.Cm)   # [e_i, w]_m
         rhs = Bw @ (g @ u) + Bu @ (g @ w) + g @ self.brm(w, u)
         if np.linalg.norm(eta) > 0:
             rhs = rhs - 2.0 * self.norm.cartan_vec(u, w, eta)
-        return cho_solve(cf, 0.5 * rhs)
+        return np.linalg.solve(g, 0.5 * rhs)
 
     def _d_eta_n(self, u, w, eta, step_scale=FD_POLE_STEP):
         """Directional derivative of N(., w) at u along eta(u); exactly zero
@@ -135,17 +136,17 @@ class CurvatureEngine:
         """<R_u(w), w>_u via the invariant-frame curvature formula."""
         u = np.asarray(u, dtype=float)
         w = np.asarray(w, dtype=float)
-        g, cf = self._gram(u)
-        eta, _ = self.eta(u, _pack=(g, cf))
-        return self._riemann_quadratic(u, w, g, cf, eta)[0]
+        g = self._gram(u)
+        eta, _ = self.eta(u, _g=g)
+        return self._riemann_quadratic(u, w, g, eta)[0]
 
-    def _riemann_quadratic(self, u, w, g, cf, eta):
+    def _riemann_quadratic(self, u, w, g, eta):
         """(<R_u(w), w>_u, finite-difference pole step) given the Gram
-        matrix, its Cholesky factor and eta at u."""
-        nw = self.connection_n(u, w, _pack=(g, cf), _eta=eta)
+        matrix and eta at u."""
+        nw = self.connection_n(u, w, _g=g, _eta=eta)
         rt, h = self._d_eta_n(u, w, eta)
-        rt = rt - self.connection_n(u, nw, _pack=(g, cf), _eta=eta)
-        rt = rt + self.connection_n(u, self.brm(u, w), _pack=(g, cf), _eta=eta)
+        rt = rt - self.connection_n(u, nw, _g=g, _eta=eta)
+        rt = rt + self.connection_n(u, self.brm(u, w), _g=g, _eta=eta)
         rt = rt - self.brm(u, nw)
         # h-term: <[[w,u]_h, w], u>_u
         hpart = self.brh(w, u)
@@ -162,10 +163,10 @@ class CurvatureEngine:
     def flag_curvature(self, u: np.ndarray, v: np.ndarray) -> CurvatureReport:
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        g, cf = self._gram(u)
+        g = self._gram(u)
         denom = self._flag_gate(u, v, g)
-        eta, resid = self.eta(u, _pack=(g, cf))
-        q, h = self._riemann_quadratic(u, v, g, cf, eta)
+        eta, resid = self.eta(u, _g=g)
+        q, h = self._riemann_quadratic(u, v, g, eta)
         return CurvatureReport(
             k=q / denom, method="invariant-frame",
             eta_norm=float(np.linalg.norm(eta)), solve_residual=resid, fd_step=h,
@@ -175,11 +176,11 @@ class CurvatureEngine:
         """The bilinear map U(u, v), solved against the basis."""
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        g, cf = self._gram(u)
+        g = self._gram(u)
         Bu = np.einsum("j,ijk->ik", u, self.Cm)
         Bv = np.einsum("j,ijk->ik", v, self.Cm)
         rhs = 0.5 * (Bu @ (g @ v) + Bv @ (g @ u))
-        return cho_solve(cf, rhs)
+        return np.linalg.solve(g, rhs)
 
     def flag_curvature_commutative(self, u: np.ndarray, v: np.ndarray,
                                    cross_check: bool = True) -> CurvatureReport:
@@ -194,8 +195,8 @@ class CurvatureEngine:
         scale = float(np.linalg.norm(u) * np.linalg.norm(v))
         if br > COMMUTE_TOL * max(scale, 1.0):
             raise ValueError("commutative-pair formula inapplicable: [u,v] != 0")
-        g, cf = self._gram(u)
-        eta, resid = self.eta(u, _pack=(g, cf))
+        g = self._gram(u)
+        eta, resid = self.eta(u, _g=g)
         if np.linalg.norm(eta) > ETA_HYP_TOL * max(float(np.linalg.norm(u)), 1.0):
             raise ValueError("commutative-pair formula inapplicable: eta(u) != 0")
         denom = self._flag_gate(u, v, g)

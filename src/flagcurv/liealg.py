@@ -343,7 +343,7 @@ class _FactorRealization:
 
     def init_planes(self):
         for root in self.root_system.roots:
-            key = self._canonical(root)
+            key = root.canonical_sign()
             if key not in self.planes:
                 self.planes[key] = self._build_plane(key)
 
@@ -365,9 +365,6 @@ class _FactorRealization:
         if self.dtype is complex:
             m = m.view(float)
         return m.reshape(m.shape[:-2] + (-1,))
-
-    def _canonical(self, root: RootVector) -> RootVector:
-        return root if root._sort_key() >= (-root)._sort_key() else -root
 
     def _cartan_matrix(self, i: int):
         n = self.size
@@ -524,7 +521,7 @@ class _FactorRealization:
         return RootPlanePair(self.index, root, x, y)
 
     def plane(self, root: RootVector) -> RootPlanePair:
-        return self.planes[self._canonical(root)]
+        return self.planes[root.canonical_sign()]
 
 
 def realize(spec: AlgebraSpec) -> RealizedAlgebra:

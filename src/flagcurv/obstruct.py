@@ -36,6 +36,7 @@ from .rootsys import (
     RootVector,
     angle as root_angle,
     build_root_system,
+    lex_sorted,
     rv,
     solve_exact,
 )
@@ -53,14 +54,6 @@ from .coset import (
 # ---------------------------------------------------------------------------
 # Root-level spaces
 # ---------------------------------------------------------------------------
-
-def _flatten(tv: TVec) -> list:
-    out = []
-    for f in tv.factors:
-        out.extend(f.coords)
-    out.extend(tv.abelian)
-    return out
-
 
 @dataclass(frozen=True, eq=False)
 class RootData:
@@ -103,13 +96,31 @@ class RootLevelSpace:
     assignment: dict
     name: str = ""
     complete_h: bool = True  # False when h_roots is only a verified lower bound
-    _pr_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _float_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # pr_h values by vector, and the derived tables under string keys; they
+    # depend on spec and w only, so copies share them
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        self._ww = tvec_dot(self.spec, self.w, self.w)
-        if self._ww.is_zero():
+        spec, w = self.spec, self.w
+        scales = [s for (_, _, s), f in zip(spec.factors, w.factors) for _ in f.coords]
+        scales += spec.abelian_scales
+        # the support of w, each coordinate with its scale in the form:
+        # w has a few nonzero coordinates, so pr_h works on those alone
+        wd = [(i, x * s) for i, (x, s) in enumerate(zip(w.coords, scales))
+              if not x.is_zero()]
+        ww = sum((d * w.coords[i] for i, d in wd), Q0)
+        if ww.is_zero():
             raise ValueError("t cap m needs a nonzero generator w")
+        self._wc = tuple((i, d / ww) for i, d in wd)
+
+    def _coef(self, v: TVec) -> QNum:
+        """<w, v> / <w, w>, the exact tvec_dot over the support of w."""
+        vc = v.coords
+        out = Q0
+        for i, d in self._wc:
+            if not vc[i].is_zero():
+                out = out + d * vc[i]
+        return out
 
     @property
     def g_roots(self) -> tuple:
@@ -121,24 +132,38 @@ class RootLevelSpace:
 
     def pr_h(self, v: TVec) -> TVec:
         """Exact projection of v in t onto t cap h: v - (<w,v>/<w,w>) w."""
-        out = self._pr_cache.get(v)
+        out = self._cache.get(v)
         if out is None:
-            c = tvec_dot(self.spec, self.w, v)
-            out = v if c.is_zero() else v - self.w.scale(c / self._ww)
-            self._pr_cache[v] = out
+            c = self._coef(v)
+            out = v
+            if not c.is_zero():
+                coords, wc = list(v.coords), self.w.coords
+                for i, _ in self._wc:
+                    coords[i] = coords[i] - c * wc[i]
+                out = v.with_coords(coords)
+            self._cache[v] = out
         return out
 
-    def float_roots(self):
-        """(N x D) float matrix of all roots, cached."""
-        if "roots" not in self._float_cache:
-            import numpy as np
-            mat = np.array([[float(x) for x in _flatten(r)] for r in self.g_roots])
-            self._float_cache["roots"] = mat
-        return self._float_cache["roots"]
+    def pr_roots(self) -> dict:
+        """The table root -> pr_h(root), in root order."""
+        table = self._cache.get("pr_roots")
+        if table is None:
+            table = self._cache["pr_roots"] = {r: self.pr_h(r) for r in self.g_roots}
+        return table
+
+    def pr_classes(self) -> dict:
+        """The same table inverted: pr_h value -> its roots, in order of
+        first appearance."""
+        classes = self._cache.get("pr_classes")
+        if classes is None:
+            classes = self._cache["pr_classes"] = {}
+            for r, pr in self.pr_roots().items():
+                classes.setdefault(pr, []).append(r)
+        return classes
 
     def in_t_h(self, v: TVec) -> bool:
         """Whether v in t lies in t cap h, i.e. is orthogonal to w."""
-        return tvec_dot(self.spec, self.w, v).is_zero()
+        return self._coef(v).is_zero()
 
     def plane_keys(self) -> tuple:
         return self.root_data.keys
@@ -168,28 +193,13 @@ def make_root_level_space(spec: AlgebraSpec, w: TVec,
 def root_level_from_coset(space: CosetSpace) -> RootLevelSpace:
     """Exact root-level data of a matrix coset space; plane assignments are
     read off the matrix decomposition."""
-    import numpy as np
-
     if len(space.t_m) != 1:
         raise ValueError("not an odd-dimensional positively curved candidate: "
                          "rank equality fails")
     spec = space.algebra.spec
     rls = make_root_level_space(spec, space.t_m[0], space.h_root_vectors,
                                 name=space.name)
-    for f in space.algebra.factors:
-        for root in f.planes:
-            p = f.planes[root]
-            xm = space.to_m(p.x)
-            ym = space.to_m(p.y)
-            xin = np.linalg.norm(xm)
-            yin = np.linalg.norm(ym)
-            key = lift_root(spec, f.index, root).canonical_sign()
-            if xin < 1e-9 and yin < 1e-9:
-                rls.assignment[key] = "h"
-            elif abs(xin - 1.0) < 1e-9 and abs(yin - 1.0) < 1e-9:
-                rls.assignment[key] = "m"
-            else:
-                rls.assignment[key] = "split"
+    rls.assignment.update(space.plane_assignment())
     return rls
 
 
@@ -198,48 +208,24 @@ def root_level_from_coset(space: CosetSpace) -> RootLevelSpace:
 # ---------------------------------------------------------------------------
 
 def _projection_groups(space: RootLevelSpace) -> dict:
-    """Roots grouped by their exact projection to t cap h; singletons are
-    left out.
-
-    A float pass projects along w in the scaled form of tvec_dot and puts
-    each root with the first root inside a 1e-6 window (distinct exact
-    projections of root data are separated far beyond it); every
-    multi-member cluster is then confirmed exactly, so the grouping is
-    exact.
-    """
-    import numpy as np
-
-    if "pr_groups" in space._float_cache:
-        return space._float_cache["pr_groups"]
-    R = space.float_roots()
-    spec, w = space.spec, space.w
-    wf = np.array([float(x) for x in _flatten(w)])
-    scales = [float(s) for (_, _, s), f in zip(spec.factors, w.factors) for _ in f.coords]
-    dw = np.array(scales + [float(s) for s in spec.abelian_scales]) * wf
-    P = R - np.outer(R @ dw / (wf @ dw), wf)
-    close = np.max(np.abs(P[:, None, :] - P[None, :, :]), axis=2) < 1e-6
-    clusters: dict = {}
-    for i, first in enumerate(close.argmax(axis=1)):
-        clusters.setdefault(int(first), []).append(space.g_roots[i])
-    groups: dict = {}
-    for members in clusters.values():
-        if len(members) < 2:
-            continue  # singleton projections never participate in case pairs
-        pr = space.pr_h(members[0])
-        if any(space.pr_h(r) != pr for r in members[1:]):
-            raise AssertionError("projection clustering failed; data too dense")
-        groups[pr] = members
-    space._float_cache["pr_groups"] = groups
+    """Roots grouped by their exact projection to t cap h, in order of
+    first appearance; singletons are left out."""
+    groups = space._cache.get("pr_groups")
+    if groups is None:
+        # singleton projections never participate in case pairs
+        groups = space._cache["pr_groups"] = {
+            pr: rs for pr, rs in space.pr_classes().items() if len(rs) > 1}
     return groups
 
 
 def _case_pairs(space: RootLevelSpace):
     """Root pairs whose common projection to t cap h is an h-root, in the
-    scan order of every case decision (projections by float coordinates,
-    then root order).  A nonzero common projection keeps a pair
-    independent."""
-    for pr, roots in sorted(_projection_groups(space).items(),
-                            key=lambda kv: kv[0].floats()):
+    scan order of every case decision (projections in the exact
+    lexicographic order, then root order).  A nonzero common projection
+    keeps a pair independent."""
+    groups = _projection_groups(space)
+    for pr in lex_sorted(groups):
+        roots = groups[pr]
         if not pr.is_zero() and pr in space.h_roots:
             yield from itertools.combinations(roots, 2)
 
@@ -256,35 +242,29 @@ def classify_case(space: RootLevelSpace) -> str:
 
 def _in_affine_span(space: RootLevelSpace, base: Sequence[TVec], target: TVec):
     """Exact coefficients expressing target in span(base), or None."""
-    cols = [_flatten(b) for b in base]
-    tgt = _flatten(target)
-    rows = [[c[i] for c in cols] for i in range(len(tgt))]
-    return solve_exact(rows, tgt)
+    rows = list(zip(*(b.coords for b in base)))
+    return solve_exact(rows, target.coords)
 
 
-def _span_members(space: RootLevelSpace, base: Sequence[TVec], shift=None) -> list:
-    """Indices of roots r with (r - shift) in span(base).
+def _span_members(space: RootLevelSpace, g1: TVec, shift: Optional[TVec] = None) -> set:
+    """Roots r with r - shift in span(g1, w).
 
-    A vectorized float least-squares pass rejects the bulk (root lattices
-    are well separated, so residuals below 1e-6 versus above 1e-2 never
-    mix); candidate hits are confirmed exactly.
+    As ker pr_h = span(w), these are the roots whose projection lies on the
+    line pr_h(shift) + R y with y = pr_h(g1).  Where y has a nonzero
+    coordinate k, a point of that line is fixed by its k-th coordinate, so
+    each value that coordinate takes over the root projections names one
+    candidate point, looked up exactly in the projection table.
     """
-    import numpy as np
-
-    R = space.float_roots()
-    A = np.array([[float(x) for x in _flatten(b)] for b in base]).T
-    T = R.T
-    if shift is not None:
-        T = T - np.array([[float(x)] for x in _flatten(shift)])
-    sol, *_ = np.linalg.lstsq(A, T, rcond=None)
-    resid = np.linalg.norm(A @ sol - T, axis=0)
-    out = []
-    for i in np.nonzero(resid < 1e-6)[0]:
-        r = space.g_roots[int(i)]
-        tgt = r - shift if shift is not None else r
-        if _in_affine_span(space, base, tgt) is not None:
-            out.append(int(i))
-    return out
+    classes = space.pr_classes()
+    y = space.pr_h(g1)
+    s = space.pr_h(shift) if shift is not None else zero_tvec(space.spec)
+    k = next((i for i, q in enumerate(y.coords) if not q.is_zero()), None)
+    if k is None:
+        points = [s]
+    else:
+        inv, sk = y.coords[k].inverse(), s.coords[k]
+        points = [s + y.scale((v - sk) * inv) for v in {p.coords[k] for p in classes}]
+    return {r for pt in points for r in classes.get(pt, ())}
 
 
 def key_lemma_1_applies(space: RootLevelSpace, alpha: TVec) -> bool:
@@ -304,16 +284,12 @@ def key_lemma_2_details(space: RootLevelSpace, g1: TVec, g2: TVec) -> dict:
     roots = space.root_data.root_set
     if g1 not in roots or g2 not in roots:
         raise ValueError("inputs must be roots of g")
-    w = space.w
     cond = {}
     cond[1] = g1 not in space.h_roots and g2 not in space.h_roots
     cond[2] = (g1 + g2) not in roots and (g1 - g2) not in roots
-    base = [g1, w]
-    mem3 = {space.g_roots[i] for i in _span_members(space, base)}
-    cond[3] = mem3 <= {g1, -g1}
-    mem4a = {space.g_roots[i] for i in _span_members(space, base, shift=g2)}
-    mem4b = {space.g_roots[i] for i in _span_members(space, base, shift=-g2)}
-    cond[4] = (mem4a | mem4b) <= {g2, -g2}
+    cond[3] = _span_members(space, g1) <= {g1, -g1}
+    mem4 = _span_members(space, g1, shift=g2) | _span_members(space, g1, shift=-g2)
+    cond[4] = mem4 <= {g2, -g2}
     return cond
 
 
@@ -335,11 +311,7 @@ def angle_lemma_check(space: RootLevelSpace, alpha: TVec, beta: TVec) -> bool:
     if pa != pb or pa not in space.h_roots:
         raise ValueError("hypothesis violated: projections differ or are not h-roots")
     fa, fb = space.factor_of[alpha], space.factor_of[beta]
-
-    def as_rv(tv, f):
-        return tv.factors[f]
-
-    ang = root_angle(as_rv(alpha, fa), as_rv(beta, fb)) if fa == fb else None
+    ang = root_angle(alpha.factors[fa], beta.factors[fb]) if fa == fb else None
     return ang in ("pi/3", "2pi/3")
 
 
@@ -383,7 +355,7 @@ def propagate_assignment(space: RootLevelSpace, rule_order: Optional[list] = Non
     trace: list = []
     h_roots = set(sp.h_roots)
     asg = sp.assignment
-    pr_of = {r: sp.pr_h(r) for r in sp.g_roots}
+    pr_of = sp.pr_roots()
     keys = sp.plane_keys()
 
     def set_plane(key, val, why):
@@ -439,6 +411,7 @@ def propagate_assignment(space: RootLevelSpace, rule_order: Optional[list] = Non
 
     def rule_e():
         changed = False
+        ordered = lex_sorted(h_roots)
         for r in keys:
             if asg[r] is not None:
                 continue
@@ -448,7 +421,7 @@ def propagate_assignment(space: RootLevelSpace, rule_order: Optional[list] = Non
                 continue
             if p in h_roots:
                 continue
-            for hr in sorted(h_roots, key=lambda t: t.floats()):
+            for hr in ordered:
                 if not _crystallographic_ok(sp.spec, p, hr):
                     changed |= set_plane(
                         r, "m",
@@ -466,7 +439,7 @@ def propagate_assignment(space: RootLevelSpace, rule_order: Optional[list] = Non
 
     def rule_f():
         changed = False
-        for p in sorted(h_roots, key=lambda t: t.floats()):
+        for p in lex_sorted(h_roots):
             cls = hat_class(p)
             if not cls:
                 continue
@@ -1085,7 +1058,7 @@ def classify_case2(space: RootLevelSpace) -> Verdict:
     cand = [r for r in roots_b if r != beta and r != -beta
             and r not in space.h_roots]
     rootset = space.root_data.root_set
-    for g1, g2 in itertools.combinations(sorted(cand, key=lambda t: t.floats()), 2):
+    for g1, g2 in itertools.combinations(lex_sorted(cand), 2):
         if g1 == -g2:
             continue
         if (g1 + g2) in rootset or (g1 - g2) in rootset:
@@ -1116,16 +1089,9 @@ def classify_case2(space: RootLevelSpace) -> Verdict:
 # Case I
 # ---------------------------------------------------------------------------
 
-def _factor_component_tvec(spec: AlgebraSpec, tv: TVec, idx: int) -> TVec:
-    base = zero_tvec(spec)
-    factors = list(base.factors)
-    factors[idx] = tv.factors[idx]
-    return TVec(tuple(factors), base.abelian)
-
-
 def _kl2_pair_search(space: RootLevelSpace, candidates: list):
     rootset = space.root_data.root_set
-    for g1, g2 in itertools.combinations(sorted(candidates, key=lambda t: t.floats()), 2):
+    for g1, g2 in itertools.combinations(lex_sorted(candidates), 2):
         if g1 == -g2:
             continue
         if g1 in space.h_roots or g2 in space.h_roots:
@@ -1205,7 +1171,7 @@ def classify_case1(space: RootLevelSpace) -> Verdict:
     # roots not proportional to their factor's torus component
     cand = []
     for i in active:
-        wi = _factor_component_tvec(spec, w, i)
+        wi = lift_root(spec, i, w.factors[i])
         for r in nonh[i]:
             if _in_affine_span(space, [wi], r) is None:
                 cand.append(r)
@@ -1217,7 +1183,7 @@ def classify_case1(space: RootLevelSpace) -> Verdict:
     a1 = None
     for i in active:
         ri = [r for r in space.g_roots if space.factor_of[r] == i]
-        wi = _factor_component_tvec(spec, w, i)
+        wi = lift_root(spec, i, w.factors[i])
         if len(ri) == 2 and _in_affine_span(space, [wi], ri[0]) is not None:
             a1 = i
             break
@@ -1229,7 +1195,7 @@ def classify_case1(space: RootLevelSpace) -> Verdict:
     alpha = next(r for r in space.g_roots if space.factor_of[r] == a1)
     kind = "three_or_more_factors" if len(active) > 2 else "two_factors"
     j = others[0]
-    wj = _factor_component_tvec(spec, w, j)
+    wj = lift_root(spec, j, w.factors[j])
     beta_in_line = None
     for r in space.g_roots:
         if space.factor_of[r] == j and _in_affine_span(space, [wj], r) is not None:
@@ -1269,11 +1235,11 @@ def _case1_table_match(space: RootLevelSpace, i: int) -> Optional[Verdict]:
     (A_2, R+R) and the so(5) = sp(2) coincidence."""
     spec = space.spec
     fam, rank, _ = spec.factors[i]
-    wi = _factor_component_tvec(spec, space.w, i)
+    wi = lift_root(spec, i, space.w.factors[i])
     froots = [r for r in space.g_roots if space.factor_of[r] == i]
     orth = [r for r in froots if tvec_dot(spec, r, wi).is_zero()]
     h2 = [r for r in froots if r in space.h_roots]
-    if sorted(r.floats() for r in h2) != sorted(r.floats() for r in orth):
+    if set(h2) != set(orth):
         return None
     if fam == "A":
         if len(h2) == rank * (rank - 1):
@@ -1409,13 +1375,8 @@ def _case1_block_space(fam, rank, label, w1: RootVector, abelian: bool,
     spec = AlgebraSpec(((fam, rank, Fraction(1)),),
                        abelian_dim=1 if abelian else 0)
     w = tvec_from_parts(spec, {0: list(w1.coords)}, abelian=[1] if abelian else [])
-    sp = make_root_level_space(spec, w, name=label)
-    hset = set()
-    for r in h2_roots:
-        tv = lift_root(spec, 0, r)
-        hset.add(tv)
-        hset.add(-tv)
-    return replace(sp, h_roots=frozenset(hset))
+    return make_root_level_space(spec, w, [lift_root(spec, 0, r) for r in h2_roots],
+                                 name=label)
 
 
 def case1_candidates(max_rank: int = 8) -> list:
@@ -1492,7 +1453,7 @@ def _two_factor_space(label, f1, f2, w1: RootVector, w2: RootVector) -> RootLeve
     hset = set()
     for r in sp.g_roots:
         idx = sp.factor_of[r]
-        wf = _factor_component_tvec(spec, w, idx)
+        wf = lift_root(spec, idx, w.factors[idx])
         if tvec_dot(spec, r, wf).is_zero():
             hset.add(r)
     return replace(sp, h_roots=frozenset(hset))
@@ -1519,8 +1480,7 @@ def _pair_signature(space: RootLevelSpace, alpha: TVec, beta: TVec):
     perp = sum(1 for r in space.g_roots
                if tvec_dot(spec, r, alpha).is_zero()
                and tvec_dot(spec, r, beta).is_zero())
-    key = tuple(sorted([float(la), float(lb)]))
-    return (key, ang, in_plane, perp)
+    return (tuple(sorted([la, lb])), ang, in_plane, perp)
 
 
 def match_case3_subcase(space: RootLevelSpace, alpha: TVec, beta: TVec) -> Subcase:

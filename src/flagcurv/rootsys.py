@@ -1,7 +1,9 @@
 """Exact root systems of the compact simple Lie algebras.
 
-Coordinates live in the real quartic field Q(sqrt2, sqrt3); every membership,
-reflection and angle computation in this module is exact.  Root systems are
+Coordinates live in the real quartic field Q(sqrt2, sqrt3); every sign,
+order, membership, reflection and angle computation in this module is
+exact, and the float view of a value (`float(q)`, `RootVector.floats`)
+exists only for the matrix layers.  Root systems are
 built in the standard orthonormal-basis presentations: A_n sits in the
 sum-zero hyperplane of R^{n+1}, B/C/D/F4 use rational coordinates in R^n,
 E6/E7 need sqrt3/sqrt2 in their last coordinate, G2 lives in R^2 with sqrt3.
@@ -95,7 +97,11 @@ class QNum:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = self._hash = hash((self._a, self._b, self._c, self._d))
+            # hash((a, b, c, d)) from the coefficient hashes: a zero
+            # coefficient hashes to 0 and an integer to its own hash
+            h = self._hash = hash(tuple(
+                0 if x is _F0 else hash(x.numerator) if x.denominator == 1 else hash(x)
+                for x in (self._a, self._b, self._c, self._d)))
         return h
 
     # -- ring structure -------------------------------------------------
@@ -267,6 +273,14 @@ class RootVector:
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(QNum.of(x) for x in self.coords))
 
+    def __hash__(self) -> int:
+        # cached; the value is the dataclass hash, so set order is unchanged
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.coords,))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     @property
     def ambient_dim(self) -> int:
         return len(self.coords)
@@ -301,8 +315,9 @@ class RootVector:
         if self.ambient_dim != o.ambient_dim:
             raise ValueError("dimension mismatch")
 
-    def _sort_key(self):
-        return tuple(float(x) for x in self.coords)
+    def canonical_sign(self) -> "RootVector":
+        """The one of +-self whose first nonzero coordinate is positive."""
+        return -self if leading_sign(self.coords) < 0 else self
 
     def __repr__(self) -> str:
         return "(" + ", ".join(str(x) for x in self.coords) + ")"
@@ -316,6 +331,25 @@ class RootVector:
     @staticmethod
     def from_json(obj: list) -> "RootVector":
         return RootVector(tuple(QNum.from_json(x) for x in obj))
+
+
+def leading_sign(coords) -> int:
+    """Exact sign of the first nonzero coordinate; 0 for the zero vector."""
+    for x in coords:
+        if not x.is_zero():
+            return x.sign()
+    return 0
+
+
+def lex_sorted(items) -> list:
+    """Vectors (anything with exact `coords`) in the exact lexicographic
+    order of their coordinate tuples.  The few distinct coordinate values
+    are ranked once by the exact comparison, so the sort itself compares
+    integer ranks."""
+    items = list(items)
+    values = sorted({x for it in items for x in it.coords})
+    rank = {x: i for i, x in enumerate(values)}
+    return sorted(items, key=lambda it: tuple(rank[x] for x in it.coords))
 
 
 def rv(*coords) -> RootVector:
@@ -464,7 +498,7 @@ class RootSystem:
 
     family: str
     rank: int
-    roots: tuple  # lexicographically sorted RootVectors
+    roots: tuple  # RootVectors in exact lexicographic order
     ambient_dim: int
 
     def __post_init__(self):
@@ -510,7 +544,7 @@ def build_root_system(family: str, rank: int, _relaxed: bool = False) -> RootSys
     else:
         roots = _exceptional_roots(fam)
         dim = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2}[fam]
-    roots = sorted(set(roots), key=lambda r: r._sort_key())
+    roots = lex_sorted(set(roots))
     rs = RootSystem(fam, n, tuple(roots), dim)
     if not _relaxed:
         assert len(rs) == _CARDINALITY[fam](n)

@@ -93,7 +93,7 @@ def test_acceptance_2_matrix_algebra_integrity():
             for p, q in itertools.combinations(planes, 2):
                 targets = []
                 for s in (1, -1):
-                    key = f._canonical(p.root + q.root.scale(s))
+                    key = (p.root + q.root.scale(s)).canonical_sign()
                     if key in f.planes:
                         tp = f.planes[key]
                         targets.extend([tp.x.copy(), tp.y.copy()])

@@ -22,6 +22,42 @@ VERIFY_FULL_SHA256 = {
 }
 
 
+# SHA-256 of `roots <family> <rank>` stdout: the exact root order, for every
+# family up to rank 8.
+ROOTS_SHA256 = {
+    ("A", 1): "1e84adeab9c0a5b2516b75dcf00b06b65035b7c9d241690814352fdfa4ab3547",
+    ("A", 2): "b7e7bfb0abb6ffd61bad53c81151d7ff817660b76ce142fe7b6ec1f61db69ecc",
+    ("A", 3): "6016ef77f120fa17273d209b21e87a1660fa972219659745de9f4e34544c8b12",
+    ("A", 4): "c4c1296ee3781a02be294c3028183f66291d37b13e594d1d71711b103d6b9542",
+    ("A", 5): "841c24aa06435f5f741e9672ec25e2fc9663e3e45262bc9372ff0b031136da24",
+    ("A", 6): "b2ff49119b7b3ea8dd5c571a13ad476cbd567e7419146ecd24d31b61386cb703",
+    ("A", 7): "a3f9fd5ce8691e3ec3957eb0bfc80f4ec649ec696ea86807ca8ca1b381aadaf9",
+    ("A", 8): "561734046d5750a4bcacf8884cd208cb239b15181fcd1709902f1a6a0aed53fe",
+    ("B", 2): "b9021fe2a31d869f70321896bdefc1df120e25fad34a8f8623d5363414705ef9",
+    ("B", 3): "b58362b24467c45528d9fdec9b5f0443124774751315c6f83650aa0be4e7b4f7",
+    ("B", 4): "a9fc2b40c17477dc7d789599dd9383fbb6dce95538c9ddcdee22e905aec282d8",
+    ("B", 5): "6e0090f467677027ff316f1ea6be0c27202fa232f506ae101ca6c2ee3c5219bf",
+    ("B", 6): "a83fa7a5423ca237d4f49f0137ac095dfa8bd18065766c23232f33c5fc530267",
+    ("B", 7): "392a3de1001047a2b4304b41c517b657220fce25f64931efc715889f43e3bde6",
+    ("B", 8): "b9ab5dd648c86f848a3d6037ee609dd7e81cfcb59ffcf7c77307c817fbbde9d9",
+    ("C", 3): "aab8cf82ead6ccff3e7afce558d5fe59a70bed1830130e3d71b435dda7bea06b",
+    ("C", 4): "480665b29ff42b17642bea2e96cc6795f9a1970711e5119c4c59ec33584169d1",
+    ("C", 5): "1f01cbacd6b0c880cdf608853f9be6683711ec93ac64c4eee82d4e371a8ed96a",
+    ("C", 6): "c29af279516236039c322ba207a05e7c782686112c2a01097b7629e4afd48829",
+    ("C", 7): "a0a1bf1eec7fc71e5630d0cd4484e274e2edb5f1b9388b0e4d06b7f90ac64a69",
+    ("C", 8): "f05a56e18d7ab9a9dbf87b2c25f51775849343ea621fe15e770b96e808f9b85d",
+    ("D", 4): "6e4b554be52d7a2e94e9fc4053fb71a828b8302b21f57ebb4bea2e91b5f47f22",
+    ("D", 5): "b6afed8ceef0e4187c178b4d46c2562f6dc77e4a22f485b189d0210b30c4c53a",
+    ("D", 6): "e6f35b46025dc6a4513f7e4cc16e53b163d98b8b5245ae386b648f9919c7a619",
+    ("D", 7): "1e9543b66462f82855b99937e1f2100287e03b8a03f47982f591e6ff91ee2f27",
+    ("D", 8): "4445d670b5e5ad8d828deea5e235ab953cf8298137bfc1ec9391988d4aa2fbdf",
+    ("E6", 6): "2e4ebe45c6658055ec8a9984a9b1434d3723aa917c2aededf2ef461d02adf8ef",
+    ("E7", 7): "d4cc355d1942925a6b330e990a682dddd8ebae09d79b07e32f9675da078efe46",
+    ("E8", 8): "eabd842412c79aeca6639c0c7f0b34a43a779a92ee6bc0ae90aa9f1fa0a0aca8",
+    ("F4", 4): "2cbf20ff6eebe39cdaa33090694ce2decaacf44e7ee46a72845df5c575257263",
+    ("G2", 2): "36d248430ddb7f04ee591818646d1a821cba0146bb31b2305144258e492c8740",
+}
+
 def invoke(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -39,6 +75,13 @@ def test_roots_verb():
     code, _, _ = invoke(["roots", "D", "2"])
     assert code == 1
 
+
+
+@pytest.mark.parametrize("family,rank", sorted(ROOTS_SHA256))
+def test_roots_stdout_is_pinned(family, rank):
+    code, out, _ = invoke(["roots", family, str(rank)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ROOTS_SHA256[family, rank]
 
 def test_space_build_preset():
     code, out, _ = invoke(["space", "build", "--preset", "preset:sphere_un(3)"])

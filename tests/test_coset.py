@@ -22,7 +22,7 @@ from flagcurv.coset import (
     tvec_from_parts,
     _ad_exp,
 )
-from flagcurv.rootsys import rv
+from flagcurv.rootsys import QNum, rv
 
 PRESETS = [
     ("sphere_so2n", (3,), 5), ("sphere_so2n", (4,), 7),
@@ -346,3 +346,36 @@ def test_quaternion_and_complex_space_files_agree():
     assert np.array_equal(a._m_co, b._m_co)
     for x, y in zip(a.structure_tensors(), b.structure_tensors()):
         assert np.array_equal(x, y)
+
+
+def test_tvec_canonical_sign_reads_the_exact_leading_coordinate():
+    # (3363 - 2378 sqrt2)^4 is about 5e-16 > 0 while its float is -0.125
+    q = QNum(3363, -2378)
+    tiny = q * q * q * q
+    spec = AlgebraSpec((("A", 1, Fraction(1)), ("B", 2, Fraction(1))))
+    v = tvec_from_parts(spec, {0: [0, 0], 1: [tiny, -1]})
+    assert v.canonical_sign() == v
+    assert (-v).canonical_sign() == v
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 2), ("D", 4)])
+def test_ad_exp_matches_mpmath_expm(family, rank):
+    """Ad(exp(t v)) by the eigendecomposition of -i v against mpmath's
+    expm, block by block."""
+    import mpmath
+
+    alg = realize(AlgebraSpec(((family, rank, Fraction(1)),)))
+    rng = np.random.default_rng(3)
+    span = alg.factors[0].spanning_set()
+    v, x = alg.zero(), alg.zero()
+    for b in span:
+        v = v + float(rng.standard_normal()) * b
+        x = x + float(rng.standard_normal()) * b
+    t = 0.7
+    got = _ad_exp(alg, t, v)(x).blocks[0]
+    with mpmath.workdps(30):
+        e = mpmath.expm(mpmath.matrix((t * np.asarray(v.blocks[0], dtype=complex)).tolist()))
+        want = e * mpmath.matrix(np.asarray(x.blocks[0], dtype=complex).tolist()) * e.H
+        want = np.array(want.tolist(), dtype=complex)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    assert np.iscomplexobj(got) == np.iscomplexobj(x.blocks[0])

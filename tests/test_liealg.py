@@ -166,7 +166,7 @@ def test_root_plane_bracket_containment(algebras, fam, rank):
     for p, q in itertools.combinations(planes, 2):
         targets = []
         for s in (1, -1):
-            key = f._canonical(p.root + q.root.scale(s))
+            key = (p.root + q.root.scale(s)).canonical_sign()
             if key in f.planes:
                 tp = f.planes[key]
                 targets.extend([tp.x.copy(), tp.y.copy()])

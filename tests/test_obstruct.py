@@ -17,12 +17,13 @@ from flagcurv.coset import (
     tvec_from_parts,
 )
 from flagcurv.liealg import AlgebraSpec, realize
-from flagcurv.rootsys import QNum, build_root_system, rv, weyl_reflect
+from flagcurv.rootsys import QNum, build_root_system, rv, solve_exact, weyl_reflect
 from flagcurv.obstruct import (
     PropagationContradiction,
     _e,
     _g2_root,
     _projection_groups,
+    _span_members,
     angle_lemma_check,
     case1_candidates,
     case2_space,
@@ -104,6 +105,55 @@ def test_unequal_factor_scales_group_by_the_exact_projection():
         exact.setdefault(sp.pr_h(r), []).append(r)
     assert _projection_groups(sp) == {p: rs for p, rs in exact.items() if len(rs) > 1}
     assert classify_case(sp) == "II"
+
+
+def _unequal_scale_a1a1():
+    spec = AlgebraSpec((("A", 1, Fraction(1)), ("A", 1, Fraction(2))))
+    alpha, beta = lift_root(spec, 0, rv(1, -1)), lift_root(spec, 1, rv(1, -1))
+    return make_root_level_space(spec, alpha - beta)
+
+
+def _oracle_span_members(sp, g1, shift):
+    """Roots r with r - shift in span(g1, w), one exact solve per root."""
+    rows = [list(c) for c in zip(g1.coords, sp.w.coords)]
+    out = set()
+    for r in sp.g_roots:
+        tgt = r if shift is None else r - shift
+        if solve_exact(rows, list(tgt.coords)) is not None:
+            out.add(r)
+    return out
+
+
+@pytest.mark.parametrize("make,rich", [
+    (lambda: case3_space("G2", 2, _g2_root(2, 0), _g2_root(-1, 1)), False),
+    (lambda: case3_space("E6", 6, _e(6, (0, 1), (1, 1)), _e(6, (1, 1), (0, -1))), True),
+    (lambda: case3_space("E7", 7, _e(7, (0, 1), (1, 1)), _e(7, (1, 1), (0, -1))), True),
+    (lambda: case2_space("G2", 2, _g2_root(0, 2)), True),
+    (_unequal_scale_a1a1, False),
+], ids=["G2", "E6", "E7", "A1+G2", "A1+A1-scaled"])
+def test_span_members_match_a_per_root_solve(make, rich):
+    """Conditions (3) and (4) of the second key lemma, root by root: the
+    projection-table lookup agrees with an exact solve for every root.  On
+    a rank-two torus span(g1, w) is all of t unless g1 lies along w."""
+    sp = make()
+    roots = sp.g_roots
+    oracle = {}
+
+    def members(g1, shift):
+        if (g1, shift) not in oracle:
+            oracle[g1, shift] = _oracle_span_members(sp, g1, shift)
+            assert _span_members(sp, g1, shift) == oracle[g1, shift]
+        return oracle[g1, shift]
+
+    for g1 in roots[::max(1, len(roots) // 5)]:
+        for g2 in roots[1::max(1, len(roots) // 4)]:
+            if g2 in (g1, -g1):
+                continue
+            det = key_lemma_2_details(sp, g1, g2)
+            assert det[3] == (members(g1, None) <= {g1, -g1})
+            assert det[4] == ((members(g1, g2) | members(g1, -g2)) <= {g2, -g2})
+    sizes = {len(m) for m in oracle.values()}
+    assert len(sizes) > 2 if rich else sizes == {len(roots)}
 
 
 def test_key_lemma_1_examples():
@@ -324,7 +374,7 @@ def test_subcase_table_covers_all_weyl_orbits(family, rank):
         table.add((sc.alpha, sc.beta))
     reached = {}
     orbit_id = 0
-    for start in sorted(pairs, key=lambda p: (p[0]._sort_key(), p[1]._sort_key())):
+    for start in sorted(pairs, key=lambda p: (p[0].coords, p[1].coords)):
         if start in reached:
             continue
         orbit_id += 1

@@ -18,6 +18,7 @@ from flagcurv.rootsys import (
     exact_inverse,
     exact_nullspace,
     is_root,
+    lex_sorted,
     root_sum_status,
     rv,
     solve_exact,
@@ -201,3 +202,22 @@ def test_exact_nullspace_is_a_basis_of_the_kernel(a):
     assert len(null) == len(a[0]) - _rank(a)
     for v in null:
         assert all(y.is_zero() for y in _apply(a, v))
+
+
+# (3363 - 2378 sqrt2)^4 is about 5e-16 > 0, but its float is -0.125: the
+# float view a + b*sqrt2 of its 16-digit coefficients cancels catastrophically.
+TINY = QNum(3363, -2378) * QNum(3363, -2378) * QNum(3363, -2378) * QNum(3363, -2378)
+
+
+def test_tiny_positive_leading_coordinate_keeps_its_exact_sign():
+    assert TINY.sign() == 1 and float(TINY) < 0
+    v = rv(TINY, -1)
+    assert v.canonical_sign() == v
+    assert (-v).canonical_sign() == v
+    assert rv(0, -TINY).canonical_sign() == rv(0, TINY)
+
+
+def test_lex_order_is_exact():
+    lead_tiny, lead_zero, lead_neg = rv(TINY, 0), rv(0, 1), rv(Fraction(-1, 8), 5)
+    assert lex_sorted([lead_tiny, lead_zero, lead_neg]) == [lead_neg, lead_zero, lead_tiny]
+    assert lex_sorted([rv(1, TINY), rv(1, 0)]) == [rv(1, 0), rv(1, TINY)]
