@@ -28,14 +28,23 @@ TOLERANCES = {
 }
 
 
-def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+# Size caps, usage errors (exit 2) like the lower bounds: the rank of `roots`
+# and `verify --max-rank` (a rank-16 scan takes seconds) and `--samples`.
+MAX_RANK = 16
+MAX_SAMPLES = 100_000
+
+
+def _int_in(lo: int, hi: int):
+    """argparse type: an integer in [lo, hi]."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if not lo <= n <= hi:
+            raise argparse.ArgumentTypeError(f"must be in [{lo}, {hi}], got {n}")
+        return n
+    return parse
 
 
 def _json_default(o):
@@ -177,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("roots", help="dump a root system as JSON")
     pr.add_argument("family", help="A, B, C, D, E6, E7, E8, F4 or G2")
-    pr.add_argument("rank", type=int)
+    pr.add_argument("rank", type=_int_in(1, MAX_RANK))
     pr.set_defaults(fn=cmd_roots)
 
     ps = sub.add_parser("space", help="build and summarize a coset space")
@@ -196,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--space", required=True)
     pk.add_argument("--metric", default="quadratic",
                     help="quadratic | randers[:eps] | quartic[:seed] | norm.json")
-    pk.add_argument("--samples", type=_positive_int, default=50)
+    pk.add_argument("--samples", type=_int_in(1, MAX_SAMPLES), default=50)
     pk.add_argument("--seed", type=int, default=0)
     pk.set_defaults(fn=cmd_curvature)
 
@@ -207,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="reproduce a survivor list")
     pv.add_argument("--theorem", type=int, choices=(1, 2, 3), required=True)
-    pv.add_argument("--max-rank", type=_positive_int, default=8)
+    pv.add_argument("--max-rank", type=_int_in(1, MAX_RANK), default=8)
     pv.add_argument("--full", action="store_true",
                     help="include the per-subcase rows in the report")
     pv.set_defaults(fn=cmd_verify)

@@ -890,16 +890,19 @@ def _coords_unit(n: int, i: int) -> list:
     return coords
 
 
-_PRESETS = {
-    "sphere_so2n": (preset_sphere_so2n, 1),
-    "sphere_un": (preset_sphere_un, 1),
-    "sphere_spn_u1": (preset_sphere_spn_u1, 1),
-    "sphere_spn_sp1": (preset_sphere_spn_sp1, 1),
-    "aloff_wallach": (preset_aloff_wallach, 2),
-    "berger_sp2": (preset_berger_sp2, 0),
-    "bn_excluded_subcase1": (preset_bn_excluded_subcase1, 1),
-    "a1a1_diagonal": (preset_a1a1_diagonal, 1),
-    "cn_excluded_subcase1": (preset_cn_excluded_subcase1, 1),
+# Cap on the rank n of the ranked presets: it bounds the algebra a preset
+# builds, and the invariant-form stack of random_invariant_norm with it.
+MAX_PRESET_RANK = 6
+_PRESETS = {  # name -> (builder, parameter count, first parameter is the rank n)
+    "sphere_so2n": (preset_sphere_so2n, 1, True),
+    "sphere_un": (preset_sphere_un, 1, True),
+    "sphere_spn_u1": (preset_sphere_spn_u1, 1, True),
+    "sphere_spn_sp1": (preset_sphere_spn_sp1, 1, True),
+    "aloff_wallach": (preset_aloff_wallach, 2, False),
+    "berger_sp2": (preset_berger_sp2, 0, False),
+    "bn_excluded_subcase1": (preset_bn_excluded_subcase1, 1, True),
+    "a1a1_diagonal": (preset_a1a1_diagonal, 1, False),
+    "cn_excluded_subcase1": (preset_cn_excluded_subcase1, 1, True),
 }
 
 
@@ -907,9 +910,11 @@ def preset(name: str, *params) -> CosetSpace:
     """Build a named preset coset space."""
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; know {sorted(_PRESETS)}")
-    fn, nargs = _PRESETS[name]
+    fn, nargs, ranked = _PRESETS[name]
     if len(params) != nargs:
         raise ValueError(f"preset {name} takes {nargs} parameter(s)")
+    if ranked and abs(params[0]) > MAX_PRESET_RANK:
+        raise ValueError(f"preset {name} takes n <= {MAX_PRESET_RANK}, got {params[0]}")
     return fn(*params)
 
 

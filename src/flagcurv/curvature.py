@@ -15,6 +15,11 @@ m-basis of a CosetSpace.  The two evaluation routes are
     where U is the bilinear map solved from
       <U(u,v), w>_u = (1/2)(<[w,u]_m, v>_u + <[w,v]_m, u>_u).
 
+Every CurvatureEngine operator takes one vector or a stack of them (leading
+axes, one pole or flag per row), and sample_flags evaluates its candidate
+flags as such stacks.  All contractions are row-wise (einsum, stacked matmul
+and solve), so no row's result depends on the size of its stack.
+
 Tolerance ladder: exactness 1e-12, linear-solve residual 1e-10, stacked
 finite-difference comparisons 1e-5 relative.
 """
@@ -27,13 +32,40 @@ from typing import Optional
 import numpy as np
 
 from .coset import CosetSpace
-from .norms import MinkowskiNorm
+from .norms import MinkowskiNorm, _dot
 
 ETA_ZERO_TOL = 1e-10
 COMMUTE_TOL = 1e-10
 ETA_HYP_TOL = 1e-8
 DEGENERATE_TOL = 1e-10
 FD_POLE_STEP = 1e-5
+CHUNK = 64  # most candidate flags sample_flags evaluates as one stack
+NOT_POSITIVE = "Hessian Gram matrix not positive definite"
+DEGENERATE = "degenerate flag: pole and direction nearly dependent"
+
+
+def _mv(a, x):
+    """Row-wise a x for stacks a (..., d, d) and x (..., d)."""
+    return (a @ x[..., None])[..., 0]
+
+
+def _vm(x, a):
+    """Row-wise x a, x a row vector, for stacks x (..., d) and a (..., d, d)."""
+    return (x[..., None, :] @ a)[..., 0, :]
+
+
+def _solve(a, b):
+    """Row-wise solution of a x = b for stacks a (..., d, d), b (..., d)."""
+    return np.linalg.solve(a, b[..., None])[..., 0]
+
+
+def _factors(g) -> np.ndarray:
+    """Mask of the matrices of the stack g with a Cholesky factorization."""
+    try:
+        np.linalg.cholesky(g)
+        return np.ones(g.shape[:-2], dtype=bool)
+    except np.linalg.LinAlgError:
+        return np.array([_factors(x) for x in g], dtype=bool) if g.ndim > 2 else np.False_
 
 
 @dataclass
@@ -45,19 +77,6 @@ class CurvatureReport:
     fd_step: float = 0.0
     cross_check_k: Optional[float] = None
     cross_check_rel_err: Optional[float] = None
-
-    def to_json(self):
-        out = {
-            "K": self.k,
-            "method": self.method,
-            "eta_norm": self.eta_norm,
-            "solve_residual": self.solve_residual,
-            "fd_step": self.fd_step,
-        }
-        if self.cross_check_k is not None:
-            out["cross_check_K"] = self.cross_check_k
-            out["cross_check_rel_err"] = self.cross_check_rel_err
-        return out
 
 
 class CurvatureEngine:
@@ -72,125 +91,151 @@ class CurvatureEngine:
 
     # -- brackets in m-coordinates ---------------------------------------
     def brm(self, x, y):
-        return np.einsum("i,j,ijk->k", x, y, self.Cm)
+        return np.einsum("...i,...j,ijk->...k", x, y, self.Cm)
 
     def brh(self, x, y):
-        return np.einsum("i,j,ija->a", x, y, self.Ch)
+        return np.einsum("...i,...j,ija->...a", x, y, self.Ch)
 
-    def br_full_norm(self, x, y) -> float:
+    def br_full_norm(self, x, y):
         """Bi-invariant norm of the full bracket [x, y]."""
-        bm = self.brm(x, y)
-        bh = self.brh(x, y)
-        return float(np.sqrt(bm @ bm + bh @ bh))
+        bm, bh = self.brm(x, y), self.brh(x, y)
+        return np.sqrt(_dot(bm, bm) + _dot(bh, bh))
+
+    def _ad(self, u):
+        """The matrix of w -> [w, u]_m: row i is [e_i, u]_m."""
+        return np.einsum("...j,ijk->...ik", u, self.Cm)
 
     # -- the implicit operators -------------------------------------------
+    def _grams(self, u):
+        """Gram matrices g_u and the mask of those with a Cholesky factor."""
+        g = np.broadcast_to(self.norm.gram(u), u.shape + u.shape[-1:])
+        return g, _factors(g)
+
     def _gram(self, u):
-        """The Gram matrix g_u, gated on positive definiteness by its
-        Cholesky factorization."""
-        g = self.norm.gram(u)
-        try:
-            np.linalg.cholesky(g)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("Hessian Gram matrix not positive definite") from exc
+        g, ok = self._grams(u)
+        if not np.all(ok):
+            raise ValueError(NOT_POSITIVE)
         return g
 
-    def eta(self, u: np.ndarray, _g=None):
-        """Spray vector: <eta(u), w>_u = <u, [w,u]_m>_u for all w."""
+    def eta(self, u: np.ndarray, _g=None, _gu=None, _bu=None):
+        """Spray vector: <eta(u), w>_u = <u, [w,u]_m>_u for all w, and the
+        residual of its solve."""
         u = np.asarray(u, dtype=float)
-        if np.linalg.norm(u) == 0:
-            raise ValueError("eta undefined at the origin")
         g = _g if _g is not None else self._gram(u)
-        Bu = np.einsum("j,ijk->ik", u, self.Cm)  # Bu[i] = [e_i, u]_m
-        rhs = Bu @ (g @ u)
-        eta = np.linalg.solve(g, rhs)
-        resid = float(np.linalg.norm(g @ eta - rhs))
-        return eta, resid
+        gu = _gu if _gu is not None else _mv(g, u)
+        rhs = _mv(_bu if _bu is not None else self._ad(u), gu)
+        eta = _solve(g, rhs)
+        return eta, np.linalg.norm(_mv(g, eta) - rhs, axis=-1)
 
-    def connection_n(self, u: np.ndarray, w: np.ndarray, _g=None,
-                     _eta=None) -> np.ndarray:
-        """Connection operator N(u, w) as an m-coordinate vector."""
-        u = np.asarray(u, dtype=float)
+    def _frame(self, u, g):
+        """What eta and every connection solve at the poles u share:
+        (u, g_u, g_u u, the matrix of [., u]_m, eta, eta residual)."""
+        gu, bu = _mv(g, u), self._ad(u)
+        return (u, g, gu, bu) + self.eta(u, _g=g, _gu=gu, _bu=bu)
+
+    def connection_n(self, u: np.ndarray, w: np.ndarray, _frame=None) -> np.ndarray:
+        """Connection operator N(u, w) as an m-coordinate vector (_frame: the
+        pole data of _frame(u, g_u), when already built)."""
+        if _frame is None:
+            u = np.asarray(u, dtype=float)
+            _frame = self._frame(u, self._gram(u))
+        u, g, gu, bu, eta, _ = _frame
         w = np.asarray(w, dtype=float)
-        g = _g if _g is not None else self._gram(u)
-        eta = _eta if _eta is not None else self.eta(u, _g=g)[0]
-        Bu = np.einsum("j,ijk->ik", u, self.Cm)   # [e_i, u]_m
-        Bw = np.einsum("j,ijk->ik", w, self.Cm)   # [e_i, w]_m
-        rhs = Bw @ (g @ u) + Bu @ (g @ w) + g @ self.brm(w, u)
-        if np.linalg.norm(eta) > 0:
+        rhs = _mv(self._ad(w), gu) + _mv(bu, _mv(g, w)) + _mv(g, _vm(w, bu))
+        if np.any(eta):
             rhs = rhs - 2.0 * self.norm.cartan_vec(u, w, eta)
-        return np.linalg.solve(g, 0.5 * rhs)
+        return _solve(g, 0.5 * rhs)
 
-    def _d_eta_n(self, u, w, eta, step_scale=FD_POLE_STEP):
-        """Directional derivative of N(., w) at u along eta(u); exactly zero
-        when eta(u) vanishes."""
-        speed = float(np.linalg.norm(eta))
-        if speed < ETA_ZERO_TOL:
-            return np.zeros_like(u), 0.0
-        h = step_scale * float(np.linalg.norm(u))
-        direction = eta / speed
-        np_ = self.connection_n(u + h * direction, w)
-        nm_ = self.connection_n(u - h * direction, w)
-        return speed * (np_ - nm_) / (2.0 * h), h
+    def _d_eta_n(self, w, speed, h, poles):
+        """Directional derivative of N(., w) along eta: central differences
+        between the frames at the two poles, exactly zero where h = 0."""
+        if poles is None:
+            return np.zeros_like(w)
+        np_, nm_ = (self.connection_n(p[0], w, _frame=p) for p in poles)
+        h2 = np.where(h > 0, h, 1.0)[:, None]
+        return np.where(h[:, None] > 0, speed[:, None] * (np_ - nm_) / (2.0 * h2), 0.0)
 
-    def riemann_quadratic(self, u: np.ndarray, w: np.ndarray) -> float:
+    def riemann_quadratic(self, u: np.ndarray, w: np.ndarray):
         """<R_u(w), w>_u via the invariant-frame curvature formula."""
-        u = np.asarray(u, dtype=float)
-        w = np.asarray(w, dtype=float)
-        g = self._gram(u)
-        eta, _ = self.eta(u, _g=g)
-        return self._riemann_quadratic(u, w, g, eta)[0]
+        single = np.ndim(u) == 1
+        u, w = (np.atleast_2d(np.asarray(t, dtype=float)) for t in (u, w))
+        ok, q, *_ = self._riemann_quadratic(u, w, self._gram(u))
+        if not np.all(ok):
+            raise ValueError(NOT_POSITIVE)
+        return float(q[0]) if single else q
 
-    def _riemann_quadratic(self, u, w, g, eta):
-        """(<R_u(w), w>_u, finite-difference pole step) given the Gram
-        matrix and eta at u."""
-        nw = self.connection_n(u, w, _g=g, _eta=eta)
-        rt, h = self._d_eta_n(u, w, eta)
-        rt = rt - self.connection_n(u, nw, _g=g, _eta=eta)
-        rt = rt + self.connection_n(u, self.brm(u, w), _g=g, _eta=eta)
-        rt = rt - self.brm(u, nw)
+    def _riemann_quadratic(self, u, w, g):
+        """<R_u(w), w>_u for stacks u, w (Gram matrices g at u).  Returns the
+        mask of the rows whose Gram matrices at both poles u +- h eta/|eta|
+        have a Cholesky factor, then on those rows the values, |eta|, the eta
+        residual and h (0 where |eta| < ETA_ZERO_TOL)."""
+        f = self._frame(u, g)
+        speed = np.linalg.norm(f[4], axis=-1)
+        h = np.where(speed >= ETA_ZERO_TOL, FD_POLE_STEP * np.linalg.norm(u, axis=-1), 0.0)
+        ok, poles = np.ones(len(u), dtype=bool), None
+        if np.any(h):
+            offset = h[:, None] * (f[4] / np.maximum(speed, ETA_ZERO_TOL)[:, None])
+            (gp, okp), (gm, okm) = self._grams(u + offset), self._grams(u - offset)
+            ok = okp & okm
+            w, speed, h, offset, gp, gm, *f = (a[ok] for a in (w, speed, h, offset, gp, gm, *f))
+            poles = [self._frame(f[0] + offset, gp), self._frame(f[0] - offset, gm)]
+        u, g, gu, bu = f[:4]
+        nw = self.connection_n(u, w, _frame=f)
+        rt = self._d_eta_n(w, speed, h, poles) - self.connection_n(u, nw, _frame=f)
+        rt = rt - self.connection_n(u, _vm(w, bu), _frame=f)   # + N(u, [u,w]_m)
+        rt = rt + _vm(nw, bu)                                    # - [u, N(u,w)]_m
         # h-term: <[[w,u]_h, w], u>_u
-        hpart = self.brh(w, u)
-        zh = np.einsum("a,akl,k->l", hpart, self.Kh, w)
-        return float(zh @ g @ u + rt @ g @ w), h
+        zh = np.einsum("...a,akl,...k->...l", self.brh(w, u), self.Kh, w)
+        return ok, _dot(zh, gu) + _dot(rt, _mv(g, w)), speed, f[5], h
 
     # -- flags ---------------------------------------------------------------
     def _flag_gate(self, u, v, g):
-        denom = (u @ g @ u) * (v @ g @ v) - (u @ g @ v) ** 2
-        if denom <= DEGENERATE_TOL * (u @ g @ u) * (v @ g @ v):
-            raise ValueError("degenerate flag: pole and direction nearly dependent")
-        return denom
+        """(area^2 of the flag, whether it passes the degeneracy gate)."""
+        gu, gv = _mv(g, u), _mv(g, v)
+        uu, vv = _dot(u, gu), _dot(v, gv)
+        denom = uu * vv - _dot(v, gu) ** 2
+        return denom, denom > DEGENERATE_TOL * uu * vv
 
-    def flag_curvature(self, u: np.ndarray, v: np.ndarray) -> CurvatureReport:
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        g = self._gram(u)
-        denom = self._flag_gate(u, v, g)
-        eta, resid = self.eta(u, _g=g)
-        q, h = self._riemann_quadratic(u, v, g, eta)
-        return CurvatureReport(
-            k=q / denom, method="invariant-frame",
-            eta_norm=float(np.linalg.norm(eta)), solve_residual=resid, fd_step=h,
-        )
+    def flag_curvature(self, u: np.ndarray, v: np.ndarray):
+        """Flag curvature of the flag (pole u, direction v); raises
+        ValueError when a gate rejects the flag.  For stacks (rows of u and
+        v) returns one entry per row: its CurvatureReport, or the ValueError
+        of the first gate it failed (Cholesky of g_u, degeneracy, Cholesky
+        at either finite-difference pole)."""
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        single, u, v = u.ndim == 1, np.atleast_2d(u), np.atleast_2d(v)
+        out = [None] * len(u)
+
+        def keep(ok, reason, rows, *arrays):
+            for r in rows[~ok]:
+                out[r] = ValueError(reason)
+            return [rows[ok]] + [a[ok] for a in arrays]
+
+        g, ok = self._grams(u)
+        rows, u, v, g = keep(ok, NOT_POSITIVE, np.arange(len(u)), u, v, g)
+        denom, ok = self._flag_gate(u, v, g)
+        rows, u, v, g, denom = keep(ok, DEGENERATE, rows, u, v, g, denom)
+        ok, q, speed, resid, h = self._riemann_quadratic(u, v, g)
+        rows, denom = keep(ok, NOT_POSITIVE, rows, denom)
+        for r, k, e, res, step in zip(rows, q / denom, speed, resid, h):
+            out[r] = CurvatureReport(k=float(k), method="invariant-frame", eta_norm=float(e),
+                                     solve_residual=float(res), fd_step=float(step))
+        if single and isinstance(out[0], ValueError):
+            raise out[0]
+        return out[0] if single else out
 
     def u_map(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The bilinear map U(u, v), solved against the basis."""
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
         g = self._gram(u)
-        Bu = np.einsum("j,ijk->ik", u, self.Cm)
-        Bv = np.einsum("j,ijk->ik", v, self.Cm)
-        rhs = 0.5 * (Bu @ (g @ v) + Bv @ (g @ u))
-        return np.linalg.solve(g, rhs)
+        rhs = 0.5 * (_mv(self._ad(u), _mv(g, v)) + _mv(self._ad(v), _mv(g, u)))
+        return _solve(g, rhs)
 
     def flag_curvature_commutative(self, u: np.ndarray, v: np.ndarray,
                                    cross_check: bool = True) -> CurvatureReport:
-        """Commutative-pair flag curvature K = |U(u,v)|_u^2 / area^2.
-
-        Requires [u, v] = 0 and eta(u) = 0 (within tolerances); raises
-        otherwise.
-        """
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
+        """Commutative-pair flag curvature K = |U(u,v)|_u^2 / area^2; needs
+        [u, v] = 0 and eta(u) = 0 (within tolerances), raises otherwise."""
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
         br = self.br_full_norm(u, v)
         scale = float(np.linalg.norm(u) * np.linalg.norm(v))
         if br > COMMUTE_TOL * max(scale, 1.0):
@@ -199,12 +244,13 @@ class CurvatureEngine:
         eta, resid = self.eta(u, _g=g)
         if np.linalg.norm(eta) > ETA_HYP_TOL * max(float(np.linalg.norm(u)), 1.0):
             raise ValueError("commutative-pair formula inapplicable: eta(u) != 0")
-        denom = self._flag_gate(u, v, g)
+        denom, ok = self._flag_gate(u, v, g)
+        if not ok:
+            raise ValueError(DEGENERATE)
         uu = self.u_map(u, v)
-        k = float(uu @ g @ uu) / denom
-        rep = CurvatureReport(k=k, method="commutative-pair",
-                              eta_norm=float(np.linalg.norm(eta)),
-                              solve_residual=resid)
+        k = float(_dot(uu, _mv(g, uu)) / denom)
+        rep = CurvatureReport(k=k, method="commutative-pair", eta_norm=float(np.linalg.norm(eta)),
+                              solve_residual=float(resid))
         if cross_check:
             general = self.flag_curvature(u, v)
             rep.cross_check_k = general.k
@@ -217,33 +263,28 @@ class CurvatureEngine:
 # ---------------------------------------------------------------------------
 
 def eta(space: CosetSpace, norm: MinkowskiNorm, u) -> np.ndarray:
-    return CurvatureEngine(space, norm).eta(np.asarray(u, dtype=float))[0]
+    return CurvatureEngine(space, norm).eta(u)[0]
 
 
 def connection_n(space: CosetSpace, norm: MinkowskiNorm, u, w) -> np.ndarray:
-    return CurvatureEngine(space, norm).connection_n(
-        np.asarray(u, dtype=float), np.asarray(w, dtype=float))
+    return CurvatureEngine(space, norm).connection_n(u, w)
 
 
 def riemann_quadratic(space: CosetSpace, norm: MinkowskiNorm, u, w) -> float:
-    return CurvatureEngine(space, norm).riemann_quadratic(
-        np.asarray(u, dtype=float), np.asarray(w, dtype=float))
+    return CurvatureEngine(space, norm).riemann_quadratic(u, w)
 
 
 def flag_curvature(space: CosetSpace, norm: MinkowskiNorm, u, v) -> CurvatureReport:
-    return CurvatureEngine(space, norm).flag_curvature(
-        np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    return CurvatureEngine(space, norm).flag_curvature(u, v)
 
 
 def u_map(space: CosetSpace, norm: MinkowskiNorm, u, v) -> np.ndarray:
-    return CurvatureEngine(space, norm).u_map(
-        np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    return CurvatureEngine(space, norm).u_map(u, v)
 
 
 def flag_curvature_commutative(space: CosetSpace, norm: MinkowskiNorm, u, v,
                                cross_check: bool = True) -> CurvatureReport:
-    return CurvatureEngine(space, norm).flag_curvature_commutative(
-        np.asarray(u, dtype=float), np.asarray(v, dtype=float), cross_check)
+    return CurvatureEngine(space, norm).flag_curvature_commutative(u, v, cross_check)
 
 
 # ---------------------------------------------------------------------------
@@ -326,45 +367,38 @@ def sample_flags(space: CosetSpace, norm: MinkowskiNorm, n: int, seed: int,
                  zero_tol: float = 1e-8) -> dict:
     """Random-flag curvature sampling report, deterministic for a given
     seed.  Candidate pairs come from one seeded stream, at most 2n+8 of
-    them, and evaluation stops once n flags are accepted."""
+    them.  They are evaluated in stacks of the current shortfall (at most
+    CHUNK rows), so evaluation stops exactly once n flags are accepted."""
     if n < 1:
         raise ValueError(f"need at least one flag to sample, got {n}")
     rng = np.random.default_rng(seed)
     eng = CurvatureEngine(space, norm)
-    d = space.dim_m
-    ks, zero_flags, agree = [], [], []
-    evaluated = rejected = 0
-    resid = eta_norm = fd_step = 0.0
-    for _ in range(2 * n + 8):
-        if len(ks) >= n:
-            break
-        u, v = rng.standard_normal(d), rng.standard_normal(d)
-        evaluated += 1
-        try:
-            rep = eng.flag_curvature(u, v)
-        except ValueError:  # degenerate flag or failed Cholesky
-            rejected += 1
-            continue
-        ks.append(rep.k)
-        resid = max(resid, rep.solve_residual)
-        eta_norm = max(eta_norm, rep.eta_norm)
-        fd_step = max(fd_step, rep.fd_step)
-        if abs(rep.k) < zero_tol:
-            zero_flags.append({"u": u.tolist(), "v": v.tolist(), "K": rep.k})
-        if eng.br_full_norm(u, v) < COMMUTE_TOL:
-            rep2 = eng.flag_curvature_commutative(u, v, cross_check=False)
-            agree.append(abs(rep2.k - rep.k) / max(abs(rep.k), abs(rep2.k), 1.0))
-    if not ks:
+    budget = 2 * n + 8
+    kept, evaluated = [], 0  # kept: (u, v, report) of the accepted flags
+    while len(kept) < n and evaluated < budget:
+        m = min(n - len(kept), CHUNK, budget - evaluated)
+        # rows (u_i, v_i) in the order of one u, v draw per candidate
+        u, v = np.moveaxis(rng.standard_normal((m, 2, space.dim_m)), 1, 0).copy()
+        evaluated += m
+        kept += [x for x in zip(u, v, eng.flag_curvature(u, v)) if isinstance(x[2], CurvatureReport)]
+    if not kept:
         raise ValueError(f"all {evaluated} candidate flags were rejected")
+    us, vs, reps = zip(*kept)
+    agree = []
+    for u, v, rep, br in zip(us, vs, reps, eng.br_full_norm(np.array(us), np.array(vs))):
+        if br < COMMUTE_TOL:
+            k2 = eng.flag_curvature_commutative(u, v, cross_check=False).k
+            agree.append(abs(k2 - rep.k) / max(abs(rep.k), abs(k2), 1.0))
     return {
-        "flags": len(ks),
-        "K_min": float(np.min(ks)),
-        "K_max": float(np.max(ks)),
-        "zero_flags": zero_flags,
-        "method_agreement_max_rel_err": float(np.max(agree)) if agree else None,
+        "flags": len(reps),
+        "K_min": min(r.k for r in reps),
+        "K_max": max(r.k for r in reps),
+        "zero_flags": [{"u": u.tolist(), "v": v.tolist(), "K": r.k}
+                       for u, v, r in zip(us, vs, reps) if abs(r.k) < zero_tol],
+        "method_agreement_max_rel_err": max(agree) if agree else None,
         "candidates_evaluated": evaluated,
-        "rejected": rejected,
-        "max_solve_residual": resid,
-        "max_eta_norm": eta_norm,
-        "max_fd_step": fd_step,
+        "rejected": evaluated - len(reps),
+        "max_solve_residual": max(r.solve_residual for r in reps),
+        "max_eta_norm": max(r.eta_norm for r in reps),
+        "max_fd_step": max(r.fd_step for r in reps),
     }

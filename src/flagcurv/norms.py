@@ -32,7 +32,9 @@ NULL_TOL = 1e-8
 
 class MinkowskiNorm:
     """Interface: value, gram (Hessian inner product matrix), cartan_vec;
-    cartan3 contracts cartan_vec with its last argument."""
+    cartan3 contracts cartan_vec with its last argument.  gram and
+    cartan_vec take one vector or a stack of them (leading axes), one
+    independent point per row."""
 
     dim: int
     reversible: bool
@@ -41,7 +43,7 @@ class MinkowskiNorm:
         raise NotImplementedError
 
     def gram(self, y: np.ndarray) -> np.ndarray:
-        """Matrix of <u,v>_y over the declared m-basis."""
+        """Matrix of <u,v>_y over the declared m-basis, (..., d, d)."""
         raise NotImplementedError
 
     def cartan_vec(self, y, u, v) -> np.ndarray:
@@ -62,8 +64,22 @@ class MinkowskiNorm:
 
 
 def _check_nonzero(y: np.ndarray):
-    if not np.any(np.abs(y) > 0):
+    if not np.all(np.any(np.abs(y) > 0, axis=-1)):
         raise ValueError("Hessian undefined at the origin")
+
+
+def _dot(x, y):
+    """Row-wise inner products of stacks of vectors."""
+    return np.einsum("...i,...i->...", x, y)
+
+
+def _outer(x, y):
+    return x[..., :, None] * y[..., None, :]
+
+
+def _comb(c, x):
+    """Row-wise sum_k c_k x_k for stacks c (..., k) and x (..., k, d)."""
+    return np.einsum("...k,...ki->...i", c, x)
 
 
 @dataclass
@@ -81,11 +97,11 @@ class Quadratic(MinkowskiNorm):
 
     def gram(self, y) -> np.ndarray:
         _check_nonzero(np.asarray(y))
-        return self.q.copy()
+        return np.broadcast_to(self.q, np.shape(y)[:-1] + self.q.shape).copy()
 
     def cartan_vec(self, y, u, v) -> np.ndarray:
         _check_nonzero(np.asarray(y))
-        return np.zeros(self.dim)
+        return np.zeros(np.broadcast_shapes(np.shape(y), np.shape(u), np.shape(v)))
 
     def rescale(self, lam: float) -> "Quadratic":
         return Quadratic(lam ** 2 * self.q)
@@ -115,34 +131,29 @@ class Randers(MinkowskiNorm):
     def gram(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         _check_nonzero(y)
-        qy = self.q @ y
-        alpha = np.sqrt(y @ qy)
-        beta = float(self.b @ y)
-        g = (1.0 + beta / alpha) * self.q
-        g -= (beta / alpha ** 3) * np.outer(qy, qy)
-        mix = qy / alpha + self.b
-        g += np.outer(mix, self.b) + np.outer(self.b, qy / alpha)
-        # symmetric by construction: b b' appears once in `mix` @ b
-        return 0.5 * (g + g.T)
+        qy = np.einsum("ij,...j->...i", self.q, y)
+        alpha = np.sqrt(_dot(y, qy))[..., None]
+        a = qy / alpha
+        r = (_dot(self.b, y)[..., None] / alpha)[..., None]  # beta / alpha
+        # b b' appears once, in (a + b) b'
+        g = (1.0 + r) * self.q - r * _outer(a, a) + _outer(a + self.b, self.b) + _outer(self.b, a)
+        return 0.5 * (g + np.swapaxes(g, -1, -2))
 
     def cartan_vec(self, y, u, v) -> np.ndarray:
         # C = 1/4 D^3[F^2] with F^2 = alpha^2 + 2 alpha beta + beta^2,
         # last slot left open
-        y = np.asarray(y, dtype=float)
+        y, u, v = (np.asarray(t, dtype=float) for t in (y, u, v))
         _check_nonzero(y)
-        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        qy, qu, qv = self.q @ y, self.q @ u, self.q @ v
-        alpha = np.sqrt(y @ qy)
-        beta = float(self.b @ y)
+        qy, qu, qv = (np.einsum("ij,...j->...i", self.q, t) for t in (y, u, v))
+        alpha = np.sqrt(_dot(y, qy))[..., None]
         a = qy / alpha
-        au, av = a @ u, a @ v
-        uqv = u @ qv
+        au, av, uqv = (_dot(x, z)[..., None] for x, z in ((a, u), (a, v), (u, qv)))
         d3 = (-(uqv * a + av * qu + au * qv) + 3.0 * au * av * a) / alpha ** 2
         d2u = (qu - au * a) / alpha
         d2v = (qv - av * a) / alpha
         d2uv = (uqv - au * av) / alpha
-        val = 2.0 * (beta * d3 + d2uv * self.b + d2u * float(self.b @ v)
-                     + d2v * float(self.b @ u))
+        by, bu, bv = (_dot(self.b, t)[..., None] for t in (y, u, v))
+        val = 2.0 * (by * d3 + d2uv * self.b + d2u * bv + d2v * bu)
         return 0.25 * val
 
     def rescale(self, lam: float) -> "Randers":
@@ -168,52 +179,41 @@ class Quartic(MinkowskiNorm):
         self.reversible = True
         self._qstack = np.array(self.qs)
 
-    def _p(self, y):
-        vals = np.array([y @ q @ y for q in self.qs])
-        return vals, float(self.weights @ vals ** 2)
-
     def value(self, y) -> float:
-        y = np.asarray(y, dtype=float)
-        _, p = self._p(y)
-        return float(p ** 0.25)
+        vals = np.array([y @ q @ y for q in self.qs])
+        return float((self.weights @ vals ** 2) ** 0.25)
 
     def _derivs(self, y):
-        qy = [q @ y for q in self.qs]
-        vals = np.array([float(y @ g) for g in qy])
-        p = float(self.weights @ vals ** 2)
-        return qy, vals, p
+        """Rows Q_k y and y'Q_k y over the quadratics, P and dP, row-wise."""
+        y = np.asarray(y, dtype=float)
+        _check_nonzero(y)
+        qy = np.einsum("kij,...j->...ki", self._qstack, y)
+        vals = np.einsum("...ki,...i->...k", qy, y)
+        return qy, vals, _dot(self.weights, vals ** 2)[..., None], 4.0 * _comb(self.weights * vals, qy)
 
     def gram(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        _check_nonzero(y)
-        qy, vals, p = self._derivs(y)
-        dp = 4.0 * sum(w * v * g for w, v, g in zip(self.weights, vals, qy))
-        d2p = sum(
-            4.0 * w * (2.0 * np.outer(g, g) + v * q)
-            for w, v, q, g in zip(self.weights, vals, self.qs, qy)
-        )
+        qy, vals, p, dp = self._derivs(y)
+        wk = self.weights
+        d2p = 4.0 * (np.einsum("k,...ki,...kj->...ij", 2.0 * wk, qy, qy)
+                     + np.einsum("...k,kij->...ij", wk * vals, self._qstack))
+        p = p[..., None]
         sp = np.sqrt(p)
         # half the Hessian of F^2 = sqrt(P)
-        g = d2p / (4.0 * sp) - np.outer(dp, dp) / (8.0 * p * sp)
-        return 0.5 * (g + g.T)
+        g = d2p / (4.0 * sp) - _outer(dp, dp) / (8.0 * p * sp)
+        return 0.5 * (g + np.swapaxes(g, -1, -2))
 
     def cartan_vec(self, y, u, v) -> np.ndarray:
-        # C = 1/4 D^3[sqrt P], last slot left open; rows of the stacks
-        # run over the quadratics Q_k
-        y = np.asarray(y, dtype=float)
-        _check_nonzero(y)
-        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        qs, wk = self._qstack, self.weights
-        qy, qu, qv = qs @ y, qs @ u, qs @ v
-        vals, gu, gv, uqv = qy @ y, qy @ u, qy @ v, qu @ v
-        p = float(wk @ vals ** 2)
+        # C = 1/4 D^3[sqrt P], last slot left open
+        qy, vals, p, dp = self._derivs(y)
+        u, v, wk = np.asarray(u, dtype=float), np.asarray(v, dtype=float), self.weights
+        qu, qv = (np.einsum("kij,...j->...ki", self._qstack, t) for t in (u, v))
+        gu, gv, uqv = (np.einsum("...ki,...i->...k", a, t) for a, t in ((qy, u), (qy, v), (qu, v)))
         sp = np.sqrt(p)
-        dp = 4.0 * (wk * vals) @ qy
-        du, dv = dp @ u, dp @ v
-        d2uv = 4.0 * float(wk @ (2.0 * gu * gv + vals * uqv))
-        d2u = 4.0 * ((2.0 * wk * gu) @ qy + (wk * vals) @ qu)
-        d2v = 4.0 * ((2.0 * wk * gv) @ qy + (wk * vals) @ qv)
-        d3 = 8.0 * ((wk * uqv) @ qy + (wk * gv) @ qu + (wk * gu) @ qv)
+        du, dv = _dot(dp, u)[..., None], _dot(dp, v)[..., None]
+        d2uv = 4.0 * _dot(wk, 2.0 * gu * gv + vals * uqv)[..., None]
+        d2u = 4.0 * (_comb(2.0 * wk * gu, qy) + _comb(wk * vals, qu))
+        d2v = 4.0 * (_comb(2.0 * wk * gv, qy) + _comb(wk * vals, qv))
+        d3 = 8.0 * (_comb(wk * uqv, qy) + _comb(wk * gv, qu) + _comb(wk * gu, qv))
         term = d3 / (2.0 * sp)
         term -= (d2uv * dp + d2u * dv + d2v * du) / (4.0 * p * sp)
         term += 3.0 * du * dv * dp / (8.0 * p ** 2 * sp)
@@ -264,6 +264,9 @@ class GenericNorm(MinkowskiNorm):
         return 0.5 * (4.0 * b - a) / 3.0
 
     def gram(self, y) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
+        if y.ndim > 1:  # one point per row
+            return np.array([self.gram(r) for r in y]).reshape(y.shape + (self.dim,))
         e = np.eye(self.dim)
         g = np.zeros((self.dim, self.dim))
         for i in range(self.dim):
@@ -286,6 +289,9 @@ class GenericNorm(MinkowskiNorm):
         return tot / (32.0 * h ** 3)
 
     def cartan_vec(self, y, u, v) -> np.ndarray:
+        y, u, v = np.broadcast_arrays(*(np.asarray(t, dtype=float) for t in (y, u, v)))
+        if y.ndim > 1:  # one point per row
+            return np.array([self.cartan_vec(*r) for r in zip(y, u, v)]).reshape(y.shape)
         return np.array([self.cartan3(y, u, v, e) for e in np.eye(self.dim)])
 
     def rescale(self, lam: float) -> "GenericNorm":
@@ -422,21 +428,16 @@ def check_invariance(norm: MinkowskiNorm, space, n_samples: int = 20,
     """
     rng = np.random.default_rng(seed)
     _, _, Kh = space.structure_tensors()
-    worst = 0.0
-    for _ in range(n_samples):
-        y = rng.standard_normal(space.dim_m)
-        y /= np.linalg.norm(y)
-        u = rng.standard_normal(space.dim_m)
-        v = rng.standard_normal(space.dim_m)
-        g = norm.gram(y)
-        scale = max(np.abs(g).max(), 1.0)
-        for a in range(space.dim_h):
-            hu = Kh[a] @ u
-            hv = Kh[a] @ v
-            hy = Kh[a] @ y
-            r = hu @ g @ v + u @ g @ hv + 2.0 * norm.cartan3(y, u, v, hy)
-            worst = max(worst, abs(r) / scale)
-    return {"max_residual": worst, "samples": n_samples}
+    # one (y, u, v) draw per sample, y normalized; rows a run over the h-basis
+    y, u, v = np.moveaxis(rng.standard_normal((n_samples, 3, space.dim_m)), 1, 0)
+    y = y / np.linalg.norm(y, axis=-1, keepdims=True)
+    g = norm.gram(y)
+    hy, hu, hv = (np.einsum("akl,nl->nak", Kh, t) for t in (y, u, v))
+    r = (np.einsum("nak,nkl,nl->na", hu, g, v) + np.einsum("nk,nkl,nal->na", u, g, hv)
+         + 2.0 * np.einsum("nk,nak->na", norm.cartan_vec(y, u, v), hy))
+    scale = np.maximum(np.abs(g).max(axis=(1, 2)), 1.0)[:, None]
+    return {"max_residual": float(np.max(np.abs(r) / scale, initial=0.0)),
+            "samples": n_samples}
 
 
 def invariant_quadratic_space(space, tol: float = NULL_TOL) -> list:
@@ -445,29 +446,20 @@ def invariant_quadratic_space(space, tol: float = NULL_TOL) -> list:
     so ad(h)|_m is skew and invariance reads [ad(h), S] = 0)."""
     _, _, Kh = space.structure_tensors()
     d = space.dim_m
-    pairs = [(i, j) for i in range(d) for j in range(i, d)]
-    rows = []
-    for A in Kh:
-        # map S -> A S - S A, restricted to symmetric S
-        M = np.zeros((d * d, len(pairs)))
-        for idx, (i, j) in enumerate(pairs):
-            S = np.zeros((d, d))
-            S[i, j] = S[j, i] = 1.0
-            M[:, idx] = (A @ S - S @ A).ravel()
-        rows.append(M)
-    stack = np.vstack(rows) if rows else np.zeros((1, len(pairs)))
+    iu, ju = np.triu_indices(d)  # the pairs i <= j, row by row
+    units = np.zeros((len(iu), d, d))  # S_ij = E_ij + E_ji (E_ii when i = j)
+    units[np.arange(len(iu)), iu, ju] = units[np.arange(len(iu)), ju, iu] = 1.0
+    # the map S -> A S - S A on the units, one d*d block of rows per A
+    rows = [(A @ units - units @ A).transpose(1, 2, 0).reshape(d * d, -1) for A in Kh]
+    stack = np.vstack(rows) if rows else np.zeros((1, len(iu)))
     # thin SVD unless the stack is short (h = 0), where only the full one
     # returns the null-space rows of vt
     _, sv, vt = np.linalg.svd(stack, full_matrices=stack.shape[0] < stack.shape[1])
-    null = [vt[k] for k in range(vt.shape[0]) if (sv[k] if k < len(sv) else 0.0) < tol]
-    out = []
-    for coeffs in null:
-        S = np.zeros((d, d))
-        for c, (i, j) in zip(coeffs, pairs):
-            S[i, j] += c
-            S[j, i] += c if i != j else 0.0
-        out.append(0.5 * (S + S.T))
-    return out
+    null = vt[[k for k in range(vt.shape[0]) if (sv[k] if k < len(sv) else 0.0) < tol]]
+    S = np.zeros((len(null), d, d))
+    S[:, iu, ju] += null
+    S[:, ju, iu] += np.where(iu != ju, null, 0.0)
+    return list(0.5 * (S + np.swapaxes(S, 1, 2)))
 
 
 def invariant_vectors(space) -> np.ndarray:

@@ -355,3 +355,61 @@ def test_norm_file_must_be_invariant(tmp_path):
     path.write_text(norm_to_json_str(Quadratic(a @ a.T + np.eye(5))))
     _assert_fails_closed(["curvature", "--space", "preset:sphere_un(3)",
                           "--metric", str(path), "--samples", "3"], "not Ad(H)-invariant")
+
+
+def _unreachable(*args, **kwargs):
+    pytest.fail("a capped argument reached the builder")
+
+
+@pytest.mark.parametrize("samples", ["100001", "1000000000"])
+def test_samples_are_capped(monkeypatch, samples):
+    from flagcurv import cli, curvature
+    monkeypatch.setattr(curvature, "sample_flags", _unreachable)
+    code, out, _ = invoke(["curvature", "--space", "preset:sphere_un(3)", "--samples", samples])
+    assert code == 2 and out == ""
+    seen = []
+
+    def fake(space, norm, n, seed):
+        seen.append(n)
+        return {"flags": n, "K_min": 0.0, "K_max": 0.0}
+
+    monkeypatch.setattr(curvature, "sample_flags", fake)
+    code, _, _ = invoke(["curvature", "--space", "preset:sphere_un(3)",
+                         "--samples", str(cli.MAX_SAMPLES)])
+    assert code == 0 and seen == [cli.MAX_SAMPLES]
+
+
+@pytest.mark.parametrize("argv,target", [
+    (["roots", "A", "17"], "rootsys.build_root_system"),
+    (["roots", "A", "100000"], "rootsys.build_root_system"),
+    (["verify", "--theorem", "1", "--max-rank", "17"], "obstruct.verify_theorem"),
+])
+def test_ranks_are_capped(monkeypatch, argv, target):
+    import flagcurv
+    module, attr = target.split(".")
+    monkeypatch.setattr(getattr(flagcurv, module), attr, _unreachable)
+    code, out, _ = invoke(argv)
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("verb", ["space", "curvature"])
+@pytest.mark.parametrize("text", ["sphere_so2n(7)", "sphere_so2n(1e3)", "cn_excluded_subcase1(-9)"])
+def test_preset_ranks_are_capped(monkeypatch, verb, text):
+    from flagcurv import coset
+    for name in ("sphere_so2n", "cn_excluded_subcase1"):
+        monkeypatch.setitem(coset._PRESETS, name, (_unreachable, 1, True))
+    argv = (["space", "build", "--preset", f"preset:{text}"] if verb == "space"
+            else ["curvature", "--space", f"preset:{text}"])
+    code, out, _ = invoke(argv)
+    assert code == 1 and f"n <= {coset.MAX_PRESET_RANK}" in json.loads(out)["error"]
+
+
+def test_preset_rank_cap_admits_its_bound(monkeypatch):
+    from flagcurv import coset
+
+    def reached(n):
+        raise ValueError(f"reached with n = {n}")
+
+    monkeypatch.setitem(coset._PRESETS, "sphere_un", (reached, 1, True))
+    code, out, _ = invoke(["space", "build", "--preset", f"preset:sphere_un({coset.MAX_PRESET_RANK})"])
+    assert code == 1 and json.loads(out)["error"] == f"reached with n = {coset.MAX_PRESET_RANK}"

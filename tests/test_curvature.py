@@ -371,3 +371,78 @@ def test_scaled_inner_product_consistency():
     w = lift_root(spec, 0, rv(1, 0))
     got = inner(alg.cartan_embed(list(v.factors)), alg.cartan_embed(list(w.factors)))
     assert abs(got - float(tvec_dot(spec, v, w))) < 1e-12
+
+
+# The 14 benchmark presets: Quadratic(I) (normal homogeneous, eta = 0) on the
+# first seven, random_invariant_norm (eta != 0) on the second seven.
+NORMAL_PRESETS = ("sphere_so2n(4)", "sphere_un(4)", "sphere_spn_u1(2)", "sphere_spn_sp1(3)",
+                  "berger_sp2", "aloff_wallach(1,2)", "cn_excluded_subcase1(3)")
+FINSLER_PRESETS = ("sphere_un(3)", "sphere_spn_u1(2)", "sphere_spn_sp1(2)", "aloff_wallach(1,2)",
+                   "bn_excluded_subcase1(2)", "a1a1_diagonal(1)", "cn_excluded_subcase1(3)")
+
+
+@pytest.mark.parametrize("name,finsler", [(p, False) for p in NORMAL_PRESETS]
+                         + [(p, True) for p in FINSLER_PRESETS])
+def test_sampling_is_independent_of_the_batch(name, finsler):
+    """sample_flags evaluates candidates in stacks (64 rows, then the
+    shortfall); its report equals, bit for bit, the one built from the same
+    seeded candidates sent one at a time through flag_curvature."""
+    from flagcurv.coset import parse_preset
+    sp = parse_preset(f"preset:{name}")
+    norm = random_invariant_norm(sp, 1) if finsler else Quadratic(np.eye(sp.dim_m))
+    n = 70
+    rep = sample_flags(sp, norm, n, seed=3)
+    eng = CurvatureEngine(sp, norm)
+    rng = np.random.default_rng(3)
+    kept, tried = [], 0
+    while len(kept) < n:
+        u, v = rng.standard_normal(sp.dim_m), rng.standard_normal(sp.dim_m)
+        tried += 1
+        try:
+            kept.append(eng.flag_curvature(u, v))
+        except ValueError:
+            pass
+    ks = [r.k for r in kept]
+    assert rep == {
+        "flags": n, "K_min": min(ks), "K_max": max(ks), "zero_flags": [],
+        "method_agreement_max_rel_err": None, "candidates_evaluated": tried,
+        "rejected": tried - n,
+        "max_solve_residual": max(r.solve_residual for r in kept),
+        "max_eta_norm": max(r.eta_norm for r in kept),
+        "max_fd_step": max(r.fd_step for r in kept),
+    }
+    assert (rep["max_fd_step"] > 0) == finsler
+
+
+def test_stacked_gates_reject_exactly_the_failing_rows(bn2):
+    """One stack holds a degenerate flag, a pole whose Gram matrix fails
+    Cholesky and a pole whose Gram matrix fails only at a finite-difference
+    pole; exactly those rows are rejected, and every other row equals its
+    single-flag evaluation bit for bit."""
+    base = random_invariant_norm(bn2, 2)
+    rng = np.random.default_rng(17)
+    u = rng.standard_normal((9, bn2.dim_m))
+    v = rng.standard_normal((9, bn2.dim_m))
+    v[2] = 2.0 * u[2]
+    bad_pole, bad_near = u[4], u[6]
+
+    class Gated(type(base)):
+        def gram(self, y):
+            g = super().gram(y)
+            y = np.atleast_2d(y)
+            off = np.linalg.norm(y - bad_near, axis=-1)
+            hit = np.all(y == bad_pole, axis=-1) | ((off > 0) & (off < 1e-3))
+            return np.where(hit.reshape(g.shape[:-2] + (1, 1)), -g, g)
+
+    eng = CurvatureEngine(bn2, Gated(base.weights, base.qs))
+    out = eng.flag_curvature(u, v)
+    rejected = {i: str(r) for i, r in enumerate(out) if isinstance(r, ValueError)}
+    assert sorted(rejected) == [2, 4, 6]
+    assert "degenerate" in rejected[2]
+    assert "not positive definite" in rejected[4] and "not positive definite" in rejected[6]
+    eng._gram(u[6])  # row 6 passes at u itself
+    for i, rep in enumerate(out):
+        if i not in rejected:
+            assert rep == eng.flag_curvature(u[i], v[i])
+    with pytest.raises(ValueError, match="not positive definite"):
+        eng.flag_curvature(u[6], v[6])
