@@ -1,41 +1,35 @@
 """Exact Lie theory and numerical flag curvature for invariant Finsler
-metrics on compact homogeneous spaces."""
+metrics on compact homogeneous spaces.
+
+The exact names load eagerly and import no numpy.  The numeric names and
+their modules are looked up on each access (PEP 562), so `import flagcurv`
+and the exact verbs stay numpy-free and no package binding goes stale.
+"""
+
+import importlib
 
 from .rootsys import QNum, RootSystem, RootVector, build_root_system
-from .liealg import AlgebraSpec, realize
-from .coset import CosetSpace, SubalgebraSpec, build_coset, preset, rank_check
-from .norms import Quadratic, Quartic, Randers, random_invariant_norm
-from .curvature import (
-    flag_curvature,
-    flag_curvature_commutative,
-    sample_flags,
-    verify_exclusion_witness,
-)
+from .torus import AlgebraSpec
 from .obstruct import classify_space, root_level_from_coset, verify_theorem
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraSpec",
-    "CosetSpace",
-    "QNum",
-    "Quadratic",
-    "Quartic",
-    "Randers",
-    "RootSystem",
-    "RootVector",
-    "SubalgebraSpec",
-    "build_coset",
-    "build_root_system",
-    "classify_space",
-    "flag_curvature",
-    "flag_curvature_commutative",
-    "preset",
-    "random_invariant_norm",
-    "rank_check",
-    "realize",
-    "root_level_from_coset",
-    "sample_flags",
-    "verify_exclusion_witness",
-    "verify_theorem",
-]
+_NUMERIC = {  # module -> its public names
+    "liealg": ("realize",),
+    "coset": ("CosetSpace", "SubalgebraSpec", "build_coset", "preset", "rank_check"),
+    "norms": ("Quadratic", "Quartic", "Randers", "random_invariant_norm"),
+    "curvature": ("flag_curvature", "flag_curvature_commutative", "sample_flags",
+                  "verify_exclusion_witness"),
+}
+_HOME = {name: module for module, names in _NUMERIC.items() for name in names}
+
+__all__ = sorted(["AlgebraSpec", "QNum", "RootSystem", "RootVector", "build_root_system",
+                  "classify_space", "root_level_from_coset", "verify_theorem", *_HOME])
+
+
+def __getattr__(name):
+    if name in _NUMERIC:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

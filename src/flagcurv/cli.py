@@ -3,7 +3,8 @@
 Verbs: roots, space, classify, curvature, witness, verify.  JSON goes to
 stdout (sorted keys, deterministic given --seed), a one-line human summary
 to stderr.  Exit codes: 0 success, 1 validation failure, 2 usage error,
-3 survivor-list mismatch.
+3 survivor-list mismatch.  The exact verbs (roots, verify) import no
+numpy; the numeric modules load inside the verbs that use them.
 """
 
 from __future__ import annotations
@@ -12,9 +13,7 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from . import coset, curvature, norms, obstruct, rootsys
+from . import obstruct, rootsys
 
 TOLERANCES = {
     "exactness": 1e-12,
@@ -48,11 +47,7 @@ def _int_in(lo: int, hi: int):
 
 
 def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    if isinstance(o, np.bool_):
-        return bool(o)
-    if isinstance(o, np.ndarray):
+    if hasattr(o, "tolist"):  # numpy scalars and arrays
         return o.tolist()
     raise TypeError(f"not JSON serializable: {type(o).__name__}")
 
@@ -62,14 +57,18 @@ def _emit(obj, summary: str) -> None:
     print(summary, file=sys.stderr)
 
 
-def _load_space(text: str) -> coset.CosetSpace:
+def _load_space(text: str):
+    from . import coset
     if text.startswith("preset:"):
         return coset.parse_preset(text)
     with open(text) as fh:
         return coset.space_from_json(json.load(fh))
 
 
-def _make_norm(space: coset.CosetSpace, text: str, seed: int):
+def _make_norm(space, text: str, seed: int):
+    import numpy as np
+
+    from . import norms
     if text == "quadratic":
         return norms.Quadratic(np.eye(space.dim_m))
     if text.startswith("randers"):
@@ -90,7 +89,8 @@ def _make_norm(space: coset.CosetSpace, text: str, seed: int):
         return norms.norm_from_json(json.load(fh))
 
 
-def _space_summary(space: coset.CosetSpace) -> dict:
+def _space_summary(space) -> dict:
+    from . import coset
     rk_g, rk_h, ok = coset.rank_check(space)
     if ok:
         rls = obstruct.root_level_from_coset(space)
@@ -136,6 +136,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_curvature(args) -> int:
+    from . import curvature, norms
     space = _load_space(args.space)
     norm = _make_norm(space, args.metric, args.seed)
     resid = norms.check_invariance(norm, space)["max_residual"]
@@ -154,6 +155,7 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    from . import curvature
     space = _load_space(args.space)
     rep = curvature.verify_exclusion_witness(space, args.seed)
     rep["tolerances"] = TOLERANCES

@@ -15,8 +15,6 @@ from RealizedAlgebra.bracket_coords.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,19 +23,23 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .rootsys import (
-    Q0,
-    Q1,
-    QNum,
     RootVector,
     exact_nullspace,
-    leading_sign,
     lex_sorted,
     rv,
     solve_exact,
 )
+from .torus import (
+    AlgebraSpec,
+    TVec,
+    lift_root,
+    tvec_dot,
+    tvec_from_json,
+    tvec_from_parts,
+    zero_tvec,
+)
 from .liealg import (
     AlgebraElement,
-    AlgebraSpec,
     RealizedAlgebra,
     _eij,
     gram_schmidt,
@@ -53,148 +55,19 @@ MEMBER_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
-# Exact vectors in the Cartan subalgebra of a direct-sum algebra
+# Exact subspaces of the Cartan subalgebra
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TVec:
-    """Exact Cartan vector: one coordinate block per factor plus abelian
-    coordinates.  A-factor blocks live in ambient sum-zero coordinates."""
-
-    factors: tuple  # of RootVector
-    abelian: tuple  # of QNum
-
-    def __post_init__(self):
-        object.__setattr__(self, "abelian", tuple(QNum.of(x) for x in self.abelian))
-
-    def __add__(self, o: "TVec") -> "TVec":
-        return TVec(
-            tuple(a + b for a, b in zip(self.factors, o.factors)),
-            tuple(a + b for a, b in zip(self.abelian, o.abelian)),
-        )
-
-    def __sub__(self, o: "TVec") -> "TVec":
-        return TVec(
-            tuple(a - b for a, b in zip(self.factors, o.factors)),
-            tuple(a - b for a, b in zip(self.abelian, o.abelian)),
-        )
-
-    def __neg__(self) -> "TVec":
-        return TVec(tuple(-a for a in self.factors), tuple(-a for a in self.abelian))
-
-    def scale(self, c) -> "TVec":
-        c = QNum.of(c)
-        return TVec(
-            tuple(a.scale(c) for a in self.factors),
-            tuple(c * a for a in self.abelian),
-        )
-
-    def __hash__(self) -> int:
-        # cached; the value is the dataclass hash, so set order is unchanged
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.factors, self.abelian))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    @functools.cached_property
-    def coords(self) -> tuple:
-        """All exact coordinates in one tuple, factor blocks then abelian:
-        the key of the one lexicographic order on torus vectors."""
-        return tuple(x for f in self.factors for x in f.coords) + self.abelian
-
-    def with_coords(self, coords) -> "TVec":
-        """The TVec of the same shape with the given flat coordinates."""
-        it = iter(coords)
-        factors = tuple(RootVector(tuple(itertools.islice(it, f.ambient_dim)))
-                        for f in self.factors)
-        return TVec(factors, tuple(it))
-
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for x in self.coords)
-
-    def canonical_sign(self) -> "TVec":
-        """The one of +-self whose first nonzero coordinate is positive."""
-        return -self if leading_sign(self.coords) < 0 else self
-
-
-def tvec_dot(spec: AlgebraSpec, u: TVec, v: TVec) -> QNum:
-    """Bi-invariant inner product on t, exact (per-factor scales enter)."""
-    out = Q0
-    for (fam, rank, scale), a, b in zip(spec.factors, u.factors, v.factors):
-        ab = a.dot(b)
-        if not ab.is_zero():
-            out = out + QNum.of(scale) * ab
-    for s, x, y in zip(spec.abelian_scales, u.abelian, v.abelian):
-        if not (x.is_zero() or y.is_zero()):
-            out = out + QNum.of(s) * x * y
-    return out
-
-
-def zero_tvec(spec: AlgebraSpec) -> TVec:
-    factors = []
-    for fam, rank, _ in spec.factors:
-        dim = rank + 1 if fam == "A" else rank
-        factors.append(RootVector(tuple([Q0] * dim)))
-    return TVec(tuple(factors), tuple([Q0] * spec.abelian_dim))
-
-
-def lift_root(spec: AlgebraSpec, factor: int, root: RootVector) -> TVec:
-    base = zero_tvec(spec)
-    factors = list(base.factors)
-    factors[factor] = root
-    return TVec(tuple(factors), base.abelian)
-
-
-def tvec_from_parts(spec: AlgebraSpec, parts: dict = None, abelian: Sequence = ()) -> TVec:
-    """Assemble a TVec from {factor_index: coordinate list} plus abelian."""
-    base = zero_tvec(spec)
-    factors = list(base.factors)
-    for idx, coords in (parts or {}).items():
-        factors[idx] = rv(*coords)
-    ab = list(base.abelian)
-    for k, x in enumerate(abelian):
-        ab[k] = QNum.of(x)
-    return TVec(tuple(factors), tuple(ab))
-
-
-def tvec_to_json(tv: TVec) -> dict:
-    return {
-        "factors": [f.to_json() for f in tv.factors],
-        "abelian": [x.to_json() for x in tv.abelian],
-    }
-
-
-def tvec_from_json(spec: AlgebraSpec, obj: dict) -> TVec:
-    factors = tuple(RootVector.from_json(f) for f in obj["factors"])
-    abelian = tuple(QNum.from_json(x) for x in obj.get("abelian", []))
-    base = zero_tvec(spec)
-    if len(factors) != len(base.factors) or len(abelian) != len(base.abelian):
-        raise ValueError("torus vector does not match the algebra spec")
-    return TVec(factors, abelian)
-
 
 def cartan_coordinate_basis(spec: AlgebraSpec) -> list:
     """Exact basis of t (sum-zero differences for A factors)."""
     out = []
     for idx, (fam, rank, _) in enumerate(spec.factors):
-        if fam == "A":
-            for i in range(rank):
-                coords = [Q0] * (rank + 1)
-                coords[i] = Q1
-                coords[i + 1] = -Q1
-                out.append(lift_root(spec, idx, RootVector(tuple(coords))))
-        else:
-            for i in range(rank):
-                coords = [Q0] * rank
-                coords[i] = Q1
-                out.append(lift_root(spec, idx, RootVector(tuple(coords))))
-    base = zero_tvec(spec)
-    for k in range(spec.abelian_dim):
-        ab = list(base.abelian)
-        ab[k] = Q1
-        out.append(TVec(base.factors, tuple(ab)))
-    return out
+        for i in range(rank):
+            coords = _coords_unit(rank + 1 if fam == "A" else rank, i)
+            if fam == "A":
+                coords[i + 1] = -1
+            out.append(tvec_from_parts(spec, {idx: coords}))
+    return out + [tvec_from_parts(spec, abelian=[0] * k + [1]) for k in range(spec.abelian_dim)]
 
 
 def orthocomplement_in_t(spec: AlgebraSpec, vectors: Sequence[TVec]) -> list:
@@ -203,15 +76,7 @@ def orthocomplement_in_t(spec: AlgebraSpec, vectors: Sequence[TVec]) -> list:
     if not vectors:
         return basis
     rows = [[tvec_dot(spec, b, v) for b in basis] for v in vectors]
-    null = exact_nullspace(rows)
-    out = []
-    for coeffs in null:
-        vec = zero_tvec(spec)
-        for c, b in zip(coeffs, basis):
-            if not c.is_zero():
-                vec = vec + b.scale(c)
-        out.append(vec)
-    return out
+    return [_combination(spec, coeffs, basis) for coeffs in exact_nullspace(rows)]
 
 
 def project_to_span(spec: AlgebraSpec, span: Sequence[TVec], v: TVec) -> TVec:
@@ -223,10 +88,15 @@ def project_to_span(spec: AlgebraSpec, span: Sequence[TVec], v: TVec) -> TVec:
     sol = solve_exact(gram, rhs)
     if sol is None:
         raise ArithmeticError("degenerate span in exact projection")
+    return _combination(spec, sol, span)
+
+
+def _combination(spec: AlgebraSpec, coeffs, vectors: Sequence[TVec]) -> TVec:
+    """sum of c v over the nonzero exact coefficients c."""
     out = zero_tvec(spec)
-    for c, b in zip(sol, span):
+    for c, v in zip(coeffs, vectors):
         if not c.is_zero():
-            out = out + b.scale(c)
+            out = out + v.scale(c)
     return out
 
 
@@ -340,11 +210,15 @@ class CosetSpace:
 
     # -- decompositions -------------------------------------------------------
     def hat_decomposition(self) -> "HatDecomposition":
+        """The m-parts of the torus-isotypic decomposition of g, grouped by
+        exact projections of the roots to t cap h (cached)."""
         if self._hat is None:
             self._hat = _build_hat(self)
         return self._hat
 
     def hathat_decomposition(self, alpha_prime: TVec) -> list:
+        """The coarser decomposition of m by projections to the
+        orthocomplement of alpha_prime inside t cap h."""
         return _build_hathat(self, alpha_prime)
 
     def plane_assignment(self) -> dict:
@@ -485,18 +359,6 @@ def rank_check(space: CosetSpace):
     rk_g = spec.abelian_dim + sum(r for _, r, _ in spec.factors)
     rk_h = len(space.cartan_h)
     return rk_g, rk_h, rk_g == rk_h + 1
-
-
-def hat_decomposition(space: CosetSpace) -> "HatDecomposition":
-    """The m-parts of the torus-isotypic decomposition of g, grouped by
-    exact projections of the roots to t cap h (cached on the space)."""
-    return space.hat_decomposition()
-
-
-def hathat_decomposition(space: CosetSpace, alpha_prime: TVec) -> list:
-    """The coarser decomposition of m by projections to the orthocomplement
-    of alpha_prime inside t cap h."""
-    return space.hathat_decomposition(alpha_prime)
 
 
 # ---------------------------------------------------------------------------
@@ -879,9 +741,7 @@ def preset_cn_excluded_subcase1(n: int) -> CosetSpace:
 
 
 def _unit(n: int, i: int) -> RootVector:
-    coords = [Q0] * n
-    coords[i] = Q1
-    return RootVector(tuple(coords))
+    return rv(*_coords_unit(n, i))
 
 
 def _coords_unit(n: int, i: int) -> list:

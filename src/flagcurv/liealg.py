@@ -22,60 +22,10 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .rootsys import RootVector, build_root_system
+from .torus import AlgebraSpec
 
 # entries per batched bracket temporary (about 1 MB of float64)
 PAIR_CHUNK = 1 << 17
-
-
-@dataclass(frozen=True)
-class AlgebraSpec:
-    """Direct-sum description: classical simple factors plus an abelian part.
-
-    abelian_scales are positive rational weights of the Euclidean product on
-    the abelian coordinates; they keep Cartan bookkeeping exact for
-    presentations like u(n) = R + su(n) at every rank.
-    """
-
-    factors: tuple  # of (family, rank, scale: Fraction)
-    abelian_dim: int = 0
-    abelian_scales: tuple = ()
-
-    def __post_init__(self):
-        norm = []
-        for fam, rank, scale in self.factors:
-            s = scale if isinstance(scale, Fraction) else Fraction(scale)
-            if s <= 0:
-                raise ValueError("factor scale must be positive")
-            norm.append((fam.upper(), int(rank), s))
-        object.__setattr__(self, "factors", tuple(norm))
-        if self.abelian_dim < 0:
-            raise ValueError("abelian_dim must be nonnegative")
-        sc = tuple(Fraction(s) for s in self.abelian_scales)
-        if not sc:
-            sc = tuple(Fraction(1) for _ in range(self.abelian_dim))
-        if len(sc) != self.abelian_dim or any(s <= 0 for s in sc):
-            raise ValueError("abelian_scales must list one positive weight per abelian coordinate")
-        object.__setattr__(self, "abelian_scales", sc)
-
-    def to_json(self):
-        return {
-            "factors": [
-                {"family": f, "rank": r, "scale": str(s)} for f, r, s in self.factors
-            ],
-            "abelian_dim": self.abelian_dim,
-            "abelian_scales": [str(s) for s in self.abelian_scales],
-        }
-
-    @staticmethod
-    def from_json(obj) -> "AlgebraSpec":
-        return AlgebraSpec(
-            tuple(
-                (f["family"], f["rank"], Fraction(f["scale"]))
-                for f in obj["factors"]
-            ),
-            obj.get("abelian_dim", 0),
-            tuple(Fraction(s) for s in obj.get("abelian_scales", [])),
-        )
 
 
 class AlgebraElement:

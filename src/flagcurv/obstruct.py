@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from .rootsys import (
     Q0,
@@ -40,15 +40,17 @@ from .rootsys import (
     rv,
     solve_exact,
 )
-from .liealg import AlgebraSpec
-from .coset import (
-    CosetSpace,
+from .torus import (
+    AlgebraSpec,
     TVec,
     lift_root,
     tvec_dot,
     tvec_from_parts,
     zero_tvec,
 )
+
+if TYPE_CHECKING:
+    from .coset import CosetSpace
 
 
 # ---------------------------------------------------------------------------
@@ -71,17 +73,28 @@ def _factor_roots(family: str, rank: int) -> tuple:
     return build_root_system(family, rank, _relaxed=True).roots
 
 
+@functools.lru_cache(maxsize=None)
+def _factor_canonical(family: str, rank: int) -> tuple:
+    """For each root in root order, the index of its plane's canonical sign."""
+    roots = _factor_roots(family, rank)
+    index = {r: i for i, r in enumerate(roots)}
+    return tuple(index[r.canonical_sign()] for r in roots)
+
+
 @functools.lru_cache(maxsize=128)
 def _root_data(spec: AlgebraSpec) -> RootData:
-    """Root data of spec, built once per spec and shared read-only."""
+    """Root data of spec, built once per spec and shared read-only.  A
+    lifted root's first nonzero coordinate is its factor root's, so each
+    root's plane key is the lift of the factor root's canonical sign."""
     g_roots = []
     factor_of = {}
+    canonical = {}
     for idx, (fam, rank, _) in enumerate(spec.factors):
-        for r in _factor_roots(fam, rank):
-            tv = lift_root(spec, idx, r)
+        lifted = [lift_root(spec, idx, r) for r in _factor_roots(fam, rank)]
+        for tv, c in zip(lifted, _factor_canonical(fam, rank)):
             g_roots.append(tv)
             factor_of[tv] = idx
-    canonical = {r: r.canonical_sign() for r in g_roots}
+            canonical[tv] = lifted[c]
     keys = tuple(dict.fromkeys(canonical.values()))
     return RootData(tuple(g_roots), MappingProxyType(factor_of),
                     MappingProxyType(canonical), keys, frozenset(g_roots))

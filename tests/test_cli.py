@@ -413,3 +413,35 @@ def test_preset_rank_cap_admits_its_bound(monkeypatch):
     monkeypatch.setitem(coset._PRESETS, "sphere_un", (reached, 1, True))
     code, out, _ = invoke(["space", "build", "--preset", f"preset:sphere_un({coset.MAX_PRESET_RANK})"])
     assert code == 1 and json.loads(out)["error"] == f"reached with n = {coset.MAX_PRESET_RANK}"
+
+
+def _algebra(*factors, **extra):
+    return {"factors": [{"family": f, "rank": r, "scale": "1"} for f, r in factors], **extra}
+
+
+@pytest.mark.parametrize("algebra,match", [
+    (_algebra(("A", 2.5)), "rank must be an integer >= 1, got 2.5"),
+    (_algebra(("A", True)), "rank must be an integer >= 1, got True"),
+    (_algebra(("A", "3")), "rank must be an integer >= 1, got '3'"),
+    (_algebra(("A", -5), ("A", 12)), "rank must be an integer >= 1, got -5"),
+    (_algebra(("A", 2), abelian_dim=1.5), "abelian_dim must be an integer >= 0, got 1.5"),
+    (_algebra(("A", 1000)), "total rank 1000"),
+    (_algebra(("C", 6), ("A", 2)), "total rank 8"),
+    (_algebra(("A", 1), abelian_dim=1000), "total rank 1001"),
+])
+def test_space_file_ranks_are_capped(monkeypatch, tmp_path, algebra, match):
+    from flagcurv import coset, liealg, rootsys
+    monkeypatch.setattr(coset, "realize", _unreachable)
+    monkeypatch.setattr(liealg, "build_root_system", _unreachable)
+    monkeypatch.setattr(rootsys, "build_root_system", _unreachable)
+    path = _space_file(tmp_path, {"algebra": algebra})
+    _assert_fails_closed(["space", "build", "--file", path], match)
+
+
+@pytest.mark.parametrize("name", ["sphere_so2n", "sphere_un", "sphere_spn_u1",
+                                  "sphere_spn_sp1", "bn_excluded_subcase1",
+                                  "cn_excluded_subcase1"])
+def test_space_file_rank_cap_admits_every_preset(name):
+    from flagcurv import coset, torus
+    spec = coset.preset(name, coset.MAX_PRESET_RANK).algebra.spec
+    assert torus.AlgebraSpec.from_json(spec.to_json()) == spec

@@ -12,8 +12,6 @@ from flagcurv.coset import (
     SubalgebraSpec,
     build_coset,
     diagonal_a1_frame,
-    hat_decomposition,
-    hathat_decomposition,
     lift_root,
     normalize_diagonal_a1,
     parse_preset,
@@ -182,8 +180,8 @@ def test_h_equals_g_rejected():
 def test_hathat_examples(spaces):
     sp = spaces[("bn_excluded_subcase1", (2,))]
     tv = lift_root(sp.algebra.spec, 0, rv(0, 1))
-    blocks = hathat_decomposition(sp, tv)
-    assert len(hat_decomposition(sp).blocks) == 2
+    blocks = sp.hathat_decomposition(tv)
+    assert len(sp.hat_decomposition().blocks) == 2
     assert len(blocks) == 1 and len(blocks[0][1]) == sp.dim_m
     sp3 = spaces[("bn_excluded_subcase1", (3,))]
     tv = lift_root(sp3.algebra.spec, 0, rv(0, 1, 0))
@@ -315,7 +313,8 @@ def test_bracket_coords_chunks_agree(spaces, monkeypatch):
 def test_quaternion_and_complex_space_files_agree():
     """Sp(2)Sp(1)/Sp(1)Sp(1) from a file, its diagonal Sp(1) given once as
     quaternion blocks and once as their complex 2n x 2n form."""
-    from flagcurv.coset import space_from_json, tvec_to_json
+    from flagcurv.coset import space_from_json
+    from flagcurv.torus import tvec_to_json
     from flagcurv.liealg import quat_unit
 
     spec = AlgebraSpec((("C", 2, Fraction(1)), ("C", 1, Fraction(1))))

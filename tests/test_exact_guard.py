@@ -1,10 +1,12 @@
 """Tooling guard: the exact layer makes no float decision.
 
-`rootsys` and `obstruct` decide every sign, order, grouping and membership
-from exact Q(sqrt2, sqrt3) values.  This test parses both modules and
-rejects any numpy or scipy import and any call of `float(...)`,
-`.floats()` or `lstsq`.  The float views that the matrix layers read,
-`QNum.__float__` and `RootVector.floats`, are the only exemptions.
+`rootsys`, `torus` and `obstruct` decide every sign, order, grouping and
+membership from exact Q(sqrt2, sqrt3) values.  This test parses the three
+modules and rejects any numpy or scipy import and any call of
+`float(...)`, `.floats()` or `lstsq`.  The float views that the matrix
+layers read, `QNum.__float__` and `RootVector.floats`, are the only
+exemptions.  Their import-time relative imports name only each other, so
+the exact verbs never load a matrix module (and numpy with it).
 """
 
 import ast
@@ -18,6 +20,7 @@ SRC = Path(flagcurv.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
 EXEMPT = {("QNum", "__float__"), ("RootVector", "floats")}
 BANNED_MODULES = ("numpy", "scipy")
+EXACT_FILES = ("rootsys.py", "torus.py", "obstruct.py")
 
 
 def _imported_modules(tree):
@@ -47,7 +50,28 @@ def _float_uses(tree):
                 yield node.lineno, f".{f.attr}()"
 
 
-@pytest.mark.parametrize("module", ["rootsys.py", "obstruct.py"])
+def _import_time_relative_imports(tree):
+    """Modules named by the relative imports that run when the module is
+    imported: module-level statements, also inside module-level `if` and
+    `try`, except the `if TYPE_CHECKING:` blocks."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop(0)
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            if node.module:
+                yield node.module
+            else:
+                yield from (a.name for a in node.names)
+        elif isinstance(node, ast.If):
+            if ast.unparse(node.test) not in ("TYPE_CHECKING", "typing.TYPE_CHECKING"):
+                todo += node.body + node.orelse
+        elif isinstance(node, ast.Try):
+            todo += node.body + node.orelse + node.finalbody
+            for handler in node.handlers:
+                todo += handler.body
+
+
+@pytest.mark.parametrize("module", EXACT_FILES)
 def test_exact_modules_make_no_float_decision(module):
     tree = ast.parse((SRC / module).read_text())
     imports = [m for m in _imported_modules(tree) if m.split(".")[0] in BANNED_MODULES]
@@ -68,3 +92,20 @@ def test_no_source_or_test_file_imports_scipy():
                  if any(m.split(".")[0] == "scipy"
                         for m in _imported_modules(ast.parse(p.read_text())))]
     assert offenders == []
+
+
+@pytest.mark.parametrize("module", EXACT_FILES)
+def test_exact_modules_import_only_each_other(module):
+    tree = ast.parse((SRC / module).read_text())
+    names = list(_import_time_relative_imports(tree))
+    assert [m for m in names if f"{m}.py" not in EXACT_FILES] == []
+
+
+def test_import_guard_sees_a_matrix_module():
+    tree = ast.parse("from typing import TYPE_CHECKING\n"
+                     "from .torus import TVec\n"
+                     "from . import rootsys, coset\n"
+                     "if TYPE_CHECKING:\n    from .coset import CosetSpace\n"
+                     "try:\n    from .liealg import realize\nexcept ImportError:\n    pass\n"
+                     "def f():\n    from .norms import Quadratic\n")
+    assert list(_import_time_relative_imports(tree)) == ["torus", "rootsys", "coset", "liealg"]
