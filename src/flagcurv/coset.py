@@ -2,7 +2,7 @@
 
 A CosetSpace pairs a realized matrix algebra with an orthonormal basis of a
 verified subalgebra h and of its bi-invariant orthogonal complement m.
-Exact Cartan data in the coordinate field Q(sqrt2, sqrt3) is carried
+Exact Cartan data on the integer torus lattice (`torus`) is carried
 alongside the floating matrices; all projections of Cartan vectors, and the
 grouping, order and sign of the hat blocks they label, are exact (no float
 pass), matrix projections are numeric with a fixed tolerance ladder
@@ -25,7 +25,6 @@ import numpy as np
 from .rootsys import (
     RootVector,
     exact_nullspace,
-    lex_sorted,
     rv,
     solve_exact,
 )
@@ -95,7 +94,7 @@ def _combination(spec: AlgebraSpec, coeffs, vectors: Sequence[TVec]) -> TVec:
     """sum of c v over the nonzero exact coefficients c."""
     out = zero_tvec(spec)
     for c, v in zip(coeffs, vectors):
-        if not c.is_zero():
+        if c:
             out = out + v.scale(c)
     return out
 
@@ -285,7 +284,7 @@ def _plane_classes(space: CosetSpace, project) -> tuple:
                 zero.append((f.index, root))
             else:
                 groups.setdefault(pr.canonical_sign(), []).append((f.index, root))
-    return zero, [(pr, groups[pr]) for pr in lex_sorted(groups)]
+    return zero, [(pr, groups[pr]) for pr in sorted(groups)]
 
 
 def _m_rows(space: CosetSpace, planes, t_vecs=()) -> list:

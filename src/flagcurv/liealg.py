@@ -338,8 +338,8 @@ class _FactorRealization:
         elif v.ambient_dim != self.rank:
             raise ValueError("dimension mismatch for Cartan vector")
         out = self.zero_block()
-        for coef, h in zip(v.coords, self.cartan):
-            out = out + float(coef) * h
+        for coef, h in zip(v.floats(), self.cartan):
+            out = out + coef * h
         if self.family == "A":
             tr = np.trace(out) / self.size
             out = out - tr * np.eye(self.size)

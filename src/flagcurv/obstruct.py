@@ -1,7 +1,7 @@
 """Mechanized classification of odd-dimensional positively curved
 candidates.
 
-Everything here is exact arithmetic over Q(sqrt2, sqrt3): case detection
+Everything here is exact lattice arithmetic (`torus`): case detection
 (I/II/III), the two key lemmas, the angle lemma, bracket-membership
 propagation with a derivation trace, the hardcoded case-III subcase tables
 (validated against Weyl orbits at low rank by the test suite), the case-II
@@ -11,7 +11,10 @@ rank bound.
 A root-level space is the datum (spec, w, Delta_h, assignment): the
 algebra g, one vector w spanning t cap m (the rank setting
 rk G = rk H + 1), the isotropy roots and the plane assignment.  Every
-projection to t cap h is the exact one along w.
+projection to t cap h is the exact one along w.  The searches compare the
+integral projection P(v) = c v - D(w, v) w, where D is the integer Gram
+form of an integral multiple of w and c = D(w, w) > 0, so P = c pr_h; an
+h-root x enters those comparisons as c x.
 
 A RootLevelSpace may carry *partial* knowledge of the isotropy root system
 Delta_h (a verified lower bound); every rule used on such spaces is sound
@@ -27,18 +30,18 @@ import functools
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import lcm
+from operator import add, sub
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from .rootsys import (
-    Q0,
-    QNum,
     RootVector,
+    _num,
     angle as root_angle,
     build_root_system,
-    lex_sorted,
-    rv,
     solve_exact,
+    surd_weights,
 )
 from .torus import (
     AlgebraSpec,
@@ -46,7 +49,6 @@ from .torus import (
     lift_root,
     tvec_dot,
     tvec_from_parts,
-    zero_tvec,
 )
 
 if TYPE_CHECKING:
@@ -100,6 +102,10 @@ def _root_data(spec: AlgebraSpec) -> RootData:
                     MappingProxyType(canonical), keys, frozenset(g_roots))
 
 
+def _times(c, v) -> tuple:
+    return tuple(c * x for x in v)
+
+
 @dataclass
 class RootLevelSpace:
     spec: AlgebraSpec
@@ -109,31 +115,35 @@ class RootLevelSpace:
     assignment: dict
     name: str = ""
     complete_h: bool = True  # False when h_roots is only a verified lower bound
-    # pr_h values by vector, and the derived tables under string keys; they
-    # depend on spec and w only, so copies share them
+    # tables that depend on spec and w only, shared by copies
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        spec, w = self.spec, self.w
-        scales = [s for (_, _, s), f in zip(spec.factors, w.factors) for _ in f.coords]
-        scales += spec.abelian_scales
-        # the support of w, each coordinate with its scale in the form:
-        # w has a few nonzero coordinates, so pr_h works on those alone
-        wd = [(i, x * s) for i, (x, s) in enumerate(zip(w.coords, scales))
-              if not x.is_zero()]
-        ww = sum((d * w.coords[i] for i, d in wd), Q0)
-        if ww.is_zero():
+        d = lcm(*(x.denominator for x in self.w))
+        wi = [int(x * d) for x in self.w]  # an integral multiple of w
+        gram = self.spec.gram
+        self._wi = tuple((i, x) for i, x in enumerate(wi) if x)
+        self._wd = tuple((i, gram[i] * x) for i, x in self._wi)
+        self.pr_scale = sum(x * wi[i] for i, x in self._wd)  # c = D(w, w)
+        if not self.pr_scale:
             raise ValueError("t cap m needs a nonzero generator w")
-        self._wc = tuple((i, d / ww) for i, d in wd)
 
-    def _coef(self, v: TVec) -> QNum:
-        """<w, v> / <w, w>, the exact tvec_dot over the support of w."""
-        vc = v.coords
-        out = Q0
-        for i, d in self._wc:
-            if not vc[i].is_zero():
-                out = out + d * vc[i]
-        return out
+    def _dw(self, v) -> int:
+        """D(w, v): the Gram form of the integral w against v."""
+        return sum(x * v[i] for i, x in self._wd)
+
+    def scaled(self, v) -> tuple:
+        """P(v) = c pr_h(v) = c v - D(w, v) w, integral for a lattice v."""
+        out = [self.pr_scale * x for x in v]
+        d = self._dw(v)
+        if d:
+            for i, x in self._wi:
+                out[i] -= d * x
+        return tuple(out)
+
+    def unscaled(self, p) -> TVec:
+        """The vector p / c of t (the inverse of the scaling in P)."""
+        return self.spec.tvec(_num(Fraction(x, self.pr_scale)) for x in p)
 
     @property
     def g_roots(self) -> tuple:
@@ -145,28 +155,18 @@ class RootLevelSpace:
 
     def pr_h(self, v: TVec) -> TVec:
         """Exact projection of v in t onto t cap h: v - (<w,v>/<w,w>) w."""
-        out = self._cache.get(v)
-        if out is None:
-            c = self._coef(v)
-            out = v
-            if not c.is_zero():
-                coords, wc = list(v.coords), self.w.coords
-                for i, _ in self._wc:
-                    coords[i] = coords[i] - c * wc[i]
-                out = v.with_coords(coords)
-            self._cache[v] = out
-        return out
+        return self.unscaled(self.scaled(v))
 
     def pr_roots(self) -> dict:
-        """The table root -> pr_h(root), in root order."""
+        """The table root -> P(root), in root order."""
         table = self._cache.get("pr_roots")
         if table is None:
-            table = self._cache["pr_roots"] = {r: self.pr_h(r) for r in self.g_roots}
+            table = self._cache["pr_roots"] = {r: self.scaled(r) for r in self.g_roots}
         return table
 
     def pr_classes(self) -> dict:
-        """The same table inverted: pr_h value -> its roots, in order of
-        first appearance."""
+        """The same table inverted: P value -> its roots, in order of first
+        appearance."""
         classes = self._cache.get("pr_classes")
         if classes is None:
             classes = self._cache["pr_classes"] = {}
@@ -174,9 +174,17 @@ class RootLevelSpace:
                 classes.setdefault(pr, []).append(r)
         return classes
 
+    def scaled_h(self) -> frozenset:
+        """The h-roots x as c x, the scale of P."""
+        key = ("h", self.h_roots)
+        hs = self._cache.get(key)
+        if hs is None:
+            hs = self._cache[key] = frozenset(_times(self.pr_scale, x) for x in self.h_roots)
+        return hs
+
     def in_t_h(self, v: TVec) -> bool:
         """Whether v in t lies in t cap h, i.e. is orthogonal to w."""
-        return self._coef(v).is_zero()
+        return not self._dw(v)
 
     def plane_keys(self) -> tuple:
         return self.root_data.keys
@@ -236,11 +244,10 @@ def _case_pairs(space: RootLevelSpace):
     scan order of every case decision (projections in the exact
     lexicographic order, then root order).  A nonzero common projection
     keeps a pair independent."""
-    groups = _projection_groups(space)
-    for pr in lex_sorted(groups):
-        roots = groups[pr]
-        if not pr.is_zero() and pr in space.h_roots:
-            yield from itertools.combinations(roots, 2)
+    groups, hs = _projection_groups(space), space.scaled_h()
+    for pr in sorted(groups):
+        if any(pr) and pr in hs:
+            yield from itertools.combinations(groups[pr], 2)
 
 
 def classify_case(space: RootLevelSpace) -> str:
@@ -253,30 +260,33 @@ def classify_case(space: RootLevelSpace) -> str:
     return case
 
 
-def _in_affine_span(space: RootLevelSpace, base: Sequence[TVec], target: TVec):
+def _in_affine_span(space: RootLevelSpace, base: Sequence[TVec], target: Sequence):
     """Exact coefficients expressing target in span(base), or None."""
-    rows = list(zip(*(b.coords for b in base)))
-    return solve_exact(rows, target.coords)
+    return solve_exact(list(zip(*base)), target)
 
 
 def _span_members(space: RootLevelSpace, g1: TVec, shift: Optional[TVec] = None) -> set:
-    """Roots r with r - shift in span(g1, w).
+    """Roots r with r - shift in span(g1, w), for roots g1 and shift.
 
-    As ker pr_h = span(w), these are the roots whose projection lies on the
-    line pr_h(shift) + R y with y = pr_h(g1).  Where y has a nonzero
-    coordinate k, a point of that line is fixed by its k-th coordinate, so
-    each value that coordinate takes over the root projections names one
-    candidate point, looked up exactly in the projection table.
+    As ker P = span(w), these are the roots whose projection lies on the
+    line P(shift) + R y with y = P(g1).  Where y has a nonzero coordinate
+    k, a point of that line is fixed by its k-th coordinate, so each value
+    that coordinate takes over the root projections names one candidate
+    point, looked up in the projection table when it is integral (every
+    P(root) is).
     """
     classes = space.pr_classes()
-    y = space.pr_h(g1)
-    s = space.pr_h(shift) if shift is not None else zero_tvec(space.spec)
-    k = next((i for i, q in enumerate(y.coords) if not q.is_zero()), None)
+    y = space.scaled(g1)
+    s = space.scaled(shift) if shift is not None else (0,) * len(y)
+    k = next((i for i, q in enumerate(y) if q), None)
     if k is None:
         points = [s]
     else:
-        inv, sk = y.coords[k].inverse(), s.coords[k]
-        points = [s + y.scale((v - sk) * inv) for v in {p.coords[k] for p in classes}]
+        points = []
+        for v in {p[k] for p in classes}:
+            steps = [divmod(q * (v - s[k]), y[k]) for q in y]
+            if not any(rem for _, rem in steps):
+                points.append(tuple(a + q for a, (q, _) in zip(s, steps)))
     return {r for pt in points for r in classes.get(pt, ())}
 
 
@@ -288,8 +298,8 @@ def key_lemma_1_applies(space: RootLevelSpace, alpha: TVec) -> bool:
         raise ValueError("alpha is not a root of g")
     if not space.in_t_h(alpha):
         raise ValueError("alpha is not contained in t cap h")
-    # the roots on alpha + R w are the roots r with pr_h(r) == alpha
-    return alpha not in _projection_groups(space)
+    # the roots on alpha + R w are the roots r with P(r) == P(alpha)
+    return space.scaled(alpha) not in _projection_groups(space)
 
 
 def key_lemma_2_details(space: RootLevelSpace, g1: TVec, g2: TVec) -> dict:
@@ -299,7 +309,7 @@ def key_lemma_2_details(space: RootLevelSpace, g1: TVec, g2: TVec) -> dict:
         raise ValueError("inputs must be roots of g")
     cond = {}
     cond[1] = g1 not in space.h_roots and g2 not in space.h_roots
-    cond[2] = (g1 + g2) not in roots and (g1 - g2) not in roots
+    cond[2] = tuple(map(add, g1, g2)) not in roots and tuple(map(sub, g1, g2)) not in roots
     cond[3] = _span_members(space, g1) <= {g1, -g1}
     mem4 = _span_members(space, g1, shift=g2) | _span_members(space, g1, shift=-g2)
     cond[4] = mem4 <= {g2, -g2}
@@ -320,8 +330,8 @@ def angle_lemma_check(space: RootLevelSpace, alpha: TVec, beta: TVec) -> bool:
 
     Precondition: pr_h(alpha) = pr_h(beta) is a root of h.
     """
-    pa, pb = space.pr_h(alpha), space.pr_h(beta)
-    if pa != pb or pa not in space.h_roots:
+    pa = space.scaled(alpha)
+    if pa != space.scaled(beta) or pa not in space.scaled_h():
         raise ValueError("hypothesis violated: projections differ or are not h-roots")
     fa, fb = space.factor_of[alpha], space.factor_of[beta]
     ang = root_angle(alpha.factors[fa], beta.factors[fb]) if fa == fb else None
@@ -338,18 +348,12 @@ class PropagationContradiction(Exception):
         self.trace = trace
 
 
-def _is_integer(q: QNum) -> bool:
-    return q.is_rational() and q.a.denominator == 1
-
-
-def _crystallographic_ok(spec: AlgebraSpec, x: TVec, r: TVec) -> bool:
-    """Necessary condition for x and r to cohabit a root system."""
+def _crystallographic_ok(spec: AlgebraSpec, x: Sequence, r: Sequence) -> bool:
+    """Necessary condition for x and r to cohabit a root system: both
+    Cartan integers 2<x,r>/<r,r> and 2<x,r>/<x,x> are integers (the ratios
+    do not depend on a common scale of x and r)."""
     xr = tvec_dot(spec, x, r)
-    if xr.is_zero():
-        return True
-    t1 = QNum.of(2) * xr / tvec_dot(spec, r, r)
-    t2 = QNum.of(2) * xr / tvec_dot(spec, x, x)
-    return _is_integer(t1) and _is_integer(t2)
+    return not xr or all((2 * xr / tvec_dot(spec, y, y)).denominator == 1 for y in (r, x))
 
 
 def propagate_assignment(space: RootLevelSpace, rule_order: Optional[list] = None,
@@ -362,14 +366,19 @@ def propagate_assignment(space: RootLevelSpace, rule_order: Optional[list] = Non
     bracket images of assigned planes, (e) crystallographic exclusion of
     projection values against known h-roots (planes of impossible values
     drop to m, as do planes whose root lies in t cap m), (f) hat classes of
-    h-roots with all but one plane in m pin the last plane.
+    h-roots with all but one plane in m pin the last plane.  The h-roots
+    are kept at the scale of P, the projection table's.
     """
     sp = space.copy_working()
     trace: list = []
-    h_roots = set(sp.h_roots)
+    c = sp.pr_scale
+    h_roots = set(sp.scaled_h())
     asg = sp.assignment
     pr_of = sp.pr_roots()
     keys = sp.plane_keys()
+
+    def fmt(p):
+        return _fmt(sp.unscaled(p))
 
     def set_plane(key, val, why):
         cur = asg.get(key)
@@ -384,29 +393,29 @@ def propagate_assignment(space: RootLevelSpace, rule_order: Optional[list] = Non
         return False
 
     def add_h_root(v, why):
-        if v in h_roots:
+        cv = _times(c, v)
+        if cv in h_roots:
             return False
-        for r in list(h_roots):
-            for ratio in (QNum.of(2), QNum.of(Fraction(1, 2))):
-                if r == v.scale(ratio):
-                    trace.append(
-                        f"{why}: {_fmt(v)} and {_fmt(r)} cannot both be h-roots "
-                        "(reduced root system)")
-                    raise PropagationContradiction(trace)
-        h_roots.add(v)
-        h_roots.add(-v)
+        for r in (_times(2, cv), _times(Fraction(1, 2), cv)):
+            if r in h_roots:
+                trace.append(
+                    f"{why}: {_fmt(v)} and {fmt(r)} cannot both be h-roots "
+                    "(reduced root system)")
+                raise PropagationContradiction(trace)
+        h_roots.add(cv)
+        h_roots.add(_times(-1, cv))
         trace.append(f"{why}: {_fmt(v)} added to the h-root system")
         return True
 
     def hat_class(prv):
-        return [r for r in keys if pr_of[r] == prv or pr_of[r] == -prv]
+        neg = _times(-1, prv)
+        return [r for r in keys if pr_of[r] == prv or pr_of[r] == neg]
 
     def rule_a():
         changed = False
         for r in keys:
-            if r in h_roots:
-                continue
-            if not sp.in_t_h(r):
+            # on t cap h, P(r) = c r
+            if not sp.in_t_h(r) or pr_of[r] in h_roots:
                 continue
             if key_lemma_1_applies(sp, r):
                 changed |= add_h_root(r, f"first key lemma on {_fmt(r)}")
@@ -419,17 +428,17 @@ def propagate_assignment(space: RootLevelSpace, rule_order: Optional[list] = Non
                 continue
             p = pr_of[r]
             if p in h_roots and len(hat_class(p)) == 1:
-                changed |= set_plane(r, "h", f"h-root {_fmt(p)} has a single plane")
+                changed |= set_plane(r, "h", f"h-root {fmt(p)} has a single plane")
         return changed
 
     def rule_e():
         changed = False
-        ordered = lex_sorted(h_roots)
+        ordered = sorted(h_roots)
         for r in keys:
             if asg[r] is not None:
                 continue
             p = pr_of[r]
-            if p.is_zero():
+            if not any(p):
                 changed |= set_plane(r, "m", "projection to t cap h vanishes")
                 continue
             if p in h_roots:
@@ -438,7 +447,7 @@ def propagate_assignment(space: RootLevelSpace, rule_order: Optional[list] = Non
                 if not _crystallographic_ok(sp.spec, p, hr):
                     changed |= set_plane(
                         r, "m",
-                        f"projection {_fmt(p)} fails integrality against h-root {_fmt(hr)}")
+                        f"projection {fmt(p)} fails integrality against h-root {fmt(hr)}")
                     break
         return changed
 
@@ -452,24 +461,24 @@ def propagate_assignment(space: RootLevelSpace, rule_order: Optional[list] = Non
 
     def rule_f():
         changed = False
-        for p in lex_sorted(h_roots):
+        for p in sorted(h_roots):
             cls = hat_class(p)
             if not cls:
                 continue
             unknown = [r for r in cls if asg[r] in (None, "split", "h")]
             if not unknown:
                 trace.append(
-                    f"h-root {_fmt(p)}: every plane of its hat class lies in m")
+                    f"h-root {fmt(p)}: every plane of its hat class lies in m")
                 raise PropagationContradiction(trace)
             if len(unknown) == 1 and len(cls) > 1:
                 r = unknown[0]
                 coeff = _in_affine_span(sp, [r], p)
                 if coeff is None:
                     trace.append(
-                        f"h-root {_fmt(p)}: only plane({_fmt(r)}) remains but "
-                        f"{_fmt(p)} is not proportional to {_fmt(r)}")
+                        f"h-root {fmt(p)}: only plane({_fmt(r)}) remains but "
+                        f"{fmt(p)} is not proportional to {_fmt(r)}")
                     raise PropagationContradiction(trace)
-                changed |= set_plane(r, "h", f"last plane of h-root {_fmt(p)}")
+                changed |= set_plane(r, "h", f"last plane of h-root {fmt(p)}")
         return changed
 
     rules = {"a": rule_a, "pin": rule_pin, "e": rule_e, "bc": rule_bc, "f": rule_f}
@@ -482,16 +491,13 @@ def propagate_assignment(space: RootLevelSpace, rule_order: Optional[list] = Non
             break
     else:
         raise RuntimeError("propagation did not reach a fixpoint")
-    out = replace(sp, h_roots=frozenset(h_roots), assignment=asg)
+    out = replace(sp, h_roots=frozenset(map(sp.unscaled, h_roots)), assignment=asg)
     return out, trace
 
 
 def _fmt(tv: TVec) -> str:
-    parts = []
-    for f in tv.factors:
-        if not f.is_zero():
-            parts.append(repr(f))
-    ab = [str(x) for x in tv.abelian if not x.is_zero()]
+    parts = [repr(f) for f in tv.factors if not f.is_zero()]
+    ab = [str(x) for x in tv.abelian if x]
     if ab:
         parts.append("ab(" + ",".join(ab) + ")")
     return "+".join(parts) if parts else "0"
@@ -574,7 +580,7 @@ def _check_root_facts(space: RootLevelSpace, payload: dict) -> bool:
             if fact[1] in roots:
                 return False
         elif tag == "orthogonal":
-            if not tvec_dot(spec, fact[1], fact[2]).is_zero():
+            if tvec_dot(spec, fact[1], fact[2]):
                 return False
         elif tag == "pr_h_equals":
             if space.pr_h(fact[1]) != fact[2]:
@@ -584,8 +590,7 @@ def _check_root_facts(space: RootLevelSpace, payload: dict) -> bool:
                 return False
         elif tag == "centralizer_subsystem":
             t_prime, expected_size = fact[1], fact[2]
-            sub = [r for r in roots
-                   if all(tvec_dot(spec, r, t).is_zero() for t in t_prime)]
+            sub = [r for r in roots if not any(tvec_dot(spec, r, t) for t in t_prime)]
             if len(sub) != expected_size:
                 return False
         elif tag == "assignment_consistent":
@@ -610,7 +615,7 @@ def _bracket_images(space: RootLevelSpace):
         for b in keys:
             if b == a or asg.get(b) != "h":
                 continue
-            targets = [t for t in (a + b, a - b) if t in roots]
+            targets = [t for t in (tuple(map(add, a, b)), tuple(map(sub, a, b))) if t in roots]
             if len(targets) == 1:  # the two-root cone case carries no containment
                 yield a, b, canonical[targets[0]]
 
@@ -656,17 +661,18 @@ def case3_space(family: str, rank: int, alpha: RootVector, beta: RootVector,
     spec = AlgebraSpec(((family, rank, Fraction(1)),))
     la, lb = lift_root(spec, 0, alpha), lift_root(spec, 0, beta)
     sp = make_root_level_space(spec, la - lb, name=name, complete_h=False)
-    ap = sp.pr_h(la)
-    if ap != sp.pr_h(lb):
+    if sp.scaled(la) != sp.scaled(lb):
         raise AssertionError("subcase datum is inconsistent")
+    ap = sp.pr_h(la)
     return replace(sp, h_roots=frozenset({ap, -ap}))
 
 
 def _e(n, *idx_coef) -> RootVector:
-    co = [Q0] * n
+    """The vector of R^n with the given rational coordinates at the indices."""
+    co = [0] * n
     for i, c in idx_coef:
-        co[i] = QNum.of(c)
-    return RootVector(tuple(co))
+        co[i] = 2 * c
+    return RootVector(co)
 
 
 def _sphere_name(n):
@@ -800,11 +806,14 @@ def _subcases_D(n):
     return out
 
 
+def _half_root(family, *signs) -> RootVector:
+    """The root with coordinates +-1/2 (times the surd of each position)."""
+    return RootVector(signs, surd_weights(family, len(signs)))
+
+
 def _subcases_E6():
-    h = Fraction(1, 2)
-    r3h = QNum(Fraction(0), Fraction(0), h)
-    g1 = RootVector((QNum.of(-h), QNum.of(h), QNum.of(h), QNum.of(h), QNum.of(h), r3h))
-    g2 = RootVector((QNum.of(-h), QNum.of(-h), QNum.of(-h), QNum.of(-h), QNum.of(-h), r3h))
+    g1 = _half_root("E6", -1, 1, 1, 1, 1, 1)
+    g2 = _half_root("E6", -1, -1, -1, -1, -1, 1)
     e = lambda *ic: _e(6, *ic)
     return [
         Subcase("E6", 6, "E6:1", e((0, 1), (1, 1)), e((1, 1), (0, -1)),
@@ -817,10 +826,8 @@ def _subcases_E6():
 
 
 def _subcases_E7():
-    h = Fraction(1, 2)
-    r2h = QNum(Fraction(0), h)
-    g1 = RootVector(tuple([QNum.of(-h)] + [QNum.of(h)] * 5 + [r2h]))
-    g2 = RootVector(tuple([QNum.of(h)] + [QNum.of(-h)] * 3 + [QNum.of(h)] * 2 + [r2h]))
+    g1 = _half_root("E7", -1, 1, 1, 1, 1, 1, 1)
+    g2 = _half_root("E7", 1, -1, -1, -1, 1, 1, 1)
     e = lambda *ic: _e(7, *ic)
     return [
         Subcase("E7", 7, "E7:1", e((0, 1), (1, 1)), e((1, 1), (0, -1)),
@@ -831,9 +838,8 @@ def _subcases_E7():
 
 
 def _subcases_E8():
-    h = Fraction(1, 2)
-    g1 = RootVector(tuple([QNum.of(h)] * 8))
-    g2 = RootVector(tuple([QNum.of(-h)] * 4 + [QNum.of(h)] * 4))
+    g1 = _half_root("E8", *[1] * 8)
+    g2 = _half_root("E8", *[-1] * 4 + [1] * 4)
     e = lambda *ic: _e(8, *ic)
     return [
         Subcase("E8", 8, "E8:1", e((0, 1), (1, 1)), e((1, 1), (0, -1)),
@@ -847,9 +853,8 @@ def _subcases_E8():
 
 def _subcases_F4():
     e = lambda *ic: _e(4, *ic)
-    h = Fraction(1, 2)
-    half = RootVector(tuple([QNum.of(h)] * 4))
-    half_m = RootVector(tuple([QNum.of(-h)] + [QNum.of(h)] * 3))
+    half = _half_root("F4", 1, 1, 1, 1)
+    half_m = _half_root("F4", -1, 1, 1, 1)
     spec = AlgebraSpec((("F4", 4, Fraction(1)),))
     return [
         Subcase("F4", 4, "F4:1", e((0, 1), (1, 1)), e((1, 1)), "reduction",
@@ -870,8 +875,7 @@ def _subcases_F4():
 
 def _g2_root(a, b3):
     # (a*sqrt3/2, b/2) grid for the G2 roots
-    return RootVector((QNum(Fraction(0), Fraction(0), Fraction(a, 2)),
-                       QNum(Fraction(b3, 2))))
+    return RootVector((a, b3), (3, 1))
 
 
 def _subcases_G2():
@@ -983,14 +987,11 @@ def evaluate_subcase(sc: Subcase) -> Verdict:
     if sc.kind == "g2_rotation":
         g1, g2 = sc.payload["gamma1"], sc.payload["gamma2"]
         roots = space.root_data.root_set
-        ap = space.pr_h(la)
-        ok = (g1 in roots and g2 in roots
-              and tvec_dot(space.spec, g1, g2).is_zero()
+        ap = space.scaled(la)
+        ok = (g1 in roots and g2 in roots and not tvec_dot(space.spec, g1, g2)
               and (g1 + g2) not in roots and (g1 - g2) not in roots)
         # the hat-class ladder alpha', 2a', ..., 5a' behind the rotation trick
-        for k in range(1, 6):
-            lvl = [r for r in roots if space.pr_h(r) == ap.scale(k)]
-            ok = ok and len(lvl) >= 1
+        ok = ok and all(_times(k, ap) in space.pr_classes() for k in range(1, 6))
         if not ok:
             raise AssertionError("G2 rotation premises fail")
         payload = dict(sc.payload)
@@ -1036,14 +1037,14 @@ def case2_space(g2_family: str, g2_rank: int, beta: RootVector,
     A1-root with beta; Delta_h holds the g2-roots orthogonal to beta plus
     the common projection."""
     spec = AlgebraSpec((("A", 1, Fraction(1)), (g2_family, g2_rank, Fraction(1))))
-    alpha = lift_root(spec, 0, rv(1, -1))
+    alpha = lift_root(spec, 0, _e(2, (0, 1), (1, -1)))
     lb = lift_root(spec, 1, beta)
     sp = make_root_level_space(spec, alpha - lb, name=name, complete_h=False)
     hset = {sp.pr_h(alpha), -sp.pr_h(alpha)}
     for r in sp.g_roots:
-        if sp.factor_of[r] == 1 and tvec_dot(spec, r, lb).is_zero():
+        if sp.factor_of[r] == 1 and not tvec_dot(spec, r, lb):
             hset.add(r)
-    if sp.pr_h(alpha) != sp.pr_h(lb):
+    if sp.scaled(alpha) != sp.scaled(lb):
         raise AssertionError("case-II datum inconsistent")
     return replace(sp, h_roots=frozenset(hset))
 
@@ -1071,10 +1072,10 @@ def classify_case2(space: RootLevelSpace) -> Verdict:
     cand = [r for r in roots_b if r != beta and r != -beta
             and r not in space.h_roots]
     rootset = space.root_data.root_set
-    for g1, g2 in itertools.combinations(lex_sorted(cand), 2):
+    for g1, g2 in itertools.combinations(sorted(cand), 2):
         if g1 == -g2:
             continue
-        if (g1 + g2) in rootset or (g1 - g2) in rootset:
+        if tuple(map(add, g1, g2)) in rootset or tuple(map(sub, g1, g2)) in rootset:
             continue
         if not key_lemma_2_check(space, g1, g2):
             raise AssertionError("case-II pair search produced a non-certifying pair")
@@ -1087,9 +1088,9 @@ def classify_case2(space: RootLevelSpace) -> Verdict:
         return Verdict("survivor", name=S3_NAME)
     if fam == "A" and rank == 2:
         return Verdict("survivor", name=WILKING_NAME)
-    if fam == "C" and beta_len2 == QNum.of(4):
+    if fam == "C" and beta_len2 == 4:
         return Verdict("survivor", name=_spsp_name(rank))
-    if fam == "B" and rank == 2 and beta_len2 == QNum.of(2):
+    if fam == "B" and rank == 2 and beta_len2 == 2:
         return Verdict("survivor", name=_spsp_name(2))  # so(5) = sp(2), long beta
     return Verdict("excluded",
                    witness=Witness("root_combinatorial",
@@ -1104,12 +1105,12 @@ def classify_case2(space: RootLevelSpace) -> Verdict:
 
 def _kl2_pair_search(space: RootLevelSpace, candidates: list):
     rootset = space.root_data.root_set
-    for g1, g2 in itertools.combinations(lex_sorted(candidates), 2):
+    for g1, g2 in itertools.combinations(sorted(candidates), 2):
         if g1 == -g2:
             continue
         if g1 in space.h_roots or g2 in space.h_roots:
             continue
-        if (g1 + g2) in rootset or (g1 - g2) in rootset:
+        if tuple(map(add, g1, g2)) in rootset or tuple(map(sub, g1, g2)) in rootset:
             continue
         if key_lemma_2_check(space, g1, g2):
             return g1, g2
@@ -1123,9 +1124,8 @@ def classify_case1(space: RootLevelSpace) -> Verdict:
         raise ValueError("not a case-I space")
     spec = space.spec
     w = space.w
-    w0_nonzero = any(not x.is_zero() for x in w.abelian)
-    active = [i for i in range(len(spec.factors))
-              if not w.factors[i].is_zero()]
+    w0_nonzero = any(w.abelian)
+    active = [i for i, f in enumerate(w.factors) if not f.is_zero()]
     # inactive simple factors must sit inside h entirely
     for i in range(len(spec.factors)):
         if i in active:
@@ -1143,7 +1143,7 @@ def classify_case1(space: RootLevelSpace) -> Verdict:
     for r in space.g_roots:
         if r in space.h_roots:
             continue
-        if space.pr_h(r) == r and key_lemma_1_applies(space, r):
+        if space.in_t_h(r) and key_lemma_1_applies(space, r):
             return Verdict(
                 "excluded",
                 witness=Witness("key_lemma_1",
@@ -1228,8 +1228,7 @@ def classify_case1(space: RootLevelSpace) -> Verdict:
                               "the matrix preset")
     beta = None
     for r in space.g_roots:
-        if space.factor_of[r] == j and r not in space.h_roots \
-                and not tvec_dot(spec, r, wj).is_zero():
+        if space.factor_of[r] == j and r not in space.h_roots and tvec_dot(spec, r, wj):
             beta = r
             break
     payload = {
@@ -1250,7 +1249,7 @@ def _case1_table_match(space: RootLevelSpace, i: int) -> Optional[Verdict]:
     fam, rank, _ = spec.factors[i]
     wi = lift_root(spec, i, space.w.factors[i])
     froots = [r for r in space.g_roots if space.factor_of[r] == i]
-    orth = [r for r in froots if tvec_dot(spec, r, wi).is_zero()]
+    orth = [r for r in froots if not tvec_dot(spec, r, wi)]
     h2 = [r for r in froots if r in space.h_roots]
     if set(h2) != set(orth):
         return None
@@ -1272,7 +1271,7 @@ def _case1_table_match(space: RootLevelSpace, i: int) -> Optional[Verdict]:
         return Verdict("survivor", name=_spu1_name(rank))
     if fam == "B" and rank == 2 and len(h2) == 2:
         length2 = h2[0].factors[i].dot(h2[0].factors[i])
-        if length2 == QNum.of(2):  # the long-root pair: so(5) = sp(2)
+        if length2 == 2:  # the long-root pair: so(5) = sp(2)
             return Verdict("survivor", name=_spu1_name(2))
     return None
 
@@ -1387,7 +1386,7 @@ def _case1_block_space(fam, rank, label, w1: RootVector, abelian: bool,
                        h2_roots: list) -> RootLevelSpace:
     spec = AlgebraSpec(((fam, rank, Fraction(1)),),
                        abelian_dim=1 if abelian else 0)
-    w = tvec_from_parts(spec, {0: list(w1.coords)}, abelian=[1] if abelian else [])
+    w = lift_root(spec, 0, w1) + tvec_from_parts(spec, abelian=[1] if abelian else [])
     return make_root_level_space(spec, w, [lift_root(spec, 0, r) for r in h2_roots],
                                  name=label)
 
@@ -1401,7 +1400,7 @@ def case1_candidates(max_rank: int = 8) -> list:
     out = []
 
     def orth_roots(fam, rank, w1):
-        return [r for r in _factor_roots(fam, rank) if r.dot(w1).is_zero()]
+        return [r for r in _factor_roots(fam, rank) if not r.dot(w1)]
 
     for rank in range(1, max_rank + 1):
         w1 = _e(rank + 1, *([(0, rank)] + [(j, -1) for j in range(1, rank + 1)]))
@@ -1449,25 +1448,25 @@ def case1_candidates(max_rank: int = 8) -> list:
         "A", 2, "SU(3)-homogeneous Aloff-Wallach", _e(3, (0, 1), (1, 2), (2, -3)),
         False, []))
     # multi-factor exemplars
-    out.append(_two_factor_space("two A1 factors", ("A", 1), ("A", 1),
-                                 rv(1, -1), rv(1, -1)))
+    a1 = _e(2, (0, 1), (1, -1))
+    out.append(_two_factor_space("two A1 factors", ("A", 1), ("A", 1), a1, a1))
     out.append(_two_factor_space("A1 x A2 with generic slope", ("A", 1), ("A", 2),
-                                 rv(1, -1), rv(1, 2, -3)))
+                                 a1, _e(3, (0, 1), (1, 2), (2, -3))))
     out.append(_two_factor_space("A1 x C3 along the long root", ("A", 1), ("C", 3),
-                                 rv(1, -1), rv(2, 0, 0)))
+                                 a1, _e(3, (0, 2))))
     out.append(_three_factor_space())
     return [sp for sp in out if all(r <= max_rank for _, r, _ in sp.spec.factors)]
 
 
 def _two_factor_space(label, f1, f2, w1: RootVector, w2: RootVector) -> RootLevelSpace:
     spec = AlgebraSpec(((f1[0], f1[1], Fraction(1)), (f2[0], f2[1], Fraction(1))))
-    w = tvec_from_parts(spec, {0: list(w1.coords), 1: list(w2.coords)})
+    w = lift_root(spec, 0, w1) + lift_root(spec, 1, w2)
     sp = make_root_level_space(spec, w, name=label)
     hset = set()
     for r in sp.g_roots:
         idx = sp.factor_of[r]
         wf = lift_root(spec, idx, w.factors[idx])
-        if tvec_dot(spec, r, wf).is_zero():
+        if not tvec_dot(spec, r, wf):
             hset.add(r)
     return replace(sp, h_roots=frozenset(hset))
 
@@ -1491,8 +1490,7 @@ def _pair_signature(space: RootLevelSpace, alpha: TVec, beta: TVec):
     in_plane = sum(1 for r in space.g_roots
                    if _in_affine_span(space, [alpha, beta], r) is not None)
     perp = sum(1 for r in space.g_roots
-               if tvec_dot(spec, r, alpha).is_zero()
-               and tvec_dot(spec, r, beta).is_zero())
+               if not tvec_dot(spec, r, alpha) and not tvec_dot(spec, r, beta))
     return (tuple(sorted([la, lb])), ang, in_plane, perp)
 
 

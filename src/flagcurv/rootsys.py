@@ -1,12 +1,20 @@
-"""Exact root systems of the compact simple Lie algebras.
+"""Exact root systems of the compact simple Lie algebras, on an integer
+lattice.
 
-Coordinates live in the real quartic field Q(sqrt2, sqrt3); every sign,
-order, membership, reflection and angle computation in this module is
-exact, and the float view of a value (`float(q)`, `RootVector.floats`)
-exists only for the matrix layers.  Root systems are
-built in the standard orthonormal-basis presentations: A_n sits in the
-sum-zero hyperplane of R^{n+1}, B/C/D/F4 use rational coordinates in R^n,
-E6/E7 need sqrt3/sqrt2 in their last coordinate, G2 lives in R^2 with sqrt3.
+Root systems are built in the standard orthonormal-basis presentations:
+A_n sits in the sum-zero hyperplane of R^{n+1}, B/C/D/F4 use rational
+coordinates in R^n, E6/E7 need sqrt3/sqrt2 in their last coordinate, G2
+lives in R^2 with sqrt3.  So each ambient position carries one surd, of
+weight k = 3 (G2's first position, E6's last), 2 (E7's last) or 1, and a
+coordinate is stored as the rational n with value n/2 * sqrt(k); n is an
+integer for every root.  Membership, order, reflection and angle then work
+on tuples of ints: sqrt(k) > 0, so the ambient lexicographic order is the
+order of the n tuples, and the inner product of two lattice vectors is the
+rational sum of n m k / 4.
+
+QNum, the field Q(sqrt2, sqrt3), exists only for printing and JSON
+(`qnum_coord`, `lattice_coord`) and as the oracle of the tests.  The float
+views (`float(q)`, `RootVector.floats`) exist only for the matrix layers.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import lcm, sqrt
 from operator import attrgetter
 from typing import Sequence
 
@@ -258,106 +266,120 @@ def _make(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> QNum:
 
 Q0 = QNum()
 Q1 = QNum(Fraction(1))
-QHALF = QNum(Fraction(1, 2))
 SQRT2 = QNum(Fraction(0), Fraction(1))
 SQRT3 = QNum(Fraction(0), Fraction(0), Fraction(1))
 SQRT6 = QNum(Fraction(0), Fraction(0), Fraction(0), Fraction(1))
 
 
-@dataclass(frozen=True)
+def _num(x):
+    """A rational as an int when it is integral, so lattice tuples stay ints."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def lattice_coord(x) -> tuple:
+    """(n, k) with x = n/2 * sqrt(k), k in {1, 2, 3}: the lattice form of a
+    rational multiple of 1, sqrt2 or sqrt3.  Anything else (a sum of two
+    surds, or a multiple of sqrt6) is off the lattice: ValueError."""
+    q = QNum.of(x)
+    parts = [(c, k) for c, k in ((q.a, 1), (q.b, 2), (q.c, 3)) if c]
+    if q.d or len(parts) > 1:
+        raise ValueError(f"coordinate {q} is not a rational multiple of 1, sqrt2 or sqrt3")
+    c, k = parts[0] if parts else (_F0, 1)
+    return _num(2 * c), k
+
+
+def qnum_coord(n, k: int) -> QNum:
+    """The QNum n/2 * sqrt(k): the one printer of lattice coordinates."""
+    c = Fraction(n) / 2
+    return QNum(*(c if k == j else _F0 for j in (1, 2, 3)))
+
+
 class RootVector:
-    """Vector in the ambient coordinate space of a root system."""
+    """Lattice vector in the ambient space of a root system: coordinate i
+    is n[i]/2 * sqrt(k[i]).  The weight k[i] is 1 wherever n[i] = 0, so
+    equal vectors have equal (n, k); `coords` is the QNum view."""
 
-    coords: tuple
+    __slots__ = ("n", "k", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(QNum.of(x) for x in self.coords))
+    def __init__(self, n, k=None):
+        self.n = tuple(n)
+        self.k = (1,) * len(self.n) if k is None else \
+            tuple(w if x else 1 for x, w in zip(self.n, k))
+        self._hash = hash((self.n, self.k))
+
+    def __eq__(self, o):
+        return o.__class__ is RootVector and self.n == o.n and self.k == o.k
 
     def __hash__(self) -> int:
-        # cached; the value is the dataclass hash, so set order is unchanged
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.coords,))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return self._hash
 
     @property
     def ambient_dim(self) -> int:
-        return len(self.coords)
+        return len(self.n)
 
-    def __add__(self, o: "RootVector") -> "RootVector":
-        self._check(o)
-        return RootVector(tuple(x + y for x, y in zip(self.coords, o.coords)))
+    @property
+    def coords(self) -> tuple:
+        return tuple(qnum_coord(x, k) for x, k in zip(self.n, self.k))
 
-    def __sub__(self, o: "RootVector") -> "RootVector":
-        self._check(o)
-        return RootVector(tuple(x - y for x, y in zip(self.coords, o.coords)))
-
-    def __neg__(self) -> "RootVector":
-        return RootVector(tuple(-x for x in self.coords))
-
-    def scale(self, c) -> "RootVector":
-        c = QNum.of(c)
-        return RootVector(tuple(c * x for x in self.coords))
-
-    def dot(self, o: "RootVector") -> QNum:
-        self._check(o)
-        out = Q0
-        for x, y in zip(self.coords, o.coords):
-            if not (x.is_zero() or y.is_zero()):
-                out = out + x * y
-        return out
-
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for x in self.coords)
-
-    def _check(self, o: "RootVector"):
+    def _weights(self, o: "RootVector") -> tuple:
+        """The surd weights of a sum or product with o: where both vectors
+        are nonzero their weights must agree (else the result leaves the
+        lattice)."""
         if self.ambient_dim != o.ambient_dim:
             raise ValueError("dimension mismatch")
+        if self.k == o.k:
+            return self.k
+        if any(a and b and v != w for a, v, b, w in zip(self.n, self.k, o.n, o.k)):
+            raise ValueError(f"{self} and {o} have different surds in one coordinate")
+        return tuple(v if a else w for a, v, w in zip(self.n, self.k, o.k))
+
+    def __add__(self, o: "RootVector") -> "RootVector":
+        return RootVector([_num(a + b) for a, b in zip(self.n, o.n)], self._weights(o))
+
+    def __sub__(self, o: "RootVector") -> "RootVector":
+        return RootVector([_num(a - b) for a, b in zip(self.n, o.n)], self._weights(o))
+
+    def __neg__(self) -> "RootVector":
+        return RootVector([-x for x in self.n], self.k)
+
+    def scale(self, c) -> "RootVector":
+        c = Fraction(c)
+        return RootVector([_num(c * x) for x in self.n], self.k)
+
+    def dot(self, o: "RootVector") -> Fraction:
+        """Exact inner product: the rational sum of n m k / 4."""
+        return Fraction(sum(a * b * k for a, b, k in zip(self.n, o.n, self._weights(o))), 4)
+
+    def is_zero(self) -> bool:
+        return not any(self.n)
 
     def canonical_sign(self) -> "RootVector":
         """The one of +-self whose first nonzero coordinate is positive."""
-        return -self if leading_sign(self.coords) < 0 else self
+        return -self if next((x for x in self.n if x), 0) < 0 else self
 
     def __repr__(self) -> str:
         return "(" + ", ".join(str(x) for x in self.coords) + ")"
 
     def floats(self) -> tuple:
-        return tuple(float(x) for x in self.coords)
+        return tuple(float(x) / 2 * _ROOT[k] for x, k in zip(self.n, self.k))
 
     def to_json(self) -> list:
         return [x.to_json() for x in self.coords]
 
     @staticmethod
     def from_json(obj: list) -> "RootVector":
-        return RootVector(tuple(QNum.from_json(x) for x in obj))
+        return rv(*(QNum.from_json(x) for x in obj))
 
 
-def leading_sign(coords) -> int:
-    """Exact sign of the first nonzero coordinate; 0 for the zero vector."""
-    for x in coords:
-        if not x.is_zero():
-            return x.sign()
-    return 0
-
-
-def lex_sorted(items) -> list:
-    """Vectors (anything with exact `coords`) in the exact lexicographic
-    order of their coordinate tuples.  The few distinct coordinate values
-    are ranked once by the exact comparison, so the sort itself compares
-    integer ranks."""
-    items = list(items)
-    values = sorted({x for it in items for x in it.coords})
-    rank = {x: i for i, x in enumerate(values)}
-    return sorted(items, key=lambda it: tuple(rank[x] for x in it.coords))
+_ROOT = {1: 1.0, 2: _SQRT2, 3: _SQRT3}
 
 
 def rv(*coords) -> RootVector:
-    """Shorthand root-vector constructor accepting ints/Fractions/QNums."""
-    return RootVector(tuple(QNum.of(c) for c in coords))
+    """Root vector from exact coordinates (ints, Fractions, strings or
+    QNums), each a rational multiple of 1, sqrt2 or sqrt3."""
+    pairs = [lattice_coord(c) for c in coords]
+    return RootVector([n for n, _ in pairs], [k for _, k in pairs])
 
-
-_FAMILIES = ("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2")
 
 _CARDINALITY = {
     "A": lambda n: n * (n + 1),
@@ -386,110 +408,53 @@ def _normalize_family(family: str, rank: int) -> tuple:
     return fam, rank
 
 
-def _classical_roots(fam: str, n: int) -> list:
-    roots = []
-    if fam == "A":
-        # ambient R^{n+1}, sum-zero subspace
-        for i in range(n + 1):
-            for j in range(n + 1):
-                if i != j:
-                    co = [Q0] * (n + 1)
-                    co[i] = Q1
-                    co[j] = -Q1
-                    roots.append(RootVector(tuple(co)))
-        return roots
-    for i in range(n):
-        for j in range(i + 1, n):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    co = [Q0] * n
-                    co[i] = QNum.of(si)
-                    co[j] = QNum.of(sj)
-                    roots.append(RootVector(tuple(co)))
-    if fam == "B":
-        for i in range(n):
-            for s in (1, -1):
-                co = [Q0] * n
-                co[i] = QNum.of(s)
-                roots.append(RootVector(tuple(co)))
-    elif fam == "C":
-        for i in range(n):
-            for s in (2, -2):
-                co = [Q0] * n
-                co[i] = QNum.of(s)
-                roots.append(RootVector(tuple(co)))
-    return roots
-
-
-def _exceptional_roots(fam: str) -> list:
-    roots = []
-    h = Fraction(1, 2)
-    if fam == "E6":
-        for i in range(5):
-            for j in range(i + 1, 5):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        co = [Q0] * 6
-                        co[i] = QNum.of(si)
-                        co[j] = QNum.of(sj)
-                        roots.append(RootVector(tuple(co)))
-        # half-spin roots: last coordinate +-(sqrt3)/2, odd number of plus
-        # signs over all six coefficients
-        for signs in itertools.product((1, -1), repeat=5):
-            for s6 in (1, -1):
-                plus = sum(1 for s in signs if s > 0) + (1 if s6 > 0 else 0)
-                if plus % 2 == 1:
-                    co = [QNum(h * s) for s in signs]
-                    co.append(QNum(Fraction(0), Fraction(0), h * s6))
-                    roots.append(RootVector(tuple(co)))
-    elif fam == "E7":
-        for i in range(6):
-            for j in range(i + 1, 6):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        co = [Q0] * 7
-                        co[i] = QNum.of(si)
-                        co[j] = QNum.of(sj)
-                        roots.append(RootVector(tuple(co)))
-        for s7 in (1, -1):
-            co = [Q0] * 6 + [QNum(Fraction(0), Fraction(s7))]
-            roots.append(RootVector(tuple(co)))
-        # half roots with an odd number of plus signs among the first six
-        for signs in itertools.product((1, -1), repeat=6):
-            if sum(1 for s in signs if s > 0) % 2 == 1:
-                for s7 in (1, -1):
-                    co = [QNum(h * s) for s in signs]
-                    co.append(QNum(Fraction(0), h * s7))
-                    roots.append(RootVector(tuple(co)))
-    elif fam == "E8":
-        for i in range(8):
-            for j in range(i + 1, 8):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        co = [Q0] * 8
-                        co[i] = QNum.of(si)
-                        co[j] = QNum.of(sj)
-                        roots.append(RootVector(tuple(co)))
-        for signs in itertools.product((1, -1), repeat=8):
-            if sum(1 for s in signs if s > 0) % 2 == 0:
-                roots.append(RootVector(tuple(QNum(h * s) for s in signs)))
-    elif fam == "F4":
-        roots.extend(_classical_roots("B", 4))
-        for signs in itertools.product((1, -1), repeat=4):
-            roots.append(RootVector(tuple(QNum(h * s) for s in signs)))
+def surd_weights(family: str, rank: int) -> tuple:
+    """The surd weight k of each ambient position: 3 for the first of G2
+    and the last of E6, 2 for the last of E7, 1 everywhere else."""
+    fam, n = _normalize_family(family, rank)
+    k = [1] * (n + 1 if fam == "A" else n)
+    if fam in ("E6", "E7"):
+        k[-1] = 3 if fam == "E6" else 2
     elif fam == "G2":
-        r3 = Fraction(1)
-        pts = []
-        for s in (1, -1):
-            pts.append((QNum(Fraction(0), Fraction(0), r3 * s), Q0))          # (+-sqrt3, 0)
-            pts.append((Q0, QNum.of(s)))                                       # (0, +-1)
-        for s1 in (1, -1):
-            for s2 in (1, -1):
-                half_r3 = QNum(Fraction(0), Fraction(0), Fraction(s1, 2))
-                pts.append((half_r3, QNum(Fraction(3 * s2, 2))))               # (+-sqrt3/2, +-3/2)
-                pts.append((half_r3, QNum(Fraction(s2, 2))))                   # (+-sqrt3/2, +-1/2)
-        roots = [RootVector(t) for t in pts]
-    return roots
+        k[0] = 3
+    return tuple(k)
+
+
+def _pairs(dim: int, stop: int) -> list:
+    """n-vectors of the roots +-e_i +- e_j (i < j < stop) of R^dim."""
+    out = []
+    for i, j in itertools.combinations(range(stop), 2):
+        for si, sj in itertools.product((2, -2), repeat=2):
+            co = [0] * dim
+            co[i], co[j] = si, sj
+            out.append(co)
+    return out
+
+
+def _lattice_roots(fam: str, n: int) -> list:
+    """The roots as n-vectors (coordinate = n/2 * sqrt(k))."""
+    if fam == "A":  # ambient R^{n+1}, sum-zero subspace
+        return [[2 if m == i else -2 if m == j else 0 for m in range(n + 1)]
+                for i in range(n + 1) for j in range(n + 1) if i != j]
+    if fam in ("B", "C", "D"):
+        long = {"B": [2], "C": [4], "D": []}[fam]  # +-e_i or +-2 e_i
+        return _pairs(n, n) + [[s if m == i else 0 for m in range(n)]
+                               for i in range(n) for v in long for s in (v, -v)]
+    if fam == "E6":  # half-spin roots: an odd number of plus signs in all six
+        signs = itertools.product((1, -1), repeat=6)
+        return _pairs(6, 5) + [list(s) for s in signs if s.count(1) % 2 == 1]
+    if fam == "E7":  # +-sqrt2 e7, and half roots odd in the first six
+        signs = itertools.product((1, -1), repeat=7)
+        return (_pairs(7, 6) + [[0] * 6 + [s] for s in (2, -2)]
+                + [list(s) for s in signs if s[:6].count(1) % 2 == 1])
+    if fam == "E8":
+        signs = itertools.product((1, -1), repeat=8)
+        return _pairs(8, 8) + [list(s) for s in signs if s.count(1) % 2 == 0]
+    if fam == "F4":
+        return _lattice_roots("B", 4) + [list(s) for s in itertools.product((1, -1), repeat=4)]
+    # G2: (+-sqrt3, 0), (0, +-1), (+-sqrt3/2, +-3/2), (+-sqrt3/2, +-1/2)
+    return ([[2 * s, 0] for s in (1, -1)] + [[0, 2 * s] for s in (1, -1)]
+            + [[a, b] for a in (1, -1) for b in (3, -3, 1, -1)])
 
 
 @dataclass(frozen=True)
@@ -498,7 +463,7 @@ class RootSystem:
 
     family: str
     rank: int
-    roots: tuple  # RootVectors in exact lexicographic order
+    roots: tuple  # RootVectors in the ambient lexicographic order
     ambient_dim: int
 
     def __post_init__(self):
@@ -530,22 +495,16 @@ def build_root_system(family: str, rank: int, _relaxed: bool = False) -> RootSys
     Validity ranges: A n>=1, B n>=2, C n>=3, D n>=4, E6-E8, F4, G2.  The
     `_relaxed` flag admits the low-rank coincidences C1=A1, C2=B2, D3=A3
     needed internally by matrix presets; it is not part of the public
-    contract.
+    contract.  sqrt(k) > 0, so the n-vectors sort in the ambient order.
     """
     fam, n = _normalize_family(family, rank)
     mins = {"A": 1, "B": 2, "C": 3, "D": 4}
     relaxed_mins = {"A": 1, "B": 1, "C": 1, "D": 3}
-    if fam in mins:
-        lo = relaxed_mins[fam] if _relaxed else mins[fam]
-        if n < lo:
-            raise ValueError(f"unsupported root system: {fam}{n}")
-        roots = _classical_roots(fam, n)
-        dim = n + 1 if fam == "A" else n
-    else:
-        roots = _exceptional_roots(fam)
-        dim = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2}[fam]
-    roots = lex_sorted(set(roots))
-    rs = RootSystem(fam, n, tuple(roots), dim)
+    if fam in mins and n < (relaxed_mins[fam] if _relaxed else mins[fam]):
+        raise ValueError(f"unsupported root system: {fam}{n}")
+    k = surd_weights(fam, n)
+    roots = tuple(RootVector(v, k) for v in sorted(_lattice_roots(fam, n)))
+    rs = RootSystem(fam, n, roots, len(k))
     if not _relaxed:
         assert len(rs) == _CARDINALITY[fam](n)
     return rs
@@ -559,16 +518,16 @@ def is_root(rs: RootSystem, v: RootVector) -> bool:
 
 
 _ANGLES = {
-    # (4*cos^2 as Fraction, sign of cos) -> tag
-    (Fraction(4), 1): "0",
-    (Fraction(3), 1): "pi/6",
-    (Fraction(2), 1): "pi/4",
-    (Fraction(1), 1): "pi/3",
-    (Fraction(0), 0): "pi/2",
-    (Fraction(1), -1): "2pi/3",
-    (Fraction(2), -1): "3pi/4",
-    (Fraction(3), -1): "5pi/6",
-    (Fraction(4), -1): "pi",
+    # (4*cos^2, sign of cos) -> tag
+    (4, 1): "0",
+    (3, 1): "pi/6",
+    (2, 1): "pi/4",
+    (1, 1): "pi/3",
+    (0, 0): "pi/2",
+    (1, -1): "2pi/3",
+    (2, -1): "3pi/4",
+    (3, -1): "5pi/6",
+    (4, -1): "pi",
 }
 
 
@@ -581,10 +540,7 @@ def angle(u: RootVector, v: RootVector) -> str:
     if u.is_zero() or v.is_zero():
         raise ValueError("angle undefined for zero vector")
     num = u.dot(v)
-    cos2x4 = QNum.of(4) * num * num / (u.dot(u) * v.dot(v))
-    if not cos2x4.is_rational():
-        raise ValueError("angle outside the crystallographic set")
-    key = (cos2x4.a, num.sign())
+    key = (4 * num * num / (u.dot(u) * v.dot(v)), (num > 0) - (num < 0))
     if key not in _ANGLES:
         raise ValueError("angle outside the crystallographic set")
     return _ANGLES[key]
@@ -594,8 +550,7 @@ def weyl_reflect(rs: RootSystem, alpha: RootVector, v: RootVector) -> RootVector
     """Reflection of v in the hyperplane orthogonal to the root alpha."""
     if not is_root(rs, alpha):
         raise ValueError("reflection axis is not a root")
-    coef = QNum.of(2) * v.dot(alpha) / alpha.dot(alpha)
-    return v - alpha.scale(coef)
+    return v - alpha.scale(2 * v.dot(alpha) / alpha.dot(alpha))
 
 
 def root_sum_status(rs: RootSystem, alpha: RootVector, beta: RootVector) -> str:
@@ -605,7 +560,8 @@ def root_sum_status(rs: RootSystem, alpha: RootVector, beta: RootVector) -> str:
     """
     if not (is_root(rs, alpha) and is_root(rs, beta)):
         raise ValueError("inputs must be roots")
-    if _proportional(alpha, beta):
+    ab = alpha.dot(beta)
+    if ab * ab == alpha.dot(alpha) * beta.dot(beta):  # Cauchy-Schwarz equality
         raise ValueError("inputs must be linearly independent")
     plus = (alpha + beta) in rs
     minus = (alpha - beta) in rs
@@ -618,48 +574,45 @@ def root_sum_status(rs: RootSystem, alpha: RootVector, beta: RootVector) -> str:
     return "neither"
 
 
-def _proportional(u: RootVector, v: RootVector) -> bool:
-    """Whether u and v are exactly proportional (u, v nonzero)."""
-    for x, y in zip(u.coords, v.coords):
-        if not y.is_zero():
-            c = x / y
-            return all((a - c * b).is_zero() for a, b in zip(u.coords, v.coords))
-        if not x.is_zero():
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
-# Exact linear algebra over Q(sqrt2, sqrt3), used by the coset and
-# classification layers.  Vectors are plain tuples of QNum.
+# Exact linear algebra over Q, used by the torus, coset and classification
+# layers (lattice coordinates are rational).  Vectors are lists of ints or
+# Fractions.
 # ---------------------------------------------------------------------------
 
 def _row_reduce(m: list, ncol: int) -> list:
-    """Gauss-Jordan elimination, in place, of the row lists m over their
-    first ncol columns (further columns ride along); returns the pivot
-    columns in order.  Pivot rows end up first, with a unit pivot."""
-    nrow = len(m)
-    pivots = []
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
+    1968), in place, of the rational rows m over their first ncol columns
+    (further columns ride along).  Each row is first cleared of
+    denominators, and every update (p x - f y) / (previous pivot) divides
+    exactly, so the entries stay integers.  Returns the pivot columns in
+    order; pivot rows end up first, each with zeros in the other pivot
+    columns."""
+    for i, row in enumerate(m):
+        d = lcm(*(x.denominator for x in row))
+        m[i] = [int(x * d) for x in row]
+    nrow, prev, pivots = len(m), 1, []
     for c in range(ncol):
         r = len(pivots)
         if r == nrow:
             break
-        pr = next((rr for rr in range(r, nrow) if not m[rr][c].is_zero()), None)
+        pr = next((rr for rr in range(r, nrow) if m[rr][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
+        p, top = m[r][c], m[r]
         for rr in range(nrow):
-            if rr != r and not m[rr][c].is_zero():
+            if rr != r:
                 f = m[rr][c]
-                m[rr] = [x - f * y for x, y in zip(m[rr], m[r])]
+                m[rr] = [(p * x - f * y) // prev for x, y in zip(m[rr], top)]
+        prev = p
         pivots.append(c)
     return pivots
 
 
-def solve_exact(rows: Sequence[Sequence[QNum]], rhs: Sequence[QNum]):
-    """Solve a small exact linear system; returns None when inconsistent.
+def solve_exact(rows: Sequence[Sequence], rhs: Sequence):
+    """Solve a small exact rational linear system; returns None when
+    inconsistent.
 
     `rows` are equations (one per coordinate), columns are unknowns.  When
     the system is underdetermined a particular solution with free unknowns
@@ -668,16 +621,17 @@ def solve_exact(rows: Sequence[Sequence[QNum]], rhs: Sequence[QNum]):
     m = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
     ncol = len(rows[0]) if m else 0
     pivots = _row_reduce(m, ncol)
-    if any(not row[ncol].is_zero() for row in m[len(pivots):]):
+    if any(row[ncol] for row in m[len(pivots):]):
         return None
-    sol = [Q0] * ncol
+    sol = [0] * ncol
     for i, c in enumerate(pivots):
-        sol[c] = m[i][ncol]
+        sol[c] = _num(Fraction(m[i][ncol], m[i][c]))
     return sol
 
 
-def exact_nullspace(rows: Sequence[Sequence[QNum]]) -> list:
-    """Basis of the solution space of A x = 0 over Q(sqrt2, sqrt3)."""
+def exact_nullspace(rows: Sequence[Sequence]) -> list:
+    """Basis of the solution space of A x = 0 over Q, one vector per free
+    column (1 there, 0 in the other free columns)."""
     m = [list(row) for row in rows]
     ncol = len(m[0]) if m else 0
     pivots = _row_reduce(m, ncol)
@@ -685,19 +639,18 @@ def exact_nullspace(rows: Sequence[Sequence[QNum]]) -> list:
     for fc in range(ncol):
         if fc in pivots:
             continue
-        vec = [Q0] * ncol
-        vec[fc] = Q1
+        vec = [0] * ncol
+        vec[fc] = 1
         for i, pc in enumerate(pivots):
-            vec[pc] = -m[i][fc]
+            vec[pc] = _num(Fraction(-m[i][fc], m[i][pc]))
         basis.append(vec)
     return basis
 
 
-def exact_inverse(rows: Sequence[Sequence[QNum]]) -> list:
-    """Exact inverse of a small square matrix over Q(sqrt2, sqrt3)."""
+def exact_inverse(rows: Sequence[Sequence]) -> list:
+    """Exact inverse of a small square rational matrix."""
     n = len(rows)
-    m = [list(row) + [Q1 if i == j else Q0 for j in range(n)]
-         for i, row in enumerate(rows)]
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     if len(_row_reduce(m, n)) < n:
         raise ArithmeticError("matrix is singular")
-    return [row[n:] for row in m]
+    return [[_num(Fraction(x, row[i])) for x in row[n:]] for i, row in enumerate(m)]

@@ -20,6 +20,12 @@ VERIFY_FULL_SHA256 = {
     2: "d60bb180e53cd503912acf1969b44a68f08af404dd31ea9a74c4ea52e2ef7f53",
     3: "423dc787f250103e49b1e63e8d08d665143b760814e025379d7ccf91fb470d17",
 }
+# The same at `--max-rank 12`.
+VERIFY_FULL_RANK12_SHA256 = {
+    1: "38a8fdc7ccee74e8972056fdaf04d1fb9229c1622559f6d8b8a774d0e846103c",
+    2: "c249150c81fde116fb7a917fe0b780f8cb261ad6bf54919c925faadec3426187",
+    3: "c7829e7f99f925036b76c2f7aa30bb04d6717f61aeab974fceb80520826d0588",
+}
 
 
 # SHA-256 of `roots <family> <rank>` stdout: the exact root order, for every
@@ -127,6 +133,34 @@ def test_space_build_file_with_h_roots(tmp_path):
     assert info["dim_h"] == 3 and info["dim_m"] == 7
 
 
+_SQRT2 = {"a": "0", "b": "1", "c": "0", "d": "0"}
+_ONE_PLUS_SQRT2 = {"a": "1", "b": "1", "c": "0", "d": "0"}
+
+
+@pytest.mark.parametrize("coord", [_SQRT2, _ONE_PLUS_SQRT2], ids=["sqrt2", "1+sqrt2"])
+@pytest.mark.parametrize("field", ["cartan_h", "h_root_vectors"])
+def test_space_file_torus_vectors_must_be_on_the_lattice(tmp_path, coord, field):
+    """A B2 torus direction (1, sqrt2) has an irrational slope: it is not the
+    Lie algebra of a closed subgroup, so the file fails closed (exit 1, JSON
+    error) instead of building and classifying."""
+    one = {"a": "1", "b": "0", "c": "0", "d": "0"}
+    tv = {"factors": [[one, coord]], "abelian": []}
+    spec = {
+        "algebra": {"factors": [{"family": "B", "rank": 2, "scale": "1"}],
+                    "abelian_dim": 0},
+        "cartan_h": [tv] if field == "cartan_h" else [],
+        "h_roots": [],
+        "name": "irrational slope",
+    }
+    if field == "h_root_vectors":
+        spec["h_root_vectors"] = [tv]
+    path = tmp_path / "b2.json"
+    path.write_text(json.dumps(spec))
+    code, out, _ = invoke(["classify", "--space", str(path)])
+    assert code == 1
+    assert "not a rational multiple" in json.loads(out)["error"]
+
+
 def test_classify_verb():
     code, out, _ = invoke(["classify", "--space", "preset:berger_sp2"])
     assert code == 0
@@ -214,17 +248,26 @@ def test_verify_full_stdout_is_pinned(theorem):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FULL_SHA256[theorem]
 
 
-def test_verify_stdout_does_not_depend_on_the_hash_seed():
+@pytest.mark.parametrize("theorem", [1, 2, 3])
+def test_verify_full_stdout_is_pinned_at_rank_12(theorem):
+    code, out, _ = invoke(["verify", "--theorem", str(theorem), "--full", "--max-rank", "12"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FULL_RANK12_SHA256[theorem]
+
+
+@pytest.mark.parametrize("theorem", [1, 2, 3])
+def test_verify_stdout_does_not_depend_on_the_hash_seed(theorem):
     src = str(Path(flagcurv.__file__).resolve().parents[1])
     outs = []
     for seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=seed,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
-            [sys.executable, "-m", "flagcurv.cli", "verify", "--theorem", "3", "--full"],
-            capture_output=True, text=True, env=env, check=True)
+            [sys.executable, "-m", "flagcurv.cli", "verify", "--theorem", str(theorem),
+             "--full"], capture_output=True, text=True, env=env, check=True)
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[0].encode()).hexdigest() == VERIFY_FULL_SHA256[theorem]
 
 
 def test_verify_theorem_3_keeps_to_the_rank_bound():

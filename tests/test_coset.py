@@ -20,7 +20,7 @@ from flagcurv.coset import (
     tvec_from_parts,
     _ad_exp,
 )
-from flagcurv.rootsys import QNum, rv
+from flagcurv.rootsys import rv
 
 PRESETS = [
     ("sphere_so2n", (3,), 5), ("sphere_so2n", (4,), 7),
@@ -348,9 +348,8 @@ def test_quaternion_and_complex_space_files_agree():
 
 
 def test_tvec_canonical_sign_reads_the_exact_leading_coordinate():
-    # (3363 - 2378 sqrt2)^4 is about 5e-16 > 0 while its float is -0.125
-    q = QNum(3363, -2378)
-    tiny = q * q * q * q
+    # 10^-400 > 0 while its float is 0.0
+    tiny = Fraction(1, 10 ** 400)
     spec = AlgebraSpec((("A", 1, Fraction(1)), ("B", 2, Fraction(1))))
     v = tvec_from_parts(spec, {0: [0, 0], 1: [tiny, -1]})
     assert v.canonical_sign() == v

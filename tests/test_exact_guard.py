@@ -1,12 +1,14 @@
 """Tooling guard: the exact layer makes no float decision.
 
 `rootsys`, `torus` and `obstruct` decide every sign, order, grouping and
-membership from exact Q(sqrt2, sqrt3) values.  This test parses the three
-modules and rejects any numpy or scipy import and any call of
-`float(...)`, `.floats()` or `lstsq`.  The float views that the matrix
-layers read, `QNum.__float__` and `RootVector.floats`, are the only
+membership from exact values on the integer torus lattice.  This test
+parses the three modules and rejects any numpy or scipy import and any
+call of `float(...)`, `.floats()` or `lstsq`.  The float views that the
+matrix layers read, `QNum.__float__` and `RootVector.floats`, are the only
 exemptions.  Their import-time relative imports name only each other, so
-the exact verbs never load a matrix module (and numpy with it).
+the exact verbs never load a matrix module (and numpy with it).  The
+classifier itself never touches QNum: `obstruct` does not name it, and the
+root data of every space the survivor lists build holds ints only.
 """
 
 import ast
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import flagcurv
+from flagcurv import obstruct
 
 SRC = Path(flagcurv.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -109,3 +112,40 @@ def test_import_guard_sees_a_matrix_module():
                      "try:\n    from .liealg import realize\nexcept ImportError:\n    pass\n"
                      "def f():\n    from .norms import Quadratic\n")
     assert list(_import_time_relative_imports(tree)) == ["torus", "rootsys", "coset", "liealg"]
+
+
+def _names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            yield node.asname or node.name
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_classifier_does_not_name_qnum():
+    tree = ast.parse((SRC / "obstruct.py").read_text())
+    assert "QNum" not in set(_names(tree))
+
+
+def test_qnum_guard_sees_an_import_and_a_use():
+    tree = ast.parse("from .rootsys import QNum as Q\nx = rootsys.QNum.of(2)\n")
+    assert "QNum" in set(_names(tree))
+
+
+def test_root_data_of_the_survivor_lists_holds_ints(monkeypatch):
+    seen = {}
+    build = obstruct._root_data
+
+    def record(spec):
+        seen[spec] = build(spec)
+        return seen[spec]
+
+    monkeypatch.setattr(obstruct, "_root_data", record)
+    for part in (1, 2, 3):
+        assert obstruct.verify_theorem(part)["match"]
+    assert len(seen) > 20
+    for spec, rd in seen.items():
+        vectors = list(rd.g_roots) + list(rd.canonical.values())
+        assert all(type(x) is int for tv in vectors for x in tv), spec

@@ -17,7 +17,15 @@ from flagcurv.coset import (
     tvec_from_parts,
 )
 from flagcurv.liealg import AlgebraSpec, realize
-from flagcurv.rootsys import QNum, build_root_system, rv, solve_exact, weyl_reflect
+from flagcurv.rootsys import (
+    QNum,
+    RootVector,
+    build_root_system,
+    rv,
+    solve_exact,
+    surd_weights,
+    weyl_reflect,
+)
 from flagcurv.obstruct import (
     PropagationContradiction,
     _e,
@@ -103,7 +111,10 @@ def test_unequal_factor_scales_group_by_the_exact_projection():
     exact = {}
     for r in sp.g_roots:
         exact.setdefault(sp.pr_h(r), []).append(r)
-    assert _projection_groups(sp) == {p: rs for p, rs in exact.items() if len(rs) > 1}
+    # the groups are keyed by P = c pr_h, a fixed positive multiple
+    groups = _projection_groups(sp)
+    assert {sp.unscaled(p): rs for p, rs in groups.items()} == \
+        {p: rs for p, rs in exact.items() if len(rs) > 1}
     assert classify_case(sp) == "II"
 
 
@@ -115,11 +126,11 @@ def _unequal_scale_a1a1():
 
 def _oracle_span_members(sp, g1, shift):
     """Roots r with r - shift in span(g1, w), one exact solve per root."""
-    rows = [list(c) for c in zip(g1.coords, sp.w.coords)]
+    rows = [list(c) for c in zip(g1, sp.w)]
     out = set()
     for r in sp.g_roots:
         tgt = r if shift is None else r - shift
-        if solve_exact(rows, list(tgt.coords)) is not None:
+        if solve_exact(rows, list(tgt)) is not None:
             out.add(r)
     return out
 
@@ -348,9 +359,10 @@ def test_every_excluded_witness_revalidates():
 # -- Weyl-orbit completeness of the tables -------------------------------------
 
 def _simple_roots(rs):
-    weights = [Fraction(10 ** (rs.ambient_dim - i)) for i in range(rs.ambient_dim)]
-    heavy = rv(*weights)
-    positive = [r for r in rs.roots if r.dot(heavy).sign() > 0]
+    # a generic vector of the lattice: each position carries its own surd
+    heavy = RootVector([10 ** (rs.ambient_dim - i) for i in range(rs.ambient_dim)],
+                       surd_weights(rs.family, rs.rank))
+    positive = [r for r in rs.roots if r.dot(heavy) > 0]
     pos = set(positive)
     simple = [r for r in positive
               if not any((r - p in pos) and (r - p != r) for p in positive

@@ -9,8 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagcurv.rootsys import (
-    Q0,
-    Q1,
     QNum,
     RootSystem,
     angle,
@@ -18,12 +16,12 @@ from flagcurv.rootsys import (
     exact_inverse,
     exact_nullspace,
     is_root,
-    lex_sorted,
     root_sum_status,
     rv,
     solve_exact,
     weyl_reflect,
 )
+from flagcurv.torus import AlgebraSpec, tvec_from_parts
 
 CARDINALITIES = [
     ("A", 1, 2), ("A", 3, 12), ("A", 7, 56),
@@ -144,8 +142,7 @@ def test_serialization_roundtrip():
 
 # -- exact linear algebra ------------------------------------------------------
 
-_entries = st.builds(lambda n, d: QNum(Fraction(n, d)),
-                     st.integers(-4, 4), st.integers(1, 3))
+_entries = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 
 
 @st.composite
@@ -157,13 +154,7 @@ def _matrices(draw, square=False):
 
 
 def _apply(rows, x):
-    out = []
-    for row in rows:
-        acc = Q0
-        for a, b in zip(row, x):
-            acc = acc + a * b
-        out.append(acc)
-    return out
+    return [sum(a * b for a, b in zip(row, x)) for row in rows]
 
 
 def _rank(rows):
@@ -180,7 +171,7 @@ def test_exact_inverse_is_a_two_sided_identity(a):
         return
     inv = exact_inverse(a)
     cols = [[inv[i][j] for i in range(n)] for j in range(n)]
-    assert [_apply(a, c) for c in cols] == [[Q1 if i == j else Q0 for i in range(n)]
+    assert [_apply(a, c) for c in cols] == [[int(i == j) for i in range(n)]
                                            for j in range(n)]
 
 
@@ -192,7 +183,7 @@ def test_solve_exact_solves_consistent_and_rejects_inconsistent(a, data):
     sol = solve_exact(a, b)
     assert sol is not None and _apply(a, sol) == b
     # a repeated equation with another right-hand side has no solution
-    assert solve_exact(a + [a[0]], b + [b[0] + Q1]) is None
+    assert solve_exact(a + [a[0]], b + [b[0] + 1]) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -201,7 +192,7 @@ def test_exact_nullspace_is_a_basis_of_the_kernel(a):
     null = exact_nullspace(a)
     assert len(null) == len(a[0]) - _rank(a)
     for v in null:
-        assert all(y.is_zero() for y in _apply(a, v))
+        assert all(y == 0 for y in _apply(a, v))
 
 
 # (3363 - 2378 sqrt2)^4 is about 5e-16 > 0, but its float is -0.125: the
@@ -209,15 +200,26 @@ def test_exact_nullspace_is_a_basis_of_the_kernel(a):
 TINY = QNum(3363, -2378) * QNum(3363, -2378) * QNum(3363, -2378) * QNum(3363, -2378)
 
 
+# On the lattice a coordinate is n/2 * sqrt(k) with n rational, so its sign
+# is the sign of n: 10^-400 is positive although its float is 0.0.
+TINY_Q = Fraction(1, 10 ** 400)
+
+
 def test_tiny_positive_leading_coordinate_keeps_its_exact_sign():
     assert TINY.sign() == 1 and float(TINY) < 0
-    v = rv(TINY, -1)
+    with pytest.raises(ValueError, match="not a rational multiple"):
+        rv(TINY, -1)  # a coordinate mixing 1 and sqrt2 is off the lattice
+    assert float(TINY_Q) == 0.0
+    v = rv(TINY_Q, -1)
     assert v.canonical_sign() == v
     assert (-v).canonical_sign() == v
-    assert rv(0, -TINY).canonical_sign() == rv(0, TINY)
+    assert rv(0, -TINY_Q).canonical_sign() == rv(0, TINY_Q)
 
 
 def test_lex_order_is_exact():
-    lead_tiny, lead_zero, lead_neg = rv(TINY, 0), rv(0, 1), rv(Fraction(-1, 8), 5)
-    assert lex_sorted([lead_tiny, lead_zero, lead_neg]) == [lead_neg, lead_zero, lead_tiny]
-    assert lex_sorted([rv(1, TINY), rv(1, 0)]) == [rv(1, 0), rv(1, TINY)]
+    # torus vectors sort as their lattice tuples
+    spec = AlgebraSpec((("B", 2, Fraction(1)),))
+    tv = lambda *c: tvec_from_parts(spec, {0: c})
+    lead_tiny, lead_zero, lead_neg = tv(TINY_Q, 0), tv(0, 1), tv(Fraction(-1, 8), 5)
+    assert sorted([lead_tiny, lead_zero, lead_neg]) == [lead_neg, lead_zero, lead_tiny]
+    assert sorted([tv(1, TINY_Q), tv(1, 0)]) == [tv(1, 0), tv(1, TINY_Q)]
