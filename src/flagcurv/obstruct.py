@@ -1034,15 +1034,15 @@ def _un_name(n):
 def case2_space(g2_family: str, g2_rank: int, beta: RootVector,
                 name: str = "") -> RootLevelSpace:
     """Case-II candidate: g = A1 + g2 with the diagonal h-root pairing the
-    A1-root with beta; Delta_h holds the g2-roots orthogonal to beta plus
-    the common projection."""
+    A1-root with beta; Delta_h holds the g2-roots orthogonal to beta (those
+    in t cap h, as w = alpha - beta) plus the common projection."""
     spec = AlgebraSpec((("A", 1, Fraction(1)), (g2_family, g2_rank, Fraction(1))))
     alpha = lift_root(spec, 0, _e(2, (0, 1), (1, -1)))
     lb = lift_root(spec, 1, beta)
     sp = make_root_level_space(spec, alpha - lb, name=name, complete_h=False)
     hset = {sp.pr_h(alpha), -sp.pr_h(alpha)}
     for r in sp.g_roots:
-        if sp.factor_of[r] == 1 and not tvec_dot(spec, r, lb):
+        if sp.factor_of[r] == 1 and sp.in_t_h(r):
             hset.add(r)
     if sp.scaled(alpha) != sp.scaled(lb):
         raise AssertionError("case-II datum inconsistent")
@@ -1245,11 +1245,10 @@ def _case1_table_match(space: RootLevelSpace, i: int) -> Optional[Verdict]:
     """Match (g_i, h cap g_i) against the rank-equal pair table for the
     abelian-component case: (A_k, A_{k-1}+R), (C_k, C_{k-1}+R),
     (A_2, R+R) and the so(5) = sp(2) coincidence."""
-    spec = space.spec
-    fam, rank, _ = spec.factors[i]
-    wi = lift_root(spec, i, space.w.factors[i])
+    fam, rank, _ = space.spec.factors[i]
     froots = [r for r in space.g_roots if space.factor_of[r] == i]
-    orth = [r for r in froots if not tvec_dot(spec, r, wi)]
+    # a root of factor i is orthogonal to w exactly when it is to w's block i
+    orth = [r for r in froots if space.in_t_h(r)]
     h2 = [r for r in froots if r in space.h_roots]
     if set(h2) != set(orth):
         return None
@@ -1462,13 +1461,8 @@ def _two_factor_space(label, f1, f2, w1: RootVector, w2: RootVector) -> RootLeve
     spec = AlgebraSpec(((f1[0], f1[1], Fraction(1)), (f2[0], f2[1], Fraction(1))))
     w = lift_root(spec, 0, w1) + lift_root(spec, 1, w2)
     sp = make_root_level_space(spec, w, name=label)
-    hset = set()
-    for r in sp.g_roots:
-        idx = sp.factor_of[r]
-        wf = lift_root(spec, idx, w.factors[idx])
-        if not tvec_dot(spec, r, wf):
-            hset.add(r)
-    return replace(sp, h_roots=frozenset(hset))
+    # each root is orthogonal to w exactly when it is to w's block of its factor
+    return replace(sp, h_roots=frozenset(r for r in sp.g_roots if sp.in_t_h(r)))
 
 
 def _three_factor_space() -> RootLevelSpace:
