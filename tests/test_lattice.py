@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from flagcurv.obstruct import _root_data, make_root_level_space
 from flagcurv.rootsys import Q0, QNum
-from flagcurv.torus import AlgebraSpec, tvec_dot
+from flagcurv.torus import AlgebraSpec, tvec_dot, tvec_from_parts
 
 FAMILIES = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
             + [("C", n) for n in range(3, 9)] + [("D", n) for n in range(4, 9)]
@@ -46,7 +46,7 @@ def _space_and_vectors(draw):
     scale, a1_scale, ab_scale = (draw(st.sampled_from(SCALES)) for _ in range(3))
     spec = AlgebraSpec(((fam, rank, scale), ("A", 1, a1_scale)), 1, (ab_scale,))
     roots = _root_data(spec).g_roots
-    unit = spec.tvec((0,) * (spec.dim - 1) + (2,))  # the abelian coordinate 1
+    unit = tvec_from_parts(spec, abelian=[1])
 
     def vector():
         picks = draw(st.lists(st.tuples(st.sampled_from(roots), st.integers(-3, 3)),
