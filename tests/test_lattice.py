@@ -3,9 +3,11 @@
 Torus vectors are drawn as random integer combinations of lifted roots, for
 every family up to rank 8 (E6, E7 and G2 with their surd positions), next
 to an A1 factor and an abelian coordinate with non-unit scales.  The oracle
-repeats each combination in Q(sqrt2, sqrt3) on the roots' QNum coordinates
-and computes the inner product, the projection along w, the canonical sign
-and the lexicographic order there; the lattice results must agree.
+reads the roots' coordinates with its own table of position surds,
+repeats each combination in Q(sqrt2, sqrt3), and computes the inner
+product, the projection along w, the canonical sign and the lexicographic
+order there; the lattice results, and the engine's QNum view of them,
+must agree.
 """
 
 from fractions import Fraction
@@ -23,13 +25,23 @@ FAMILIES = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
 SCALES = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 2)]
 
 
-def _ambient(tv):
-    """The QNum coordinates of a TVec: factor blocks, then abelian values."""
-    return [x for f in tv.factors for x in f.coords] + [QNum.of(x) for x in tv.abelian]
+# The surd of each ambient position, kept apart from the engine's own table:
+# sqrt3 at G2's first and E6's last position, sqrt2 at E7's last, 1 elsewhere.
+SURDS = {("G2", 0): 3, ("E6", 5): 3, ("E7", 6): 2}
+
+
+def _ambient(spec, tv):
+    """The QNum coordinates of a TVec: a stored n is n/2 times the surd."""
+    surds = [SURDS.get((fam, i), 1) for fam, rank, _ in spec.factors
+             for i in range(rank + 1 if fam == "A" else rank)]
+    surds += [1] * spec.abelian_dim
+    assert len(surds) == len(tv)
+    return [QNum(*(Fraction(n, 2) if k == j else 0 for j in (1, 2, 3)))
+            for n, k in zip(tv, surds)]
 
 
 def _scales(spec):
-    return [s for (_, _, s), f in zip(spec.factors, spec.blocks) for _ in f[2]] \
+    return [s for fam, rank, s in spec.factors for _ in range(rank + 1 if fam == "A" else rank)] \
         + list(spec.abelian_scales)
 
 
@@ -52,10 +64,10 @@ def _space_and_vectors(draw):
         picks = draw(st.lists(st.tuples(st.sampled_from(roots), st.integers(-3, 3)),
                               min_size=1, max_size=4))
         ab = draw(st.integers(-2, 2))
-        tv, q = unit.scale(ab), [x * ab for x in _ambient(unit)]
+        tv, q = unit.scale(ab), [x * ab for x in _ambient(spec, unit)]
         for r, c in picks:
             tv = tv + r.scale(c)
-            q = [x + y * c for x, y in zip(q, _ambient(r))]
+            q = [x + y * c for x, y in zip(q, _ambient(spec, r))]
         return tv, q
 
     return spec, [vector() for _ in range(3)]
@@ -73,12 +85,13 @@ def _lex_less(p, q):
 def test_lattice_matches_qnum_arithmetic(drawn):
     spec, ((u, uq), (v, vq), (w, wq)) = drawn
     for tv, q in ((u, uq), (v, vq), (w, wq)):
-        assert _ambient(tv) == q
+        assert _ambient(spec, tv) == q
+        assert [x for f in tv.factors for x in f.coords] + list(map(QNum.of, tv.abelian)) == q
         assert all(type(x) is int for x in tv)
     assert QNum.of(tvec_dot(spec, u, v)) == _dot(spec, uq, vq)
     # canonical sign: the first nonzero QNum coordinate decides
     lead = next((x.sign() for x in uq if not x.is_zero()), 0)
-    assert _ambient(u.canonical_sign()) == ([-x for x in uq] if lead < 0 else uq)
+    assert _ambient(spec, u.canonical_sign()) == ([-x for x in uq] if lead < 0 else uq)
     # tuple order is the lexicographic order of the ambient QNum coordinates
     assert (u < v) == _lex_less(uq, vq)
     assert (v < u) == _lex_less(vq, uq)
@@ -87,5 +100,5 @@ def test_lattice_matches_qnum_arithmetic(drawn):
         return
     space = make_root_level_space(spec, w)
     coef = _dot(spec, wq, uq) / ww
-    assert _ambient(space.pr_h(u)) == [x - coef * y for x, y in zip(uq, wq)]
+    assert _ambient(spec, space.pr_h(u)) == [x - coef * y for x, y in zip(uq, wq)]
     assert space.in_t_h(u) == _dot(spec, wq, uq).is_zero()
