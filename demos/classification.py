@@ -13,7 +13,8 @@ def main():
     for sc, verdict in enumerate_case3("B", 4):
         tag = verdict.name if verdict.outcome == "survivor" else \
             (verdict.witness.kind if verdict.witness else verdict.detail)
-        print(f"  {sc.label:16s} alpha={sc.alpha!r:18} beta={sc.beta!r:14} "
+        row = sc.describe()
+        print(f"  {sc.label:16s} alpha={row['alpha']:18} beta={row['beta']:14} "
               f"-> {verdict.outcome:9s} {tag}")
 
     for part, title in [(1, "same-factor projection pairs"),

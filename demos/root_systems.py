@@ -10,10 +10,16 @@ from flagcurv.rootsys import (
     QNum,
     angle,
     build_root_system,
+    lattice_block,
     root_sum_status,
-    rv,
     weyl_reflect,
 )
+from flagcurv.torus import root
+
+
+def show(v):
+    """A root as its block of exact coordinates, e.g. (1*r3, 0)."""
+    return lattice_block(v, v.spec.weights)
 
 
 def main():
@@ -26,23 +32,24 @@ def main():
         print(f"  {label:4s}  {len(rs):4d} roots in R^{rs.ambient_dim}")
 
     print("\nExact angle arithmetic in G2:")
-    long_root = rv(QNum(0, 0, 1), 0)               # (sqrt3, 0)
-    short_root = rv(QNum(0, 0, Fraction(1, 2)), Fraction(1, 2))
-    print(f"  long root      {long_root}")
-    print(f"  short root     {short_root}")
+    long_root = root("G2", 2, QNum(0, 0, 1), 0)    # (sqrt3, 0)
+    short_root = root("G2", 2, QNum(0, 0, Fraction(1, 2)), Fraction(1, 2))
+    print(f"  long root      {show(long_root)}")
+    print(f"  short root     {show(short_root)}")
     print(f"  angle          {angle(long_root, short_root)}")
 
     print("\nWeyl reflections permute the roots (sample in B3):")
     b3 = build_root_system("B", 3)
-    alpha = rv(1, 0, 0)
-    for v in [rv(1, 1, 0), rv(0, 1, 0), rv(1, -1, 0)]:
-        print(f"  s_e1({v}) = {weyl_reflect(b3, alpha, v)}")
+    alpha = root("B", 3, 1, 0, 0)
+    for v in [root("B", 3, 1, 1, 0), root("B", 3, 0, 1, 0), root("B", 3, 1, -1, 0)]:
+        print(f"  s_e1({show(v)}) = {show(weyl_reflect(b3, alpha, v))}")
 
     print("\nRoot-sum membership drives the bracket relations:")
     c3 = build_root_system("C", 3)
-    print("  C3, e1+e2 vs e1-e2:", root_sum_status(c3, rv(1, 1, 0), rv(1, -1, 0)))
+    print("  C3, e1+e2 vs e1-e2:",
+          root_sum_status(c3, root("C", 3, 1, 1, 0), root("C", 3, 1, -1, 0)))
     print("  B3, e1+e2 vs e1-e2:",
-          root_sum_status(build_root_system("B", 3), rv(1, 1, 0), rv(1, -1, 0)))
+          root_sum_status(build_root_system("B", 3), root("B", 3, 1, 1, 0), root("B", 3, 1, -1, 0)))
 
 
 if __name__ == "__main__":

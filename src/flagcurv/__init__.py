@@ -8,8 +8,7 @@ and the exact verbs stay numpy-free and no package binding goes stale.
 
 import importlib
 
-from .rootsys import QNum, RootSystem, RootVector, build_root_system
-from .torus import AlgebraSpec
+from .rootsys import AlgebraSpec, QNum, RootSystem, build_root_system
 from .obstruct import classify_space, root_level_from_coset, verify_theorem
 
 __version__ = "0.1.0"
@@ -23,7 +22,7 @@ _NUMERIC = {  # module -> its public names
 }
 _HOME = {name: module for module, names in _NUMERIC.items() for name in names}
 
-__all__ = sorted(["AlgebraSpec", "QNum", "RootSystem", "RootVector", "build_root_system",
+__all__ = sorted(["AlgebraSpec", "QNum", "RootSystem", "build_root_system",
                   "classify_space", "root_level_from_coset", "verify_theorem", *_HOME])
 
 

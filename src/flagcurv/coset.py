@@ -23,15 +23,17 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .rootsys import (
-    RootVector,
+    QNum,
     exact_nullspace,
-    rv,
+    lattice_block,
     solve_exact,
+    unit_spec,
 )
 from .torus import (
     AlgebraSpec,
     TVec,
     lift_root,
+    root,
     tvec_dot,
     tvec_from_json,
     tvec_from_parts,
@@ -62,10 +64,8 @@ def cartan_coordinate_basis(spec: AlgebraSpec) -> list:
     out = []
     for idx, (fam, rank, _) in enumerate(spec.factors):
         for i in range(rank):
-            coords = _coords_unit(rank + 1 if fam == "A" else rank, i)
-            if fam == "A":
-                coords[i + 1] = -1
-            out.append(tvec_from_parts(spec, {idx: coords}))
+            e = _unit(fam, rank, i) - _unit(fam, rank, i + 1) if fam == "A" else _unit(fam, rank, i)
+            out.append(lift_root(spec, idx, e))
     return out + [tvec_from_parts(spec, abelian=[0] * k + [1]) for k in range(spec.abelian_dim)]
 
 
@@ -113,7 +113,7 @@ class SubalgebraSpec:
     and optional explicit extra generators (diagonal embeddings)."""
 
     cartan_h: tuple = ()
-    h_roots: tuple = ()  # of (factor_index, RootVector)
+    h_roots: tuple = ()  # of (factor_index, root of the factor's unit spec)
     extra_generators: tuple = ()  # of AlgebraElement
 
 
@@ -237,7 +237,7 @@ class CosetSpace:
                 out[lift_root(spec, f.index, root).canonical_sign()] = kind
         return out
 
-    def plane_m_part(self, factor: int, root: RootVector) -> list:
+    def plane_m_part(self, factor: int, root: TVec) -> list:
         """Orthonormal m-coordinates spanned by the m-part of a root plane."""
         f = self.algebra.factors[factor]
         p = f.plane(root)
@@ -377,12 +377,11 @@ def diagonal_a1_frame(algebra: RealizedAlgebra):
         if (f.family, f.rank) not in (("A", 1), ("C", 1)):
             raise ValueError("both factors must be of type A1")
         if f.family == "A":
-            t_dir = algebra.single_block(f.index, f.cartan_block(rv(1, -1)))
-            root = rv(1, -1)
+            t_dir = algebra.single_block(f.index, f.cartan_block(root("A", 1, 1, -1)))
+            plane = f.plane(root("A", 1, 1, -1))
         else:
             t_dir = algebra.single_block(f.index, f.cartan[0])
-            root = rv(2)
-        plane = f.plane(root)
+            plane = f.plane(root("C", 1, 2))
         x = (1.0 / t_dir.norm()) * t_dir
         y = plane.x
         z = algebra.bracket(x, y)
@@ -527,13 +526,8 @@ def preset_sphere_so2n(n: int) -> CosetSpace:
     spec = AlgebraSpec((("D", n, Fraction(1)),))
     alg = realize(spec)
     gens = _so_generators(alg, 0, list(range(1, 2 * n)))
-    cart = [lift_root(spec, 0, _unit(n, i)) for i in range(1, n)]
-    h_roots = []
-    for i in range(1, n):
-        h_roots.append(lift_root(spec, 0, _unit(n, i)))
-        for j in range(i + 1, n):
-            h_roots.append(lift_root(spec, 0, _unit(n, i) + _unit(n, j)))
-            h_roots.append(lift_root(spec, 0, _unit(n, i) - _unit(n, j)))
+    cart = [lift_root(spec, 0, _unit("D", n, i)) for i in range(1, n)]
+    h_roots = [lift_root(spec, 0, r) for r in _subblock_roots("D", n, 1)]
     sub = SubalgebraSpec(cartan_h=tuple(cart), extra_generators=tuple(gens))
     return build_coset(
         alg, sub, name=f"S^{2*n-1} = SO({2*n})/SO({2*n-1})",
@@ -553,7 +547,8 @@ def preset_sphere_un(n: int) -> CosetSpace:
         coords = [Fraction(-1, n)] * n
         coords[j] = Fraction(n - 1, n)
         cart.append(tvec_from_parts(spec, {0: coords}, abelian=[Fraction(1, n)]))
-    block = [_unit(n, i) - _unit(n, j) for i in range(1, n) for j in range(i + 1, n)]
+    block = [_unit("A", n - 1, i) - _unit("A", n - 1, j)
+             for i in range(1, n) for j in range(i + 1, n)]
     sub = SubalgebraSpec(cartan_h=tuple(cart), h_roots=tuple((0, r) for r in block))
     return build_coset(
         alg, sub, name=f"S^{2*n-1} = U({n})/U({n-1})",
@@ -562,13 +557,15 @@ def preset_sphere_un(n: int) -> CosetSpace:
     )
 
 
-def _sp_subblock_roots(n: int, lo: int) -> list:
+def _subblock_roots(family: str, n: int, lo: int) -> list:
+    """The vectors e_i (2 e_i for C) and e_i +- e_j, lo <= i < j < n, of the
+    root lattice of (family, n), in that order for each i."""
     out = []
     for i in range(lo, n):
-        out.append(_unit(n, i).scale(2))
+        e = _unit(family, n, i)
+        out.append(e.scale(2) if family == "C" else e)
         for j in range(i + 1, n):
-            out.append(_unit(n, i) + _unit(n, j))
-            out.append(_unit(n, i) - _unit(n, j))
+            out += [e + _unit(family, n, j), e - _unit(family, n, j)]
     return out
 
 
@@ -578,9 +575,9 @@ def preset_sphere_spn_u1(n: int) -> CosetSpace:
         raise ValueError("sphere_spn_u1 needs n >= 2")
     spec = AlgebraSpec((("C", n, Fraction(1)),), abelian_dim=1)
     alg = realize(spec)
-    cart = [tvec_from_parts(spec, {0: _coords_unit(n, 0)}, abelian=[1])]
-    cart += [lift_root(spec, 0, _unit(n, i)) for i in range(1, n)]
-    block = _sp_subblock_roots(n, 1)
+    cart = [lift_root(spec, 0, _unit("C", n, 0)) + tvec_from_parts(spec, abelian=[1])]
+    cart += [lift_root(spec, 0, _unit("C", n, i)) for i in range(1, n)]
+    block = _subblock_roots("C", n, 1)
     sub = SubalgebraSpec(cartan_h=tuple(cart), h_roots=tuple((0, r) for r in block))
     return build_coset(
         alg, sub, name=f"S^{4*n-1} = Sp({n})U(1)/Sp({n-1})U(1)",
@@ -601,9 +598,9 @@ def preset_sphere_spn_sp1(n: int) -> CosetSpace:
             quat_unit(n, part, [(0, 0, 1)]),
             quat_unit(1, part, [(0, 0, 1)]),
         ]))
-    cart = [tvec_from_parts(spec, {0: _coords_unit(n, 0), 1: [1]})]
-    cart += [lift_root(spec, 0, _unit(n, i)) for i in range(1, n)]
-    block = _sp_subblock_roots(n, 1)
+    cart = [tvec_from_parts(spec, {0: [1] + [0] * (n - 1), 1: [1]})]
+    cart += [lift_root(spec, 0, _unit("C", n, i)) for i in range(1, n)]
+    block = _subblock_roots("C", n, 1)
     sub = SubalgebraSpec(cartan_h=tuple(cart), h_roots=tuple((0, r) for r in block),
                          extra_generators=tuple(gens))
     hvecs = [cart[0]] + [lift_root(spec, 0, r) for r in block]
@@ -687,20 +684,15 @@ def preset_bn_excluded_subcase1(n: int) -> CosetSpace:
         raise ValueError("bn_excluded_subcase1 needs n >= 2")
     spec = AlgebraSpec((("B", n, Fraction(1)),))
     alg = realize(spec)
-    cart = [lift_root(spec, 0, _unit(n, i)) for i in range(1, n)]
-    block = []
-    for i in range(1, n):
-        block.append(_unit(n, i))
-        for j in range(i + 1, n):
-            block.append(_unit(n, i) + _unit(n, j))
-            block.append(_unit(n, i) - _unit(n, j))
+    cart = [lift_root(spec, 0, _unit("B", n, i)) for i in range(1, n)]
+    block = _subblock_roots("B", n, 1)
     sub = SubalgebraSpec(cartan_h=tuple(cart), h_roots=tuple((0, r) for r in block))
     return build_coset(
         alg, sub, name=f"SO({2*n+1})/SO({2*n-1}) zero-curvature witness",
         h_root_vectors=_negclose(lift_root(spec, 0, r) for r in block),
         case_label="III",
-        witness_planes={"u": (0, _unit(n, 0) + _unit(n, 1)),
-                        "v": (0, _unit(n, 1) - _unit(n, 0))},
+        witness_planes={"u": (0, _unit("B", n, 0) + _unit("B", n, 1)),
+                        "v": (0, _unit("B", n, 1) - _unit("B", n, 0))},
     )
 
 
@@ -716,7 +708,7 @@ def preset_a1a1_diagonal(c) -> CosetSpace:
     return build_coset(
         alg, sub, name=f"SU(2)xSU(2)/U(1) (c={c})",
         h_root_vectors=(), case_label="I",
-        witness_planes={"u": (0, rv(1, -1)), "v": (1, rv(1, -1))},
+        witness_planes={"u": (0, root("A", 1, 1, -1)), "v": (1, root("A", 1, 1, -1))},
     )
 
 
@@ -726,27 +718,23 @@ def preset_cn_excluded_subcase1(n: int) -> CosetSpace:
         raise ValueError("cn_excluded_subcase1 needs n >= 3")
     spec = AlgebraSpec((("C", n, Fraction(1)),))
     alg = realize(spec)
-    block = [_unit(n, 0) + _unit(n, 1)] + _sp_subblock_roots(n, 2)
-    cart = [lift_root(spec, 0, _unit(n, 0) + _unit(n, 1))]
-    cart += [lift_root(spec, 0, _unit(n, i)) for i in range(2, n)]
+    block = [_unit("C", n, 0) + _unit("C", n, 1)] + _subblock_roots("C", n, 2)
+    cart = [lift_root(spec, 0, _unit("C", n, 0) + _unit("C", n, 1))]
+    cart += [lift_root(spec, 0, _unit("C", n, i)) for i in range(2, n)]
     sub = SubalgebraSpec(cartan_h=tuple(cart), h_roots=tuple((0, r) for r in block))
     return build_coset(
         alg, sub, name=f"Sp({n})/Sp(1)Sp({n-2})-type zero-curvature witness",
         h_root_vectors=_negclose(lift_root(spec, 0, r) for r in block),
         case_label="III",
-        witness_planes={"u": (0, _unit(n, 0).scale(2)),
-                        "v": (0, _unit(n, 1).scale(2))},
+        witness_planes={"u": (0, _unit("C", n, 0).scale(2)),
+                        "v": (0, _unit("C", n, 1).scale(2))},
     )
 
 
-def _unit(n: int, i: int) -> RootVector:
-    return rv(*_coords_unit(n, i))
-
-
-def _coords_unit(n: int, i: int) -> list:
-    coords = [0] * n
-    coords[i] = 1
-    return coords
+def _unit(family: str, rank: int, i: int) -> TVec:
+    """e_i in the root lattice of (family, rank)."""
+    spec = unit_spec(((family, rank),))
+    return spec.tvec(2 if j == i else 0 for j in range(spec.dim))
 
 
 # Cap on the rank n of the ranked presets: it bounds the algebra a preset
@@ -792,11 +780,14 @@ def space_from_json(obj: dict, name: str = "from file") -> CosetSpace:
         cartan_h = tuple(tvec_from_json(spec, tv) for tv in obj.get("cartan_h", []))
         h_roots = []
         for entry in obj.get("h_roots", []):
-            factor, root = int(entry["factor"]), RootVector.from_json(entry["root"])
-            if not (0 <= factor < len(alg.factors)
-                    and root.canonical_sign() in alg.factors[factor].planes):
-                raise ValueError(f"h_roots: {root} is not a root of factor {factor}")
-            h_roots.append((factor, root))
+            factor = int(entry["factor"])
+            if not 0 <= factor < len(spec.factors):
+                raise ValueError(f"h_roots: no factor {factor}")
+            r = root(*spec.factors[factor][:2], *map(QNum.from_json, entry["root"]))
+            if r.canonical_sign() not in alg.factors[factor].planes:
+                raise ValueError(f"h_roots: {lattice_block(r, r.spec.weights)} "
+                                 f"is not a root of factor {factor}")
+            h_roots.append((factor, r))
         extra = [_generator_from_json(alg, gen) for gen in obj.get("extra_generators", [])]
         more = obj.get("h_root_vectors")
         if more is not None:

@@ -17,15 +17,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import sqrt
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .rootsys import RootVector, build_root_system
-from .torus import AlgebraSpec
+from .rootsys import AlgebraSpec, TVec, build_root_system, tvec_dot
 
 # entries per batched bracket temporary (about 1 MB of float64)
 PAIR_CHUNK = 1 << 17
+
+
+def _floats(v: TVec) -> tuple:
+    """The float coordinates n/2 * sqrt(k) of a lattice vector."""
+    return tuple(float(x) / 2 * sqrt(k) for x, k in zip(v, v.spec.weights))
 
 
 class AlgebraElement:
@@ -91,7 +96,7 @@ class RootPlanePair:
     """
 
     factor: int
-    root: RootVector
+    root: TVec  # a root of the factor's unit spec
     x: AlgebraElement
     y: AlgebraElement
 
@@ -179,7 +184,7 @@ class RealizedAlgebra:
             out += f.weight * f.re_trace_product(a, b)
         return out
 
-    def cartan_embed(self, vectors: Sequence[Optional[RootVector]], abelian=None) -> AlgebraElement:
+    def cartan_embed(self, vectors: Sequence[Optional[TVec]], abelian=None) -> AlgebraElement:
         """Element of t whose inner products against Cartan generators
         reproduce the given exact per-factor coordinates."""
         blocks = []
@@ -329,16 +334,13 @@ class _FactorRealization:
             return _eij(n, a, b, float) - _eij(n, b, a, float)
         return quat_unit(self.rank, "x", [(i, i, 1)])  # sp: i*E_ii
 
-    def cartan_block(self, v: Optional[RootVector]):
+    def cartan_block(self, v: Optional[TVec]):
         if v is None:
             return self.zero_block()
-        if self.family == "A":
-            if v.ambient_dim != self.rank + 1:
-                raise ValueError("dimension mismatch for A-factor Cartan vector")
-        elif v.ambient_dim != self.rank:
+        if len(v) != len(self.cartan):
             raise ValueError("dimension mismatch for Cartan vector")
         out = self.zero_block()
-        for coef, h in zip(v.floats(), self.cartan):
+        for coef, h in zip(_floats(v), self.cartan):
             out = out + coef * h
         if self.family == "A":
             tr = np.trace(out) / self.size
@@ -381,12 +383,12 @@ class _FactorRealization:
         return out
 
     # -- root planes --------------------------------------------------------
-    def _plane_span(self, root: RootVector) -> tuple:
+    def _plane_span(self, root: TVec) -> tuple:
         """Raw spanning matrices of the root plane, straight from the
         standard presentations."""
         f = self.family
         n = self.size
-        cf = root.floats()
+        cf = _floats(root)
         if f == "A":
             idx = [k for k, c in enumerate(cf) if abs(c) > 0.5]
             i, j = idx
@@ -448,7 +450,7 @@ class _FactorRealization:
         return (quat_unit(r, "y", [(i, j, 1), (j, i, 1)]),
                 quat_unit(r, "z", [(i, j, 1), (j, i, 1)]))
 
-    def _build_plane(self, root: RootVector) -> RootPlanePair:
+    def _build_plane(self, root: TVec) -> RootPlanePair:
         alg = self.algebra
         xr, yr = self._plane_span(root)
         x = alg.single_block(self.index, xr)
@@ -461,7 +463,7 @@ class _FactorRealization:
         h = alg.cartan_embed(
             [root if k == self.index else None for k in range(len(alg.factors))]
         )
-        speed = float(root.dot(root)) * float(self.scale)
+        speed = float(tvec_dot(root.spec, root, root)) * float(self.scale)
         bx = alg.bracket(h, x)
         if alg.inner(bx, y) < 0:
             y = -1.0 * y
@@ -470,7 +472,7 @@ class _FactorRealization:
             raise AssertionError(f"root plane misaligned for {self.family}{self.rank} root {root}")
         return RootPlanePair(self.index, root, x, y)
 
-    def plane(self, root: RootVector) -> RootPlanePair:
+    def plane(self, root: TVec) -> RootPlanePair:
         return self.planes[root.canonical_sign()]
 
 

@@ -36,12 +36,12 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from .rootsys import (
-    RootVector,
     _num,
     angle as root_angle,
     build_root_system,
+    lattice_block,
     solve_exact,
-    surd_weights,
+    unit_spec,
 )
 from .torus import (
     AlgebraSpec,
@@ -114,7 +114,6 @@ class RootLevelSpace:
     h_roots: frozenset
     assignment: dict
     name: str = ""
-    complete_h: bool = True  # False when h_roots is only a verified lower bound
     # tables that depend on spec and w only, shared by copies
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -196,8 +195,7 @@ class RootLevelSpace:
 
 def make_root_level_space(spec: AlgebraSpec, w: TVec,
                           h_roots: Iterable[TVec] = (), name: str = "",
-                          assignment: Optional[dict] = None,
-                          complete_h: bool = True) -> RootLevelSpace:
+                          assignment: Optional[dict] = None) -> RootLevelSpace:
     """Root-level space of spec with t cap m spanned by w."""
     rd = _root_data(spec)
     hset = set()
@@ -207,8 +205,7 @@ def make_root_level_space(spec: AlgebraSpec, w: TVec,
     asg = dict.fromkeys(rd.keys)
     for k, v in (assignment or {}).items():
         asg[k.canonical_sign()] = v
-    return RootLevelSpace(spec, rd, w, frozenset(hset), asg,
-                          name=name, complete_h=complete_h)
+    return RootLevelSpace(spec, rd, w, frozenset(hset), asg, name=name)
 
 
 def root_level_from_coset(space: CosetSpace) -> RootLevelSpace:
@@ -333,9 +330,8 @@ def angle_lemma_check(space: RootLevelSpace, alpha: TVec, beta: TVec) -> bool:
     pa = space.scaled(alpha)
     if pa != space.scaled(beta) or pa not in space.scaled_h():
         raise ValueError("hypothesis violated: projections differ or are not h-roots")
-    fa, fb = space.factor_of[alpha], space.factor_of[beta]
-    ang = root_angle(alpha.factors[fa], beta.factors[fb]) if fa == fb else None
-    return ang in ("pi/3", "2pi/3")
+    return (space.factor_of[alpha] == space.factor_of[beta]
+            and root_angle(alpha, beta) in ("pi/3", "2pi/3"))
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +492,7 @@ def propagate_assignment(space: RootLevelSpace, rule_order: Optional[list] = Non
 
 
 def _fmt(tv: TVec) -> str:
-    parts = [repr(f) for f in tv.factors if not f.is_zero()]
+    parts = [lattice_block(tv[a:b], k) for a, b, k in tv.spec.blocks if any(tv[a:b])]
     ab = [str(x) for x in tv.abelian if x]
     if ab:
         parts.append("ab(" + ",".join(ab) + ")")
@@ -636,8 +632,8 @@ class Subcase:
     family: str
     rank: int
     label: str
-    alpha: RootVector
-    beta: RootVector
+    alpha: TVec  # a root of the unit spec of (family, rank), as is beta
+    beta: TVec
     kind: str           # survivor | covered | key_lemma_2 | propagation |
                         # angle | angle_reduced | reduction | g2_rotation
     payload: dict = field(default_factory=dict)
@@ -647,32 +643,35 @@ class Subcase:
             "family": self.family,
             "rank": self.rank,
             "subcase": self.label,
-            "alpha": repr(self.alpha),
-            "beta": repr(self.beta),
+            "alpha": _fmt(self.alpha),
+            "beta": _fmt(self.beta),
             "kind": self.kind,
         }
 
 
-def case3_space(family: str, rank: int, alpha: RootVector, beta: RootVector,
+def case3_space(family: str, rank: int, alpha: TVec, beta: TVec,
                 name: str = "") -> RootLevelSpace:
-    """Root-level space of a case-III subcase datum: t cap m is spanned by
-    alpha - beta, and Delta_h is seeded with the common projection (a
-    verified lower bound for any isotropy algebra realizing the datum)."""
-    spec = AlgebraSpec(((family, rank, Fraction(1)),))
-    la, lb = lift_root(spec, 0, alpha), lift_root(spec, 0, beta)
-    sp = make_root_level_space(spec, la - lb, name=name, complete_h=False)
-    if sp.scaled(la) != sp.scaled(lb):
+    """Root-level space of a case-III subcase datum, two roots of the unit
+    spec of (family, rank): t cap m is spanned by alpha - beta, and Delta_h
+    is seeded with the common projection (a verified lower bound for any
+    isotropy algebra realizing the datum)."""
+    sp = make_root_level_space(unit_spec(((family, rank),)), alpha - beta, name=name)
+    if sp.scaled(alpha) != sp.scaled(beta):
         raise AssertionError("subcase datum is inconsistent")
-    ap = sp.pr_h(la)
+    ap = sp.pr_h(alpha)
     return replace(sp, h_roots=frozenset({ap, -ap}))
 
 
-def _e(n, *idx_coef) -> RootVector:
-    """The vector of R^n with the given rational coordinates at the indices."""
-    co = [0] * n
+def _e(family: str, rank: int, *idx_coef) -> TVec:
+    """The vector of the root lattice of (family, rank) with the given
+    rational coordinates at the indices, each a position of weight 1."""
+    spec = unit_spec(((family, rank),))
+    co = [0] * spec.dim
     for i, c in idx_coef:
+        if spec.weights[i] != 1:
+            raise ValueError(f"position {i} of {family}{rank} carries a surd")
         co[i] = 2 * c
-    return RootVector(co)
+    return spec.tvec(co)
 
 
 def _sphere_name(n):
@@ -682,14 +681,14 @@ def _sphere_name(n):
 def _subcases_A(n):
     out = []
     if n >= 2:
-        out.append(Subcase("A", n, "A:angle-pi/3", _e(n + 1, (0, 1), (1, -1)),
-                           _e(n + 1, (0, 1), (2, -1)), "angle"))
-        out.append(Subcase("A", n, "A:angle-2pi/3", _e(n + 1, (0, 1), (1, -1)),
-                           _e(n + 1, (1, 1), (2, -1)), "angle"))
+        out.append(Subcase("A", n, "A:angle-pi/3", _e("A", n, (0, 1), (1, -1)),
+                           _e("A", n, (0, 1), (2, -1)), "angle"))
+        out.append(Subcase("A", n, "A:angle-2pi/3", _e("A", n, (0, 1), (1, -1)),
+                           _e("A", n, (1, 1), (2, -1)), "angle"))
     if n < 3:
         return out
-    alpha = _e(n + 1, (0, 1), (3, -1))   # e1 - e4
-    beta = _e(n + 1, (2, 1), (1, -1))    # e3 - e2
+    alpha = _e("A", n, (0, 1), (3, -1))   # e1 - e4
+    beta = _e("A", n, (2, 1), (1, -1))    # e3 - e2
     if n == 3:
         out.append(Subcase("A", 3, "A:1", alpha, beta, "survivor",
                            {"name": _sphere_name(3)}))
@@ -698,19 +697,18 @@ def _subcases_A(n):
                            {"name": "SU(5)/Sp(2)U(1) (Berger)"}))
     else:
         out.append(Subcase("A", n, "A:3", alpha, beta, "key_lemma_2",
-                           {"gamma1": _e(n + 1, (0, 1), (4, -1)),
-                            "gamma2": _e(n + 1, (1, 1), (5, -1))}))
+                           {"gamma1": _e("A", n, (0, 1), (4, -1)),
+                            "gamma2": _e("A", n, (1, 1), (5, -1))}))
     return out
 
 
 def _subcases_B(n):
     out = []
-    e = lambda *ic: _e(n, *ic)
-    bspec = AlgebraSpec((("B", n, Fraction(1)),))
+    e = lambda *ic: _e("B", n, *ic)
     out.append(Subcase("B", n, "B:1", e((0, 1), (1, 1)), e((1, 1)), "reduction",
                        {"preset": f"bn_excluded_subcase1({n})",
                         "normalized_m": "R e1 + g(e1) + sum_i g(e_i +- e1)",
-                        "t_prime": [lift_root(bspec, 0, e((i, 1))) for i in range(2, n)],
+                        "t_prime": [e((i, 1)) for i in range(2, n)],
                         "subsystem_size": 8}))
     out.append(Subcase("B", n, "B:2", e((0, 1), (1, 1)), e((1, 1), (0, -1)),
                        "covered", {"by": "B:1"}))
@@ -745,10 +743,7 @@ def _subcases_B(n):
 
 
 def _b9_payload(n):
-    spec = AlgebraSpec((("B", n, Fraction(1)),))
-    g1 = lift_root(spec, 0, _e(n, (0, 1), (2, 1)))
-    g2 = lift_root(spec, 0, _e(n, (0, 1), (2, -1)))
-    e2 = lift_root(spec, 0, _e(n, (1, 1)))
+    g1, g2, e2 = _e("B", n, (0, 1), (2, 1)), _e("B", n, (0, 1), (2, -1)), _e("B", n, (1, 1))
     return {
         "note": "conditions (1)-(2) hold but the affine scan meets e2; "
                 "the exclusion follows from the hat-plane orthogonality "
@@ -765,11 +760,10 @@ def _b9_payload(n):
 
 def _subcases_C(n):
     out = []
-    e = lambda *ic: _e(n, *ic)
+    e = lambda *ic: _e("C", n, *ic)
     out.append(Subcase("C", n, "C:1", e((0, 2)), e((0, 1), (1, 1)), "reduction",
                        {"preset": f"cn_excluded_subcase1({n})",
-                        "t_prime": [lift_root(AlgebraSpec((("C", n, Fraction(1)),)), 0, e((i, 1)))
-                                    for i in range(2, n)],
+                        "t_prime": [e((i, 1)) for i in range(2, n)],
                         "subsystem_size": 8}))
     out.append(Subcase("C", n, "C:2", e((0, 2)), e((1, 2)), "covered", {"by": "C:1"}))
     out.append(Subcase("C", n, "C:3", e((0, 2)), e((1, -1), (2, -1)),
@@ -788,7 +782,7 @@ def _subcases_C(n):
 
 def _subcases_D(n):
     out = []
-    e = lambda *ic: _e(n, *ic)
+    e = lambda *ic: _e("D", n, *ic)
     out.append(Subcase("D", n, "D:1", e((0, 1), (1, 1)), e((1, 1), (0, -1)),
                        "survivor", {"name": _sphere_name(n)}))
     if n == 4:
@@ -806,15 +800,15 @@ def _subcases_D(n):
     return out
 
 
-def _half_root(family, *signs) -> RootVector:
+def _half_root(family, *signs) -> TVec:
     """The root with coordinates +-1/2 (times the surd of each position)."""
-    return RootVector(signs, surd_weights(family, len(signs)))
+    return unit_spec(((family, len(signs)),)).tvec(signs)
 
 
 def _subcases_E6():
     g1 = _half_root("E6", -1, 1, 1, 1, 1, 1)
     g2 = _half_root("E6", -1, -1, -1, -1, -1, 1)
-    e = lambda *ic: _e(6, *ic)
+    e = lambda *ic: _e("E6", 6, *ic)
     return [
         Subcase("E6", 6, "E6:1", e((0, 1), (1, 1)), e((1, 1), (0, -1)),
                 "key_lemma_2", {"gamma1": g1, "gamma2": g2}),
@@ -828,7 +822,7 @@ def _subcases_E6():
 def _subcases_E7():
     g1 = _half_root("E7", -1, 1, 1, 1, 1, 1, 1)
     g2 = _half_root("E7", 1, -1, -1, -1, 1, 1, 1)
-    e = lambda *ic: _e(7, *ic)
+    e = lambda *ic: _e("E7", 7, *ic)
     return [
         Subcase("E7", 7, "E7:1", e((0, 1), (1, 1)), e((1, 1), (0, -1)),
                 "key_lemma_2", {"gamma1": g1, "gamma2": g2}),
@@ -840,7 +834,7 @@ def _subcases_E7():
 def _subcases_E8():
     g1 = _half_root("E8", *[1] * 8)
     g2 = _half_root("E8", *[-1] * 4 + [1] * 4)
-    e = lambda *ic: _e(8, *ic)
+    e = lambda *ic: _e("E8", 8, *ic)
     return [
         Subcase("E8", 8, "E8:1", e((0, 1), (1, 1)), e((1, 1), (0, -1)),
                 "key_lemma_2", {"gamma1": g1, "gamma2": g2}),
@@ -852,14 +846,13 @@ def _subcases_E8():
 
 
 def _subcases_F4():
-    e = lambda *ic: _e(4, *ic)
+    e = lambda *ic: _e("F4", 4, *ic)
     half = _half_root("F4", 1, 1, 1, 1)
     half_m = _half_root("F4", -1, 1, 1, 1)
-    spec = AlgebraSpec((("F4", 4, Fraction(1)),))
     return [
         Subcase("F4", 4, "F4:1", e((0, 1), (1, 1)), e((1, 1)), "reduction",
                 {"preset": "bn_excluded_subcase1(2)",
-                 "t_prime": [lift_root(spec, 0, e((2, 1))), lift_root(spec, 0, e((3, 1)))],
+                 "t_prime": [e((2, 1)), e((3, 1))],
                  "subsystem_size": 8}),
         Subcase("F4", 4, "F4:2", e((0, 1), (1, 1)), e((1, 1), (0, -1)),
                 "covered", {"by": "F4:1"}),
@@ -873,9 +866,9 @@ def _subcases_F4():
     ]
 
 
-def _g2_root(a, b3):
+def _g2_root(a, b3) -> TVec:
     # (a*sqrt3/2, b/2) grid for the G2 roots
-    return RootVector((a, b3), (3, 1))
+    return unit_spec((("G2", 2),)).tvec((a, b3))
 
 
 def _subcases_G2():
@@ -886,9 +879,8 @@ def _subcases_G2():
     short_b = _g2_root(1, 1)       # (sqrt3/2, 1/2)
     short_c = _g2_root(-1, 1)      # (-sqrt3/2, 1/2)
     beta_rot = _g2_root(-1, 1)     # the 5pi/6 partner of long_a
-    spec = AlgebraSpec((("G2", 2, Fraction(1)),))
-    g1 = lift_root(spec, 0, long_a + beta_rot.scale(3))   # alpha + 3 beta
-    g2 = lift_root(spec, 0, long_a + beta_rot)            # alpha + beta
+    g1 = long_a + beta_rot.scale(3)   # alpha + 3 beta
+    g2 = long_a + beta_rot            # alpha + beta
     rows = [
         Subcase("G2", 2, "G2:angle-ll-pi/3", long_a, long_b, "angle"),
         Subcase("G2", 2, "G2:angle-ll-2pi/3", long_a, long_c, "angle"),
@@ -930,28 +922,24 @@ def evaluate_subcase(sc: Subcase) -> Verdict:
         return Verdict("covered", detail=f"covered by subcase {sc.payload['by']}")
     space = case3_space(sc.family, sc.rank, sc.alpha, sc.beta,
                         name=f"{sc.family}{sc.rank} subcase {sc.label}")
-    la = lift_root(space.spec, 0, sc.alpha)
-    lb = lift_root(space.spec, 0, sc.beta)
     if sc.kind == "survivor":
         if classify_case(space) != "III":
             raise AssertionError(f"{sc.label}: expected a case-III datum")
         return Verdict("survivor", name=sc.payload["name"])
     if sc.kind == "angle":
-        if not angle_lemma_check(space, la, lb):
+        if not angle_lemma_check(space, sc.alpha, sc.beta):
             raise AssertionError(f"{sc.label}: angle lemma does not apply")
         return Verdict("excluded",
-                       witness=Witness("angle", {"alpha": la, "beta": lb}))
+                       witness=Witness("angle", {"alpha": sc.alpha, "beta": sc.beta}))
     if sc.kind == "angle_reduced":
-        a1 = lift_root(space.spec, 0, sc.payload["alpha1"])
-        b1 = lift_root(space.spec, 0, sc.payload["beta1"])
+        a1, b1 = sc.payload["alpha1"], sc.payload["beta1"]
         if not angle_lemma_check(space, a1, b1):
             raise AssertionError(f"{sc.label}: reduced angle pair fails")
         return Verdict("excluded",
                        witness=Witness("angle", {"alpha": a1, "beta": b1}),
                        detail="short pair replacing the original one")
     if sc.kind == "key_lemma_2":
-        g1 = lift_root(space.spec, 0, sc.payload["gamma1"])
-        g2 = lift_root(space.spec, 0, sc.payload["gamma2"])
+        g1, g2 = sc.payload["gamma1"], sc.payload["gamma2"]
         if not key_lemma_2_check(space, g1, g2):
             raise AssertionError(f"{sc.label}: cited pair fails the key lemma")
         return Verdict("excluded",
@@ -987,7 +975,7 @@ def evaluate_subcase(sc: Subcase) -> Verdict:
     if sc.kind == "g2_rotation":
         g1, g2 = sc.payload["gamma1"], sc.payload["gamma2"]
         roots = space.root_data.root_set
-        ap = space.scaled(la)
+        ap = space.scaled(sc.alpha)
         ok = (g1 in roots and g2 in roots and not tvec_dot(space.spec, g1, g2)
               and (g1 + g2) not in roots and (g1 - g2) not in roots)
         # the hat-class ladder alpha', 2a', ..., 5a' behind the rotation trick
@@ -1031,15 +1019,15 @@ def _un_name(n):
     return f"S^{2*n-1} = U({n})/U({n-1})"
 
 
-def case2_space(g2_family: str, g2_rank: int, beta: RootVector,
+def case2_space(g2_family: str, g2_rank: int, beta: TVec,
                 name: str = "") -> RootLevelSpace:
     """Case-II candidate: g = A1 + g2 with the diagonal h-root pairing the
     A1-root with beta; Delta_h holds the g2-roots orthogonal to beta (those
     in t cap h, as w = alpha - beta) plus the common projection."""
-    spec = AlgebraSpec((("A", 1, Fraction(1)), (g2_family, g2_rank, Fraction(1))))
-    alpha = lift_root(spec, 0, _e(2, (0, 1), (1, -1)))
+    spec = unit_spec((("A", 1), (g2_family, g2_rank)))
+    alpha = lift_root(spec, 0, _e("A", 1, (0, 1), (1, -1)))
     lb = lift_root(spec, 1, beta)
-    sp = make_root_level_space(spec, alpha - lb, name=name, complete_h=False)
+    sp = make_root_level_space(spec, alpha - lb, name=name)
     hset = {sp.pr_h(alpha), -sp.pr_h(alpha)}
     for r in sp.g_roots:
         if sp.factor_of[r] == 1 and sp.in_t_h(r):
@@ -1081,9 +1069,8 @@ def classify_case2(space: RootLevelSpace) -> Verdict:
             raise AssertionError("case-II pair search produced a non-certifying pair")
         return Verdict("excluded",
                        witness=Witness("key_lemma_2", {"gamma1": g1, "gamma2": g2}))
-    fam, rank, _ = space.spec.factors[fb]
-    beta_rv = beta.factors[fb]
-    beta_len2 = beta_rv.dot(beta_rv)
+    fam, rank, scale = space.spec.factors[fb]
+    beta_len2 = tvec_dot(space.spec, beta, beta) / scale  # in the factor's unit form
     if fam == "A" and rank == 1:
         return Verdict("survivor", name=S3_NAME)
     if fam == "A" and rank == 2:
@@ -1245,7 +1232,7 @@ def _case1_table_match(space: RootLevelSpace, i: int) -> Optional[Verdict]:
     """Match (g_i, h cap g_i) against the rank-equal pair table for the
     abelian-component case: (A_k, A_{k-1}+R), (C_k, C_{k-1}+R),
     (A_2, R+R) and the so(5) = sp(2) coincidence."""
-    fam, rank, _ = space.spec.factors[i]
+    fam, rank, scale = space.spec.factors[i]
     froots = [r for r in space.g_roots if space.factor_of[r] == i]
     # a root of factor i is orthogonal to w exactly when it is to w's block i
     orth = [r for r in froots if space.in_t_h(r)]
@@ -1269,8 +1256,7 @@ def _case1_table_match(space: RootLevelSpace, i: int) -> Optional[Verdict]:
     if fam == "C" and len(h2) == 2 * (rank - 1) ** 2:
         return Verdict("survivor", name=_spu1_name(rank))
     if fam == "B" and rank == 2 and len(h2) == 2:
-        length2 = h2[0].factors[i].dot(h2[0].factors[i])
-        if length2 == 2:  # the long-root pair: so(5) = sp(2)
+        if tvec_dot(space.spec, h2[0], h2[0]) / scale == 2:  # the long-root pair: so(5) = sp(2)
             return Verdict("survivor", name=_spu1_name(2))
     return None
 
@@ -1315,24 +1301,19 @@ def verify_theorem(part: int, max_rank: int = 8) -> dict:
     elif part == 2:
         survivors = set()
         rows = []
-        reps = {
-            "A": [("any", lambda n: _e(n + 1, (0, 1), (1, -1)))],
-            "B": [("short", lambda n: _e(n, (0, 1))),
-                  ("long", lambda n: _e(n, (0, 1), (1, 1)))],
-            "C": [("long", lambda n: _e(n, (0, 2))),
-                  ("short", lambda n: _e(n, (0, 1), (1, 1)))],
-            "D": [("any", lambda n: _e(n, (0, 1), (1, 1)))],
-            "E6": [("any", lambda n: _e(6, (0, 1), (1, 1)))],
-            "E7": [("any", lambda n: _e(7, (0, 1), (1, 1)))],
-            "E8": [("any", lambda n: _e(8, (0, 1), (1, 1)))],
-            "F4": [("long", lambda n: _e(4, (0, 1), (1, 1))),
-                   ("short", lambda n: _e(4, (0, 1)))],
-            "G2": [("long", lambda n: _g2_root(2, 0)),
-                   ("short", lambda n: _g2_root(0, 2))],
-        }
+        # one root per length class; D and E have one length, G2 its own grid
+        reps = {"A": [("any", [(0, 1), (1, -1)])],
+                "B": [("short", [(0, 1)]), ("long", [(0, 1), (1, 1)])],
+                "C": [("long", [(0, 2)]), ("short", [(0, 1), (1, 1)])],
+                "F4": [("long", [(0, 1), (1, 1)]), ("short", [(0, 1)])]}
         for fam, rank in _case3_rank_range(max_rank):
-            for tag, mk in reps[fam]:
-                space = case2_space(fam, rank, mk(rank),
+            if fam == "G2":
+                betas = [("long", _g2_root(2, 0)), ("short", _g2_root(0, 2))]
+            else:
+                betas = [(tag, _e(fam, rank, *co))
+                         for tag, co in reps.get(fam, [("any", [(0, 1), (1, 1)])])]
+            for tag, beta in betas:
+                space = case2_space(fam, rank, beta,
                                     name=f"A1+{fam}{rank} (beta {tag})")
                 verdict = classify_case2(space)
                 rows.append(({"g2": f"{fam}{rank}", "beta": tag}, verdict.to_json()))
@@ -1381,10 +1362,9 @@ def verify_theorem(part: int, max_rank: int = 8) -> dict:
     return report
 
 
-def _case1_block_space(fam, rank, label, w1: RootVector, abelian: bool,
+def _case1_block_space(fam, rank, label, w1: TVec, abelian: bool,
                        h2_roots: list) -> RootLevelSpace:
-    spec = AlgebraSpec(((fam, rank, Fraction(1)),),
-                       abelian_dim=1 if abelian else 0)
+    spec = unit_spec(((fam, rank),), 1 if abelian else 0)
     w = lift_root(spec, 0, w1) + tvec_from_parts(spec, abelian=[1] if abelian else [])
     return make_root_level_space(spec, w, [lift_root(spec, 0, r) for r in h2_roots],
                                  name=label)
@@ -1399,66 +1379,64 @@ def case1_candidates(max_rank: int = 8) -> list:
     out = []
 
     def orth_roots(fam, rank, w1):
-        return [r for r in _factor_roots(fam, rank) if not r.dot(w1)]
+        return [r for r in _factor_roots(fam, rank) if not tvec_dot(w1.spec, r, w1)]
 
     for rank in range(1, max_rank + 1):
-        w1 = _e(rank + 1, *([(0, rank)] + [(j, -1) for j in range(1, rank + 1)]))
+        w1 = _e("A", rank, *([(0, rank)] + [(j, -1) for j in range(1, rank + 1)]))
         out.append(_case1_block_space(
             "A", rank, f"U({rank+1})/U({rank}) candidate", w1, True,
             orth_roots("A", rank, w1)))
     for rank in range(3, max_rank + 1):
-        w1 = _e(rank, (0, 1))
+        w1 = _e("C", rank, (0, 1))
         out.append(_case1_block_space(
             "C", rank, f"Sp({rank})U(1)/Sp({rank-1})U(1) candidate", w1, True,
             orth_roots("C", rank, w1)))
     # so(5) = sp(2) presentation of the rank-two quaternionic sphere
-    w1 = _e(2, (0, 1), (1, 1))
+    w1 = _e("B", 2, (0, 1), (1, 1))
     out.append(_case1_block_space(
         "B", 2, "Sp(2)U(1)/Sp(1)U(1) candidate (so(5) picture)", w1, True,
         orth_roots("B", 2, w1)))
     # Aloff-Wallach directions, generic and degenerate
     out.append(_case1_block_space(
-        "A", 2, "Aloff-Wallach U(3)/T^2 candidate", _e(3, (0, 1), (1, 2), (2, -3)),
+        "A", 2, "Aloff-Wallach U(3)/T^2 candidate", _e("A", 2, (0, 1), (1, 2), (2, -3)),
         True, []))
     out.append(_case1_block_space(
-        "A", 2, "U(3)/T^2 with degenerate parameters", _e(3, (0, 1), (1, 1), (2, -2)),
+        "A", 2, "U(3)/T^2 with degenerate parameters", _e("A", 2, (0, 1), (1, 1), (2, -2)),
         True, []))
     # non-table single blocks: excluded
-    ambient = {"B": lambda r: r, "D": lambda r: r, "F4": lambda r: 4,
-               "G2": lambda r: 2, "E6": lambda r: 6, "E7": lambda r: 7}
     for fam, rank in [("B", 3), ("B", 4), ("D", 4), ("F4", 4), ("G2", 2),
                       ("E6", 6), ("E7", 7)]:
-        w1 = _g2_root(0, 2) if fam == "G2" else _e(ambient[fam](rank), (0, 1))
+        w1 = _g2_root(0, 2) if fam == "G2" else _e(fam, rank, (0, 1))
         out.append(_case1_block_space(
             fam, rank, f"U(1)x{fam}{rank} non-table candidate", w1, True,
             orth_roots(fam, rank, w1)))
     # simple transitive groups: unresolved
     for rank in range(2, 5):
-        w1 = _e(rank + 1, *([(0, rank)] + [(j, -1) for j in range(1, rank + 1)]))
+        w1 = _e("A", rank, *([(0, rank)] + [(j, -1) for j in range(1, rank + 1)]))
         out.append(_case1_block_space(
             "A", rank, f"SU({rank+1})/SU({rank})", w1, False,
             orth_roots("A", rank, w1)))
     for rank in range(3, 5):
-        w1 = _e(rank, (0, 1))
+        w1 = _e("C", rank, (0, 1))
         out.append(_case1_block_space(
             "C", rank, f"Sp({rank})/Sp({rank-1})", w1, False,
             orth_roots("C", rank, w1)))
     out.append(_case1_block_space(
-        "A", 2, "SU(3)-homogeneous Aloff-Wallach", _e(3, (0, 1), (1, 2), (2, -3)),
+        "A", 2, "SU(3)-homogeneous Aloff-Wallach", _e("A", 2, (0, 1), (1, 2), (2, -3)),
         False, []))
     # multi-factor exemplars
-    a1 = _e(2, (0, 1), (1, -1))
+    a1 = _e("A", 1, (0, 1), (1, -1))
     out.append(_two_factor_space("two A1 factors", ("A", 1), ("A", 1), a1, a1))
     out.append(_two_factor_space("A1 x A2 with generic slope", ("A", 1), ("A", 2),
-                                 a1, _e(3, (0, 1), (1, 2), (2, -3))))
+                                 a1, _e("A", 2, (0, 1), (1, 2), (2, -3))))
     out.append(_two_factor_space("A1 x C3 along the long root", ("A", 1), ("C", 3),
-                                 a1, _e(3, (0, 2))))
+                                 a1, _e("C", 3, (0, 2))))
     out.append(_three_factor_space())
     return [sp for sp in out if all(r <= max_rank for _, r, _ in sp.spec.factors)]
 
 
-def _two_factor_space(label, f1, f2, w1: RootVector, w2: RootVector) -> RootLevelSpace:
-    spec = AlgebraSpec(((f1[0], f1[1], Fraction(1)), (f2[0], f2[1], Fraction(1))))
+def _two_factor_space(label, f1, f2, w1: TVec, w2: TVec) -> RootLevelSpace:
+    spec = unit_spec((f1, f2))
     w = lift_root(spec, 0, w1) + lift_root(spec, 1, w2)
     sp = make_root_level_space(spec, w, name=label)
     # each root is orthogonal to w exactly when it is to w's block of its factor
@@ -1466,7 +1444,7 @@ def _two_factor_space(label, f1, f2, w1: RootVector, w2: RootVector) -> RootLeve
 
 
 def _three_factor_space() -> RootLevelSpace:
-    spec = AlgebraSpec((("A", 1, Fraction(1)),) * 3)
+    spec = unit_spec((("A", 1),) * 3)
     w = tvec_from_parts(spec, {0: [1, -1], 1: [1, -1], 2: [1, -1]})
     return make_root_level_space(spec, w, name="three A1 factors")
 
@@ -1479,8 +1457,7 @@ def _pair_signature(space: RootLevelSpace, alpha: TVec, beta: TVec):
     the root counts of the plane they span and of its orthocomplement."""
     spec = space.spec
     la, lb = tvec_dot(spec, alpha, alpha), tvec_dot(spec, beta, beta)
-    fa = space.factor_of[alpha]
-    ang = root_angle(alpha.factors[fa], beta.factors[fa])
+    ang = root_angle(alpha, beta)
     in_plane = sum(1 for r in space.g_roots
                    if _in_affine_span(space, [alpha, beta], r) is not None)
     perp = sum(1 for r in space.g_roots
@@ -1495,9 +1472,7 @@ def match_case3_subcase(space: RootLevelSpace, alpha: TVec, beta: TVec) -> Subca
     rows = case3_subcases(fam, rank)
     for sc in rows:
         probe = case3_space(sc.family, sc.rank, sc.alpha, sc.beta)
-        a = lift_root(probe.spec, 0, sc.alpha)
-        b = lift_root(probe.spec, 0, sc.beta)
-        if _pair_signature(probe, a, b) == sig:
+        if _pair_signature(probe, sc.alpha, sc.beta) == sig:
             if sc.kind == "covered":
                 by = sc.payload["by"]
                 sc = next(r for r in rows if r.label == by)

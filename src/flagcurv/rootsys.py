@@ -1,20 +1,21 @@
-"""Exact root systems of the compact simple Lie algebras, on an integer
-lattice.
+"""Exact root systems of the compact simple Lie algebras and the exact
+vectors of their Cartan subalgebras, on one integer lattice.
 
 Root systems are built in the standard orthonormal-basis presentations:
 A_n sits in the sum-zero hyperplane of R^{n+1}, B/C/D/F4 use rational
 coordinates in R^n, E6/E7 need sqrt3/sqrt2 in their last coordinate, G2
 lives in R^2 with sqrt3.  So each ambient position carries one surd, of
 weight k = 3 (G2's first position, E6's last), 2 (E7's last) or 1, and a
-coordinate is stored as the rational n with value n/2 * sqrt(k); n is an
-integer for every root.  Membership, order, reflection and angle then work
-on tuples of ints: sqrt(k) > 0, so the ambient lexicographic order is the
-order of the n tuples, and the inner product of two lattice vectors is the
-rational sum of n m k / 4.
-
-QNum, the field Q(sqrt2, sqrt3), exists only for printing and JSON
-(`qnum_coord`, `lattice_coord`) and as the oracle of the tests.  The float
-views (`float(q)`, `RootVector.floats`) exist only for the matrix layers.
+coordinate is stored as the rational n with value n/2 * sqrt(k), an
+integer for every root.  An AlgebraSpec holds the weights of its
+positions and its integer Gram form; a TVec, a vector of its Cartan
+subalgebra, is the flat tuple of the n's, with the tuple's equality, hash
+and order (the ambient lexicographic one, as sqrt(k) > 0).  A root of a
+simple factor is the TVec of the factor's unit spec, and `tvec_dot`,
+`angle`, `weyl_reflect` and `is_root` reject vectors of other weights.
+QNum, the field Q(sqrt2, sqrt3), reads JSON (`lattice_coord`) and is the
+tests' oracle; `lattice_block` and `lattice_json` write its printed and
+JSON forms.  `float(q)` exists only for the matrix layers.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, sqrt
-from operator import attrgetter
+from operator import add, attrgetter, mul, neg, sub
 from typing import Sequence
 
 _SQRT2 = sqrt(2.0)
@@ -288,97 +289,29 @@ def lattice_coord(x) -> tuple:
     return _num(2 * c), k
 
 
-def qnum_coord(n, k: int) -> QNum:
-    """The QNum n/2 * sqrt(k): the one printer of lattice coordinates."""
-    c = Fraction(n) / 2
-    return QNum(*(c if k == j else _F0 for j in (1, 2, 3)))
+# -- printing: lattice coordinates in QNum's printed and JSON forms ------------
+
+_TAG = {1: "", 2: "*r2", 3: "*r3"}
 
 
-class RootVector:
-    """Lattice vector in the ambient space of a root system: coordinate i
-    is n[i]/2 * sqrt(k[i]).  The weight k[i] is 1 wherever n[i] = 0, so
-    equal vectors have equal (n, k); `coords` is the QNum view."""
-
-    __slots__ = ("n", "k", "_hash")
-
-    def __init__(self, n, k=None):
-        self.n = tuple(n)
-        self.k = (1,) * len(self.n) if k is None else \
-            tuple(w if x else 1 for x, w in zip(self.n, k))
-        self._hash = hash((self.n, self.k))
-
-    def __eq__(self, o):
-        return o.__class__ is RootVector and self.n == o.n and self.k == o.k
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.n)
-
-    @property
-    def coords(self) -> tuple:
-        return tuple(qnum_coord(x, k) for x, k in zip(self.n, self.k))
-
-    def _weights(self, o: "RootVector") -> tuple:
-        """The surd weights of a sum or product with o: where both vectors
-        are nonzero their weights must agree (else the result leaves the
-        lattice)."""
-        if self.ambient_dim != o.ambient_dim:
-            raise ValueError("dimension mismatch")
-        if self.k == o.k:
-            return self.k
-        if any(a and b and v != w for a, v, b, w in zip(self.n, self.k, o.n, o.k)):
-            raise ValueError(f"{self} and {o} have different surds in one coordinate")
-        return tuple(v if a else w for a, v, w in zip(self.n, self.k, o.k))
-
-    def __add__(self, o: "RootVector") -> "RootVector":
-        return RootVector([_num(a + b) for a, b in zip(self.n, o.n)], self._weights(o))
-
-    def __sub__(self, o: "RootVector") -> "RootVector":
-        return RootVector([_num(a - b) for a, b in zip(self.n, o.n)], self._weights(o))
-
-    def __neg__(self) -> "RootVector":
-        return RootVector([-x for x in self.n], self.k)
-
-    def scale(self, c) -> "RootVector":
-        c = Fraction(c)
-        return RootVector([_num(c * x) for x in self.n], self.k)
-
-    def dot(self, o: "RootVector") -> Fraction:
-        """Exact inner product: the rational sum of n m k / 4."""
-        return Fraction(sum(a * b * k for a, b, k in zip(self.n, o.n, self._weights(o))), 4)
-
-    def is_zero(self) -> bool:
-        return not any(self.n)
-
-    def canonical_sign(self) -> "RootVector":
-        """The one of +-self whose first nonzero coordinate is positive."""
-        return -self if next((x for x in self.n if x), 0) < 0 else self
-
-    def __repr__(self) -> str:
-        return "(" + ", ".join(str(x) for x in self.coords) + ")"
-
-    def floats(self) -> tuple:
-        return tuple(float(x) / 2 * _ROOT[k] for x, k in zip(self.n, self.k))
-
-    def to_json(self) -> list:
-        return [x.to_json() for x in self.coords]
-
-    @staticmethod
-    def from_json(obj: list) -> "RootVector":
-        return rv(*(QNum.from_json(x) for x in obj))
+def _half(n) -> str:
+    """str(n / 2) for a rational n."""
+    return (f"{n}/2" if n & 1 else str(n >> 1)) if n.__class__ is int else str(Fraction(n) / 2)
 
 
-_ROOT = {1: 1.0, 2: _SQRT2, 3: _SQRT3}
+def lattice_json(n, k: int) -> dict:
+    """The coordinate n/2 * sqrt(k) as QNum writes it to JSON."""
+    return dict(zip("abcd", (_half(n) if j == k else "0" for j in (1, 2, 3, 6))))
 
 
-def rv(*coords) -> RootVector:
-    """Root vector from exact coordinates (ints, Fractions, strings or
-    QNums), each a rational multiple of 1, sqrt2 or sqrt3."""
-    pairs = [lattice_coord(c) for c in coords]
-    return RootVector([n for n, _ in pairs], [k for _, k in pairs])
+def lattice_block(ns, ks) -> str:
+    """Lattice coordinates n/2 * sqrt(k) as QNum prints them: "(1, -1/2*r3)"."""
+    return "(" + ", ".join(_half(n) + _TAG[k] if n else "0" for n, k in zip(ns, ks)) + ")"
+
+
+def _tuple_repr(items: list) -> str:
+    """The repr of a tuple whose items print as the given strings."""
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
 
 
 _CARDINALITY = {
@@ -457,36 +390,198 @@ def _lattice_roots(fam: str, n: int) -> list:
             + [[a, b] for a in (1, -1) for b in (3, -3, 1, -1)])
 
 
+# -- algebra specs and their Cartan vectors -----------------------------------
+
+# Largest total rank (factor ranks plus abelian_dim) of a space file: the
+# largest a preset builds, sp(6) + sp(1) for sphere_spn_sp1(6).
+MAX_SPEC_RANK = 7
+
+
+class TVec(tuple):
+    """Exact Cartan vector of one AlgebraSpec, as its flat lattice tuple.
+    Each spec has its own subclass, `spec.tvec`; `factors` are the blocks as
+    vectors of their factors' unit specs, `abelian` the abelian values."""
+
+    __slots__ = ()
+    spec: "AlgebraSpec"
+
+    def __add__(self, o) -> "TVec":
+        return type(self)(map(add, self, o))
+
+    def __sub__(self, o) -> "TVec":
+        return type(self)(map(sub, self, o))
+
+    def __neg__(self) -> "TVec":
+        return type(self)(map(neg, self))
+
+    def scale(self, c) -> "TVec":
+        c = Fraction(c)
+        return type(self)(_num(c * x) for x in self)
+
+    @property
+    def factors(self) -> tuple:
+        spec = self.spec
+        return tuple(unit_spec(((fam, rank),)).tvec(self[a:b])
+                     for (fam, rank, _), (a, b, _) in zip(spec.factors, spec.blocks))
+
+    @property
+    def abelian(self) -> tuple:
+        spec = self.spec
+        return tuple(_num(Fraction(x) / 2) for x in self[spec.dim - spec.abelian_dim:])
+
+    def is_zero(self) -> bool:
+        return not any(self)
+
+    def canonical_sign(self) -> "TVec":
+        """The one of +-self whose first nonzero coordinate is positive."""
+        return -self if next((x for x in self if x), 0) < 0 else self
+
+    def __repr__(self) -> str:
+        spec = self.spec
+        blocks = [lattice_block(self[a:b], k) for a, b, k in spec.blocks]
+        ab = [f"QNum({_half(x)}, 0, 0, 0)" for x in self[spec.dim - spec.abelian_dim:]]
+        return f"TVec(factors={_tuple_repr(blocks)}, abelian={_tuple_repr(ab)})"
+
+
+@dataclass(frozen=True)
+class AlgebraSpec:
+    """Direct-sum description: classical simple factors plus an abelian part.
+
+    abelian_scales are positive rational weights of the Euclidean product on
+    the abelian coordinates; they keep Cartan bookkeeping exact for
+    presentations like u(n) = R + su(n) at every rank.  Derived, not
+    compared: `blocks` ((start, stop, surd weights) per factor), `weights`
+    (the surd weight of every position), `gram` (an integer weight per
+    position) and `gram_den`, with tvec_dot(u, v) = sum(gram * u * v) /
+    gram_den, and `tvec`, this spec's TVec class.
+    """
+
+    factors: tuple  # of (family, rank, scale: Fraction)
+    abelian_dim: int = 0
+    abelian_scales: tuple = ()
+
+    def __post_init__(self):
+        norm = []
+        for fam, rank, scale in self.factors:
+            s = scale if isinstance(scale, Fraction) else Fraction(scale)
+            if s <= 0:
+                raise ValueError("factor scale must be positive")
+            norm.append((fam.upper(), int(rank), s))
+        object.__setattr__(self, "factors", tuple(norm))
+        if self.abelian_dim < 0:
+            raise ValueError("abelian_dim must be nonnegative")
+        sc = tuple(Fraction(s) for s in self.abelian_scales)
+        if not sc:
+            sc = tuple(Fraction(1) for _ in range(self.abelian_dim))
+        if len(sc) != self.abelian_dim or any(s <= 0 for s in sc):
+            raise ValueError("abelian_scales must list one positive weight per abelian coordinate")
+        object.__setattr__(self, "abelian_scales", sc)
+        blocks, weights, scales = [], [], []
+        for fam, rank, s in self.factors:
+            k = surd_weights(fam, rank)
+            blocks.append((len(weights), len(weights) + len(k), k))
+            weights += k
+            scales += [s] * len(k)
+        weights += [1] * self.abelian_dim
+        scales += sc
+        den = lcm(*(s.denominator for s in scales))
+        derived = {"blocks": tuple(blocks), "weights": tuple(weights), "dim": len(weights),
+                   "gram": tuple(int(s * den) * k for s, k in zip(scales, weights)),
+                   "gram_den": 4 * den,
+                   "tvec": type("TVec", (TVec,), {"__slots__": (), "spec": self})}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+    def to_json(self):
+        return {
+            "factors": [
+                {"family": f, "rank": r, "scale": str(s)} for f, r, s in self.factors
+            ],
+            "abelian_dim": self.abelian_dim,
+            "abelian_scales": [str(s) for s in self.abelian_scales],
+        }
+
+    @staticmethod
+    def from_json(obj) -> "AlgebraSpec":
+        """The spec of a space file.  Ranks are positive integers and
+        abelian_dim a nonnegative one (JSON true is not 1), of total at most
+        MAX_SPEC_RANK, checked before anything is built."""
+        ranks = [f["rank"] for f in obj["factors"]]
+        abelian_dim = obj.get("abelian_dim", 0)
+        for what, n, lo in [("rank", r, 1) for r in ranks] + [("abelian_dim", abelian_dim, 0)]:
+            if type(n) is not int or n < lo:
+                raise ValueError(f"{what} must be an integer >= {lo}, got {n!r}")
+        if sum(ranks) + abelian_dim > MAX_SPEC_RANK:
+            raise ValueError(f"total rank {sum(ranks) + abelian_dim} (factor ranks plus "
+                             f"abelian_dim) above the cap {MAX_SPEC_RANK}")
+        factors = tuple((f["family"], f["rank"], Fraction(f["scale"])) for f in obj["factors"])
+        scales = tuple(Fraction(s) for s in obj.get("abelian_scales", []))
+        return AlgebraSpec(factors, abelian_dim, scales)
+
+
+_UNIT_SPECS: dict = {}
+
+
+def unit_spec(factors: tuple, abelian_dim: int = 0) -> AlgebraSpec:
+    """The spec of the (family, rank) factors at scale 1, plus abelian_dim
+    abelian coordinates of weight 1, built once per key."""
+    key = (factors, abelian_dim)
+    if key not in _UNIT_SPECS:
+        _UNIT_SPECS[key] = AlgebraSpec(tuple((f, r, Fraction(1)) for f, r in factors), abelian_dim)
+    return _UNIT_SPECS[key]
+
+
+def _same_lattice(spec: AlgebraSpec, *vectors) -> None:
+    for v in vectors:
+        s = getattr(v, "spec", spec)
+        if s is not spec and s.weights != spec.weights:
+            raise ValueError(f"vectors of different lattices: weights {s.weights}, {spec.weights}")
+
+
+def tvec_dot(spec: AlgebraSpec, u: Sequence, v: Sequence) -> Fraction:
+    """Bi-invariant inner product on t, exact (per-factor scales enter).  A
+    TVec argument must have the surd weights of spec (ValueError)."""
+    _same_lattice(spec, u, v)
+    return Fraction(sum(map(mul, map(mul, spec.gram, u), v)), spec.gram_den)
+
+
+# -- root systems ------------------------------------------------------------
+
 @dataclass(frozen=True)
 class RootSystem:
-    """Root system with exact coordinates and deterministic ordering."""
+    """Root system with exact coordinates and deterministic ordering; the
+    roots are TVecs of `spec`, the unit spec of (family, rank)."""
 
     family: str
     rank: int
-    roots: tuple  # RootVectors in the ambient lexicographic order
-    ambient_dim: int
+    roots: tuple  # in the ambient lexicographic order
 
     def __post_init__(self):
+        spec = unit_spec(((self.family, self.rank),))
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "ambient_dim", spec.dim)
         object.__setattr__(self, "_root_set", frozenset(self.roots))
 
-    def __contains__(self, v: RootVector) -> bool:
+    def __contains__(self, v) -> bool:
         return v in self._root_set
 
     def __len__(self) -> int:
         return len(self.roots)
 
     def to_json(self) -> dict:
+        k = self.spec.weights
         return {
             "family": self.family,
             "rank": self.rank,
-            "roots": [r.to_json() for r in self.roots],
+            "roots": [list(map(lattice_json, r, k)) for r in self.roots],
         }
 
     @staticmethod
     def from_json(obj: dict) -> "RootSystem":
-        roots = tuple(RootVector.from_json(r) for r in obj["roots"])
-        dim = roots[0].ambient_dim if roots else 0
-        return RootSystem(obj["family"], obj["rank"], roots, dim)
+        from .torus import root  # the coordinate reader, built on this module
+        fam, rank = obj["family"], obj["rank"]
+        return RootSystem(fam, rank, tuple(root(fam, rank, *map(QNum.from_json, r))
+                                           for r in obj["roots"]))
 
 
 def build_root_system(family: str, rank: int, _relaxed: bool = False) -> RootSystem:
@@ -502,19 +597,18 @@ def build_root_system(family: str, rank: int, _relaxed: bool = False) -> RootSys
     relaxed_mins = {"A": 1, "B": 1, "C": 1, "D": 3}
     if fam in mins and n < (relaxed_mins[fam] if _relaxed else mins[fam]):
         raise ValueError(f"unsupported root system: {fam}{n}")
-    k = surd_weights(fam, n)
-    roots = tuple(RootVector(v, k) for v in sorted(_lattice_roots(fam, n)))
-    rs = RootSystem(fam, n, roots, len(k))
+    tvec = unit_spec(((fam, n),)).tvec
+    rs = RootSystem(fam, n, tuple(map(tvec, sorted(_lattice_roots(fam, n)))))
     if not _relaxed:
         assert len(rs) == _CARDINALITY[fam](n)
     return rs
 
 
-def is_root(rs: RootSystem, v: RootVector) -> bool:
+def is_root(rs: RootSystem, v: TVec) -> bool:
     """Exact membership test."""
-    if v.ambient_dim != rs.ambient_dim:
-        raise ValueError("dimension mismatch")
+    _same_lattice(rs.spec, v)
     return v in rs
+
 
 
 _ANGLES = {
@@ -531,7 +625,7 @@ _ANGLES = {
 }
 
 
-def angle(u: RootVector, v: RootVector) -> str:
+def angle(u: TVec, v: TVec) -> str:
     """Symbolic angle between two vectors, computed from the exact cosine.
 
     Only the crystallographic angles 0, pi/6, pi/4, pi/3, pi/2, 2pi/3,
@@ -539,30 +633,31 @@ def angle(u: RootVector, v: RootVector) -> str:
     """
     if u.is_zero() or v.is_zero():
         raise ValueError("angle undefined for zero vector")
-    num = u.dot(v)
-    key = (4 * num * num / (u.dot(u) * v.dot(v)), (num > 0) - (num < 0))
+    spec = u.spec
+    num = tvec_dot(spec, u, v)
+    key = (4 * num * num / (tvec_dot(spec, u, u) * tvec_dot(spec, v, v)), (num > 0) - (num < 0))
     if key not in _ANGLES:
         raise ValueError("angle outside the crystallographic set")
     return _ANGLES[key]
 
 
-def weyl_reflect(rs: RootSystem, alpha: RootVector, v: RootVector) -> RootVector:
+def weyl_reflect(rs: RootSystem, alpha: TVec, v: TVec) -> TVec:
     """Reflection of v in the hyperplane orthogonal to the root alpha."""
     if not is_root(rs, alpha):
         raise ValueError("reflection axis is not a root")
-    return v - alpha.scale(2 * v.dot(alpha) / alpha.dot(alpha))
+    return v - alpha.scale(2 * tvec_dot(rs.spec, v, alpha) / tvec_dot(rs.spec, alpha, alpha))
 
 
-def root_sum_status(rs: RootSystem, alpha: RootVector, beta: RootVector) -> str:
+def root_sum_status(rs: RootSystem, alpha: TVec, beta: TVec) -> str:
     """Classify membership of alpha+beta and alpha-beta in the root system.
 
     Returns one of 'neither', 'plus_only', 'minus_only', 'both'.
     """
     if not (is_root(rs, alpha) and is_root(rs, beta)):
         raise ValueError("inputs must be roots")
-    ab = alpha.dot(beta)
-    if ab * ab == alpha.dot(alpha) * beta.dot(beta):  # Cauchy-Schwarz equality
-        raise ValueError("inputs must be linearly independent")
+    ab = tvec_dot(rs.spec, alpha, beta)
+    if ab * ab == tvec_dot(rs.spec, alpha, alpha) * tvec_dot(rs.spec, beta, beta):
+        raise ValueError("inputs must be linearly independent")  # Cauchy-Schwarz equality
     plus = (alpha + beta) in rs
     minus = (alpha - beta) in rs
     if plus and minus:

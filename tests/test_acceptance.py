@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from flagcurv import cli
-from flagcurv.coset import SubalgebraSpec, build_coset, lift_root, preset
+from flagcurv.coset import SubalgebraSpec, build_coset, lift_root, preset, root
 from flagcurv.curvature import (
     CurvatureEngine,
     bi_invariant_oracle,
@@ -33,7 +33,7 @@ from flagcurv.curvature import (
 from flagcurv.liealg import AlgebraSpec, bracket, gram_schmidt, inner, realize
 from flagcurv.norms import Quadratic, Randers, random_invariant_norm
 from flagcurv.obstruct import case3_space, key_lemma_2_check, _e
-from flagcurv.rootsys import QNum, build_root_system, rv, weyl_reflect
+from flagcurv.rootsys import QNum, build_root_system, weyl_reflect
 
 
 @contextlib.contextmanager
@@ -140,42 +140,41 @@ def test_acceptance_4_cited_witnesses_replay():
         h = Fraction(1, 2)
         cases = [
             ("A", 5, (((0, 1), (3, -1)), ((2, 1), (1, -1))),
-             lambda sp: (lift_root(sp.spec, 0, _e(6, (0, 1), (4, -1))),
-                         lift_root(sp.spec, 0, _e(6, (1, 1), (5, -1))))),
+             lambda sp: (lift_root(sp.spec, 0, _e("A", 5, (0, 1), (4, -1))),
+                         lift_root(sp.spec, 0, _e("A", 5, (1, 1), (5, -1))))),
             ("B", 5, (((0, 1), (1, 1)), ((2, -1), (3, -1))),
-             lambda sp: (lift_root(sp.spec, 0, _e(5, (0, 1), (4, 1))),
-                         lift_root(sp.spec, 0, _e(5, (0, 1), (4, -1))))),
+             lambda sp: (lift_root(sp.spec, 0, _e("B", 5, (0, 1), (4, 1))),
+                         lift_root(sp.spec, 0, _e("B", 5, (0, 1), (4, -1))))),
             ("B", 4, (((0, 1), (1, 1)), ((2, -1),)),
-             lambda sp: (lift_root(sp.spec, 0, _e(4, (0, 1), (3, 1))),
-                         lift_root(sp.spec, 0, _e(4, (0, 1), (3, -1))))),
+             lambda sp: (lift_root(sp.spec, 0, _e("B", 4, (0, 1), (3, 1))),
+                         lift_root(sp.spec, 0, _e("B", 4, (0, 1), (3, -1))))),
             ("C", 3, (((0, 2),), ((1, -1), (2, -1))),
-             lambda sp: (lift_root(sp.spec, 0, _e(3, (1, 2))),
-                         lift_root(sp.spec, 0, _e(3, (2, 2))))),
+             lambda sp: (lift_root(sp.spec, 0, _e("C", 3, (1, 2))),
+                         lift_root(sp.spec, 0, _e("C", 3, (2, 2))))),
             ("C", 4, (((0, 1), (1, 1)), ((2, -1), (3, -1))),
-             lambda sp: (lift_root(sp.spec, 0, _e(4, (0, 2))),
-                         lift_root(sp.spec, 0, _e(4, (1, 2))))),
+             lambda sp: (lift_root(sp.spec, 0, _e("C", 4, (0, 2))),
+                         lift_root(sp.spec, 0, _e("C", 4, (1, 2))))),
             ("C", 3, (((0, 2),), ((0, -1), (1, -1))),
-             lambda sp: (lift_root(sp.spec, 0, _e(3, (0, 1), (2, 1))),
-                         lift_root(sp.spec, 0, _e(3, (1, 2))))),
+             lambda sp: (lift_root(sp.spec, 0, _e("C", 3, (0, 1), (2, 1))),
+                         lift_root(sp.spec, 0, _e("C", 3, (1, 2))))),
             ("D", 5, (((0, 1), (1, 1)), ((2, -1), (3, -1))),
-             lambda sp: (lift_root(sp.spec, 0, _e(5, (0, 1), (4, 1))),
-                         lift_root(sp.spec, 0, _e(5, (0, 1), (4, -1))))),
+             lambda sp: (lift_root(sp.spec, 0, _e("D", 5, (0, 1), (4, 1))),
+                         lift_root(sp.spec, 0, _e("D", 5, (0, 1), (4, -1))))),
             ("E6", 6, (((0, 1), (1, 1)), ((1, 1), (0, -1))),
-             lambda sp: (lift_root(sp.spec, 0, rv(-h, h, h, h, h, QNum(0, 0, h))),
-                         lift_root(sp.spec, 0, rv(-h, -h, -h, -h, -h, QNum(0, 0, h))))),
+             lambda sp: (lift_root(sp.spec, 0, root("E6", 6, -h, h, h, h, h, QNum(0, 0, h))),
+                         lift_root(sp.spec, 0, root("E6", 6, -h, -h, -h, -h, -h, QNum(0, 0, h))))),
             ("E7", 7, (((0, 1), (1, 1)), ((1, 1), (0, -1))),
-             lambda sp: (lift_root(sp.spec, 0, rv(-h, h, h, h, h, h, QNum(0, h))),
-                         lift_root(sp.spec, 0, rv(h, -h, -h, -h, h, h, QNum(0, h))))),
+             lambda sp: (lift_root(sp.spec, 0, root("E7", 7, -h, h, h, h, h, h, QNum(0, h))),
+                         lift_root(sp.spec, 0, root("E7", 7, h, -h, -h, -h, h, h, QNum(0, h))))),
             ("E8", 8, (((0, 1), (1, 1)), ((1, 1), (0, -1))),
-             lambda sp: (lift_root(sp.spec, 0, rv(*([h] * 8))),
-                         lift_root(sp.spec, 0, rv(-h, -h, -h, -h, h, h, h, h)))),
+             lambda sp: (lift_root(sp.spec, 0, root("E8", 8, *([h] * 8))),
+                         lift_root(sp.spec, 0, root("E8", 8, -h, -h, -h, -h, h, h, h, h)))),
             ("E8", 8, (((0, 1), (1, 1)), ((2, -1), (3, -1))),
-             lambda sp: (lift_root(sp.spec, 0, _e(8, (0, 1), (4, 1))),
-                         lift_root(sp.spec, 0, _e(8, (1, 1), (5, 1))))),
+             lambda sp: (lift_root(sp.spec, 0, _e("E8", 8, (0, 1), (4, 1))),
+                         lift_root(sp.spec, 0, _e("E8", 8, (1, 1), (5, 1))))),
         ]
         for fam, rank, pair, mk in cases:
-            dim = rank + 1 if fam == "A" else rank
-            alpha, beta = (_e(dim, *p) for p in pair)
+            alpha, beta = (_e(fam, rank, *p) for p in pair)
             sp = case3_space(fam, rank, alpha, beta)
             g1, g2 = mk(sp)
             assert key_lemma_2_check(sp, g1, g2), (fam, rank)

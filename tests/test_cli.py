@@ -113,7 +113,6 @@ def test_space_build_from_file(tmp_path):
 
 
 def test_space_build_file_with_h_roots(tmp_path):
-    from flagcurv.rootsys import rv
     spec = {
         "algebra": {"factors": [{"family": "B", "rank": 2, "scale": "1"}],
                     "abelian_dim": 0},

@@ -17,10 +17,19 @@ from flagcurv.coset import (
     parse_preset,
     preset,
     rank_check,
+    root,
     tvec_from_parts,
     _ad_exp,
 )
-from flagcurv.rootsys import rv
+from flagcurv.rootsys import QNum
+from flagcurv.torus import tvec_to_json
+
+
+def _coords(v):
+    """The exact coordinates of a vector, read back from its JSON."""
+    js = tvec_to_json(v)
+    return [QNum.from_json(x) for f in js["factors"] for x in f] \
+        + [QNum.from_json(x) for x in js["abelian"]]
 
 PRESETS = [
     ("sphere_so2n", (3,), 5), ("sphere_so2n", (4,), 7),
@@ -69,7 +78,7 @@ def test_build_trivial_isotropy():
 
 def test_not_a_subalgebra_rejected():
     alg = realize(AlgebraSpec((("A", 2, Fraction(1)),)))
-    bad = SubalgebraSpec(h_roots=((0, rv(1, -1, 0)), (0, rv(0, 1, -1))))
+    bad = SubalgebraSpec(h_roots=((0, root("A", 2, 1, -1, 0)), (0, root("A", 2, 0, 1, -1))))
     # two root planes whose brackets generate all of su(3): closure inside
     # the span of the generators fails
     with pytest.raises(ValueError, match="not a subalgebra|h = g"):
@@ -129,7 +138,7 @@ def test_hat_blocks_subcase1_structure(spaces):
         # m-contributions away from g0 come only from the e_i +- e_1 planes;
         # the e_i planes of the same class lie inside h
         for b in hat.blocks[1:]:
-            roots = {tuple(float(c) for c in r.coords) for _, r in b.roots}
+            roots = {tuple(float(c) for c in _coords(r)) for _, r in b.roots}
             assert sum(1 for rc in roots if abs(rc[0]) == 1.0) == 2
             assert len(b.basis) == 4
 
@@ -160,7 +169,8 @@ def test_hat_trivial_when_h_holds_every_plane():
     spec = alg.spec
     cart = (tvec_from_parts(spec, {0: [1, -1, 0]}),
             tvec_from_parts(spec, {0: [1, 1, -2]}))
-    roots = [(0, rv(1, -1, 0)), (0, rv(1, 0, -1)), (0, rv(0, 1, -1))]
+    roots = [(0, root("A", 2, 1, -1, 0)), (0, root("A", 2, 1, 0, -1)),
+             (0, root("A", 2, 0, 1, -1))]
     sp2 = build_coset(alg, SubalgebraSpec(cartan_h=cart, h_roots=tuple(roots)),
                       name="U(3)/SU(3)")
     assert sp2.dim_m == 1
@@ -172,19 +182,19 @@ def test_h_equals_g_rejected():
     alg = realize(AlgebraSpec((("A", 1, Fraction(1)),)))
     spec = alg.spec
     sub = SubalgebraSpec(cartan_h=(tvec_from_parts(spec, {0: [1, -1]}),),
-                         h_roots=((0, rv(1, -1)),))
+                         h_roots=((0, root("A", 1, 1, -1)),))
     with pytest.raises(ValueError, match="h = g"):
         build_coset(alg, sub)
 
 
 def test_hathat_examples(spaces):
     sp = spaces[("bn_excluded_subcase1", (2,))]
-    tv = lift_root(sp.algebra.spec, 0, rv(0, 1))
+    tv = lift_root(sp.algebra.spec, 0, root("B", 2, 0, 1))
     blocks = sp.hathat_decomposition(tv)
     assert len(sp.hat_decomposition().blocks) == 2
     assert len(blocks) == 1 and len(blocks[0][1]) == sp.dim_m
     sp3 = spaces[("bn_excluded_subcase1", (3,))]
-    tv = lift_root(sp3.algebra.spec, 0, rv(0, 1, 0))
+    tv = lift_root(sp3.algebra.spec, 0, root("B", 3, 0, 1, 0))
     blocks = sp3.hathat_decomposition(tv)
     sizes = sorted(len(b) for _, b in blocks)
     assert sizes == [4, 7]
@@ -197,13 +207,13 @@ def test_hathat_key_lemma_setting():
     of the second decomposition is t cap m plus that plane."""
     sp = preset("sphere_un", 3)
     spec = sp.algebra.spec
-    alpha = lift_root(spec, 0, rv(1, -1, 0))
+    alpha = lift_root(spec, 0, root("A", 2, 1, -1, 0))
     ap = sp.pr_h_exact(alpha)
     blocks = sp.hathat_decomposition(ap)
     zero_block = blocks[0][1]
     assert len(zero_block) == 3
     span = np.array(zero_block)
-    for probe in [sp.to_m(sp.embed(sp.t_m[0]))] + sp.plane_m_part(0, rv(1, -1, 0)):
+    for probe in [sp.to_m(sp.embed(sp.t_m[0]))] + sp.plane_m_part(0, root("A", 2, 1, -1, 0)):
         assert np.linalg.norm(probe - span.T @ (span @ probe)) < 1e-9
 
 
@@ -241,7 +251,7 @@ def test_berger_cartan_alignment(spaces):
     sp = spaces[("berger_sp2", ())]
     h_dir = sp.embed(sp.cartan_h[0])
     # the isotropy Cartan is the (-1, 2) direction of the standard torus
-    target = sp.algebra.cartan_embed([rv(-1, 2)])
+    target = sp.algebra.cartan_embed([root("B", 2, -1, 2)])
     assert (h_dir - target).norm() < 1e-12
 
 
@@ -314,7 +324,6 @@ def test_quaternion_and_complex_space_files_agree():
     """Sp(2)Sp(1)/Sp(1)Sp(1) from a file, its diagonal Sp(1) given once as
     quaternion blocks and once as their complex 2n x 2n form."""
     from flagcurv.coset import space_from_json
-    from flagcurv.torus import tvec_to_json
     from flagcurv.liealg import quat_unit
 
     spec = AlgebraSpec((("C", 2, Fraction(1)), ("C", 1, Fraction(1))))
@@ -323,7 +332,7 @@ def test_quaternion_and_complex_space_files_agree():
     base = {
         "algebra": spec.to_json(),
         "cartan_h": [tvec_to_json(tv) for tv in cart],
-        "h_roots": [{"factor": 0, "root": rv(0, 2).to_json()}],
+        "h_roots": [{"factor": 0, "root": tvec_to_json(root("C", 2, 0, 2))["factors"][0]}],
     }
 
     def quat(n, part):

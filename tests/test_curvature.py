@@ -363,12 +363,11 @@ def test_surviving_spaces_positively_curved_under_normal_metric(name, params):
 def test_scaled_inner_product_consistency():
     from fractions import Fraction
     from flagcurv.liealg import inner
-    from flagcurv.coset import lift_root, tvec_dot
-    from flagcurv.rootsys import rv
+    from flagcurv.coset import lift_root, root, tvec_dot
     spec = AlgebraSpec((("B", 2, Fraction(3, 2)),))
     alg = realize(spec)
-    v = lift_root(spec, 0, rv(1, 1))
-    w = lift_root(spec, 0, rv(1, 0))
+    v = lift_root(spec, 0, root("B", 2, 1, 1))
+    w = lift_root(spec, 0, root("B", 2, 1, 0))
     got = inner(alg.cartan_embed(list(v.factors)), alg.cartan_embed(list(w.factors)))
     assert abs(got - float(tvec_dot(spec, v, w))) < 1e-12
 

@@ -3,9 +3,9 @@
 `rootsys`, `torus` and `obstruct` decide every sign, order, grouping and
 membership from exact values on the integer torus lattice.  This test
 parses the three modules and rejects any numpy or scipy import and any
-call of `float(...)`, `.floats()` or `lstsq`.  The float views that the
-matrix layers read, `QNum.__float__` and `RootVector.floats`, are the only
-exemptions.  Their import-time relative imports name only each other, so
+call of `float(...)`, `.floats()` or `lstsq`.  `QNum.__float__` is the only
+exemption; the matrix layers compute the float view of a lattice vector
+themselves.  Their import-time relative imports name only each other, so
 the exact verbs never load a matrix module (and numpy with it).  The
 classifier itself never touches QNum: `obstruct` does not name it, and the
 root data of every space the survivor lists build holds ints only.
@@ -21,7 +21,7 @@ from flagcurv import obstruct
 
 SRC = Path(flagcurv.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
-EXEMPT = {("QNum", "__float__"), ("RootVector", "floats")}
+EXEMPT = {("QNum", "__float__")}
 BANNED_MODULES = ("numpy", "scipy")
 EXACT_FILES = ("rootsys.py", "torus.py", "obstruct.py")
 
@@ -83,8 +83,8 @@ def test_exact_modules_make_no_float_decision(module):
 
 
 def test_guard_sees_a_float_call():
-    tree = ast.parse("class RootVector:\n"
-                     "    def floats(self):\n        return float(1)\n"
+    tree = ast.parse("class QNum:\n"
+                     "    def __float__(self):\n        return float(1)\n"
                      "def key(v):\n    return v.floats(), float(v), np.linalg.lstsq(a, b)\n")
     assert [what for _, what in _float_uses(tree)] == [".floats()", "float()", ".lstsq()"]
 

@@ -6,8 +6,8 @@ to an A1 factor and an abelian coordinate with non-unit scales.  The oracle
 reads the roots' coordinates with its own table of position surds,
 repeats each combination in Q(sqrt2, sqrt3), and computes the inner
 product, the projection along w, the canonical sign and the lexicographic
-order there; the lattice results, and the engine's QNum view of them,
-must agree.
+order there; the lattice results must agree, and so must the engine's
+printed and JSON forms of each vector, read back as QNums.
 """
 
 from fractions import Fraction
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from flagcurv.obstruct import _root_data, make_root_level_space
 from flagcurv.rootsys import Q0, QNum
-from flagcurv.torus import AlgebraSpec, tvec_dot, tvec_from_parts
+from flagcurv.torus import AlgebraSpec, tvec_dot, tvec_from_parts, tvec_to_json
 
 FAMILIES = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
             + [("C", n) for n in range(3, 9)] + [("D", n) for n in range(4, 9)]
@@ -38,6 +38,19 @@ def _ambient(spec, tv):
     assert len(surds) == len(tv)
     return [QNum(*(Fraction(n, 2) if k == j else 0 for j in (1, 2, 3)))
             for n, k in zip(tv, surds)]
+
+
+def _check_printed(spec, tv, q):
+    """The engine's JSON of tv, read back, and its printed blocks (the
+    spec has two factors and one abelian coordinate) against the oracle
+    coordinates q."""
+    n1 = spec.factors[0][1] + (1 if spec.factors[0][0] == "A" else 0)
+    b1, b2, ab = q[:n1], q[n1:-1], q[-1]
+    js = tvec_to_json(tv)
+    assert [[QNum.from_json(x) for x in f] for f in js["factors"]] == [b1, b2]
+    assert [QNum.from_json(x) for x in js["abelian"]] == [ab]
+    blocks = ["(" + ", ".join(map(str, b)) + ")" for b in (b1, b2)]
+    assert repr(tv) == f"TVec(factors=({blocks[0]}, {blocks[1]}), abelian=({ab!r},))"
 
 
 def _scales(spec):
@@ -86,7 +99,7 @@ def test_lattice_matches_qnum_arithmetic(drawn):
     spec, ((u, uq), (v, vq), (w, wq)) = drawn
     for tv, q in ((u, uq), (v, vq), (w, wq)):
         assert _ambient(spec, tv) == q
-        assert [x for f in tv.factors for x in f.coords] + list(map(QNum.of, tv.abelian)) == q
+        _check_printed(spec, tv, q)
         assert all(type(x) is int for x in tv)
     assert QNum.of(tvec_dot(spec, u, v)) == _dot(spec, uq, vq)
     # canonical sign: the first nonzero QNum coordinate decides
@@ -100,5 +113,7 @@ def test_lattice_matches_qnum_arithmetic(drawn):
         return
     space = make_root_level_space(spec, w)
     coef = _dot(spec, wq, uq) / ww
-    assert _ambient(spec, space.pr_h(u)) == [x - coef * y for x, y in zip(uq, wq)]
+    pq = [x - coef * y for x, y in zip(uq, wq)]
+    assert _ambient(spec, space.pr_h(u)) == pq
+    _check_printed(spec, space.pr_h(u), pq)  # rational coordinates
     assert space.in_t_h(u) == _dot(spec, wq, uq).is_zero()

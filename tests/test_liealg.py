@@ -14,7 +14,8 @@ from flagcurv.liealg import (
     inner,
     realize,
 )
-from flagcurv.rootsys import rv
+from flagcurv.rootsys import tvec_dot
+from flagcurv.torus import root
 
 TOL = 1e-12
 
@@ -44,7 +45,7 @@ def test_sp_basis_blocks_are_skew_hermitian_and_symplectic():
 
 def test_su4_plane_matches_standard_presentation(algebras):
     f = algebras[("A", 3)].factors[0]
-    p = f.plane(rv(1, -1, 0, 0))
+    p = f.plane(root("A", 3, 1, -1, 0, 0))
     x = p.x.blocks[0] * np.sqrt(2.0)
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 1], expected[1, 0] = 1, -1
@@ -56,7 +57,7 @@ def test_sp3_long_plane_sits_in_the_j_entries(algebras):
     model only the (0, n) and (n, 0) entries are nonzero, of modulus 1."""
     f = algebras[("C", 3)].factors[0]
     n = f.rank
-    p = f.plane(rv(2, 0, 0))
+    p = f.plane(root("C", 3, 2, 0, 0))
     for m in (p.x.blocks[0], p.y.blocks[0]):
         rest = m.copy()
         rest[0, n] = rest[n, 0] = 0
@@ -68,7 +69,7 @@ def test_sp3_long_plane_sits_in_the_j_entries(algebras):
 
 def test_so7_cartan_generator(algebras):
     alg = algebras[("B", 3)]
-    e1 = cartan_embed(alg, [rv(1, 0, 0)]).blocks[0]
+    e1 = cartan_embed(alg, [root("B", 3, 1, 0, 0)]).blocks[0]
     expected = np.zeros((7, 7))
     expected[1, 2], expected[2, 1] = 1, -1
     assert np.allclose(e1, expected, atol=TOL)
@@ -88,14 +89,14 @@ def test_bracket_examples(algebras):
     rng = np.random.default_rng(0)
     x = alg.random_element(rng)
     assert bracket(x, x).norm() < TOL
-    h1 = alg.cartan_embed([rv(1, 0, 0, 0)])
-    h2 = alg.cartan_embed([rv(0, 1, 0, 0)])
+    h1 = alg.cartan_embed([root("A", 3, 1, 0, 0, 0)])
+    h2 = alg.cartan_embed([root("A", 3, 0, 1, 0, 0)])
     assert bracket(h1, h2).norm() < TOL
 
 
 def test_inner_examples():
     su2 = realize(AlgebraSpec((("A", 1, Fraction(1)),)))
-    e1 = su2.cartan_embed([rv(1, 0)])
+    e1 = su2.cartan_embed([root("A", 1, 1, 0)])
     # trace oracle: the traceless part of i E_11 is i diag(1/2, -1/2)
     m = e1.blocks[0]
     oracle = float(-np.trace(m @ m).real)
@@ -117,20 +118,20 @@ def test_inner_ad_invariance_and_plane_orthogonality(algebras):
 
 def test_cartan_embed_examples(algebras):
     alg = algebras[("A", 3)]
-    m = alg.cartan_embed([rv(1, 1, -1, -1)]).blocks[0]
+    m = alg.cartan_embed([root("A", 3, 1, 1, -1, -1)]).blocks[0]
     assert np.allclose(m, 1j * np.diag([1, 1, -1, -1]), atol=TOL)
-    z = alg.cartan_embed([rv(0, 0, 0, 0)])
+    z = alg.cartan_embed([root("A", 3, 0, 0, 0, 0)])
     assert z.norm() < TOL
     b3 = algebras[("B", 3)]
-    m = b3.cartan_embed([rv(0, 1, 0)]).blocks[0]
+    m = b3.cartan_embed([root("B", 3, 0, 1, 0)]).blocks[0]
     expected = np.zeros((7, 7))
     expected[3, 4], expected[4, 3] = 1, -1
     assert np.allclose(m, expected, atol=TOL)
     # exact coordinates reproduced through the inner product
-    for v in (rv(1, -1, 0, 0), rv(1, 1, -1, -1)):
-        for w in (rv(1, -1, 0, 0), rv(0, 1, -1, 0)):
+    for v in (root("A", 3, 1, -1, 0, 0), root("A", 3, 1, 1, -1, -1)):
+        for w in (root("A", 3, 1, -1, 0, 0), root("A", 3, 0, 1, -1, 0)):
             got = inner(alg.cartan_embed([v]), alg.cartan_embed([w]))
-            assert abs(got - float(v.dot(w))) < TOL
+            assert abs(got - float(tvec_dot(v.spec, v, w))) < TOL
 
 
 def test_exceptional_factor_rejected():
@@ -194,9 +195,9 @@ def test_ad_isomorphism_between_planes(algebras):
     isomorphically for any nonzero v in g_a."""
     alg = algebras[("B", 3)]
     f = alg.factors[0]
-    pa = f.plane(rv(-1, 1, 0))
-    pb = f.plane(rv(1, 0, 0))
-    tgt = f.plane(rv(0, 1, 0))
+    pa = f.plane(root("B", 3, -1, 1, 0))
+    pb = f.plane(root("B", 3, 1, 0, 0))
+    tgt = f.plane(root("B", 3, 0, 1, 0))
     rng = np.random.default_rng(3)
     for _ in range(5):
         c = rng.standard_normal(2)

@@ -14,18 +14,18 @@ from flagcurv.coset import (
     orthocomplement_in_t,
     preset,
     project_to_span,
+    root,
     tvec_from_parts,
 )
 from flagcurv.liealg import AlgebraSpec, realize
 from flagcurv.rootsys import (
     QNum,
-    RootVector,
     build_root_system,
-    rv,
     solve_exact,
-    surd_weights,
+    tvec_dot,
     weyl_reflect,
 )
+from flagcurv.torus import tvec_to_json
 from flagcurv.obstruct import (
     PropagationContradiction,
     _e,
@@ -56,9 +56,9 @@ from flagcurv.obstruct import (
 # -- case detection ---------------------------------------------------------
 
 def test_classify_case_examples():
-    sp = case3_space("A", 3, _e(4, (0, 1), (3, -1)), _e(4, (2, 1), (1, -1)))
+    sp = case3_space("A", 3, _e("A", 3, (0, 1), (3, -1)), _e("A", 3, (2, 1), (1, -1)))
     assert classify_case(sp) == "III"
-    sp2 = case2_space("C", 3, _e(3, (0, 2)))
+    sp2 = case2_space("C", 3, _e("C", 3, (0, 2)))
     assert classify_case(sp2) == "II"
     rls = root_level_from_coset(preset("sphere_un", 3))
     assert classify_case(rls) == "I"
@@ -84,8 +84,8 @@ def test_sphere_presentation_is_case_three():
 # -- key lemmas --------------------------------------------------------------
 
 @pytest.mark.parametrize("make", [
-    lambda: case2_space("C", 3, _e(3, (0, 2))),
-    lambda: case3_space("B", 4, _e(4, (0, 1), (1, 1)), _e(4, (2, -1), (3, -1))),
+    lambda: case2_space("C", 3, _e("C", 3, (0, 2))),
+    lambda: case3_space("B", 4, _e("B", 4, (0, 1), (1, 1)), _e("B", 4, (2, -1), (3, -1))),
     lambda: root_level_from_coset(preset("sphere_un", 4)),
 ])
 def test_pr_h_matches_projection_onto_cartan_h(make):
@@ -104,7 +104,7 @@ def test_unequal_factor_scales_group_by_the_exact_projection():
     # A1 (scale 1) + A1 (scale 2) with w = alpha - beta: pr_h(alpha) ==
     # pr_h(beta) in the scaled form, a cross-factor pair on an h-root
     spec = AlgebraSpec((("A", 1, Fraction(1)), ("A", 1, Fraction(2))))
-    alpha, beta = lift_root(spec, 0, rv(1, -1)), lift_root(spec, 1, rv(1, -1))
+    alpha, beta = lift_root(spec, 0, root("A", 1, 1, -1)), lift_root(spec, 1, root("A", 1, 1, -1))
     sp = make_root_level_space(spec, alpha - beta)
     assert sp.pr_h(alpha) == sp.pr_h(beta)
     sp = make_root_level_space(spec, alpha - beta, h_roots=[sp.pr_h(alpha)])
@@ -120,7 +120,7 @@ def test_unequal_factor_scales_group_by_the_exact_projection():
 
 def _unequal_scale_a1a1():
     spec = AlgebraSpec((("A", 1, Fraction(1)), ("A", 1, Fraction(2))))
-    alpha, beta = lift_root(spec, 0, rv(1, -1)), lift_root(spec, 1, rv(1, -1))
+    alpha, beta = lift_root(spec, 0, root("A", 1, 1, -1)), lift_root(spec, 1, root("A", 1, 1, -1))
     return make_root_level_space(spec, alpha - beta)
 
 
@@ -137,8 +137,8 @@ def _oracle_span_members(sp, g1, shift):
 
 @pytest.mark.parametrize("make,rich", [
     (lambda: case3_space("G2", 2, _g2_root(2, 0), _g2_root(-1, 1)), False),
-    (lambda: case3_space("E6", 6, _e(6, (0, 1), (1, 1)), _e(6, (1, 1), (0, -1))), True),
-    (lambda: case3_space("E7", 7, _e(7, (0, 1), (1, 1)), _e(7, (1, 1), (0, -1))), True),
+    (lambda: case3_space("E6", 6, _e("E6", 6, (0, 1), (1, 1)), _e("E6", 6, (1, 1), (0, -1))), True),
+    (lambda: case3_space("E7", 7, _e("E7", 7, (0, 1), (1, 1)), _e("E7", 7, (1, 1), (0, -1))), True),
     (lambda: case2_space("G2", 2, _g2_root(0, 2)), True),
     (_unequal_scale_a1a1, False),
 ], ids=["G2", "E6", "E7", "A1+G2", "A1+A1-scaled"])
@@ -168,21 +168,21 @@ def test_span_members_match_a_per_root_solve(make, rich):
 
 
 def test_key_lemma_1_examples():
-    sp = case3_space("A", 3, _e(4, (0, 1), (3, -1)), _e(4, (2, 1), (1, -1)))
-    e12 = lift_root(sp.spec, 0, _e(4, (0, 1), (1, -1)))
-    e34 = lift_root(sp.spec, 0, _e(4, (2, 1), (3, -1)))
+    sp = case3_space("A", 3, _e("A", 3, (0, 1), (3, -1)), _e("A", 3, (2, 1), (1, -1)))
+    e12 = lift_root(sp.spec, 0, _e("A", 3, (0, 1), (1, -1)))
+    e34 = lift_root(sp.spec, 0, _e("A", 3, (2, 1), (3, -1)))
     assert key_lemma_1_applies(sp, e12)
     assert key_lemma_1_applies(sp, e34)
     # B2 with t cap m = R e1: the affine line through e2 contains e2 +- e1
     spec = AlgebraSpec((("B", 2, Fraction(1)),))
-    sp2 = make_root_level_space(spec, lift_root(spec, 0, rv(1, 0)))
-    e2 = lift_root(spec, 0, rv(0, 1))
+    sp2 = make_root_level_space(spec, lift_root(spec, 0, root("B", 2, 1, 0)))
+    e2 = lift_root(spec, 0, root("B", 2, 0, 1))
     assert not key_lemma_1_applies(sp2, e2)
-    not_in_th = lift_root(spec, 0, rv(1, 1))
+    not_in_th = lift_root(spec, 0, root("B", 2, 1, 1))
     with pytest.raises(ValueError, match="t cap h"):
         key_lemma_1_applies(sp2, not_in_th)
     with pytest.raises(ValueError, match="not a root"):
-        key_lemma_1_applies(sp2, lift_root(spec, 0, rv(3, 0)))
+        key_lemma_1_applies(sp2, lift_root(spec, 0, root("B", 2, 3, 0)))
 
 
 CITED_PAIRS = [
@@ -204,9 +204,8 @@ CITED_PAIRS = [
 
 @pytest.mark.parametrize("family,rank,pair,gammas", CITED_PAIRS)
 def test_key_lemma_2_cited_pairs(family, rank, pair, gammas):
-    dim = rank + 1 if family == "A" else rank
-    alpha, beta = (_e(dim, *p) for p in pair)
-    g1, g2 = (_e(dim, *g) for g in gammas)
+    alpha, beta = (_e(family, rank, *p) for p in pair)
+    g1, g2 = (_e(family, rank, *g) for g in gammas)
     sp = case3_space(family, rank, alpha, beta)
     lg1, lg2 = lift_root(sp.spec, 0, g1), lift_root(sp.spec, 0, g2)
     assert key_lemma_2_check(sp, lg1, lg2)
@@ -214,24 +213,24 @@ def test_key_lemma_2_cited_pairs(family, rank, pair, gammas):
 
 def test_key_lemma_2_exceptional_pairs():
     h = Fraction(1, 2)
-    sp = case3_space("E6", 6, _e(6, (0, 1), (1, 1)), _e(6, (1, 1), (0, -1)))
-    g1 = lift_root(sp.spec, 0, rv(-h, h, h, h, h, QNum(0, 0, h)))
-    g2 = lift_root(sp.spec, 0, rv(-h, -h, -h, -h, -h, QNum(0, 0, h)))
+    sp = case3_space("E6", 6, _e("E6", 6, (0, 1), (1, 1)), _e("E6", 6, (1, 1), (0, -1)))
+    g1 = lift_root(sp.spec, 0, root("E6", 6, -h, h, h, h, h, QNum(0, 0, h)))
+    g2 = lift_root(sp.spec, 0, root("E6", 6, -h, -h, -h, -h, -h, QNum(0, 0, h)))
     assert key_lemma_2_check(sp, g1, g2)
-    sp = case3_space("E7", 7, _e(7, (0, 1), (1, 1)), _e(7, (1, 1), (0, -1)))
-    g1 = lift_root(sp.spec, 0, rv(-h, h, h, h, h, h, QNum(0, h)))
-    g2 = lift_root(sp.spec, 0, rv(h, -h, -h, -h, h, h, QNum(0, h)))
+    sp = case3_space("E7", 7, _e("E7", 7, (0, 1), (1, 1)), _e("E7", 7, (1, 1), (0, -1)))
+    g1 = lift_root(sp.spec, 0, root("E7", 7, -h, h, h, h, h, h, QNum(0, h)))
+    g2 = lift_root(sp.spec, 0, root("E7", 7, h, -h, -h, -h, h, h, QNum(0, h)))
     assert key_lemma_2_check(sp, g1, g2)
-    sp = case3_space("E8", 8, _e(8, (0, 1), (1, 1)), _e(8, (1, 1), (0, -1)))
-    g1 = lift_root(sp.spec, 0, rv(*([h] * 8)))
-    g2 = lift_root(sp.spec, 0, rv(-h, -h, -h, -h, h, h, h, h))
+    sp = case3_space("E8", 8, _e("E8", 8, (0, 1), (1, 1)), _e("E8", 8, (1, 1), (0, -1)))
+    g1 = lift_root(sp.spec, 0, root("E8", 8, *([h] * 8)))
+    g2 = lift_root(sp.spec, 0, root("E8", 8, -h, -h, -h, -h, h, h, h, h))
     assert key_lemma_2_check(sp, g1, g2)
 
 
 def test_key_lemma_2_failing_pair_subcase_nine():
-    sp = case3_space("B", 3, _e(3, (0, 1), (1, 1)), _e(3, (0, -1)))
-    g1 = lift_root(sp.spec, 0, rv(1, 0, 1))
-    g2 = lift_root(sp.spec, 0, rv(1, 0, -1))
+    sp = case3_space("B", 3, _e("B", 3, (0, 1), (1, 1)), _e("B", 3, (0, -1)))
+    g1 = lift_root(sp.spec, 0, root("B", 3, 1, 0, 1))
+    g2 = lift_root(sp.spec, 0, root("B", 3, 1, 0, -1))
     det = key_lemma_2_details(sp, g1, g2)
     assert det[1] and det[2]
     assert not key_lemma_2_check(sp, g1, g2)
@@ -240,38 +239,38 @@ def test_key_lemma_2_failing_pair_subcase_nine():
 
 
 def test_key_lemma_2_input_validation():
-    sp = case3_space("B", 3, _e(3, (0, 1), (1, 1)), _e(3, (0, -1)))
-    g1 = lift_root(sp.spec, 0, rv(1, 0, 1))
+    sp = case3_space("B", 3, _e("B", 3, (0, 1), (1, 1)), _e("B", 3, (0, -1)))
+    g1 = lift_root(sp.spec, 0, root("B", 3, 1, 0, 1))
     with pytest.raises(ValueError, match="independent"):
         key_lemma_2_check(sp, g1, -g1)
     with pytest.raises(ValueError, match="roots"):
-        key_lemma_2_check(sp, g1, lift_root(sp.spec, 0, rv(3, 0, 0)))
+        key_lemma_2_check(sp, g1, lift_root(sp.spec, 0, root("B", 3, 3, 0, 0)))
 
 
 def test_angle_lemma_examples():
-    sp = case3_space("A", 2, _e(3, (0, 1), (1, -1)), _e(3, (1, -1), (2, 1)))
-    a = lift_root(sp.spec, 0, _e(3, (0, 1), (1, -1)))
-    b = lift_root(sp.spec, 0, _e(3, (1, -1), (2, 1)))
+    sp = case3_space("A", 2, _e("A", 2, (0, 1), (1, -1)), _e("A", 2, (1, -1), (2, 1)))
+    a = lift_root(sp.spec, 0, _e("A", 2, (0, 1), (1, -1)))
+    b = lift_root(sp.spec, 0, _e("A", 2, (1, -1), (2, 1)))
     assert angle_lemma_check(sp, a, b)  # angle 2pi/3: excluded
-    sp2 = case3_space("A", 3, _e(4, (0, 1), (3, -1)), _e(4, (2, 1), (1, -1)))
-    a2 = lift_root(sp2.spec, 0, _e(4, (0, 1), (3, -1)))
-    b2 = lift_root(sp2.spec, 0, _e(4, (2, 1), (1, -1)))
+    sp2 = case3_space("A", 3, _e("A", 3, (0, 1), (3, -1)), _e("A", 3, (2, 1), (1, -1)))
+    a2 = lift_root(sp2.spec, 0, _e("A", 3, (0, 1), (3, -1)))
+    b2 = lift_root(sp2.spec, 0, _e("A", 3, (2, 1), (1, -1)))
     assert not angle_lemma_check(sp2, a2, b2)  # right angle: no conclusion
     g2 = case3_space("G2", 2, _g2_root(2, 0), _g2_root(1, 3))
     la = lift_root(g2.spec, 0, _g2_root(2, 0))
     lb = lift_root(g2.spec, 0, _g2_root(1, 3))
     assert angle_lemma_check(g2, la, lb)  # long pair at pi/3
     with pytest.raises(ValueError, match="hypothesis"):
-        angle_lemma_check(sp2, a2, lift_root(sp2.spec, 0, _e(4, (0, 1), (1, -1))))
+        angle_lemma_check(sp2, a2, lift_root(sp2.spec, 0, _e("A", 3, (0, 1), (1, -1))))
 
 
 # -- propagation --------------------------------------------------------------
 
 def test_propagation_contradiction_f4_subcases():
     for alpha, beta, marker in [
-        (_e(4, (0, 1), (1, 1)), _e(4, (2, -1)), "integrality"),
-        (_e(4, (0, 1), (1, 1)), _e(4, (1, -1)), "integrality"),
-        (_e(4, (0, 1)), _e(4, (1, -1)), "reduced root system"),
+        (_e("F4", 4, (0, 1), (1, 1)), _e("F4", 4, (2, -1)), "integrality"),
+        (_e("F4", 4, (0, 1), (1, 1)), _e("F4", 4, (1, -1)), "integrality"),
+        (_e("F4", 4, (0, 1)), _e("F4", 4, (1, -1)), "reduced root system"),
     ]:
         sp = case3_space("F4", 4, alpha, beta)
         with pytest.raises(PropagationContradiction) as exc:
@@ -280,7 +279,7 @@ def test_propagation_contradiction_f4_subcases():
 
 
 def test_propagation_bracket_step_recorded():
-    sp = case3_space("F4", 4, _e(4, (0, 1), (1, 1)), _e(4, (2, -1)))
+    sp = case3_space("F4", 4, _e("F4", 4, (0, 1), (1, 1)), _e("F4", 4, (2, -1)))
     with pytest.raises(PropagationContradiction) as excinfo:
         propagate_assignment(sp)
     trace = "\n".join(excinfo.value.trace)
@@ -297,14 +296,14 @@ def test_propagation_no_change_on_settled_space():
 
 def test_propagation_fixpoint_order_independent():
     rules = ["a", "pin", "e", "bc", "f"]
-    sp0 = case3_space("B", 3, _e(3, (0, 1), (1, 1)), _e(3, (1, 1)))
+    sp0 = case3_space("B", 3, _e("B", 3, (0, 1), (1, 1)), _e("B", 3, (1, 1)))
     base, _ = propagate_assignment(sp0)
     rng = random.Random(7)
     for _ in range(6):
         order = rules[:]
         rng.shuffle(order)
         out, _ = propagate_assignment(
-            case3_space("B", 3, _e(3, (0, 1), (1, 1)), _e(3, (1, 1))),
+            case3_space("B", 3, _e("B", 3, (0, 1), (1, 1)), _e("B", 3, (1, 1))),
             rule_order=order)
         assert out.assignment == base.assignment
         assert out.h_roots == base.h_roots
@@ -314,7 +313,7 @@ def test_propagation_fixpoint_order_independent():
         rng.shuffle(order)
         with pytest.raises(PropagationContradiction):
             propagate_assignment(
-                case3_space("F4", 4, _e(4, (0, 1), (1, 1)), _e(4, (1, -1))),
+                case3_space("F4", 4, _e("F4", 4, (0, 1), (1, 1)), _e("F4", 4, (1, -1))),
                 rule_order=order)
 
 
@@ -358,11 +357,15 @@ def test_every_excluded_witness_revalidates():
 
 # -- Weyl-orbit completeness of the tables -------------------------------------
 
+def _coords(v):
+    """The exact coordinates of a root, read back from its JSON."""
+    return [QNum.from_json(x) for x in tvec_to_json(v)["factors"][0]]
+
+
 def _simple_roots(rs):
     # a generic vector of the lattice: each position carries its own surd
-    heavy = RootVector([10 ** (rs.ambient_dim - i) for i in range(rs.ambient_dim)],
-                       surd_weights(rs.family, rs.rank))
-    positive = [r for r in rs.roots if r.dot(heavy) > 0]
+    heavy = rs.spec.tvec(10 ** (rs.ambient_dim - i) for i in range(rs.ambient_dim))
+    positive = [r for r in rs.roots if tvec_dot(rs.spec, r, heavy) > 0]
     pos = set(positive)
     simple = [r for r in positive
               if not any((r - p in pos) and (r - p != r) for p in positive
@@ -386,7 +389,7 @@ def test_subcase_table_covers_all_weyl_orbits(family, rank):
         table.add((sc.alpha, sc.beta))
     reached = {}
     orbit_id = 0
-    for start in sorted(pairs, key=lambda p: (p[0].coords, p[1].coords)):
+    for start in sorted(pairs, key=lambda p: (_coords(p[0]), _coords(p[1]))):
         if start in reached:
             continue
         orbit_id += 1
@@ -410,19 +413,19 @@ def test_subcase_table_covers_all_weyl_orbits(family, rank):
 # -- case II --------------------------------------------------------------------
 
 def test_classify_case2_examples():
-    v = classify_case2(case2_space("A", 1, rv(1, -1)))
+    v = classify_case2(case2_space("A", 1, root("A", 1, 1, -1)))
     assert v.outcome == "survivor" and v.name == "S^3 = SO(4)/SO(3)"
-    v = classify_case2(case2_space("C", 3, rv(2, 0, 0)))
+    v = classify_case2(case2_space("C", 3, root("C", 3, 2, 0, 0)))
     assert v.outcome == "survivor" and "Sp(3)Sp(1)/Sp(2)Sp(1)" in v.name
-    v = classify_case2(case2_space("B", 2, rv(1, 0)))
+    v = classify_case2(case2_space("B", 2, root("B", 2, 1, 0)))
     assert v.outcome == "excluded" and v.witness.kind == "key_lemma_2"
-    v = classify_case2(case2_space("A", 2, rv(1, -1, 0)))
+    v = classify_case2(case2_space("A", 2, root("A", 2, 1, -1, 0)))
     assert v.outcome == "survivor" and "Wilking" in v.name
 
 
 def test_classify_case2_witnesses_revalidate():
-    for fam, rank, beta in [("B", 2, rv(1, 0)), ("B", 3, rv(1, 1, 0)),
-                            ("C", 3, rv(1, 1, 0)), ("D", 4, rv(1, 1, 0, 0)),
+    for fam, rank, beta in [("B", 2, root("B", 2, 1, 0)), ("B", 3, root("B", 3, 1, 1, 0)),
+                            ("C", 3, root("C", 3, 1, 1, 0)), ("D", 4, root("D", 4, 1, 1, 0, 0)),
                             ("G2", 2, _g2_root(2, 0))]:
         sp = case2_space(fam, rank, beta)
         v = classify_case2(sp)
@@ -448,7 +451,7 @@ def test_classify_case1_examples():
     spec = AlgebraSpec((("A", 3, Fraction(1)),))
     w = tvec_from_parts(spec, {0: [3, -1, -1, -1]})
     sp = make_root_level_space(spec, w, h_roots=[
-        lift_root(spec, 0, _e(4, (i, 1), (j, -1)))
+        lift_root(spec, 0, _e("A", 3, (i, 1), (j, -1)))
         for i in range(1, 4) for j in range(1, 4) if i != j])
     v = classify_case1(sp)
     assert v.outcome == "unresolved"
@@ -497,12 +500,12 @@ def test_classify_space_on_presets():
 def test_plane_assignment_from_matrices():
     rls = root_level_from_coset(preset("sphere_spn_sp1", 2))
     spec = rls.spec
-    long1 = lift_root(spec, 0, rv(2, 0)).canonical_sign()
+    long1 = lift_root(spec, 0, root("C", 2, 2, 0)).canonical_sign()
     assert rls.assignment[long1] == "split"
     rls2 = root_level_from_coset(preset("bn_excluded_subcase1", 2))
     spec2 = rls2.spec
-    assert rls2.assignment[lift_root(spec2, 0, rv(1, 0)).canonical_sign()] == "m"
-    assert rls2.assignment[lift_root(spec2, 0, rv(0, 1)).canonical_sign()] == "h"
+    assert rls2.assignment[lift_root(spec2, 0, root("B", 2, 1, 0)).canonical_sign()] == "m"
+    assert rls2.assignment[lift_root(spec2, 0, root("B", 2, 0, 1)).canonical_sign()] == "h"
 
 
 def test_verify_theorem_small_bound():

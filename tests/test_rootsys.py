@@ -17,11 +17,10 @@ from flagcurv.rootsys import (
     exact_nullspace,
     is_root,
     root_sum_status,
-    rv,
     solve_exact,
     weyl_reflect,
 )
-from flagcurv.torus import AlgebraSpec, tvec_from_parts
+from flagcurv.torus import AlgebraSpec, lift_root, root, tvec_from_parts, tvec_to_json
 
 CARDINALITIES = [
     ("A", 1, 2), ("A", 3, 12), ("A", 7, 56),
@@ -47,70 +46,98 @@ def test_invalid_systems_rejected():
             build_root_system(family, rank)
 
 
+def _coords(v):
+    """The exact coordinates of a root, read back from its JSON."""
+    return [QNum.from_json(x) for x in tvec_to_json(v)["factors"][0]]
+
+
 def test_a3_roots_are_coordinate_differences():
     rs = build_root_system("A", 3)
     for r in rs.roots:
-        nz = [float(c) for c in r.coords if not c.is_zero()]
+        nz = [float(c) for c in _coords(r) if not c.is_zero()]
         assert sorted(nz) == [-1.0, 1.0]
-    assert rv(1, 0, 0, -1) in rs
-    assert sum(float(c) for c in rs.roots[0].coords) == 0.0
+    assert root("A", 3, 1, 0, 0, -1) in rs
+    assert sum(float(c) for c in _coords(rs.roots[0])) == 0.0
 
 
 def test_g2_contains_short_vertical_roots():
     rs = build_root_system("G2", 2)
-    assert rv(0, 1) in rs and rv(0, -1) in rs
+    assert root("G2", 2, 0, 1) in rs and root("G2", 2, 0, -1) in rs
 
 
 def test_f4_contains_half_sums():
     rs = build_root_system("F4", 4)
     h = Fraction(1, 2)
-    assert rv(h, h, h, h) in rs
-    assert rv(h, -h, h, -h) in rs
+    assert root("F4", 4, h, h, h, h) in rs
+    assert root("F4", 4, h, -h, h, -h) in rs
 
 
 def test_is_root_examples():
     b3 = build_root_system("B", 3)
-    assert is_root(b3, rv(1, 1, 0))
-    assert not is_root(b3, rv(2, 0, 0))
+    assert is_root(b3, root("B", 3, 1, 1, 0))
+    assert not is_root(b3, root("B", 3, 2, 0, 0))
     c3 = build_root_system("C", 3)
-    assert is_root(c3, rv(2, 0, 0))
+    assert is_root(c3, root("C", 3, 2, 0, 0))
     with pytest.raises(ValueError):
-        is_root(b3, rv(1, 0))
+        is_root(b3, root("B", 2, 1, 0))
 
 
 def test_angle_examples():
-    assert angle(rv(1, -1, 0, 0), rv(0, 1, -1, 0)) == "2pi/3"
-    assert angle(rv(1, 1), rv(-1, 1)) == "pi/2"
+    assert angle(root("A", 3, 1, -1, 0, 0), root("A", 3, 0, 1, -1, 0)) == "2pi/3"
+    assert angle(root("B", 2, 1, 1), root("B", 2, -1, 1)) == "pi/2"
     g2 = build_root_system("G2", 2)
-    long_root = rv(QNum(0, 0, 1), 0)                      # (sqrt3, 0)
-    short_root = rv(QNum(0, 0, Fraction(1, 2)), Fraction(1, 2))
+    long_root = root("G2", 2, QNum(0, 0, 1), 0)                      # (sqrt3, 0)
+    short_root = root("G2", 2, QNum(0, 0, Fraction(1, 2)), Fraction(1, 2))
     assert is_root(g2, long_root) and is_root(g2, short_root)
     assert angle(long_root, short_root) == "pi/6"
     with pytest.raises(ValueError):
-        angle(rv(0, 0), rv(1, 0))
+        angle(root("B", 2, 0, 0), root("B", 2, 1, 0))
 
 
 def test_weyl_reflect_examples():
     a3 = build_root_system("A", 3)
-    e1 = rv(1, 0, 0, 0)
-    assert weyl_reflect(a3, rv(1, -1, 0, 0), e1) == rv(0, 1, 0, 0)
-    alpha = rv(1, -1, 0, 0)
+    e1 = root("A", 3, 1, 0, 0, 0)
+    assert weyl_reflect(a3, root("A", 3, 1, -1, 0, 0), e1) == root("A", 3, 0, 1, 0, 0)
+    alpha = root("A", 3, 1, -1, 0, 0)
     assert weyl_reflect(a3, alpha, alpha) == -alpha
     b3 = build_root_system("B", 3)
-    assert weyl_reflect(b3, rv(1, 0, 0), rv(1, 1, 0)) == rv(-1, 1, 0)
+    assert weyl_reflect(b3, root("B", 3, 1, 0, 0), root("B", 3, 1, 1, 0)) == root("B", 3, -1, 1, 0)
     with pytest.raises(ValueError):
-        weyl_reflect(b3, rv(2, 0, 0), rv(1, 0, 0))
+        weyl_reflect(b3, root("B", 3, 2, 0, 0), root("B", 3, 1, 0, 0))
 
 
 def test_root_sum_status_examples():
     a3 = build_root_system("A", 3)
-    assert root_sum_status(a3, rv(1, -1, 0, 0), rv(0, 1, -1, 0)) == "plus_only"
+    assert root_sum_status(a3, root("A", 3, 1, -1, 0, 0), root("A", 3, 0, 1, -1, 0)) == "plus_only"
     b3 = build_root_system("B", 3)
-    assert root_sum_status(b3, rv(1, 1, 0), rv(1, -1, 0)) == "neither"
+    assert root_sum_status(b3, root("B", 3, 1, 1, 0), root("B", 3, 1, -1, 0)) == "neither"
     c3 = build_root_system("C", 3)
-    assert root_sum_status(c3, rv(1, 1, 0), rv(1, -1, 0)) == "both"
+    assert root_sum_status(c3, root("C", 3, 1, 1, 0), root("C", 3, 1, -1, 0)) == "both"
     with pytest.raises(ValueError):
-        root_sum_status(a3, rv(1, -1, 0, 0), rv(-1, 1, 0, 0))
+        root_sum_status(a3, root("A", 3, 1, -1, 0, 0), root("A", 3, -1, 1, 0, 0))
+
+
+# -- the lattice boundary: vectors of different surd weights do not mix --------
+
+def test_lift_rejects_a_root_of_another_lattice():
+    e6 = build_root_system("E6", 6).roots[0]
+    with pytest.raises(ValueError, match="not on the lattice"):
+        lift_root(AlgebraSpec((("B", 6, Fraction(1)),)), 0, e6)
+    # the G2 long root (sqrt3, 0) is not a vector of the A1 block of A1 + G2
+    a1_g2 = AlgebraSpec((("A", 1, Fraction(1)), ("G2", 2, Fraction(1))))
+    long_root = root("G2", 2, QNum(0, 0, 1), 0)
+    with pytest.raises(ValueError, match="not on the lattice"):
+        lift_root(a1_g2, 0, long_root)
+    assert lift_root(a1_g2, 1, long_root) == (0, 0, 2, 0)
+
+
+def test_angle_and_is_root_reject_vectors_of_another_lattice():
+    b2_root, g2_root = root("B", 2, 0, 1), root("G2", 2, 0, 1)
+    with pytest.raises(ValueError, match="different lattices"):
+        angle(b2_root, g2_root)
+    with pytest.raises(ValueError, match="different lattices"):
+        is_root(build_root_system("G2", 2), b2_root)
+    assert is_root(build_root_system("B", 2), b2_root)
 
 
 @pytest.mark.parametrize("family,rank", [
@@ -208,12 +235,12 @@ TINY_Q = Fraction(1, 10 ** 400)
 def test_tiny_positive_leading_coordinate_keeps_its_exact_sign():
     assert TINY.sign() == 1 and float(TINY) < 0
     with pytest.raises(ValueError, match="not a rational multiple"):
-        rv(TINY, -1)  # a coordinate mixing 1 and sqrt2 is off the lattice
+        root("B", 2, TINY, -1)  # a coordinate mixing 1 and sqrt2 is off the lattice
     assert float(TINY_Q) == 0.0
-    v = rv(TINY_Q, -1)
+    v = root("B", 2, TINY_Q, -1)
     assert v.canonical_sign() == v
     assert (-v).canonical_sign() == v
-    assert rv(0, -TINY_Q).canonical_sign() == rv(0, TINY_Q)
+    assert root("B", 2, 0, -TINY_Q).canonical_sign() == root("B", 2, 0, TINY_Q)
 
 
 def test_lex_order_is_exact():
