@@ -15,7 +15,6 @@ from RealizedAlgebra.bracket_coords.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -99,10 +98,6 @@ def _combination(spec: AlgebraSpec, coeffs, vectors: Sequence[TVec]) -> TVec:
     return out
 
 
-def in_span(spec: AlgebraSpec, span: Sequence[TVec], v: TVec) -> bool:
-    return (v - project_to_span(spec, span, v)).is_zero()
-
-
 # ---------------------------------------------------------------------------
 # Subalgebra specification and coset spaces
 # ---------------------------------------------------------------------------
@@ -123,15 +118,13 @@ class CosetSpace:
     def __init__(self, algebra: RealizedAlgebra, name: str,
                  h_basis: list, cartan_h: Sequence[TVec],
                  h_root_vectors: Sequence[TVec] = (),
-                 witness_planes: Optional[dict] = None,
-                 case_label: Optional[str] = None):
+                 witness_planes: Optional[dict] = None):
         self.algebra = algebra
         self.name = name
         self.h_basis = h_basis
         self.cartan_h = tuple(cartan_h)
         self.h_root_vectors = tuple(h_root_vectors)
         self.witness_planes = witness_planes
-        self.case_label = case_label
 
         alg = algebra
         self.dim_g = alg.dim
@@ -179,15 +172,13 @@ class CosetSpace:
             out = out + float(c) * b
         return out
 
-    def to_h(self, x: AlgebraElement) -> np.ndarray:
-        return self._h_co @ self.algebra.coords(x)
-
     def pr_m(self, x: AlgebraElement) -> AlgebraElement:
         return self.from_m(self.to_m(x))
 
     # -- exact projections --------------------------------------------------
     def pr_h_exact(self, tv: TVec) -> TVec:
-        return project_to_span(self.algebra.spec, self.cartan_h, tv)
+        """The projection of tv to t cap h, along t cap m."""
+        return tv - project_to_span(self.algebra.spec, self.t_m, tv)
 
     # -- structure tensors for the curvature engine -------------------------
     def structure_tensors(self):
@@ -214,11 +205,6 @@ class CosetSpace:
         if self._hat is None:
             self._hat = _build_hat(self)
         return self._hat
-
-    def hathat_decomposition(self, alpha_prime: TVec) -> list:
-        """The coarser decomposition of m by projections to the
-        orthocomplement of alpha_prime inside t cap h."""
-        return _build_hathat(self, alpha_prime)
 
     def plane_assignment(self) -> dict:
         """Where each root plane of g lies, read off the matrices: 'h', 'm'
@@ -272,14 +258,15 @@ class HatDecomposition:
     blocks: list  # of HatBlock; blocks[0] is the g0 block
 
 
-def _plane_classes(space: CosetSpace, project) -> tuple:
-    """The root planes of g by the exact projection of their roots: the
-    planes projecting to zero, then (canonical projection, planes) pairs in
-    the exact lexicographic order.  Planes are (factor, root) pairs."""
+def _plane_classes(space: CosetSpace) -> tuple:
+    """The root planes of g by the exact projection of their roots to t cap
+    h: the planes projecting to zero, then (canonical projection, planes)
+    pairs in the exact lexicographic order.  Planes are (factor, root)
+    pairs."""
     zero, groups = [], {}
     for f in space.algebra.factors:
         for root in f.planes:
-            pr = project(lift_root(space.algebra.spec, f.index, root))
+            pr = space.pr_h_exact(lift_root(space.algebra.spec, f.index, root))
             if pr.is_zero():
                 zero.append((f.index, root))
             else:
@@ -298,7 +285,7 @@ def _m_rows(space: CosetSpace, planes, t_vecs=()) -> list:
 
 
 def _build_hat(space: CosetSpace) -> HatDecomposition:
-    zero, classes = _plane_classes(space, space.pr_h_exact)
+    zero, classes = _plane_classes(space)
     blocks = [HatBlock(zero_tvec(space.algebra.spec), tuple(zero),
                        _m_rows(space, zero, space.t_m))]
     for pr, planes in classes:
@@ -306,21 +293,6 @@ def _build_hat(space: CosetSpace) -> HatDecomposition:
         if basis:
             blocks.append(HatBlock(pr, tuple(planes), basis))
     return HatDecomposition(blocks)
-
-
-def _build_hathat(space: CosetSpace, alpha_prime: TVec) -> list:
-    if alpha_prime.is_zero():
-        raise ValueError("hat-hat decomposition needs a nonzero projection vector")
-    spec = space.algebra.spec
-    # t' is the orthocomplement of alpha' inside t cap h
-    t_prime = orthocomplement_in_t(spec, list(space.t_m) + [alpha_prime])
-    zero, classes = _plane_classes(space, lambda v: project_to_span(spec, t_prime, v))
-    out = [(zero_tvec(spec), _m_rows(space, zero, space.t_m))]
-    for pr, planes in classes:
-        basis = _m_rows(space, planes)
-        if basis:
-            out.append((pr, basis))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -361,144 +333,6 @@ def rank_check(space: CosetSpace):
 
 
 # ---------------------------------------------------------------------------
-# Diagonal A1 normalization (two commuting A1 factors)
-# ---------------------------------------------------------------------------
-
-def diagonal_a1_frame(algebra: RealizedAlgebra):
-    """Standard bases {u1,u2,u3}, {v1,v2,v3} of the two A1 factors.
-
-    Each triple is orthogonal with common length c and satisfies
-    [a1,a2]=a3 cyclically; u* spans factor one, v* factor two.
-    """
-    if len(algebra.factors) != 2 or algebra.spec.abelian_dim != 0:
-        raise ValueError("diagonal A1 normalization needs exactly two simple factors")
-    frames = []
-    for f in algebra.factors:
-        if (f.family, f.rank) not in (("A", 1), ("C", 1)):
-            raise ValueError("both factors must be of type A1")
-        if f.family == "A":
-            t_dir = algebra.single_block(f.index, f.cartan_block(root("A", 1, 1, -1)))
-            plane = f.plane(root("A", 1, 1, -1))
-        else:
-            t_dir = algebra.single_block(f.index, f.cartan[0])
-            plane = f.plane(root("C", 1, 2))
-        x = (1.0 / t_dir.norm()) * t_dir
-        y = plane.x
-        z = algebra.bracket(x, y)
-        c = 1.0 / z.norm()  # scale making the triple standard
-        a1, a2 = c * x, c * y
-        a3 = algebra.bracket(a1, a2)
-        assert abs(a3.norm() - c) < 1e-9
-        frames.append([a1, a2, a3])
-    return frames[0], frames[1]
-
-
-def _factor_component(algebra: RealizedAlgebra, x: AlgebraElement, idx: int) -> AlgebraElement:
-    blocks = [b.copy() if k == idx else algebra.factors[k].zero_block()
-              for k, b in enumerate(x.blocks)]
-    return algebra.from_blocks(blocks)
-
-
-def _diagonal_a1_phase(algebra: RealizedAlgebra, h_list: list,
-                       u_basis: list, v_basis: list):
-    """Verify the diagonal-A1 conditions for h_list and return (hb, a, phase):
-    the orthonormal basis, the Cartan mixing ratio a and the rotation phase
-    of the factor-two off-Cartan component."""
-    hb = gram_schmidt(algebra, [x.copy() for x in h_list])
-    if len(hb) != 3:
-        raise ValueError("not a diagonal A1 of the required form: dim != 3")
-    co = np.array([algebra.coords(b) for b in hb])
-
-    def combo_kernel(rows):
-        # combinations c with sum c_i rows_i = 0
-        _, s, vt = np.linalg.svd(np.asarray(rows).T)
-        return [vt[k] for k in range(vt.shape[0]) if (s[k] if k < len(s) else 0.0) < 1e-8]
-
-    u1, v1 = u_basis[0], v_basis[0]
-    c1, c2 = u1.norm(), v1.norm()
-    # condition (2): no nonzero intersection with a single factor
-    for idx in range(2):
-        comps = [algebra.coords(_factor_component(algebra, b, 1 - idx)) for b in hb]
-        if combo_kernel(comps):
-            raise ValueError("not a diagonal A1 of the required form: intersects a simple factor")
-    # condition (1): Cartan intersection is the line R(u1 + a v1)
-    g = np.array([
-        [algebra.inner(u1, u1), 0.0],
-        [0.0, algebra.inner(v1, v1)],
-    ])
-    proj = np.array([[algebra.inner(b, u1), algebra.inner(b, v1)] for b in hb])
-    M = co - proj @ np.linalg.inv(g) @ np.array([algebra.coords(u1), algebra.coords(v1)])
-    kern = combo_kernel(M)
-    if len(kern) != 1:
-        raise ValueError("not a diagonal A1 of the required form: Cartan intersection not 1-dimensional")
-    t_int = algebra.zero()
-    for cc, b in zip(kern[0], hb):
-        t_int = t_int + float(cc) * b
-    cu = algebra.inner(t_int, u1) / c1 ** 2
-    cv = algebra.inner(t_int, v1) / c2 ** 2
-    if abs(cu) < 1e-8 or abs(cv) < 1e-8:
-        raise ValueError("not a diagonal A1 of the required form: Cartan part lies in one factor")
-    a = cv / cu
-    # off-Cartan part: solve for the h element whose factor-one component
-    # is a positive multiple of u2, then read off the factor-two phase
-    u2, u3 = u_basis[1], u_basis[2]
-    rows = np.array([
-        [algebra.inner(b, u1) for b in hb],
-        [algebra.inner(b, v1) for b in hb],
-        [algebra.inner(b, u3) for b in hb],
-    ])
-    rhs_fix = np.array([algebra.inner(b, u2) for b in hb])
-    # want z = sum l_i hb_i with <z,u1>=<z,v1>=<z,u3>=0 and <z,u2>=c1^2
-    A = np.vstack([rows, rhs_fix])
-    sol, *_ = np.linalg.lstsq(A, np.array([0.0, 0.0, 0.0, c1 ** 2]), rcond=None)
-    z = algebra.zero()
-    for cc, b in zip(sol, hb):
-        z = z + float(cc) * b
-    z1 = _factor_component(algebra, z, 0)
-    if (z1 - u2).norm() > 1e-8 * max(1.0, u2.norm()):
-        raise ValueError("not a diagonal A1 of the required form: off-Cartan part misaligned")
-    z2 = _factor_component(algebra, z, 1)
-    b_par = z2.norm() / c2
-    if abs(b_par - 1.0) > 1e-8:
-        raise ValueError("not a diagonal A1 of the required form: scale b != 1")
-    # condition (3) holds implicitly: z2 is orthogonal to v1 by the solve
-    if abs(algebra.inner(z2, v1)) > 1e-8 * c2 ** 2:
-        raise ValueError("not a diagonal A1 of the required form: off-Cartan part not orthogonal to t")
-    v2, v3 = v_basis[1], v_basis[2]
-    phase = math.atan2(algebra.inner(z2, v3) / c2 ** 2, algebra.inner(z2, v2) / c2 ** 2)
-    return hb, a, phase
-
-
-def normalize_diagonal_a1(algebra: RealizedAlgebra, h_prime: list,
-                          reference: list, tol: float = 1e-10) -> float:
-    """Conjugation parameter aligning a diagonal A1 with a reference one.
-
-    Both h_prime and reference are bases of diagonal A1 subalgebras of an
-    A1+A1 algebra satisfying: one-dimensional intersection with the Cartan,
-    zero intersection with each simple factor, off-Cartan part orthogonal
-    to the Cartan.  Returns t with Ad(exp(t*v1)) h_prime = reference,
-    where v1 is the first factor-two vector of diagonal_a1_frame.
-    """
-    u_basis, v_basis = diagonal_a1_frame(algebra)
-    hb1, a1, ph1 = _diagonal_a1_phase(algebra, h_prime, u_basis, v_basis)
-    hb2, a2, ph2 = _diagonal_a1_phase(algebra, reference, u_basis, v_basis)
-    if abs(a1 - a2) > 1e-8:
-        raise ValueError("not a diagonal A1 of the required form: Cartan lines differ")
-    # Ad(exp(s v1)) rotates (v2, v3) with unit angular speed: v2 -> cos s v2 + sin s v3
-    t_par = ph2 - ph1
-    t_par = math.atan2(math.sin(t_par), math.cos(t_par))
-    conj = _ad_exp(algebra, t_par, v_basis[0])
-    co_ref = np.array([algebra.coords(b) for b in hb2])
-    worst = 0.0
-    for b in hb1:
-        c = algebra.coords(conj(b))
-        worst = max(worst, np.linalg.norm(c - co_ref.T @ (co_ref @ c)))
-    if worst > tol:
-        raise ValueError(f"diagonal A1 normalization failed to verify: {worst:.2e}")
-    return t_par
-
-
-# ---------------------------------------------------------------------------
 # Named presets
 # ---------------------------------------------------------------------------
 
@@ -531,7 +365,7 @@ def preset_sphere_so2n(n: int) -> CosetSpace:
     sub = SubalgebraSpec(cartan_h=tuple(cart), extra_generators=tuple(gens))
     return build_coset(
         alg, sub, name=f"S^{2*n-1} = SO({2*n})/SO({2*n-1})",
-        h_root_vectors=_negclose(h_roots), case_label="III",
+        h_root_vectors=_negclose(h_roots),
     )
 
 
@@ -553,7 +387,6 @@ def preset_sphere_un(n: int) -> CosetSpace:
     return build_coset(
         alg, sub, name=f"S^{2*n-1} = U({n})/U({n-1})",
         h_root_vectors=_negclose(lift_root(spec, 0, r) for r in block),
-        case_label="I",
     )
 
 
@@ -582,7 +415,6 @@ def preset_sphere_spn_u1(n: int) -> CosetSpace:
     return build_coset(
         alg, sub, name=f"S^{4*n-1} = Sp({n})U(1)/Sp({n-1})U(1)",
         h_root_vectors=_negclose(lift_root(spec, 0, r) for r in block),
-        case_label="I",
     )
 
 
@@ -606,7 +438,7 @@ def preset_sphere_spn_sp1(n: int) -> CosetSpace:
     hvecs = [cart[0]] + [lift_root(spec, 0, r) for r in block]
     return build_coset(
         alg, sub, name=f"S^{4*n-1} = Sp({n})Sp(1)/Sp({n-1})Sp(1)",
-        h_root_vectors=_negclose(hvecs), case_label="II",
+        h_root_vectors=_negclose(hvecs),
     )
 
 
@@ -622,7 +454,7 @@ def preset_aloff_wallach(k: int, l: int) -> CosetSpace:
     sub = SubalgebraSpec(cartan_h=(v1, v2))
     return build_coset(
         alg, sub, name=f"Aloff-Wallach U(3)/T^2 (k={k}, l={l})",
-        h_root_vectors=(), case_label="I",
+        h_root_vectors=(),
     )
 
 
@@ -673,7 +505,7 @@ def preset_berger_sp2() -> CosetSpace:
     sub = SubalgebraSpec(cartan_h=tuple(cart), extra_generators=tuple(gens))
     return build_coset(
         alg, sub, name="Sp(2)/SU(2) (Berger)",
-        h_root_vectors=_negclose([alpha_prime]), case_label="III",
+        h_root_vectors=_negclose([alpha_prime]),
     )
 
 
@@ -690,7 +522,6 @@ def preset_bn_excluded_subcase1(n: int) -> CosetSpace:
     return build_coset(
         alg, sub, name=f"SO({2*n+1})/SO({2*n-1}) zero-curvature witness",
         h_root_vectors=_negclose(lift_root(spec, 0, r) for r in block),
-        case_label="III",
         witness_planes={"u": (0, _unit("B", n, 0) + _unit("B", n, 1)),
                         "v": (0, _unit("B", n, 1) - _unit("B", n, 0))},
     )
@@ -707,7 +538,7 @@ def preset_a1a1_diagonal(c) -> CosetSpace:
     sub = SubalgebraSpec(cartan_h=tuple(cart))
     return build_coset(
         alg, sub, name=f"SU(2)xSU(2)/U(1) (c={c})",
-        h_root_vectors=(), case_label="I",
+        h_root_vectors=(),
         witness_planes={"u": (0, root("A", 1, 1, -1)), "v": (1, root("A", 1, 1, -1))},
     )
 
@@ -725,7 +556,6 @@ def preset_cn_excluded_subcase1(n: int) -> CosetSpace:
     return build_coset(
         alg, sub, name=f"Sp({n})/Sp(1)Sp({n-2})-type zero-curvature witness",
         h_root_vectors=_negclose(lift_root(spec, 0, r) for r in block),
-        case_label="III",
         witness_planes={"u": (0, _unit("C", n, 0).scale(2)),
                         "v": (0, _unit("C", n, 1).scale(2))},
     )
@@ -851,23 +681,3 @@ def parse_preset(text: str) -> CosetSpace:
         name, params = body, []
     return preset(name.strip(), *params)
 
-
-def _expm_skew(x: np.ndarray) -> np.ndarray:
-    """exp(x) of a skew-Hermitian matrix x through the eigendecomposition of
-    the Hermitian -i x (Higham, Functions of Matrices, 2008, ch. 10)."""
-    lam, q = np.linalg.eigh(-1j * np.asarray(x, dtype=complex))
-    return (q * np.exp(1j * lam)) @ q.conj().T
-
-
-def _ad_exp(algebra: RealizedAlgebra, t: float, v: AlgebraElement):
-    """Ad(exp(t v)) as a map on algebra elements (matrix conjugation)."""
-    exps = [_expm_skew(t * np.asarray(b)) for b in v.blocks]
-
-    def apply(x: AlgebraElement) -> AlgebraElement:
-        blocks = []
-        for e, bx in zip(exps, x.blocks):
-            out = e @ np.asarray(bx, dtype=complex) @ np.conj(e.T)
-            blocks.append(out if np.iscomplexobj(bx) else out.real)
-        return algebra.from_blocks(blocks, x.abelian.copy())
-
-    return apply

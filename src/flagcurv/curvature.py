@@ -270,10 +270,6 @@ def connection_n(space: CosetSpace, norm: MinkowskiNorm, u, w) -> np.ndarray:
     return CurvatureEngine(space, norm).connection_n(u, w)
 
 
-def riemann_quadratic(space: CosetSpace, norm: MinkowskiNorm, u, w) -> float:
-    return CurvatureEngine(space, norm).riemann_quadratic(u, w)
-
-
 def flag_curvature(space: CosetSpace, norm: MinkowskiNorm, u, v) -> CurvatureReport:
     return CurvatureEngine(space, norm).flag_curvature(u, v)
 

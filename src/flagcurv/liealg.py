@@ -473,6 +473,11 @@ class _FactorRealization:
         return RootPlanePair(self.index, root, x, y)
 
     def plane(self, root: TVec) -> RootPlanePair:
+        """The plane of a root of this factor's unit spec (ValueError for a
+        vector of any other spec, even one with the same coordinates)."""
+        if root.spec != self.root_system.spec:
+            raise ValueError(f"{root!r} is not a vector of the root lattice of "
+                             f"factor {self.family}{self.rank}")
         return self.planes[root.canonical_sign()]
 
 

@@ -384,22 +384,6 @@ def fd_cartan(norm: MinkowskiNorm, y, u, v, w) -> float:
         return float(tot / (32 * h ** 3))
 
 
-def evaluate(norm: MinkowskiNorm, y) -> float:
-    """Norm value at y (0 at the origin)."""
-    return norm.value(y)
-
-
-def g_inner(norm: MinkowskiNorm, y, u, v) -> float:
-    """Hessian inner product <u, v>_y."""
-    return norm.g_inner(y, u, v)
-
-
-def cartan(norm: MinkowskiNorm, y, u, v, w) -> float:
-    """Cartan tensor C_y(u, v, w): half the derivative of <u,v>_. at y in
-    the direction w."""
-    return norm.cartan3(y, u, v, w)
-
-
 def norm_from_json(obj) -> MinkowskiNorm:
     fam = obj["family"]
     if fam == "quadratic":

@@ -20,6 +20,7 @@ JSON forms.  `float(q)` exists only for the matrix layers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -421,8 +422,7 @@ class TVec(tuple):
     @property
     def factors(self) -> tuple:
         spec = self.spec
-        return tuple(unit_spec(((fam, rank),)).tvec(self[a:b])
-                     for (fam, rank, _), (a, b, _) in zip(spec.factors, spec.blocks))
+        return tuple(u.tvec(self[a:b]) for u, (a, b, _) in zip(spec.units, spec.blocks))
 
     @property
     def abelian(self) -> tuple:
@@ -492,6 +492,11 @@ class AlgebraSpec:
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
+    @functools.cached_property
+    def units(self) -> tuple:
+        """The unit spec of each factor: its roots are vectors of it."""
+        return tuple(unit_spec(((fam, rank),)) for fam, rank, _ in self.factors)
+
     def to_json(self):
         return {
             "factors": [
@@ -524,10 +529,15 @@ _UNIT_SPECS: dict = {}
 
 def unit_spec(factors: tuple, abelian_dim: int = 0) -> AlgebraSpec:
     """The spec of the (family, rank) factors at scale 1, plus abelian_dim
-    abelian coordinates of weight 1, built once per key."""
+    abelian coordinates of weight 1, built once per key.  Spellings of one
+    family ("e" and "E6" for rank 6) give the same spec object."""
     key = (factors, abelian_dim)
     if key not in _UNIT_SPECS:
-        _UNIT_SPECS[key] = AlgebraSpec(tuple((f, r, Fraction(1)) for f, r in factors), abelian_dim)
+        norm = (tuple(_normalize_family(f, r) for f, r in factors), abelian_dim)
+        if norm not in _UNIT_SPECS:
+            _UNIT_SPECS[norm] = AlgebraSpec(tuple((f, r, Fraction(1)) for f, r in norm[0]),
+                                            abelian_dim)
+        _UNIT_SPECS[key] = _UNIT_SPECS[norm]
     return _UNIT_SPECS[key]
 
 

@@ -29,11 +29,12 @@ def zero_tvec(spec: AlgebraSpec) -> TVec:
 
 
 def lift_root(spec: AlgebraSpec, factor: int, root: TVec) -> TVec:
-    """The vector of t with root, a vector of the factor's lattice, as its
+    """The vector of t with root, a vector of the factor's unit spec, as its
     factor-th block and zero elsewhere."""
-    a, b, k = spec.blocks[factor]
-    if root.spec.weights != k:
+    unit = spec.units[factor]
+    if root.spec is not unit and root.spec != unit:
         raise ValueError(f"{root!r} is not on the lattice of factor {factor} of the spec")
+    a, b, _ = spec.blocks[factor]
     return spec.tvec((0,) * a + root + (0,) * (spec.dim - b))
 
 

@@ -17,7 +17,6 @@ from flagcurv.curvature import (
     flag_curvature,
     flag_curvature_commutative,
     normal_homogeneous_oracle,
-    riemann_quadratic,
     sample_flags,
     u_map,
     verify_exclusion_witness,
@@ -100,7 +99,7 @@ def test_riemann_quadratic_vanishes_on_pole(su3_group, bn2):
         norm = random_invariant_norm(sp, seed)
         rng = np.random.default_rng(seed)
         u = rng.standard_normal(sp.dim_m)
-        assert abs(riemann_quadratic(sp, norm, u, u)) < 1e-8
+        assert abs(CurvatureEngine(sp, norm).riemann_quadratic(u, u)) < 1e-8
 
 
 def test_riemann_quadratic_bi_invariant_oracle(su3_group):
@@ -110,7 +109,7 @@ def test_riemann_quadratic_bi_invariant_oracle(su3_group):
     for _ in range(10):
         u = rng.standard_normal(su3_group.dim_m)
         w = rng.standard_normal(su3_group.dim_m)
-        q = riemann_quadratic(su3_group, norm, u, w)
+        q = CurvatureEngine(su3_group, norm).riemann_quadratic(u, w)
         br = alg.bracket(su3_group.from_m(u), su3_group.from_m(w))
         assert abs(q - 0.25 * alg.inner(br, br)) < 1e-9 * max(1.0, abs(q))
 
@@ -122,7 +121,7 @@ def test_round_sphere_quadratic_form_and_positivity():
     for _ in range(10):
         u = rng.standard_normal(sp.dim_m)
         w = rng.standard_normal(sp.dim_m)
-        q = riemann_quadratic(sp, norm, u, w)
+        q = CurvatureEngine(sp, norm).riemann_quadratic(u, w)
         uu, ww, uw = u @ u, w @ w, u @ w
         assert abs(q - (uu * ww - uw ** 2)) < 1e-8 * max(1.0, abs(q))
         assert q >= -1e-8

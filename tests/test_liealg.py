@@ -139,6 +139,15 @@ def test_exceptional_factor_rejected():
         realize(AlgebraSpec((("G2", 2, Fraction(1)),)))
 
 
+def test_plane_rejects_a_root_of_another_family(algebras):
+    # equal coordinates and surd weights, so the two are one dict key
+    a2, b3 = root("A", 2, 1, -1, 0), root("B", 3, 1, -1, 0)
+    f = algebras[("B", 3)].factors[0]
+    assert f.plane(b3).root == b3
+    with pytest.raises(ValueError, match="not a vector of the root lattice"):
+        f.plane(a2)
+
+
 @pytest.mark.parametrize("fam,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
 def test_jacobi_and_ad_invariance_100_triples(algebras, fam, rank):
     alg = algebras[(fam, rank)]

@@ -11,10 +11,7 @@ from flagcurv.norms import (
     Quadratic,
     Quartic,
     Randers,
-    cartan,
     check_invariance,
-    evaluate,
-    g_inner,
     fd_cartan,
     fd_g_inner,
     invariant_quadratic_space,
@@ -33,15 +30,16 @@ def _pd_matrix(d, rng):
 
 def test_evaluate_examples():
     nq = Quadratic(np.eye(3))
-    assert abs(evaluate(nq, [1.0, 0.0, 0.0]) - 1.0) < 1e-15
+    assert abs(nq.value([1.0, 0.0, 0.0]) - 1.0) < 1e-15
     nr = Randers(np.eye(2), np.array([0.2, 0.0]))
-    assert abs(evaluate(nr, [1.0, 0.0]) - 1.2) < 1e-15
+    assert abs(nr.value([1.0, 0.0]) - 1.2) < 1e-15
     n4 = Quartic([1.0, 1.0], [np.eye(2), np.eye(2)])
-    assert abs(evaluate(n4, [1.0, 0.0]) - 2.0 ** 0.25) < 1e-15
-    assert evaluate(nq, [0.0, 0.0, 0.0]) == 0.0
-    y, u, v, w = (np.arange(1.0, 3.0), np.ones(2), np.eye(2)[0], np.eye(2)[1])
-    assert abs(g_inner(nr, y, u, v) - nr.g_inner(y, u, v)) < 1e-15
-    assert abs(cartan(nr, y, u, v, w) - nr.cartan3(y, u, v, w)) < 1e-15
+    assert abs(n4.value([1.0, 0.0]) - 2.0 ** 0.25) < 1e-15
+    assert nq.value([0.0, 0.0, 0.0]) == 0.0
+    # a Euclidean norm: <u, v>_y = u.v and C_y = 0 at every y
+    y, u, v, w = np.arange(1.0, 4.0), np.ones(3), np.eye(3)[0], np.eye(3)[1]
+    assert nq.g_inner(y, u, v) == 1.0
+    assert nq.cartan3(y, u, v, w) == 0.0
 
 
 def test_quadratic_gram_is_constant():

@@ -131,6 +131,20 @@ def test_lift_rejects_a_root_of_another_lattice():
     assert lift_root(a1_g2, 1, long_root) == (0, 0, 2, 0)
 
 
+def test_lift_rejects_a_root_of_another_family():
+    # A2 and B3 share the surd weights (1, 1, 1), so only the spec tells
+    # an A2 root from the B3 vector with the same coordinates
+    a2, b3 = root("A", 2, 1, -1, 0), root("B", 3, 1, -1, 0)
+    assert a2 == b3 and hash(a2) == hash(b3)
+    spec = AlgebraSpec((("B", 3, Fraction(1)),))
+    with pytest.raises(ValueError, match="not on the lattice"):
+        lift_root(spec, 0, a2)
+    assert lift_root(spec, 0, b3) == (2, -2, 0)
+    # two spellings of one family name one unit spec
+    e6 = build_root_system("E6", 6).roots[0]
+    assert lift_root(AlgebraSpec((("e", 6, Fraction(1)),)), 0, e6) == e6
+
+
 def test_angle_and_is_root_reject_vectors_of_another_lattice():
     b2_root, g2_root = root("B", 2, 0, 1), root("G2", 2, 0, 1)
     with pytest.raises(ValueError, match="different lattices"):
