@@ -325,10 +325,12 @@ def build_coset(algebra: RealizedAlgebra, spec: SubalgebraSpec,
 
 
 def rank_check(space: CosetSpace):
-    """(rk g, rk h, passes) with passes iff rk g = rk h + 1."""
+    """(rk g, rk h, passes) with passes iff rk g = rk h + 1.  rk h is the
+    dimension of t cap h, rk g - dim(t cap m), however many (possibly
+    dependent) vectors span it in `cartan_h`."""
     spec = space.algebra.spec
     rk_g = spec.abelian_dim + sum(r for _, r, _ in spec.factors)
-    rk_h = len(space.cartan_h)
+    rk_h = rk_g - len(space.t_m)
     return rk_g, rk_h, rk_g == rk_h + 1
 
 

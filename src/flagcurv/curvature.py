@@ -262,20 +262,8 @@ class CurvatureEngine:
 # Module-level API
 # ---------------------------------------------------------------------------
 
-def eta(space: CosetSpace, norm: MinkowskiNorm, u) -> np.ndarray:
-    return CurvatureEngine(space, norm).eta(u)[0]
-
-
-def connection_n(space: CosetSpace, norm: MinkowskiNorm, u, w) -> np.ndarray:
-    return CurvatureEngine(space, norm).connection_n(u, w)
-
-
 def flag_curvature(space: CosetSpace, norm: MinkowskiNorm, u, v) -> CurvatureReport:
     return CurvatureEngine(space, norm).flag_curvature(u, v)
-
-
-def u_map(space: CosetSpace, norm: MinkowskiNorm, u, v) -> np.ndarray:
-    return CurvatureEngine(space, norm).u_map(u, v)
 
 
 def flag_curvature_commutative(space: CosetSpace, norm: MinkowskiNorm, u, v,

@@ -10,7 +10,11 @@ and symplectic families), with an optional positive scale per factor and
 the Euclidean product on the abelian part.  Coordinates over the
 orthonormal ambient basis are one product with its cached dual matrix, and
 the brackets of many pairs are one broadcast matmul per factor, taken in
-chunks of bounded size.
+chunks of bounded size.  Gram-Schmidt skips each projection whose inner
+product is exactly zero because the nonzero entries of the two elements
+never meet (entry (i, j) of one against entry (j, i) of the other, plus
+the abelian parts); its output is bit for bit that of the loop that takes
+every projection.
 """
 
 from __future__ import annotations
@@ -191,14 +195,6 @@ class RealizedAlgebra:
         for f, v in zip(self.factors, vectors):
             blocks.append(f.cartan_block(v))
         return AlgebraElement(self, blocks, abelian)
-
-    def random_element(self, rng: np.random.Generator) -> AlgebraElement:
-        basis = self.ambient_basis()
-        coeff = rng.standard_normal(len(basis))
-        out = self.zero()
-        for c, b in zip(coeff, basis):
-            out = out + float(c) * b
-        return out
 
     def ambient_basis(self) -> list:
         """Orthonormal basis of the whole algebra under the bi-invariant
@@ -486,31 +482,66 @@ def realize(spec: AlgebraSpec) -> RealizedAlgebra:
     return RealizedAlgebra(spec)
 
 
-def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return x.algebra.bracket(x, y)
+def _support(x: AlgebraElement, transpose: bool = False) -> np.ndarray:
+    """Where x is nonzero: the entries of each block (transposed, if asked)
+    in row-major order, then the abelian components."""
+    return np.concatenate([(b.T if transpose else b).ravel() != 0 for b in x.blocks]
+                          + [x.abelian != 0])
 
 
-def inner(x: AlgebraElement, y: AlgebraElement) -> float:
-    return x.algebra.inner(x, y)
-
-
-def cartan_embed(algebra: RealizedAlgebra, vectors, abelian=None) -> AlgebraElement:
-    """Cartan element whose inner products against the generators reproduce
-    the given exact per-factor coordinates (su blocks made traceless)."""
-    return algebra.cartan_embed(vectors, abelian)
+def _signed_zero(alg: RealizedAlgebra, negative: np.ndarray) -> AlgebraElement:
+    """The zero element that is -0.0 at the components `negative` of the
+    flat layout (`RealizedAlgebra._flat`) and +0.0 elsewhere."""
+    flat = np.where(negative, -0.0, 0.0)
+    blocks = [flat[cols].view(f.dtype).reshape(f.size, f.size)
+              for f, cols in zip(alg.factors, alg._slices)]
+    return AlgebraElement(alg, blocks, flat[len(flat) - alg.spec.abelian_dim:])
 
 
 def gram_schmidt(alg: RealizedAlgebra, elements: Iterable[AlgebraElement],
                  tol: float = 1e-10) -> list:
     """Orthonormalize under the bi-invariant inner product, dropping
-    numerically dependent elements."""
+    numerically dependent elements: modified Gram-Schmidt in two passes.
+
+    A projection whose inner product is zero by support is skipped, and the
+    output is bit for bit that of the loop that takes every projection.
+    inner(v, b) pairs v's block entry (i, j) with b's entry (j, i), plus
+    the abelian products.  Where v's nonzero entries miss b's transposed
+    nonzero entries, every product is +-0, so inner returns +0.0 (its sum
+    starts at 0.0) and v - 0.0 * b changes only zeros of v: a -0.0 facing a
+    -0.0 of 0.0 * b becomes +0.0.  Those sign changes commute with the
+    other updates, so they are applied once, after the two passes.
+    """
+    elements = list(elements)
     basis: list = []
+    width = sum(f.size ** 2 for f in alg.factors) + alg.spec.abelian_dim
+    meets = np.zeros((len(elements), width), dtype=bool)  # row k: basis[k] transposed
+    supports = np.zeros((len(elements), width), dtype=bool)  # row k: basis[k]
+    # row k: the -0.0 components of 0.0 * basis[k], in the flat layout
+    signs = np.zeros((len(elements), alg._flat(alg.zero()).size), dtype=bool)
     for e in elements:
-        v = e.copy()
+        if e.algebra is not alg:
+            raise ValueError("algebra spec mismatch")
+        v, n = e.copy(), len(basis)
+        mask = _support(v)  # covers the support of v
+        skipped = np.zeros(n, dtype=bool)
         for _ in range(2):  # two passes for numerical stability
-            for b in basis:
-                v = v - alg.inner(v, b) * b
+            projected = np.zeros(n, dtype=bool)
+            k = 0
+            while (hits := np.flatnonzero(meets[k:n] @ mask)).size:
+                k += int(hits[0])
+                v = v - alg.inner(v, basis[k]) * basis[k]
+                mask |= supports[k]
+                projected[k] = True
+                k += 1
+            skipped |= ~projected
+        flips = skipped @ signs[:n]
+        if flips.any():
+            v = v - _signed_zero(alg, flips)
         nv = v.norm()
         if nv > tol:
-            basis.append((1.0 / nv) * v)
+            b = (1.0 / nv) * v
+            meets[n], supports[n] = _support(b, transpose=True), _support(b)
+            signs[n] = np.signbit(alg._flat(0.0 * b))
+            basis.append(b)
     return basis

@@ -30,7 +30,7 @@ from flagcurv.curvature import (
     normal_homogeneous_oracle,
     verify_exclusion_witness,
 )
-from flagcurv.liealg import AlgebraSpec, bracket, gram_schmidt, inner, realize
+from flagcurv.liealg import AlgebraSpec, gram_schmidt, realize
 from flagcurv.norms import Quadratic, Randers, random_invariant_norm
 from flagcurv.obstruct import case3_space, key_lemma_2_check, _e
 from flagcurv.rootsys import QNum, build_root_system, weyl_reflect
@@ -76,18 +76,18 @@ def test_acceptance_1_root_system_integrity():
                 assert {weyl_reflect(rs, a, v) for v in rs.roots} == roots
 
 
-def test_acceptance_2_matrix_algebra_integrity():
+def test_acceptance_2_matrix_algebra_integrity(random_element):
     with criterion(2, "matrix-algebra integrity", 30):
         tol = 1e-12
         rng = np.random.default_rng(123)
         for fam, rank in [("A", 3), ("B", 3), ("C", 3), ("D", 4)]:
             alg = realize(AlgebraSpec(((fam, rank, Fraction(1)),)))
             for _ in range(100):
-                x, y, z = (alg.random_element(rng) for _ in range(3))
-                jac = bracket(bracket(x, y), z) + bracket(bracket(y, z), x) \
-                    + bracket(bracket(z, x), y)
+                x, y, z = (random_element(alg, rng) for _ in range(3))
+                jac = alg.bracket(alg.bracket(x, y), z) + alg.bracket(alg.bracket(y, z), x) \
+                    + alg.bracket(alg.bracket(z, x), y)
                 assert jac.norm() < tol
-                assert abs(inner(bracket(x, y), z) + inner(y, bracket(x, z))) < tol
+                assert abs(alg.inner(alg.bracket(x, y), z) + alg.inner(y, alg.bracket(x, z))) < tol
             f = alg.factors[0]
             planes = list(f.planes.values())
             for p, q in itertools.combinations(planes, 2):
@@ -100,9 +100,9 @@ def test_acceptance_2_matrix_algebra_integrity():
                 span = gram_schmidt(alg, targets) if targets else []
                 for a in (p.x, p.y):
                     for b in (q.x, q.y):
-                        v = bracket(a, b)
+                        v = alg.bracket(a, b)
                         for e in span:
-                            v = v - inner(v, e) * e
+                            v = v - alg.inner(v, e) * e
                         assert v.norm() < tol
 
 

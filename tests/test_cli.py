@@ -132,6 +132,27 @@ def test_space_build_file_with_h_roots(tmp_path):
     assert info["dim_h"] == 3 and info["dim_m"] == 7
 
 
+def test_space_rank_counts_t_cap_h_not_listed_vectors(tmp_path):
+    """A Cartan vector listed twice spans a one-dimensional t cap h: rk h
+    is 1, the rank equality holds, and classify's own summary agrees with
+    the case it prints."""
+    e2 = {"factors": [[{"a": "0", "b": "0", "c": "0", "d": "0"},
+                       {"a": "1", "b": "0", "c": "0", "d": "0"}]], "abelian": []}
+    path = _space_file(tmp_path, {
+        "algebra": {"factors": [{"family": "B", "rank": 2, "scale": "1"}],
+                    "abelian_dim": 0},
+        "cartan_h": [e2, e2], "name": "B2 over a repeated Cartan vector"})
+    code, out, _ = invoke(["space", "build", "--file", path])
+    assert code == 0
+    info = json.loads(out)
+    assert (info["dim_h"], info["rank_g"], info["rank_h"]) == (1, 2, 1)
+    assert info["rank_equality"] and info["case"] == "I"
+    code, out, _ = invoke(["classify", "--space", path])
+    assert code == 0
+    res = json.loads(out)
+    assert res["space"]["rank_equality"] and res["space"]["case"] == res["case"] == "I"
+
+
 _SQRT2 = {"a": "0", "b": "1", "c": "0", "d": "0"}
 _ONE_PLUS_SQRT2 = {"a": "1", "b": "1", "c": "0", "d": "0"}
 

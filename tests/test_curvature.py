@@ -11,14 +11,11 @@ from flagcurv.norms import Quadratic, Randers, random_invariant_norm
 from flagcurv.curvature import (
     CurvatureEngine,
     bi_invariant_oracle,
-    connection_n,
-    eta,
     exclusion_witness_pair,
     flag_curvature,
     flag_curvature_commutative,
     normal_homogeneous_oracle,
     sample_flags,
-    u_map,
     verify_exclusion_witness,
 )
 
@@ -50,13 +47,13 @@ def test_eta_vanishes_for_bi_invariant_metric(su3_group):
     rng = np.random.default_rng(0)
     for _ in range(5):
         u = rng.standard_normal(su3_group.dim_m)
-        assert np.linalg.norm(eta(su3_group, norm, u)) < 1e-10
+        assert np.linalg.norm(CurvatureEngine(su3_group, norm).eta(u)[0]) < 1e-10
 
 
 def test_eta_vanishes_on_central_pole_with_invariant_norm(un3):
     norm = random_invariant_norm(un3, 4)
     u = un3.to_m(un3.embed(un3.t_m[0]))
-    assert np.linalg.norm(eta(un3, norm, u)) < 1e-8
+    assert np.linalg.norm(CurvatureEngine(un3, norm).eta(u)[0]) < 1e-8
 
 
 def test_eta_nonzero_for_generic_randers(un3):
@@ -64,22 +61,21 @@ def test_eta_nonzero_for_generic_randers(un3):
     norm = Randers(np.eye(un3.dim_m), 0.25 * b / np.linalg.norm(b))
     rng = np.random.default_rng(1)
     u = rng.standard_normal(un3.dim_m)
-    assert np.linalg.norm(eta(un3, norm, u)) > 1e-4
+    assert np.linalg.norm(CurvatureEngine(un3, norm).eta(u)[0]) > 1e-4
 
 
 def test_connection_equals_u_map_on_eligible_pair(bn2):
     norm = random_invariant_norm(bn2, 7)
     u, v = exclusion_witness_pair(bn2, norm)
-    nv = connection_n(bn2, norm, u, v)
-    uv = u_map(bn2, norm, u, v)
-    assert np.linalg.norm(nv - uv) < 1e-9
+    eng = CurvatureEngine(bn2, norm)
+    assert np.linalg.norm(eng.connection_n(u, v) - eng.u_map(u, v)) < 1e-9
 
 
 def test_connection_vanishes_on_commuting_cartan_pair(su3_group):
     norm = Quadratic(np.eye(su3_group.dim_m))
     t1 = su3_group.to_m(su3_group.embed(su3_group.t_m[0]))
     t2 = su3_group.to_m(su3_group.embed(su3_group.t_m[1]))
-    assert np.linalg.norm(connection_n(su3_group, norm, t1, t2)) < 1e-9
+    assert np.linalg.norm(CurvatureEngine(su3_group, norm).connection_n(t1, t2)) < 1e-9
 
 
 def test_connection_is_linear_in_the_direction(bn2):
@@ -89,8 +85,9 @@ def test_connection_is_linear_in_the_direction(bn2):
     w1 = rng.standard_normal(bn2.dim_m)
     w2 = rng.standard_normal(bn2.dim_m)
     a, b = 0.7, -1.3
-    lhs = connection_n(bn2, norm, u, a * w1 + b * w2)
-    rhs = a * connection_n(bn2, norm, u, w1) + b * connection_n(bn2, norm, u, w2)
+    eng = CurvatureEngine(bn2, norm)
+    lhs = eng.connection_n(u, a * w1 + b * w2)
+    rhs = a * eng.connection_n(u, w1) + b * eng.connection_n(u, w2)
     assert np.linalg.norm(lhs - rhs) < 1e-9
 
 
@@ -196,9 +193,9 @@ def test_u_map_examples(bn2):
     norm = random_invariant_norm(bn2, 9)
     u, v = exclusion_witness_pair(bn2, norm)
     # eta(u) = 0 forces U(u, u) = 0
-    uu = u_map(bn2, norm, u, u)
-    assert np.linalg.norm(uu) < 1e-9
-    assert np.linalg.norm(u_map(bn2, norm, u, v)) < 1e-7
+    eng = CurvatureEngine(bn2, norm)
+    assert np.linalg.norm(eng.u_map(u, u)) < 1e-9
+    assert np.linalg.norm(eng.u_map(u, v)) < 1e-7
 
 
 def test_commutative_formula_gates(bn2):
@@ -361,13 +358,12 @@ def test_surviving_spaces_positively_curved_under_normal_metric(name, params):
 
 def test_scaled_inner_product_consistency():
     from fractions import Fraction
-    from flagcurv.liealg import inner
     from flagcurv.coset import lift_root, root, tvec_dot
     spec = AlgebraSpec((("B", 2, Fraction(3, 2)),))
     alg = realize(spec)
     v = lift_root(spec, 0, root("B", 2, 1, 1))
     w = lift_root(spec, 0, root("B", 2, 1, 0))
-    got = inner(alg.cartan_embed(list(v.factors)), alg.cartan_embed(list(w.factors)))
+    got = alg.inner(alg.cartan_embed(list(v.factors)), alg.cartan_embed(list(w.factors)))
     assert abs(got - float(tvec_dot(spec, v, w))) < 1e-12
 
 

@@ -4,10 +4,12 @@ caller in the program.
 A definition counts as called when a plain name or an attribute somewhere in
 `src/` or `demos/`, outside its own definition, spells its name.  Tests do
 not count: code that only tests reach is test surface.  Matching is by name,
-so a free function that shares its name with a method some code calls
-passes.  EXEMPT names the definitions kept without a caller, each with its
-reason; an exemption whose name gains a caller or loses its definition
-fails too, so the list cannot go stale.
+but an attribute such as `engine.eta` spells a module-level function only
+when no `src` class defines a method `eta`, so a free function that only
+forwards to a same-named method needs a call by its plain name.  EXEMPT
+names the definitions kept without a caller, each with its reason; an
+exemption whose name gains a caller or loses its definition fails too, so
+the list cannot go stale.
 """
 
 import ast
@@ -24,22 +26,38 @@ EXEMPT = (
     ("tvec_to_json", "the lattice JSON form that exclusion certificates will hold"),
     ("exact_inverse", "bench/tracer.py traces it as an exact solver"),
     ("norm_to_json_str", "the tests write norm files with it"),
+    ("flag_curvature_commutative", "kept for flagcurv.__all__: the one-call form of "
+     "the commutative-pair route; the program calls the CurvatureEngine method"),
 )
 
 
 def _uncalled(trees):
     """Names of the module-level defs of the `src` trees that no tree names
-    outside the def itself.  trees: (is_src, tree) pairs."""
+    outside the def itself.  An attribute names a module-level function only
+    when no `src` class defines a method of that name.  trees: (is_src,
+    tree) pairs."""
     names = {}  # name -> ids of the nodes inside its definitions
+    functions, methods = set(), set()
     for is_src, tree in trees:
         for node in tree.body if is_src else ():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names.setdefault(node.name, set()).update(id(n) for n in ast.walk(node))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                functions.add(node.name)
+        for node in ast.walk(tree) if is_src else ():
+            if isinstance(node, ast.ClassDef):
+                methods.update(item.name for item in node.body
+                               if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    shadowed = functions & methods
     called = set()
     for _, tree in trees:
         for node in ast.walk(tree):
-            name = node.id if isinstance(node, ast.Name) else \
-                node.attr if isinstance(node, ast.Attribute) else None
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and node.attr not in shadowed:
+                name = node.attr
+            else:
+                continue
             if name in names and id(node) not in names[name]:
                 called.add(name)
     return sorted(set(names) - called)
@@ -60,3 +78,15 @@ def test_guard_sees_an_uncalled_definition():
                     "class Shape:\n    def area(self):\n        return helper()\n")
     demo = ast.parse("from flagcurv import m\nm.Shape().area()\n")
     assert _uncalled([(True, src), (False, demo)]) == ["countdown"]
+
+
+def test_guard_sees_a_forwarder_shadowed_by_a_method():
+    """`m.area(s)` and `s.area()` may both mean the method, so neither
+    calls the free `area`; a plain-name call does."""
+    src = ast.parse("def area(shape):\n    return shape.area()\n"
+                    "def perimeter(shape):\n    return shape.perimeter()\n"
+                    "class Shape:\n    def area(self):\n        return 1\n"
+                    "    def perimeter(self):\n        return 4\n")
+    demo = ast.parse("from flagcurv import m\nfrom flagcurv.m import perimeter\n"
+                     "m.area(m.Shape())\nperimeter(m.Shape())\n")
+    assert _uncalled([(True, src), (False, demo)]) == ["area"]

@@ -6,14 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from flagcurv.liealg import (
-    AlgebraSpec,
-    bracket,
-    cartan_embed,
-    gram_schmidt,
-    inner,
-    realize,
-)
+from flagcurv import coset
+from flagcurv.liealg import AlgebraSpec, _eij, gram_schmidt, realize
 from flagcurv.rootsys import tvec_dot
 from flagcurv.torus import root
 
@@ -69,29 +63,29 @@ def test_sp3_long_plane_sits_in_the_j_entries(algebras):
 
 def test_so7_cartan_generator(algebras):
     alg = algebras[("B", 3)]
-    e1 = cartan_embed(alg, [root("B", 3, 1, 0, 0)]).blocks[0]
+    e1 = alg.cartan_embed([root("B", 3, 1, 0, 0)]).blocks[0]
     expected = np.zeros((7, 7))
     expected[1, 2], expected[2, 1] = 1, -1
     assert np.allclose(e1, expected, atol=TOL)
 
 
-def test_bracket_examples(algebras):
+def test_bracket_examples(algebras, random_element):
     alg = algebras[("A", 3)]
     f = alg.factors[0]
     e12 = alg.single_block(0, np.zeros((4, 4), dtype=complex))
     e12.blocks[0][0, 1], e12.blocks[0][1, 0] = 1, -1
     e23 = alg.single_block(0, np.zeros((4, 4), dtype=complex))
     e23.blocks[0][1, 2], e23.blocks[0][2, 1] = 1, -1
-    br = bracket(e12, e23)
+    br = alg.bracket(e12, e23)
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 2], expected[2, 0] = 1, -1
     assert np.allclose(br.blocks[0], expected, atol=TOL)
     rng = np.random.default_rng(0)
-    x = alg.random_element(rng)
-    assert bracket(x, x).norm() < TOL
+    x = random_element(alg, rng)
+    assert alg.bracket(x, x).norm() < TOL
     h1 = alg.cartan_embed([root("A", 3, 1, 0, 0, 0)])
     h2 = alg.cartan_embed([root("A", 3, 0, 1, 0, 0)])
-    assert bracket(h1, h2).norm() < TOL
+    assert alg.bracket(h1, h2).norm() < TOL
 
 
 def test_inner_examples():
@@ -100,20 +94,20 @@ def test_inner_examples():
     # trace oracle: the traceless part of i E_11 is i diag(1/2, -1/2)
     m = e1.blocks[0]
     oracle = float(-np.trace(m @ m).real)
-    assert abs(inner(e1, e1) - oracle) < TOL
+    assert abs(su2.inner(e1, e1) - oracle) < TOL
     assert abs(oracle - 0.5) < TOL
 
 
-def test_inner_ad_invariance_and_plane_orthogonality(algebras):
+def test_inner_ad_invariance_and_plane_orthogonality(algebras, random_element):
     rng = np.random.default_rng(1)
     for alg in algebras.values():
         for _ in range(10):
-            x, y, z = (alg.random_element(rng) for _ in range(3))
-            assert abs(inner(bracket(x, y), z) + inner(y, bracket(x, z))) < TOL
+            x, y, z = (random_element(alg, rng) for _ in range(3))
+            assert abs(alg.inner(alg.bracket(x, y), z) + alg.inner(y, alg.bracket(x, z))) < TOL
         f = alg.factors[0]
         h = alg.cartan_embed([f.root_system.roots[0]])
         p = f.plane(f.root_system.roots[0])
-        assert abs(inner(p.x, h)) < TOL and abs(inner(p.y, h)) < TOL
+        assert abs(alg.inner(p.x, h)) < TOL and abs(alg.inner(p.y, h)) < TOL
 
 
 def test_cartan_embed_examples(algebras):
@@ -130,7 +124,7 @@ def test_cartan_embed_examples(algebras):
     # exact coordinates reproduced through the inner product
     for v in (root("A", 3, 1, -1, 0, 0), root("A", 3, 1, 1, -1, -1)):
         for w in (root("A", 3, 1, -1, 0, 0), root("A", 3, 0, 1, -1, 0)):
-            got = inner(alg.cartan_embed([v]), alg.cartan_embed([w]))
+            got = alg.inner(alg.cartan_embed([v]), alg.cartan_embed([w]))
             assert abs(got - float(tvec_dot(v.spec, v, w))) < TOL
 
 
@@ -149,21 +143,21 @@ def test_plane_rejects_a_root_of_another_family(algebras):
 
 
 @pytest.mark.parametrize("fam,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
-def test_jacobi_and_ad_invariance_100_triples(algebras, fam, rank):
+def test_jacobi_and_ad_invariance_100_triples(algebras, random_element, fam, rank):
     alg = algebras[(fam, rank)]
     rng = np.random.default_rng(42)
     for _ in range(100):
-        x, y, z = (alg.random_element(rng) for _ in range(3))
-        jac = bracket(bracket(x, y), z) + bracket(bracket(y, z), x) \
-            + bracket(bracket(z, x), y)
+        x, y, z = (random_element(alg, rng) for _ in range(3))
+        jac = alg.bracket(alg.bracket(x, y), z) + alg.bracket(alg.bracket(y, z), x) \
+            + alg.bracket(alg.bracket(z, x), y)
         assert jac.norm() < TOL
-        assert abs(inner(bracket(x, y), z) + inner(y, bracket(x, z))) < TOL
+        assert abs(alg.inner(alg.bracket(x, y), z) + alg.inner(y, alg.bracket(x, z))) < TOL
 
 
 def _residual_off_span(alg, elem, span):
     v = elem.copy()
     for b in span:
-        v = v - inner(v, b) * b
+        v = v - alg.inner(v, b) * b
     return v.norm()
 
 
@@ -183,7 +177,7 @@ def test_root_plane_bracket_containment(algebras, fam, rank):
         span = gram_schmidt(alg, targets) if targets else []
         for a in (p.x, p.y):
             for b in (q.x, q.y):
-                assert _residual_off_span(alg, bracket(a, b), span) < TOL
+                assert _residual_off_span(alg, alg.bracket(a, b), span) < TOL
 
 
 @pytest.mark.parametrize("fam,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
@@ -193,8 +187,8 @@ def test_plane_self_bracket_spans_root_line(algebras, fam, rank):
     for p in f.planes.values():
         h = alg.cartan_embed([p.root])
         for a, b in [(p.x, p.y)]:
-            br = bracket(a, b)
-            resid = br - (inner(br, h) / inner(h, h)) * h
+            br = alg.bracket(a, b)
+            resid = br - (alg.inner(br, h) / alg.inner(h, h)) * h
             assert resid.norm() < TOL
             assert br.norm() > 1e-6  # nonzero: the bracket spans the line
 
@@ -213,10 +207,128 @@ def test_ad_isomorphism_between_planes(algebras):
         v = float(c[0]) * pa.x + float(c[1]) * pa.y
         m = np.zeros((2, 2))
         for col, b in enumerate((pb.x, pb.y)):
-            br = bracket(v, b)
-            m[0, col] = inner(br, tgt.x)
-            m[1, col] = inner(br, tgt.y)
+            br = alg.bracket(v, b)
+            m[0, col] = alg.inner(br, tgt.x)
+            m[1, col] = alg.inner(br, tgt.y)
             # image stays inside the target plane
             resid = br - m[0, col] * tgt.x - m[1, col] * tgt.y
             assert resid.norm() < TOL
         assert abs(np.linalg.det(m)) > 1e-8
+
+
+# -- gram_schmidt against the loop that takes every projection -------------
+
+def _full_gram_schmidt(alg, elements, tol=1e-10):
+    """The two-pass modified Gram-Schmidt that computes every inner
+    product: gram_schmidt must reproduce it bit for bit."""
+    basis = []
+    for e in elements:
+        v = e.copy()
+        for _ in range(2):
+            for b in basis:
+                v = v - alg.inner(v, b) * b
+        nv = v.norm()
+        if nv > tol:
+            basis.append((1.0 / nv) * v)
+    return basis
+
+
+def _raw(basis):
+    return [([b.tobytes() for b in e.blocks], e.abelian.tobytes()) for e in basis]
+
+
+def _inner_calls(alg, gs, elements):
+    """gs(alg, elements) and the number of inner products it took."""
+    calls = []
+    inner = alg.inner
+    alg.inner = lambda x, y: calls.append(1) or inner(x, y)
+    try:
+        return gs(alg, elements), len(calls)
+    finally:
+        del alg.inner
+
+
+SPANNING_SPECS = [AlgebraSpec(((fam, rank, Fraction(1)),))
+                  for fam in "ABC" for rank in (1, 2, 3, 4)] \
+    + [AlgebraSpec((("D", rank, Fraction(1)),)) for rank in (3, 4)] \
+    + [AlgebraSpec((("A", 1, Fraction(1)), ("C", 2, Fraction(2))), abelian_dim=1,
+                   abelian_scales=(Fraction(3, 2),))]
+
+
+@pytest.mark.parametrize("spec", SPANNING_SPECS, ids=lambda s: "+".join(
+    f"{fam}{rank}" for fam, rank, _ in s.factors) + "+u1" * s.abelian_dim)
+def test_gram_schmidt_is_bit_identical_on_spanning_sets(spec):
+    """The natural spanning set (then its first elements again, which
+    must be dropped) gives the same bytes with fewer inner products."""
+    alg = realize(spec)
+    raw = [e for f in alg.factors for e in f.spanning_set()]
+    raw += [alg.abelian_unit(k) for k in range(spec.abelian_dim)]
+    raw += [e.copy() for e in raw[:3]]
+    got, fast = _inner_calls(alg, gram_schmidt, raw)
+    want, full = _inner_calls(alg, _full_gram_schmidt, raw)
+    assert len(got) == alg.dim
+    assert _raw(got) == _raw(want)
+    assert fast < full
+
+
+PRESET_TEXTS = [
+    "sphere_so2n(4)", "sphere_un(3)", "sphere_un(4)", "sphere_spn_u1(2)",
+    "sphere_spn_sp1(2)", "sphere_spn_sp1(3)", "berger_sp2", "aloff_wallach(1,2)",
+    "bn_excluded_subcase1(2)", "bn_excluded_subcase1(3)", "a1a1_diagonal(1)",
+    "a1a1_diagonal(2)", "cn_excluded_subcase1(3)", "cn_excluded_subcase1(4)",
+]
+
+
+@pytest.mark.parametrize("text", PRESET_TEXTS)
+def test_gram_schmidt_is_bit_identical_on_preset_h_and_m(monkeypatch, text):
+    """Both calls a preset makes, on its h generators and on the m
+    completion, match the full loop byte for byte."""
+    calls = []
+
+    def record(alg, elements, *args):
+        elements = list(elements)
+        calls.append((alg, [e.copy() for e in elements]))
+        return gram_schmidt(alg, elements, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(coset, "gram_schmidt", record)
+        coset.parse_preset("preset:" + text)
+    assert len(calls) == 2
+    for alg, elements in calls:
+        assert _raw(gram_schmidt(alg, elements)) == _raw(_full_gram_schmidt(alg, elements))
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+def test_gram_schmidt_skips_nothing_on_dense_elements(random_element, algebras, fam, rank):
+    """Random elements meet every basis element, so every projection is
+    taken; the two extra elements are dependent and dropped."""
+    alg = algebras[(fam, rank)]
+    rng = np.random.default_rng(5)
+    dense = [random_element(alg, rng) for _ in range(alg.dim + 2)]
+    got, fast = _inner_calls(alg, gram_schmidt, dense)
+    want, full = _inner_calls(alg, _full_gram_schmidt, dense)
+    assert len(got) == alg.dim
+    assert _raw(got) == _raw(want)
+    assert fast == full
+
+
+def test_gram_schmidt_pairs_each_entry_with_its_transpose():
+    """Off the algebra a support need not be symmetric: b and v share no
+    entry, but v's (2, 0) meets b's (0, 2), so v must be projected."""
+    alg = realize(AlgebraSpec((("B", 1, Fraction(1)),)))
+
+    def element(*entries):
+        return alg.single_block(0, sum(c * _eij(3, i, j, float) for i, j, c in entries))
+
+    b = element((0, 1, 1), (1, 0, -1), (0, 2, 1))
+    v = element((2, 0, 1), (1, 2, 1), (2, 1, -1))
+    assert alg.inner(v, b) == -0.5
+    got = gram_schmidt(alg, [b, v])
+    assert len(got) == 2 and abs(alg.inner(got[1], got[0])) < TOL
+    assert _raw(got) == _raw(_full_gram_schmidt(alg, [b, v]))
+
+
+def test_gram_schmidt_rejects_an_element_of_another_algebra():
+    a, b = (realize(AlgebraSpec((("A", 1, Fraction(1)),))) for _ in range(2))
+    with pytest.raises(ValueError, match="algebra spec mismatch"):
+        gram_schmidt(a, [a.factors[0].spanning_set()[0], b.factors[0].spanning_set()[1]])
