@@ -11,10 +11,10 @@ from flagcurv.rootsys import (
     angle,
     build_root_system,
     lattice_block,
+    root,
     root_sum_status,
     weyl_reflect,
 )
-from flagcurv.torus import root
 
 
 def show(v):

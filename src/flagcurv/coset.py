@@ -2,7 +2,7 @@
 
 A CosetSpace pairs a realized matrix algebra with an orthonormal basis of a
 verified subalgebra h and of its bi-invariant orthogonal complement m.
-Exact Cartan data on the integer torus lattice (`torus`) is carried
+Exact Cartan data on the integer torus lattice (`rootsys`) is carried
 alongside the floating matrices; all projections of Cartan vectors, and the
 grouping, order and sign of the hat blocks they label, are exact (no float
 pass), matrix projections are numeric with a fixed tolerance ladder
@@ -22,17 +22,15 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .rootsys import (
+    AlgebraSpec,
     QNum,
+    TVec,
     exact_nullspace,
     lattice_block,
-    solve_exact,
-    unit_spec,
-)
-from .torus import (
-    AlgebraSpec,
-    TVec,
     lift_root,
     root,
+    solve_exact,
+    sparse_tvec,
     tvec_dot,
     tvec_from_json,
     tvec_from_parts,
@@ -63,8 +61,8 @@ def cartan_coordinate_basis(spec: AlgebraSpec) -> list:
     out = []
     for idx, (fam, rank, _) in enumerate(spec.factors):
         for i in range(rank):
-            e = _unit(fam, rank, i) - _unit(fam, rank, i + 1) if fam == "A" else _unit(fam, rank, i)
-            out.append(lift_root(spec, idx, e))
+            tail = ((i + 1, -1),) if fam == "A" else ()
+            out.append(lift_root(spec, idx, sparse_tvec(fam, rank, (i, 1), *tail)))
     return out + [tvec_from_parts(spec, abelian=[0] * k + [1]) for k in range(spec.abelian_dim)]
 
 
@@ -362,7 +360,7 @@ def preset_sphere_so2n(n: int) -> CosetSpace:
     spec = AlgebraSpec((("D", n, Fraction(1)),))
     alg = realize(spec)
     gens = _so_generators(alg, 0, list(range(1, 2 * n)))
-    cart = [lift_root(spec, 0, _unit("D", n, i)) for i in range(1, n)]
+    cart = [lift_root(spec, 0, sparse_tvec("D", n, (i, 1))) for i in range(1, n)]
     h_roots = [lift_root(spec, 0, r) for r in _subblock_roots("D", n, 1)]
     sub = SubalgebraSpec(cartan_h=tuple(cart), extra_generators=tuple(gens))
     return build_coset(
@@ -383,7 +381,7 @@ def preset_sphere_un(n: int) -> CosetSpace:
         coords = [Fraction(-1, n)] * n
         coords[j] = Fraction(n - 1, n)
         cart.append(tvec_from_parts(spec, {0: coords}, abelian=[Fraction(1, n)]))
-    block = [_unit("A", n - 1, i) - _unit("A", n - 1, j)
+    block = [sparse_tvec("A", n - 1, (i, 1), (j, -1))
              for i in range(1, n) for j in range(i + 1, n)]
     sub = SubalgebraSpec(cartan_h=tuple(cart), h_roots=tuple((0, r) for r in block))
     return build_coset(
@@ -397,10 +395,9 @@ def _subblock_roots(family: str, n: int, lo: int) -> list:
     root lattice of (family, n), in that order for each i."""
     out = []
     for i in range(lo, n):
-        e = _unit(family, n, i)
-        out.append(e.scale(2) if family == "C" else e)
+        out.append(sparse_tvec(family, n, (i, 2 if family == "C" else 1)))
         for j in range(i + 1, n):
-            out += [e + _unit(family, n, j), e - _unit(family, n, j)]
+            out += [sparse_tvec(family, n, (i, 1), (j, s)) for s in (1, -1)]
     return out
 
 
@@ -410,8 +407,8 @@ def preset_sphere_spn_u1(n: int) -> CosetSpace:
         raise ValueError("sphere_spn_u1 needs n >= 2")
     spec = AlgebraSpec((("C", n, Fraction(1)),), abelian_dim=1)
     alg = realize(spec)
-    cart = [lift_root(spec, 0, _unit("C", n, 0)) + tvec_from_parts(spec, abelian=[1])]
-    cart += [lift_root(spec, 0, _unit("C", n, i)) for i in range(1, n)]
+    cart = [lift_root(spec, 0, sparse_tvec("C", n, (0, 1))) + tvec_from_parts(spec, abelian=[1])]
+    cart += [lift_root(spec, 0, sparse_tvec("C", n, (i, 1))) for i in range(1, n)]
     block = _subblock_roots("C", n, 1)
     sub = SubalgebraSpec(cartan_h=tuple(cart), h_roots=tuple((0, r) for r in block))
     return build_coset(
@@ -433,7 +430,7 @@ def preset_sphere_spn_sp1(n: int) -> CosetSpace:
             quat_unit(1, part, [(0, 0, 1)]),
         ]))
     cart = [tvec_from_parts(spec, {0: [1] + [0] * (n - 1), 1: [1]})]
-    cart += [lift_root(spec, 0, _unit("C", n, i)) for i in range(1, n)]
+    cart += [lift_root(spec, 0, sparse_tvec("C", n, (i, 1))) for i in range(1, n)]
     block = _subblock_roots("C", n, 1)
     sub = SubalgebraSpec(cartan_h=tuple(cart), h_roots=tuple((0, r) for r in block),
                          extra_generators=tuple(gens))
@@ -518,14 +515,14 @@ def preset_bn_excluded_subcase1(n: int) -> CosetSpace:
         raise ValueError("bn_excluded_subcase1 needs n >= 2")
     spec = AlgebraSpec((("B", n, Fraction(1)),))
     alg = realize(spec)
-    cart = [lift_root(spec, 0, _unit("B", n, i)) for i in range(1, n)]
+    cart = [lift_root(spec, 0, sparse_tvec("B", n, (i, 1))) for i in range(1, n)]
     block = _subblock_roots("B", n, 1)
     sub = SubalgebraSpec(cartan_h=tuple(cart), h_roots=tuple((0, r) for r in block))
     return build_coset(
         alg, sub, name=f"SO({2*n+1})/SO({2*n-1}) zero-curvature witness",
         h_root_vectors=_negclose(lift_root(spec, 0, r) for r in block),
-        witness_planes={"u": (0, _unit("B", n, 0) + _unit("B", n, 1)),
-                        "v": (0, _unit("B", n, 1) - _unit("B", n, 0))},
+        witness_planes={"u": (0, sparse_tvec("B", n, (0, 1), (1, 1))),
+                        "v": (0, sparse_tvec("B", n, (0, -1), (1, 1)))},
     )
 
 
@@ -551,22 +548,16 @@ def preset_cn_excluded_subcase1(n: int) -> CosetSpace:
         raise ValueError("cn_excluded_subcase1 needs n >= 3")
     spec = AlgebraSpec((("C", n, Fraction(1)),))
     alg = realize(spec)
-    block = [_unit("C", n, 0) + _unit("C", n, 1)] + _subblock_roots("C", n, 2)
-    cart = [lift_root(spec, 0, _unit("C", n, 0) + _unit("C", n, 1))]
-    cart += [lift_root(spec, 0, _unit("C", n, i)) for i in range(2, n)]
+    block = [sparse_tvec("C", n, (0, 1), (1, 1))] + _subblock_roots("C", n, 2)
+    cart = [lift_root(spec, 0, block[0])]
+    cart += [lift_root(spec, 0, sparse_tvec("C", n, (i, 1))) for i in range(2, n)]
     sub = SubalgebraSpec(cartan_h=tuple(cart), h_roots=tuple((0, r) for r in block))
     return build_coset(
         alg, sub, name=f"Sp({n})/Sp(1)Sp({n-2})-type zero-curvature witness",
         h_root_vectors=_negclose(lift_root(spec, 0, r) for r in block),
-        witness_planes={"u": (0, _unit("C", n, 0).scale(2)),
-                        "v": (0, _unit("C", n, 1).scale(2))},
+        witness_planes={"u": (0, sparse_tvec("C", n, (0, 2))),
+                        "v": (0, sparse_tvec("C", n, (1, 2)))},
     )
-
-
-def _unit(family: str, rank: int, i: int) -> TVec:
-    """e_i in the root lattice of (family, rank)."""
-    spec = unit_spec(((family, rank),))
-    return spec.tvec(2 if j == i else 0 for j in range(spec.dim))
 
 
 # Cap on the rank n of the ranked presets: it bounds the algebra a preset

@@ -1,7 +1,7 @@
 """Mechanized classification of odd-dimensional positively curved
 candidates.
 
-Everything here is exact lattice arithmetic (`torus`): case detection
+Everything here is exact lattice arithmetic (`rootsys`): case detection
 (I/II/III), the two key lemmas, the angle lemma, bracket-membership
 propagation with a derivation trace, the hardcoded case-III subcase tables
 (validated against Weyl orbits at low rank by the test suite), the case-II
@@ -36,19 +36,18 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from .rootsys import (
+    AlgebraSpec,
+    TVec,
     _num,
     angle as root_angle,
     build_root_system,
     lattice_block,
-    solve_exact,
-    unit_spec,
-)
-from .torus import (
-    AlgebraSpec,
-    TVec,
     lift_root,
+    solve_exact,
+    sparse_tvec,
     tvec_dot,
     tvec_from_parts,
+    unit_spec,
 )
 
 if TYPE_CHECKING:
@@ -662,18 +661,6 @@ def case3_space(family: str, rank: int, alpha: TVec, beta: TVec,
     return replace(sp, h_roots=frozenset({ap, -ap}))
 
 
-def _e(family: str, rank: int, *idx_coef) -> TVec:
-    """The vector of the root lattice of (family, rank) with the given
-    rational coordinates at the indices, each a position of weight 1."""
-    spec = unit_spec(((family, rank),))
-    co = [0] * spec.dim
-    for i, c in idx_coef:
-        if spec.weights[i] != 1:
-            raise ValueError(f"position {i} of {family}{rank} carries a surd")
-        co[i] = 2 * c
-    return spec.tvec(co)
-
-
 def _sphere_name(n):
     return f"S^{2*n-1} = SO({2*n})/SO({2*n-1})"
 
@@ -681,14 +668,14 @@ def _sphere_name(n):
 def _subcases_A(n):
     out = []
     if n >= 2:
-        out.append(Subcase("A", n, "A:angle-pi/3", _e("A", n, (0, 1), (1, -1)),
-                           _e("A", n, (0, 1), (2, -1)), "angle"))
-        out.append(Subcase("A", n, "A:angle-2pi/3", _e("A", n, (0, 1), (1, -1)),
-                           _e("A", n, (1, 1), (2, -1)), "angle"))
+        out.append(Subcase("A", n, "A:angle-pi/3", sparse_tvec("A", n, (0, 1), (1, -1)),
+                           sparse_tvec("A", n, (0, 1), (2, -1)), "angle"))
+        out.append(Subcase("A", n, "A:angle-2pi/3", sparse_tvec("A", n, (0, 1), (1, -1)),
+                           sparse_tvec("A", n, (1, 1), (2, -1)), "angle"))
     if n < 3:
         return out
-    alpha = _e("A", n, (0, 1), (3, -1))   # e1 - e4
-    beta = _e("A", n, (2, 1), (1, -1))    # e3 - e2
+    alpha = sparse_tvec("A", n, (0, 1), (3, -1))   # e1 - e4
+    beta = sparse_tvec("A", n, (2, 1), (1, -1))    # e3 - e2
     if n == 3:
         out.append(Subcase("A", 3, "A:1", alpha, beta, "survivor",
                            {"name": _sphere_name(3)}))
@@ -697,14 +684,14 @@ def _subcases_A(n):
                            {"name": "SU(5)/Sp(2)U(1) (Berger)"}))
     else:
         out.append(Subcase("A", n, "A:3", alpha, beta, "key_lemma_2",
-                           {"gamma1": _e("A", n, (0, 1), (4, -1)),
-                            "gamma2": _e("A", n, (1, 1), (5, -1))}))
+                           {"gamma1": sparse_tvec("A", n, (0, 1), (4, -1)),
+                            "gamma2": sparse_tvec("A", n, (1, 1), (5, -1))}))
     return out
 
 
 def _subcases_B(n):
     out = []
-    e = lambda *ic: _e("B", n, *ic)
+    e = lambda *ic: sparse_tvec("B", n, *ic)
     out.append(Subcase("B", n, "B:1", e((0, 1), (1, 1)), e((1, 1)), "reduction",
                        {"preset": f"bn_excluded_subcase1({n})",
                         "normalized_m": "R e1 + g(e1) + sum_i g(e_i +- e1)",
@@ -743,7 +730,8 @@ def _subcases_B(n):
 
 
 def _b9_payload(n):
-    g1, g2, e2 = _e("B", n, (0, 1), (2, 1)), _e("B", n, (0, 1), (2, -1)), _e("B", n, (1, 1))
+    e = lambda *ic: sparse_tvec("B", n, *ic)
+    g1, g2, e2 = e((0, 1), (2, 1)), e((0, 1), (2, -1)), e((1, 1))
     return {
         "note": "conditions (1)-(2) hold but the affine scan meets e2; "
                 "the exclusion follows from the hat-plane orthogonality "
@@ -760,7 +748,7 @@ def _b9_payload(n):
 
 def _subcases_C(n):
     out = []
-    e = lambda *ic: _e("C", n, *ic)
+    e = lambda *ic: sparse_tvec("C", n, *ic)
     out.append(Subcase("C", n, "C:1", e((0, 2)), e((0, 1), (1, 1)), "reduction",
                        {"preset": f"cn_excluded_subcase1({n})",
                         "t_prime": [e((i, 1)) for i in range(2, n)],
@@ -782,7 +770,7 @@ def _subcases_C(n):
 
 def _subcases_D(n):
     out = []
-    e = lambda *ic: _e("D", n, *ic)
+    e = lambda *ic: sparse_tvec("D", n, *ic)
     out.append(Subcase("D", n, "D:1", e((0, 1), (1, 1)), e((1, 1), (0, -1)),
                        "survivor", {"name": _sphere_name(n)}))
     if n == 4:
@@ -808,7 +796,7 @@ def _half_root(family, *signs) -> TVec:
 def _subcases_E6():
     g1 = _half_root("E6", -1, 1, 1, 1, 1, 1)
     g2 = _half_root("E6", -1, -1, -1, -1, -1, 1)
-    e = lambda *ic: _e("E6", 6, *ic)
+    e = lambda *ic: sparse_tvec("E6", 6, *ic)
     return [
         Subcase("E6", 6, "E6:1", e((0, 1), (1, 1)), e((1, 1), (0, -1)),
                 "key_lemma_2", {"gamma1": g1, "gamma2": g2}),
@@ -822,7 +810,7 @@ def _subcases_E6():
 def _subcases_E7():
     g1 = _half_root("E7", -1, 1, 1, 1, 1, 1, 1)
     g2 = _half_root("E7", 1, -1, -1, -1, 1, 1, 1)
-    e = lambda *ic: _e("E7", 7, *ic)
+    e = lambda *ic: sparse_tvec("E7", 7, *ic)
     return [
         Subcase("E7", 7, "E7:1", e((0, 1), (1, 1)), e((1, 1), (0, -1)),
                 "key_lemma_2", {"gamma1": g1, "gamma2": g2}),
@@ -834,7 +822,7 @@ def _subcases_E7():
 def _subcases_E8():
     g1 = _half_root("E8", *[1] * 8)
     g2 = _half_root("E8", *[-1] * 4 + [1] * 4)
-    e = lambda *ic: _e("E8", 8, *ic)
+    e = lambda *ic: sparse_tvec("E8", 8, *ic)
     return [
         Subcase("E8", 8, "E8:1", e((0, 1), (1, 1)), e((1, 1), (0, -1)),
                 "key_lemma_2", {"gamma1": g1, "gamma2": g2}),
@@ -846,7 +834,7 @@ def _subcases_E8():
 
 
 def _subcases_F4():
-    e = lambda *ic: _e("F4", 4, *ic)
+    e = lambda *ic: sparse_tvec("F4", 4, *ic)
     half = _half_root("F4", 1, 1, 1, 1)
     half_m = _half_root("F4", -1, 1, 1, 1)
     return [
@@ -1025,7 +1013,7 @@ def case2_space(g2_family: str, g2_rank: int, beta: TVec,
     A1-root with beta; Delta_h holds the g2-roots orthogonal to beta (those
     in t cap h, as w = alpha - beta) plus the common projection."""
     spec = unit_spec((("A", 1), (g2_family, g2_rank)))
-    alpha = lift_root(spec, 0, _e("A", 1, (0, 1), (1, -1)))
+    alpha = lift_root(spec, 0, sparse_tvec("A", 1, (0, 1), (1, -1)))
     lb = lift_root(spec, 1, beta)
     sp = make_root_level_space(spec, alpha - lb, name=name)
     hset = {sp.pr_h(alpha), -sp.pr_h(alpha)}
@@ -1165,9 +1153,18 @@ def classify_case1(space: RootLevelSpace) -> Verdict:
 
     # no abelian component
     if len(active) == 1:
+        # the shape of the simple transitive exemplars of case1_candidates
+        if _h_is_w_perp(space, active[0]):
+            return Verdict("unresolved",
+                           detail="compact simple transitive group: outside the "
+                                  "scope of the exclusion machinery")
+        pair = _kl2_pair_search(space, nonh[active[0]])
+        if pair:
+            return Verdict("excluded", witness=Witness(
+                "key_lemma_2", {"gamma1": pair[0], "gamma2": pair[1]}))
         return Verdict("unresolved",
-                       detail="compact simple transitive group: outside the "
-                              "scope of the exclusion machinery")
+                       detail="one active simple factor whose h-roots are not its "
+                              "roots orthogonal to w, and no certifying pair found")
     # roots not proportional to their factor's torus component
     cand = []
     for i in active:
@@ -1228,30 +1225,26 @@ def classify_case1(space: RootLevelSpace) -> Verdict:
                           "the commuting pair argument applies")
 
 
+def _h_is_w_perp(space: RootLevelSpace, i: int) -> bool:
+    """Whether the h-roots of factor i are exactly its roots orthogonal to
+    w (a root of factor i is orthogonal to w exactly when it is to w's
+    block i)."""
+    return all((r in space.h_roots) == space.in_t_h(r)
+               for r in space.g_roots if space.factor_of[r] == i)
+
+
 def _case1_table_match(space: RootLevelSpace, i: int) -> Optional[Verdict]:
     """Match (g_i, h cap g_i) against the rank-equal pair table for the
     abelian-component case: (A_k, A_{k-1}+R), (C_k, C_{k-1}+R),
     (A_2, R+R) and the so(5) = sp(2) coincidence."""
-    fam, rank, scale = space.spec.factors[i]
-    froots = [r for r in space.g_roots if space.factor_of[r] == i]
-    # a root of factor i is orthogonal to w exactly when it is to w's block i
-    orth = [r for r in froots if space.in_t_h(r)]
-    h2 = [r for r in froots if r in space.h_roots]
-    if set(h2) != set(orth):
+    if not _h_is_w_perp(space, i):
         return None
+    fam, rank, scale = space.spec.factors[i]
+    h2 = [r for r in space.g_roots if space.factor_of[r] == i and r in space.h_roots]
     if fam == "A":
         if len(h2) == rank * (rank - 1):
             return Verdict("survivor", name=_un_name(rank + 1))
-        if rank == 2 and not h2:
-            for r in froots:
-                if space.in_t_h(r):
-                    return Verdict(
-                        "excluded",
-                        witness=Witness("key_lemma_1",
-                                        {"gamma": r,
-                                         "detail": "root inside t cap h but "
-                                                   "the isotropy is a torus"}),
-                        detail="degenerate torus parameters")
+        if rank == 2 and not h2:  # no root of the block is orthogonal to w
             return Verdict("survivor", name="Aloff-Wallach U(3)/T^2")
     if fam == "C" and len(h2) == 2 * (rank - 1) ** 2:
         return Verdict("survivor", name=_spu1_name(rank))
@@ -1310,7 +1303,7 @@ def verify_theorem(part: int, max_rank: int = 8) -> dict:
             if fam == "G2":
                 betas = [("long", _g2_root(2, 0)), ("short", _g2_root(0, 2))]
             else:
-                betas = [(tag, _e(fam, rank, *co))
+                betas = [(tag, sparse_tvec(fam, rank, *co))
                          for tag, co in reps.get(fam, [("any", [(0, 1), (1, 1)])])]
             for tag, beta in betas:
                 space = case2_space(fam, rank, beta,
@@ -1382,55 +1375,55 @@ def case1_candidates(max_rank: int = 8) -> list:
         return [r for r in _factor_roots(fam, rank) if not tvec_dot(w1.spec, r, w1)]
 
     for rank in range(1, max_rank + 1):
-        w1 = _e("A", rank, *([(0, rank)] + [(j, -1) for j in range(1, rank + 1)]))
+        w1 = sparse_tvec("A", rank, *([(0, rank)] + [(j, -1) for j in range(1, rank + 1)]))
         out.append(_case1_block_space(
             "A", rank, f"U({rank+1})/U({rank}) candidate", w1, True,
             orth_roots("A", rank, w1)))
     for rank in range(3, max_rank + 1):
-        w1 = _e("C", rank, (0, 1))
+        w1 = sparse_tvec("C", rank, (0, 1))
         out.append(_case1_block_space(
             "C", rank, f"Sp({rank})U(1)/Sp({rank-1})U(1) candidate", w1, True,
             orth_roots("C", rank, w1)))
     # so(5) = sp(2) presentation of the rank-two quaternionic sphere
-    w1 = _e("B", 2, (0, 1), (1, 1))
+    w1 = sparse_tvec("B", 2, (0, 1), (1, 1))
     out.append(_case1_block_space(
         "B", 2, "Sp(2)U(1)/Sp(1)U(1) candidate (so(5) picture)", w1, True,
         orth_roots("B", 2, w1)))
     # Aloff-Wallach directions, generic and degenerate
     out.append(_case1_block_space(
-        "A", 2, "Aloff-Wallach U(3)/T^2 candidate", _e("A", 2, (0, 1), (1, 2), (2, -3)),
+        "A", 2, "Aloff-Wallach U(3)/T^2 candidate", sparse_tvec("A", 2, (0, 1), (1, 2), (2, -3)),
         True, []))
     out.append(_case1_block_space(
-        "A", 2, "U(3)/T^2 with degenerate parameters", _e("A", 2, (0, 1), (1, 1), (2, -2)),
+        "A", 2, "U(3)/T^2 with degenerate parameters", sparse_tvec("A", 2, (0, 1), (1, 1), (2, -2)),
         True, []))
     # non-table single blocks: excluded
     for fam, rank in [("B", 3), ("B", 4), ("D", 4), ("F4", 4), ("G2", 2),
                       ("E6", 6), ("E7", 7)]:
-        w1 = _g2_root(0, 2) if fam == "G2" else _e(fam, rank, (0, 1))
+        w1 = _g2_root(0, 2) if fam == "G2" else sparse_tvec(fam, rank, (0, 1))
         out.append(_case1_block_space(
             fam, rank, f"U(1)x{fam}{rank} non-table candidate", w1, True,
             orth_roots(fam, rank, w1)))
     # simple transitive groups: unresolved
     for rank in range(2, 5):
-        w1 = _e("A", rank, *([(0, rank)] + [(j, -1) for j in range(1, rank + 1)]))
+        w1 = sparse_tvec("A", rank, *([(0, rank)] + [(j, -1) for j in range(1, rank + 1)]))
         out.append(_case1_block_space(
             "A", rank, f"SU({rank+1})/SU({rank})", w1, False,
             orth_roots("A", rank, w1)))
     for rank in range(3, 5):
-        w1 = _e("C", rank, (0, 1))
+        w1 = sparse_tvec("C", rank, (0, 1))
         out.append(_case1_block_space(
             "C", rank, f"Sp({rank})/Sp({rank-1})", w1, False,
             orth_roots("C", rank, w1)))
     out.append(_case1_block_space(
-        "A", 2, "SU(3)-homogeneous Aloff-Wallach", _e("A", 2, (0, 1), (1, 2), (2, -3)),
+        "A", 2, "SU(3)-homogeneous Aloff-Wallach", sparse_tvec("A", 2, (0, 1), (1, 2), (2, -3)),
         False, []))
     # multi-factor exemplars
-    a1 = _e("A", 1, (0, 1), (1, -1))
+    a1 = sparse_tvec("A", 1, (0, 1), (1, -1))
     out.append(_two_factor_space("two A1 factors", ("A", 1), ("A", 1), a1, a1))
     out.append(_two_factor_space("A1 x A2 with generic slope", ("A", 1), ("A", 2),
-                                 a1, _e("A", 2, (0, 1), (1, 2), (2, -3))))
+                                 a1, sparse_tvec("A", 2, (0, 1), (1, 2), (2, -3))))
     out.append(_two_factor_space("A1 x C3 along the long root", ("A", 1), ("C", 3),
-                                 a1, _e("C", 3, (0, 2))))
+                                 a1, sparse_tvec("C", 3, (0, 2))))
     out.append(_three_factor_space())
     return [sp for sp in out if all(r <= max_rank for _, r, _ in sp.spec.factors)]
 

@@ -13,9 +13,13 @@ subalgebra, is the flat tuple of the n's, with the tuple's equality, hash
 and order (the ambient lexicographic one, as sqrt(k) > 0).  A root of a
 simple factor is the TVec of the factor's unit spec, and `tvec_dot`,
 `angle`, `weyl_reflect` and `is_root` reject vectors of other weights.
-QNum, the field Q(sqrt2, sqrt3), reads JSON (`lattice_coord`) and is the
-tests' oracle; `lattice_block` and `lattice_json` write its printed and
-JSON forms.  `float(q)` exists only for the matrix layers.
+
+The lattice's boundary is here too: root lifts, exact input checked
+against the position surds, and JSON.  Lattice arithmetic uses only ints
+and Fractions.  QNum, a plain value of the field Q(sqrt2, sqrt3), only
+reads the {"a","b","c","d"} coordinates of JSON input and is the tests'
+oracle; `verify` never builds one, and `lattice_block` and `lattice_json`
+write its printed and JSON forms.  Nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -25,24 +29,22 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, sqrt
-from operator import add, attrgetter, mul, neg, sub
+from operator import add, mul, neg, sub
 from typing import Sequence
 
 _SQRT2 = sqrt(2.0)
 _SQRT3 = sqrt(3.0)
 _SQRT6 = sqrt(6.0)
 
-_F0 = Fraction(0)
-
 
 def _frac(x) -> Fraction:
+    """An exact rational from a Fraction, an int or a string.  A float or a
+    bool (JSON's 0.1 or true) is no exact input: TypeError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if type(x) is int or isinstance(x, str):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"expected rational, got {type(x).__name__}")
+    raise TypeError(f"exact value must be a string or an integer, got {x!r}")
 
 
 def _sign(x) -> int:
@@ -60,149 +62,72 @@ def _sign2(a: Fraction, b: Fraction) -> int:
     return sa * _sign(a * a - 2 * b * b)
 
 
-def _add0(x: Fraction, y: Fraction) -> Fraction:
-    """Sum of two irrational coefficients, zero kept as the shared _F0."""
-    if x is _F0:
-        return y
-    if y is _F0:
-        return x
-    return (x + y) or _F0
-
-
+@dataclass(frozen=True)
 class QNum:
-    """Element a + b*sqrt2 + c*sqrt3 + d*sqrt6 of Q(sqrt2, sqrt3).
+    """Element a + b*sqrt2 + c*sqrt3 + d*sqrt6 of Q(sqrt2, sqrt3): a plain
+    immutable value over four Fractions, with one general formula per
+    operation.  Equality and hash are those of (a, b, c, d)."""
 
-    Immutable: the coefficients are read-only properties over private
-    slots, the way `Fraction` guards its numerator.  A zero coefficient of
-    sqrt2, sqrt3 or sqrt6 is always the shared `_F0` object, so rationality
-    is three identity tests and rational operands take one-Fraction fast
-    paths.  The hash is cached and equals hash((a, b, c, d)).
-    """
+    a: Fraction = Fraction(0)
+    b: Fraction = Fraction(0)
+    c: Fraction = Fraction(0)
+    d: Fraction = Fraction(0)
 
-    __slots__ = ("_a", "_b", "_c", "_d", "_hash")
-
-    def __init__(self, a=_F0, b=_F0, c=_F0, d=_F0):
-        self._a = _frac(a)
-        self._b = _frac(b) or _F0
-        self._c = _frac(c) or _F0
-        self._d = _frac(d) or _F0
-        self._hash = None
-
-    a = property(attrgetter("_a"))
-    b = property(attrgetter("_b"))
-    c = property(attrgetter("_c"))
-    d = property(attrgetter("_d"))
+    def __post_init__(self):
+        for name in "abcd":
+            object.__setattr__(self, name, _frac(getattr(self, name)))
 
     @staticmethod
     def of(x) -> "QNum":
-        if isinstance(x, QNum):
-            return x
-        return _make(_frac(x), _F0, _F0, _F0)
-
-    def __eq__(self, o):
-        if o.__class__ is not QNum:
-            return NotImplemented
-        return (self._a, self._b, self._c, self._d) == (o._a, o._b, o._c, o._d)
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            # hash((a, b, c, d)) from the coefficient hashes: a zero
-            # coefficient hashes to 0 and an integer to its own hash
-            h = self._hash = hash(tuple(
-                0 if x is _F0 else hash(x.numerator) if x.denominator == 1 else hash(x)
-                for x in (self._a, self._b, self._c, self._d)))
-        return h
+        return x if isinstance(x, QNum) else QNum(x)
 
     # -- ring structure -------------------------------------------------
     def __add__(self, o) -> "QNum":
-        if o.__class__ is not QNum:
-            o = QNum.of(o)
-        b1, c1, d1 = self._b, self._c, self._d
-        b2, c2, d2 = o._b, o._c, o._d
-        if b1 is _F0 and c1 is _F0 and d1 is _F0 and b2 is _F0 and c2 is _F0 and d2 is _F0:
-            return _make(self._a + o._a, _F0, _F0, _F0)
-        return _make(self._a + o._a, _add0(b1, b2), _add0(c1, c2), _add0(d1, d2))
+        o = QNum.of(o)
+        return QNum(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QNum":
-        b, c, d = self._b, self._c, self._d
-        if b is _F0 and c is _F0 and d is _F0:
-            return _make(-self._a, _F0, _F0, _F0)
-        return _make(-self._a, -b or _F0, -c or _F0, -d or _F0)
+        return QNum(-self.a, -self.b, -self.c, -self.d)
 
     def __sub__(self, o) -> "QNum":
-        if o.__class__ is not QNum:
-            o = QNum.of(o)
-        b2, c2, d2 = o._b, o._c, o._d
-        if self._b is _F0 and self._c is _F0 and self._d is _F0 \
-                and b2 is _F0 and c2 is _F0 and d2 is _F0:
-            return _make(self._a - o._a, _F0, _F0, _F0)
-        return self + (-o)
+        return self + -QNum.of(o)
 
     def __rsub__(self, o) -> "QNum":
         return QNum.of(o) - self
 
     def __mul__(self, o) -> "QNum":
-        if o.__class__ is not QNum:
-            o = QNum.of(o)
-        a1, b1, c1, d1 = self._a, self._b, self._c, self._d
-        a2, b2, c2, d2 = o._a, o._b, o._c, o._d
-        if b1 is _F0 and c1 is _F0 and d1 is _F0:
-            if b2 is _F0 and c2 is _F0 and d2 is _F0:
-                return _make(a1 * a2, _F0, _F0, _F0)
-            return o._scaled(a1)
-        if b2 is _F0 and c2 is _F0 and d2 is _F0:
-            return self._scaled(a2)
+        o = QNum.of(o)
+        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
+        a2, b2, c2, d2 = o.a, o.b, o.c, o.d
         # sqrt2*sqrt3 = sqrt6, sqrt2*sqrt6 = 2*sqrt3, sqrt3*sqrt6 = 3*sqrt2
-        return _make(
-            a1 * a2 + 2 * b1 * b2 + 3 * c1 * c2 + 6 * d1 * d2,
-            (a1 * b2 + b1 * a2 + 3 * (c1 * d2 + d1 * c2)) or _F0,
-            (a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2)) or _F0,
-            (a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2) or _F0,
-        )
+        return QNum(a1 * a2 + 2 * b1 * b2 + 3 * c1 * c2 + 6 * d1 * d2,
+                    a1 * b2 + b1 * a2 + 3 * (c1 * d2 + d1 * c2),
+                    a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
+                    a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2)
 
     __rmul__ = __mul__
 
-    def _scaled(self, r: Fraction) -> "QNum":
-        """self * r for a rational r."""
-        if not r:
-            return Q0
-        b, c, d = self._b, self._c, self._d
-        return _make(self._a * r, _F0 if b is _F0 else b * r,
-                     _F0 if c is _F0 else c * r, _F0 if d is _F0 else d * r)
-
-    def _conj2(self) -> "QNum":
-        # sqrt2 -> -sqrt2 (and hence sqrt6 -> -sqrt6)
-        return QNum(self._a, -self._b, self._c, -self._d)
-
-    def _conj3(self) -> "QNum":
-        # sqrt3 -> -sqrt3 (and hence sqrt6 -> -sqrt6)
-        return QNum(self._a, self._b, -self._c, -self._d)
-
     def inverse(self) -> "QNum":
+        """t / (self t), with t the product of the three other conjugates
+        (sqrt2, sqrt3 or both negated), so that self t is the rational
+        field norm."""
         if self.is_zero():
             raise ZeroDivisionError("QNum division by zero")
-        if self.is_rational():
-            return _make(1 / self._a, _F0, _F0, _F0)
-        t = self._conj2() * self._conj3() * self._conj2()._conj3()
-        n = self * t  # rational: the field norm
-        assert n.is_rational()
-        return t._scaled(1 / n._a)
+        a, b, c, d = self.a, self.b, self.c, self.d
+        t = QNum(a, -b, c, -d) * QNum(a, b, -c, -d) * QNum(a, -b, -c, d)
+        return t * (1 / (self * t).a)
 
     def __truediv__(self, o) -> "QNum":
         return self * QNum.of(o).inverse()
 
-    def __rtruediv__(self, o) -> "QNum":
-        return QNum.of(o) * self.inverse()
-
     # -- comparisons ----------------------------------------------------
     def is_zero(self) -> bool:
-        return self._b is _F0 and self._c is _F0 and self._d is _F0 and not self._a
+        return not (self.a or self.b or self.c or self.d)
 
     def is_rational(self) -> bool:
-        return self._b is _F0 and self._c is _F0 and self._d is _F0
+        return not (self.b or self.c or self.d)
 
     def sign(self) -> int:
         """Exact sign by the field tower, with no float shortcut.
@@ -212,7 +137,7 @@ class QNum:
         when p^2 > 3 q^2, an element of Q(sqrt2) decided the same way one
         level down.
         """
-        a, b, c, d = self._a, self._b, self._c, self._d
+        a, b, c, d = self.a, self.b, self.c, self.d
         sp, sq = _sign2(a, b), _sign2(c, d)
         if sp == sq or sq == 0:
             return sp
@@ -225,52 +150,35 @@ class QNum:
     def __lt__(self, o) -> bool:
         return (self - QNum.of(o)).sign() < 0
 
-    def __le__(self, o) -> bool:
-        return (self - QNum.of(o)).sign() <= 0
-
     def __float__(self) -> float:
-        if self._b is _F0 and self._c is _F0 and self._d is _F0:
-            return float(self._a)
-        return float(self._a) + float(self._b) * _SQRT2 \
-            + float(self._c) * _SQRT3 + float(self._d) * _SQRT6
+        return float(self.a) + float(self.b) * _SQRT2 \
+            + float(self.c) * _SQRT3 + float(self.d) * _SQRT6
 
     def __repr__(self) -> str:
-        return f"QNum({self._a}, {self._b}, {self._c}, {self._d})"
+        return f"QNum({self.a}, {self.b}, {self.c}, {self.d})"
 
     def __str__(self) -> str:
         parts = []
-        for coef, tag in ((self._a, ""), (self._b, "*r2"), (self._c, "*r3"), (self._d, "*r6")):
+        for coef, tag in ((self.a, ""), (self.b, "*r2"), (self.c, "*r3"), (self.d, "*r6")):
             if coef != 0:
                 parts.append(f"{coef}{tag}")
         return " + ".join(parts) if parts else "0"
 
     def to_json(self) -> dict:
-        return {"a": str(self._a), "b": str(self._b), "c": str(self._c), "d": str(self._d)}
+        return {"a": str(self.a), "b": str(self.b), "c": str(self.c), "d": str(self.d)}
 
     @staticmethod
     def from_json(obj: dict) -> "QNum":
-        return QNum(Fraction(obj["a"]), Fraction(obj["b"]), Fraction(obj["c"]), Fraction(obj["d"]))
-
-
-_new_qnum = object.__new__
-
-
-def _make(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> QNum:
-    """Internal constructor: Fraction coefficients, zero b/c/d as _F0."""
-    q = _new_qnum(QNum)
-    q._a = a
-    q._b = b
-    q._c = c
-    q._d = d
-    q._hash = None
-    return q
+        """Each of "a", "b", "c", "d" a string or an integer (TypeError
+        otherwise: a float or a bool is not exact input)."""
+        return QNum(obj["a"], obj["b"], obj["c"], obj["d"])
 
 
 Q0 = QNum()
-Q1 = QNum(Fraction(1))
-SQRT2 = QNum(Fraction(0), Fraction(1))
-SQRT3 = QNum(Fraction(0), Fraction(0), Fraction(1))
-SQRT6 = QNum(Fraction(0), Fraction(0), Fraction(0), Fraction(1))
+Q1 = QNum(1)
+SQRT2 = QNum(0, 1)
+SQRT3 = QNum(0, 0, 1)
+SQRT6 = QNum(0, 0, 0, 1)
 
 
 def _num(x):
@@ -279,14 +187,17 @@ def _num(x):
 
 
 def lattice_coord(x) -> tuple:
-    """(n, k) with x = n/2 * sqrt(k), k in {1, 2, 3}: the lattice form of a
-    rational multiple of 1, sqrt2 or sqrt3.  Anything else (a sum of two
-    surds, or a multiple of sqrt6) is off the lattice: ValueError."""
-    q = QNum.of(x)
-    parts = [(c, k) for c, k in ((q.a, 1), (q.b, 2), (q.c, 3)) if c]
-    if q.d or len(parts) > 1:
-        raise ValueError(f"coordinate {q} is not a rational multiple of 1, sqrt2 or sqrt3")
-    c, k = parts[0] if parts else (_F0, 1)
+    """(n, k) with x = n/2 * sqrt(k), k in {1, 2, 3}.  An int, Fraction or
+    string is rational and reads directly as (2x, 1); a QNum reads through
+    its coefficients, and one that is not a rational multiple of 1, sqrt2
+    or sqrt3 (a sum of two surds, or a multiple of sqrt6) is off the
+    lattice: ValueError."""
+    if not isinstance(x, QNum):
+        return _num(2 * _frac(x)), 1
+    parts = [(c, k) for c, k in ((x.a, 1), (x.b, 2), (x.c, 3)) if c]
+    if x.d or len(parts) > 1:
+        raise ValueError(f"coordinate {x} is not a rational multiple of 1, sqrt2 or sqrt3")
+    c, k = parts[0] if parts else (0, 1)
     return _num(2 * c), k
 
 
@@ -463,14 +374,14 @@ class AlgebraSpec:
     def __post_init__(self):
         norm = []
         for fam, rank, scale in self.factors:
-            s = scale if isinstance(scale, Fraction) else Fraction(scale)
+            s = _frac(scale)
             if s <= 0:
                 raise ValueError("factor scale must be positive")
             norm.append((fam.upper(), int(rank), s))
         object.__setattr__(self, "factors", tuple(norm))
         if self.abelian_dim < 0:
             raise ValueError("abelian_dim must be nonnegative")
-        sc = tuple(Fraction(s) for s in self.abelian_scales)
+        sc = tuple(map(_frac, self.abelian_scales))
         if not sc:
             sc = tuple(Fraction(1) for _ in range(self.abelian_dim))
         if len(sc) != self.abelian_dim or any(s <= 0 for s in sc):
@@ -519,9 +430,8 @@ class AlgebraSpec:
         if sum(ranks) + abelian_dim > MAX_SPEC_RANK:
             raise ValueError(f"total rank {sum(ranks) + abelian_dim} (factor ranks plus "
                              f"abelian_dim) above the cap {MAX_SPEC_RANK}")
-        factors = tuple((f["family"], f["rank"], Fraction(f["scale"])) for f in obj["factors"])
-        scales = tuple(Fraction(s) for s in obj.get("abelian_scales", []))
-        return AlgebraSpec(factors, abelian_dim, scales)
+        factors = tuple((f["family"], f["rank"], f["scale"]) for f in obj["factors"])
+        return AlgebraSpec(factors, abelian_dim, tuple(obj.get("abelian_scales", [])))
 
 
 _UNIT_SPECS: dict = {}
@@ -553,6 +463,85 @@ def tvec_dot(spec: AlgebraSpec, u: Sequence, v: Sequence) -> Fraction:
     TVec argument must have the surd weights of spec (ValueError)."""
     _same_lattice(spec, u, v)
     return Fraction(sum(map(mul, map(mul, spec.gram, u), v)), spec.gram_den)
+
+
+# -- the lattice's boundary: root lifts, exact input, JSON --------------------
+
+_SURD = {1: "1", 2: "sqrt2", 3: "sqrt3"}
+
+
+@functools.lru_cache(maxsize=128)
+def zero_tvec(spec: AlgebraSpec) -> TVec:
+    return spec.tvec((0,) * spec.dim)
+
+
+def lift_root(spec: AlgebraSpec, factor: int, root: TVec) -> TVec:
+    """The vector of t with root, a vector of the factor's unit spec, as its
+    factor-th block and zero elsewhere."""
+    unit = spec.units[factor]
+    if root.spec is not unit and root.spec != unit:
+        raise ValueError(f"{root!r} is not on the lattice of factor {factor} of the spec")
+    a, b, _ = spec.blocks[factor]
+    return spec.tvec((0,) * a + root + (0,) * (spec.dim - b))
+
+
+def tvec_from_parts(spec: AlgebraSpec, parts: dict = None, abelian: Sequence = ()) -> TVec:
+    """Assemble a TVec from {factor_index: coordinate list} plus the leading
+    abelian coordinates, each exact (int, Fraction, string or QNum).  A
+    coordinate must be a rational multiple of its position's surd: any
+    other number is off the lattice of t, where no closed subgroup has its
+    torus (ValueError)."""
+    flat = list(zero_tvec(spec))
+    ab = (spec.dim - spec.abelian_dim, spec.dim, (1,) * spec.abelian_dim)
+    for (a, b, k), coords, exact in [(spec.blocks[i], c, True) for i, c in (parts or {}).items()] \
+            + [(ab, abelian, False)]:
+        if len(coords) > b - a or exact and len(coords) != b - a:
+            raise ValueError("torus vector does not match the algebra spec")
+        for i, c in enumerate(coords):
+            n, kc = lattice_coord(c)
+            if n and kc != k[i]:
+                raise ValueError(f"torus coordinate {_half(n)}{_TAG[kc]} is not a rational "
+                                 f"multiple of {_SURD[k[i]]}")
+            flat[a + i] = n
+    return spec.tvec(flat)
+
+
+def root(family: str, rank: int, *coords) -> TVec:
+    """The vector of the root lattice of (family, rank) with these exact
+    coordinates, checked against the position surds like a space file."""
+    return tvec_from_parts(unit_spec(((family, rank),)), {0: coords})
+
+
+def sparse_tvec(family: str, rank: int, *idx_coef) -> TVec:
+    """The vector of the root lattice of (family, rank) with the rational
+    coordinate c at each (index, c) given, each a position of weight 1, and
+    zero elsewhere: sparse_tvec("B", 2, (0, 1)) is e1."""
+    spec = unit_spec(((family, rank),))
+    co = [0] * spec.dim
+    for i, c in idx_coef:
+        if spec.weights[i] != 1:
+            raise ValueError(f"position {i} of {family}{rank} carries a surd")
+        co[i] = 2 * c
+    return spec.tvec(co)
+
+
+def tvec_to_json(tv: TVec) -> dict:
+    spec = tv.spec
+    return {
+        "factors": [list(map(lattice_json, tv[a:b], k)) for a, b, k in spec.blocks],
+        "abelian": [lattice_json(x, 1) for x in tv[spec.dim - spec.abelian_dim:]],
+    }
+
+
+def tvec_from_json(spec: AlgebraSpec, obj: dict) -> TVec:
+    """A TVec from its JSON form; every coordinate must be a rational
+    multiple of its position's surd (ValueError otherwise)."""
+    factors, abelian = obj["factors"], obj.get("abelian", [])
+    if len(factors) != len(spec.blocks) or len(abelian) != spec.abelian_dim:
+        raise ValueError("torus vector does not match the algebra spec")
+    return tvec_from_parts(
+        spec, {i: [QNum.from_json(x) for x in f] for i, f in enumerate(factors)},
+        [QNum.from_json(x) for x in abelian])
 
 
 # -- root systems ------------------------------------------------------------
@@ -588,7 +577,6 @@ class RootSystem:
 
     @staticmethod
     def from_json(obj: dict) -> "RootSystem":
-        from .torus import root  # the coordinate reader, built on this module
         fam, rank = obj["family"], obj["rank"]
         return RootSystem(fam, rank, tuple(root(fam, rank, *map(QNum.from_json, r))
                                            for r in obj["roots"]))

@@ -32,8 +32,8 @@ from flagcurv.curvature import (
 )
 from flagcurv.liealg import AlgebraSpec, gram_schmidt, realize
 from flagcurv.norms import Quadratic, Randers, random_invariant_norm
-from flagcurv.obstruct import case3_space, key_lemma_2_check, _e
-from flagcurv.rootsys import QNum, build_root_system, weyl_reflect
+from flagcurv.obstruct import case3_space, key_lemma_2_check
+from flagcurv.rootsys import QNum, build_root_system, sparse_tvec, weyl_reflect
 
 
 @contextlib.contextmanager
@@ -140,26 +140,26 @@ def test_acceptance_4_cited_witnesses_replay():
         h = Fraction(1, 2)
         cases = [
             ("A", 5, (((0, 1), (3, -1)), ((2, 1), (1, -1))),
-             lambda sp: (lift_root(sp.spec, 0, _e("A", 5, (0, 1), (4, -1))),
-                         lift_root(sp.spec, 0, _e("A", 5, (1, 1), (5, -1))))),
+             lambda sp: (lift_root(sp.spec, 0, sparse_tvec("A", 5, (0, 1), (4, -1))),
+                         lift_root(sp.spec, 0, sparse_tvec("A", 5, (1, 1), (5, -1))))),
             ("B", 5, (((0, 1), (1, 1)), ((2, -1), (3, -1))),
-             lambda sp: (lift_root(sp.spec, 0, _e("B", 5, (0, 1), (4, 1))),
-                         lift_root(sp.spec, 0, _e("B", 5, (0, 1), (4, -1))))),
+             lambda sp: (lift_root(sp.spec, 0, sparse_tvec("B", 5, (0, 1), (4, 1))),
+                         lift_root(sp.spec, 0, sparse_tvec("B", 5, (0, 1), (4, -1))))),
             ("B", 4, (((0, 1), (1, 1)), ((2, -1),)),
-             lambda sp: (lift_root(sp.spec, 0, _e("B", 4, (0, 1), (3, 1))),
-                         lift_root(sp.spec, 0, _e("B", 4, (0, 1), (3, -1))))),
+             lambda sp: (lift_root(sp.spec, 0, sparse_tvec("B", 4, (0, 1), (3, 1))),
+                         lift_root(sp.spec, 0, sparse_tvec("B", 4, (0, 1), (3, -1))))),
             ("C", 3, (((0, 2),), ((1, -1), (2, -1))),
-             lambda sp: (lift_root(sp.spec, 0, _e("C", 3, (1, 2))),
-                         lift_root(sp.spec, 0, _e("C", 3, (2, 2))))),
+             lambda sp: (lift_root(sp.spec, 0, sparse_tvec("C", 3, (1, 2))),
+                         lift_root(sp.spec, 0, sparse_tvec("C", 3, (2, 2))))),
             ("C", 4, (((0, 1), (1, 1)), ((2, -1), (3, -1))),
-             lambda sp: (lift_root(sp.spec, 0, _e("C", 4, (0, 2))),
-                         lift_root(sp.spec, 0, _e("C", 4, (1, 2))))),
+             lambda sp: (lift_root(sp.spec, 0, sparse_tvec("C", 4, (0, 2))),
+                         lift_root(sp.spec, 0, sparse_tvec("C", 4, (1, 2))))),
             ("C", 3, (((0, 2),), ((0, -1), (1, -1))),
-             lambda sp: (lift_root(sp.spec, 0, _e("C", 3, (0, 1), (2, 1))),
-                         lift_root(sp.spec, 0, _e("C", 3, (1, 2))))),
+             lambda sp: (lift_root(sp.spec, 0, sparse_tvec("C", 3, (0, 1), (2, 1))),
+                         lift_root(sp.spec, 0, sparse_tvec("C", 3, (1, 2))))),
             ("D", 5, (((0, 1), (1, 1)), ((2, -1), (3, -1))),
-             lambda sp: (lift_root(sp.spec, 0, _e("D", 5, (0, 1), (4, 1))),
-                         lift_root(sp.spec, 0, _e("D", 5, (0, 1), (4, -1))))),
+             lambda sp: (lift_root(sp.spec, 0, sparse_tvec("D", 5, (0, 1), (4, 1))),
+                         lift_root(sp.spec, 0, sparse_tvec("D", 5, (0, 1), (4, -1))))),
             ("E6", 6, (((0, 1), (1, 1)), ((1, 1), (0, -1))),
              lambda sp: (lift_root(sp.spec, 0, root("E6", 6, -h, h, h, h, h, QNum(0, 0, h))),
                          lift_root(sp.spec, 0, root("E6", 6, -h, -h, -h, -h, -h, QNum(0, 0, h))))),
@@ -170,11 +170,11 @@ def test_acceptance_4_cited_witnesses_replay():
              lambda sp: (lift_root(sp.spec, 0, root("E8", 8, *([h] * 8))),
                          lift_root(sp.spec, 0, root("E8", 8, -h, -h, -h, -h, h, h, h, h)))),
             ("E8", 8, (((0, 1), (1, 1)), ((2, -1), (3, -1))),
-             lambda sp: (lift_root(sp.spec, 0, _e("E8", 8, (0, 1), (4, 1))),
-                         lift_root(sp.spec, 0, _e("E8", 8, (1, 1), (5, 1))))),
+             lambda sp: (lift_root(sp.spec, 0, sparse_tvec("E8", 8, (0, 1), (4, 1))),
+                         lift_root(sp.spec, 0, sparse_tvec("E8", 8, (1, 1), (5, 1))))),
         ]
         for fam, rank, pair, mk in cases:
-            alpha, beta = (_e(fam, rank, *p) for p in pair)
+            alpha, beta = (sparse_tvec(fam, rank, *p) for p in pair)
             sp = case3_space(fam, rank, alpha, beta)
             g1, g2 = mk(sp)
             assert key_lemma_2_check(sp, g1, g2), (fam, rank)

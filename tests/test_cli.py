@@ -501,10 +501,37 @@ def test_space_file_ranks_are_capped(monkeypatch, tmp_path, algebra, match):
     _assert_fails_closed(["space", "build", "--file", path], match)
 
 
+_ZERO = {"a": "0", "b": "0", "c": "0", "d": "0"}
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, True], ids=["float", "integral-float", "bool"])
+@pytest.mark.parametrize("field", ["coordinate", "root", "scale", "abelian_scales"])
+def test_space_file_exact_values_are_strings_or_ints(tmp_path, field, bad):
+    """JSON 0.1 is not 1/10 and true is not 1: an exact value (a coordinate,
+    a root entry, a factor scale, an abelian scale) given as a float or a
+    bool fails closed, where the same file with "1" builds."""
+    one = {**_ZERO, "a": "1"}
+    obj = {"algebra": _algebra(("B", 2), abelian_dim=1, abelian_scales=["1"]),
+           "cartan_h": [{"factors": [[_ZERO, one]], "abelian": [_ZERO]}],
+           "h_roots": [{"factor": 0, "root": [_ZERO, dict(one)]}]}
+    code, _, _ = invoke(["space", "build", "--file", _space_file(tmp_path, obj)])
+    assert code == 0
+    if field == "coordinate":
+        obj["cartan_h"][0]["factors"][0][1]["a"] = bad
+    elif field == "root":
+        obj["h_roots"][0]["root"][1]["a"] = bad
+    elif field == "scale":
+        obj["algebra"]["factors"][0]["scale"] = bad
+    else:
+        obj["algebra"]["abelian_scales"] = [bad]
+    _assert_fails_closed(["space", "build", "--file", _space_file(tmp_path, obj)],
+                         f"exact value must be a string or an integer, got {bad!r}")
+
+
 @pytest.mark.parametrize("name", ["sphere_so2n", "sphere_un", "sphere_spn_u1",
                                   "sphere_spn_sp1", "bn_excluded_subcase1",
                                   "cn_excluded_subcase1"])
 def test_space_file_rank_cap_admits_every_preset(name):
-    from flagcurv import coset, torus
+    from flagcurv import coset, rootsys
     spec = coset.preset(name, coset.MAX_PRESET_RANK).algebra.spec
-    assert torus.AlgebraSpec.from_json(spec.to_json()) == spec
+    assert rootsys.AlgebraSpec.from_json(spec.to_json()) == spec

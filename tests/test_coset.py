@@ -18,8 +18,7 @@ from flagcurv.coset import (
     root,
     tvec_from_parts,
 )
-from flagcurv.rootsys import QNum
-from flagcurv.torus import tvec_to_json
+from flagcurv.rootsys import QNum, tvec_to_json
 
 
 def _coords(v):

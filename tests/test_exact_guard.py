@@ -1,14 +1,15 @@
 """Tooling guard: the exact layer makes no float decision.
 
-`rootsys`, `torus` and `obstruct` decide every sign, order, grouping and
-membership from exact values on the integer torus lattice.  This test
-parses the three modules and rejects any numpy or scipy import and any
-call of `float(...)`, `.floats()` or `lstsq`.  `QNum.__float__` is the only
-exemption; the matrix layers compute the float view of a lattice vector
-themselves.  Their import-time relative imports name only each other, so
-the exact verbs never load a matrix module (and numpy with it).  The
-classifier itself never touches QNum: `obstruct` does not name it, and the
-root data of every space the survivor lists build holds ints only.
+`rootsys` (the lattice and its boundary) and `obstruct` decide every sign,
+order, grouping and membership from exact values on the integer torus
+lattice.  This test parses the two modules and rejects any numpy or scipy
+import and any call of `float(...)`, `.floats()` or `lstsq`.
+`QNum.__float__`, which the tests compare with, is the only exemption; the
+matrix layers compute the float view of a lattice vector themselves.  The
+import-time relative imports of the two name only each other, so the exact
+verbs never load a matrix module (and numpy with it).  The classifier
+itself never touches QNum: `obstruct` does not name it, and the root data
+of every space the survivor lists build holds ints only.
 """
 
 import ast
@@ -23,7 +24,7 @@ SRC = Path(flagcurv.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
 EXEMPT = {("QNum", "__float__")}
 BANNED_MODULES = ("numpy", "scipy")
-EXACT_FILES = ("rootsys.py", "torus.py", "obstruct.py")
+EXACT_FILES = ("rootsys.py", "obstruct.py")
 
 
 def _imported_modules(tree):
@@ -106,12 +107,12 @@ def test_exact_modules_import_only_each_other(module):
 
 def test_import_guard_sees_a_matrix_module():
     tree = ast.parse("from typing import TYPE_CHECKING\n"
-                     "from .torus import TVec\n"
-                     "from . import rootsys, coset\n"
+                     "from .rootsys import TVec\n"
+                     "from . import obstruct, coset\n"
                      "if TYPE_CHECKING:\n    from .coset import CosetSpace\n"
                      "try:\n    from .liealg import realize\nexcept ImportError:\n    pass\n"
                      "def f():\n    from .norms import Quadratic\n")
-    assert list(_import_time_relative_imports(tree)) == ["torus", "rootsys", "coset", "liealg"]
+    assert list(_import_time_relative_imports(tree)) == ["rootsys", "obstruct", "coset", "liealg"]
 
 
 def _names(tree):

@@ -16,8 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagcurv.obstruct import _root_data, make_root_level_space
-from flagcurv.rootsys import Q0, QNum
-from flagcurv.torus import AlgebraSpec, tvec_dot, tvec_from_parts, tvec_to_json
+from flagcurv.rootsys import Q0, AlgebraSpec, QNum, tvec_dot, tvec_from_parts, tvec_to_json
 
 FAMILIES = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
             + [("C", n) for n in range(3, 9)] + [("D", n) for n in range(4, 9)]

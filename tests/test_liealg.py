@@ -8,8 +8,7 @@ import pytest
 
 from flagcurv import coset
 from flagcurv.liealg import AlgebraSpec, _eij, gram_schmidt, realize
-from flagcurv.rootsys import tvec_dot
-from flagcurv.torus import root
+from flagcurv.rootsys import root, tvec_dot
 
 TOL = 1e-12
 

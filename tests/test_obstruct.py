@@ -21,13 +21,13 @@ from flagcurv.rootsys import (
     QNum,
     build_root_system,
     solve_exact,
+    sparse_tvec,
     tvec_dot,
+    tvec_to_json,
     weyl_reflect,
 )
-from flagcurv.torus import tvec_to_json
 from flagcurv.obstruct import (
     PropagationContradiction,
-    _e,
     _g2_root,
     _projection_groups,
     _span_members,
@@ -55,9 +55,10 @@ from flagcurv.obstruct import (
 # -- case detection ---------------------------------------------------------
 
 def test_classify_case_examples():
-    sp = case3_space("A", 3, _e("A", 3, (0, 1), (3, -1)), _e("A", 3, (2, 1), (1, -1)))
+    sp = case3_space("A", 3, sparse_tvec("A", 3, (0, 1), (3, -1)),
+                     sparse_tvec("A", 3, (2, 1), (1, -1)))
     assert classify_case(sp) == "III"
-    sp2 = case2_space("C", 3, _e("C", 3, (0, 2)))
+    sp2 = case2_space("C", 3, sparse_tvec("C", 3, (0, 2)))
     assert classify_case(sp2) == "II"
     rls = root_level_from_coset(preset("sphere_un", 3))
     assert classify_case(rls) == "I"
@@ -83,8 +84,9 @@ def test_sphere_presentation_is_case_three():
 # -- key lemmas --------------------------------------------------------------
 
 @pytest.mark.parametrize("make", [
-    lambda: case2_space("C", 3, _e("C", 3, (0, 2))),
-    lambda: case3_space("B", 4, _e("B", 4, (0, 1), (1, 1)), _e("B", 4, (2, -1), (3, -1))),
+    lambda: case2_space("C", 3, sparse_tvec("C", 3, (0, 2))),
+    lambda: case3_space("B", 4, sparse_tvec("B", 4, (0, 1), (1, 1)),
+                        sparse_tvec("B", 4, (2, -1), (3, -1))),
     lambda: root_level_from_coset(preset("sphere_un", 4)),
 ])
 def test_pr_h_matches_projection_onto_cartan_h(make):
@@ -136,8 +138,10 @@ def _oracle_span_members(sp, g1, shift):
 
 @pytest.mark.parametrize("make,rich", [
     (lambda: case3_space("G2", 2, _g2_root(2, 0), _g2_root(-1, 1)), False),
-    (lambda: case3_space("E6", 6, _e("E6", 6, (0, 1), (1, 1)), _e("E6", 6, (1, 1), (0, -1))), True),
-    (lambda: case3_space("E7", 7, _e("E7", 7, (0, 1), (1, 1)), _e("E7", 7, (1, 1), (0, -1))), True),
+    (lambda: case3_space("E6", 6, sparse_tvec("E6", 6, (0, 1), (1, 1)),
+                         sparse_tvec("E6", 6, (1, 1), (0, -1))), True),
+    (lambda: case3_space("E7", 7, sparse_tvec("E7", 7, (0, 1), (1, 1)),
+                         sparse_tvec("E7", 7, (1, 1), (0, -1))), True),
     (lambda: case2_space("G2", 2, _g2_root(0, 2)), True),
     (_unequal_scale_a1a1, False),
 ], ids=["G2", "E6", "E7", "A1+G2", "A1+A1-scaled"])
@@ -167,9 +171,10 @@ def test_span_members_match_a_per_root_solve(make, rich):
 
 
 def test_key_lemma_1_examples():
-    sp = case3_space("A", 3, _e("A", 3, (0, 1), (3, -1)), _e("A", 3, (2, 1), (1, -1)))
-    e12 = lift_root(sp.spec, 0, _e("A", 3, (0, 1), (1, -1)))
-    e34 = lift_root(sp.spec, 0, _e("A", 3, (2, 1), (3, -1)))
+    sp = case3_space("A", 3, sparse_tvec("A", 3, (0, 1), (3, -1)),
+                     sparse_tvec("A", 3, (2, 1), (1, -1)))
+    e12 = lift_root(sp.spec, 0, sparse_tvec("A", 3, (0, 1), (1, -1)))
+    e34 = lift_root(sp.spec, 0, sparse_tvec("A", 3, (2, 1), (3, -1)))
     assert key_lemma_1_applies(sp, e12)
     assert key_lemma_1_applies(sp, e34)
     # B2 with t cap m = R e1: the affine line through e2 contains e2 +- e1
@@ -203,8 +208,8 @@ CITED_PAIRS = [
 
 @pytest.mark.parametrize("family,rank,pair,gammas", CITED_PAIRS)
 def test_key_lemma_2_cited_pairs(family, rank, pair, gammas):
-    alpha, beta = (_e(family, rank, *p) for p in pair)
-    g1, g2 = (_e(family, rank, *g) for g in gammas)
+    alpha, beta = (sparse_tvec(family, rank, *p) for p in pair)
+    g1, g2 = (sparse_tvec(family, rank, *g) for g in gammas)
     sp = case3_space(family, rank, alpha, beta)
     lg1, lg2 = lift_root(sp.spec, 0, g1), lift_root(sp.spec, 0, g2)
     assert key_lemma_2_check(sp, lg1, lg2)
@@ -212,22 +217,25 @@ def test_key_lemma_2_cited_pairs(family, rank, pair, gammas):
 
 def test_key_lemma_2_exceptional_pairs():
     h = Fraction(1, 2)
-    sp = case3_space("E6", 6, _e("E6", 6, (0, 1), (1, 1)), _e("E6", 6, (1, 1), (0, -1)))
+    sp = case3_space("E6", 6, sparse_tvec("E6", 6, (0, 1), (1, 1)),
+                     sparse_tvec("E6", 6, (1, 1), (0, -1)))
     g1 = lift_root(sp.spec, 0, root("E6", 6, -h, h, h, h, h, QNum(0, 0, h)))
     g2 = lift_root(sp.spec, 0, root("E6", 6, -h, -h, -h, -h, -h, QNum(0, 0, h)))
     assert key_lemma_2_check(sp, g1, g2)
-    sp = case3_space("E7", 7, _e("E7", 7, (0, 1), (1, 1)), _e("E7", 7, (1, 1), (0, -1)))
+    sp = case3_space("E7", 7, sparse_tvec("E7", 7, (0, 1), (1, 1)),
+                     sparse_tvec("E7", 7, (1, 1), (0, -1)))
     g1 = lift_root(sp.spec, 0, root("E7", 7, -h, h, h, h, h, h, QNum(0, h)))
     g2 = lift_root(sp.spec, 0, root("E7", 7, h, -h, -h, -h, h, h, QNum(0, h)))
     assert key_lemma_2_check(sp, g1, g2)
-    sp = case3_space("E8", 8, _e("E8", 8, (0, 1), (1, 1)), _e("E8", 8, (1, 1), (0, -1)))
+    sp = case3_space("E8", 8, sparse_tvec("E8", 8, (0, 1), (1, 1)),
+                     sparse_tvec("E8", 8, (1, 1), (0, -1)))
     g1 = lift_root(sp.spec, 0, root("E8", 8, *([h] * 8)))
     g2 = lift_root(sp.spec, 0, root("E8", 8, -h, -h, -h, -h, h, h, h, h))
     assert key_lemma_2_check(sp, g1, g2)
 
 
 def test_key_lemma_2_failing_pair_subcase_nine():
-    sp = case3_space("B", 3, _e("B", 3, (0, 1), (1, 1)), _e("B", 3, (0, -1)))
+    sp = case3_space("B", 3, sparse_tvec("B", 3, (0, 1), (1, 1)), sparse_tvec("B", 3, (0, -1)))
     g1 = lift_root(sp.spec, 0, root("B", 3, 1, 0, 1))
     g2 = lift_root(sp.spec, 0, root("B", 3, 1, 0, -1))
     det = key_lemma_2_details(sp, g1, g2)
@@ -238,7 +246,7 @@ def test_key_lemma_2_failing_pair_subcase_nine():
 
 
 def test_key_lemma_2_input_validation():
-    sp = case3_space("B", 3, _e("B", 3, (0, 1), (1, 1)), _e("B", 3, (0, -1)))
+    sp = case3_space("B", 3, sparse_tvec("B", 3, (0, 1), (1, 1)), sparse_tvec("B", 3, (0, -1)))
     g1 = lift_root(sp.spec, 0, root("B", 3, 1, 0, 1))
     with pytest.raises(ValueError, match="independent"):
         key_lemma_2_check(sp, g1, -g1)
@@ -247,29 +255,31 @@ def test_key_lemma_2_input_validation():
 
 
 def test_angle_lemma_examples():
-    sp = case3_space("A", 2, _e("A", 2, (0, 1), (1, -1)), _e("A", 2, (1, -1), (2, 1)))
-    a = lift_root(sp.spec, 0, _e("A", 2, (0, 1), (1, -1)))
-    b = lift_root(sp.spec, 0, _e("A", 2, (1, -1), (2, 1)))
+    sp = case3_space("A", 2, sparse_tvec("A", 2, (0, 1), (1, -1)),
+                     sparse_tvec("A", 2, (1, -1), (2, 1)))
+    a = lift_root(sp.spec, 0, sparse_tvec("A", 2, (0, 1), (1, -1)))
+    b = lift_root(sp.spec, 0, sparse_tvec("A", 2, (1, -1), (2, 1)))
     assert angle_lemma_check(sp, a, b)  # angle 2pi/3: excluded
-    sp2 = case3_space("A", 3, _e("A", 3, (0, 1), (3, -1)), _e("A", 3, (2, 1), (1, -1)))
-    a2 = lift_root(sp2.spec, 0, _e("A", 3, (0, 1), (3, -1)))
-    b2 = lift_root(sp2.spec, 0, _e("A", 3, (2, 1), (1, -1)))
+    sp2 = case3_space("A", 3, sparse_tvec("A", 3, (0, 1), (3, -1)),
+                      sparse_tvec("A", 3, (2, 1), (1, -1)))
+    a2 = lift_root(sp2.spec, 0, sparse_tvec("A", 3, (0, 1), (3, -1)))
+    b2 = lift_root(sp2.spec, 0, sparse_tvec("A", 3, (2, 1), (1, -1)))
     assert not angle_lemma_check(sp2, a2, b2)  # right angle: no conclusion
     g2 = case3_space("G2", 2, _g2_root(2, 0), _g2_root(1, 3))
     la = lift_root(g2.spec, 0, _g2_root(2, 0))
     lb = lift_root(g2.spec, 0, _g2_root(1, 3))
     assert angle_lemma_check(g2, la, lb)  # long pair at pi/3
     with pytest.raises(ValueError, match="hypothesis"):
-        angle_lemma_check(sp2, a2, lift_root(sp2.spec, 0, _e("A", 3, (0, 1), (1, -1))))
+        angle_lemma_check(sp2, a2, lift_root(sp2.spec, 0, sparse_tvec("A", 3, (0, 1), (1, -1))))
 
 
 # -- propagation --------------------------------------------------------------
 
 def test_propagation_contradiction_f4_subcases():
     for alpha, beta, marker in [
-        (_e("F4", 4, (0, 1), (1, 1)), _e("F4", 4, (2, -1)), "integrality"),
-        (_e("F4", 4, (0, 1), (1, 1)), _e("F4", 4, (1, -1)), "integrality"),
-        (_e("F4", 4, (0, 1)), _e("F4", 4, (1, -1)), "reduced root system"),
+        (sparse_tvec("F4", 4, (0, 1), (1, 1)), sparse_tvec("F4", 4, (2, -1)), "integrality"),
+        (sparse_tvec("F4", 4, (0, 1), (1, 1)), sparse_tvec("F4", 4, (1, -1)), "integrality"),
+        (sparse_tvec("F4", 4, (0, 1)), sparse_tvec("F4", 4, (1, -1)), "reduced root system"),
     ]:
         sp = case3_space("F4", 4, alpha, beta)
         with pytest.raises(PropagationContradiction) as exc:
@@ -278,7 +288,7 @@ def test_propagation_contradiction_f4_subcases():
 
 
 def test_propagation_bracket_step_recorded():
-    sp = case3_space("F4", 4, _e("F4", 4, (0, 1), (1, 1)), _e("F4", 4, (2, -1)))
+    sp = case3_space("F4", 4, sparse_tvec("F4", 4, (0, 1), (1, 1)), sparse_tvec("F4", 4, (2, -1)))
     with pytest.raises(PropagationContradiction) as excinfo:
         propagate_assignment(sp)
     trace = "\n".join(excinfo.value.trace)
@@ -295,14 +305,14 @@ def test_propagation_no_change_on_settled_space():
 
 def test_propagation_fixpoint_order_independent():
     rules = ["a", "pin", "e", "bc", "f"]
-    sp0 = case3_space("B", 3, _e("B", 3, (0, 1), (1, 1)), _e("B", 3, (1, 1)))
+    sp0 = case3_space("B", 3, sparse_tvec("B", 3, (0, 1), (1, 1)), sparse_tvec("B", 3, (1, 1)))
     base, _ = propagate_assignment(sp0)
     rng = random.Random(7)
     for _ in range(6):
         order = rules[:]
         rng.shuffle(order)
         out, _ = propagate_assignment(
-            case3_space("B", 3, _e("B", 3, (0, 1), (1, 1)), _e("B", 3, (1, 1))),
+            case3_space("B", 3, sparse_tvec("B", 3, (0, 1), (1, 1)), sparse_tvec("B", 3, (1, 1))),
             rule_order=order)
         assert out.assignment == base.assignment
         assert out.h_roots == base.h_roots
@@ -312,7 +322,8 @@ def test_propagation_fixpoint_order_independent():
         rng.shuffle(order)
         with pytest.raises(PropagationContradiction):
             propagate_assignment(
-                case3_space("F4", 4, _e("F4", 4, (0, 1), (1, 1)), _e("F4", 4, (1, -1))),
+                case3_space("F4", 4, sparse_tvec("F4", 4, (0, 1), (1, 1)),
+                            sparse_tvec("F4", 4, (1, -1))),
                 rule_order=order)
 
 
@@ -450,10 +461,25 @@ def test_classify_case1_examples():
     spec = AlgebraSpec((("A", 3, Fraction(1)),))
     w = tvec_from_parts(spec, {0: [3, -1, -1, -1]})
     sp = make_root_level_space(spec, w, h_roots=[
-        lift_root(spec, 0, _e("A", 3, (i, 1), (j, -1)))
+        lift_root(spec, 0, sparse_tvec("A", 3, (i, 1), (j, -1)))
         for i in range(1, 4) for j in range(1, 4) if i != j])
     v = classify_case1(sp)
     assert v.outcome == "unresolved"
+
+
+def test_classify_case1_names_a_transitive_group_only_for_its_shape():
+    """With one active simple factor and no abelian part, the verdict names
+    a transitive group only when the factor's h-roots are exactly its roots
+    orthogonal to w, as for SU(3)/SU(2).  SO(5)/SO(2), with h the circle of
+    e2 and w = e1, keeps the roots +-e2 out of h: not a group, and no pair
+    certifies it, so the verdict names no group."""
+    su3 = next(sp for sp in case1_candidates(max_rank=2) if sp.name == "SU(3)/SU(2)")
+    v = classify_case1(su3)
+    assert v.outcome == "unresolved" and "transitive group" in v.detail
+    spec = AlgebraSpec((("B", 2, Fraction(1)),))
+    sp = make_root_level_space(spec, lift_root(spec, 0, sparse_tvec("B", 2, (0, 1))))
+    v = classify_case1(sp)
+    assert v.outcome == "unresolved" and "group" not in v.detail
 
 
 def test_classify_case1_candidate_pool_outcomes():

@@ -55,7 +55,7 @@ def test_sign_is_exact_below_float_resolution():
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 qnums = st.builds(QNum, rationals, rationals, rationals, rationals)
-# half of the coefficients zero, so the rational fast paths get exercised
+# half of the coefficients zero, so rational and single-surd operands occur
 sparse = st.one_of(st.just(Fraction(0)), rationals)
 sparse_qnums = st.builds(QNum, rationals, sparse, sparse, sparse)
 

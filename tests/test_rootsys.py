@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagcurv.rootsys import (
+    AlgebraSpec,
     QNum,
     RootSystem,
     angle,
@@ -16,11 +17,14 @@ from flagcurv.rootsys import (
     exact_inverse,
     exact_nullspace,
     is_root,
+    lift_root,
+    root,
     root_sum_status,
     solve_exact,
+    tvec_from_parts,
+    tvec_to_json,
     weyl_reflect,
 )
-from flagcurv.torus import AlgebraSpec, lift_root, root, tvec_from_parts, tvec_to_json
 
 CARDINALITIES = [
     ("A", 1, 2), ("A", 3, 12), ("A", 7, 56),
