@@ -4,9 +4,9 @@ candidates.
 Everything here is exact lattice arithmetic (`rootsys`): case detection
 (I/II/III), the two key lemmas, the angle lemma, bracket-membership
 propagation with a derivation trace, the hardcoded case-III subcase tables
-(validated against Weyl orbits at low rank by the test suite), the case-II
-and case-I decision procedures, and the survivor-list verification with
-rank bound.
+(validated against Weyl orbits at low rank by the test suite; every excluded
+row is checked by replaying its witness), the case-II and case-I decision
+procedures, and the survivor-list verification with rank bound.
 
 A root-level space is the datum (spec, w, Delta_h, assignment): the
 algebra g, one vector w spanning t cap m (the rank setting
@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 from .rootsys import (
     AlgebraSpec,
     TVec,
+    _normalize_family,
     _num,
     angle as root_angle,
     build_root_system,
@@ -63,6 +64,7 @@ class RootData:
     """The roots of an AlgebraSpec lifted to t, with their plane keys."""
 
     g_roots: tuple         # factor by factor, each in root-system order
+    factor_roots: tuple    # the same roots as one tuple per factor
     factor_of: Mapping     # root -> factor index
     canonical: Mapping     # root -> canonical sign of its plane
     keys: tuple            # distinct plane keys in order of first appearance
@@ -87,17 +89,18 @@ def _root_data(spec: AlgebraSpec) -> RootData:
     """Root data of spec, built once per spec and shared read-only.  A
     lifted root's first nonzero coordinate is its factor root's, so each
     root's plane key is the lift of the factor root's canonical sign."""
-    g_roots = []
+    factor_roots = []
     factor_of = {}
     canonical = {}
     for idx, (fam, rank, _) in enumerate(spec.factors):
-        lifted = [lift_root(spec, idx, r) for r in _factor_roots(fam, rank)]
+        lifted = tuple(lift_root(spec, idx, r) for r in _factor_roots(fam, rank))
+        factor_roots.append(lifted)
         for tv, c in zip(lifted, _factor_canonical(fam, rank)):
-            g_roots.append(tv)
             factor_of[tv] = idx
             canonical[tv] = lifted[c]
     keys = tuple(dict.fromkeys(canonical.values()))
-    return RootData(tuple(g_roots), MappingProxyType(factor_of),
+    g_roots = tuple(itertools.chain.from_iterable(factor_roots))
+    return RootData(g_roots, tuple(factor_roots), MappingProxyType(factor_of),
                     MappingProxyType(canonical), keys, frozenset(g_roots))
 
 
@@ -184,27 +187,17 @@ class RootLevelSpace:
         """Whether v in t lies in t cap h, i.e. is orthogonal to w."""
         return not self._dw(v)
 
-    def plane_keys(self) -> tuple:
-        return self.root_data.keys
-
-    def copy_working(self) -> "RootLevelSpace":
-        return replace(self, h_roots=frozenset(self.h_roots),
-                       assignment=dict(self.assignment))
-
 
 def make_root_level_space(spec: AlgebraSpec, w: TVec,
-                          h_roots: Iterable[TVec] = (), name: str = "",
-                          assignment: Optional[dict] = None) -> RootLevelSpace:
-    """Root-level space of spec with t cap m spanned by w."""
+                          h_roots: Iterable[TVec] = (), name: str = "") -> RootLevelSpace:
+    """Root-level space of spec with t cap m spanned by w, every plane
+    unassigned."""
     rd = _root_data(spec)
     hset = set()
     for v in h_roots:
         hset.add(v)
         hset.add(-v)
-    asg = dict.fromkeys(rd.keys)
-    for k, v in (assignment or {}).items():
-        asg[k.canonical_sign()] = v
-    return RootLevelSpace(spec, rd, w, frozenset(hset), asg, name=name)
+    return RootLevelSpace(spec, rd, w, frozenset(hset), dict.fromkeys(rd.keys), name=name)
 
 
 def root_level_from_coset(space: CosetSpace) -> RootLevelSpace:
@@ -256,7 +249,7 @@ def classify_case(space: RootLevelSpace) -> str:
     return case
 
 
-def _in_affine_span(space: RootLevelSpace, base: Sequence[TVec], target: Sequence):
+def _in_affine_span(base: Sequence[TVec], target: Sequence):
     """Exact coefficients expressing target in span(base), or None."""
     return solve_exact(list(zip(*base)), target)
 
@@ -298,6 +291,12 @@ def key_lemma_1_applies(space: RootLevelSpace, alpha: TVec) -> bool:
     return space.scaled(alpha) not in _projection_groups(space)
 
 
+def _sum_or_difference_is_root(space: RootLevelSpace, g1: TVec, g2: TVec) -> bool:
+    """Whether g1 + g2 or g1 - g2 is a root of g."""
+    roots = space.root_data.root_set
+    return tuple(map(add, g1, g2)) in roots or tuple(map(sub, g1, g2)) in roots
+
+
 def key_lemma_2_details(space: RootLevelSpace, g1: TVec, g2: TVec) -> dict:
     """Evaluate conditions (1)-(4) of the commuting-pair exclusion lemma."""
     roots = space.root_data.root_set
@@ -305,7 +304,7 @@ def key_lemma_2_details(space: RootLevelSpace, g1: TVec, g2: TVec) -> dict:
         raise ValueError("inputs must be roots of g")
     cond = {}
     cond[1] = g1 not in space.h_roots and g2 not in space.h_roots
-    cond[2] = tuple(map(add, g1, g2)) not in roots and tuple(map(sub, g1, g2)) not in roots
+    cond[2] = not _sum_or_difference_is_root(space, g1, g2)
     cond[3] = _span_members(space, g1) <= {g1, -g1}
     mem4 = _span_members(space, g1, shift=g2) | _span_members(space, g1, shift=-g2)
     cond[4] = mem4 <= {g2, -g2}
@@ -319,6 +318,16 @@ def key_lemma_2_check(space: RootLevelSpace, g1: TVec, g2: TVec) -> bool:
     if g1 == g2 or g1 == -g2:
         raise ValueError("roots must be linearly independent")
     return all(key_lemma_2_details(space, g1, g2).values())
+
+
+def _independent_pairs(space: RootLevelSpace, candidates: Iterable[TVec]):
+    """The pairs of candidate roots, in sorted order, that meet conditions
+    (1) and (2) of the second key lemma: independent, both outside Delta_h,
+    and with neither g1 + g2 nor g1 - g2 a root."""
+    outside_h = sorted(r for r in candidates if r not in space.h_roots)
+    for g1, g2 in itertools.combinations(outside_h, 2):
+        if g1 != -g2 and not _sum_or_difference_is_root(space, g1, g2):
+            yield g1, g2
 
 
 def angle_lemma_check(space: RootLevelSpace, alpha: TVec, beta: TVec) -> bool:
@@ -364,13 +373,13 @@ def propagate_assignment(space: RootLevelSpace, rule_order: Optional[list] = Non
     h-roots with all but one plane in m pin the last plane.  The h-roots
     are kept at the scale of P, the projection table's.
     """
-    sp = space.copy_working()
+    sp = replace(space, assignment=dict(space.assignment))  # a working copy
     trace: list = []
     c = sp.pr_scale
     h_roots = set(sp.scaled_h())
     asg = sp.assignment
     pr_of = sp.pr_roots()
-    keys = sp.plane_keys()
+    keys = sp.root_data.keys
 
     def fmt(p):
         return _fmt(sp.unscaled(p))
@@ -467,7 +476,7 @@ def propagate_assignment(space: RootLevelSpace, rule_order: Optional[list] = Non
                 raise PropagationContradiction(trace)
             if len(unknown) == 1 and len(cls) > 1:
                 r = unknown[0]
-                coeff = _in_affine_span(sp, [r], p)
+                coeff = _in_affine_span([r], p)
                 if coeff is None:
                     trace.append(
                         f"h-root {fmt(p)}: only plane({_fmt(r)}) remains but "
@@ -512,8 +521,6 @@ class Witness:
         for k, v in self.payload.items():
             if isinstance(v, TVec):
                 out[k] = _fmt(v)
-            elif isinstance(v, (list, tuple)) and v and isinstance(v[0], str):
-                out[k] = list(v)
             else:
                 out[k] = v if not isinstance(v, (list, tuple)) else list(map(str, v))
         return out
@@ -537,19 +544,27 @@ class Verdict:
         return out
 
 
+def _excluded_by_pair(g1: TVec, g2: TVec) -> Verdict:
+    """The exclusion certified by a pair that meets the second key lemma."""
+    return Verdict("excluded", witness=Witness("key_lemma_2", {"gamma1": g1, "gamma2": g2}))
+
+
+def _pair_facts(g1: TVec, g2: TVec) -> list:
+    """The root facts of an orthogonal pair of roots with no root among
+    g1 +- g2."""
+    return [("is_root", g1), ("is_root", g2), ("orthogonal", g1, g2),
+            ("not_root", g1 + g2), ("not_root", g1 - g2)]
+
+
 def revalidate_witness(space: RootLevelSpace, witness: Witness) -> bool:
-    """Replay an exclusion witness against its defining checker."""
+    """Replay an exclusion witness against its defining checker; every
+    excluded case-III row is checked this way."""
     k = witness.kind
     p = witness.payload
     if k == "key_lemma_2":
         return key_lemma_2_check(space, p["gamma1"], p["gamma2"])
     if k == "key_lemma_1":
-        gamma = p["gamma"]
-        ok = key_lemma_1_applies(space, gamma)
-        conflict = p.get("conflicts_with")
-        if conflict is not None:
-            ok = ok and conflict in space.h_roots
-        return ok
+        return key_lemma_1_applies(space, p["gamma"])
     if k == "angle":
         return angle_lemma_check(space, p["alpha"], p["beta"])
     if k == "propagation":
@@ -564,35 +579,23 @@ def revalidate_witness(space: RootLevelSpace, witness: Witness) -> bool:
 
 
 def _check_root_facts(space: RootLevelSpace, payload: dict) -> bool:
+    """Whether every fact (tag, *args) of the payload holds."""
     roots = space.root_data.root_set
     spec = space.spec
-    for fact in payload.get("facts", []):
-        tag = fact[0]
-        if tag == "is_root":
-            if fact[1] not in roots:
-                return False
-        elif tag == "not_root":
-            if fact[1] in roots:
-                return False
-        elif tag == "orthogonal":
-            if tvec_dot(spec, fact[1], fact[2]):
-                return False
-        elif tag == "pr_h_equals":
-            if space.pr_h(fact[1]) != fact[2]:
-                return False
-        elif tag == "h_root":
-            if fact[1] not in space.h_roots:
-                return False
-        elif tag == "centralizer_subsystem":
-            t_prime, expected_size = fact[1], fact[2]
-            sub = [r for r in roots if not any(tvec_dot(spec, r, t) for t in t_prime)]
-            if len(sub) != expected_size:
-                return False
-        elif tag == "assignment_consistent":
-            if not _assignment_consistent(space):
-                return False
-        else:
+    holds = {
+        "is_root": lambda r: r in roots,
+        "not_root": lambda v: v not in roots,
+        "orthogonal": lambda u, v: not tvec_dot(spec, u, v),
+        # the roots orthogonal to t_prime form a subsystem of the given size
+        "centralizer_subsystem": lambda t_prime, size: size == len(
+            [r for r in roots if not any(tvec_dot(spec, r, t) for t in t_prime)]),
+        "assignment_consistent": lambda: _assignment_consistent(space),
+    }
+    for tag, *args in payload.get("facts", []):
+        if tag not in holds:
             raise ValueError(f"unknown root fact {tag!r}")
+        if not holds[tag](*args):
+            return False
     return True
 
 
@@ -603,7 +606,7 @@ def _bracket_images(space: RootLevelSpace):
     so a caller may assign targets on the way."""
     roots, canonical = space.root_data.root_set, space.root_data.canonical
     asg = space.assignment
-    keys = space.plane_keys()
+    keys = space.root_data.keys
     for a in keys:
         if asg.get(a) not in ("h", "m"):
             continue
@@ -665,6 +668,23 @@ def _sphere_name(n):
     return f"S^{2*n-1} = SO({2*n})/SO({2*n-1})"
 
 
+def _lattice_root(family, *ns) -> TVec:
+    """The vector with lattice coordinates ns of the unit spec of (family,
+    len(ns)), a family of rank its ambient dimension (not A): position i
+    holds ns[i]/2 times its surd."""
+    return unit_spec(((family, len(ns)),)).tvec(ns)
+
+
+def _angle_rows(fam, n, tag=""):
+    """The angle-lemma rows (e1+e2, e1+e3) at pi/3 and (e1+e2, -e1+e3) at
+    2pi/3; tag marks the root lengths where a family has two."""
+    e = lambda *ic: sparse_tvec(fam, n, *ic)
+    return [Subcase(fam, n, f"{fam}:angle-{tag}pi/3", e((0, 1), (1, 1)),
+                    e((0, 1), (2, 1)), "angle"),
+            Subcase(fam, n, f"{fam}:angle-{tag}2pi/3", e((0, 1), (1, 1)),
+                    e((0, -1), (2, 1)), "angle")]
+
+
 def _subcases_A(n):
     out = []
     if n >= 2:
@@ -722,10 +742,7 @@ def _subcases_B(n):
         out.append(Subcase("B", n, "B:9", e((0, 1), (1, 1)), e((0, -1)),
                            "root_combinatorial", _b9_payload(n)))
     if n >= 3:
-        out.append(Subcase("B", n, "B:angle-pi/3", e((0, 1), (1, 1)),
-                           e((0, 1), (2, 1)), "angle"))
-        out.append(Subcase("B", n, "B:angle-2pi/3", e((0, 1), (1, 1)),
-                           e((0, -1), (2, 1)), "angle"))
+        out += _angle_rows("B", n)
     return out
 
 
@@ -737,10 +754,7 @@ def _b9_payload(n):
                 "the exclusion follows from the hat-plane orthogonality "
                 "argument, certified numerically on the matrix preset",
         "gamma1": g1, "gamma2": g2,
-        "facts": [
-            ("is_root", g1), ("is_root", g2), ("orthogonal", g1, g2),
-            ("not_root", g1 + g2), ("not_root", g1 - g2),
-        ],
+        "facts": _pair_facts(g1, g2),
         "kl2_failed_conditions": [4],
         "extra_affine_root": e2,
     }
@@ -783,129 +797,92 @@ def _subcases_D(n):
                            "key_lemma_2",
                            {"gamma1": e((0, 1), (4, 1)), "gamma2": e((0, 1), (4, -1))}))
     if n >= 3:
-        out.append(Subcase("D", n, "D:angle-pi/3", e((0, 1), (1, 1)), e((0, 1), (2, 1)), "angle"))
-        out.append(Subcase("D", n, "D:angle-2pi/3", e((0, 1), (1, 1)), e((0, -1), (2, 1)), "angle"))
+        out += _angle_rows("D", n)
     return out
 
 
-def _half_root(family, *signs) -> TVec:
-    """The root with coordinates +-1/2 (times the surd of each position)."""
-    return unit_spec(((family, len(signs)),)).tvec(signs)
+# The lattice coordinates of the key-lemma-2 pair of row E_n:1
+_E_GAMMAS = {
+    6: ((-1, 1, 1, 1, 1, 1), (-1, -1, -1, -1, -1, 1)),
+    7: ((-1, 1, 1, 1, 1, 1, 1), (1, -1, -1, -1, 1, 1, 1)),
+    8: ((1,) * 8, (-1,) * 4 + (1,) * 4),
+}
 
 
-def _subcases_E6():
-    g1 = _half_root("E6", -1, 1, 1, 1, 1, 1)
-    g2 = _half_root("E6", -1, -1, -1, -1, -1, 1)
-    e = lambda *ic: sparse_tvec("E6", 6, *ic)
+def _subcases_E(n):
+    fam = f"E{n}"
+    e = lambda *ic: sparse_tvec(fam, n, *ic)
+    g1, g2 = (_lattice_root(fam, *ns) for ns in _E_GAMMAS[n])
+    out = [Subcase(fam, n, f"{fam}:1", e((0, 1), (1, 1)), e((1, 1), (0, -1)),
+                   "key_lemma_2", {"gamma1": g1, "gamma2": g2})]
+    if n == 6:
+        out.append(Subcase("E6", 6, "E6:2", e((0, 1), (1, 1)), e((2, -1), (3, -1)),
+                           "covered", {"by": "E6:1", "via": "outer automorphism"}))
+    if n == 8:
+        out.append(Subcase("E8", 8, "E8:2", e((0, 1), (1, 1)), e((2, -1), (3, -1)),
+                           "key_lemma_2",
+                           {"gamma1": e((0, 1), (4, 1)), "gamma2": e((1, 1), (5, 1))}))
+    return out + _angle_rows(fam, n)
+
+
+def _subcases_F4(n):
+    e = lambda *ic: sparse_tvec("F4", n, *ic)
     return [
-        Subcase("E6", 6, "E6:1", e((0, 1), (1, 1)), e((1, 1), (0, -1)),
-                "key_lemma_2", {"gamma1": g1, "gamma2": g2}),
-        Subcase("E6", 6, "E6:2", e((0, 1), (1, 1)), e((2, -1), (3, -1)),
-                "covered", {"by": "E6:1", "via": "outer automorphism"}),
-        Subcase("E6", 6, "E6:angle-pi/3", e((0, 1), (1, 1)), e((0, 1), (2, 1)), "angle"),
-        Subcase("E6", 6, "E6:angle-2pi/3", e((0, 1), (1, 1)), e((0, -1), (2, 1)), "angle"),
-    ]
-
-
-def _subcases_E7():
-    g1 = _half_root("E7", -1, 1, 1, 1, 1, 1, 1)
-    g2 = _half_root("E7", 1, -1, -1, -1, 1, 1, 1)
-    e = lambda *ic: sparse_tvec("E7", 7, *ic)
-    return [
-        Subcase("E7", 7, "E7:1", e((0, 1), (1, 1)), e((1, 1), (0, -1)),
-                "key_lemma_2", {"gamma1": g1, "gamma2": g2}),
-        Subcase("E7", 7, "E7:angle-pi/3", e((0, 1), (1, 1)), e((0, 1), (2, 1)), "angle"),
-        Subcase("E7", 7, "E7:angle-2pi/3", e((0, 1), (1, 1)), e((0, -1), (2, 1)), "angle"),
-    ]
-
-
-def _subcases_E8():
-    g1 = _half_root("E8", *[1] * 8)
-    g2 = _half_root("E8", *[-1] * 4 + [1] * 4)
-    e = lambda *ic: sparse_tvec("E8", 8, *ic)
-    return [
-        Subcase("E8", 8, "E8:1", e((0, 1), (1, 1)), e((1, 1), (0, -1)),
-                "key_lemma_2", {"gamma1": g1, "gamma2": g2}),
-        Subcase("E8", 8, "E8:2", e((0, 1), (1, 1)), e((2, -1), (3, -1)),
-                "key_lemma_2", {"gamma1": e((0, 1), (4, 1)), "gamma2": e((1, 1), (5, 1))}),
-        Subcase("E8", 8, "E8:angle-pi/3", e((0, 1), (1, 1)), e((0, 1), (2, 1)), "angle"),
-        Subcase("E8", 8, "E8:angle-2pi/3", e((0, 1), (1, 1)), e((0, -1), (2, 1)), "angle"),
-    ]
-
-
-def _subcases_F4():
-    e = lambda *ic: sparse_tvec("F4", 4, *ic)
-    half = _half_root("F4", 1, 1, 1, 1)
-    half_m = _half_root("F4", -1, 1, 1, 1)
-    return [
-        Subcase("F4", 4, "F4:1", e((0, 1), (1, 1)), e((1, 1)), "reduction",
+        Subcase("F4", n, "F4:1", e((0, 1), (1, 1)), e((1, 1)), "reduction",
                 {"preset": "bn_excluded_subcase1(2)",
                  "t_prime": [e((2, 1)), e((3, 1))],
                  "subsystem_size": 8}),
-        Subcase("F4", 4, "F4:2", e((0, 1), (1, 1)), e((1, 1), (0, -1)),
+        Subcase("F4", n, "F4:2", e((0, 1), (1, 1)), e((1, 1), (0, -1)),
                 "covered", {"by": "F4:1"}),
-        Subcase("F4", 4, "F4:3", e((0, 1), (1, 1)), e((2, -1)), "propagation", {}),
-        Subcase("F4", 4, "F4:4", e((0, 1)), e((1, -1)), "propagation", {}),
-        Subcase("F4", 4, "F4:5", e((0, 1), (1, 1)), e((1, -1)), "propagation", {}),
-        Subcase("F4", 4, "F4:angle-ll-pi/3", e((0, 1), (1, 1)), e((0, 1), (2, 1)), "angle"),
-        Subcase("F4", 4, "F4:angle-ll-2pi/3", e((0, 1), (1, 1)), e((0, -1), (2, 1)), "angle"),
-        Subcase("F4", 4, "F4:angle-ss-pi/3", e((0, 1)), half, "angle"),
-        Subcase("F4", 4, "F4:angle-ss-2pi/3", e((0, 1)), half_m, "angle"),
+        Subcase("F4", n, "F4:3", e((0, 1), (1, 1)), e((2, -1)), "propagation", {}),
+        Subcase("F4", n, "F4:4", e((0, 1)), e((1, -1)), "propagation", {}),
+        Subcase("F4", n, "F4:5", e((0, 1), (1, 1)), e((1, -1)), "propagation", {}),
+    ] + _angle_rows("F4", n, "ll-") + [
+        Subcase("F4", n, "F4:angle-ss-pi/3", e((0, 1)), _lattice_root("F4", 1, 1, 1, 1),
+                "angle"),
+        Subcase("F4", n, "F4:angle-ss-2pi/3", e((0, 1)), _lattice_root("F4", -1, 1, 1, 1),
+                "angle"),
     ]
 
 
-def _g2_root(a, b3) -> TVec:
-    # (a*sqrt3/2, b/2) grid for the G2 roots
-    return unit_spec((("G2", 2),)).tvec((a, b3))
-
-
-def _subcases_G2():
-    long_a = _g2_root(2, 0)        # (sqrt3, 0)
-    long_b = _g2_root(1, 3)        # (sqrt3/2, 3/2)
-    long_c = _g2_root(-1, 3)       # (-sqrt3/2, 3/2)
-    short_a = _g2_root(0, 2)       # (0, 1)
-    short_b = _g2_root(1, 1)       # (sqrt3/2, 1/2)
-    short_c = _g2_root(-1, 1)      # (-sqrt3/2, 1/2)
-    beta_rot = _g2_root(-1, 1)     # the 5pi/6 partner of long_a
-    g1 = long_a + beta_rot.scale(3)   # alpha + 3 beta
-    g2 = long_a + beta_rot            # alpha + beta
-    rows = [
-        Subcase("G2", 2, "G2:angle-ll-pi/3", long_a, long_b, "angle"),
-        Subcase("G2", 2, "G2:angle-ll-2pi/3", long_a, long_c, "angle"),
-        Subcase("G2", 2, "G2:angle-ss-pi/3", short_a, short_b, "angle"),
-        Subcase("G2", 2, "G2:angle-ss-2pi/3", short_b, short_c, "angle"),
-        Subcase("G2", 2, "G2:ls-pi/2", long_a, short_a, "angle_reduced",
+def _subcases_G2(n):
+    # G2 lattice coordinates (a, b) are the point (a*sqrt3/2, b/2)
+    long_a = _lattice_root("G2", 2, 0)        # (sqrt3, 0)
+    long_b = _lattice_root("G2", 1, 3)        # (sqrt3/2, 3/2)
+    long_c = _lattice_root("G2", -1, 3)       # (-sqrt3/2, 3/2)
+    short_a = _lattice_root("G2", 0, 2)       # (0, 1)
+    short_b = _lattice_root("G2", 1, 1)       # (sqrt3/2, 1/2)
+    short_c = _lattice_root("G2", -1, 1)      # (-sqrt3/2, 1/2), at 5pi/6 to long_a
+    g1 = long_a + short_c.scale(3)   # alpha + 3 beta
+    g2 = long_a + short_c            # alpha + beta
+    return [
+        Subcase("G2", n, "G2:angle-ll-pi/3", long_a, long_b, "angle"),
+        Subcase("G2", n, "G2:angle-ll-2pi/3", long_a, long_c, "angle"),
+        Subcase("G2", n, "G2:angle-ss-pi/3", short_a, short_b, "angle"),
+        Subcase("G2", n, "G2:angle-ss-2pi/3", short_b, short_c, "angle"),
+        Subcase("G2", n, "G2:ls-pi/2", long_a, short_a, "angle_reduced",
                 {"alpha1": short_b, "beta1": short_a}),
-        Subcase("G2", 2, "G2:ls-pi/6", long_a, short_b, "angle_reduced",
+        Subcase("G2", n, "G2:ls-pi/6", long_a, short_b, "angle_reduced",
                 {"alpha1": short_b, "beta1": short_a}),
-        Subcase("G2", 2, "G2:ls-5pi/6", long_a, beta_rot, "g2_rotation",
+        Subcase("G2", n, "G2:ls-5pi/6", long_a, short_c, "g2_rotation",
                 {"gamma1": g1, "gamma2": g2}),
     ]
-    return rows
+
+
+_SUBCASES = {"A": _subcases_A, "B": _subcases_B, "C": _subcases_C, "D": _subcases_D,
+             "E6": _subcases_E, "E7": _subcases_E, "E8": _subcases_E,
+             "F4": _subcases_F4, "G2": _subcases_G2}
 
 
 def case3_subcases(family: str, rank: int) -> list:
-    fam = family.upper()
-    if fam == "A":
-        return _subcases_A(rank)
-    if fam == "B":
-        return _subcases_B(rank)
-    if fam == "C":
-        return _subcases_C(rank)
-    if fam == "D":
-        return _subcases_D(rank)
-    if fam in ("E", "E6", "E7", "E8"):
-        fam = f"E{rank}" if fam == "E" else fam
-        return {"E6": _subcases_E6, "E7": _subcases_E7, "E8": _subcases_E8}[fam]()
-    if fam == "F4":
-        return _subcases_F4()
-    if fam == "G2":
-        return _subcases_G2()
-    raise ValueError(f"unknown family {family!r}")
+    fam, n = _normalize_family(family, rank)
+    return _SUBCASES[fam](n)
 
 
 def evaluate_subcase(sc: Subcase) -> Verdict:
-    """Run the checks attached to one canonical subcase and emit a verdict."""
+    """Run the checks attached to one canonical subcase and emit a verdict.
+    An excluded row's witness is built from the row and then replayed by
+    revalidate_witness."""
     if sc.kind == "covered":
         return Verdict("covered", detail=f"covered by subcase {sc.payload['by']}")
     space = case3_space(sc.family, sc.rank, sc.alpha, sc.beta,
@@ -914,69 +891,45 @@ def evaluate_subcase(sc: Subcase) -> Verdict:
         if classify_case(space) != "III":
             raise AssertionError(f"{sc.label}: expected a case-III datum")
         return Verdict("survivor", name=sc.payload["name"])
+    p, detail = sc.payload, ""
     if sc.kind == "angle":
-        if not angle_lemma_check(space, sc.alpha, sc.beta):
-            raise AssertionError(f"{sc.label}: angle lemma does not apply")
-        return Verdict("excluded",
-                       witness=Witness("angle", {"alpha": sc.alpha, "beta": sc.beta}))
-    if sc.kind == "angle_reduced":
-        a1, b1 = sc.payload["alpha1"], sc.payload["beta1"]
-        if not angle_lemma_check(space, a1, b1):
-            raise AssertionError(f"{sc.label}: reduced angle pair fails")
-        return Verdict("excluded",
-                       witness=Witness("angle", {"alpha": a1, "beta": b1}),
-                       detail="short pair replacing the original one")
-    if sc.kind == "key_lemma_2":
-        g1, g2 = sc.payload["gamma1"], sc.payload["gamma2"]
-        if not key_lemma_2_check(space, g1, g2):
-            raise AssertionError(f"{sc.label}: cited pair fails the key lemma")
-        return Verdict("excluded",
-                       witness=Witness("key_lemma_2", {"gamma1": g1, "gamma2": g2}))
-    if sc.kind == "propagation":
+        witness = Witness("angle", {"alpha": sc.alpha, "beta": sc.beta})
+    elif sc.kind == "angle_reduced":
+        witness = Witness("angle", {"alpha": p["alpha1"], "beta": p["beta1"]})
+        detail = "short pair replacing the original one"
+    elif sc.kind == "key_lemma_2":
+        witness = _excluded_by_pair(p["gamma1"], p["gamma2"]).witness
+    elif sc.kind == "propagation":
+        # this run is the witness's replay, which revalidate_witness would repeat
         try:
             propagate_assignment(space)
         except PropagationContradiction as exc:
-            return Verdict("excluded",
-                           witness=Witness("propagation", {"trace": exc.trace}))
+            return Verdict("excluded", witness=Witness("propagation", {"trace": exc.trace}))
         raise AssertionError(f"{sc.label}: propagation found no contradiction")
-    if sc.kind == "reduction":
-        payload = dict(sc.payload)
-        facts = [("assignment_consistent",)]
-        if "t_prime" in payload:
-            facts.append(("centralizer_subsystem", payload["t_prime"],
-                          payload["subsystem_size"]))
-        payload["facts"] = facts
-        if not _check_root_facts(space, payload):
-            raise AssertionError(f"{sc.label}: reduction facts fail")
-        return Verdict("excluded", witness=Witness("root_combinatorial", payload),
-                       detail="reduces to the rank-two witness space; "
-                              "certified numerically on the matrix preset")
-    if sc.kind == "root_combinatorial":
-        if not _check_root_facts(space, sc.payload):
-            raise AssertionError(f"{sc.label}: recorded facts fail")
-        det = key_lemma_2_details(space, sc.payload["gamma1"], sc.payload["gamma2"])
-        failed = [k for k, v in det.items() if not v]
-        if failed != sc.payload.get("kl2_failed_conditions", failed):
+    elif sc.kind == "reduction":
+        facts = [("assignment_consistent",),
+                 ("centralizer_subsystem", p["t_prime"], p["subsystem_size"])]
+        witness = Witness("root_combinatorial", {**p, "facts": facts})
+        detail = ("reduces to the rank-two witness space; "
+                  "certified numerically on the matrix preset")
+    elif sc.kind == "root_combinatorial":
+        det = key_lemma_2_details(space, p["gamma1"], p["gamma2"])
+        if [k for k, v in det.items() if not v] != p["kl2_failed_conditions"]:
             raise AssertionError(f"{sc.label}: failed-condition record mismatch")
-        return Verdict("excluded",
-                       witness=Witness("root_combinatorial", sc.payload))
-    if sc.kind == "g2_rotation":
-        g1, g2 = sc.payload["gamma1"], sc.payload["gamma2"]
-        roots = space.root_data.root_set
-        ap = space.scaled(sc.alpha)
-        ok = (g1 in roots and g2 in roots and not tvec_dot(space.spec, g1, g2)
-              and (g1 + g2) not in roots and (g1 - g2) not in roots)
+        witness = Witness("root_combinatorial", p)
+    elif sc.kind == "g2_rotation":
         # the hat-class ladder alpha', 2a', ..., 5a' behind the rotation trick
-        ok = ok and all(_times(k, ap) in space.pr_classes() for k in range(1, 6))
-        if not ok:
-            raise AssertionError("G2 rotation premises fail")
-        payload = dict(sc.payload)
-        payload["facts"] = [("is_root", g1), ("is_root", g2),
-                            ("orthogonal", g1, g2),
-                            ("not_root", g1 + g2), ("not_root", g1 - g2)]
-        return Verdict("excluded", witness=Witness("root_combinatorial", payload),
-                       detail="orthogonal commuting pair feeding the rotation argument")
-    raise ValueError(f"unknown subcase kind {sc.kind!r}")
+        ap = space.scaled(sc.alpha)
+        if not all(_times(k, ap) in space.pr_classes() for k in range(1, 6)):
+            raise AssertionError(f"{sc.label}: G2 hat-class ladder incomplete")
+        witness = Witness("root_combinatorial",
+                          {**p, "facts": _pair_facts(p["gamma1"], p["gamma2"])})
+        detail = "orthogonal commuting pair feeding the rotation argument"
+    else:
+        raise ValueError(f"unknown subcase kind {sc.kind!r}")
+    if not revalidate_witness(space, witness):
+        raise AssertionError(f"{sc.label}: the {witness.kind} witness does not replay")
+    return Verdict("excluded", witness=witness, detail=detail)
 
 
 def enumerate_case3(family: str, rank: int) -> list:
@@ -1017,9 +970,7 @@ def case2_space(g2_family: str, g2_rank: int, beta: TVec,
     lb = lift_root(spec, 1, beta)
     sp = make_root_level_space(spec, alpha - lb, name=name)
     hset = {sp.pr_h(alpha), -sp.pr_h(alpha)}
-    for r in sp.g_roots:
-        if sp.factor_of[r] == 1 and sp.in_t_h(r):
-            hset.add(r)
+    hset.update(r for r in sp.root_data.factor_roots[1] if sp.in_t_h(r))
     if sp.scaled(alpha) != sp.scaled(lb):
         raise AssertionError("case-II datum inconsistent")
     return replace(sp, h_roots=frozenset(hset))
@@ -1036,8 +987,7 @@ def classify_case2(space: RootLevelSpace) -> Verdict:
                        if space.factor_of[a] != space.factor_of[b])
     fa, fb = space.factor_of[alpha], space.factor_of[beta]
     # the factor contributing only +-alpha is the A1 side
-    roots_a = [r for r in space.g_roots if space.factor_of[r] == fa]
-    roots_b = [r for r in space.g_roots if space.factor_of[r] == fb]
+    roots_a, roots_b = (space.root_data.factor_roots[i] for i in (fa, fb))
     if len(roots_a) != 2 and len(roots_b) == 2:
         alpha, beta = beta, alpha
         fa, fb = fb, fa
@@ -1045,18 +995,12 @@ def classify_case2(space: RootLevelSpace) -> Verdict:
     if len(roots_a) != 2:
         raise ValueError("case-II datum without an A1 factor")
     # Wallach-pair search in the second factor
-    cand = [r for r in roots_b if r != beta and r != -beta
-            and r not in space.h_roots]
-    rootset = space.root_data.root_set
-    for g1, g2 in itertools.combinations(sorted(cand), 2):
-        if g1 == -g2:
-            continue
-        if tuple(map(add, g1, g2)) in rootset or tuple(map(sub, g1, g2)) in rootset:
-            continue
-        if not key_lemma_2_check(space, g1, g2):
+    cand = [r for r in roots_b if r != beta and r != -beta]
+    pair = next(_independent_pairs(space, cand), None)
+    if pair:
+        if not key_lemma_2_check(space, *pair):
             raise AssertionError("case-II pair search produced a non-certifying pair")
-        return Verdict("excluded",
-                       witness=Witness("key_lemma_2", {"gamma1": g1, "gamma2": g2}))
+        return _excluded_by_pair(*pair)
     fam, rank, scale = space.spec.factors[fb]
     beta_len2 = tvec_dot(space.spec, beta, beta) / scale  # in the factor's unit form
     if fam == "A" and rank == 1:
@@ -1078,17 +1022,12 @@ def classify_case2(space: RootLevelSpace) -> Verdict:
 # Case I
 # ---------------------------------------------------------------------------
 
-def _kl2_pair_search(space: RootLevelSpace, candidates: list):
-    rootset = space.root_data.root_set
-    for g1, g2 in itertools.combinations(sorted(candidates), 2):
-        if g1 == -g2:
-            continue
-        if g1 in space.h_roots or g2 in space.h_roots:
-            continue
-        if tuple(map(add, g1, g2)) in rootset or tuple(map(sub, g1, g2)) in rootset:
-            continue
-        if key_lemma_2_check(space, g1, g2):
-            return g1, g2
+def _kl2_pair_search(space: RootLevelSpace, candidates: list) -> Optional[Verdict]:
+    """The exclusion by the first candidate pair that meets the second key
+    lemma, or None."""
+    for pair in _independent_pairs(space, candidates):
+        if key_lemma_2_check(space, *pair):
+            return _excluded_by_pair(*pair)
     return None
 
 
@@ -1099,54 +1038,48 @@ def classify_case1(space: RootLevelSpace) -> Verdict:
         raise ValueError("not a case-I space")
     spec = space.spec
     w = space.w
+    factor_roots = space.root_data.factor_roots
     w0_nonzero = any(w.abelian)
     active = [i for i, f in enumerate(w.factors) if not f.is_zero()]
+    # each active factor's block of w, lifted to t
+    w_of = {i: lift_root(spec, i, w.factors[i]) for i in active}
+
+    def missing_h_root(r, why, detail):
+        return Verdict("excluded", witness=Witness("key_lemma_1", {"gamma": r, "detail": why}),
+                       detail=detail)
+
     # inactive simple factors must sit inside h entirely
     for i in range(len(spec.factors)):
         if i in active:
             continue
-        for r in space.g_roots:
-            if space.factor_of[r] == i and r not in space.h_roots:
-                return Verdict(
-                    "excluded",
-                    witness=Witness("key_lemma_1",
-                                    {"gamma": r,
-                                     "detail": "root of a torus-fixed factor missing from h"}),
-                    detail="first key lemma forces the whole factor into h")
+        for r in factor_roots[i]:
+            if r not in space.h_roots:
+                return missing_h_root(r, "root of a torus-fixed factor missing from h",
+                                      "first key lemma forces the whole factor into h")
     # a root inside t cap h that is alone on its affine line must be an
     # h-root; a candidate isotropy missing it is excluded outright
     for r in space.g_roots:
         if r in space.h_roots:
             continue
         if space.in_t_h(r) and key_lemma_1_applies(space, r):
-            return Verdict(
-                "excluded",
-                witness=Witness("key_lemma_1",
-                                {"gamma": r,
-                                 "detail": "forced h-root missing from the "
-                                           "candidate isotropy"}),
-                detail="first key lemma contradiction")
-    nonh = {i: [r for r in space.g_roots
-                if space.factor_of[r] == i and r not in space.h_roots]
-            for i in active}
+            return missing_h_root(r, "forced h-root missing from the candidate isotropy",
+                                  "first key lemma contradiction")
+    nonh = {i: [r for r in factor_roots[i] if r not in space.h_roots] for i in active}
 
     if w0_nonzero:
         if not active:
             raise ValueError("degenerate candidate: m = t cap m is one-dimensional")
-        if len(active) >= 2:
-            pair = _kl2_pair_search(space, nonh[active[0]] + nonh[active[1]])
-            if pair:
-                return Verdict("excluded", witness=Witness(
-                    "key_lemma_2", {"gamma1": pair[0], "gamma2": pair[1]}))
+        if len(active) > 2:  # with two, this is the search over all of them below
+            verdict = _kl2_pair_search(space, nonh[active[0]] + nonh[active[1]])
+            if verdict:
+                return verdict
         if len(active) == 1:
             verdict = _case1_table_match(space, active[0])
             if verdict is not None:
                 return verdict
-        pair = _kl2_pair_search(
-            space, [r for i in active for r in nonh[i]])
-        if pair:
-            return Verdict("excluded", witness=Witness(
-                "key_lemma_2", {"gamma1": pair[0], "gamma2": pair[1]}))
+        verdict = _kl2_pair_search(space, [r for i in active for r in nonh[i]])
+        if verdict:
+            return verdict
         return Verdict("unresolved",
                        detail="abelian component present but no table entry "
                               "and no certifying pair found")
@@ -1158,30 +1091,26 @@ def classify_case1(space: RootLevelSpace) -> Verdict:
             return Verdict("unresolved",
                            detail="compact simple transitive group: outside the "
                                   "scope of the exclusion machinery")
-        pair = _kl2_pair_search(space, nonh[active[0]])
-        if pair:
-            return Verdict("excluded", witness=Witness(
-                "key_lemma_2", {"gamma1": pair[0], "gamma2": pair[1]}))
+        verdict = _kl2_pair_search(space, nonh[active[0]])
+        if verdict:
+            return verdict
         return Verdict("unresolved",
                        detail="one active simple factor whose h-roots are not its "
                               "roots orthogonal to w, and no certifying pair found")
     # roots not proportional to their factor's torus component
     cand = []
     for i in active:
-        wi = lift_root(spec, i, w.factors[i])
         for r in nonh[i]:
-            if _in_affine_span(space, [wi], r) is None:
+            if _in_affine_span([w_of[i]], r) is None:
                 cand.append(r)
-    pair = _kl2_pair_search(space, cand)
-    if pair:
-        return Verdict("excluded", witness=Witness(
-            "key_lemma_2", {"gamma1": pair[0], "gamma2": pair[1]}))
+    verdict = _kl2_pair_search(space, cand)
+    if verdict:
+        return verdict
     # one factor must now be A1 with roots along its torus component
     a1 = None
     for i in active:
-        ri = [r for r in space.g_roots if space.factor_of[r] == i]
-        wi = lift_root(spec, i, w.factors[i])
-        if len(ri) == 2 and _in_affine_span(space, [wi], ri[0]) is not None:
+        ri = factor_roots[i]
+        if len(ri) == 2 and _in_affine_span([w_of[i]], ri[0]) is not None:
             a1 = i
             break
     if a1 is None:
@@ -1189,13 +1118,12 @@ def classify_case1(space: RootLevelSpace) -> Verdict:
                        detail="no certifying pair and no A1 factor aligned "
                               "with the torus component")
     others = [i for i in active if i != a1]
-    alpha = next(r for r in space.g_roots if space.factor_of[r] == a1)
+    alpha = factor_roots[a1][0]
     kind = "three_or_more_factors" if len(active) > 2 else "two_factors"
     j = others[0]
-    wj = lift_root(spec, j, w.factors[j])
     beta_in_line = None
-    for r in space.g_roots:
-        if space.factor_of[r] == j and _in_affine_span(space, [wj], r) is not None:
+    for r in factor_roots[j]:
+        if _in_affine_span([w_of[j]], r) is not None:
             beta_in_line = r
             break
     if len(active) == 2 and beta_in_line is not None:
@@ -1211,8 +1139,8 @@ def classify_case1(space: RootLevelSpace) -> Verdict:
                               "component; zero-curvature pair certified on "
                               "the matrix preset")
     beta = None
-    for r in space.g_roots:
-        if space.factor_of[r] == j and r not in space.h_roots and tvec_dot(spec, r, wj):
+    for r in factor_roots[j]:
+        if r not in space.h_roots and tvec_dot(spec, r, w_of[j]):
             beta = r
             break
     payload = {
@@ -1229,8 +1157,7 @@ def _h_is_w_perp(space: RootLevelSpace, i: int) -> bool:
     """Whether the h-roots of factor i are exactly its roots orthogonal to
     w (a root of factor i is orthogonal to w exactly when it is to w's
     block i)."""
-    return all((r in space.h_roots) == space.in_t_h(r)
-               for r in space.g_roots if space.factor_of[r] == i)
+    return all((r in space.h_roots) == space.in_t_h(r) for r in space.root_data.factor_roots[i])
 
 
 def _case1_table_match(space: RootLevelSpace, i: int) -> Optional[Verdict]:
@@ -1240,7 +1167,7 @@ def _case1_table_match(space: RootLevelSpace, i: int) -> Optional[Verdict]:
     if not _h_is_w_perp(space, i):
         return None
     fam, rank, scale = space.spec.factors[i]
-    h2 = [r for r in space.g_roots if space.factor_of[r] == i and r in space.h_roots]
+    h2 = [r for r in space.root_data.factor_roots[i] if r in space.h_roots]
     if fam == "A":
         if len(h2) == rank * (rank - 1):
             return Verdict("survivor", name=_un_name(rank + 1))
@@ -1269,19 +1196,35 @@ def _case3_rank_range(max_rank):
     return out
 
 
+def _case2_scan(max_rank):
+    """Part 2's rows: one case-II space per family, rank and length class of
+    beta, with its verdict."""
+    # one root per length class; D and E have one length, G2 its own grid
+    reps = {"A": [("any", [(0, 1), (1, -1)])],
+            "B": [("short", [(0, 1)]), ("long", [(0, 1), (1, 1)])],
+            "C": [("long", [(0, 2)]), ("short", [(0, 1), (1, 1)])],
+            "F4": [("long", [(0, 1), (1, 1)]), ("short", [(0, 1)])]}
+    for fam, rank in _case3_rank_range(max_rank):
+        if fam == "G2":
+            betas = [("long", _lattice_root("G2", 2, 0)), ("short", _lattice_root("G2", 0, 2))]
+        else:
+            betas = [(tag, sparse_tvec(fam, rank, *co))
+                     for tag, co in reps.get(fam, [("any", [(0, 1), (1, 1)])])]
+        for tag, beta in betas:
+            space = case2_space(fam, rank, beta, name=f"A1+{fam}{rank} (beta {tag})")
+            yield space.name, {"g2": f"{fam}{rank}", "beta": tag}, classify_case2(space)
+
+
 def verify_theorem(part: int, max_rank: int = 8) -> dict:
     """Reproduce one of the three survivor lists up to the rank bound and
     diff against the expected set."""
+    # each scan yields (space name, row key, verdict); the expected list is
+    # the classification's survivor set restricted to the scanned ranks
+    # (each sporadic name needs its family/rank)
     if part == 1:
-        survivors = set()
-        rows = []
-        for fam, rank in _case3_rank_range(max_rank):
-            for sc, verdict in enumerate_case3(fam, rank):
-                rows.append((sc.describe(), verdict.to_json()))
-                if verdict.outcome == "survivor":
-                    survivors.add(verdict.name)
-        # the expected list is the classification's survivor set restricted
-        # to the scanned ranks (each sporadic name needs its family/rank)
+        scan = ((sc.label, sc.describe(), verdict)
+                for fam, rank in _case3_rank_range(max_rank)
+                for sc, verdict in enumerate_case3(fam, rank))
         expected = {_sphere_name(n) for n in range(3, max_rank + 1)}
         if max_rank >= 2:
             expected.add("Sp(2)/SU(2) (Berger)")
@@ -1290,45 +1233,16 @@ def verify_theorem(part: int, max_rank: int = 8) -> dict:
         if max_rank >= 4:
             expected.add("S^15 = Spin(9)/Spin(7)")
             expected.add("SU(5)/Sp(2)U(1) (Berger)")
-        unresolved = []
     elif part == 2:
-        survivors = set()
-        rows = []
-        # one root per length class; D and E have one length, G2 its own grid
-        reps = {"A": [("any", [(0, 1), (1, -1)])],
-                "B": [("short", [(0, 1)]), ("long", [(0, 1), (1, 1)])],
-                "C": [("long", [(0, 2)]), ("short", [(0, 1), (1, 1)])],
-                "F4": [("long", [(0, 1), (1, 1)]), ("short", [(0, 1)])]}
-        for fam, rank in _case3_rank_range(max_rank):
-            if fam == "G2":
-                betas = [("long", _g2_root(2, 0)), ("short", _g2_root(0, 2))]
-            else:
-                betas = [(tag, sparse_tvec(fam, rank, *co))
-                         for tag, co in reps.get(fam, [("any", [(0, 1), (1, 1)])])]
-            for tag, beta in betas:
-                space = case2_space(fam, rank, beta,
-                                    name=f"A1+{fam}{rank} (beta {tag})")
-                verdict = classify_case2(space)
-                rows.append(({"g2": f"{fam}{rank}", "beta": tag}, verdict.to_json()))
-                if verdict.outcome == "survivor":
-                    survivors.add(verdict.name)
+        scan = _case2_scan(max_rank)
         expected = {S3_NAME}
         if max_rank >= 2:
             expected.add(WILKING_NAME)
             expected.add(_spsp_name(2))  # via the rank-two orthogonal algebra
         expected |= {_spsp_name(n) for n in range(3, max_rank + 1)}
-        unresolved = []
     elif part == 3:
-        survivors = set()
-        unresolved = []
-        rows = []
-        for space in case1_candidates(max_rank):
-            verdict = classify_case1(space)
-            rows.append(({"space": space.name}, verdict.to_json()))
-            if verdict.outcome == "survivor":
-                survivors.add(verdict.name)
-            elif verdict.outcome == "unresolved":
-                unresolved.append(space.name)
+        scan = ((space.name, {"space": space.name}, classify_case1(space))
+                for space in case1_candidates(max_rank))
         expected = {_un_name(n) for n in range(2, max_rank + 2)}
         expected |= {_spu1_name(n) for n in range(3, max_rank + 1)}
         if max_rank >= 2:
@@ -1336,6 +1250,15 @@ def verify_theorem(part: int, max_rank: int = 8) -> dict:
             expected.add("Aloff-Wallach U(3)/T^2")
     else:
         raise ValueError("part must be 1, 2 or 3")
+    survivors = set()
+    unresolved = []
+    rows = []
+    for name, row, verdict in scan:
+        rows.append((row, verdict.to_json()))
+        if verdict.outcome == "survivor":
+            survivors.add(verdict.name)
+        elif verdict.outcome == "unresolved":
+            unresolved.append(name)
     missing = sorted(expected - survivors)
     extra = sorted(survivors - expected)
     report = {
@@ -1355,12 +1278,20 @@ def verify_theorem(part: int, max_rank: int = 8) -> dict:
     return report
 
 
-def _case1_block_space(fam, rank, label, w1: TVec, abelian: bool,
-                       h2_roots: list) -> RootLevelSpace:
-    spec = unit_spec(((fam, rank),), 1 if abelian else 0)
-    w = lift_root(spec, 0, w1) + tvec_from_parts(spec, abelian=[1] if abelian else [])
-    return make_root_level_space(spec, w, [lift_root(spec, 0, r) for r in h2_roots],
-                                 name=label)
+def _case1_space(label, blocks, abelian=True, h_perp=True) -> RootLevelSpace:
+    """Case-I candidate with t cap m spanned by w: blocks[i], a vector of
+    the unit spec of the i-th simple factor, is w's block there, and w has
+    abelian coordinate 1 when abelian.  With h_perp, Delta_h is the set of
+    roots orthogonal to w; otherwise it is empty."""
+    spec = unit_spec(tuple(b.spec.factors[0][:2] for b in blocks), 1 if abelian else 0)
+    w = tvec_from_parts(spec, abelian=[1] if abelian else [])
+    for i, b in enumerate(blocks):
+        w = w + lift_root(spec, i, b)
+    sp = make_root_level_space(spec, w, name=label)
+    if not h_perp:
+        return sp
+    # each root is orthogonal to w exactly when it is to w's block of its factor
+    return replace(sp, h_roots=frozenset(r for r in sp.g_roots if sp.in_t_h(r)))
 
 
 def case1_candidates(max_rank: int = 8) -> list:
@@ -1368,78 +1299,45 @@ def case1_candidates(max_rank: int = 8) -> list:
     family and rank (the direction whose orthogonal subsystem is maximal),
     the special A2 directions, the exceptional families at one direction,
     plus multi-factor and simple-transitive exemplars; every simple factor
-    has rank at most max_rank."""
+    has rank at most max_rank, and no candidate above it is built."""
     out = []
 
-    def orth_roots(fam, rank, w1):
-        return [r for r in _factor_roots(fam, rank) if not tvec_dot(w1.spec, r, w1)]
+    def add(label, blocks, abelian=True, h_perp=True):
+        if all(b.spec.factors[0][1] <= max_rank for b in blocks):
+            out.append(_case1_space(label, blocks, abelian, h_perp))
 
+    def a_dir(rank):  # rank e1 - e2 - ... - e_{rank+1}
+        return sparse_tvec("A", rank, *([(0, rank)] + [(j, -1) for j in range(1, rank + 1)]))
+
+    aloff_wallach = sparse_tvec("A", 2, (0, 1), (1, 2), (2, -3))
     for rank in range(1, max_rank + 1):
-        w1 = sparse_tvec("A", rank, *([(0, rank)] + [(j, -1) for j in range(1, rank + 1)]))
-        out.append(_case1_block_space(
-            "A", rank, f"U({rank+1})/U({rank}) candidate", w1, True,
-            orth_roots("A", rank, w1)))
+        add(f"U({rank+1})/U({rank}) candidate", [a_dir(rank)])
     for rank in range(3, max_rank + 1):
-        w1 = sparse_tvec("C", rank, (0, 1))
-        out.append(_case1_block_space(
-            "C", rank, f"Sp({rank})U(1)/Sp({rank-1})U(1) candidate", w1, True,
-            orth_roots("C", rank, w1)))
+        add(f"Sp({rank})U(1)/Sp({rank-1})U(1) candidate", [sparse_tvec("C", rank, (0, 1))])
     # so(5) = sp(2) presentation of the rank-two quaternionic sphere
-    w1 = sparse_tvec("B", 2, (0, 1), (1, 1))
-    out.append(_case1_block_space(
-        "B", 2, "Sp(2)U(1)/Sp(1)U(1) candidate (so(5) picture)", w1, True,
-        orth_roots("B", 2, w1)))
+    add("Sp(2)U(1)/Sp(1)U(1) candidate (so(5) picture)", [sparse_tvec("B", 2, (0, 1), (1, 1))])
     # Aloff-Wallach directions, generic and degenerate
-    out.append(_case1_block_space(
-        "A", 2, "Aloff-Wallach U(3)/T^2 candidate", sparse_tvec("A", 2, (0, 1), (1, 2), (2, -3)),
-        True, []))
-    out.append(_case1_block_space(
-        "A", 2, "U(3)/T^2 with degenerate parameters", sparse_tvec("A", 2, (0, 1), (1, 1), (2, -2)),
-        True, []))
+    add("Aloff-Wallach U(3)/T^2 candidate", [aloff_wallach])
+    add("U(3)/T^2 with degenerate parameters", [sparse_tvec("A", 2, (0, 1), (1, 1), (2, -2))],
+        h_perp=False)
     # non-table single blocks: excluded
     for fam, rank in [("B", 3), ("B", 4), ("D", 4), ("F4", 4), ("G2", 2),
                       ("E6", 6), ("E7", 7)]:
-        w1 = _g2_root(0, 2) if fam == "G2" else sparse_tvec(fam, rank, (0, 1))
-        out.append(_case1_block_space(
-            fam, rank, f"U(1)x{fam}{rank} non-table candidate", w1, True,
-            orth_roots(fam, rank, w1)))
+        w1 = _lattice_root("G2", 0, 2) if fam == "G2" else sparse_tvec(fam, rank, (0, 1))
+        add(f"U(1)x{fam}{rank} non-table candidate", [w1])
     # simple transitive groups: unresolved
     for rank in range(2, 5):
-        w1 = sparse_tvec("A", rank, *([(0, rank)] + [(j, -1) for j in range(1, rank + 1)]))
-        out.append(_case1_block_space(
-            "A", rank, f"SU({rank+1})/SU({rank})", w1, False,
-            orth_roots("A", rank, w1)))
+        add(f"SU({rank+1})/SU({rank})", [a_dir(rank)], abelian=False)
     for rank in range(3, 5):
-        w1 = sparse_tvec("C", rank, (0, 1))
-        out.append(_case1_block_space(
-            "C", rank, f"Sp({rank})/Sp({rank-1})", w1, False,
-            orth_roots("C", rank, w1)))
-    out.append(_case1_block_space(
-        "A", 2, "SU(3)-homogeneous Aloff-Wallach", sparse_tvec("A", 2, (0, 1), (1, 2), (2, -3)),
-        False, []))
+        add(f"Sp({rank})/Sp({rank-1})", [sparse_tvec("C", rank, (0, 1))], abelian=False)
+    add("SU(3)-homogeneous Aloff-Wallach", [aloff_wallach], abelian=False)
     # multi-factor exemplars
     a1 = sparse_tvec("A", 1, (0, 1), (1, -1))
-    out.append(_two_factor_space("two A1 factors", ("A", 1), ("A", 1), a1, a1))
-    out.append(_two_factor_space("A1 x A2 with generic slope", ("A", 1), ("A", 2),
-                                 a1, sparse_tvec("A", 2, (0, 1), (1, 2), (2, -3))))
-    out.append(_two_factor_space("A1 x C3 along the long root", ("A", 1), ("C", 3),
-                                 a1, sparse_tvec("C", 3, (0, 2))))
-    out.append(_three_factor_space())
-    return [sp for sp in out if all(r <= max_rank for _, r, _ in sp.spec.factors)]
-
-
-def _two_factor_space(label, f1, f2, w1: TVec, w2: TVec) -> RootLevelSpace:
-    spec = unit_spec((f1, f2))
-    w = lift_root(spec, 0, w1) + lift_root(spec, 1, w2)
-    sp = make_root_level_space(spec, w, name=label)
-    # each root is orthogonal to w exactly when it is to w's block of its factor
-    return replace(sp, h_roots=frozenset(r for r in sp.g_roots if sp.in_t_h(r)))
-
-
-def _three_factor_space() -> RootLevelSpace:
-    spec = unit_spec((("A", 1),) * 3)
-    w = tvec_from_parts(spec, {0: [1, -1], 1: [1, -1], 2: [1, -1]})
-    return make_root_level_space(spec, w, name="three A1 factors")
+    add("two A1 factors", [a1, a1], abelian=False)
+    add("A1 x A2 with generic slope", [a1, aloff_wallach], abelian=False)
+    add("A1 x C3 along the long root", [a1, sparse_tvec("C", 3, (0, 2))], abelian=False)
+    add("three A1 factors", [a1, a1, a1], abelian=False, h_perp=False)
+    return out
 
 # ---------------------------------------------------------------------------
 # Full classification of a concrete space
@@ -1452,7 +1350,7 @@ def _pair_signature(space: RootLevelSpace, alpha: TVec, beta: TVec):
     la, lb = tvec_dot(spec, alpha, alpha), tvec_dot(spec, beta, beta)
     ang = root_angle(alpha, beta)
     in_plane = sum(1 for r in space.g_roots
-                   if _in_affine_span(space, [alpha, beta], r) is not None)
+                   if _in_affine_span([alpha, beta], r) is not None)
     perp = sum(1 for r in space.g_roots
                if not tvec_dot(spec, r, alpha) and not tvec_dot(spec, r, beta))
     return (tuple(sorted([la, lb])), ang, in_plane, perp)

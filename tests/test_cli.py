@@ -27,6 +27,24 @@ VERIFY_FULL_RANK12_SHA256 = {
     3: "c7829e7f99f925036b76c2f7aa30bb04d6717f61aeab974fceb80520826d0588",
 }
 
+# The same at the small rank bounds, keyed by (max_rank, theorem): the
+# expected sets and the rank-3 and rank-4 table rows change from one bound
+# to the next.
+VERIFY_FULL_SMALL_RANK_SHA256 = {
+    (1, 1): "978e5988469401bd94c3e22555e5483fe048c94eca23a5d181454ad05e26ce8e",
+    (1, 2): "5500d47e9e786f99bd1d6bf561d7daedd3132ec290cda61b0177f9e3908d2faf",
+    (1, 3): "6b219cfc845c47e6a6b20594fab9b533f01dc58edb9444abd40544c9db1f2c83",
+    (2, 1): "73adb436e32f0715fda29f13ac85dca3d34681d8a1794af1db57a78b41de06ea",
+    (2, 2): "9f2c043663c0dc1b182f02bc79ffe8f3c14d8ec2ba1ab8220a5585671a3225e1",
+    (2, 3): "61700de359e01cd10589429f752b996d6e44f11ccddbdcdb0dad63c47ab7fb2a",
+    (3, 1): "1983b8337d03958cc7a1cdc126c8395f41ac71debd8159ea0d6c004ee69d2bb6",
+    (3, 2): "9c977812fa8d230ccd7cae5f8f9c33ffa88291072ce70465f74d2edd51f0f3dc",
+    (3, 3): "1d41c8b3ee09b125e354fabfcad2f3a820a8f2da2fb5f9437349048f490c9455",
+    (4, 1): "663c65677dfb0107b4fb8138c55f0d2f5674e14bcf6413f79fe44ed0dd60cae4",
+    (4, 2): "3865371328cf9d361a397252d0162dc980c54bb10e91934875e30dfeb506e35c",
+    (4, 3): "d415d711496d65147e2e4cce71811ba03d666a56054e989eeb809252c2a1f203",
+}
+
 
 # SHA-256 of `roots <family> <rank>` stdout: the exact root order, for every
 # family up to rank 8.
@@ -273,6 +291,16 @@ def test_verify_full_stdout_is_pinned_at_rank_12(theorem):
     code, out, _ = invoke(["verify", "--theorem", str(theorem), "--full", "--max-rank", "12"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FULL_RANK12_SHA256[theorem]
+
+
+@pytest.mark.parametrize("max_rank,theorem", sorted(VERIFY_FULL_SMALL_RANK_SHA256))
+def test_verify_full_stdout_is_pinned_at_small_ranks(max_rank, theorem):
+    code, out, _ = invoke(["verify", "--theorem", str(theorem), "--full",
+                           "--max-rank", str(max_rank)])
+    # part 1 has no row below rank 2, and a scan without rows is no match
+    assert code == (3 if (max_rank, theorem) == (1, 1) else 0)
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        VERIFY_FULL_SMALL_RANK_SHA256[max_rank, theorem]
 
 
 @pytest.mark.parametrize("theorem", [1, 2, 3])

@@ -22,7 +22,6 @@ EXEMPT = (
     ("__getattr__", "the package's PEP 562 hook: the interpreter calls it"),
     ("fd_g_inner", "finite-difference oracle of the closed-form Hessians"),
     ("fd_cartan", "finite-difference oracle of the closed-form Cartan tensors"),
-    ("revalidate_witness", "replays an exclusion witness; a certificate replay path will call it"),
     ("tvec_to_json", "the lattice JSON form that exclusion certificates will hold"),
     ("exact_inverse", "bench/tracer.py traces it as an exact solver"),
     ("norm_to_json_str", "the tests write norm files with it"),

@@ -2,6 +2,8 @@
 subcase tables, decision procedures, survivor lists."""
 
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -28,7 +30,7 @@ from flagcurv.rootsys import (
 )
 from flagcurv.obstruct import (
     PropagationContradiction,
-    _g2_root,
+    _lattice_root,
     _projection_groups,
     _span_members,
     angle_lemma_check,
@@ -41,6 +43,7 @@ from flagcurv.obstruct import (
     classify_case2,
     classify_space,
     enumerate_case3,
+    evaluate_subcase,
     key_lemma_1_applies,
     key_lemma_2_check,
     key_lemma_2_details,
@@ -137,12 +140,12 @@ def _oracle_span_members(sp, g1, shift):
 
 
 @pytest.mark.parametrize("make,rich", [
-    (lambda: case3_space("G2", 2, _g2_root(2, 0), _g2_root(-1, 1)), False),
+    (lambda: case3_space("G2", 2, _lattice_root("G2", 2, 0), _lattice_root("G2", -1, 1)), False),
     (lambda: case3_space("E6", 6, sparse_tvec("E6", 6, (0, 1), (1, 1)),
                          sparse_tvec("E6", 6, (1, 1), (0, -1))), True),
     (lambda: case3_space("E7", 7, sparse_tvec("E7", 7, (0, 1), (1, 1)),
                          sparse_tvec("E7", 7, (1, 1), (0, -1))), True),
-    (lambda: case2_space("G2", 2, _g2_root(0, 2)), True),
+    (lambda: case2_space("G2", 2, _lattice_root("G2", 0, 2)), True),
     (_unequal_scale_a1a1, False),
 ], ids=["G2", "E6", "E7", "A1+G2", "A1+A1-scaled"])
 def test_span_members_match_a_per_root_solve(make, rich):
@@ -265,9 +268,9 @@ def test_angle_lemma_examples():
     a2 = lift_root(sp2.spec, 0, sparse_tvec("A", 3, (0, 1), (3, -1)))
     b2 = lift_root(sp2.spec, 0, sparse_tvec("A", 3, (2, 1), (1, -1)))
     assert not angle_lemma_check(sp2, a2, b2)  # right angle: no conclusion
-    g2 = case3_space("G2", 2, _g2_root(2, 0), _g2_root(1, 3))
-    la = lift_root(g2.spec, 0, _g2_root(2, 0))
-    lb = lift_root(g2.spec, 0, _g2_root(1, 3))
+    g2 = case3_space("G2", 2, _lattice_root("G2", 2, 0), _lattice_root("G2", 1, 3))
+    la = lift_root(g2.spec, 0, _lattice_root("G2", 2, 0))
+    lb = lift_root(g2.spec, 0, _lattice_root("G2", 1, 3))
     assert angle_lemma_check(g2, la, lb)  # long pair at pi/3
     with pytest.raises(ValueError, match="hypothesis"):
         angle_lemma_check(sp2, a2, lift_root(sp2.spec, 0, sparse_tvec("A", 3, (0, 1), (1, -1))))
@@ -350,7 +353,7 @@ def test_enumerate_case3_g2_rotation_witness():
     assert len(rot) == 1 and rot[0].outcome == "excluded"
     w = rot[0].witness
     assert w.kind == "root_combinatorial"
-    sp = case3_space("G2", 2, _g2_root(2, 0), _g2_root(-1, 1))
+    sp = case3_space("G2", 2, _lattice_root("G2", 2, 0), _lattice_root("G2", -1, 1))
     assert revalidate_witness(sp, w)
 
 
@@ -363,6 +366,38 @@ def test_every_excluded_witness_revalidates():
                 continue
             sp = case3_space(sc.family, sc.rank, sc.alpha, sc.beta)
             assert revalidate_witness(sp, v.witness), (fam, rank, sc.label)
+
+
+# kind -> (family, rank, label of a table row of that kind, its corrupted fields)
+CORRUPTED_ROWS = {
+    # beta := e3, at pi/2 to alpha = e1 + e2
+    "angle": ("B", 3, "B:angle-pi/3", lambda sc: {"beta": sparse_tvec("B", 3, (2, 1))}),
+    # the reduced pair := the row's own pi/2 pair
+    "angle_reduced": ("G2", 2, "G2:ls-pi/2",
+                      lambda sc: {"payload": {"alpha1": sc.alpha, "beta1": sc.beta}}),
+    # gamma2 := e5 - e6, so gamma1 + gamma2 = e1 - e6 is a root
+    "key_lemma_2": ("A", 5, "A:3", lambda sc: {"payload": {
+        **sc.payload, "gamma2": sparse_tvec("A", 5, (4, 1), (5, -1))}}),
+    "reduction": ("B", 3, "B:1", lambda sc: {"payload": {
+        **sc.payload, "subsystem_size": sc.payload["subsystem_size"] + 2}}),
+    "root_combinatorial": ("B", 3, "B:9", lambda sc: {"payload": {
+        **sc.payload, "kl2_failed_conditions": [3]}}),
+    # gamma2 := alpha, which is not orthogonal to gamma1 = alpha + 3 beta
+    "g2_rotation": ("G2", 2, "G2:ls-5pi/6",
+                    lambda sc: {"payload": {**sc.payload, "gamma2": sc.alpha}}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CORRUPTED_ROWS))
+def test_a_corrupted_row_fails_its_replay(kind):
+    """Each witness-building kind: the table row is excluded, and the same
+    row with one field corrupted fails with an error naming the row."""
+    family, rank, label, corrupt = CORRUPTED_ROWS[kind]
+    sc = next(sc for sc in case3_subcases(family, rank) if sc.label == label)
+    assert sc.kind == kind
+    assert evaluate_subcase(sc).outcome == "excluded"
+    with pytest.raises(AssertionError, match=re.escape(label)):
+        evaluate_subcase(replace(sc, **corrupt(sc)))
 
 
 # -- Weyl-orbit completeness of the tables -------------------------------------
@@ -436,7 +471,7 @@ def test_classify_case2_examples():
 def test_classify_case2_witnesses_revalidate():
     for fam, rank, beta in [("B", 2, root("B", 2, 1, 0)), ("B", 3, root("B", 3, 1, 1, 0)),
                             ("C", 3, root("C", 3, 1, 1, 0)), ("D", 4, root("D", 4, 1, 1, 0, 0)),
-                            ("G2", 2, _g2_root(2, 0))]:
+                            ("G2", 2, _lattice_root("G2", 2, 0))]:
         sp = case2_space(fam, rank, beta)
         v = classify_case2(sp)
         assert v.outcome == "excluded"
