@@ -82,6 +82,30 @@ ROOTS_SHA256 = {
     ("G2", 2): "36d248430ddb7f04ee591818646d1a821cba0146bb31b2305144258e492c8740",
 }
 
+# SHA-256 of `space build --preset` and `classify --space` stdout for one
+# instance of each of the nine presets, keyed by (verb, preset).
+PRESET_STDOUT_SHA256 = {
+    ("space", "sphere_so2n(4)"): "61d0e2a475fc68bf7e2137029acf52b0819149c8faeeb9ac4229e611653ff923",
+    ("classify", "sphere_so2n(4)"): "2b10400b0778f9b3f8d46f17b8be623c05ce35d9b06cd5ec714e1f7bf42ef079",
+    ("space", "sphere_un(3)"): "871024ffce4f1da4e1bb6416dea588d7e48bf961dfb90e54dbcfaaaa0cdfaa94",
+    ("classify", "sphere_un(3)"): "ad315f625e211e3ba27a8c54f52a130bfbe01a8ded1b8b655770acde88fb2a37",
+    ("space", "sphere_spn_u1(2)"): "40a8016465c42ce0f2a5d88a5330f1efb0c9356c91b55ae1796b19585aa104cf",
+    ("classify", "sphere_spn_u1(2)"): "e3c64301d64c507dd082a9883d280e1642fa148db63c15de36c93daea87562bd",
+    ("space", "sphere_spn_sp1(2)"): "bcf3700fbd4aaf9d361b7df05e91fec673b664f157e702c521e86ae5441a8f78",
+    ("classify", "sphere_spn_sp1(2)"): "1daa5bdd48d83cefbc8cab96efa3175db98fcc56cfec5cbada8e8f9b60677d8b",
+    ("space", "aloff_wallach(1,2)"): "f9c06736ef7655fdf5ad3b479a894834329f0e356e0a5633b8a1b9d02c8de2a5",
+    ("classify", "aloff_wallach(1,2)"): "3046f941b4f6ec508b9839dbbba2cea87d690c9e86b4c1f40c5794f1c2834963",
+    ("space", "berger_sp2"): "bb236bce0afecea667417d47c05f43936086b9200eeb37d715acb74639544d25",
+    ("classify", "berger_sp2"): "c3b9d49c27c98f5d160dbf06e0fd06683fd427a68bd9f24c93826ee12cbe20b1",
+    ("space", "bn_excluded_subcase1(2)"): "cc786a71e10a5ee12463beab50df8d86d85776f31f4da505dd4c14ee2e08399b",
+    ("classify", "bn_excluded_subcase1(2)"): "066ccf46c49915be3d373d8827e63cc7d7ac0fb1db89247e923647280f3c32d7",
+    ("space", "a1a1_diagonal(1)"): "8928b69636c69a8cc9cb2ce1e23e2cf40b473e5d1fb39df619e8f30199c53b7e",
+    ("classify", "a1a1_diagonal(1)"): "4651ea3b8525e771507730446e864451f0bf4777414020010b99034c8f49533b",
+    ("space", "cn_excluded_subcase1(3)"): "de03f8c2879d285a109a54e72f20216a5d7596404f85c46344e7dcf1c09b090d",
+    ("classify", "cn_excluded_subcase1(3)"): "9e0ed126263afcd1ddb0239c8e3cc62cd590e621c8993c0b5e88074043f150cf",
+}
+
+
 def invoke(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -106,6 +130,14 @@ def test_roots_stdout_is_pinned(family, rank):
     code, out, _ = invoke(["roots", family, str(rank)])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ROOTS_SHA256[family, rank]
+
+@pytest.mark.parametrize("verb,name", sorted(PRESET_STDOUT_SHA256))
+def test_preset_stdout_is_pinned(verb, name):
+    argv = ["space", "build", "--preset"] if verb == "space" else ["classify", "--space"]
+    code, out, _ = invoke(argv + [f"preset:{name}"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PRESET_STDOUT_SHA256[verb, name]
+
 
 def test_space_build_preset():
     code, out, _ = invoke(["space", "build", "--preset", "preset:sphere_un(3)"])

@@ -174,6 +174,35 @@ def test_hat_trivial_when_h_holds_every_plane():
     assert len(hat2.blocks) == 1 and len(hat2.blocks[0].basis) == 1
 
 
+def _hat_summary(sp):
+    """(alpha_prime, roots, basis size) of each hat block, g0 first."""
+    return [(b.alpha_prime, b.roots, len(b.basis)) for b in sp.hat_decomposition().blocks]
+
+
+def test_hat_decomposition_is_pinned_across_dims_of_t_cap_m():
+    """The hat blocks of the SU(3) group (dim t cap m = 2), of SU(3)/T^2
+    (dim 0) and of the A2 + B2 group (dim 4)."""
+    a2 = realize(AlgebraSpec((("A", 2, Fraction(1)),)))
+    spec = a2.spec
+    r13, r12, r23 = (root("A", 2, *c) for c in ((1, 0, -1), (1, -1, 0), (0, 1, -1)))
+    zero = tvec_from_parts(spec, {0: [0, 0, 0]})
+    group = build_coset(a2, SubalgebraSpec(), name="SU(3)")
+    assert len(group.t_m) == 2
+    assert _hat_summary(group) == [(zero, ((0, r13), (0, r12), (0, r23)), 8)]
+    cart = (tvec_from_parts(spec, {0: [1, -1, 0]}), tvec_from_parts(spec, {0: [1, 1, -2]}))
+    torus = build_coset(a2, SubalgebraSpec(cartan_h=cart), name="SU(3)/T^2")
+    assert len(torus.t_m) == 0
+    assert _hat_summary(torus) == [(zero, (), 0)] + [
+        (lift_root(spec, 0, r), ((0, r),), 2) for r in (r23, r12, r13)]
+    a2b2 = realize(AlgebraSpec((("A", 2, Fraction(1)), ("B", 2, Fraction(1)))))
+    group2 = build_coset(a2b2, SubalgebraSpec(), name="SU(3) x SO(5)")
+    assert len(group2.t_m) == 4
+    b2 = tuple((1, root("B", 2, *c)) for c in ((1, 1), (1, 0), (1, -1), (0, 1)))
+    assert _hat_summary(group2) == [
+        (tvec_from_parts(a2b2.spec, {0: [0, 0, 0], 1: [0, 0]}),
+         ((0, r13), (0, r12), (0, r23)) + b2, 18)]
+
+
 def test_h_equals_g_rejected():
     alg = realize(AlgebraSpec((("A", 1, Fraction(1)),)))
     spec = alg.spec
