@@ -29,8 +29,8 @@ from .rootsys import (
     lattice_block,
     lift_root,
     root,
-    solve_exact,
     sparse_tvec,
+    t_cap_h_projection,
     tvec_dot,
     tvec_from_json,
     tvec_from_parts,
@@ -50,6 +50,7 @@ CLOSURE_TOL = 1e-8
 REDUCTIVE_TOL = 1e-10
 ORTHO_TOL = 1e-12
 MEMBER_TOL = 1e-10
+ROW_TOL = 1e-9  # norm below which _m_rows drops a row
 
 
 # ---------------------------------------------------------------------------
@@ -73,18 +74,6 @@ def orthocomplement_in_t(spec: AlgebraSpec, vectors: Sequence[TVec]) -> list:
         return basis
     rows = [[tvec_dot(spec, b, v) for b in basis] for v in vectors]
     return [_combination(spec, coeffs, basis) for coeffs in exact_nullspace(rows)]
-
-
-def project_to_span(spec: AlgebraSpec, span: Sequence[TVec], v: TVec) -> TVec:
-    """Exact orthogonal projection of v onto span(span)."""
-    if not span:
-        return zero_tvec(spec)
-    gram = [[tvec_dot(spec, a, b) for b in span] for a in span]
-    rhs = [tvec_dot(spec, a, v) for a in span]
-    sol = solve_exact(gram, rhs)
-    if sol is None:
-        raise ArithmeticError("degenerate span in exact projection")
-    return _combination(spec, sol, span)
 
 
 def _combination(spec: AlgebraSpec, coeffs, vectors: Sequence[TVec]) -> TVec:
@@ -138,6 +127,7 @@ class CosetSpace:
         self._m_co = np.array([alg.coords(b) for b in self.m_basis])
 
         self.t_m = orthocomplement_in_t(alg.spec, self.cartan_h)
+        self.projection = t_cap_h_projection(alg.spec, tuple(self.t_m))
 
         self._verify()
         self._hat = None
@@ -145,6 +135,10 @@ class CosetSpace:
 
     # -- verification -----------------------------------------------------
     def _verify(self):
+        off = self.algebra.bracket_coords(self.h_basis, self.h_basis, self._m_co)
+        worst = float(np.linalg.norm(off, axis=-1).max()) if off.size else 0.0
+        if worst > CLOSURE_TOL:  # the part of each [h_i, h_j] in m
+            raise ValueError(f"not a subalgebra: bracket closure residual {worst:.2e}")
         if self.dim_h and np.abs(self._h_co @ self._m_co.T).max() > ORTHO_TOL:
             raise AssertionError("h and m are not orthogonal")
         hm = self.algebra.bracket_coords(self.h_basis, self.m_basis, self._h_co)
@@ -159,7 +153,7 @@ class CosetSpace:
 
     # -- coordinates --------------------------------------------------------
     def embed(self, tv: TVec) -> AlgebraElement:
-        return self.algebra.cartan_embed(list(tv.factors), np.array([float(x) for x in tv.abelian]))
+        return _embed(self.algebra, tv)
 
     def to_m(self, x: AlgebraElement) -> np.ndarray:
         return self._m_co @ self.algebra.coords(x)
@@ -172,11 +166,6 @@ class CosetSpace:
 
     def pr_m(self, x: AlgebraElement) -> AlgebraElement:
         return self.from_m(self.to_m(x))
-
-    # -- exact projections --------------------------------------------------
-    def pr_h_exact(self, tv: TVec) -> TVec:
-        """The projection of tv to t cap h, along t cap m."""
-        return tv - project_to_span(self.algebra.spec, self.t_m, tv)
 
     # -- structure tensors for the curvature engine -------------------------
     def structure_tensors(self):
@@ -221,27 +210,8 @@ class CosetSpace:
                 out[lift_root(spec, f.index, root).canonical_sign()] = kind
         return out
 
-    def plane_m_part(self, factor: int, root: TVec) -> list:
-        """Orthonormal m-coordinates spanned by the m-part of a root plane."""
-        f = self.algebra.factors[factor]
-        p = f.plane(root)
-        vecs = [self.to_m(p.x), self.to_m(p.y)]
-        return _orthonormal_rows(vecs)
-
     def __repr__(self):
         return f"CosetSpace({self.name}: dim g={self.dim_g}, dim h={self.dim_h}, dim m={self.dim_m})"
-
-
-def _orthonormal_rows(vecs: list, tol: float = 1e-9) -> list:
-    out = []
-    for v in vecs:
-        w = v.copy()
-        for b in out:
-            w = w - (w @ b) * b
-        n = np.linalg.norm(w)
-        if n > tol:
-            out.append(w / n)
-    return out
 
 
 @dataclass
@@ -264,7 +234,7 @@ def _plane_classes(space: CosetSpace) -> tuple:
     zero, groups = [], {}
     for f in space.algebra.factors:
         for root in f.planes:
-            pr = space.pr_h_exact(lift_root(space.algebra.spec, f.index, root))
+            pr = space.projection.pr_h(lift_root(space.algebra.spec, f.index, root))
             if pr.is_zero():
                 zero.append((f.index, root))
             else:
@@ -274,12 +244,19 @@ def _plane_classes(space: CosetSpace) -> tuple:
 
 def _m_rows(space: CosetSpace, planes, t_vecs=()) -> list:
     """Orthonormal m-coordinates spanned by the Cartan vectors t_vecs and the
-    given root planes."""
+    given root planes, (factor, root) pairs: Gram-Schmidt in that order."""
     vecs = [space.to_m(space.embed(tv)) for tv in t_vecs]
     for factor, root in planes:
         p = space.algebra.factors[factor].plane(root)
         vecs.extend([space.to_m(p.x), space.to_m(p.y)])
-    return _orthonormal_rows(vecs)
+    out = []
+    for w in vecs:
+        for b in out:
+            w = w - (w @ b) * b
+        n = np.linalg.norm(w)
+        if n > ROW_TOL:
+            out.append(w / n)
+    return out
 
 
 def _build_hat(space: CosetSpace) -> HatDecomposition:
@@ -297,13 +274,11 @@ def _build_hat(space: CosetSpace) -> HatDecomposition:
 # Construction and checks
 # ---------------------------------------------------------------------------
 
-def build_coset(algebra: RealizedAlgebra, spec: SubalgebraSpec,
-                name: str = "custom", **kw) -> CosetSpace:
-    """Build and verify a coset space from a subalgebra specification."""
-    gens = []
-    for tv in spec.cartan_h:
-        gens.append(algebra.cartan_embed(list(tv.factors),
-                                         np.array([float(x) for x in tv.abelian])))
+def build_coset(algebra: RealizedAlgebra, spec: SubalgebraSpec, name: str = "custom",
+                h_root_vectors: Optional[Sequence[TVec]] = None, **kw) -> CosetSpace:
+    """Build and verify a coset space from a subalgebra specification.  The
+    h-root vectors default to the lifted h_roots and their negatives."""
+    gens = [_embed(algebra, tv) for tv in spec.cartan_h]
     for factor, root in spec.h_roots:
         p = algebra.factors[factor].plane(root)
         gens.extend([p.x.copy(), p.y.copy()])
@@ -312,14 +287,14 @@ def build_coset(algebra: RealizedAlgebra, spec: SubalgebraSpec,
     h_basis = gram_schmidt(algebra, gens)
     if len(h_basis) == algebra.dim:
         raise ValueError("h = g: degenerate coset space")
-    h_co = np.array([algebra.coords(b) for b in h_basis]).reshape(-1, algebra.dim)
-    # the part of each [h_i, h_j] outside h, over an orthonormal complement
-    comp = np.linalg.svd(h_co)[2][len(h_basis):]
-    off = algebra.bracket_coords(h_basis, h_basis, comp)
-    worst = float(np.linalg.norm(off, axis=-1).max()) if off.size else 0.0
-    if worst > CLOSURE_TOL:
-        raise ValueError(f"not a subalgebra: bracket closure residual {worst:.2e}")
-    return CosetSpace(algebra, name, h_basis, spec.cartan_h, **kw)
+    if h_root_vectors is None:
+        h_root_vectors = _negclose(lift_root(algebra.spec, f, r) for f, r in spec.h_roots)
+    return CosetSpace(algebra, name, h_basis, spec.cartan_h, h_root_vectors, **kw)
+
+
+def _embed(algebra: RealizedAlgebra, tv: TVec) -> AlgebraElement:
+    """The matrix element of a Cartan vector."""
+    return algebra.cartan_embed(list(tv.factors), np.array([float(x) for x in tv.abelian]))
 
 
 def rank_check(space: CosetSpace):
@@ -384,10 +359,7 @@ def preset_sphere_un(n: int) -> CosetSpace:
     block = [sparse_tvec("A", n - 1, (i, 1), (j, -1))
              for i in range(1, n) for j in range(i + 1, n)]
     sub = SubalgebraSpec(cartan_h=tuple(cart), h_roots=tuple((0, r) for r in block))
-    return build_coset(
-        alg, sub, name=f"S^{2*n-1} = U({n})/U({n-1})",
-        h_root_vectors=_negclose(lift_root(spec, 0, r) for r in block),
-    )
+    return build_coset(alg, sub, name=f"S^{2*n-1} = U({n})/U({n-1})")
 
 
 def _subblock_roots(family: str, n: int, lo: int) -> list:
@@ -411,10 +383,7 @@ def preset_sphere_spn_u1(n: int) -> CosetSpace:
     cart += [lift_root(spec, 0, sparse_tvec("C", n, (i, 1))) for i in range(1, n)]
     block = _subblock_roots("C", n, 1)
     sub = SubalgebraSpec(cartan_h=tuple(cart), h_roots=tuple((0, r) for r in block))
-    return build_coset(
-        alg, sub, name=f"S^{4*n-1} = Sp({n})U(1)/Sp({n-1})U(1)",
-        h_root_vectors=_negclose(lift_root(spec, 0, r) for r in block),
-    )
+    return build_coset(alg, sub, name=f"S^{4*n-1} = Sp({n})U(1)/Sp({n-1})U(1)")
 
 
 def preset_sphere_spn_sp1(n: int) -> CosetSpace:
@@ -451,10 +420,7 @@ def preset_aloff_wallach(k: int, l: int) -> CosetSpace:
     v1 = tvec_from_parts(spec, {0: [k, l, -k - l]})
     v2 = tvec_from_parts(spec, {0: [k + 2 * l, -2 * k - l, k - l]}, abelian=[1])
     sub = SubalgebraSpec(cartan_h=(v1, v2))
-    return build_coset(
-        alg, sub, name=f"Aloff-Wallach U(3)/T^2 (k={k}, l={l})",
-        h_root_vectors=(),
-    )
+    return build_coset(alg, sub, name=f"Aloff-Wallach U(3)/T^2 (k={k}, l={l})")
 
 
 def preset_berger_sp2() -> CosetSpace:
@@ -520,7 +486,6 @@ def preset_bn_excluded_subcase1(n: int) -> CosetSpace:
     sub = SubalgebraSpec(cartan_h=tuple(cart), h_roots=tuple((0, r) for r in block))
     return build_coset(
         alg, sub, name=f"SO({2*n+1})/SO({2*n-1}) zero-curvature witness",
-        h_root_vectors=_negclose(lift_root(spec, 0, r) for r in block),
         witness_planes={"u": (0, sparse_tvec("B", n, (0, 1), (1, 1))),
                         "v": (0, sparse_tvec("B", n, (0, -1), (1, 1)))},
     )
@@ -537,7 +502,6 @@ def preset_a1a1_diagonal(c) -> CosetSpace:
     sub = SubalgebraSpec(cartan_h=tuple(cart))
     return build_coset(
         alg, sub, name=f"SU(2)xSU(2)/U(1) (c={c})",
-        h_root_vectors=(),
         witness_planes={"u": (0, root("A", 1, 1, -1)), "v": (1, root("A", 1, 1, -1))},
     )
 
@@ -554,7 +518,6 @@ def preset_cn_excluded_subcase1(n: int) -> CosetSpace:
     sub = SubalgebraSpec(cartan_h=tuple(cart), h_roots=tuple((0, r) for r in block))
     return build_coset(
         alg, sub, name=f"Sp({n})/Sp(1)Sp({n-2})-type zero-curvature witness",
-        h_root_vectors=_negclose(lift_root(spec, 0, r) for r in block),
         witness_planes={"u": (0, sparse_tvec("C", n, (0, 2))),
                         "v": (0, sparse_tvec("C", n, (1, 2)))},
     )
@@ -588,7 +551,7 @@ def preset(name: str, *params) -> CosetSpace:
     return fn(*params)
 
 
-def space_from_json(obj: dict, name: str = "from file") -> CosetSpace:
+def space_from_json(obj: dict) -> CosetSpace:
     """Build a coset space from the space-definition JSON schema.
 
     Fails closed with ValueError on a malformed schema, on a block whose
@@ -614,10 +577,8 @@ def space_from_json(obj: dict, name: str = "from file") -> CosetSpace:
         extra = [_generator_from_json(alg, gen) for gen in obj.get("extra_generators", [])]
         more = obj.get("h_root_vectors")
         if more is not None:
-            hvecs = _negclose([tvec_from_json(spec, tv) for tv in more])
-        else:
-            hvecs = _negclose([lift_root(spec, f, r) for f, r in h_roots])
-        name = obj.get("name", name)
+            more = _negclose([tvec_from_json(spec, tv) for tv in more])
+        name = obj.get("name", "from file")
     except (KeyError, TypeError, AttributeError, IndexError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed space file: {type(exc).__name__}: {exc}") from None
     for k, x in enumerate(extra):
@@ -626,7 +587,7 @@ def space_from_json(obj: dict, name: str = "from file") -> CosetSpace:
             raise ValueError(f"extra generator {k} does not lie in g: residual {resid:.2e}")
     sub = SubalgebraSpec(cartan_h=cartan_h, h_roots=tuple(h_roots),
                          extra_generators=tuple(extra))
-    return build_coset(alg, sub, name=name, h_root_vectors=hvecs)
+    return build_coset(alg, sub, name=name, h_root_vectors=more)
 
 
 def _generator_from_json(alg: RealizedAlgebra, gen: dict) -> AlgebraElement:

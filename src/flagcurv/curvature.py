@@ -31,14 +31,15 @@ from typing import Optional
 
 import numpy as np
 
-from .coset import CosetSpace
-from .norms import MinkowskiNorm, _dot
+from .coset import CosetSpace, _m_rows
+from .norms import MinkowskiNorm, _dot, random_invariant_norm
 
 ETA_ZERO_TOL = 1e-10
 COMMUTE_TOL = 1e-10
 ETA_HYP_TOL = 1e-8
 DEGENERATE_TOL = 1e-10
 FD_POLE_STEP = 1e-5
+ZERO_K_TOL = 1e-8  # |K| below which sample_flags reports a zero flag
 CHUNK = 64  # most candidate flags sample_flags evaluates as one stack
 NOT_POSITIVE = "Hessian Gram matrix not positive definite"
 DEGENERATE = "degenerate flag: pole and direction nearly dependent"
@@ -154,15 +155,6 @@ class CurvatureEngine:
         np_, nm_ = (self.connection_n(p[0], w, _frame=p) for p in poles)
         h2 = np.where(h > 0, h, 1.0)[:, None]
         return np.where(h[:, None] > 0, speed[:, None] * (np_ - nm_) / (2.0 * h2), 0.0)
-
-    def riemann_quadratic(self, u: np.ndarray, w: np.ndarray):
-        """<R_u(w), w>_u via the invariant-frame curvature formula."""
-        single = np.ndim(u) == 1
-        u, w = (np.atleast_2d(np.asarray(t, dtype=float)) for t in (u, w))
-        ok, q, *_ = self._riemann_quadratic(u, w, self._gram(u))
-        if not np.all(ok):
-            raise ValueError(NOT_POSITIVE)
-        return float(q[0]) if single else q
 
     def _riemann_quadratic(self, u, w, g):
         """<R_u(w), w>_u for stacks u, w (Gram matrices g at u).  Returns the
@@ -308,10 +300,8 @@ def exclusion_witness_pair(space: CosetSpace, norm: MinkowskiNorm):
     witness plane, v is picked in the second with <u', v>_u = 0."""
     if not space.witness_planes:
         raise ValueError(f"space {space.name!r} has no exclusion witness")
-    fu, ru = space.witness_planes["u"]
-    fv, rv_ = space.witness_planes["v"]
-    ub = space.plane_m_part(fu, ru)
-    vb = space.plane_m_part(fv, rv_)
+    ub = _m_rows(space, [space.witness_planes["u"]])
+    vb = _m_rows(space, [space.witness_planes["v"]])
     if len(ub) != 2 or len(vb) != 2:
         raise AssertionError("witness planes are not fully contained in m")
     u, uprime = ub
@@ -325,13 +315,10 @@ def exclusion_witness_pair(space: CosetSpace, norm: MinkowskiNorm):
     return u, v
 
 
-def verify_exclusion_witness(space: CosetSpace, seed: int = 0,
-                             norm: Optional[MinkowskiNorm] = None) -> dict:
+def verify_exclusion_witness(space: CosetSpace, seed: int = 0) -> dict:
     """Check |U(u,v)| and both curvature evaluations on the witness pair
-    under a random reversible invariant norm (or a supplied one)."""
-    from .norms import random_invariant_norm
-
-    nrm = norm if norm is not None else random_invariant_norm(space, seed)
+    under a random reversible invariant norm."""
+    nrm = random_invariant_norm(space, seed)
     eng = CurvatureEngine(space, nrm)
     u, v = exclusion_witness_pair(space, nrm)
     uu = eng.u_map(u, v)
@@ -347,8 +334,7 @@ def verify_exclusion_witness(space: CosetSpace, seed: int = 0,
     }
 
 
-def sample_flags(space: CosetSpace, norm: MinkowskiNorm, n: int, seed: int,
-                 zero_tol: float = 1e-8) -> dict:
+def sample_flags(space: CosetSpace, norm: MinkowskiNorm, n: int, seed: int) -> dict:
     """Random-flag curvature sampling report, deterministic for a given
     seed.  Candidate pairs come from one seeded stream, at most 2n+8 of
     them.  They are evaluated in stacks of the current shortfall (at most
@@ -378,7 +364,7 @@ def sample_flags(space: CosetSpace, norm: MinkowskiNorm, n: int, seed: int,
         "K_min": min(r.k for r in reps),
         "K_max": max(r.k for r in reps),
         "zero_flags": [{"u": u.tolist(), "v": v.tolist(), "K": r.k}
-                       for u, v, r in zip(us, vs, reps) if abs(r.k) < zero_tol],
+                       for u, v, r in zip(us, vs, reps) if abs(r.k) < ZERO_K_TOL],
         "method_agreement_max_rel_err": max(agree) if agree else None,
         "candidates_evaluated": evaluated,
         "rejected": evaluated - len(reps),

@@ -161,10 +161,10 @@ class RealizedAlgebra:
     def from_blocks(self, blocks, abelian=None) -> AlgebraElement:
         return AlgebraElement(self, blocks, abelian)
 
-    def single_block(self, factor: int, block, abelian=None) -> AlgebraElement:
+    def single_block(self, factor: int, block) -> AlgebraElement:
         blocks = [f.zero_block() for f in self.factors]
         blocks[factor] = block
-        return AlgebraElement(self, blocks, abelian)
+        return AlgebraElement(self, blocks)
 
     def abelian_unit(self, k: int) -> AlgebraElement:
         v = np.zeros(self.spec.abelian_dim)

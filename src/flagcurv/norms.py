@@ -28,6 +28,8 @@ FD_REL_STEP = 1e-5
 GENERIC_REL_STEP = float(np.finfo(float).eps) ** 0.25
 # singular values below this bound span the Ad(h)-invariant null spaces
 NULL_TOL = 1e-8
+INVARIANCE_SAMPLES = 20  # (y, u, v) draws of check_invariance
+QUARTIC_TERMS = 3  # quadratics of a random_invariant_norm
 
 
 class MinkowskiNorm:
@@ -53,14 +55,6 @@ class MinkowskiNorm:
     def cartan3(self, y, u, v, w) -> float:
         """Cartan tensor C_y(u,v,w), linear in w."""
         return float(self.cartan_vec(y, u, v) @ np.asarray(w, dtype=float))
-
-    def rescale(self, lam: float) -> "MinkowskiNorm":
-        """The norm lam*F."""
-        raise NotImplementedError
-
-    def g_inner(self, y, u, v) -> float:
-        g = self.gram(np.asarray(y, dtype=float))
-        return float(np.asarray(u) @ g @ np.asarray(v))
 
 
 def _check_nonzero(y: np.ndarray):
@@ -102,9 +96,6 @@ class Quadratic(MinkowskiNorm):
     def cartan_vec(self, y, u, v) -> np.ndarray:
         _check_nonzero(np.asarray(y))
         return np.zeros(np.broadcast_shapes(np.shape(y), np.shape(u), np.shape(v)))
-
-    def rescale(self, lam: float) -> "Quadratic":
-        return Quadratic(lam ** 2 * self.q)
 
     def to_json(self):
         return {"family": "quadratic", "gram": self.q.tolist()}
@@ -155,9 +146,6 @@ class Randers(MinkowskiNorm):
         by, bu, bv = (_dot(self.b, t)[..., None] for t in (y, u, v))
         val = 2.0 * (by * d3 + d2uv * self.b + d2u * bv + d2v * bu)
         return 0.25 * val
-
-    def rescale(self, lam: float) -> "Randers":
-        return Randers(lam ** 2 * self.q, lam * self.b)
 
     def to_json(self):
         return {"family": "randers", "gram": self.q.tolist(), "b": self.b.tolist()}
@@ -218,9 +206,6 @@ class Quartic(MinkowskiNorm):
         term -= (d2uv * dp + d2u * dv + d2v * du) / (4.0 * p * sp)
         term += 3.0 * du * dv * dp / (8.0 * p ** 2 * sp)
         return 0.25 * term
-
-    def rescale(self, lam: float) -> "Quartic":
-        return Quartic(lam ** 4 * self.weights, [q.copy() for q in self.qs])
 
     def to_json(self):
         return {
@@ -293,9 +278,6 @@ class GenericNorm(MinkowskiNorm):
         if y.ndim > 1:  # one point per row
             return np.array([self.cartan_vec(*r) for r in zip(y, u, v)]).reshape(y.shape)
         return np.array([self.cartan3(y, u, v, e) for e in np.eye(self.dim)])
-
-    def rescale(self, lam: float) -> "GenericNorm":
-        return GenericNorm(lambda y: lam * self.fn(y), self.dim, self.reversible, self.rel_step)
 
 
 # ---------------------------------------------------------------------------
@@ -403,17 +385,16 @@ def norm_to_json_str(norm: MinkowskiNorm) -> str:
 # Invariance
 # ---------------------------------------------------------------------------
 
-def check_invariance(norm: MinkowskiNorm, space, n_samples: int = 20,
-                     seed: int = 0) -> dict:
+def check_invariance(norm: MinkowskiNorm, space) -> dict:
     """Infinitesimal invariance of the norm under the h-action on m.
 
     Verifies <[h,u],v>_y + <u,[h,v]>_y + 2 C_y([h,y],u,v) = 0 over the
     h-basis and random y, u, v; returns the max residual (scale-normalized).
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     _, _, Kh = space.structure_tensors()
     # one (y, u, v) draw per sample, y normalized; rows a run over the h-basis
-    y, u, v = np.moveaxis(rng.standard_normal((n_samples, 3, space.dim_m)), 1, 0)
+    y, u, v = np.moveaxis(rng.standard_normal((INVARIANCE_SAMPLES, 3, space.dim_m)), 1, 0)
     y = y / np.linalg.norm(y, axis=-1, keepdims=True)
     g = norm.gram(y)
     hy, hu, hv = (np.einsum("akl,nl->nak", Kh, t) for t in (y, u, v))
@@ -421,10 +402,10 @@ def check_invariance(norm: MinkowskiNorm, space, n_samples: int = 20,
          + 2.0 * np.einsum("nk,nak->na", norm.cartan_vec(y, u, v), hy))
     scale = np.maximum(np.abs(g).max(axis=(1, 2)), 1.0)[:, None]
     return {"max_residual": float(np.max(np.abs(r) / scale, initial=0.0)),
-            "samples": n_samples}
+            "samples": INVARIANCE_SAMPLES}
 
 
-def invariant_quadratic_space(space, tol: float = NULL_TOL) -> list:
+def invariant_quadratic_space(space) -> list:
     """Basis of Ad(h)-invariant symmetric forms on m: symmetric matrices
     commuting with every ad(h)|_m (the m-basis is bi-invariant orthonormal,
     so ad(h)|_m is skew and invariance reads [ad(h), S] = 0)."""
@@ -439,7 +420,7 @@ def invariant_quadratic_space(space, tol: float = NULL_TOL) -> list:
     # thin SVD unless the stack is short (h = 0), where only the full one
     # returns the null-space rows of vt
     _, sv, vt = np.linalg.svd(stack, full_matrices=stack.shape[0] < stack.shape[1])
-    null = vt[[k for k in range(vt.shape[0]) if (sv[k] if k < len(sv) else 0.0) < tol]]
+    null = vt[[k for k in range(vt.shape[0]) if (sv[k] if k < len(sv) else 0.0) < NULL_TOL]]
     S = np.zeros((len(null), d, d))
     S[:, iu, ju] += null
     S[:, ju, iu] += np.where(iu != ju, null, 0.0)
@@ -457,20 +438,20 @@ def invariant_vectors(space) -> np.ndarray:
     return vt[sv < NULL_TOL]
 
 
-def random_invariant_norm(space, seed: int, k: int = 3) -> Quartic:
-    """Deterministic reversible quartic norm built from random positive
-    combinations of Ad(h)-invariant quadratics (each made positive
+def random_invariant_norm(space, seed: int) -> Quartic:
+    """Deterministic reversible quartic norm built from QUARTIC_TERMS random
+    positive combinations of Ad(h)-invariant quadratics (each made positive
     definite by an identity shift)."""
     rng = np.random.default_rng(seed)
     basis = invariant_quadratic_space(space)
     d = space.dim_m
     qs = []
-    for _ in range(k):
+    for _ in range(QUARTIC_TERMS):
         coeffs = rng.standard_normal(len(basis))
         S = sum(c * B for c, B in zip(coeffs, basis))
         S = 0.5 * (S + S.T)
         lo = float(np.linalg.eigvalsh(S).min())
         S = S + (abs(lo) + 0.35 + 0.4 * rng.random()) * np.eye(d)
         qs.append(S)
-    weights = 0.25 + rng.random(k)
+    weights = 0.25 + rng.random(QUARTIC_TERMS)
     return Quartic(weights, qs)

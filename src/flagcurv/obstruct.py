@@ -12,9 +12,9 @@ A root-level space is the datum (spec, w, Delta_h, assignment): the
 algebra g, one vector w spanning t cap m (the rank setting
 rk G = rk H + 1), the isotropy roots and the plane assignment.  Every
 projection to t cap h is the exact one along w.  The searches compare the
-integral projection P(v) = c v - D(w, v) w, where D is the integer Gram
-form of an integral multiple of w and c = D(w, w) > 0, so P = c pr_h; an
-h-root x enters those comparisons as c x.
+integral projection P(v) = c v - D(w, v) w (`rootsys.t_cap_h_projection`,
+one per (spec, w)): D is the integer Gram form of an integral multiple of
+w and c = D(w, w) > 0, so P = c pr_h, and an h-root x enters as c x.
 
 A RootLevelSpace may carry *partial* knowledge of the isotropy root system
 Delta_h (a verified lower bound); every rule used on such spaces is sound
@@ -30,7 +30,6 @@ import functools
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import lcm
 from operator import add, sub
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
@@ -39,13 +38,13 @@ from .rootsys import (
     AlgebraSpec,
     TVec,
     _normalize_family,
-    _num,
     angle as root_angle,
     build_root_system,
     lattice_block,
     lift_root,
     solve_exact,
     sparse_tvec,
+    t_cap_h_projection,
     tvec_dot,
     tvec_from_parts,
     unit_spec,
@@ -120,31 +119,9 @@ class RootLevelSpace:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        d = lcm(*(x.denominator for x in self.w))
-        wi = [int(x * d) for x in self.w]  # an integral multiple of w
-        gram = self.spec.gram
-        self._wi = tuple((i, x) for i, x in enumerate(wi) if x)
-        self._wd = tuple((i, gram[i] * x) for i, x in self._wi)
-        self.pr_scale = sum(x * wi[i] for i, x in self._wd)  # c = D(w, w)
-        if not self.pr_scale:
-            raise ValueError("t cap m needs a nonzero generator w")
-
-    def _dw(self, v) -> int:
-        """D(w, v): the Gram form of the integral w against v."""
-        return sum(x * v[i] for i, x in self._wd)
-
-    def scaled(self, v) -> tuple:
-        """P(v) = c pr_h(v) = c v - D(w, v) w, integral for a lattice v."""
-        out = [self.pr_scale * x for x in v]
-        d = self._dw(v)
-        if d:
-            for i, x in self._wi:
-                out[i] -= d * x
-        return tuple(out)
-
-    def unscaled(self, p) -> TVec:
-        """The vector p / c of t (the inverse of the scaling in P)."""
-        return self.spec.tvec(_num(Fraction(x, self.pr_scale)) for x in p)
+        proj = self.projection = t_cap_h_projection(self.spec, (self.w,))
+        self.pr_scale = proj.scale  # c = D(w, w)
+        self.scaled, self.unscaled, self.in_t_h = proj.scaled, proj.unscaled, proj.in_t_h
 
     @property
     def g_roots(self) -> tuple:
@@ -156,7 +133,7 @@ class RootLevelSpace:
 
     def pr_h(self, v: TVec) -> TVec:
         """Exact projection of v in t onto t cap h: v - (<w,v>/<w,w>) w."""
-        return self.unscaled(self.scaled(v))
+        return self.projection.pr_h(v)
 
     def pr_roots(self) -> dict:
         """The table root -> P(root), in root order."""
@@ -182,10 +159,6 @@ class RootLevelSpace:
         if hs is None:
             hs = self._cache[key] = frozenset(_times(self.pr_scale, x) for x in self.h_roots)
         return hs
-
-    def in_t_h(self, v: TVec) -> bool:
-        """Whether v in t lies in t cap h, i.e. is orthogonal to w."""
-        return not self._dw(v)
 
 
 def make_root_level_space(spec: AlgebraSpec, w: TVec,
@@ -346,6 +319,9 @@ def angle_lemma_check(space: RootLevelSpace, alpha: TVec, beta: TVec) -> bool:
 # Propagation
 # ---------------------------------------------------------------------------
 
+MAX_ROUNDS = 60  # rounds of all rules before propagate_assignment gives up
+
+
 class PropagationContradiction(Exception):
     def __init__(self, trace):
         super().__init__(trace[-1] if trace else "contradiction")
@@ -360,8 +336,7 @@ def _crystallographic_ok(spec: AlgebraSpec, x: Sequence, r: Sequence) -> bool:
     return not xr or all((2 * xr / tvec_dot(spec, y, y)).denominator == 1 for y in (r, x))
 
 
-def propagate_assignment(space: RootLevelSpace, rule_order: Optional[list] = None,
-                         max_rounds: int = 60):
+def propagate_assignment(space: RootLevelSpace, rule_order: Optional[list] = None):
     """Fixpoint of the membership rules; returns (space', trace) or raises
     PropagationContradiction.
 
@@ -487,7 +462,7 @@ def propagate_assignment(space: RootLevelSpace, rule_order: Optional[list] = Non
 
     rules = {"a": rule_a, "pin": rule_pin, "e": rule_e, "bc": rule_bc, "f": rule_f}
     order = rule_order or ["a", "pin", "e", "bc", "f"]
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         changed = False
         for name in order:
             changed |= rules[name]()
@@ -658,8 +633,6 @@ def case3_space(family: str, rank: int, alpha: TVec, beta: TVec,
     is seeded with the common projection (a verified lower bound for any
     isotropy algebra realizing the datum)."""
     sp = make_root_level_space(unit_spec(((family, rank),)), alpha - beta, name=name)
-    if sp.scaled(alpha) != sp.scaled(beta):
-        raise AssertionError("subcase datum is inconsistent")
     ap = sp.pr_h(alpha)
     return replace(sp, h_roots=frozenset({ap, -ap}))
 
@@ -971,8 +944,6 @@ def case2_space(g2_family: str, g2_rank: int, beta: TVec,
     sp = make_root_level_space(spec, alpha - lb, name=name)
     hset = {sp.pr_h(alpha), -sp.pr_h(alpha)}
     hset.update(r for r in sp.root_data.factor_roots[1] if sp.in_t_h(r))
-    if sp.scaled(alpha) != sp.scaled(lb):
-        raise AssertionError("case-II datum inconsistent")
     return replace(sp, h_roots=frozenset(hset))
 
 

@@ -15,7 +15,9 @@ simple factor is the TVec of the factor's unit spec, and `tvec_dot`,
 `angle`, `weyl_reflect` and `is_root` reject vectors of other weights.
 
 The lattice's boundary is here too: root lifts, exact input checked
-against the position surds, and JSON.  Lattice arithmetic uses only ints
+against the position surds, and JSON; so is the one exact projection of t
+to t cap h along t cap m (`t_cap_h_projection`), which the coset and the
+root-level spaces share.  Lattice arithmetic uses only ints
 and Fractions.  QNum, a plain value of the field Q(sqrt2, sqrt3), only
 reads the {"a","b","c","d"} coordinates of JSON input and is the tests'
 oracle; `verify` never builds one, and `lattice_block` and `lattice_json`
@@ -125,9 +127,6 @@ class QNum:
     # -- comparisons ----------------------------------------------------
     def is_zero(self) -> bool:
         return not (self.a or self.b or self.c or self.d)
-
-    def is_rational(self) -> bool:
-        return not (self.b or self.c or self.d)
 
     def sign(self) -> int:
         """Exact sign by the field tower, with no float shortcut.
@@ -575,12 +574,6 @@ class RootSystem:
             "roots": [list(map(lattice_json, r, k)) for r in self.roots],
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "RootSystem":
-        fam, rank = obj["family"], obj["rank"]
-        return RootSystem(fam, rank, tuple(root(fam, rank, *map(QNum.from_json, r))
-                                           for r in obj["roots"]))
-
 
 def build_root_system(family: str, rank: int, _relaxed: bool = False) -> RootSystem:
     """Build the root system of a compact simple Lie algebra.
@@ -747,3 +740,65 @@ def exact_inverse(rows: Sequence[Sequence]) -> list:
     if len(_row_reduce(m, n)) < n:
         raise ArithmeticError("matrix is singular")
     return [[_num(Fraction(x, row[i])) for x in row[n:]] for i, row in enumerate(m)]
+
+
+# -- the projection of t onto t cap h along t cap m ---------------------------
+
+@dataclass(frozen=True, eq=False)
+class Projection:
+    """P(v) = c v - sum_j D(w_j, v) u_j, where D is the integer Gram form
+    of the spec, the w_j are integral multiples of a basis of t cap m, G =
+    [D(w_i, w_j)], c is the least positive integer with c G^-1 integral
+    and u = c G^-1 w.  So P = c pr_h, the projection to t cap h along
+    t cap m times c, and P is integral on the lattice.  One w gives c =
+    D(w, w) and u = w; an empty basis gives the identity."""
+
+    spec: AlgebraSpec
+    scale: int     # c
+    terms: tuple   # per j: the nonzero (i, D-weight of w_j at i), then of u_j
+
+    def scaled(self, v) -> tuple:
+        """P(v), integral for a lattice v."""
+        out = [self.scale * x for x in v]
+        for form, u in self.terms:
+            d = sum(x * v[i] for i, x in form)
+            if d:
+                for i, x in u:
+                    out[i] -= d * x
+        return tuple(out)
+
+    def unscaled(self, p) -> TVec:
+        """The vector p / c of t (the inverse of the scaling in P)."""
+        return self.spec.tvec(_num(Fraction(x, self.scale)) for x in p)
+
+    def pr_h(self, v) -> TVec:
+        """The exact projection of v to t cap h along t cap m."""
+        return self.unscaled(self.scaled(v))
+
+    def in_t_h(self, v) -> bool:
+        """Whether v lies in t cap h, i.e. is orthogonal to t cap m."""
+        for form, _ in self.terms:
+            if sum(x * v[i] for i, x in form):
+                return False
+        return True
+
+
+@functools.lru_cache(maxsize=1024)
+def t_cap_h_projection(spec: AlgebraSpec, basis: tuple) -> Projection:
+    """The projection P of spec's t along t cap m = span(basis), built once
+    per (spec, basis); a dependent basis raises ArithmeticError."""
+    ws = []
+    for b in basis:
+        d = lcm(*(x.denominator for x in b))
+        ws.append([int(x * d) for x in b])
+    forms = [tuple((i, g * x) for i, (g, x) in enumerate(zip(spec.gram, w)) if x) for w in ws]
+    inv = exact_inverse([[sum(x * w[i] for i, x in f) for w in ws] for f in forms])
+    c = lcm(*(x.denominator for row in inv for x in row))
+    terms = []
+    for f, row in zip(forms, inv):
+        u = [0] * spec.dim  # u_j = sum_k (c G^-1)_jk w_k
+        for a, w in zip(row, ws):
+            a = c // a.denominator * a.numerator
+            u = [y + a * x for y, x in zip(u, w)]
+        terms.append((f, tuple((i, x) for i, x in enumerate(u) if x)))
+    return Projection(spec, c, tuple(terms))

@@ -1,15 +1,16 @@
-"""Tooling guard: every module-level function and class of `flagcurv` has a
-caller in the program.
+"""Tooling guard: every module-level function and class of `flagcurv`, and
+every method of its classes, has a caller in the program.
 
 A definition counts as called when a plain name or an attribute somewhere in
 `src/` or `demos/`, outside its own definition, spells its name.  Tests do
 not count: code that only tests reach is test surface.  Matching is by name,
 but an attribute such as `engine.eta` spells a module-level function only
 when no `src` class defines a method `eta`, so a free function that only
-forwards to a same-named method needs a call by its plain name.  EXEMPT
-names the definitions kept without a caller, each with its reason; an
-exemption whose name gains a caller or loses its definition fails too, so
-the list cannot go stale.
+forwards to a same-named method needs a call by its plain name.  Methods are
+reported as `Class.method`; dunders are exempt, since the interpreter calls
+them.  EXEMPT names the definitions kept without a caller, each with its
+reason; an exemption whose name gains a caller or loses its definition fails
+too, so the list cannot go stale.
 """
 
 import ast
@@ -23,43 +24,53 @@ EXEMPT = (
     ("fd_g_inner", "finite-difference oracle of the closed-form Hessians"),
     ("fd_cartan", "finite-difference oracle of the closed-form Cartan tensors"),
     ("tvec_to_json", "the lattice JSON form that exclusion certificates will hold"),
-    ("exact_inverse", "bench/tracer.py traces it as an exact solver"),
     ("norm_to_json_str", "the tests write norm files with it"),
     ("flag_curvature_commutative", "kept for flagcurv.__all__: the one-call form of "
      "the commutative-pair route; the program calls the CurvatureEngine method"),
 )
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def _uncalled(trees):
-    """Names of the module-level defs of the `src` trees that no tree names
-    outside the def itself.  An attribute names a module-level function only
-    when no `src` class defines a method of that name.  trees: (is_src,
-    tree) pairs."""
+    """Names of the module-level defs and the methods (as `Class.method`,
+    dunders left out) of the `src` trees that no tree names outside the def
+    itself.  An attribute names a module-level function only when no `src`
+    class defines a method of that name.  trees: (is_src, tree) pairs."""
     names = {}  # name -> ids of the nodes inside its definitions
-    functions, methods = set(), set()
+    methods = {}  # method name -> {"Class.method": ids of the nodes inside it}
+    functions = set()
     for is_src, tree in trees:
         for node in tree.body if is_src else ():
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(node, (*_DEFS, ast.ClassDef)):
                 names.setdefault(node.name, set()).update(id(n) for n in ast.walk(node))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, _DEFS):
                 functions.add(node.name)
         for node in ast.walk(tree) if is_src else ():
             if isinstance(node, ast.ClassDef):
-                methods.update(item.name for item in node.body
-                               if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
-    shadowed = functions & methods
+                for item in node.body:
+                    if isinstance(item, _DEFS):
+                        methods.setdefault(item.name, {})[f"{node.name}.{item.name}"] = \
+                            {id(n) for n in ast.walk(item)}
+    shadowed = functions & set(methods)
     called = set()
     for _, tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 name = node.id
-            elif isinstance(node, ast.Attribute) and node.attr not in shadowed:
+            elif isinstance(node, ast.Attribute):
                 name = node.attr
             else:
                 continue
-            if name in names and id(node) not in names[name]:
+            if name in names and id(node) not in names[name] \
+                    and (isinstance(node, ast.Name) or name not in shadowed):
                 called.add(name)
-    return sorted(set(names) - called)
+            called.update(key for key, ids in methods.get(name, {}).items()
+                          if id(node) not in ids)
+    defined = set(names).union(*(keys for m, keys in methods.items()
+                                 if not (m.startswith("__") and m.endswith("__"))))
+    return sorted(defined - called)
 
 
 def _program_trees():
@@ -89,3 +100,13 @@ def test_guard_sees_a_forwarder_shadowed_by_a_method():
     demo = ast.parse("from flagcurv import m\nfrom flagcurv.m import perimeter\n"
                      "m.area(m.Shape())\nperimeter(m.Shape())\n")
     assert _uncalled([(True, src), (False, demo)]) == ["area"]
+
+
+def test_guard_sees_an_uncalled_method():
+    """A method counts as called when code outside it spells its name; a
+    call from its own body does not, and dunders need no caller."""
+    src = ast.parse("class Shape:\n    def __init__(self):\n        self.n = 4\n"
+                    "    def area(self):\n        return self.area()\n"
+                    "    def perimeter(self):\n        return self.n\n")
+    demo = ast.parse("from flagcurv import m\nm.Shape().perimeter()\n")
+    assert _uncalled([(True, src), (False, demo)]) == ["Shape.area"]

@@ -14,7 +14,6 @@ from flagcurv.coset import (
     lift_root,
     orthocomplement_in_t,
     preset,
-    project_to_span,
     root,
     tvec_from_parts,
 )
@@ -27,6 +26,7 @@ from flagcurv.rootsys import (
     tvec_dot,
     tvec_to_json,
     weyl_reflect,
+    zero_tvec,
 )
 from flagcurv.obstruct import (
     PropagationContradiction,
@@ -53,6 +53,17 @@ from flagcurv.obstruct import (
     root_level_from_coset,
     verify_theorem,
 )
+
+
+def project_to_span(spec, span, v):
+    """Oracle: the orthogonal projection of v onto span(span), from its
+    Gram system solved exactly."""
+    out = zero_tvec(spec)
+    if span:
+        gram = [[tvec_dot(spec, a, b) for b in span] for a in span]
+        for c, a in zip(solve_exact(gram, [tvec_dot(spec, a, v) for a in span]), span):
+            out = out + a.scale(c)
+    return out
 
 
 # -- case detection ---------------------------------------------------------

@@ -81,7 +81,6 @@ def test_fast_paths_match_general_formulas(x, y):
     assert _coeffs(x + y) == tuple(s + t for s, t in zip(p, q))
     assert _coeffs(x - y) == tuple(s - t for s, t in zip(p, q))
     assert _coeffs(-x) == tuple(-s for s in p)
-    assert x.is_rational() == (p[1] == p[2] == p[3] == 0)
     assert x.is_zero() == (p == (0, 0, 0, 0))
     for z in (x, y, x * y, x + y, x - y, -x):
         assert hash(z) == hash(_coeffs(z))

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from flagcurv.rootsys import (
     AlgebraSpec,
     QNum,
-    RootSystem,
     angle,
     build_root_system,
     exact_inverse,
@@ -21,6 +20,8 @@ from flagcurv.rootsys import (
     root,
     root_sum_status,
     solve_exact,
+    t_cap_h_projection,
+    tvec_dot,
     tvec_from_parts,
     tvec_to_json,
     weyl_reflect,
@@ -180,9 +181,10 @@ def test_angles_stay_crystallographic():
 def test_serialization_roundtrip():
     rs = build_root_system("G2", 2)
     blob = json.dumps(rs.to_json(), sort_keys=True)
-    back = RootSystem.from_json(json.loads(blob))
-    assert set(back.roots) == set(rs.roots)
-    assert back.family == "G2" and back.rank == 2
+    back = json.loads(blob)
+    roots = [root(back["family"], back["rank"], *map(QNum.from_json, r)) for r in back["roots"]]
+    assert set(roots) == set(rs.roots)
+    assert back["family"] == "G2" and back["rank"] == 2
 
 
 # -- exact linear algebra ------------------------------------------------------
@@ -218,6 +220,38 @@ def test_exact_inverse_is_a_two_sided_identity(a):
     cols = [[inv[i][j] for i in range(n)] for j in range(n)]
     assert [_apply(a, c) for c in cols] == [[int(i == j) for i in range(n)]
                                            for j in range(n)]
+
+
+@pytest.mark.parametrize("basis", [
+    [],
+    [(0, 2, -1, 0, 0)],
+    [(1, -1, 0, 0, 0), (0, 0, 0, 1, 1)],
+    [(1, -1, 0, 0, 0), (1, 1, -2, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)],
+])
+def test_projection_kills_t_cap_m_and_scales_its_complement(basis):
+    """P(w) = 0 on t cap m = span(basis), P(v) = c v on its orthocomplement,
+    and c is the least positive integer that clears the inverse Gram
+    matrix (one vector w gives c = D(w, w))."""
+    spec = AlgebraSpec((("A", 2, Fraction(1)), ("B", 2, Fraction(2))))
+    basis = tuple(spec.tvec(b) for b in basis)
+    proj = t_cap_h_projection(spec, basis)
+    assert t_cap_h_projection(spec, basis) is proj
+    for w in basis:
+        assert not any(proj.scaled(w)) and not proj.in_t_h(w)
+    units = [spec.tvec(int(i == j) for j in range(spec.dim)) for i in range(spec.dim)]
+    rows = [[tvec_dot(spec, w, u) for u in units] for w in basis]
+    for v in (units if not basis else
+              [spec.tvec(c) for c in exact_nullspace(rows)]):
+        assert proj.scaled(v) == tuple(proj.scale * x for x in v) and proj.in_t_h(v)
+        assert proj.pr_h(v) == v
+    gram = [[sum(g * x * y for g, x, y in zip(spec.gram, a, b)) for b in basis] for a in basis]
+    inv = [x for row in exact_inverse(gram) for x in row] if basis else []
+    c = proj.scale
+    assert all(Fraction(c * x).denominator == 1 for x in inv)
+    assert not any(all(Fraction(c // p * x).denominator == 1 for x in inv)
+                   for p in range(2, c + 1) if c % p == 0)
+    if len(basis) < 2:
+        assert c == (gram[0][0] if basis else 1)
 
 
 @settings(max_examples=60, deadline=None)
