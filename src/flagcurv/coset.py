@@ -575,9 +575,9 @@ def space_from_json(obj: dict) -> CosetSpace:
                                  f"is not a root of factor {factor}")
             h_roots.append((factor, r))
         extra = [_generator_from_json(alg, gen) for gen in obj.get("extra_generators", [])]
-        more = obj.get("h_root_vectors")
-        if more is not None:
-            more = _negclose([tvec_from_json(spec, tv) for tv in more])
+        hvecs = obj.get("h_root_vectors")
+        if hvecs is not None:
+            hvecs = _negclose([tvec_from_json(spec, tv) for tv in hvecs])
         name = obj.get("name", "from file")
     except (KeyError, TypeError, AttributeError, IndexError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed space file: {type(exc).__name__}: {exc}") from None
@@ -587,7 +587,7 @@ def space_from_json(obj: dict) -> CosetSpace:
             raise ValueError(f"extra generator {k} does not lie in g: residual {resid:.2e}")
     sub = SubalgebraSpec(cartan_h=cartan_h, h_roots=tuple(h_roots),
                          extra_generators=tuple(extra))
-    return build_coset(alg, sub, name=name, h_root_vectors=more)
+    return build_coset(alg, sub, name=name, h_root_vectors=hvecs)
 
 
 def _generator_from_json(alg: RealizedAlgebra, gen: dict) -> AlgebraElement:

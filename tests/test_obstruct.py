@@ -115,6 +115,16 @@ def test_pr_h_matches_projection_onto_cartan_h(make):
     assert any(sp.in_t_h(r) for r in sp.g_roots)
 
 
+def test_copies_and_the_coset_share_one_projection():
+    """The projection is built once per (spec, basis of t cap m): a coset
+    space, its root-level space and their copies hold the same object."""
+    coset = preset("sphere_un", 3)
+    sp = root_level_from_coset(coset)
+    assert sp.projection is coset.projection
+    assert replace(sp, assignment={}).projection is sp.projection
+    assert sp.pr_scale == sp.projection.scale
+
+
 def test_unequal_factor_scales_group_by_the_exact_projection():
     # A1 (scale 1) + A1 (scale 2) with w = alpha - beta: pr_h(alpha) ==
     # pr_h(beta) in the scaled form, a cross-factor pair on an h-root
