@@ -755,7 +755,7 @@ class Projection:
 
     spec: AlgebraSpec
     scale: int     # c
-    terms: tuple   # per j: the nonzero (i, D-weight of w_j at i), then of u_j
+    terms: tuple   # per j: the nonzero (i, gram_i w_j[i]), then the nonzero (i, u_j[i])
 
     def scaled(self, v) -> tuple:
         """P(v), integral for a lattice v."""
