@@ -7,25 +7,19 @@ Three built-in families, all with closed-form derivatives:
   Quartic(w_k, Q_k)       F(y) = (sum_k w_k (y'Q_k y)^2)^(1/4)  (reversible)
 
 The Quartic family is positive definite whenever every Q_k is; it is this
-library's reversible non-Riemannian test family.  A GenericNorm wrapper
-provides finite-difference derivatives (central differences, relative step
-eps^(1/4), one Richardson level) for user-supplied norm callables; the same
-machinery doubles as an independent cross-check oracle in the tests.
+library's reversible non-Riemannian test family.  The module also checks
+Ad(H)-invariance, builds the Ad(h)-invariant symmetric forms on m, draws
+seeded invariant norms from them and reads and writes norm JSON.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-FD_REL_STEP = 1e-5
-# float64 second differences of F^2 carry roundoff of about eps F^2 / h^2;
-# balancing it against the O(h^2) truncation of one central difference
-# gives a relative step of eps^(1/4) (about 1.2e-4).
-GENERIC_REL_STEP = float(np.finfo(float).eps) ** 0.25
 # singular values below this bound span the Ad(h)-invariant null spaces
 NULL_TOL = 1e-8
 INVARIANCE_SAMPLES = 20  # (y, u, v) draws of check_invariance
@@ -33,28 +27,14 @@ QUARTIC_TERMS = 3  # quadratics of a random_invariant_norm
 
 
 class MinkowskiNorm:
-    """Interface: value, gram (Hessian inner product matrix), cartan_vec;
-    cartan3 contracts cartan_vec with its last argument.  gram and
-    cartan_vec take one vector or a stack of them (leading axes), one
-    independent point per row."""
+    """Interface of the norm families: value(y); gram(y), the matrix of
+    <u,v>_y over the declared m-basis, (..., d, d); cartan_vec(y, u, v),
+    the vector (C_y(u,v,e_k))_k.  gram and cartan_vec take one vector or a
+    stack of them (leading axes), one independent point per row, and raise
+    ValueError at the origin."""
 
     dim: int
     reversible: bool
-
-    def value(self, y: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def gram(self, y: np.ndarray) -> np.ndarray:
-        """Matrix of <u,v>_y over the declared m-basis, (..., d, d)."""
-        raise NotImplementedError
-
-    def cartan_vec(self, y, u, v) -> np.ndarray:
-        """The vector (C_y(u,v,e_k))_k over the declared m-basis."""
-        raise NotImplementedError
-
-    def cartan3(self, y, u, v, w) -> float:
-        """Cartan tensor C_y(u,v,w), linear in w."""
-        return float(self.cartan_vec(y, u, v) @ np.asarray(w, dtype=float))
 
 
 def _check_nonzero(y: np.ndarray):
@@ -213,157 +193,6 @@ class Quartic(MinkowskiNorm):
             "weights": self.weights.tolist(),
             "quadratics": [q.tolist() for q in self.qs],
         }
-
-
-class GenericNorm(MinkowskiNorm):
-    """Wrap a positively 1-homogeneous callable; derivatives by central
-    finite differences with one Richardson extrapolation level."""
-
-    def __init__(self, fn: Callable[[np.ndarray], float], dim: int,
-                 reversible: bool = False, rel_step: float = GENERIC_REL_STEP):
-        self.fn = fn
-        self.dim = dim
-        self.reversible = reversible
-        self.rel_step = rel_step
-
-    def value(self, y) -> float:
-        return float(self.fn(np.asarray(y, dtype=float)))
-
-    def _f2(self, y):
-        v = self.fn(y)
-        return v * v
-
-    def _d2(self, y, u, v, h):
-        f = self._f2
-        return (
-            f(y + h * u + h * v) - f(y + h * u - h * v)
-            - f(y - h * u + h * v) + f(y - h * u - h * v)
-        ) / (4.0 * h * h)
-
-    def g_fd(self, y, u, v) -> float:
-        y = np.asarray(y, dtype=float)
-        _check_nonzero(y)
-        h = self.rel_step * np.linalg.norm(y)
-        a = self._d2(y, u, v, h)
-        b = self._d2(y, u, v, h / 2.0)
-        return 0.5 * (4.0 * b - a) / 3.0
-
-    def gram(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if y.ndim > 1:  # one point per row
-            return np.array([self.gram(r) for r in y]).reshape(y.shape + (self.dim,))
-        e = np.eye(self.dim)
-        g = np.zeros((self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                g[i, j] = g[j, i] = self.g_fd(y, e[i], e[j])
-        return g
-
-    def cartan3(self, y, u, v, w) -> float:
-        y = np.asarray(y, dtype=float)
-        _check_nonzero(y)
-        u, v, w = (np.asarray(t, dtype=float) for t in (u, v, w))
-        # direct 8-point stencil; nesting two central differences at the
-        # gram step would lose everything to roundoff
-        h = max(self.rel_step, 1e-3) * np.linalg.norm(y)
-        tot = 0.0
-        for su in (1.0, -1.0):
-            for sv in (1.0, -1.0):
-                for sw in (1.0, -1.0):
-                    tot += su * sv * sw * self._f2(y + h * (su * u + sv * v + sw * w))
-        return tot / (32.0 * h ** 3)
-
-    def cartan_vec(self, y, u, v) -> np.ndarray:
-        y, u, v = np.broadcast_arrays(*(np.asarray(t, dtype=float) for t in (y, u, v)))
-        if y.ndim > 1:  # one point per row
-            return np.array([self.cartan_vec(*r) for r in zip(y, u, v)]).reshape(y.shape)
-        return np.array([self.cartan3(y, u, v, e) for e in np.eye(self.dim)])
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference oracles (also used as the fallback path above).  For the
-# built-in families the oracle evaluates F^2 in extended precision so the
-# documented step FD_REL_STEP is not drowned by float64 cancellation;
-# other norms get the float64 path of GenericNorm at its own step
-# GENERIC_REL_STEP, since 1e-5 would leave float64 roundoff near 1e-5.
-# ---------------------------------------------------------------------------
-
-def _mp_f2(norm: MinkowskiNorm):
-    import mpmath
-    if isinstance(norm, Quadratic):
-        q = norm.q
-
-        def f2(z):
-            return sum(z[i] * sum(mpmath.mpf(q[i, j]) * z[j] for j in range(len(z)))
-                       for i in range(len(z)))
-        return f2
-    if isinstance(norm, Randers):
-        q, b = norm.q, norm.b
-
-        def f2(z):
-            quad = sum(z[i] * sum(mpmath.mpf(q[i, j]) * z[j] for j in range(len(z)))
-                       for i in range(len(z)))
-            lin = sum(mpmath.mpf(b[i]) * z[i] for i in range(len(z)))
-            return (mpmath.sqrt(quad) + lin) ** 2
-        return f2
-    if isinstance(norm, Quartic):
-        ws, qs = norm.weights, norm.qs
-
-        def f2(z):
-            p = mpmath.mpf(0)
-            for w, q in zip(ws, qs):
-                quad = sum(z[i] * sum(mpmath.mpf(q[i, j]) * z[j] for j in range(len(z)))
-                           for i in range(len(z)))
-                p += mpmath.mpf(w) * quad ** 2
-            return mpmath.sqrt(p)
-        return f2
-    return None
-
-
-def fd_g_inner(norm: MinkowskiNorm, y, u, v) -> float:
-    """Independent FD evaluation of <u,v>_y from norm values only."""
-    y = np.asarray(y, dtype=float)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    f2 = _mp_f2(norm)
-    if f2 is None:
-        return GenericNorm(norm.value, norm.dim, norm.reversible).g_fd(y, u, v)
-    import mpmath
-    with mpmath.workdps(40):
-        h0 = mpmath.mpf(FD_REL_STEP) * mpmath.mpf(float(np.linalg.norm(y)))
-        ym = [mpmath.mpf(t) for t in y]
-
-        def d2(h):
-            def at(su, sv):
-                z = [ym[i] + h * (su * mpmath.mpf(u[i]) + sv * mpmath.mpf(v[i]))
-                     for i in range(len(ym))]
-                return f2(z)
-            return (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / (4 * h * h)
-
-        a, b = d2(h0), d2(h0 / 2)
-        return float(0.5 * (4 * b - a) / 3)
-
-
-def fd_cartan(norm: MinkowskiNorm, y, u, v, w) -> float:
-    """Independent FD evaluation of C_y(u,v,w) from norm values only."""
-    y = np.asarray(y, dtype=float)
-    f2 = _mp_f2(norm)
-    if f2 is None:
-        return GenericNorm(norm.value, norm.dim, norm.reversible).cartan3(y, u, v, w)
-    import mpmath
-    u, v, w = (np.asarray(t, dtype=float) for t in (u, v, w))
-    with mpmath.workdps(40):
-        h = mpmath.mpf(FD_REL_STEP) * mpmath.mpf(float(np.linalg.norm(y)))
-        ym = [mpmath.mpf(t) for t in y]
-        tot = mpmath.mpf(0)
-        for su in (1, -1):
-            for sv in (1, -1):
-                for sw in (1, -1):
-                    z = [ym[i] + h * (su * mpmath.mpf(u[i]) + sv * mpmath.mpf(v[i])
-                                      + sw * mpmath.mpf(w[i]))
-                         for i in range(len(ym))]
-                    tot += su * sv * sw * f2(z)
-        return float(tot / (32 * h ** 3))
 
 
 def norm_from_json(obj) -> MinkowskiNorm:

@@ -320,9 +320,10 @@ def test_sampling_needs_a_positive_count(bn2, n):
 
 
 def test_connection_matches_scalar_cartan_loop(bn2, un3):
-    """The vector Cartan contraction in connection_n agrees with the
-    right-hand side built from d scalar cartan3 calls, each of which leaves
-    a different slot of the tensor open."""
+    """The vector Cartan contraction C_u(w, eta, .) in connection_n agrees
+    with the right-hand side built from the d values C_u(w, e_k, eta), each
+    a cartan_vec call contracted with eta, so the two leave different slots
+    of the tensor open."""
     b = un3.to_m(un3.embed(un3.t_m[0]))
     cases = [(bn2, random_invariant_norm(bn2, 5)), (un3, random_invariant_norm(un3, 2)),
              (un3, Randers(np.eye(un3.dim_m), 0.25 * b / np.linalg.norm(b)))]
@@ -336,7 +337,7 @@ def test_connection_matches_scalar_cartan_loop(bn2, un3):
             assert np.linalg.norm(e) > 1e-6
             Bu = np.einsum("j,ijk->ik", u, eng.Cm)
             Bw = np.einsum("j,ijk->ik", w, eng.Cm)
-            cart = np.array([norm.cartan3(u, w, ek, e) for ek in np.eye(sp.dim_m)])
+            cart = np.array([norm.cartan_vec(u, w, ek) @ e for ek in np.eye(sp.dim_m)])
             rhs = Bw @ (g @ u) + Bu @ (g @ w) + g @ eng.brm(w, u) - 2.0 * cart
             want = np.linalg.solve(g, 0.5 * rhs)
             got = eng.connection_n(u, w)

@@ -6,7 +6,9 @@ A definition counts as called when a plain name or an attribute somewhere in
 not count: code that only tests reach is test surface.  Matching is by name,
 but an attribute such as `engine.eta` spells a module-level function only
 when no `src` class defines a method `eta`, so a free function that only
-forwards to a same-named method needs a call by its plain name.  Methods are
+forwards to a same-named method needs a call by its plain name.  An attribute
+whose receiver is the plain name of a `src` class, such as `QNum.from_json`,
+spells only that class's method when the class defines one.  Methods are
 reported as `Class.method`; dunders are exempt, since the interpreter calls
 them.  EXEMPT names the definitions kept without a caller, each with its
 reason; an exemption whose name gains a caller or loses its definition fails
@@ -21,8 +23,6 @@ SRC = ROOT / "src" / "flagcurv"
 DEMOS = ROOT / "demos"
 EXEMPT = (
     ("__getattr__", "the package's PEP 562 hook: the interpreter calls it"),
-    ("fd_g_inner", "finite-difference oracle of the closed-form Hessians"),
-    ("fd_cartan", "finite-difference oracle of the closed-form Cartan tensors"),
     ("tvec_to_json", "the lattice JSON form that exclusion certificates will hold"),
     ("norm_to_json_str", "the tests write norm files with it"),
     ("flag_curvature_commutative", "kept for flagcurv.__all__: the one-call form of "
@@ -37,7 +37,9 @@ def _uncalled(trees):
     """Names of the module-level defs and the methods (as `Class.method`,
     dunders left out) of the `src` trees that no tree names outside the def
     itself.  An attribute names a module-level function only when no `src`
-    class defines a method of that name.  trees: (is_src, tree) pairs."""
+    class defines a method of that name, and only the receiver's method when
+    its receiver names a `src` class that defines one.  trees: (is_src, tree)
+    pairs."""
     names = {}  # name -> ids of the nodes inside its definitions
     methods = {}  # method name -> {"Class.method": ids of the nodes inside it}
     functions = set()
@@ -66,8 +68,12 @@ def _uncalled(trees):
             if name in names and id(node) not in names[name] \
                     and (isinstance(node, ast.Name) or name not in shadowed):
                 called.add(name)
-            called.update(key for key, ids in methods.get(name, {}).items()
-                          if id(node) not in ids)
+            owners = methods.get(name, {})
+            receiver = f"{node.value.id}.{name}" if isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) else None
+            if receiver in owners:  # `Class.method`: that class's own method only
+                owners = {receiver: owners[receiver]}
+            called.update(key for key, ids in owners.items() if id(node) not in ids)
     defined = set(names).union(*(keys for m, keys in methods.items()
                                  if not (m.startswith("__") and m.endswith("__"))))
     return sorted(defined - called)
@@ -110,3 +116,11 @@ def test_guard_sees_an_uncalled_method():
                     "    def perimeter(self):\n        return self.n\n")
     demo = ast.parse("from flagcurv import m\nm.Shape().perimeter()\n")
     assert _uncalled([(True, src), (False, demo)]) == ["Shape.area"]
+
+
+def test_guard_credits_only_the_receiver_class_method():
+    """`A.load()` calls A's method, not the same-named method of B."""
+    src = ast.parse("class A:\n    def load(self):\n        return 1\n"
+                    "class B:\n    def load(self):\n        return 2\n")
+    demo = ast.parse("from flagcurv.m import A, B\nA.load(B())\n")
+    assert _uncalled([(True, src), (False, demo)]) == ["B.load"]

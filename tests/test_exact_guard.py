@@ -7,9 +7,10 @@ import and any call of `float(...)`, `.floats()` or `lstsq`.
 `QNum.__float__`, which the tests compare with, is the only exemption; the
 matrix layers compute the float view of a lattice vector themselves.  The
 import-time relative imports of the two name only each other, so the exact
-verbs never load a matrix module (and numpy with it).  The classifier
-itself never touches QNum: `obstruct` does not name it, and the root data
-of every space the survivor lists build holds ints only.
+verbs never load a matrix module (and numpy with it).  No file of the
+package imports mpmath, a test-only dependency.  The classifier itself never
+touches QNum: `obstruct` does not name it, and the root data of every space
+the survivor lists build holds ints only.
 """
 
 import ast
@@ -90,12 +91,19 @@ def test_guard_sees_a_float_call():
     assert [what for _, what in _float_uses(tree)] == [".floats()", "float()", ".lstsq()"]
 
 
+def _importers(files, top):
+    """The files that import module `top` or one of its submodules."""
+    return [str(p) for p in files
+            if any(m.split(".")[0] == top for m in _imported_modules(ast.parse(p.read_text())))]
+
+
 def test_no_source_or_test_file_imports_scipy():
-    files = sorted(SRC.rglob("*.py")) + sorted(TESTS.rglob("*.py"))
-    offenders = [str(p) for p in files
-                 if any(m.split(".")[0] == "scipy"
-                        for m in _imported_modules(ast.parse(p.read_text())))]
-    assert offenders == []
+    assert _importers(sorted(SRC.rglob("*.py")) + sorted(TESTS.rglob("*.py")), "scipy") == []
+
+
+def test_no_source_file_imports_mpmath():
+    """mpmath is a test dependency: only the test oracles use it."""
+    assert _importers(sorted(SRC.glob("*.py")), "mpmath") == []
 
 
 @pytest.mark.parametrize("module", EXACT_FILES)

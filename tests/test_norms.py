@@ -5,15 +5,14 @@ import itertools
 import numpy as np
 import pytest
 
+from fd_oracles import fd_cartan, fd_g_inner
 from flagcurv.coset import preset
 from flagcurv.norms import (
-    GenericNorm,
+    MinkowskiNorm,
     Quadratic,
     Quartic,
     Randers,
     check_invariance,
-    fd_cartan,
-    fd_g_inner,
     invariant_quadratic_space,
     norm_from_json,
     norm_to_json_str,
@@ -39,7 +38,7 @@ def test_evaluate_examples():
     # a Euclidean norm: <u, v>_y = u.v and C_y = 0 at every y
     y, u, v, w = np.arange(1.0, 4.0), np.ones(3), np.eye(3)[0], np.eye(3)[1]
     assert u @ nq.gram(y) @ v == 1.0
-    assert nq.cartan3(y, u, v, w) == 0.0
+    assert nq.cartan_vec(y, u, v) @ w == 0.0
 
 
 def test_quadratic_gram_is_constant():
@@ -48,7 +47,7 @@ def test_quadratic_gram_is_constant():
     for _ in range(3):
         y = RNG.standard_normal(4)
         assert np.allclose(n.gram(y), q)
-        assert n.cartan3(y, RNG.standard_normal(4), y, y) == 0.0
+        assert n.cartan_vec(y, RNG.standard_normal(4), y) @ y == 0.0
 
 
 @pytest.mark.parametrize("make", [
@@ -85,7 +84,7 @@ def test_randers_gram_and_cartan_against_fd():
     for _ in range(6):
         y, u, v, w = (RNG.standard_normal(d) for _ in range(4))
         assert abs(u @ norm.gram(y) @ v - fd_g_inner(norm, y, u, v)) < 1e-8
-        assert abs(norm.cartan3(y, u, v, w) - fd_cartan(norm, y, u, v, w)) < 1e-6
+        assert abs(norm.cartan_vec(y, u, v) @ w - fd_cartan(norm, y, u, v, w)) < 1e-6
 
 
 @pytest.mark.parametrize("make", [
@@ -108,9 +107,9 @@ def test_cartan_symmetry_and_base_annihilation():
                  Quartic([1.0, 1.0], [_pd_matrix(d, RNG) for _ in range(2)])):
         for _ in range(4):
             y, u, v, w = (RNG.standard_normal(d) for _ in range(4))
-            vals = [norm.cartan3(y, *perm) for perm in itertools.permutations((u, v, w))]
+            vals = [norm.cartan_vec(y, a, b) @ c for a, b, c in itertools.permutations((u, v, w))]
             assert max(vals) - min(vals) < 1e-8 * max(1.0, abs(vals[0]))
-            assert abs(norm.cartan3(y, y, v, w)) < 1e-9
+            assert abs(norm.cartan_vec(y, y, v) @ w) < 1e-9
 
 
 def test_positive_definiteness_sampled():
@@ -147,38 +146,30 @@ def test_reversibility_flags():
     lambda d: Quadratic(_pd_matrix(d, RNG)),
     lambda d: Randers(_pd_matrix(d, RNG), 0.1 * RNG.standard_normal(d)),
     lambda d: Quartic(0.5 + RNG.random(3), [_pd_matrix(d, RNG) for _ in range(3)]),
-    lambda d: GenericNorm(Quartic([1.0, 2.0], [_pd_matrix(d, RNG), _pd_matrix(d, RNG)]).value, d),
-])
-def test_cartan_vec_matches_scalar_cartan(make):
+], ids=["Quadratic", "Randers", "Quartic"])
+def test_hessian_undefined_at_origin(make):
     d = 5
     norm = make(d)
-    for _ in range(3):
-        y, u, v = (RNG.standard_normal(d) for _ in range(3))
-        want = np.array([norm.cartan3(y, u, v, e) for e in np.eye(d)])
-        got = norm.cartan_vec(y, u, v)
-        assert got.shape == (d,)
-        assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
+    y, u, v = (RNG.standard_normal(d) for _ in range(3))
+    assert norm.cartan_vec(y, u, v).shape == (d,)
+    with pytest.raises(ValueError, match="origin"):
+        norm.gram(np.zeros(d))
     with pytest.raises(ValueError, match="origin"):
         norm.cartan_vec(np.zeros(d), u, v)
 
 
-def test_generic_norm_fd_fallback():
-    rng = np.random.default_rng(11)
-    d = 3
-    for _ in range(25):
-        ref = Quadratic(_pd_matrix(d, rng))
-        gen = GenericNorm(ref.value, d, reversible=True)
-        y, u, v, w = (rng.standard_normal(d) for _ in range(4))
-        assert abs(u @ gen.gram(y) @ v - u @ ref.gram(y) @ v) < 1e-6
-        assert abs(gen.cartan3(y, u, v, w)) < 1e-5
-        # no mpmath form for a GenericNorm: the oracle takes the float64 path
-        assert abs(fd_g_inner(gen, y, u, v) - u @ ref.gram(y) @ v) < 1e-6
+def test_fd_oracles_refuse_a_norm_without_an_extended_precision_form():
+    class Euclidean(MinkowskiNorm):
+        dim, reversible = 3, True
 
+        def value(self, y):
+            return float(np.linalg.norm(y))
 
-def test_hessian_undefined_at_origin():
-    n = Quartic([1.0], [np.eye(3)])
-    with pytest.raises(ValueError, match="origin"):
-        n.gram(np.zeros(3))
+    y, u, v = np.eye(3)
+    with pytest.raises(TypeError, match="Euclidean"):
+        fd_g_inner(Euclidean(), y, u, v)
+    with pytest.raises(TypeError, match="Euclidean"):
+        fd_cartan(Euclidean(), y, u, v, u)
 
 
 def test_json_roundtrip():
