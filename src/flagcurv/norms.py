@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 # singular values below this bound span the Ad(h)-invariant null spaces
 NULL_TOL = 1e-8
+MNTHR_RATIO = Fraction(11, 6)  # LAPACK dgesdd's MNTHR = INT(MINMN * 11 / 6)
 INVARIANCE_SAMPLES = 20  # (y, u, v) draws of check_invariance
 QUARTIC_TERMS = 3  # quadratics of a random_invariant_norm
 
@@ -196,14 +198,23 @@ class Quartic(MinkowskiNorm):
 
 
 def norm_from_json(obj) -> MinkowskiNorm:
-    fam = obj["family"]
-    if fam == "quadratic":
-        return Quadratic(np.array(obj["gram"]))
-    if fam == "randers":
-        return Randers(np.array(obj["gram"]), np.array(obj["b"]))
-    if fam == "quartic":
-        return Quartic(np.array(obj["weights"]), [np.array(q) for q in obj["quadratics"]])
-    raise ValueError(f"unknown norm family {fam!r}")
+    """Norm from its JSON form; ValueError on a malformed one (fails closed)."""
+    try:
+        fam = obj["family"]
+        if fam not in ("quadratic", "randers", "quartic"):
+            raise ValueError(f"unknown norm family {fam!r}")
+        qkey, vkey = ("quadratics", "weights") if fam == "quartic" else ("gram", "b")
+        qs = np.array(obj[qkey], dtype=float)
+        if qs.ndim != 2 + (fam == "quartic") or qs.shape[-1] != qs.shape[-2]:
+            raise ValueError(f"{qkey} has shape {qs.shape}, not that of square matrices")
+        if fam == "quadratic":
+            return Quadratic(qs)
+        vec = np.array(obj[vkey], dtype=float)
+        if vec.shape != (len(qs),):
+            raise ValueError(f"{vkey} has shape {vec.shape}, not ({len(qs)},)")
+        return Quartic(vec, list(qs)) if fam == "quartic" else Randers(qs, vec)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed norm file: {type(exc).__name__}: {exc}") from None
 
 
 def norm_to_json_str(norm: MinkowskiNorm) -> str:
@@ -220,6 +231,8 @@ def check_invariance(norm: MinkowskiNorm, space) -> dict:
     Verifies <[h,u],v>_y + <u,[h,v]>_y + 2 C_y([h,y],u,v) = 0 over the
     h-basis and random y, u, v; returns the max residual (scale-normalized).
     """
+    if norm.dim != space.dim_m:
+        raise ValueError(f"norm acts on R^{norm.dim}, but dim m = {space.dim_m}")
     rng = np.random.default_rng(0)
     _, _, Kh = space.structure_tensors()
     # one (y, u, v) draw per sample, y normalized; rows a run over the h-basis
@@ -234,6 +247,19 @@ def check_invariance(norm: MinkowskiNorm, space) -> dict:
             "samples": INVARIANCE_SAMPLES}
 
 
+def _null_rows(stack: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the null space of stack (singular values below
+    NULL_TOL), all of R^n for no rows.  From MNTHR_RATIO rows per column on,
+    dgesdd decomposes the R of stack = QR and then forms Q U_R; taking R here
+    skips Q and U and keeps the plain SVD's vt, so the seeded norms, bit for bit."""
+    if not len(stack):
+        return np.eye(stack.shape[1])
+    if len(stack) >= int(MNTHR_RATIO * stack.shape[1]):
+        stack = np.linalg.qr(stack, mode="r")
+    _, sv, vt = np.linalg.svd(stack, full_matrices=False)
+    return vt[sv < NULL_TOL]
+
+
 def invariant_quadratic_space(space) -> list:
     """Basis of Ad(h)-invariant symmetric forms on m: symmetric matrices
     commuting with every ad(h)|_m (the m-basis is bi-invariant orthonormal,
@@ -244,27 +270,17 @@ def invariant_quadratic_space(space) -> list:
     units = np.zeros((len(iu), d, d))  # S_ij = E_ij + E_ji (E_ii when i = j)
     units[np.arange(len(iu)), iu, ju] = units[np.arange(len(iu)), ju, iu] = 1.0
     # the map S -> A S - S A on the units, one d*d block of rows per A
-    rows = [(A @ units - units @ A).transpose(1, 2, 0).reshape(d * d, -1) for A in Kh]
-    stack = np.vstack(rows) if rows else np.zeros((1, len(iu)))
-    # thin SVD unless the stack is short (h = 0), where only the full one
-    # returns the null-space rows of vt
-    _, sv, vt = np.linalg.svd(stack, full_matrices=stack.shape[0] < stack.shape[1])
-    null = vt[[k for k in range(vt.shape[0]) if (sv[k] if k < len(sv) else 0.0) < NULL_TOL]]
-    S = np.zeros((len(null), d, d))
-    S[:, iu, ju] += null
-    S[:, ju, iu] += np.where(iu != ju, null, 0.0)
-    return list(0.5 * (S + np.swapaxes(S, 1, 2)))
+    stack = np.empty((len(Kh), d, d, len(iu)))
+    for A, block in zip(Kh, stack):
+        block[...] = (A @ units - units @ A).transpose(1, 2, 0)
+    return list(np.tensordot(_null_rows(stack.reshape(-1, len(iu))), units, 1))
 
 
 def invariant_vectors(space) -> np.ndarray:
     """Orthonormal rows spanning the Ad(h)-fixed vectors of m: the common
     null space of every ad(h)|_m."""
     _, _, Kh = space.structure_tensors()
-    d = space.dim_m
-    if not len(Kh):
-        return np.eye(d)
-    _, sv, vt = np.linalg.svd(Kh.reshape(-1, d))
-    return vt[sv < NULL_TOL]
+    return _null_rows(Kh.reshape(-1, space.dim_m))
 
 
 def random_invariant_norm(space, seed: int) -> Quartic:
@@ -277,8 +293,7 @@ def random_invariant_norm(space, seed: int) -> Quartic:
     qs = []
     for _ in range(QUARTIC_TERMS):
         coeffs = rng.standard_normal(len(basis))
-        S = sum(c * B for c, B in zip(coeffs, basis))
-        S = 0.5 * (S + S.T)
+        S = sum(c * B for c, B in zip(coeffs, basis))  # symmetric, as every B
         lo = float(np.linalg.eigvalsh(S).min())
         S = S + (abs(lo) + 0.35 + 0.4 * rng.random()) * np.eye(d)
         qs.append(S)

@@ -480,6 +480,25 @@ def test_norm_file_must_be_invariant(tmp_path):
                           "--metric", str(path), "--samples", "3"], "not Ad(H)-invariant")
 
 
+def _eye(n):
+    return [[float(i == j) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("payload,match", [
+    ([1, 2], "malformed norm file: TypeError"),
+    ("quadratic", "malformed norm file: TypeError"),
+    ({"family": "quartic", "weights": [1], "quadratics": []}, "quadratics has shape (0,)"),
+    ({"family": "quartic", "weights": [1, 1], "quadratics": [_eye(5)]}, "weights has shape (2,)"),
+    ({"family": "quadratic", "gram": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}, "gram has shape (2, 3)"),
+    ({"family": "quadratic", "gram": _eye(2)}, "norm acts on R^2, but dim m = 5"),
+])
+def test_malformed_norm_file_fails_closed(tmp_path, payload, match):
+    path = tmp_path / "norm.json"
+    path.write_text(json.dumps(payload))
+    _assert_fails_closed(["curvature", "--space", "preset:sphere_un(3)",
+                          "--metric", str(path), "--samples", "3"], match)
+
+
 def _unreachable(*args, **kwargs):
     pytest.fail("a capped argument reached the builder")
 
