@@ -17,8 +17,12 @@ m-basis of a CosetSpace.  The two evaluation routes are
 
 Every CurvatureEngine operator takes one vector or a stack of them (leading
 axes, one pole or flag per row), and sample_flags evaluates its candidate
-flags as such stacks.  All contractions are row-wise (einsum, stacked matmul
-and solve), so no row's result depends on the size of its stack.
+flags as such stacks.  All contractions are row-wise: the structure tensors
+are reshaped once into matrices that each row multiplies on its own (_vm),
+and products and solves are stacked, so no row's result depends on the size
+of its stack.  Each pole carries one connection operator A(u), with
+N(u, w) = g_u^{-1} A(u) w, so a connection solve is one matrix-vector
+product and one vector solve.
 
 Tolerance ladder: exactness 1e-12, linear-solve residual 1e-10, stacked
 finite-difference comparisons 1e-5 relative.
@@ -32,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .coset import CosetSpace, _m_rows
-from .norms import MinkowskiNorm, _dot, random_invariant_norm
+from .norms import MinkowskiNorm, _dot, _mv, _swap, _vm, random_invariant_norm
 
 ETA_ZERO_TOL = 1e-10
 COMMUTE_TOL = 1e-10
@@ -43,16 +47,6 @@ ZERO_K_TOL = 1e-8  # |K| below which sample_flags reports a zero flag
 CHUNK = 64  # most candidate flags sample_flags evaluates as one stack
 NOT_POSITIVE = "Hessian Gram matrix not positive definite"
 DEGENERATE = "degenerate flag: pole and direction nearly dependent"
-
-
-def _mv(a, x):
-    """Row-wise a x for stacks a (..., d, d) and x (..., d)."""
-    return (a @ x[..., None])[..., 0]
-
-
-def _vm(x, a):
-    """Row-wise x a, x a row vector, for stacks x (..., d) and a (..., d, d)."""
-    return (x[..., None, :] @ a)[..., 0, :]
 
 
 def _solve(a, b):
@@ -88,14 +82,22 @@ class CurvatureEngine:
             raise ValueError("norm dimension does not match dim m")
         self.space = space
         self.norm = norm
-        self.Cm, self.Ch, self.Kh = space.structure_tensors()
+        cm, ch, kh = space.structure_tensors()
+        d, dh = space.dim_m, space.dim_h
+        # the tensors as matrices that row vectors multiply (_vm): u -> the
+        # matrices of [., u]_m and [., u]_h, x -> sum_k Cm[., ., k] x_k and
+        # c -> sum_a c_a Kh[a]
+        self._ad_m = np.ascontiguousarray(cm.transpose(1, 0, 2).reshape(d, d * d))
+        self._ad_h = np.ascontiguousarray(ch.transpose(1, 0, 2).reshape(d, d * dh))
+        self._cm_last = np.ascontiguousarray(cm.transpose(2, 0, 1).reshape(d, d * d))
+        self._kh = kh.reshape(dh, d * d)
 
     # -- brackets in m-coordinates ---------------------------------------
     def brm(self, x, y):
-        return np.einsum("...i,...j,ijk->...k", x, y, self.Cm)
+        return _vm(x, self._ad(y))
 
     def brh(self, x, y):
-        return np.einsum("...i,...j,ija->...a", x, y, self.Ch)
+        return _vm(x, _vm(y, self._ad_h).reshape(y.shape + (self.space.dim_h,)))
 
     def br_full_norm(self, x, y):
         """Bi-invariant norm of the full bracket [x, y]."""
@@ -104,7 +106,7 @@ class CurvatureEngine:
 
     def _ad(self, u):
         """The matrix of w -> [w, u]_m: row i is [e_i, u]_m."""
-        return np.einsum("...j,ijk->...ik", u, self.Cm)
+        return _vm(u, self._ad_m).reshape(u.shape + u.shape[-1:])
 
     # -- the implicit operators -------------------------------------------
     def _grams(self, u):
@@ -130,9 +132,15 @@ class CurvatureEngine:
 
     def _frame(self, u, g):
         """What eta and every connection solve at the poles u share:
-        (u, g_u, g_u u, the matrix of [., u]_m, eta, eta residual)."""
+        (u, g_u, g_u u, B = the matrix of [., u]_m, eta, eta residual, A).
+        A = (T + B g + g B' - 2 C_u(., eta, .)) / 2 with T[i,j] =
+        sum_k Cm[i,j,k] (g u)_k, so that g N(u, w) = A w."""
         gu, bu = _mv(g, u), self._ad(u)
-        return (u, g, gu, bu) + self.eta(u, _g=g, _gu=gu, _bu=bu)
+        eta, resid = self.eta(u, _g=g, _gu=gu, _bu=bu)
+        a = _vm(gu, self._cm_last).reshape(bu.shape) + bu @ g + g @ _swap(bu)
+        if np.any(eta):
+            a = a - 2.0 * self.norm.cartan_mat(u, eta)
+        return u, g, gu, bu, eta, resid, 0.5 * a
 
     def connection_n(self, u: np.ndarray, w: np.ndarray, _frame=None) -> np.ndarray:
         """Connection operator N(u, w) as an m-coordinate vector (_frame: the
@@ -140,12 +148,8 @@ class CurvatureEngine:
         if _frame is None:
             u = np.asarray(u, dtype=float)
             _frame = self._frame(u, self._gram(u))
-        u, g, gu, bu, eta, _ = _frame
-        w = np.asarray(w, dtype=float)
-        rhs = _mv(self._ad(w), gu) + _mv(bu, _mv(g, w)) + _mv(g, _vm(w, bu))
-        if np.any(eta):
-            rhs = rhs - 2.0 * self.norm.cartan_vec(u, w, eta)
-        return _solve(g, 0.5 * rhs)
+        g, a = _frame[1], _frame[-1]
+        return _solve(g, _mv(a, np.asarray(w, dtype=float)))
 
     def _d_eta_n(self, w, speed, h, poles):
         """Directional derivative of N(., w) along eta: central differences
@@ -177,7 +181,7 @@ class CurvatureEngine:
         rt = rt - self.connection_n(u, _vm(w, bu), _frame=f)   # + N(u, [u,w]_m)
         rt = rt + _vm(nw, bu)                                    # - [u, N(u,w)]_m
         # h-term: <[[w,u]_h, w], u>_u
-        zh = np.einsum("...a,akl,...k->...l", self.brh(w, u), self.Kh, w)
+        zh = _vm(w, _vm(self.brh(w, u), self._kh).reshape(bu.shape))
         return ok, _dot(zh, gu) + _dot(rt, _mv(g, w)), speed, f[5], h
 
     # -- flags ---------------------------------------------------------------

@@ -30,10 +30,12 @@ QUARTIC_TERMS = 3  # quadratics of a random_invariant_norm
 
 class MinkowskiNorm:
     """Interface of the norm families: value(y); gram(y), the matrix of
-    <u,v>_y over the declared m-basis, (..., d, d); cartan_vec(y, u, v),
-    the vector (C_y(u,v,e_k))_k.  gram and cartan_vec take one vector or a
-    stack of them (leading axes), one independent point per row, and raise
-    ValueError at the origin."""
+    <u,v>_y over the declared m-basis, (..., d, d); cartan_mat(y, v), the
+    matrix M[i,j] = C_y(e_i, e_j, v), (..., d, d), so that C_y(u, v, w) is
+    u' M(y, v) w and C_y(u, v, .) is M(y, v) u.  gram and cartan_mat take one
+    vector or a stack of them (leading axes), one independent point per row,
+    and raise ValueError at the origin.  The constructors raise ValueError on
+    arrays of the wrong shape."""
 
     dim: int
     reversible: bool
@@ -42,6 +44,21 @@ class MinkowskiNorm:
 def _check_nonzero(y: np.ndarray):
     if not np.all(np.any(np.abs(y) > 0, axis=-1)):
         raise ValueError("Hessian undefined at the origin")
+
+
+def _square(a, name: str, ndim: int = 2) -> np.ndarray:
+    """a as a float array of ndim axes whose last two are equal."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"{name} has shape {a.shape}, not that of square matrices")
+    return a
+
+
+def _vector(a, name: str, n: int) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if a.shape != (n,):
+        raise ValueError(f"{name} has shape {a.shape}, not ({n},)")
+    return a
 
 
 def _dot(x, y):
@@ -53,9 +70,21 @@ def _outer(x, y):
     return x[..., :, None] * y[..., None, :]
 
 
-def _comb(c, x):
-    """Row-wise sum_k c_k x_k for stacks c (..., k) and x (..., k, d)."""
-    return np.einsum("...k,...ki->...i", c, x)
+def _mv(a, x):
+    """Row-wise a x for stacks a (..., n, d) and x (..., d)."""
+    return (a @ x[..., None])[..., 0]
+
+
+def _vm(x, a):
+    """Row-wise x a, x a row vector, for stacks x (..., n) and a (..., n, d).
+    A 2-D a is shared by every row; each row is still its own product, so
+    no row's result depends on the size of its stack (x @ a over a 2-D x
+    would be one matrix product, whose rows may not)."""
+    return (x[..., None, :] @ a)[..., 0, :]
+
+
+def _swap(a):
+    return np.swapaxes(a, -1, -2)
 
 
 @dataclass
@@ -63,7 +92,7 @@ class Quadratic(MinkowskiNorm):
     q: np.ndarray
 
     def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=float)
+        self.q = _square(self.q, "gram")
         self.dim = self.q.shape[0]
         self.reversible = True
 
@@ -75,9 +104,9 @@ class Quadratic(MinkowskiNorm):
         _check_nonzero(np.asarray(y))
         return np.broadcast_to(self.q, np.shape(y)[:-1] + self.q.shape).copy()
 
-    def cartan_vec(self, y, u, v) -> np.ndarray:
+    def cartan_mat(self, y, v) -> np.ndarray:
         _check_nonzero(np.asarray(y))
-        return np.zeros(np.broadcast_shapes(np.shape(y), np.shape(u), np.shape(v)))
+        return np.zeros(np.broadcast_shapes(np.shape(y), np.shape(v)) + (self.dim,))
 
     def to_json(self):
         return {"family": "quadratic", "gram": self.q.tolist()}
@@ -89,8 +118,8 @@ class Randers(MinkowskiNorm):
     b: np.ndarray
 
     def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
+        self.q = _square(self.q, "gram")
+        self.b = _vector(self.b, "b", len(self.q))
         self.dim = self.q.shape[0]
         self.reversible = bool(np.allclose(self.b, 0.0))
         qinv = np.linalg.solve(self.q, self.b)
@@ -101,33 +130,36 @@ class Randers(MinkowskiNorm):
         y = np.asarray(y, dtype=float)
         return float(np.sqrt(max(y @ self.q @ y, 0.0)) + self.b @ y)
 
-    def gram(self, y) -> np.ndarray:
+    def _alpha(self, y):
+        """y as floats, alpha = sqrt(y'Qy) (with an axis kept), a = Q y / alpha."""
         y = np.asarray(y, dtype=float)
         _check_nonzero(y)
         qy = np.einsum("ij,...j->...i", self.q, y)
         alpha = np.sqrt(_dot(y, qy))[..., None]
-        a = qy / alpha
+        return y, alpha, qy / alpha
+
+    def gram(self, y) -> np.ndarray:
+        y, alpha, a = self._alpha(y)
         r = (_dot(self.b, y)[..., None] / alpha)[..., None]  # beta / alpha
         # b b' appears once, in (a + b) b'
         g = (1.0 + r) * self.q - r * _outer(a, a) + _outer(a + self.b, self.b) + _outer(self.b, a)
-        return 0.5 * (g + np.swapaxes(g, -1, -2))
+        return 0.5 * (g + _swap(g))
 
-    def cartan_vec(self, y, u, v) -> np.ndarray:
-        # C = 1/4 D^3[F^2] with F^2 = alpha^2 + 2 alpha beta + beta^2,
-        # last slot left open
-        y, u, v = (np.asarray(t, dtype=float) for t in (y, u, v))
-        _check_nonzero(y)
-        qy, qu, qv = (np.einsum("ij,...j->...i", self.q, t) for t in (y, u, v))
-        alpha = np.sqrt(_dot(y, qy))[..., None]
-        a = qy / alpha
-        au, av, uqv = (_dot(x, z)[..., None] for x, z in ((a, u), (a, v), (u, qv)))
-        d3 = (-(uqv * a + av * qu + au * qv) + 3.0 * au * av * a) / alpha ** 2
-        d2u = (qu - au * a) / alpha
-        d2v = (qv - av * a) / alpha
-        d2uv = (uqv - au * av) / alpha
-        by, bu, bv = (_dot(self.b, t)[..., None] for t in (y, u, v))
-        val = 2.0 * (by * d3 + d2uv * self.b + d2u * bv + d2v * bu)
-        return 0.25 * val
+    def cartan_mat(self, y, v) -> np.ndarray:
+        # C = 1/4 D^3[F^2] = 1/2 D^3[alpha beta], F^2 = alpha^2 + 2 alpha beta
+        # + beta^2, with D^2 alpha = (Q - a a') / alpha; last slot v
+        y, alpha, a = self._alpha(y)
+        v = np.asarray(v, dtype=float)
+        qv = np.einsum("ij,...j->...i", self.q, v)
+        av = _dot(a, v)[..., None]
+        d2v = (qv - av * a) / alpha  # D^2 alpha (v, .)
+        alpha, av = alpha[..., None], av[..., None]
+        aa, qva = _outer(a, a), _outer(qv, a)
+        d3 = (3.0 * av * aa - qva - _swap(qva) - av * self.q) / alpha ** 2
+        d2 = (self.q - aa) / alpha
+        by, bv = (_dot(self.b, t)[..., None, None] for t in (y, v))
+        d2vb = _outer(d2v, self.b)
+        return 0.5 * (by * d3 + bv * d2 + d2vb + _swap(d2vb))
 
     def to_json(self):
         return {"family": "randers", "gram": self.q.tolist(), "b": self.b.tolist()}
@@ -139,55 +171,70 @@ class Quartic(MinkowskiNorm):
     qs: Sequence[np.ndarray]
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.qs = [np.asarray(q, dtype=float) for q in self.qs]
+        shapes = {np.shape(q) for q in self.qs}
+        if len(shapes) > 1:
+            raise ValueError(f"quadratics have the shapes {sorted(shapes)}, not one")
+        stack = _square(self.qs, "quadratics", ndim=3)
+        self.weights = _vector(self.weights, "weights", len(stack))
         if np.any(self.weights < 0):
             raise ValueError("Quartic weights must be nonnegative")
         if not np.any(self.weights > 0):
             raise ValueError("Quartic needs at least one positive weight")
-        self.dim = self.qs[0].shape[0]
+        self.qs = list(stack)
+        k, self.dim = stack.shape[:2]
         self.reversible = True
-        self._qstack = np.array(self.qs)
+        # the quadratics as matrices that row vectors multiply (_vm):
+        # y -> the rows Q_k y, and c -> sum_k c_k Q_k
+        self._q_rows = np.ascontiguousarray(stack.transpose(2, 0, 1).reshape(self.dim, -1))
+        self._q_comb = stack.reshape(k, -1)
 
     def value(self, y) -> float:
         vals = np.array([y @ q @ y for q in self.qs])
         return float((self.weights @ vals ** 2) ** 0.25)
 
+    def _rows(self, x):
+        """The rows Q_k x, (..., k, d)."""
+        return _vm(x, self._q_rows).reshape(x.shape[:-1] + (len(self.qs), self.dim))
+
+    def _comb(self, c):
+        """sum_k c_k Q_k, (..., d, d), for stacks c (..., k)."""
+        return _vm(c, self._q_comb).reshape(c.shape[:-1] + (self.dim, self.dim))
+
     def _derivs(self, y):
-        """Rows Q_k y and y'Q_k y over the quadratics, P and dP, row-wise."""
+        """The pole terms at the rows y: the rows Q_k y, then P, dP and d^2P
+        of P = sum_k w_k (y'Q_k y)^2."""
         y = np.asarray(y, dtype=float)
         _check_nonzero(y)
-        qy = np.einsum("kij,...j->...ki", self._qstack, y)
-        vals = np.einsum("...ki,...i->...k", qy, y)
-        return qy, vals, _dot(self.weights, vals ** 2)[..., None], 4.0 * _comb(self.weights * vals, qy)
+        qy = self._rows(y)
+        vals = _mv(qy, y)
+        wv = self.weights * vals
+        d2p = 8.0 * (_swap(qy) @ (self.weights[:, None] * qy)) + 4.0 * self._comb(wv)
+        return qy, _dot(wv, vals)[..., None], 4.0 * _vm(wv, qy), d2p
 
     def gram(self, y) -> np.ndarray:
-        qy, vals, p, dp = self._derivs(y)
-        wk = self.weights
-        d2p = 4.0 * (np.einsum("k,...ki,...kj->...ij", 2.0 * wk, qy, qy)
-                     + np.einsum("...k,kij->...ij", wk * vals, self._qstack))
+        _, p, dp, d2p = self._derivs(y)
         p = p[..., None]
         sp = np.sqrt(p)
         # half the Hessian of F^2 = sqrt(P)
         g = d2p / (4.0 * sp) - _outer(dp, dp) / (8.0 * p * sp)
-        return 0.5 * (g + np.swapaxes(g, -1, -2))
+        return 0.5 * (g + _swap(g))
 
-    def cartan_vec(self, y, u, v) -> np.ndarray:
-        # C = 1/4 D^3[sqrt P], last slot left open
-        qy, vals, p, dp = self._derivs(y)
-        u, v, wk = np.asarray(u, dtype=float), np.asarray(v, dtype=float), self.weights
-        qu, qv = (np.einsum("kij,...j->...ki", self._qstack, t) for t in (u, v))
-        gu, gv, uqv = (np.einsum("...ki,...i->...k", a, t) for a, t in ((qy, u), (qy, v), (qu, v)))
+    def cartan_mat(self, y, v) -> np.ndarray:
+        # C = 1/4 D^3[sqrt P], last slot v
+        qy, p, dp, d2p = self._derivs(y)
+        v = np.asarray(v, dtype=float)
+        wk = self.weights
+        qv = self._rows(v)
+        x = _swap(qv) @ (wk[:, None] * qy)  # sum_k w_k Q_k v (Q_k y)'
+        d3p = 8.0 * (x + _swap(x) + self._comb(wk * _mv(qy, v)))
+        dpv = _dot(dp, v)[..., None, None]
+        d2pv = _outer(_mv(d2p, v), dp)
+        p = p[..., None]
         sp = np.sqrt(p)
-        du, dv = _dot(dp, u)[..., None], _dot(dp, v)[..., None]
-        d2uv = 4.0 * _dot(wk, 2.0 * gu * gv + vals * uqv)[..., None]
-        d2u = 4.0 * (_comb(2.0 * wk * gu, qy) + _comb(wk * vals, qu))
-        d2v = 4.0 * (_comb(2.0 * wk * gv, qy) + _comb(wk * vals, qv))
-        d3 = 8.0 * (_comb(wk * uqv, qy) + _comb(wk * gv, qu) + _comb(wk * gu, qv))
-        term = d3 / (2.0 * sp)
-        term -= (d2uv * dp + d2u * dv + d2v * du) / (4.0 * p * sp)
-        term += 3.0 * du * dv * dp / (8.0 * p ** 2 * sp)
-        return 0.25 * term
+        m = d3p / (2.0 * sp)
+        m -= (d2p * dpv + d2pv + _swap(d2pv)) / (4.0 * p * sp)
+        m += 3.0 * dpv * _outer(dp, dp) / (8.0 * p ** 2 * sp)
+        return 0.25 * m
 
     def to_json(self):
         return {
@@ -201,18 +248,13 @@ def norm_from_json(obj) -> MinkowskiNorm:
     """Norm from its JSON form; ValueError on a malformed one (fails closed)."""
     try:
         fam = obj["family"]
-        if fam not in ("quadratic", "randers", "quartic"):
-            raise ValueError(f"unknown norm family {fam!r}")
-        qkey, vkey = ("quadratics", "weights") if fam == "quartic" else ("gram", "b")
-        qs = np.array(obj[qkey], dtype=float)
-        if qs.ndim != 2 + (fam == "quartic") or qs.shape[-1] != qs.shape[-2]:
-            raise ValueError(f"{qkey} has shape {qs.shape}, not that of square matrices")
         if fam == "quadratic":
-            return Quadratic(qs)
-        vec = np.array(obj[vkey], dtype=float)
-        if vec.shape != (len(qs),):
-            raise ValueError(f"{vkey} has shape {vec.shape}, not ({len(qs)},)")
-        return Quartic(vec, list(qs)) if fam == "quartic" else Randers(qs, vec)
+            return Quadratic(obj["gram"])
+        if fam == "randers":
+            return Randers(obj["gram"], obj["b"])
+        if fam == "quartic":
+            return Quartic(obj["weights"], obj["quadratics"])
+        raise ValueError(f"unknown norm family {fam!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed norm file: {type(exc).__name__}: {exc}") from None
 
@@ -241,7 +283,7 @@ def check_invariance(norm: MinkowskiNorm, space) -> dict:
     g = norm.gram(y)
     hy, hu, hv = (np.einsum("akl,nl->nak", Kh, t) for t in (y, u, v))
     r = (np.einsum("nak,nkl,nl->na", hu, g, v) + np.einsum("nk,nkl,nal->na", u, g, hv)
-         + 2.0 * np.einsum("nk,nak->na", norm.cartan_vec(y, u, v), hy))
+         + 2.0 * np.einsum("nk,nkl,nal->na", u, norm.cartan_mat(y, v), hy))
     scale = np.maximum(np.abs(g).max(axis=(1, 2)), 1.0)[:, None]
     return {"max_residual": float(np.max(np.abs(r) / scale, initial=0.0)),
             "samples": INVARIANCE_SAMPLES}

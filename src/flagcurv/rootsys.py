@@ -792,6 +792,11 @@ def t_cap_h_projection(spec: AlgebraSpec, basis: tuple) -> Projection:
         d = lcm(*(x.denominator for x in b))
         ws.append([int(x * d) for x in b])
     forms = [tuple((i, g * x) for i, (g, x) in enumerate(zip(spec.gram, w)) if x) for w in ws]
+    if len(ws) == 1:  # G = [D(w, w)], so c = D(w, w) and u = w
+        c = sum(x * ws[0][i] for i, x in forms[0])
+        if not c:
+            raise ArithmeticError("matrix is singular")
+        return Projection(spec, c, ((forms[0], tuple((i, x) for i, x in enumerate(ws[0]) if x)),))
     inv = exact_inverse([[sum(x * w[i] for i, x in f) for w in ws] for f in forms])
     c = lcm(*(x.denominator for row in inv for x in row))
     terms = []

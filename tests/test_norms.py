@@ -38,7 +38,7 @@ def test_evaluate_examples():
     # a Euclidean norm: <u, v>_y = u.v and C_y = 0 at every y
     y, u, v, w = np.arange(1.0, 4.0), np.ones(3), np.eye(3)[0], np.eye(3)[1]
     assert u @ nq.gram(y) @ v == 1.0
-    assert nq.cartan_vec(y, u, v) @ w == 0.0
+    assert u @ nq.cartan_mat(y, v) @ w == 0.0
 
 
 def test_quadratic_gram_is_constant():
@@ -47,7 +47,7 @@ def test_quadratic_gram_is_constant():
     for _ in range(3):
         y = RNG.standard_normal(4)
         assert np.allclose(n.gram(y), q)
-        assert n.cartan_vec(y, RNG.standard_normal(4), y) @ y == 0.0
+        assert RNG.standard_normal(4) @ n.cartan_mat(y, y) @ y == 0.0
 
 
 @pytest.mark.parametrize("make", [
@@ -84,19 +84,19 @@ def test_randers_gram_and_cartan_against_fd():
     for _ in range(6):
         y, u, v, w = (RNG.standard_normal(d) for _ in range(4))
         assert abs(u @ norm.gram(y) @ v - fd_g_inner(norm, y, u, v)) < 1e-8
-        assert abs(norm.cartan_vec(y, u, v) @ w - fd_cartan(norm, y, u, v, w)) < 1e-6
+        assert abs(u @ norm.cartan_mat(y, v) @ w - fd_cartan(norm, y, u, v, w)) < 1e-6
 
 
 @pytest.mark.parametrize("make", [
     lambda d, rng: Randers(_pd_matrix(d, rng), 0.15 * rng.standard_normal(d)),
     lambda d, rng: Quartic(0.5 + rng.random(3), [_pd_matrix(d, rng) for _ in range(3)]),
 ])
-def test_cartan_vec_against_fd_oracle(make):
+def test_cartan_mat_against_fd_oracle(make):
     d, rng = 4, np.random.default_rng(7)
     norm = make(d, rng)
     for _ in range(3):
         y, u, v = (rng.standard_normal(d) for _ in range(3))
-        got = norm.cartan_vec(y, u, v)
+        got = u @ norm.cartan_mat(y, v)
         want = [fd_cartan(norm, y, u, v, e) for e in np.eye(d)]
         assert np.abs(got - want).max() < 1e-6 * max(1.0, np.abs(got).max())
 
@@ -107,9 +107,9 @@ def test_cartan_symmetry_and_base_annihilation():
                  Quartic([1.0, 1.0], [_pd_matrix(d, RNG) for _ in range(2)])):
         for _ in range(4):
             y, u, v, w = (RNG.standard_normal(d) for _ in range(4))
-            vals = [norm.cartan_vec(y, a, b) @ c for a, b, c in itertools.permutations((u, v, w))]
+            vals = [a @ norm.cartan_mat(y, b) @ c for a, b, c in itertools.permutations((u, v, w))]
             assert max(vals) - min(vals) < 1e-8 * max(1.0, abs(vals[0]))
-            assert abs(norm.cartan_vec(y, y, v) @ w) < 1e-9
+            assert abs(y @ norm.cartan_mat(y, v) @ w) < 1e-9
 
 
 def test_positive_definiteness_sampled():
@@ -123,6 +123,24 @@ def test_positive_definiteness_sampled():
         for _ in range(100):
             y = RNG.standard_normal(d)
             assert np.linalg.eigvalsh(norm.gram(y)).min() > 0
+
+
+@pytest.mark.parametrize("make,match", [
+    (lambda: Quadratic(np.ones((2, 3))), r"gram has shape \(2, 3\)"),
+    (lambda: Quadratic(np.ones(3)), r"gram has shape \(3,\)"),
+    (lambda: Randers(np.eye(3, 2), np.zeros(3)), r"gram has shape \(3, 2\)"),
+    (lambda: Randers(np.eye(3), np.zeros(2)), r"b has shape \(2,\), not \(3,\)"),
+    (lambda: Quartic([1.0, 1.0], [np.eye(5)]), r"weights has shape \(2,\), not \(1,\)"),
+    (lambda: Quartic([1.0], np.eye(5)), r"quadratics has shape \(5, 5\)"),
+    (lambda: Quartic([1.0], [np.ones((2, 3))]), r"quadratics has shape \(1, 2, 3\)"),
+    (lambda: Quartic([1.0, 1.0], [np.eye(5), np.eye(4)]), "quadratics have the shapes"),
+    (lambda: Quartic([1.0], []), r"quadratics has shape \(0,\)"),
+], ids=["quadratic-not-square", "quadratic-vector", "randers-not-square", "randers-short-b",
+        "quartic-long-weights", "quartic-one-matrix", "quartic-not-square",
+        "quartic-mismatched", "quartic-empty"])
+def test_constructors_reject_mis_shaped_arrays(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
 
 
 def test_randers_bound_enforced():
@@ -150,12 +168,12 @@ def test_reversibility_flags():
 def test_hessian_undefined_at_origin(make):
     d = 5
     norm = make(d)
-    y, u, v = (RNG.standard_normal(d) for _ in range(3))
-    assert norm.cartan_vec(y, u, v).shape == (d,)
+    y, _, v = (RNG.standard_normal(d) for _ in range(3))
+    assert norm.cartan_mat(y, v).shape == (d, d)
     with pytest.raises(ValueError, match="origin"):
         norm.gram(np.zeros(d))
     with pytest.raises(ValueError, match="origin"):
-        norm.cartan_vec(np.zeros(d), u, v)
+        norm.cartan_mat(np.zeros(d), v)
 
 
 def test_fd_oracles_refuse_a_norm_without_an_extended_precision_form():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagcurv import rootsys
 from flagcurv.rootsys import (
     AlgebraSpec,
     QNum,
@@ -252,6 +253,20 @@ def test_projection_kills_t_cap_m_and_scales_its_complement(basis):
                    for p in range(2, c + 1) if c % p == 0)
     if len(basis) < 2:
         assert c == (gram[0][0] if basis else 1)
+
+
+def test_one_vector_projection_is_built_without_an_inverse(monkeypatch):
+    """One w gives c = D(w, w) and u = w directly, with no exact inverse of
+    the 1 x 1 Gram matrix; a zero w is still a dependent basis."""
+    spec = AlgebraSpec((("A", 2, Fraction(1)), ("B", 2, Fraction(2))))
+    w = spec.tvec((1, -1, 0, 2, 0))
+    monkeypatch.setattr(rootsys, "exact_inverse", None)
+    proj = t_cap_h_projection.__wrapped__(spec, (w,))
+    form = tuple((i, g * x) for i, (g, x) in enumerate(zip(spec.gram, w)) if x)
+    assert proj.scale == sum(g * x * x for g, x in zip(spec.gram, w))
+    assert proj.terms == ((form, ((0, 1), (1, -1), (3, 2))),)
+    with pytest.raises(ArithmeticError):
+        t_cap_h_projection.__wrapped__(spec, (spec.tvec((0,) * spec.dim),))
 
 
 @settings(max_examples=60, deadline=None)

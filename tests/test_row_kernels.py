@@ -1,0 +1,131 @@
+"""Row-wise kernels of the curvature engine and the norms' Cartan matrices.
+
+Every kernel gives each row of a stack the bits that row gets alone, and
+equals its einsum definition over `structure_tensors()` (for the Cartan
+matrices: the einsum form of the third derivative) to 1e-13 relative.  The
+Cartan tensor of a nearly Riemannian norm is a small difference of terms of
+the size of |g_y| |u| |v| / |y|, so its error is taken relative to that.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from flagcurv.coset import SubalgebraSpec, build_coset, parse_preset
+from flagcurv.curvature import CurvatureEngine
+from flagcurv.liealg import AlgebraSpec, realize
+from flagcurv.norms import Quadratic, Quartic, Randers, random_invariant_norm
+
+# the flags-finsler presets of the benchmark, and a group (h = 0)
+PRESETS = ("sphere_un(3)", "sphere_spn_u1(2)", "sphere_spn_sp1(2)", "aloff_wallach(1,2)",
+           "bn_excluded_subcase1(2)", "a1a1_diagonal(1)", "cn_excluded_subcase1(3)", "su(3)")
+ROWS = (1, 7, 64)
+REL = 1e-13
+
+
+def _space(name):
+    if name == "su(3)":
+        return build_coset(realize(AlgebraSpec((("A", 2, Fraction(1)),))), SubalgebraSpec(),
+                           name="su(3) group")
+    return parse_preset(f"preset:{name}")
+
+
+@pytest.fixture(scope="module", params=PRESETS)
+def engine(request):
+    sp = _space(request.param)
+    return CurvatureEngine(sp, random_invariant_norm(sp, 0))
+
+
+def _close(got, want, scale=None):
+    assert got.shape == want.shape
+    scale = np.abs(want).max(initial=0.0) if scale is None else scale
+    assert np.abs(got - want).max(initial=0.0) <= REL * scale
+
+
+def _quartic_cartan(norm, y, u, v):
+    """C_y(u, v, .) = 1/4 D^3[sqrt P](u, v, .) of a Quartic, in einsum form."""
+    qs, wk = np.array(norm.qs), norm.weights
+    qy, qu, qv = (np.einsum("kij,...j->...ki", qs, t) for t in (y, u, v))
+    vals, gu, gv, uqv = (np.einsum("...ki,...i->...k", a, t)
+                         for a, t in ((qy, y), (qy, u), (qy, v), (qu, v)))
+    p = np.einsum("k,...k->...", wk, vals ** 2)[..., None]
+    dp = 4.0 * np.einsum("...k,...ki->...i", wk * vals, qy)
+    du, dv = (np.einsum("...i,...i->...", dp, t)[..., None] for t in (u, v))
+    d2uv = 4.0 * np.einsum("k,...k->...", wk, 2.0 * gu * gv + vals * uqv)[..., None]
+    d2u, d2v = (4.0 * (np.einsum("...k,...ki->...i", 2.0 * wk * g, qy)
+                       + np.einsum("...k,...ki->...i", wk * vals, q))
+                for g, q in ((gu, qu), (gv, qv)))
+    d3 = 8.0 * np.einsum("...k,...ki->...i", wk * uqv, qy) \
+        + 8.0 * np.einsum("...k,...ki->...i", wk * gv, qu) \
+        + 8.0 * np.einsum("...k,...ki->...i", wk * gu, qv)
+    sp = np.sqrt(p)
+    return 0.25 * (d3 / (2.0 * sp) - (d2uv * dp + d2u * dv + d2v * du) / (4.0 * p * sp)
+                   + 3.0 * du * dv * dp / (8.0 * p ** 2 * sp))
+
+
+def _draws(engine, rows, seed=0):
+    return np.random.default_rng(seed).standard_normal((3, rows, engine.space.dim_m))
+
+
+def _kernels(engine):
+    """name -> (kernel, number of stacked arguments)."""
+    return {"_ad": (engine._ad, 1), "brm": (engine.brm, 2), "brh": (engine.brh, 2),
+            "connection_n": (engine.connection_n, 2), "cartan_mat": (engine.norm.cartan_mat, 2)}
+
+
+@pytest.mark.parametrize("rows", ROWS)
+def test_kernels_give_each_row_its_own_bits(engine, rows):
+    args = _draws(engine, rows, seed=rows)
+    for name, (fn, n) in _kernels(engine).items():
+        stacked = fn(*args[:n])
+        assert len(stacked) == rows, name
+        for i in range(rows):
+            assert np.array_equal(fn(*(a[i] for a in args[:n])), stacked[i]), (name, i)
+
+
+def test_kernels_match_their_einsum_definitions(engine):
+    cm, ch, _ = engine.space.structure_tensors()
+    x, y, _ = _draws(engine, 7)
+    _close(engine._ad(y), np.einsum("...j,ijk->...ik", y, cm))
+    _close(engine.brm(x, y), np.einsum("...i,...j,ijk->...k", x, y, cm))
+    _close(engine.brh(x, y), np.einsum("...i,...j,ija->...a", x, y, ch))
+    # g_u N(u, w) = ([w, .]_m-term + B g w + g B' w) / 2 - C_u(w, eta, .)
+    u, w = y, x
+    g = engine.norm.gram(u)
+    eta = engine.eta(u)[0]
+    bu = np.einsum("...j,ijk->...ik", u, cm)
+    rhs = (np.einsum("...j,ijk,...lk,...l->...i", w, cm, g, u)
+           + np.einsum("...ik,...kl,...l->...i", bu, g, w)
+           + np.einsum("...ik,...jk,...j->...i", g, bu, w))
+    want = np.linalg.solve(g, (0.5 * rhs - _quartic_cartan(engine.norm, u, w, eta))[..., None])
+    _close(engine.connection_n(u, w), want[..., 0])
+
+
+def test_cartan_matrices_match_their_einsum_definitions(engine):
+    y, v, u = _draws(engine, 7)
+    got = np.einsum("...i,...ij->...j", u, engine.norm.cartan_mat(y, v))
+    size = (np.abs(engine.norm.gram(y)).max(axis=(-1, -2)) * np.linalg.norm(u, axis=-1)
+            * np.linalg.norm(v, axis=-1) / np.linalg.norm(y, axis=-1))
+    _close(got, _quartic_cartan(engine.norm, y, u, v), scale=size.max())
+
+
+def _pd_matrix(d, rng):
+    a = rng.standard_normal((d, d))
+    return a @ a.T + 0.5 * np.eye(d)
+
+
+@pytest.mark.parametrize("family", ["Quadratic", "Randers", "Quartic"])
+@pytest.mark.parametrize("rows", ROWS)
+def test_norm_kernels_give_each_row_its_own_bits(family, rows):
+    d, rng = 6, np.random.default_rng(rows)
+    norm = {"Quadratic": lambda: Quadratic(_pd_matrix(d, rng)),
+            "Randers": lambda: Randers(_pd_matrix(d, rng), 0.1 * rng.standard_normal(d)),
+            "Quartic": lambda: Quartic(0.5 + rng.random(3), [_pd_matrix(d, rng) for _ in range(3)]),
+            }[family]()
+    y, v = rng.standard_normal((2, rows, d))
+    gram, cartan = norm.gram(y), norm.cartan_mat(y, v)
+    assert gram.shape == cartan.shape == (rows, d, d)
+    for i in range(rows):
+        assert np.array_equal(norm.gram(y[i]), gram[i])
+        assert np.array_equal(norm.cartan_mat(y[i], v[i]), cartan[i])
