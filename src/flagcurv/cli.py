@@ -73,6 +73,8 @@ def _make_norm(space, text: str, seed: int):
         return norms.Quadratic(np.eye(space.dim_m))
     if text.startswith("randers"):
         eps = float(text.split(":", 1)[1]) if ":" in text else 0.2
+        if not np.isfinite(eps):
+            raise ValueError(f"randers epsilon must be finite, not {eps}")
         # b: the t cap m direction projected onto the Ad(H)-fixed vectors
         fixed = norms.invariant_vectors(space)
         b = np.zeros(space.dim_m)

@@ -21,8 +21,16 @@ flags as such stacks.  All contractions are row-wise: the structure tensors
 are reshaped once into matrices that each row multiplies on its own (_vm),
 and products and solves are stacked, so no row's result depends on the size
 of its stack.  Each pole carries one connection operator A(u), with
-N(u, w) = g_u^{-1} A(u) w, so a connection solve is one matrix-vector
-product and one vector solve.
+g_u N(u, x) = A(u) x, and the quadratic form pairs every Rt term with g_u w:
+
+  <N(u, x), w>_u = (A(u)' w) . x,   <N(p, w), w>_u = (A(p) w) . g_p^{-1} g_u w.
+
+So at u only eta and N(u, w) are solved for, and the two poles
+p = u +- h eta/|eta| of every row form one 2n-row stack: one norm
+evaluation (norm.pole, which also carries what its Cartan matrix needs),
+one Cholesky gate and one 2-column solve per pole for eta_p and
+g_p^{-1} g_u w.  A flag stack with eta != 0 makes three solve calls and two
+norm evaluations, one with eta = 0 two and one.
 
 Tolerance ladder: exactness 1e-12, linear-solve residual 1e-10, stacked
 finite-difference comparisons 1e-5 relative.
@@ -109,16 +117,24 @@ class CurvatureEngine:
         return _vm(u, self._ad_m).reshape(u.shape + u.shape[-1:])
 
     # -- the implicit operators -------------------------------------------
-    def _grams(self, u):
-        """Gram matrices g_u and the mask of those with a Cholesky factor."""
-        g = np.broadcast_to(self.norm.gram(u), u.shape + u.shape[-1:])
-        return g, _factors(g)
+    def _pole(self, u):
+        """The norm's pole data at the rows u (norm.pole, its Gram matrices
+        broadcast to the rows) and the mask of the rows whose Gram matrix has
+        a Cholesky factor."""
+        g, *terms = self.norm.pole(u)
+        g = np.broadcast_to(g, u.shape + u.shape[-1:])
+        return (g, *terms), _factors(g)
 
-    def _gram(self, u):
-        g, ok = self._grams(u)
+    def _positive_pole(self, u):
+        """The pole data at u; ValueError unless every Gram matrix has a
+        Cholesky factor."""
+        pole, ok = self._pole(u)
         if not np.all(ok):
             raise ValueError(NOT_POSITIVE)
-        return g
+        return pole
+
+    def _gram(self, u):
+        return self._positive_pole(u)[0]
 
     def eta(self, u: np.ndarray, _g=None, _gu=None, _bu=None):
         """Spray vector: <eta(u), w>_u = <u, [w,u]_m>_u for all w, and the
@@ -130,59 +146,76 @@ class CurvatureEngine:
         eta = _solve(g, rhs)
         return eta, np.linalg.norm(_mv(g, eta) - rhs, axis=-1)
 
-    def _frame(self, u, g):
-        """What eta and every connection solve at the poles u share:
-        (u, g_u, g_u u, B = the matrix of [., u]_m, eta, eta residual, A).
-        A = (T + B g + g B' - 2 C_u(., eta, .)) / 2 with T[i,j] =
-        sum_k Cm[i,j,k] (g u)_k, so that g N(u, w) = A w."""
-        gu, bu = _mv(g, u), self._ad(u)
-        eta, resid = self.eta(u, _g=g, _gu=gu, _bu=bu)
+    def _operator(self, pole, gu, bu, eta):
+        """The connection operator A = (T + B g + g B' - 2 C_u(., eta, .)) / 2
+        at the rows u of the pole data, from g u, B = the matrix of [., u]_m
+        and eta, with T[i,j] = sum_k Cm[i,j,k] (g u)_k, so that
+        g N(u, w) = A w."""
+        g = pole[0]
         a = _vm(gu, self._cm_last).reshape(bu.shape) + bu @ g + g @ _swap(bu)
         if np.any(eta):
-            a = a - 2.0 * self.norm.cartan_mat(u, eta)
-        return u, g, gu, bu, eta, resid, 0.5 * a
+            a = a - 2.0 * self.norm.cartan_at(pole, eta)
+        return 0.5 * a
+
+    def _frame(self, u, pole):
+        """What eta and every connection solve at the poles u share:
+        (g_u, g_u u, B = the matrix of [., u]_m, eta, eta residual, A)."""
+        g = pole[0]
+        gu, bu = _mv(g, u), self._ad(u)
+        eta, resid = self.eta(u, _g=g, _gu=gu, _bu=bu)
+        return g, gu, bu, eta, resid, self._operator(pole, gu, bu, eta)
 
     def connection_n(self, u: np.ndarray, w: np.ndarray, _frame=None) -> np.ndarray:
-        """Connection operator N(u, w) as an m-coordinate vector (_frame: the
-        pole data of _frame(u, g_u), when already built)."""
+        """Connection operator N(u, w) as an m-coordinate vector (_frame:
+        _frame(u, pole) when already built; only its g_u and A are read)."""
         if _frame is None:
             u = np.asarray(u, dtype=float)
-            _frame = self._frame(u, self._gram(u))
-        g, a = _frame[1], _frame[-1]
+            _frame = self._frame(u, self._positive_pole(u))
+        g, a = _frame[0], _frame[-1]
         return _solve(g, _mv(a, np.asarray(w, dtype=float)))
 
-    def _d_eta_n(self, w, speed, h, poles):
-        """Directional derivative of N(., w) along eta: central differences
-        between the frames at the two poles, exactly zero where h = 0."""
-        if poles is None:
-            return np.zeros_like(w)
-        np_, nm_ = (self.connection_n(p[0], w, _frame=p) for p in poles)
-        h2 = np.where(h > 0, h, 1.0)[:, None]
-        return np.where(h[:, None] > 0, speed[:, None] * (np_ - nm_) / (2.0 * h2), 0.0)
+    def _d_eta_term(self, u, w, gw, eta, speed, h):
+        """<D_eta N(., w), w>_u by central differences between the poles
+        u +- h eta/|eta| of every row, all 2n of them one stack; exactly zero
+        where h = 0.  z = g_p^-1 g_u w does not depend on eta_p, so one
+        2-column solve per pole gives both, and <N(p, w), w>_u = (A_p w) . z.
+        Returns the mask of the rows whose Gram matrices at both poles have
+        a Cholesky factor, and the values on those rows."""
+        offset = h[:, None] * (eta / np.maximum(speed, ETA_ZERO_TOL)[:, None])
+        p = np.concatenate([u + offset, u - offset])
+        pole, ok = self._pole(p)
+        ok = ok[:len(u)] & ok[len(u):]
+        both = np.concatenate([ok, ok])
+        p, pole = p[both], [t[both] for t in pole]
+        w, gw = (np.concatenate([x, x])[both] for x in (w, gw))
+        gp, bp = _mv(pole[0], p), self._ad(p)  # g_p p, the matrix of [., p]_m
+        sol = np.linalg.solve(pole[0], np.stack([_mv(bp, gp), gw], axis=-1))
+        t = _dot(_mv(self._operator(pole, gp, bp, sol[..., 0]), w), sol[..., 1])
+        speed, h = speed[ok], h[ok]
+        h2 = np.where(h > 0, h, 1.0)
+        return ok, np.where(h > 0, speed * (t[:len(h)] - t[len(h):]) / (2.0 * h2), 0.0)
 
-    def _riemann_quadratic(self, u, w, g):
-        """<R_u(w), w>_u for stacks u, w (Gram matrices g at u).  Returns the
-        mask of the rows whose Gram matrices at both poles u +- h eta/|eta|
-        have a Cholesky factor, then on those rows the values, |eta|, the eta
+    def _riemann_quadratic(self, u, w, pole):
+        """<R_u(w), w>_u for stacks u, w (pole data at u).  Returns the mask
+        of the rows whose Gram matrices at both poles u +- h eta/|eta| have a
+        Cholesky factor, then on those rows the values, |eta|, the eta
         residual and h (0 where |eta| < ETA_ZERO_TOL)."""
-        f = self._frame(u, g)
-        speed = np.linalg.norm(f[4], axis=-1)
+        g, gu, bu, eta, resid, a = self._frame(u, pole)
+        gw, speed = _mv(g, w), np.linalg.norm(eta, axis=-1)
         h = np.where(speed >= ETA_ZERO_TOL, FD_POLE_STEP * np.linalg.norm(u, axis=-1), 0.0)
-        ok, poles = np.ones(len(u), dtype=bool), None
+        ok, rt = np.ones(len(u), dtype=bool), 0.0
         if np.any(h):
-            offset = h[:, None] * (f[4] / np.maximum(speed, ETA_ZERO_TOL)[:, None])
-            (gp, okp), (gm, okm) = self._grams(u + offset), self._grams(u - offset)
-            ok = okp & okm
-            w, speed, h, offset, gp, gm, *f = (a[ok] for a in (w, speed, h, offset, gp, gm, *f))
-            poles = [self._frame(f[0] + offset, gp), self._frame(f[0] - offset, gm)]
-        u, g, gu, bu = f[:4]
-        nw = self.connection_n(u, w, _frame=f)
-        rt = self._d_eta_n(w, speed, h, poles) - self.connection_n(u, nw, _frame=f)
-        rt = rt - self.connection_n(u, _vm(w, bu), _frame=f)   # + N(u, [u,w]_m)
-        rt = rt + _vm(nw, bu)                                    # - [u, N(u,w)]_m
+            ok, rt = self._d_eta_term(u, w, gw, eta, speed, h)
+            u, w, g, gw, gu, bu, a, speed, h, resid = (
+                x[ok] for x in (u, w, g, gw, gu, bu, a, speed, h, resid))
+        # -N(u, N(u,w)) + N(u, [u,w]_m) - [u, N(u,w)]_m against g_u w, the
+        # connection terms through <N(u, x), w>_u = (A' w) . x, so that only
+        # N(u, w) needs a solve
+        nw = self.connection_n(u, w, _frame=(g, a))
+        rt = rt + _dot(_vm(nw, bu), gw) - _dot(_vm(w, a), nw + _vm(w, bu))
         # h-term: <[[w,u]_h, w], u>_u
         zh = _vm(w, _vm(self.brh(w, u), self._kh).reshape(bu.shape))
-        return ok, _dot(zh, gu) + _dot(rt, _mv(g, w)), speed, f[5], h
+        return ok, _dot(zh, gu) + rt, speed, resid, h
 
     # -- flags ---------------------------------------------------------------
     def _flag_gate(self, u, v, g):
@@ -207,11 +240,11 @@ class CurvatureEngine:
                 out[r] = ValueError(reason)
             return [rows[ok]] + [a[ok] for a in arrays]
 
-        g, ok = self._grams(u)
-        rows, u, v, g = keep(ok, NOT_POSITIVE, np.arange(len(u)), u, v, g)
-        denom, ok = self._flag_gate(u, v, g)
-        rows, u, v, g, denom = keep(ok, DEGENERATE, rows, u, v, g, denom)
-        ok, q, speed, resid, h = self._riemann_quadratic(u, v, g)
+        pole, ok = self._pole(u)
+        rows, u, v, *pole = keep(ok, NOT_POSITIVE, np.arange(len(u)), u, v, *pole)
+        denom, ok = self._flag_gate(u, v, pole[0])
+        rows, u, v, denom, *pole = keep(ok, DEGENERATE, rows, u, v, denom, *pole)
+        ok, q, speed, resid, h = self._riemann_quadratic(u, v, pole)
         rows, denom = keep(ok, NOT_POSITIVE, rows, denom)
         for r, k, e, res, step in zip(rows, q / denom, speed, resid, h):
             out[r] = CurvatureReport(k=float(k), method="invariant-frame", eta_norm=float(e),

@@ -29,16 +29,26 @@ QUARTIC_TERMS = 3  # quadratics of a random_invariant_norm
 
 
 class MinkowskiNorm:
-    """Interface of the norm families: value(y); gram(y), the matrix of
-    <u,v>_y over the declared m-basis, (..., d, d); cartan_mat(y, v), the
-    matrix M[i,j] = C_y(e_i, e_j, v), (..., d, d), so that C_y(u, v, w) is
-    u' M(y, v) w and C_y(u, v, .) is M(y, v) u.  gram and cartan_mat take one
-    vector or a stack of them (leading axes), one independent point per row,
-    and raise ValueError at the origin.  The constructors raise ValueError on
-    arrays of the wrong shape."""
+    """Interface of the norm families: value(y); pole(y), one evaluation of
+    the norm at the poles y: a tuple of the Gram matrices g_y (the matrices
+    of <u,v>_y over the declared m-basis, (..., d, d)) and then the family's
+    own terms, every entry with the rows of y as leading axes, so that a row
+    mask selects from each; cartan_at(pole, v), from that tuple, the matrix
+    M[i,j] = C_y(e_i, e_j, v), (..., d, d), so that C_y(u, v, w) is
+    u' M(y, v) w and C_y(u, v, .) is M(y, v) u.  gram(y) and cartan_mat(y, v)
+    are the one-off forms.  All take one vector or a stack of them (leading
+    axes), one independent point per row, and raise ValueError at the
+    origin.  The constructors raise ValueError on arrays of the wrong shape
+    or with entries that are not finite."""
 
     dim: int
     reversible: bool
+
+    def gram(self, y) -> np.ndarray:
+        return self.pole(y)[0]
+
+    def cartan_mat(self, y, v) -> np.ndarray:
+        return self.cartan_at(self.pole(y), v)
 
 
 def _check_nonzero(y: np.ndarray):
@@ -46,19 +56,25 @@ def _check_nonzero(y: np.ndarray):
         raise ValueError("Hessian undefined at the origin")
 
 
+def _finite(a, name: str) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has entries that are not finite")
+    return a
+
+
 def _square(a, name: str, ndim: int = 2) -> np.ndarray:
-    """a as a float array of ndim axes whose last two are equal."""
+    """a as a finite float array of ndim axes whose last two are equal."""
     a = np.asarray(a, dtype=float)
     if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} has shape {a.shape}, not that of square matrices")
-    return a
+    return _finite(a, name)
 
 
 def _vector(a, name: str, n: int) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.shape != (n,):
         raise ValueError(f"{name} has shape {a.shape}, not ({n},)")
-    return a
+    return _finite(a, name)
 
 
 def _dot(x, y):
@@ -104,9 +120,11 @@ class Quadratic(MinkowskiNorm):
         _check_nonzero(np.asarray(y))
         return np.broadcast_to(self.q, np.shape(y)[:-1] + self.q.shape).copy()
 
-    def cartan_mat(self, y, v) -> np.ndarray:
-        _check_nonzero(np.asarray(y))
-        return np.zeros(np.broadcast_shapes(np.shape(y), np.shape(v)) + (self.dim,))
+    def pole(self, y) -> tuple:
+        return (self.gram(y),)  # g is constant, C = 0
+
+    def cartan_at(self, pole, v) -> np.ndarray:
+        return np.zeros(np.broadcast_shapes(pole[0].shape[:-1], np.shape(v)) + (self.dim,))
 
     def to_json(self):
         return {"family": "quadratic", "gram": self.q.tolist()}
@@ -130,25 +148,22 @@ class Randers(MinkowskiNorm):
         y = np.asarray(y, dtype=float)
         return float(np.sqrt(max(y @ self.q @ y, 0.0)) + self.b @ y)
 
-    def _alpha(self, y):
-        """y as floats, alpha = sqrt(y'Qy) (with an axis kept), a = Q y / alpha."""
+    def pole(self, y) -> tuple:
+        """(g, y, alpha = sqrt(y'Qy) with an axis kept, a = Q y / alpha)."""
         y = np.asarray(y, dtype=float)
         _check_nonzero(y)
         qy = np.einsum("ij,...j->...i", self.q, y)
         alpha = np.sqrt(_dot(y, qy))[..., None]
-        return y, alpha, qy / alpha
-
-    def gram(self, y) -> np.ndarray:
-        y, alpha, a = self._alpha(y)
+        a = qy / alpha
         r = (_dot(self.b, y)[..., None] / alpha)[..., None]  # beta / alpha
         # b b' appears once, in (a + b) b'
         g = (1.0 + r) * self.q - r * _outer(a, a) + _outer(a + self.b, self.b) + _outer(self.b, a)
-        return 0.5 * (g + _swap(g))
+        return 0.5 * (g + _swap(g)), y, alpha, a
 
-    def cartan_mat(self, y, v) -> np.ndarray:
+    def cartan_at(self, pole, v) -> np.ndarray:
         # C = 1/4 D^3[F^2] = 1/2 D^3[alpha beta], F^2 = alpha^2 + 2 alpha beta
         # + beta^2, with D^2 alpha = (Q - a a') / alpha; last slot v
-        y, alpha, a = self._alpha(y)
+        _, y, alpha, a = pole
         v = np.asarray(v, dtype=float)
         qv = np.einsum("ij,...j->...i", self.q, v)
         av = _dot(a, v)[..., None]
@@ -200,28 +215,24 @@ class Quartic(MinkowskiNorm):
         """sum_k c_k Q_k, (..., d, d), for stacks c (..., k)."""
         return _vm(c, self._q_comb).reshape(c.shape[:-1] + (self.dim, self.dim))
 
-    def _derivs(self, y):
-        """The pole terms at the rows y: the rows Q_k y, then P, dP and d^2P
-        of P = sum_k w_k (y'Q_k y)^2."""
+    def pole(self, y) -> tuple:
+        """(g, the rows Q_k y, P, dP, d^2P) of P = sum_k w_k (y'Q_k y)^2 at
+        the rows y, P with two axes kept."""
         y = np.asarray(y, dtype=float)
         _check_nonzero(y)
         qy = self._rows(y)
         vals = _mv(qy, y)
         wv = self.weights * vals
         d2p = 8.0 * (_swap(qy) @ (self.weights[:, None] * qy)) + 4.0 * self._comb(wv)
-        return qy, _dot(wv, vals)[..., None], 4.0 * _vm(wv, qy), d2p
-
-    def gram(self, y) -> np.ndarray:
-        _, p, dp, d2p = self._derivs(y)
-        p = p[..., None]
+        p, dp = _dot(wv, vals)[..., None, None], 4.0 * _vm(wv, qy)
         sp = np.sqrt(p)
         # half the Hessian of F^2 = sqrt(P)
         g = d2p / (4.0 * sp) - _outer(dp, dp) / (8.0 * p * sp)
-        return 0.5 * (g + _swap(g))
+        return 0.5 * (g + _swap(g)), qy, p, dp, d2p
 
-    def cartan_mat(self, y, v) -> np.ndarray:
+    def cartan_at(self, pole, v) -> np.ndarray:
         # C = 1/4 D^3[sqrt P], last slot v
-        qy, p, dp, d2p = self._derivs(y)
+        _, qy, p, dp, d2p = pole
         v = np.asarray(v, dtype=float)
         wk = self.weights
         qv = self._rows(v)
@@ -229,7 +240,6 @@ class Quartic(MinkowskiNorm):
         d3p = 8.0 * (x + _swap(x) + self._comb(wk * _mv(qy, v)))
         dpv = _dot(dp, v)[..., None, None]
         d2pv = _outer(_mv(d2p, v), dp)
-        p = p[..., None]
         sp = np.sqrt(p)
         m = d3p / (2.0 * sp)
         m -= (d2p * dpv + d2pv + _swap(d2pv)) / (4.0 * p * sp)

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -470,6 +471,16 @@ def test_randers_on_a_space_with_a_fixed_vector():
     assert rep["flags"] == 3 and rep["invariance_residual"] < 1e-12
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+def test_randers_epsilon_must_be_finite(eps):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = invoke(["curvature", "--space", "preset:sphere_un(3)",
+                               "--metric", f"randers:{eps}", "--samples", "3"])
+    assert code == 1 and json.loads(out)["error"] == f"randers epsilon must be finite, not {eps}"
+    assert not caught, [str(w.message) for w in caught]
+
+
 def test_norm_file_must_be_invariant(tmp_path):
     import numpy as np
     from flagcurv.norms import Quadratic, norm_to_json_str
@@ -491,6 +502,10 @@ def _eye(n):
     ({"family": "quartic", "weights": [1, 1], "quadratics": [_eye(5)]}, "weights has shape (2,)"),
     ({"family": "quadratic", "gram": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}, "gram has shape (2, 3)"),
     ({"family": "quadratic", "gram": _eye(2)}, "norm acts on R^2, but dim m = 5"),
+    ({"family": "quadratic", "gram": [[float("nan")] * 5] + _eye(5)[1:]},
+     "malformed norm file: ValueError: gram has entries that are not finite"),
+    ({"family": "randers", "gram": _eye(5), "b": [float("inf"), 0.0, 0.0, 0.0, 0.0]},
+     "malformed norm file: ValueError: b has entries that are not finite"),
 ])
 def test_malformed_norm_file_fails_closed(tmp_path, payload, match):
     path = tmp_path / "norm.json"

@@ -93,7 +93,7 @@ def test_connection_is_linear_in_the_direction(bn2):
 
 def _riemann_quadratic(eng, u, w):
     """<R_u(w), w>_u through the stacked path that flag_curvature runs."""
-    ok, q, *_ = eng._riemann_quadratic(u[None], w[None], eng._gram(u[None]))
+    ok, q, *_ = eng._riemann_quadratic(u[None], w[None], eng._positive_pole(u[None]))
     assert ok.all()
     return float(q[0])
 
@@ -428,12 +428,12 @@ def test_stacked_gates_reject_exactly_the_failing_rows(bn2):
     bad_pole, bad_near = u[4], u[6]
 
     class Gated(type(base)):
-        def gram(self, y):
-            g = super().gram(y)
+        def pole(self, y):
+            g, *terms = super().pole(y)
             y = np.atleast_2d(y)
             off = np.linalg.norm(y - bad_near, axis=-1)
             hit = np.all(y == bad_pole, axis=-1) | ((off > 0) & (off < 1e-3))
-            return np.where(hit.reshape(g.shape[:-2] + (1, 1)), -g, g)
+            return (np.where(hit.reshape(g.shape[:-2] + (1, 1)), -g, g), *terms)
 
     eng = CurvatureEngine(bn2, Gated(base.weights, base.qs))
     out = eng.flag_curvature(u, v)

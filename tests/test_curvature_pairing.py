@@ -1,0 +1,122 @@
+"""The pairing identities of the curvature engine, against the formula they
+replaced, and the work the engine does per flag stack.
+
+The curvature form pairs every Rt term with g_u w, and g_u N(u, x) = A(u) x,
+so <N(u, x), w>_u = (A' w) . x and, at a finite-difference pole p,
+<N(p, w), w>_u = (A_p w) . g_p^-1 g_u w.  The oracle below evaluates
+<R_u w, w>_u one flag at a time without them: eta, then N(u, w),
+N(u, N(u, w)), N(u, [w, u]_m) and N(p, w) at both poles, each its own
+connection_n call with a frame built at its pole.  The engine sums in
+another order and differences other quantities at the poles, so K agrees to
+1e-9 relative, not bit for bit.
+"""
+
+from collections import Counter
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from flagcurv.coset import SubalgebraSpec, build_coset, parse_preset
+from flagcurv.curvature import ETA_ZERO_TOL, FD_POLE_STEP, CurvatureEngine, CurvatureReport
+from flagcurv.liealg import AlgebraSpec, realize
+from flagcurv.norms import Quadratic, Randers, random_invariant_norm
+
+# the flags-finsler and flags-normal presets of the benchmark
+FINSLER = ("sphere_un(3)", "sphere_spn_u1(2)", "sphere_spn_sp1(2)", "aloff_wallach(1,2)",
+           "bn_excluded_subcase1(2)", "a1a1_diagonal(1)", "cn_excluded_subcase1(3)")
+NORMAL = ("sphere_so2n(4)", "sphere_un(4)", "sphere_spn_u1(2)", "sphere_spn_sp1(3)",
+          "berger_sp2", "aloff_wallach(1,2)", "cn_excluded_subcase1(3)")
+# (preset, norm seed or None for Quadratic(I))
+CASES = ([(p, s) for p in FINSLER for s in (0, 1)] + [(p, None) for p in NORMAL]
+         + [("su(3)", 0), ("su(3)", None)])
+FLAGS = 8
+REL = 1e-9
+
+
+def _space(name):
+    if name == "su(3)":
+        return build_coset(realize(AlgebraSpec((("A", 2, Fraction(1)),))), SubalgebraSpec(),
+                           name="su(3) group")
+    return parse_preset(f"preset:{name}")
+
+
+def _engine(name, seed):
+    sp = _space(name)
+    norm = Quadratic(np.eye(sp.dim_m)) if seed is None else random_invariant_norm(sp, seed)
+    return CurvatureEngine(sp, norm)
+
+
+def _five_solve_k(eng, u, w):
+    """Flag curvature of one flag from the connection terms of Rt(u)w, each
+    solved on its own (the finite-difference poles as in flag_curvature)."""
+    g = eng.norm.gram(u)
+    eta, _ = eng.eta(u)
+    speed = np.linalg.norm(eta)
+    nw = eng.connection_n(u, w)
+    rt = -eng.connection_n(u, nw) - eng.connection_n(u, eng.brm(w, u)) + eng.brm(nw, u)
+    if speed >= ETA_ZERO_TOL:
+        h = FD_POLE_STEP * np.linalg.norm(u)
+        off = h * eta / speed
+        rt = rt + speed * (eng.connection_n(u + off, w) - eng.connection_n(u - off, w)) / (2.0 * h)
+    zh = np.einsum("a,i,aij->j", eng.brh(w, u), w, eng.space.structure_tensors()[2])
+    gu, gw = g @ u, g @ w
+    return (zh @ gu + rt @ gw) / ((u @ gu) * (w @ gw) - (w @ gu) ** 2)
+
+
+@pytest.mark.parametrize("name,seed", CASES, ids=[f"{p}-{s}" for p, s in CASES])
+def test_engine_agrees_with_the_five_solve_formula(name, seed):
+    eng = _engine(name, seed)
+    u, v = np.random.default_rng(3).standard_normal((2, FLAGS, eng.space.dim_m))
+    reps = eng.flag_curvature(u, v)
+    assert all(isinstance(r, CurvatureReport) for r in reps)
+    assert any(r.fd_step > 0 for r in reps) == (seed is not None)  # Quadratic(I): eta = 0
+    for i, rep in enumerate(reps):
+        want = _five_solve_k(eng, u[i], v[i])
+        assert abs(rep.k - want) <= REL * abs(want), (i, rep.k, want)
+
+
+@pytest.mark.parametrize("name,seed", [("bn_excluded_subcase1(2)", 0), ("sphere_un(3)", "randers"),
+                                       ("su(3)", 1)])
+def test_connection_pairs_through_the_operator(name, seed):
+    """<N(u, x), w>_u = (A' w) . x, A the connection operator of the frame."""
+    sp = _space(name)
+    if seed == "randers":
+        b = sp.to_m(sp.embed(sp.t_m[0]))
+        norm = Randers(np.eye(sp.dim_m), 0.25 * b / np.linalg.norm(b))
+    else:
+        norm = random_invariant_norm(sp, seed)
+    eng = CurvatureEngine(sp, norm)
+    u, x, w = np.random.default_rng(5).standard_normal((3, 16, sp.dim_m))
+    g, *_, a = eng._frame(u, eng._positive_pole(u))
+    got = np.einsum("ni,nij,nj->n", eng.connection_n(u, x), g, w)
+    atw = np.einsum("ni,nij->nj", w, a)
+    want = np.einsum("nj,nj->n", atw, x)
+    scale = np.linalg.norm(atw, axis=-1) * np.linalg.norm(x, axis=-1)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("name,seed,solves,poles", [
+    ("bn_excluded_subcase1(2)", 0, 3, 2),  # spray: both finite-difference poles
+    ("berger_sp2", None, 2, 1),            # Quadratic(I): eta = 0, no poles
+], ids=["spray", "no-spray"])
+def test_one_flag_stack_counts_its_solves_and_norm_calls(monkeypatch, name, seed, solves, poles):
+    """Tooling guard: a flag stack solves for eta and N(u, w) at u and once,
+    two columns, at the stacked poles, and evaluates the norm once at u and
+    once at the poles; a per-term solve or norm call fails this."""
+    eng = _engine(name, seed)
+    u, v = np.random.default_rng(7).standard_normal((2, 16, eng.space.dim_m))
+    calls = Counter()
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+    monkeypatch.setattr(type(eng.norm), "pole", counting("pole", type(eng.norm).pole))
+    reps = eng.flag_curvature(u, v)
+    assert all(isinstance(r, CurvatureReport) for r in reps)
+    assert any(r.fd_step > 0 for r in reps) == (poles == 2)
+    assert calls == {"solve": solves, "pole": poles}

@@ -143,6 +143,20 @@ def test_constructors_reject_mis_shaped_arrays(make, match):
         make()
 
 
+@pytest.mark.parametrize("make,match", [
+    (lambda: Quadratic(np.diag([1.0, np.nan, 1.0])), "gram has entries that are not finite"),
+    (lambda: Randers(np.diag([1.0, np.inf]), np.zeros(2)), "gram has entries that are not finite"),
+    (lambda: Randers(np.eye(3), np.array([0.1, np.nan, 0.0])), "b has entries that are not finite"),
+    (lambda: Randers(np.eye(2), np.array([-np.inf, 0.0])), "b has entries that are not finite"),
+    (lambda: Quartic([1.0, np.nan], [np.eye(3), np.eye(3)]), "weights has entries that are not finite"),
+    (lambda: Quartic([1.0], [np.diag([1.0, 1.0, np.inf])]), "quadratics has entries that are not finite"),
+], ids=["quadratic-nan", "randers-inf-gram", "randers-nan-b", "randers-inf-b", "quartic-nan-weight",
+        "quartic-inf-quadratic"])
+def test_constructors_reject_non_finite_entries(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def test_randers_bound_enforced():
     with pytest.raises(ValueError, match="positive definiteness"):
         Randers(np.eye(2), np.array([1.1, 0.0]))

@@ -1,10 +1,11 @@
 """Row-wise kernels of the curvature engine and the norms' Cartan matrices.
 
-Every kernel gives each row of a stack the bits that row gets alone, and
-equals its einsum definition over `structure_tensors()` (for the Cartan
-matrices: the einsum form of the third derivative) to 1e-13 relative.  The
-Cartan tensor of a nearly Riemannian norm is a small difference of terms of
-the size of |g_y| |u| |v| / |y|, so its error is taken relative to that.
+Every kernel, the norms' per-pole call and flag_curvature itself give each
+row of a stack the bits that row gets alone, and every kernel equals its
+einsum definition over `structure_tensors()` (for the Cartan matrices: the
+einsum form of the third derivative) to 1e-13 relative.  The Cartan tensor
+of a nearly Riemannian norm is a small difference of terms of the size of
+|g_y| |u| |v| / |y|, so its error is taken relative to that.
 """
 
 from fractions import Fraction
@@ -84,6 +85,19 @@ def test_kernels_give_each_row_its_own_bits(engine, rows):
             assert np.array_equal(fn(*(a[i] for a in args[:n])), stacked[i]), (name, i)
 
 
+@pytest.mark.parametrize("rows", ROWS)
+def test_flag_curvature_gives_each_row_its_own_bits(engine, rows):
+    u, v, _ = _draws(engine, rows, seed=rows)
+    stacked = engine.flag_curvature(u, v)
+    assert len(stacked) == rows
+    for i in range(rows):
+        if isinstance(stacked[i], ValueError):
+            with pytest.raises(ValueError, match=str(stacked[i])):
+                engine.flag_curvature(u[i], v[i])
+        else:
+            assert engine.flag_curvature(u[i], v[i]) == stacked[i], i
+
+
 def test_kernels_match_their_einsum_definitions(engine):
     cm, ch, _ = engine.space.structure_tensors()
     x, y, _ = _draws(engine, 7)
@@ -124,8 +138,10 @@ def test_norm_kernels_give_each_row_its_own_bits(family, rows):
             "Quartic": lambda: Quartic(0.5 + rng.random(3), [_pd_matrix(d, rng) for _ in range(3)]),
             }[family]()
     y, v = rng.standard_normal((2, rows, d))
-    gram, cartan = norm.gram(y), norm.cartan_mat(y, v)
+    pole, gram, cartan = norm.pole(y), norm.gram(y), norm.cartan_mat(y, v)
     assert gram.shape == cartan.shape == (rows, d, d)
+    assert np.array_equal(pole[0], gram) and all(len(t) == rows for t in pole)
     for i in range(rows):
+        assert all(np.array_equal(a, b[i]) for a, b in zip(norm.pole(y[i]), pole, strict=True))
         assert np.array_equal(norm.gram(y[i]), gram[i])
         assert np.array_equal(norm.cartan_mat(y[i], v[i]), cartan[i])
