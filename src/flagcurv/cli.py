@@ -69,10 +69,14 @@ def _make_norm(space, text: str, seed: int):
     import numpy as np
 
     from . import norms
-    if text == "quadratic":
+    # a built-in is named by the part before the first ':', anything else is a path
+    name, colon, arg = text.partition(":")
+    if name == "quadratic":
+        if colon:
+            raise ValueError(f"quadratic takes no parameter, got {text!r}")
         return norms.Quadratic(np.eye(space.dim_m))
-    if text.startswith("randers"):
-        eps = float(text.split(":", 1)[1]) if ":" in text else 0.2
+    if name == "randers":
+        eps = float(arg) if colon else 0.2
         if not np.isfinite(eps):
             raise ValueError(f"randers epsilon must be finite, not {eps}")
         # b: the t cap m direction projected onto the Ad(H)-fixed vectors
@@ -84,9 +88,8 @@ def _make_norm(space, text: str, seed: int):
         if nb < 1e-12:
             raise ValueError("no Ad(H)-fixed vector of m along t cap m for the Randers form")
         return norms.Randers(np.eye(space.dim_m), eps * b / nb)
-    if text.startswith("quartic") or text.startswith("invariant"):
-        s = int(text.split(":", 1)[1]) if ":" in text else seed
-        return norms.random_invariant_norm(space, s)
+    if name in ("quartic", "invariant"):
+        return norms.random_invariant_norm(space, int(arg) if colon else seed)
     with open(text) as fh:
         return norms.norm_from_json(json.load(fh))
 
@@ -208,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     pk = sub.add_parser("curvature", help="sample flag curvature")
     pk.add_argument("--space", required=True)
     pk.add_argument("--metric", default="quadratic",
-                    help="quadratic | randers[:eps] | quartic[:seed] | norm.json")
+                    help="quadratic | randers[:eps] | quartic[:seed] | invariant[:seed]"
+                         " | the path of a norm JSON file")
     pk.add_argument("--samples", type=_int_in(1, MAX_SAMPLES), default=50)
     pk.add_argument("--seed", type=int, default=0)
     pk.set_defaults(fn=cmd_curvature)

@@ -546,6 +546,8 @@ def preset(name: str, *params) -> CosetSpace:
     fn, nargs, ranked = _PRESETS[name]
     if len(params) != nargs:
         raise ValueError(f"preset {name} takes {nargs} parameter(s)")
+    if ranked and not isinstance(params[0], int):
+        raise ValueError(f"preset {name} takes an integer n, got {params[0]}")
     if ranked and abs(params[0]) > MAX_PRESET_RANK:
         raise ValueError(f"preset {name} takes n <= {MAX_PRESET_RANK}, got {params[0]}")
     return fn(*params)

@@ -14,7 +14,6 @@ seeded invariant norms from them and reads and writes norm JSON.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -38,8 +37,8 @@ class MinkowskiNorm:
     u' M(y, v) w and C_y(u, v, .) is M(y, v) u.  gram(y) and cartan_mat(y, v)
     are the one-off forms.  All take one vector or a stack of them (leading
     axes), one independent point per row, and raise ValueError at the
-    origin.  The constructors raise ValueError on arrays of the wrong shape
-    or with entries that are not finite."""
+    origin.  The constructors raise ValueError on arrays of the wrong shape,
+    with entries that are not finite or, for matrices, not symmetric."""
 
     dim: int
     reversible: bool
@@ -63,11 +62,18 @@ def _finite(a, name: str) -> np.ndarray:
 
 
 def _square(a, name: str, ndim: int = 2) -> np.ndarray:
-    """a as a finite float array of ndim axes whose last two are equal."""
+    """a as a finite float array of ndim axes whose last two are equal,
+    stored as 0.5 (a + a'), which is a bit for bit when a is symmetric; an
+    asymmetry above 1e-12 max(1, max|a|) raises (g and C assume symmetric
+    matrices, while the value of the norm sees only their symmetric part)."""
     a = np.asarray(a, dtype=float)
     if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} has shape {a.shape}, not that of square matrices")
-    return _finite(a, name)
+    a, at = _finite(a, name), _swap(a)
+    skew = np.abs(a - at).max(initial=0.0)
+    if skew > 1e-12 * max(1.0, np.abs(a).max(initial=0.0)):
+        raise ValueError(f"{name} is not symmetric: |a - a'| reaches {skew:.3g}")
+    return 0.5 * (a + at)
 
 
 def _vector(a, name: str, n: int) -> np.ndarray:
@@ -267,10 +273,6 @@ def norm_from_json(obj) -> MinkowskiNorm:
         raise ValueError(f"unknown norm family {fam!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed norm file: {type(exc).__name__}: {exc}") from None
-
-
-def norm_to_json_str(norm: MinkowskiNorm) -> str:
-    return json.dumps(norm.to_json(), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

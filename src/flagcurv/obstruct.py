@@ -4,9 +4,10 @@ candidates.
 Everything here is exact lattice arithmetic (`rootsys`): case detection
 (I/II/III), the two key lemmas, the angle lemma, bracket-membership
 propagation with a derivation trace, the hardcoded case-III subcase tables
-(validated against Weyl orbits at low rank by the test suite; every excluded
-row is checked by replaying its witness), the case-II and case-I decision
-procedures, and the survivor-list verification with rank bound.
+(validated against Weyl orbits at low rank by the test suite), the case-II
+and case-I decision procedures, and the survivor-list verification with
+rank bound.  Every exclusion of the three lists is checked by replaying its
+witness (`_excluded`); a propagation row's own run is its replay.
 
 A root-level space is the datum (spec, w, Delta_h, assignment): the
 algebra g, one vector w spanning t cap m (the rank setting
@@ -14,7 +15,9 @@ rk G = rk H + 1), the isotropy roots and the plane assignment.  Every
 projection to t cap h is the exact one along w.  The searches compare the
 integral projection P(v) = c v - D(w, v) w (`rootsys.t_cap_h_projection`,
 one per (spec, w)): D is the integer Gram form of an integral multiple of
-w and c = D(w, w) > 0, so P = c pr_h, and an h-root x enters as c x.
+w and c = D(w, w) > 0, so P = c pr_h, and an h-root x enters as c x.  The
+tables of P over the roots (`ProjectionTables`) belong to one space and its
+copies.
 
 A RootLevelSpace may carry *partial* knowledge of the isotropy root system
 Delta_h (a verified lower bound); every rule used on such spaces is sound
@@ -36,6 +39,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from .rootsys import (
     AlgebraSpec,
+    Projection,
     TVec,
     _normalize_family,
     angle as root_angle,
@@ -107,6 +111,28 @@ def _times(c, v) -> tuple:
     return tuple(c * x for x in v)
 
 
+@dataclass(frozen=True, eq=False)
+class ProjectionTables:
+    """The tables of P over the roots of g, which depend on spec and w
+    only: each is built on first read, and a space's copies share them."""
+
+    projection: Projection
+    root_data: RootData
+
+    @functools.cached_property
+    def pr_roots(self) -> dict:
+        """root -> P(root), in root order."""
+        return {r: self.projection.scaled(r) for r in self.root_data.g_roots}
+
+    @functools.cached_property
+    def pr_classes(self) -> dict:
+        """P value -> its roots, in order of first appearance."""
+        classes = {}
+        for r, pr in self.pr_roots.items():
+            classes.setdefault(pr, []).append(r)
+        return classes
+
+
 @dataclass
 class RootLevelSpace:
     spec: AlgebraSpec
@@ -115,50 +141,24 @@ class RootLevelSpace:
     h_roots: frozenset
     assignment: dict
     name: str = ""
-    # tables that depend on spec and w only, shared by copies
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # the tables of (spec, w), shared by copies
+    tables: Optional[ProjectionTables] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         proj = self.projection = t_cap_h_projection(self.spec, (self.w,))
+        if self.tables is None or self.tables.projection is not proj:
+            self.tables = ProjectionTables(proj, self.root_data)
         self.pr_scale = proj.scale  # c = D(w, w)
         self.scaled, self.unscaled, self.in_t_h = proj.scaled, proj.unscaled, proj.in_t_h
-
-    @property
-    def g_roots(self) -> tuple:
-        return self.root_data.g_roots
-
-    @property
-    def factor_of(self) -> Mapping:
-        return self.root_data.factor_of
 
     def pr_h(self, v: TVec) -> TVec:
         """Exact projection of v in t onto t cap h: v - (<w,v>/<w,w>) w."""
         return self.projection.pr_h(v)
 
-    def pr_roots(self) -> dict:
-        """The table root -> P(root), in root order."""
-        table = self._cache.get("pr_roots")
-        if table is None:
-            table = self._cache["pr_roots"] = {r: self.scaled(r) for r in self.g_roots}
-        return table
-
-    def pr_classes(self) -> dict:
-        """The same table inverted: P value -> its roots, in order of first
-        appearance."""
-        classes = self._cache.get("pr_classes")
-        if classes is None:
-            classes = self._cache["pr_classes"] = {}
-            for r, pr in self.pr_roots().items():
-                classes.setdefault(pr, []).append(r)
-        return classes
-
+    @functools.cached_property
     def scaled_h(self) -> frozenset:
         """The h-roots x as c x, the scale of P."""
-        key = ("h", self.h_roots)
-        hs = self._cache.get(key)
-        if hs is None:
-            hs = self._cache[key] = frozenset(_times(self.pr_scale, x) for x in self.h_roots)
-        return hs
+        return frozenset(_times(self.pr_scale, x) for x in self.h_roots)
 
 
 def make_root_level_space(spec: AlgebraSpec, w: TVec,
@@ -166,10 +166,8 @@ def make_root_level_space(spec: AlgebraSpec, w: TVec,
     """Root-level space of spec with t cap m spanned by w, every plane
     unassigned."""
     rd = _root_data(spec)
-    hset = set()
-    for v in h_roots:
-        hset.add(v)
-        hset.add(-v)
+    hset = set(h_roots)
+    hset.update([-v for v in hset])  # a negative already present is not stored again
     return RootLevelSpace(spec, rd, w, frozenset(hset), dict.fromkeys(rd.keys), name=name)
 
 
@@ -190,33 +188,22 @@ def root_level_from_coset(space: CosetSpace) -> RootLevelSpace:
 # Case detection and the lemma checkers
 # ---------------------------------------------------------------------------
 
-def _projection_groups(space: RootLevelSpace) -> dict:
-    """Roots grouped by their exact projection to t cap h, in order of
-    first appearance; singletons are left out."""
-    groups = space._cache.get("pr_groups")
-    if groups is None:
-        # singleton projections never participate in case pairs
-        groups = space._cache["pr_groups"] = {
-            pr: rs for pr, rs in space.pr_classes().items() if len(rs) > 1}
-    return groups
-
-
 def _case_pairs(space: RootLevelSpace):
     """Root pairs whose common projection to t cap h is an h-root, in the
     scan order of every case decision (projections in the exact
     lexicographic order, then root order).  A nonzero common projection
     keeps a pair independent."""
-    groups, hs = _projection_groups(space), space.scaled_h()
-    for pr in sorted(groups):
-        if any(pr) and pr in hs:
-            yield from itertools.combinations(groups[pr], 2)
+    classes, hs = space.tables.pr_classes, space.scaled_h
+    for pr in sorted(p for p, rs in classes.items() if len(rs) > 1 and p in hs):
+        if any(pr):
+            yield from itertools.combinations(classes[pr], 2)
 
 
 def classify_case(space: RootLevelSpace) -> str:
     """'I', 'II' or 'III' (priority III > II > I)."""
-    case = "I"
+    case, factor_of = "I", space.root_data.factor_of
     for a, b in _case_pairs(space):
-        if space.factor_of[a] == space.factor_of[b]:
+        if factor_of[a] == factor_of[b]:
             return "III"
         case = "II"
     return case
@@ -237,7 +224,7 @@ def _span_members(space: RootLevelSpace, g1: TVec, shift: Optional[TVec] = None)
     point, looked up in the projection table when it is integral (every
     P(root) is).
     """
-    classes = space.pr_classes()
+    classes = space.tables.pr_classes
     y = space.scaled(g1)
     s = space.scaled(shift) if shift is not None else (0,) * len(y)
     k = next((i for i, q in enumerate(y) if q), None)
@@ -261,7 +248,7 @@ def key_lemma_1_applies(space: RootLevelSpace, alpha: TVec) -> bool:
     if not space.in_t_h(alpha):
         raise ValueError("alpha is not contained in t cap h")
     # the roots on alpha + R w are the roots r with P(r) == P(alpha)
-    return space.scaled(alpha) not in _projection_groups(space)
+    return len(space.tables.pr_classes[space.scaled(alpha)]) == 1
 
 
 def _sum_or_difference_is_root(space: RootLevelSpace, g1: TVec, g2: TVec) -> bool:
@@ -279,8 +266,8 @@ def key_lemma_2_details(space: RootLevelSpace, g1: TVec, g2: TVec) -> dict:
     cond[1] = g1 not in space.h_roots and g2 not in space.h_roots
     cond[2] = not _sum_or_difference_is_root(space, g1, g2)
     cond[3] = _span_members(space, g1) <= {g1, -g1}
-    mem4 = _span_members(space, g1, shift=g2) | _span_members(space, g1, shift=-g2)
-    cond[4] = mem4 <= {g2, -g2}
+    # the roots on -g2 + span(g1, w) are the negatives of those on g2 + span(g1, w)
+    cond[4] = _span_members(space, g1, shift=g2) <= {g2, -g2}
     return cond
 
 
@@ -293,14 +280,17 @@ def key_lemma_2_check(space: RootLevelSpace, g1: TVec, g2: TVec) -> bool:
     return all(key_lemma_2_details(space, g1, g2).values())
 
 
-def _independent_pairs(space: RootLevelSpace, candidates: Iterable[TVec]):
-    """The pairs of candidate roots, in sorted order, that meet conditions
-    (1) and (2) of the second key lemma: independent, both outside Delta_h,
-    and with neither g1 + g2 nor g1 - g2 a root."""
+def _kl2_pair_search(space: RootLevelSpace, candidates: Iterable[TVec]) -> Optional[Verdict]:
+    """The exclusion by the first pair of candidate roots, in sorted order,
+    that meets the second key lemma, or None.  Conditions (1) and (2) are
+    screened first: independent, both outside Delta_h, and with neither
+    g1 + g2 nor g1 - g2 a root."""
     outside_h = sorted(r for r in candidates if r not in space.h_roots)
     for g1, g2 in itertools.combinations(outside_h, 2):
-        if g1 != -g2 and not _sum_or_difference_is_root(space, g1, g2):
-            yield g1, g2
+        if (g1 != -g2 and not _sum_or_difference_is_root(space, g1, g2)
+                and key_lemma_2_check(space, g1, g2)):
+            return _excluded(space, Witness("key_lemma_2", {"gamma1": g1, "gamma2": g2}))
+    return None
 
 
 def angle_lemma_check(space: RootLevelSpace, alpha: TVec, beta: TVec) -> bool:
@@ -309,9 +299,10 @@ def angle_lemma_check(space: RootLevelSpace, alpha: TVec, beta: TVec) -> bool:
     Precondition: pr_h(alpha) = pr_h(beta) is a root of h.
     """
     pa = space.scaled(alpha)
-    if pa != space.scaled(beta) or pa not in space.scaled_h():
+    if pa != space.scaled(beta) or pa not in space.scaled_h:
         raise ValueError("hypothesis violated: projections differ or are not h-roots")
-    return (space.factor_of[alpha] == space.factor_of[beta]
+    factor_of = space.root_data.factor_of
+    return (factor_of[alpha] == factor_of[beta]
             and root_angle(alpha, beta) in ("pi/3", "2pi/3"))
 
 
@@ -351,9 +342,9 @@ def propagate_assignment(space: RootLevelSpace, rule_order: Optional[list] = Non
     sp = replace(space, assignment=dict(space.assignment))  # a working copy
     trace: list = []
     c = sp.pr_scale
-    h_roots = set(sp.scaled_h())
+    h_roots = set(sp.scaled_h)
     asg = sp.assignment
-    pr_of = sp.pr_roots()
+    pr_of = sp.tables.pr_roots
     keys = sp.root_data.keys
 
     def fmt(p):
@@ -519,9 +510,13 @@ class Verdict:
         return out
 
 
-def _excluded_by_pair(g1: TVec, g2: TVec) -> Verdict:
-    """The exclusion certified by a pair that meets the second key lemma."""
-    return Verdict("excluded", witness=Witness("key_lemma_2", {"gamma1": g1, "gamma2": g2}))
+def _excluded(space: RootLevelSpace, witness: Witness, detail: str = "") -> Verdict:
+    """The exclusion of space that witness certifies, once revalidate_witness
+    has replayed it there; a witness that does not replay raises
+    AssertionError naming the space."""
+    if not revalidate_witness(space, witness):
+        raise AssertionError(f"{space.name}: the {witness.kind} witness does not replay")
+    return Verdict("excluded", witness=witness, detail=detail)
 
 
 def _pair_facts(g1: TVec, g2: TVec) -> list:
@@ -533,7 +528,8 @@ def _pair_facts(g1: TVec, g2: TVec) -> list:
 
 def revalidate_witness(space: RootLevelSpace, witness: Witness) -> bool:
     """Replay an exclusion witness against its defining checker; every
-    excluded case-III row is checked this way."""
+    exclusion is checked this way, but a propagation row's, whose run is
+    its replay."""
     k = witness.kind
     p = witness.payload
     if k == "key_lemma_2":
@@ -632,9 +628,9 @@ def case3_space(family: str, rank: int, alpha: TVec, beta: TVec,
     spec of (family, rank): t cap m is spanned by alpha - beta, and Delta_h
     is seeded with the common projection (a verified lower bound for any
     isotropy algebra realizing the datum)."""
-    sp = make_root_level_space(unit_spec(((family, rank),)), alpha - beta, name=name)
-    ap = sp.pr_h(alpha)
-    return replace(sp, h_roots=frozenset({ap, -ap}))
+    spec, w = unit_spec(((family, rank),)), alpha - beta
+    return make_root_level_space(spec, w, [t_cap_h_projection(spec, (w,)).pr_h(alpha)],
+                                 name=name)
 
 
 def _sphere_name(n):
@@ -854,8 +850,8 @@ def case3_subcases(family: str, rank: int) -> list:
 
 def evaluate_subcase(sc: Subcase) -> Verdict:
     """Run the checks attached to one canonical subcase and emit a verdict.
-    An excluded row's witness is built from the row and then replayed by
-    revalidate_witness."""
+    An excluded row's witness is built from the row and replayed by
+    _excluded; a propagation row's run is its own replay."""
     if sc.kind == "covered":
         return Verdict("covered", detail=f"covered by subcase {sc.payload['by']}")
     space = case3_space(sc.family, sc.rank, sc.alpha, sc.beta,
@@ -871,9 +867,8 @@ def evaluate_subcase(sc: Subcase) -> Verdict:
         witness = Witness("angle", {"alpha": p["alpha1"], "beta": p["beta1"]})
         detail = "short pair replacing the original one"
     elif sc.kind == "key_lemma_2":
-        witness = _excluded_by_pair(p["gamma1"], p["gamma2"]).witness
+        witness = Witness("key_lemma_2", {"gamma1": p["gamma1"], "gamma2": p["gamma2"]})
     elif sc.kind == "propagation":
-        # this run is the witness's replay, which revalidate_witness would repeat
         try:
             propagate_assignment(space)
         except PropagationContradiction as exc:
@@ -893,16 +888,14 @@ def evaluate_subcase(sc: Subcase) -> Verdict:
     elif sc.kind == "g2_rotation":
         # the hat-class ladder alpha', 2a', ..., 5a' behind the rotation trick
         ap = space.scaled(sc.alpha)
-        if not all(_times(k, ap) in space.pr_classes() for k in range(1, 6)):
+        if not all(_times(k, ap) in space.tables.pr_classes for k in range(1, 6)):
             raise AssertionError(f"{sc.label}: G2 hat-class ladder incomplete")
         witness = Witness("root_combinatorial",
                           {**p, "facts": _pair_facts(p["gamma1"], p["gamma2"])})
         detail = "orthogonal commuting pair feeding the rotation argument"
     else:
         raise ValueError(f"unknown subcase kind {sc.kind!r}")
-    if not revalidate_witness(space, witness):
-        raise AssertionError(f"{sc.label}: the {witness.kind} witness does not replay")
-    return Verdict("excluded", witness=witness, detail=detail)
+    return _excluded(space, witness, detail)
 
 
 def enumerate_case3(family: str, rank: int) -> list:
@@ -940,11 +933,11 @@ def case2_space(g2_family: str, g2_rank: int, beta: TVec,
     in t cap h, as w = alpha - beta) plus the common projection."""
     spec = unit_spec((("A", 1), (g2_family, g2_rank)))
     alpha = lift_root(spec, 0, sparse_tvec("A", 1, (0, 1), (1, -1)))
-    lb = lift_root(spec, 1, beta)
-    sp = make_root_level_space(spec, alpha - lb, name=name)
-    hset = {sp.pr_h(alpha), -sp.pr_h(alpha)}
-    hset.update(r for r in sp.root_data.factor_roots[1] if sp.in_t_h(r))
-    return replace(sp, h_roots=frozenset(hset))
+    w = alpha - lift_root(spec, 1, beta)
+    proj = t_cap_h_projection(spec, (w,))
+    h_roots = [proj.pr_h(alpha)] + [r for r in _root_data(spec).factor_roots[1]
+                                    if proj.in_t_h(r)]
+    return make_root_level_space(spec, w, h_roots, name=name)
 
 
 def classify_case2(space: RootLevelSpace) -> Verdict:
@@ -953,25 +946,18 @@ def classify_case2(space: RootLevelSpace) -> Verdict:
     {(A1, A1), (A2, A1+R), (C_n, A1+C_{n-1})}."""
     if classify_case(space) != "II":
         raise ValueError("not a case-II space")
-    # locate the cross-factor projection pair
-    alpha, beta = next((a, b) for a, b in _case_pairs(space)
-                       if space.factor_of[a] != space.factor_of[b])
-    fa, fb = space.factor_of[alpha], space.factor_of[beta]
-    # the factor contributing only +-alpha is the A1 side
-    roots_a, roots_b = (space.root_data.factor_roots[i] for i in (fa, fb))
-    if len(roots_a) != 2 and len(roots_b) == 2:
-        alpha, beta = beta, alpha
-        fa, fb = fb, fa
-        roots_a, roots_b = roots_b, roots_a
-    if len(roots_a) != 2:
+    # locate the cross-factor projection pair; the factor contributing only
+    # +-alpha is the A1 side, beta is a root of the other factor
+    factor_of, factor_roots = space.root_data.factor_of, space.root_data.factor_roots
+    pair = next((a, b) for a, b in _case_pairs(space) if factor_of[a] != factor_of[b])
+    alpha, beta = sorted(pair, key=lambda r: len(factor_roots[factor_of[r]]) != 2)
+    if len(factor_roots[factor_of[alpha]]) != 2:
         raise ValueError("case-II datum without an A1 factor")
+    fb = factor_of[beta]
     # Wallach-pair search in the second factor
-    cand = [r for r in roots_b if r != beta and r != -beta]
-    pair = next(_independent_pairs(space, cand), None)
-    if pair:
-        if not key_lemma_2_check(space, *pair):
-            raise AssertionError("case-II pair search produced a non-certifying pair")
-        return _excluded_by_pair(*pair)
+    verdict = _kl2_pair_search(space, [r for r in factor_roots[fb] if r != beta and r != -beta])
+    if verdict:
+        return verdict
     fam, rank, scale = space.spec.factors[fb]
     beta_len2 = tvec_dot(space.spec, beta, beta) / scale  # in the factor's unit form
     if fam == "A" and rank == 1:
@@ -982,25 +968,15 @@ def classify_case2(space: RootLevelSpace) -> Verdict:
         return Verdict("survivor", name=_spsp_name(rank))
     if fam == "B" and rank == 2 and beta_len2 == 2:
         return Verdict("survivor", name=_spsp_name(2))  # so(5) = sp(2), long beta
-    return Verdict("excluded",
-                   witness=Witness("root_combinatorial",
-                                   {"facts": [],
-                                    "note": "rank-equal pair outside the known table"}),
-                   detail="no commuting pair found but the pair table has no entry")
+    return _excluded(space, Witness("root_combinatorial",
+                                    {"facts": [],
+                                     "note": "rank-equal pair outside the known table"}),
+                     "no commuting pair found but the pair table has no entry")
 
 
 # ---------------------------------------------------------------------------
 # Case I
 # ---------------------------------------------------------------------------
-
-def _kl2_pair_search(space: RootLevelSpace, candidates: list) -> Optional[Verdict]:
-    """The exclusion by the first candidate pair that meets the second key
-    lemma, or None."""
-    for pair in _independent_pairs(space, candidates):
-        if key_lemma_2_check(space, *pair):
-            return _excluded_by_pair(*pair)
-    return None
-
 
 def classify_case1(space: RootLevelSpace) -> Verdict:
     """Decision procedure for case-I data, splitting on the decomposition
@@ -1015,26 +991,24 @@ def classify_case1(space: RootLevelSpace) -> Verdict:
     # each active factor's block of w, lifted to t
     w_of = {i: lift_root(spec, i, w.factors[i]) for i in active}
 
-    def missing_h_root(r, why, detail):
-        return Verdict("excluded", witness=Witness("key_lemma_1", {"gamma": r, "detail": why}),
-                       detail=detail)
-
     # inactive simple factors must sit inside h entirely
     for i in range(len(spec.factors)):
         if i in active:
             continue
         for r in factor_roots[i]:
             if r not in space.h_roots:
-                return missing_h_root(r, "root of a torus-fixed factor missing from h",
-                                      "first key lemma forces the whole factor into h")
+                why = "root of a torus-fixed factor missing from h"
+                return _excluded(space, Witness("key_lemma_1", {"gamma": r, "detail": why}),
+                                 "first key lemma forces the whole factor into h")
     # a root inside t cap h that is alone on its affine line must be an
     # h-root; a candidate isotropy missing it is excluded outright
-    for r in space.g_roots:
+    for r in space.root_data.g_roots:
         if r in space.h_roots:
             continue
         if space.in_t_h(r) and key_lemma_1_applies(space, r):
-            return missing_h_root(r, "forced h-root missing from the candidate isotropy",
-                                  "first key lemma contradiction")
+            why = "forced h-root missing from the candidate isotropy"
+            return _excluded(space, Witness("key_lemma_1", {"gamma": r, "detail": why}),
+                             "first key lemma contradiction")
     nonh = {i: [r for r in factor_roots[i] if r not in space.h_roots] for i in active}
 
     if w0_nonzero:
@@ -1104,11 +1078,9 @@ def classify_case1(space: RootLevelSpace) -> Verdict:
             "alpha": alpha, "beta": beta_in_line,
             "numeric_preset": "a1a1_diagonal",
         }
-        return Verdict("excluded",
-                       witness=Witness("root_combinatorial", payload),
-                       detail="two-factor torus with a root along each "
-                              "component; zero-curvature pair certified on "
-                              "the matrix preset")
+        return _excluded(space, Witness("root_combinatorial", payload),
+                         "two-factor torus with a root along each component; "
+                         "zero-curvature pair certified on the matrix preset")
     beta = None
     for r in factor_roots[j]:
         if r not in space.h_roots and tvec_dot(spec, r, w_of[j]):
@@ -1119,9 +1091,9 @@ def classify_case1(space: RootLevelSpace) -> Verdict:
         "construction": kind,
         "alpha": alpha, "beta": beta,
     }
-    return Verdict("excluded", witness=Witness("root_combinatorial", payload),
-                   detail="torus component spread over several factors; "
-                          "the commuting pair argument applies")
+    return _excluded(space, Witness("root_combinatorial", payload),
+                     "torus component spread over several factors; "
+                     "the commuting pair argument applies")
 
 
 def _h_is_w_perp(space: RootLevelSpace, i: int) -> bool:
@@ -1258,11 +1230,10 @@ def _case1_space(label, blocks, abelian=True, h_perp=True) -> RootLevelSpace:
     w = tvec_from_parts(spec, abelian=[1] if abelian else [])
     for i, b in enumerate(blocks):
         w = w + lift_root(spec, i, b)
-    sp = make_root_level_space(spec, w, name=label)
-    if not h_perp:
-        return sp
     # each root is orthogonal to w exactly when it is to w's block of its factor
-    return replace(sp, h_roots=frozenset(r for r in sp.g_roots if sp.in_t_h(r)))
+    in_t_h = t_cap_h_projection(spec, (w,)).in_t_h
+    h_roots = [r for r in _root_data(spec).g_roots if in_t_h(r)] if h_perp else ()
+    return make_root_level_space(spec, w, h_roots, name=label)
 
 
 def case1_candidates(max_rank: int = 8) -> list:
@@ -1314,27 +1285,26 @@ def case1_candidates(max_rank: int = 8) -> list:
 # Full classification of a concrete space
 # ---------------------------------------------------------------------------
 
-def _pair_signature(space: RootLevelSpace, alpha: TVec, beta: TVec):
-    """Weyl-invariant data of a case-III pair: squared lengths, angle, and
-    the root counts of the plane they span and of its orthocomplement."""
-    spec = space.spec
+def _pair_signature(spec: AlgebraSpec, alpha: TVec, beta: TVec):
+    """Weyl-invariant data of a case-III pair of roots of spec: squared
+    lengths, angle, and the root counts of the plane they span and of its
+    orthocomplement."""
+    roots = _root_data(spec).g_roots
     la, lb = tvec_dot(spec, alpha, alpha), tvec_dot(spec, beta, beta)
     ang = root_angle(alpha, beta)
-    in_plane = sum(1 for r in space.g_roots
-                   if _in_affine_span([alpha, beta], r) is not None)
-    perp = sum(1 for r in space.g_roots
+    in_plane = sum(1 for r in roots if _in_affine_span([alpha, beta], r) is not None)
+    perp = sum(1 for r in roots
                if not tvec_dot(spec, r, alpha) and not tvec_dot(spec, r, beta))
     return (tuple(sorted([la, lb])), ang, in_plane, perp)
 
 
 def match_case3_subcase(space: RootLevelSpace, alpha: TVec, beta: TVec) -> Subcase:
     """Find the canonical subcase with the same pair signature."""
-    fam, rank, _ = space.spec.factors[space.factor_of[alpha]]
-    sig = _pair_signature(space, alpha, beta)
+    fam, rank, _ = space.spec.factors[space.root_data.factor_of[alpha]]
+    sig = _pair_signature(space.spec, alpha, beta)
     rows = case3_subcases(fam, rank)
     for sc in rows:
-        probe = case3_space(sc.family, sc.rank, sc.alpha, sc.beta)
-        if _pair_signature(probe, sc.alpha, sc.beta) == sig:
+        if _pair_signature(unit_spec(((sc.family, sc.rank),)), sc.alpha, sc.beta) == sig:
             if sc.kind == "covered":
                 by = sc.payload["by"]
                 sc = next(r for r in rows if r.label == by)
@@ -1345,15 +1315,12 @@ def match_case3_subcase(space: RootLevelSpace, alpha: TVec, beta: TVec) -> Subca
 def classify_space(space: RootLevelSpace) -> dict:
     """Case detection plus the matching decision procedure."""
     case = classify_case(space)
-    if case == "I":
-        verdict = classify_case1(space)
-        return {"case": "I", "verdict": verdict.to_json()}
-    if case == "II":
-        verdict = classify_case2(space)
-        return {"case": "II", "verdict": verdict.to_json()}
+    if case != "III":
+        verdict = (classify_case1 if case == "I" else classify_case2)(space)
+        return {"case": case, "verdict": verdict.to_json()}
     # case III: locate a same-factor pair and match the canonical table
-    pair = next((a, b) for a, b in _case_pairs(space)
-                if space.factor_of[a] == space.factor_of[b])
+    factor_of = space.root_data.factor_of
+    pair = next((a, b) for a, b in _case_pairs(space) if factor_of[a] == factor_of[b])
     sc = match_case3_subcase(space, *pair)
     verdict = evaluate_subcase(sc)
     return {"case": "III", "subcase": sc.describe(), "verdict": verdict.to_json()}

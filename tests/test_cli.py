@@ -28,6 +28,13 @@ VERIFY_FULL_RANK12_SHA256 = {
     3: "c7829e7f99f925036b76c2f7aa30bb04d6717f61aeab974fceb80520826d0588",
 }
 
+# The same at rank 16, the CLI's largest bound (about 0.3 s per part).
+VERIFY_FULL_RANK16_SHA256 = {
+    1: "7b7de247b5b18b73d472f2e9662d971a06931ae932d0e05dbf73b1b1a1df821e",
+    2: "31c3eca8f99a715881161250023f9c04edbc7a504ce334b470e6267e5eeb5557",
+    3: "adde61877dedc224b444c3693f90690452eaa439d4161048b2b2cd527350fe8c",
+}
+
 # The same at the small rank bounds, keyed by (max_rank, theorem): the
 # expected sets and the rank-3 and rank-4 table rows change from one bound
 # to the next.
@@ -258,11 +265,11 @@ def test_curvature_verb_and_determinism():
 
 def test_curvature_with_norm_file(tmp_path):
     from flagcurv.coset import preset
-    from flagcurv.norms import random_invariant_norm, norm_to_json_str
+    from flagcurv.norms import random_invariant_norm
     sp = preset("a1a1_diagonal", 1)
     norm = random_invariant_norm(sp, 2)
     path = tmp_path / "norm.json"
-    path.write_text(norm_to_json_str(norm))
+    path.write_text(json.dumps(norm.to_json(), sort_keys=True))
     code, out, _ = invoke(["curvature", "--space", "preset:a1a1_diagonal(1)",
                            "--metric", str(path), "--samples", "5", "--seed", "1"])
     assert code == 0
@@ -324,6 +331,13 @@ def test_verify_full_stdout_is_pinned_at_rank_12(theorem):
     code, out, _ = invoke(["verify", "--theorem", str(theorem), "--full", "--max-rank", "12"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FULL_RANK12_SHA256[theorem]
+
+
+@pytest.mark.parametrize("theorem", [1, 2, 3])
+def test_verify_full_stdout_is_pinned_at_rank_16(theorem):
+    code, out, _ = invoke(["verify", "--theorem", str(theorem), "--full", "--max-rank", "16"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FULL_RANK16_SHA256[theorem]
 
 
 @pytest.mark.parametrize("max_rank,theorem", sorted(VERIFY_FULL_SMALL_RANK_SHA256))
@@ -483,10 +497,10 @@ def test_randers_epsilon_must_be_finite(eps):
 
 def test_norm_file_must_be_invariant(tmp_path):
     import numpy as np
-    from flagcurv.norms import Quadratic, norm_to_json_str
+    from flagcurv.norms import Quadratic
     a = np.random.default_rng(0).standard_normal((5, 5))
     path = tmp_path / "norm.json"
-    path.write_text(norm_to_json_str(Quadratic(a @ a.T + np.eye(5))))
+    path.write_text(json.dumps(Quadratic(a @ a.T + np.eye(5)).to_json(), sort_keys=True))
     _assert_fails_closed(["curvature", "--space", "preset:sphere_un(3)",
                           "--metric", str(path), "--samples", "3"], "not Ad(H)-invariant")
 
@@ -629,3 +643,55 @@ def test_space_file_rank_cap_admits_every_preset(name):
     from flagcurv import coset, rootsys
     spec = coset.preset(name, coset.MAX_PRESET_RANK).algebra.spec
     assert rootsys.AlgebraSpec.from_json(spec.to_json()) == spec
+
+
+@pytest.mark.parametrize("preset", ["bn_excluded_subcase1(2)", "a1a1_diagonal(1)"])
+def test_classify_fails_closed_when_a_witness_does_not_replay(monkeypatch, preset):
+    from flagcurv import obstruct
+    monkeypatch.setattr(obstruct, "revalidate_witness", lambda space, witness: False)
+    _assert_fails_closed(["classify", "--space", f"preset:{preset}"], "does not replay")
+
+
+def test_a_non_symmetric_norm_file_fails_closed(tmp_path):
+    gram = _eye(5)
+    gram[0][1] = 0.5
+    path = tmp_path / "norm.json"
+    path.write_text(json.dumps({"family": "quadratic", "gram": gram}))
+    _assert_fails_closed(["curvature", "--space", "preset:sphere_un(3)", "--metric", str(path),
+                          "--samples", "3"], "malformed norm file: ValueError: gram is not symmetric")
+
+
+def test_metric_names_a_built_in_only_by_its_exact_name(tmp_path, monkeypatch):
+    """A norm file named quartic.json is read as a file, like the same file
+    under another name; a missing randers.json is a missing file."""
+    from flagcurv.coset import preset
+    from flagcurv.norms import random_invariant_norm
+    monkeypatch.chdir(tmp_path)
+    text = json.dumps(random_invariant_norm(preset("a1a1_diagonal", 1), 5).to_json())
+    reports = {}
+    for metric in ("quartic.json", "norm.json", "quartic"):
+        if metric.endswith(".json"):
+            (tmp_path / metric).write_text(text)
+        code, out, _ = invoke(["curvature", "--space", "preset:a1a1_diagonal(1)",
+                               "--metric", metric, "--samples", "5", "--seed", "1"])
+        assert code == 0
+        reports[metric] = json.loads(out)
+    for key in ("K_min", "K_max", "flags"):
+        assert reports["quartic.json"][key] == reports["norm.json"][key]
+    assert reports["quartic.json"]["K_min"] != reports["quartic"]["K_min"]
+    for metric, match in [("randers.json", "No such file"), ("quadratic:2", "no parameter")]:
+        _assert_fails_closed(["curvature", "--space", "preset:sphere_un(3)",
+                              "--metric", metric, "--samples", "3"], match)
+
+
+@pytest.mark.parametrize("argv", [
+    ["space", "build", "--preset", "preset:sphere_un(3.5)"],
+    ["classify", "--space", "preset:sphere_spn_sp1(5/2)"],
+])
+def test_a_non_integer_preset_rank_fails_closed(argv):
+    src = str(Path(flagcurv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "flagcurv.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert "takes an integer n" in json.loads(proc.stdout)["error"]

@@ -24,7 +24,6 @@ DEMOS = ROOT / "demos"
 EXEMPT = (
     ("__getattr__", "the package's PEP 562 hook: the interpreter calls it"),
     ("tvec_to_json", "the lattice JSON form that exclusion certificates will hold"),
-    ("norm_to_json_str", "the tests write norm files with it"),
     ("flag_curvature_commutative", "kept for flagcurv.__all__: the one-call form of "
      "the commutative-pair route; the program calls the CurvatureEngine method"),
 )

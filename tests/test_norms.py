@@ -1,6 +1,7 @@
 """Minkowski norms: values, Hessians, Cartan tensors, invariance."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from flagcurv.norms import (
     check_invariance,
     invariant_quadratic_space,
     norm_from_json,
-    norm_to_json_str,
     random_invariant_norm,
 )
 
@@ -157,6 +157,34 @@ def test_constructors_reject_non_finite_entries(make, match):
         make()
 
 
+_FAMILIES = {
+    "quadratic": lambda q: Quadratic(q),
+    "randers": lambda q: Randers(q, np.array([0.1, 0.0, 0.0])),
+    "quartic": lambda q: Quartic([1.0, 0.5], [np.eye(3), q]),
+}
+
+
+def _stored(norm):
+    return norm.qs[1] if isinstance(norm, Quartic) else norm.q
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_constructors_reject_asymmetric_matrices(family, scale):
+    """Asymmetry above 1e-12 max(1, max|a|) raises; below it the matrix
+    is stored as its symmetric part, and a symmetric one bit for bit."""
+    a = scale * _pd_matrix(3, np.random.default_rng(7))
+    assert np.array_equal(_stored(_FAMILIES[family](a)), a)
+    skew = np.zeros((3, 3))
+    skew[0, 1] = 1e-13 * scale
+    near = a + skew
+    q = _stored(_FAMILIES[family](near))
+    assert np.array_equal(q, q.T) and np.array_equal(q, 0.5 * (near + near.T))
+    skew[0, 1] = 1e-11 * scale
+    with pytest.raises(ValueError, match="is not symmetric"):
+        _FAMILIES[family](a + skew)
+
+
 def test_randers_bound_enforced():
     with pytest.raises(ValueError, match="positive definiteness"):
         Randers(np.eye(2), np.array([1.1, 0.0]))
@@ -209,7 +237,7 @@ def test_json_roundtrip():
     for norm in (Quadratic(_pd_matrix(d, RNG)),
                  Randers(np.eye(d), np.array([0.1, 0, 0.0])),
                  Quartic([1.0, 2.0], [np.eye(d), _pd_matrix(d, RNG)])):
-        back = norm_from_json(__import__("json").loads(norm_to_json_str(norm)))
+        back = norm_from_json(json.loads(json.dumps(norm.to_json(), sort_keys=True)))
         y = RNG.standard_normal(d)
         assert abs(back.value(y) - norm.value(y)) < 1e-12
 
@@ -231,8 +259,11 @@ def test_check_invariance_levels(bn2):
 def test_random_invariant_norm_determinism_and_reversibility(bn2):
     n1 = random_invariant_norm(bn2, 42)
     n2 = random_invariant_norm(bn2, 42)
-    assert norm_to_json_str(n1) == norm_to_json_str(n2)
-    assert norm_to_json_str(random_invariant_norm(bn2, 43)) != norm_to_json_str(n1)
+    def text(norm):
+        return json.dumps(norm.to_json(), sort_keys=True)
+
+    assert text(n1) == text(n2)
+    assert text(random_invariant_norm(bn2, 43)) != text(n1)
     assert n1.reversible
     y = RNG.standard_normal(bn2.dim_m)
     assert n1.value(y) == n1.value(-y)

@@ -72,11 +72,13 @@ def mismatches() -> list:
             bad.append(f"{name}: invariant_quadratic_space")
         if not np.array_equal(norms.invariant_vectors(sp), oracle_vectors(sp)):
             bad.append(f"{name}: invariant_vectors")
-        new = [norms.norm_to_json_str(norms.random_invariant_norm(sp, s)) for s in (0, 1)]
+        new = [json.dumps(norms.random_invariant_norm(sp, s).to_json(), sort_keys=True)
+               for s in (0, 1)]
         engine = norms.invariant_quadratic_space
         norms.invariant_quadratic_space = oracle_quadratic_space
         try:
-            old = [norms.norm_to_json_str(norms.random_invariant_norm(sp, s)) for s in (0, 1)]
+            old = [json.dumps(norms.random_invariant_norm(sp, s).to_json(), sort_keys=True)
+                   for s in (0, 1)]
         finally:
             norms.invariant_quadratic_space = engine
         bad += [f"{name}: random_invariant_norm seed {s}" for s in (0, 1) if new[s] != old[s]]

@@ -1,13 +1,16 @@
 """Classification machinery: case detection, key lemmas, propagation,
 subcase tables, decision procedures, survivor lists."""
 
+import gc
 import random
 import re
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from flagcurv import obstruct
 from flagcurv.coset import (
     SubalgebraSpec,
     build_coset,
@@ -31,7 +34,6 @@ from flagcurv.rootsys import (
 from flagcurv.obstruct import (
     PropagationContradiction,
     _lattice_root,
-    _projection_groups,
     _span_members,
     angle_lemma_check,
     case1_candidates,
@@ -109,10 +111,10 @@ def test_pr_h_matches_projection_onto_cartan_h(make):
     sp = make()
     cartan_h = orthocomplement_in_t(sp.spec, [sp.w])
     assert cartan_h
-    for r in sp.g_roots:
+    for r in sp.root_data.g_roots:
         assert sp.pr_h(r) == project_to_span(sp.spec, cartan_h, r)
         assert sp.in_t_h(r) == (r - project_to_span(sp.spec, cartan_h, r)).is_zero()
-    assert any(sp.in_t_h(r) for r in sp.g_roots)
+    assert any(sp.in_t_h(r) for r in sp.root_data.g_roots)
 
 
 def test_copies_and_the_coset_share_one_projection():
@@ -125,6 +127,26 @@ def test_copies_and_the_coset_share_one_projection():
     assert sp.pr_scale == sp.projection.scale
 
 
+def test_copies_share_the_projection_tables_and_free_them():
+    """The tables of (spec, w) are built on first read, shared by the
+    copies of a space (propagation's among them) and freed with them:
+    no cache outlives the spaces.  scaled_h follows each copy's h-roots."""
+    sp = case3_space("F4", 4, sparse_tvec("F4", 4, (0, 1), (1, 1)), sparse_tvec("F4", 4, (2, -1)))
+    tables = sp.tables
+    assert "pr_classes" not in vars(tables)
+    classify_case(sp)
+    assert "pr_classes" in vars(tables)
+    b3 = case3_space("B", 3, sparse_tvec("B", 3, (0, 1), (1, 1)), sparse_tvec("B", 3, (2, -1)))
+    out, _ = propagate_assignment(b3)
+    copy = replace(out, assignment={}, h_roots=frozenset())
+    assert copy.tables is out.tables is b3.tables and copy.scaled_h == frozenset()
+    assert out.scaled_h == frozenset(tuple(out.pr_scale * x for x in r) for r in out.h_roots)
+    ref = weakref.ref(tables)
+    del sp, tables
+    gc.collect()
+    assert ref() is None
+
+
 def test_unequal_factor_scales_group_by_the_exact_projection():
     # A1 (scale 1) + A1 (scale 2) with w = alpha - beta: pr_h(alpha) ==
     # pr_h(beta) in the scaled form, a cross-factor pair on an h-root
@@ -134,12 +156,11 @@ def test_unequal_factor_scales_group_by_the_exact_projection():
     assert sp.pr_h(alpha) == sp.pr_h(beta)
     sp = make_root_level_space(spec, alpha - beta, h_roots=[sp.pr_h(alpha)])
     exact = {}
-    for r in sp.g_roots:
+    for r in sp.root_data.g_roots:
         exact.setdefault(sp.pr_h(r), []).append(r)
-    # the groups are keyed by P = c pr_h, a fixed positive multiple
-    groups = _projection_groups(sp)
-    assert {sp.unscaled(p): rs for p, rs in groups.items()} == \
-        {p: rs for p, rs in exact.items() if len(rs) > 1}
+    # the classes are keyed by P = c pr_h, a fixed positive multiple
+    classes = sp.tables.pr_classes
+    assert {sp.unscaled(p): rs for p, rs in classes.items()} == exact
     assert classify_case(sp) == "II"
 
 
@@ -153,7 +174,7 @@ def _oracle_span_members(sp, g1, shift):
     """Roots r with r - shift in span(g1, w), one exact solve per root."""
     rows = [list(c) for c in zip(g1, sp.w)]
     out = set()
-    for r in sp.g_roots:
+    for r in sp.root_data.g_roots:
         tgt = r if shift is None else r - shift
         if solve_exact(rows, list(tgt)) is not None:
             out.add(r)
@@ -174,7 +195,7 @@ def test_span_members_match_a_per_root_solve(make, rich):
     projection-table lookup agrees with an exact solve for every root.  On
     a rank-two torus span(g1, w) is all of t unless g1 lies along w."""
     sp = make()
-    roots = sp.g_roots
+    roots = sp.root_data.g_roots
     oracle = {}
 
     def members(g1, shift):
@@ -596,3 +617,45 @@ def test_verify_theorem_small_bound():
     assert rep2["match"]
     rep3 = verify_theorem(3, max_rank=5)
     assert rep3["match"] and rep3["unresolved"]
+
+
+@pytest.mark.parametrize("max_rank,excluded", [(8, (37, 12)), (12, (57, 12))])
+def test_every_case2_and_case1_exclusion_replays_on_its_own_space(monkeypatch, max_rank,
+                                                                   excluded):
+    """Parts 2 and 3 of verify_theorem: each excluded row's witness replays
+    on the space its row was decided on."""
+    for part, procedure, count in zip((2, 3), ("classify_case2", "classify_case1"), excluded):
+        decided = []
+        run = getattr(obstruct, procedure)
+
+        def record(space, run=run):
+            decided.append((space, run(space)))
+            return decided[-1][1]
+
+        monkeypatch.setattr(obstruct, procedure, record)
+        rows = verify_theorem(part, max_rank)["rows"]
+        assert [v.to_json() for _, v in decided] == [v for _, v in rows]
+        out = [(sp, v) for sp, v in decided if v.outcome == "excluded"]
+        assert len(out) == count
+        for sp, v in out:
+            assert revalidate_witness(sp, v.witness), (part, sp.name)
+
+
+def test_a_witness_that_does_not_replay_is_refused(monkeypatch):
+    """Every exclusion goes through the replaying constructor: with the
+    replay refusing, each procedure raises an AssertionError naming the
+    space, while a propagation row, whose run is its replay, still excludes
+    and a survivor is untouched."""
+    monkeypatch.setattr(obstruct, "revalidate_witness", lambda space, witness: False)
+    kl2_row = next(sc for sc in case3_subcases("A", 5) if sc.label == "A:3")
+    two_a1 = next(sp for sp in case1_candidates(2) if sp.name == "two A1 factors")
+    for decide, name in [
+        (lambda: evaluate_subcase(kl2_row), "A5 subcase A:3"),
+        (lambda: classify_case2(case2_space("B", 2, root("B", 2, 1, 0), name="A1+B2")), "A1+B2"),
+        (lambda: classify_case1(two_a1), "two A1 factors"),
+    ]:
+        with pytest.raises(AssertionError, match=re.escape(name) + ": the .* does not replay"):
+            decide()
+    prop = next(sc for sc in case3_subcases("B", 3) if sc.kind == "propagation")
+    assert evaluate_subcase(prop).outcome == "excluded"
+    assert classify_case2(case2_space("C", 3, root("C", 3, 2, 0, 0))).outcome == "survivor"
