@@ -526,6 +526,9 @@ def preset_cn_excluded_subcase1(n: int) -> CosetSpace:
 # Cap on the rank n of the ranked presets: it bounds the algebra a preset
 # builds, and the invariant-form stack of random_invariant_norm with it.
 MAX_PRESET_RANK = 6
+# Cap on |numerator| and denominator of every preset parameter (k, l of
+# aloff_wallach, c of a1a1_diagonal), so their float coordinates stay exact.
+MAX_PRESET_PARAM = 10 ** 6
 _PRESETS = {  # name -> (builder, parameter count, first parameter is the rank n)
     "sphere_so2n": (preset_sphere_so2n, 1, True),
     "sphere_un": (preset_sphere_un, 1, True),
@@ -550,6 +553,10 @@ def preset(name: str, *params) -> CosetSpace:
         raise ValueError(f"preset {name} takes an integer n, got {params[0]}")
     if ranked and abs(params[0]) > MAX_PRESET_RANK:
         raise ValueError(f"preset {name} takes n <= {MAX_PRESET_RANK}, got {params[0]}")
+    if any(max(abs(p.numerator), p.denominator) > MAX_PRESET_PARAM
+           for p in map(Fraction, params)):
+        raise ValueError(f"preset {name} takes numerators and denominators of at most "
+                         f"{MAX_PRESET_PARAM}")
     return fn(*params)
 
 

@@ -7,8 +7,8 @@ m-basis of a CosetSpace.  The two evaluation routes are
     operator N(u, .), and the curvature quadratic form
       <R_u w, w>_u = <[[w,u]_h, w], u>_u + <Rt(u)w, w>_u,
       Rt(u)w = D_{eta(u)}N(u,w) - N(u,N(u,w)) + N(u,[u,w]_m) - [u,N(u,w)]_m,
-    with D_{eta(u)}N by central differences in the pole (and exactly zero
-    when eta(u) = 0);
+    with D_{eta(u)}N by a complex step in the pole (and exactly zero when
+    eta(u) = 0);
 
   * the commutative-pair route for flags with [u,v] = 0 and eta(u) = 0:
       K = <U(u,v), U(u,v)>_u / (<u,u>_u <v,v>_u - <u,v>_u^2),
@@ -25,15 +25,18 @@ g_u N(u, x) = A(u) x, and the quadratic form pairs every Rt term with g_u w:
 
   <N(u, x), w>_u = (A(u)' w) . x,   <N(p, w), w>_u = (A(p) w) . g_p^{-1} g_u w.
 
-So at u only eta and N(u, w) are solved for, and the two poles
-p = u +- h eta/|eta| of every row form one 2n-row stack: one norm
-evaluation (norm.pole, which also carries what its Cartan matrix needs),
-one Cholesky gate and one 2-column solve per pole for eta_p and
-g_p^{-1} g_u w.  A flag stack with eta != 0 makes three solve calls and two
-norm evaluations, one with eta = 0 two and one.
+So at u only eta and N(u, w) are solved for, and D_eta N is a complex step
+(Squire & Trapp, SIAM Rev. 40, 1998): |eta| Im t(p) / h with t(p) =
+<N(p, w), w>_u at the one complex pole p = u + i h eta/|eta| of every row.
+Its n-row frame is one norm evaluation (norm.pole, which also carries what
+its Cartan matrix needs; pole, cartan_at and A are analytic in p, never
+conjugated) and one 2-column LU solve for eta_p and g_p^{-1} g_u w; g_p is
+complex symmetric, so only the real frame at u has a Cholesky gate.  A
+flag stack with eta != 0 makes three solve calls and two norm evaluations,
+one with eta = 0 two and one.
 
-Tolerance ladder: exactness 1e-12, linear-solve residual 1e-10, stacked
-finite-difference comparisons 1e-5 relative.
+Tolerance ladder: exactness 1e-12, linear-solve residual 1e-10, route
+comparisons (commutative pair against invariant frame) 1e-5 relative.
 """
 
 from __future__ import annotations
@@ -119,17 +122,15 @@ class CurvatureEngine:
     # -- the implicit operators -------------------------------------------
     def _pole(self, u):
         """The norm's pole data at the rows u (norm.pole, its Gram matrices
-        broadcast to the rows) and the mask of the rows whose Gram matrix has
-        a Cholesky factor."""
+        broadcast to the rows)."""
         g, *terms = self.norm.pole(u)
-        g = np.broadcast_to(g, u.shape + u.shape[-1:])
-        return (g, *terms), _factors(g)
+        return (np.broadcast_to(g, u.shape + u.shape[-1:]), *terms)
 
     def _positive_pole(self, u):
         """The pole data at u; ValueError unless every Gram matrix has a
         Cholesky factor."""
-        pole, ok = self._pole(u)
-        if not np.all(ok):
+        pole = self._pole(u)
+        if not np.all(_factors(pole[0])):
             raise ValueError(NOT_POSITIVE)
         return pole
 
@@ -175,39 +176,24 @@ class CurvatureEngine:
         return _solve(g, _mv(a, np.asarray(w, dtype=float)))
 
     def _d_eta_term(self, u, w, gw, eta, speed, h):
-        """<D_eta N(., w), w>_u by central differences between the poles
-        u +- h eta/|eta| of every row, all 2n of them one stack; exactly zero
-        where h = 0.  z = g_p^-1 g_u w does not depend on eta_p, so one
-        2-column solve per pole gives both, and <N(p, w), w>_u = (A_p w) . z.
-        Returns the mask of the rows whose Gram matrices at both poles have
-        a Cholesky factor, and the values on those rows."""
-        offset = h[:, None] * (eta / np.maximum(speed, ETA_ZERO_TOL)[:, None])
-        p = np.concatenate([u + offset, u - offset])
-        pole, ok = self._pole(p)
-        ok = ok[:len(u)] & ok[len(u):]
-        both = np.concatenate([ok, ok])
-        p, pole = p[both], [t[both] for t in pole]
-        w, gw = (np.concatenate([x, x])[both] for x in (w, gw))
+        """<D_eta N(., w), w>_u as the complex step speed Im t(p) / h at the
+        pole p = u + i h eta/|eta| of every row, t(p) = <N(p, w), w>_u =
+        (A_p w) . z; exactly zero where h = 0.  z = g_p^-1 g_u w does not
+        depend on eta_p, so one 2-column solve gives both."""
+        p = u + 1j * (h[:, None] * (eta / np.maximum(speed, ETA_ZERO_TOL)[:, None]))
+        pole = self._pole(p)
         gp, bp = _mv(pole[0], p), self._ad(p)  # g_p p, the matrix of [., p]_m
         sol = np.linalg.solve(pole[0], np.stack([_mv(bp, gp), gw], axis=-1))
         t = _dot(_mv(self._operator(pole, gp, bp, sol[..., 0]), w), sol[..., 1])
-        speed, h = speed[ok], h[ok]
-        h2 = np.where(h > 0, h, 1.0)
-        return ok, np.where(h > 0, speed * (t[:len(h)] - t[len(h):]) / (2.0 * h2), 0.0)
+        return np.divide(speed * t.imag, h, out=np.zeros_like(h), where=h > 0)
 
     def _riemann_quadratic(self, u, w, pole):
-        """<R_u(w), w>_u for stacks u, w (pole data at u).  Returns the mask
-        of the rows whose Gram matrices at both poles u +- h eta/|eta| have a
-        Cholesky factor, then on those rows the values, |eta|, the eta
-        residual and h (0 where |eta| < ETA_ZERO_TOL)."""
+        """<R_u(w), w>_u for stacks u, w (pole data at u), then |eta|, the
+        eta residual and h (0 where |eta| < ETA_ZERO_TOL)."""
         g, gu, bu, eta, resid, a = self._frame(u, pole)
         gw, speed = _mv(g, w), np.linalg.norm(eta, axis=-1)
         h = np.where(speed >= ETA_ZERO_TOL, FD_POLE_STEP * np.linalg.norm(u, axis=-1), 0.0)
-        ok, rt = np.ones(len(u), dtype=bool), 0.0
-        if np.any(h):
-            ok, rt = self._d_eta_term(u, w, gw, eta, speed, h)
-            u, w, g, gw, gu, bu, a, speed, h, resid = (
-                x[ok] for x in (u, w, g, gw, gu, bu, a, speed, h, resid))
+        rt = self._d_eta_term(u, w, gw, eta, speed, h) if np.any(h) else 0.0
         # -N(u, N(u,w)) + N(u, [u,w]_m) - [u, N(u,w)]_m against g_u w, the
         # connection terms through <N(u, x), w>_u = (A' w) . x, so that only
         # N(u, w) needs a solve
@@ -215,7 +201,7 @@ class CurvatureEngine:
         rt = rt + _dot(_vm(nw, bu), gw) - _dot(_vm(w, a), nw + _vm(w, bu))
         # h-term: <[[w,u]_h, w], u>_u
         zh = _vm(w, _vm(self.brh(w, u), self._kh).reshape(bu.shape))
-        return ok, _dot(zh, gu) + rt, speed, resid, h
+        return _dot(zh, gu) + rt, speed, resid, h
 
     # -- flags ---------------------------------------------------------------
     def _flag_gate(self, u, v, g):
@@ -229,8 +215,7 @@ class CurvatureEngine:
         """Flag curvature of the flag (pole u, direction v); raises
         ValueError when a gate rejects the flag.  For stacks (rows of u and
         v) returns one entry per row: its CurvatureReport, or the ValueError
-        of the first gate it failed (Cholesky of g_u, degeneracy, Cholesky
-        at either finite-difference pole)."""
+        of the first gate it failed (Cholesky of g_u, then degeneracy)."""
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
         single, u, v = u.ndim == 1, np.atleast_2d(u), np.atleast_2d(v)
         out = [None] * len(u)
@@ -240,12 +225,11 @@ class CurvatureEngine:
                 out[r] = ValueError(reason)
             return [rows[ok]] + [a[ok] for a in arrays]
 
-        pole, ok = self._pole(u)
-        rows, u, v, *pole = keep(ok, NOT_POSITIVE, np.arange(len(u)), u, v, *pole)
+        pole = self._pole(u)
+        rows, u, v, *pole = keep(_factors(pole[0]), NOT_POSITIVE, np.arange(len(u)), u, v, *pole)
         denom, ok = self._flag_gate(u, v, pole[0])
         rows, u, v, denom, *pole = keep(ok, DEGENERATE, rows, u, v, denom, *pole)
-        ok, q, speed, resid, h = self._riemann_quadratic(u, v, pole)
-        rows, denom = keep(ok, NOT_POSITIVE, rows, denom)
+        q, speed, resid, h = self._riemann_quadratic(u, v, pole)
         for r, k, e, res, step in zip(rows, q / denom, speed, resid, h):
             out[r] = CurvatureReport(k=float(k), method="invariant-frame", eta_norm=float(e),
                                      solve_residual=float(res), fd_step=float(step))

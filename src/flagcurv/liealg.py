@@ -33,8 +33,11 @@ PAIR_CHUNK = 1 << 17
 
 
 def _floats(v: TVec) -> tuple:
-    """The float coordinates n/2 * sqrt(k) of a lattice vector."""
-    return tuple(float(x) / 2 * sqrt(k) for x, k in zip(v, v.spec.weights))
+    """The float coordinates n/2 * sqrt(k) of a lattice vector (ValueError past float range)."""
+    try:
+        return tuple(float(x) / 2 * sqrt(k) for x, k in zip(v, v.spec.weights))
+    except OverflowError:
+        raise ValueError("a lattice coordinate does not fit a float") from None
 
 
 class AlgebraElement:

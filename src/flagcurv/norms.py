@@ -37,8 +37,10 @@ class MinkowskiNorm:
     u' M(y, v) w and C_y(u, v, .) is M(y, v) u.  gram(y) and cartan_mat(y, v)
     are the one-off forms.  All take one vector or a stack of them (leading
     axes), one independent point per row, and raise ValueError at the
-    origin.  The constructors raise ValueError on arrays of the wrong shape,
-    with entries that are not finite or, for matrices, not symmetric."""
+    origin; pole and cartan_at also take complex rows, analytic in y and v
+    (no float casts, no conjugation), as a complex step needs.  The
+    constructors raise ValueError on arrays of the wrong shape, with entries
+    that are not finite or, for matrices, not symmetric."""
 
     dim: int
     reversible: bool
@@ -156,7 +158,7 @@ class Randers(MinkowskiNorm):
 
     def pole(self, y) -> tuple:
         """(g, y, alpha = sqrt(y'Qy) with an axis kept, a = Q y / alpha)."""
-        y = np.asarray(y, dtype=float)
+        y = np.asarray(y)
         _check_nonzero(y)
         qy = np.einsum("ij,...j->...i", self.q, y)
         alpha = np.sqrt(_dot(y, qy))[..., None]
@@ -170,7 +172,7 @@ class Randers(MinkowskiNorm):
         # C = 1/4 D^3[F^2] = 1/2 D^3[alpha beta], F^2 = alpha^2 + 2 alpha beta
         # + beta^2, with D^2 alpha = (Q - a a') / alpha; last slot v
         _, y, alpha, a = pole
-        v = np.asarray(v, dtype=float)
+        v = np.asarray(v)
         qv = np.einsum("ij,...j->...i", self.q, v)
         av = _dot(a, v)[..., None]
         d2v = (qv - av * a) / alpha  # D^2 alpha (v, .)
@@ -224,7 +226,7 @@ class Quartic(MinkowskiNorm):
     def pole(self, y) -> tuple:
         """(g, the rows Q_k y, P, dP, d^2P) of P = sum_k w_k (y'Q_k y)^2 at
         the rows y, P with two axes kept."""
-        y = np.asarray(y, dtype=float)
+        y = np.asarray(y)
         _check_nonzero(y)
         qy = self._rows(y)
         vals = _mv(qy, y)
@@ -239,7 +241,7 @@ class Quartic(MinkowskiNorm):
     def cartan_at(self, pole, v) -> np.ndarray:
         # C = 1/4 D^3[sqrt P], last slot v
         _, qy, p, dp, d2p = pole
-        v = np.asarray(v, dtype=float)
+        v = np.asarray(v)
         wk = self.weights
         qv = self._rows(v)
         x = _swap(qv) @ (wk[:, None] * qy)  # sum_k w_k Q_k v (Q_k y)'

@@ -7,7 +7,7 @@ propagation with a derivation trace, the hardcoded case-III subcase tables
 (validated against Weyl orbits at low rank by the test suite), the case-II
 and case-I decision procedures, and the survivor-list verification with
 rank bound.  Every exclusion of the three lists is checked by replaying its
-witness (`_excluded`); a propagation row's own run is its replay.
+witness (`_first_excluded`); a propagation row's own run is its replay.
 
 A root-level space is the datum (spec, w, Delta_h, assignment): the
 algebra g, one vector w spanning t cap m (the rank setting
@@ -286,11 +286,10 @@ def _kl2_pair_search(space: RootLevelSpace, candidates: Iterable[TVec]) -> Optio
     screened first: independent, both outside Delta_h, and with neither
     g1 + g2 nor g1 - g2 a root."""
     outside_h = sorted(r for r in candidates if r not in space.h_roots)
-    for g1, g2 in itertools.combinations(outside_h, 2):
-        if (g1 != -g2 and not _sum_or_difference_is_root(space, g1, g2)
-                and key_lemma_2_check(space, g1, g2)):
-            return _excluded(space, Witness("key_lemma_2", {"gamma1": g1, "gamma2": g2}))
-    return None
+    return _first_excluded(space, (
+        Witness("key_lemma_2", {"gamma1": g1, "gamma2": g2})
+        for g1, g2 in itertools.combinations(outside_h, 2)
+        if g1 != -g2 and not _sum_or_difference_is_root(space, g1, g2)))
 
 
 def angle_lemma_check(space: RootLevelSpace, alpha: TVec, beta: TVec) -> bool:
@@ -510,13 +509,22 @@ class Verdict:
         return out
 
 
+def _first_excluded(space: RootLevelSpace, witnesses: Iterable[Witness],
+                    detail: str = "") -> Optional[Verdict]:
+    """The exclusion of space by the first of witnesses that
+    revalidate_witness replays there (each checked once, by its replay), or None."""
+    return next((Verdict("excluded", witness=w, detail=detail)
+                 for w in witnesses if revalidate_witness(space, w)), None)
+
+
 def _excluded(space: RootLevelSpace, witness: Witness, detail: str = "") -> Verdict:
     """The exclusion of space that witness certifies, once revalidate_witness
     has replayed it there; a witness that does not replay raises
     AssertionError naming the space."""
-    if not revalidate_witness(space, witness):
+    verdict = _first_excluded(space, [witness], detail)
+    if verdict is None:
         raise AssertionError(f"{space.name}: the {witness.kind} witness does not replay")
-    return Verdict("excluded", witness=witness, detail=detail)
+    return verdict
 
 
 def _pair_facts(g1: TVec, g2: TVec) -> list:
@@ -558,8 +566,8 @@ def _check_root_facts(space: RootLevelSpace, payload: dict) -> bool:
         "not_root": lambda v: v not in roots,
         "orthogonal": lambda u, v: not tvec_dot(spec, u, v),
         # the roots orthogonal to t_prime form a subsystem of the given size
-        "centralizer_subsystem": lambda t_prime, size: size == len(
-            [r for r in roots if not any(tvec_dot(spec, r, t) for t in t_prime)]),
+        "centralizer_subsystem": lambda t_prime, size: size == sum(
+            map(t_cap_h_projection(spec, tuple(t_prime)).in_t_h, roots)),
         "assignment_consistent": lambda: _assignment_consistent(space),
     }
     for tag, *args in payload.get("facts", []):
@@ -1002,13 +1010,13 @@ def classify_case1(space: RootLevelSpace) -> Verdict:
                                  "first key lemma forces the whole factor into h")
     # a root inside t cap h that is alone on its affine line must be an
     # h-root; a candidate isotropy missing it is excluded outright
-    for r in space.root_data.g_roots:
-        if r in space.h_roots:
-            continue
-        if space.in_t_h(r) and key_lemma_1_applies(space, r):
-            why = "forced h-root missing from the candidate isotropy"
-            return _excluded(space, Witness("key_lemma_1", {"gamma": r, "detail": why}),
-                             "first key lemma contradiction")
+    why = "forced h-root missing from the candidate isotropy"
+    verdict = _first_excluded(space, (Witness("key_lemma_1", {"gamma": r, "detail": why})
+                                      for r in space.root_data.g_roots
+                                      if r not in space.h_roots and space.in_t_h(r)),
+                              "first key lemma contradiction")
+    if verdict:
+        return verdict
     nonh = {i: [r for r in factor_roots[i] if r not in space.h_roots] for i in active}
 
     if w0_nonzero:
@@ -1043,11 +1051,7 @@ def classify_case1(space: RootLevelSpace) -> Verdict:
                        detail="one active simple factor whose h-roots are not its "
                               "roots orthogonal to w, and no certifying pair found")
     # roots not proportional to their factor's torus component
-    cand = []
-    for i in active:
-        for r in nonh[i]:
-            if _in_affine_span([w_of[i]], r) is None:
-                cand.append(r)
+    cand = [r for i in active for r in nonh[i] if _in_affine_span([w_of[i]], r) is None]
     verdict = _kl2_pair_search(space, cand)
     if verdict:
         return verdict

@@ -695,3 +695,48 @@ def test_a_non_integer_preset_rank_fails_closed(argv):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 1 and "Traceback" not in proc.stderr
     assert "takes an integer n" in json.loads(proc.stdout)["error"]
+
+
+def _cli_process(argv):
+    src = str(Path(flagcurv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "flagcurv.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--space", "preset:a1a1_diagonal(1e308)"],
+    ["classify", "--space", "preset:aloff_wallach(10000000000000000,1)"],
+    ["curvature", "--space", "preset:aloff_wallach(1,-1000001)", "--samples", "3"],
+    ["space", "build", "--preset", "preset:a1a1_diagonal(1000001/1000000)"],
+], ids=["overflowing-slope", "k-plus-l-rounds-to-k", "l-past-the-cap", "denominator-past-the-cap"])
+def test_a_preset_parameter_past_the_cap_fails_closed(argv):
+    """Torus parameters above MAX_PRESET_PARAM exit 1 with a JSON error:
+    1e308 overflowed a float conversion, and k = 10^16 built and classified
+    from floats in which k + l equals k."""
+    proc = _cli_process(argv)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert "at most 1000000" in json.loads(proc.stdout)["error"]
+
+
+def test_the_preset_parameter_cap_builds_classifies_and_witnesses():
+    from flagcurv.coset import MAX_PRESET_PARAM, preset
+    cap = MAX_PRESET_PARAM
+    for args in [(cap, 1), (1, -cap), (-cap, 1)]:
+        code, out, _ = invoke(["classify", "--space", f"preset:aloff_wallach({args[0]},{args[1]})"])
+        assert code == 0 and json.loads(out)["verdict"]["outcome"] == "survivor"
+    for c in (str(cap), str(-cap), f"{cap}/{cap - 1}"):
+        code, out, _ = invoke(["witness", "--space", f"preset:a1a1_diagonal({c})"])
+        assert code == 0, out
+    with pytest.raises(ValueError, match="at most"):
+        preset("aloff_wallach", cap + 1, 1)
+
+
+def test_a_space_file_coordinate_past_float_range_fails_closed(tmp_path):
+    one = {**_ZERO, "a": "1e400"}
+    path = _space_file(tmp_path, {"algebra": _algebra(("B", 2)),
+                                  "cartan_h": [{"factors": [[_ZERO, one]], "abelian": []}]})
+    for argv in (["space", "build", "--file", path], ["classify", "--space", path]):
+        proc = _cli_process(argv)
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
+        assert "does not fit a float" in json.loads(proc.stdout)["error"]

@@ -93,8 +93,7 @@ def test_connection_is_linear_in_the_direction(bn2):
 
 def _riemann_quadratic(eng, u, w):
     """<R_u(w), w>_u through the stacked path that flag_curvature runs."""
-    ok, q, *_ = eng._riemann_quadratic(u[None], w[None], eng._positive_pole(u[None]))
-    assert ok.all()
+    q, *_ = eng._riemann_quadratic(u[None], w[None], eng._positive_pole(u[None]))
     return float(q[0])
 
 
@@ -416,34 +415,28 @@ def test_sampling_is_independent_of_the_batch(name, finsler):
 
 
 def test_stacked_gates_reject_exactly_the_failing_rows(bn2):
-    """One stack holds a degenerate flag, a pole whose Gram matrix fails
-    Cholesky and a pole whose Gram matrix fails only at a finite-difference
-    pole; exactly those rows are rejected, and every other row equals its
-    single-flag evaluation bit for bit."""
+    """One stack holds a degenerate flag and a pole whose Gram matrix fails
+    Cholesky; exactly those rows are rejected, and every other row equals
+    its single-flag evaluation bit for bit."""
     base = random_invariant_norm(bn2, 2)
     rng = np.random.default_rng(17)
     u = rng.standard_normal((9, bn2.dim_m))
     v = rng.standard_normal((9, bn2.dim_m))
     v[2] = 2.0 * u[2]
-    bad_pole, bad_near = u[4], u[6]
+    bad_pole = u[4]
 
     class Gated(type(base)):
         def pole(self, y):
             g, *terms = super().pole(y)
-            y = np.atleast_2d(y)
-            off = np.linalg.norm(y - bad_near, axis=-1)
-            hit = np.all(y == bad_pole, axis=-1) | ((off > 0) & (off < 1e-3))
+            hit = np.all(np.atleast_2d(y) == bad_pole, axis=-1)
             return (np.where(hit.reshape(g.shape[:-2] + (1, 1)), -g, g), *terms)
 
     eng = CurvatureEngine(bn2, Gated(base.weights, base.qs))
     out = eng.flag_curvature(u, v)
     rejected = {i: str(r) for i, r in enumerate(out) if isinstance(r, ValueError)}
-    assert sorted(rejected) == [2, 4, 6]
+    assert sorted(rejected) == [2, 4]
     assert "degenerate" in rejected[2]
-    assert "not positive definite" in rejected[4] and "not positive definite" in rejected[6]
-    eng._gram(u[6])  # row 6 passes at u itself
+    assert "not positive definite" in rejected[4]
     for i, rep in enumerate(out):
         if i not in rejected:
             assert rep == eng.flag_curvature(u[i], v[i])
-    with pytest.raises(ValueError, match="not positive definite"):
-        eng.flag_curvature(u[6], v[6])

@@ -2,13 +2,14 @@
 replaced, and the work the engine does per flag stack.
 
 The curvature form pairs every Rt term with g_u w, and g_u N(u, x) = A(u) x,
-so <N(u, x), w>_u = (A' w) . x and, at a finite-difference pole p,
+so <N(u, x), w>_u = (A' w) . x and, at an offset pole p,
 <N(p, w), w>_u = (A_p w) . g_p^-1 g_u w.  The oracle below evaluates
 <R_u w, w>_u one flag at a time without them: eta, then N(u, w),
 N(u, N(u, w)), N(u, [w, u]_m) and N(p, w) at both poles, each its own
-connection_n call with a frame built at its pole.  The engine sums in
-another order and differences other quantities at the poles, so K agrees to
-1e-9 relative, not bit for bit.
+connection_n call with a frame built at its pole, and D_eta N(u, w) by
+central differences between the real poles u +- h eta/|eta|.  The engine
+sums in another order and takes a complex step at u + i h eta/|eta|, so K
+agrees to 1e-9 relative, not bit for bit.
 """
 
 from collections import Counter
@@ -96,14 +97,15 @@ def test_connection_pairs_through_the_operator(name, seed):
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
-@pytest.mark.parametrize("name,seed,solves,poles", [
-    ("bn_excluded_subcase1(2)", 0, 3, 2),  # spray: both finite-difference poles
-    ("berger_sp2", None, 2, 1),            # Quadratic(I): eta = 0, no poles
+@pytest.mark.parametrize("name,seed,solves,rows", [
+    ("bn_excluded_subcase1(2)", 0, 3, [16, 16]),  # spray: u, then the complex poles
+    ("berger_sp2", None, 2, [16]),                # Quadratic(I): eta = 0, no poles
 ], ids=["spray", "no-spray"])
-def test_one_flag_stack_counts_its_solves_and_norm_calls(monkeypatch, name, seed, solves, poles):
+def test_one_flag_stack_counts_its_solves_and_norm_calls(monkeypatch, name, seed, solves, rows):
     """Tooling guard: a flag stack solves for eta and N(u, w) at u and once,
-    two columns, at the stacked poles, and evaluates the norm once at u and
-    once at the poles; a per-term solve or norm call fails this."""
+    two columns, at the complex poles, and evaluates the norm once at u and
+    once at the poles, n rows each; a per-term solve or norm call, or a
+    return to 2n real finite-difference poles, fails this."""
     eng = _engine(name, seed)
     u, v = np.random.default_rng(7).standard_normal((2, 16, eng.space.dim_m))
     calls = Counter()
@@ -115,8 +117,15 @@ def test_one_flag_stack_counts_its_solves_and_norm_calls(monkeypatch, name, seed
         return wrapper
 
     monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
-    monkeypatch.setattr(type(eng.norm), "pole", counting("pole", type(eng.norm).pole))
+    pole_rows, norm_pole = [], type(eng.norm).pole
+
+    def pole(norm, y):
+        pole_rows.append(len(y))
+        return norm_pole(norm, y)
+
+    monkeypatch.setattr(type(eng.norm), "pole", pole)
     reps = eng.flag_curvature(u, v)
     assert all(isinstance(r, CurvatureReport) for r in reps)
-    assert any(r.fd_step > 0 for r in reps) == (poles == 2)
-    assert calls == {"solve": solves, "pole": poles}
+    assert any(r.fd_step > 0 for r in reps) == (len(rows) == 2)
+    assert calls == {"solve": solves}
+    assert pole_rows == rows

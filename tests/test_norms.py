@@ -101,6 +101,33 @@ def test_cartan_mat_against_fd_oracle(make):
         assert np.abs(got - want).max() < 1e-6 * max(1.0, np.abs(got).max())
 
 
+@pytest.mark.parametrize("make", [
+    lambda d, rng: Quadratic(_pd_matrix(d, rng)),
+    lambda d, rng: Randers(_pd_matrix(d, rng), 0.15 * rng.standard_normal(d)),
+    lambda d, rng: Quartic(0.5 + rng.random(3), [_pd_matrix(d, rng) for _ in range(3)]),
+], ids=["quadratic", "randers", "quartic"])
+def test_pole_and_cartan_take_a_complex_step(make):
+    """pole and cartan_at are analytic in their rows: at y + i h v (and the
+    Cartan slot x + i h z) the real part is the real evaluation and the
+    imaginary part over h a derivative, here against central differences.
+    A float cast or a conjugation anywhere drops or flips the imaginary part.
+    The real parts agree to rounding: the quartic Cartan matrix sums
+    cancelling terms, which complex and real arithmetic round apart by up to
+    1.8e-14 relative over 500 draws."""
+    d, rng, h, eps = 5, np.random.default_rng(11), 1e-20, 1e-5
+    norm = make(d, rng)
+    for _ in range(3):
+        y, v, x, z = (rng.standard_normal(d) for _ in range(4))
+        pole = norm.pole(y + 1j * h * v)
+        for got, real, plus, minus in (
+                (pole[0], norm.gram(y), norm.gram(y + eps * v), norm.gram(y - eps * v)),
+                (norm.cartan_at(pole, x + 1j * h * z), norm.cartan_mat(y, x),
+                 norm.cartan_mat(y + eps * v, x + eps * z), norm.cartan_mat(y - eps * v, x - eps * z))):
+            assert np.abs(got.real - real).max() <= 1e-13 * max(1.0, np.abs(real).max())
+            fd = (plus - minus) / (2.0 * eps)
+            assert np.abs(got.imag / h - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
 def test_cartan_symmetry_and_base_annihilation():
     d = 4
     for norm in (Randers(np.eye(d), np.array([0.2, 0, 0, 0.0])),

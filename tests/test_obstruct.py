@@ -641,6 +641,18 @@ def test_every_case2_and_case1_exclusion_replays_on_its_own_space(monkeypatch, m
             assert revalidate_witness(sp, v.witness), (part, sp.name)
 
 
+def test_each_exclusion_is_checked_once(monkeypatch):
+    """The pair search certifies by its replay: part 2 at rank 8 excludes
+    37 rows, each on the first screened pair, with one key_lemma_2_check
+    call apiece."""
+    calls = []
+    check = obstruct.key_lemma_2_check
+    monkeypatch.setattr(obstruct, "key_lemma_2_check",
+                        lambda *args: calls.append(args) or check(*args))
+    assert verify_theorem(2, 8)["match"]
+    assert len(calls) == 37
+
+
 def test_a_witness_that_does_not_replay_is_refused(monkeypatch):
     """Every exclusion goes through the replaying constructor: with the
     replay refusing, each procedure raises an AssertionError naming the
