@@ -94,14 +94,9 @@ def _make_norm(space, text: str, seed: int):
         return norms.norm_from_json(json.load(fh))
 
 
-def _space_summary(space) -> dict:
+def _space_summary(space, case) -> dict:
     from . import coset
     rk_g, rk_h, ok = coset.rank_check(space)
-    if ok:
-        rls = obstruct.root_level_from_coset(space)
-        case = obstruct.classify_case(rls)
-    else:
-        case = None  # the case trichotomy needs the rank equality
     return {
         "name": space.name,
         "dim_g": space.dim_g,
@@ -112,7 +107,7 @@ def _space_summary(space) -> dict:
         "rank_h": rk_h,
         "rank_equality": ok,
         "case": case,
-        "hat_blocks": [len(b.basis) for b in space.hat_decomposition().blocks],
+        "hat_blocks": [len(b.basis) for b in space.hat_decomposition()],
     }
 
 
@@ -125,7 +120,10 @@ def cmd_roots(args) -> int:
 
 def cmd_space(args) -> int:
     space = _load_space(args.preset or args.file)
-    _emit(_space_summary(space), f"built {space.name}")
+    case = None  # the case trichotomy needs the rank equality, dim(t cap m) = 1
+    if len(space.t_m) == 1:
+        case = obstruct.classify_case(obstruct.root_level_from_coset(space))
+    _emit(_space_summary(space, case), f"built {space.name}")
     return 0
 
 
@@ -133,7 +131,7 @@ def cmd_classify(args) -> int:
     space = _load_space(args.space)
     rls = obstruct.root_level_from_coset(space)
     res = obstruct.classify_space(rls)
-    res["space"] = _space_summary(space)
+    res["space"] = _space_summary(space, res["case"])
     v = res["verdict"]
     _emit(res, f"{space.name}: case {res['case']} -> {v['outcome']}"
                + (f" ({v['name']})" if v.get("name") else ""))

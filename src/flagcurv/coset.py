@@ -40,6 +40,7 @@ from .liealg import (
     AlgebraElement,
     RealizedAlgebra,
     _eij,
+    _floats,
     gram_schmidt,
     quat_block,
     quat_unit,
@@ -50,7 +51,7 @@ CLOSURE_TOL = 1e-8
 REDUCTIVE_TOL = 1e-10
 ORTHO_TOL = 1e-12
 MEMBER_TOL = 1e-10
-ROW_TOL = 1e-9  # norm below which _m_rows drops a row
+ROW_TOL = 1e-9  # singular value below which _m_rows drops a direction
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +146,9 @@ class CosetSpace:
         worst = float(np.linalg.norm(hm, axis=-1).max()) if hm.size else 0.0
         if worst > REDUCTIVE_TOL:
             raise AssertionError(f"reductive condition violated: {worst:.2e}")
-        for tv in self.t_m:
-            e = self.embed(tv)
-            resid = e - self.pr_m(e)
-            if resid.norm() > 1e-9 * max(1.0, e.norm()):
+        for tv in self.t_m:  # the h-part of each t cap m vector vanishes
+            c = self.algebra.coords(self.embed(tv))
+            if np.linalg.norm(self._h_co @ c) > 1e-9 * max(1.0, np.linalg.norm(c)):
                 raise AssertionError("exact t cap m does not match matrix complement")
 
     # -- coordinates --------------------------------------------------------
@@ -186,29 +186,35 @@ class CosetSpace:
         return self._tensors
 
     # -- decompositions -------------------------------------------------------
-    def hat_decomposition(self) -> "HatDecomposition":
-        """The m-parts of the torus-isotypic decomposition of g, grouped by
-        exact projections of the roots to t cap h (cached)."""
+    def hat_decomposition(self) -> list:
+        """The HatBlocks of the torus-isotypic decomposition of g, grouped by
+        exact projections of the roots to t cap h; the g0 block first (cached)."""
         if self._hat is None:
             self._hat = _build_hat(self)
         return self._hat
 
+    def plane_m(self, factor: int, root: TVec) -> np.ndarray:
+        """The (2, dim m) m-coordinates of the x and y of a root plane; root
+        is a root of the factor's unit spec."""
+        p = self.algebra.factors[factor].plane(root)
+        return np.stack([self.to_m(p.x), self.to_m(p.y)])
+
+    def plane_kind(self, factor: int, root: TVec) -> str:
+        """Where a root plane lies: 'h' (both m-norms 0), 'm' (both 1) or
+        'split', each to within 1e-9."""
+        xin, yin = np.linalg.norm(self.plane_m(factor, root), axis=1)
+        if xin < 1e-9 and yin < 1e-9:
+            return "h"
+        if abs(xin - 1.0) < 1e-9 and abs(yin - 1.0) < 1e-9:
+            return "m"
+        return "split"
+
     def plane_assignment(self) -> dict:
-        """Where each root plane of g lies, read off the matrices: 'h', 'm'
-        or 'split', keyed by the canonical sign of its lifted root."""
-        out = {}
+        """plane_kind of every root plane of g, keyed by the canonical sign
+        of its lifted root."""
         spec = self.algebra.spec
-        for f in self.algebra.factors:
-            for root, p in f.planes.items():
-                xin, yin = (np.linalg.norm(self.to_m(v)) for v in (p.x, p.y))
-                if xin < 1e-9 and yin < 1e-9:
-                    kind = "h"
-                elif abs(xin - 1.0) < 1e-9 and abs(yin - 1.0) < 1e-9:
-                    kind = "m"
-                else:
-                    kind = "split"
-                out[lift_root(spec, f.index, root).canonical_sign()] = kind
-        return out
+        return {lift_root(spec, f.index, r).canonical_sign(): self.plane_kind(f.index, r)
+                for f in self.algebra.factors for r in f.planes}
 
     def __repr__(self):
         return f"CosetSpace({self.name}: dim g={self.dim_g}, dim h={self.dim_h}, dim m={self.dim_m})"
@@ -218,56 +224,36 @@ class CosetSpace:
 class HatBlock:
     alpha_prime: TVec  # canonical sign; zero vector for the g0 block
     roots: tuple       # (factor, root) pairs contributing m-directions
-    basis: list        # orthonormal m-coordinate vectors
+    basis: np.ndarray  # orthonormal m-coordinate rows
 
 
-@dataclass
-class HatDecomposition:
-    blocks: list  # of HatBlock; blocks[0] is the g0 block
+def _m_rows(space: CosetSpace, planes, t_vecs=()) -> np.ndarray:
+    """Orthonormal m-coordinate rows spanning the Cartan vectors t_vecs and
+    the given root planes, (factor, root) pairs: the right singular vectors
+    of their stacked rows whose singular values pass ROW_TOL."""
+    rows = [space.to_m(space.embed(tv)) for tv in t_vecs]
+    rows += [r for factor, root in planes for r in space.plane_m(factor, root)]
+    _, sv, vt = np.linalg.svd(np.reshape(rows, (-1, space.dim_m)), full_matrices=False)
+    return vt[sv > ROW_TOL]
 
 
-def _plane_classes(space: CosetSpace) -> tuple:
-    """The root planes of g by the exact projection of their roots to t cap
-    h: the planes projecting to zero, then (canonical projection, planes)
-    pairs in the exact lexicographic order.  Planes are (factor, root)
-    pairs."""
+def _build_hat(space: CosetSpace) -> list:
+    """The g0 block (t cap m and the planes whose roots project to zero in
+    t cap h), then one block per nonzero canonical projection, in the exact
+    lexicographic order."""
     zero, groups = [], {}
     for f in space.algebra.factors:
         for root in f.planes:
             pr = space.projection.pr_h(lift_root(space.algebra.spec, f.index, root))
-            if pr.is_zero():
-                zero.append((f.index, root))
-            else:
-                groups.setdefault(pr.canonical_sign(), []).append((f.index, root))
-    return zero, [(pr, groups[pr]) for pr in sorted(groups)]
-
-
-def _m_rows(space: CosetSpace, planes, t_vecs=()) -> list:
-    """Orthonormal m-coordinates spanned by the Cartan vectors t_vecs and the
-    given root planes, (factor, root) pairs: Gram-Schmidt in that order."""
-    vecs = [space.to_m(space.embed(tv)) for tv in t_vecs]
-    for factor, root in planes:
-        p = space.algebra.factors[factor].plane(root)
-        vecs.extend([space.to_m(p.x), space.to_m(p.y)])
-    out = []
-    for w in vecs:
-        for b in out:
-            w = w - (w @ b) * b
-        n = np.linalg.norm(w)
-        if n > ROW_TOL:
-            out.append(w / n)
-    return out
-
-
-def _build_hat(space: CosetSpace) -> HatDecomposition:
-    zero, classes = _plane_classes(space)
+            group = zero if pr.is_zero() else groups.setdefault(pr.canonical_sign(), [])
+            group.append((f.index, root))
     blocks = [HatBlock(zero_tvec(space.algebra.spec), tuple(zero),
                        _m_rows(space, zero, space.t_m))]
-    for pr, planes in classes:
-        basis = _m_rows(space, planes)
-        if basis:
-            blocks.append(HatBlock(pr, tuple(planes), basis))
-    return HatDecomposition(blocks)
+    for pr in sorted(groups):
+        basis = _m_rows(space, groups[pr])
+        if len(basis):
+            blocks.append(HatBlock(pr, tuple(groups[pr]), basis))
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +280,8 @@ def build_coset(algebra: RealizedAlgebra, spec: SubalgebraSpec, name: str = "cus
 
 def _embed(algebra: RealizedAlgebra, tv: TVec) -> AlgebraElement:
     """The matrix element of a Cartan vector."""
-    return algebra.cartan_embed(list(tv.factors), np.array([float(x) for x in tv.abelian]))
+    abelian = _floats(tv)[len(tv) - tv.spec.abelian_dim:]
+    return algebra.cartan_embed(list(tv.factors), np.array(abelian))
 
 
 def rank_check(space: CosetSpace):

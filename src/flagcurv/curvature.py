@@ -46,7 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coset import CosetSpace, _m_rows
+from .coset import CosetSpace
 from .norms import MinkowskiNorm, _dot, _mv, _swap, _vm, random_invariant_norm
 
 ETA_ZERO_TOL = 1e-10
@@ -317,15 +317,15 @@ def normal_homogeneous_oracle(space: CosetSpace, u, v) -> float:
 # ---------------------------------------------------------------------------
 
 def exclusion_witness_pair(space: CosetSpace, norm: MinkowskiNorm):
-    """The (u, v) pair of the space's exclusion argument: u spans the first
-    witness plane, v is picked in the second with <u', v>_u = 0."""
+    """The (u, v) pair of the space's exclusion argument: u is the x of the
+    first witness plane, v is picked in the second with <y, v>_u = 0.  Both
+    planes must lie in m (plane_kind 'm'), else AssertionError."""
     if not space.witness_planes:
         raise ValueError(f"space {space.name!r} has no exclusion witness")
-    ub = _m_rows(space, [space.witness_planes["u"]])
-    vb = _m_rows(space, [space.witness_planes["v"]])
-    if len(ub) != 2 or len(vb) != 2:
+    planes = (space.witness_planes["u"], space.witness_planes["v"])
+    if any(space.plane_kind(*p) != "m" for p in planes):
         raise AssertionError("witness planes are not fully contained in m")
-    u, uprime = ub
+    (u, uprime), vb = (space.plane_m(*p) for p in planes)
     g = norm.gram(u)
     a = float(uprime @ g @ vb[0])
     b = float(uprime @ g @ vb[1])

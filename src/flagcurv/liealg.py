@@ -30,14 +30,17 @@ from .rootsys import AlgebraSpec, TVec, build_root_system, tvec_dot
 
 # entries per batched bracket temporary (about 1 MB of float64)
 PAIR_CHUNK = 1 << 17
+# bound on |n| of a lattice coordinate n/2 * sqrt(k): its float value stays
+# below 2**501, so every sum of squares the matrices take stays finite
+MAX_LATTICE_COORD = 2 ** 501
 
 
 def _floats(v: TVec) -> tuple:
-    """The float coordinates n/2 * sqrt(k) of a lattice vector (ValueError past float range)."""
-    try:
-        return tuple(float(x) / 2 * sqrt(k) for x, k in zip(v, v.spec.weights))
-    except OverflowError:
-        raise ValueError("a lattice coordinate does not fit a float") from None
+    """The float coordinates n/2 * sqrt(k) of a lattice vector (ValueError
+    from |n| = MAX_LATTICE_COORD on)."""
+    if any(abs(x) >= MAX_LATTICE_COORD for x in v):
+        raise ValueError("a lattice coordinate does not fit a float")
+    return tuple(float(x) / 2 * sqrt(k) for x, k in zip(v, v.spec.weights))
 
 
 class AlgebraElement:

@@ -327,8 +327,8 @@ def test_acceptance_8_norm_layer_properties():
         # central-pole and in-block orthogonality of the hat decomposition
         inv = random_invariant_norm(sp, 29)
         hat = sp.hat_decomposition()
-        g0 = hat.blocks[0].basis
-        blk = hat.blocks[1].basis
+        g0 = hat[0].basis
+        blk = hat[1].basis
         for _ in range(5):
             c = rng.standard_normal(len(g0))
             u = sum(ci * bi for ci, bi in zip(c, g0))

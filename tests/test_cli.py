@@ -740,3 +740,34 @@ def test_a_space_file_coordinate_past_float_range_fails_closed(tmp_path):
         proc = _cli_process(argv)
         assert proc.returncode == 1 and "Traceback" not in proc.stderr
         assert "does not fit a float" in json.loads(proc.stdout)["error"]
+
+
+def _b2_file(tmp_path, c):
+    """B2 with t cap h the line of (0, c)."""
+    return _space_file(tmp_path, {"algebra": _algebra(("B", 2)), "cartan_h": [
+        {"factors": [[_ZERO, {**_ZERO, "a": c}]], "abelian": []}]})
+
+
+def _abelian_file(tmp_path, c):
+    """A1 + R with t cap h the line of (1, -1; c)."""
+    return _space_file(tmp_path, {"algebra": _algebra(("A", 1), abelian_dim=1), "cartan_h": [
+        {"factors": [[{**_ZERO, "a": "1"}, {**_ZERO, "a": "-1"}]], "abelian": [{**_ZERO, "a": c}]}]})
+
+
+@pytest.mark.parametrize("make,c", [(_b2_file, "1e153"), (_b2_file, "1e160"),
+                                    (_b2_file, "1e300"), (_abelian_file, "1e400")])
+def test_a_space_file_coordinate_past_the_float_bound_fails_closed(tmp_path, make, c):
+    """Below float range a coordinate can still overflow the squares that
+    the Gram-Schmidt and the inner products take: the B2 files used to build
+    hat blocks [2, 6] (c = 1 gives [3, 6]) or print an overflow
+    RuntimeWarning.  The abelian part used to exit with an OverflowError
+    traceback."""
+    proc = _cli_process(["space", "build", "--file", make(tmp_path, c)])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert "does not fit a float" in json.loads(proc.stdout)["error"]
+
+
+def test_a_large_space_file_coordinate_below_the_bound_builds(tmp_path):
+    code, out, _ = invoke(["space", "build", "--file", _b2_file(tmp_path, "1e150")])
+    assert code == 0 and json.loads(out)["hat_blocks"] == [3, 6]

@@ -106,7 +106,7 @@ def test_preset_dimensions_and_rank(spaces, name, params, dim_m):
     rk_g, rk_h, ok = rank_check(sp)
     assert ok, (name, rk_g, rk_h)
     hat = sp.hat_decomposition()
-    assert sum(len(b.basis) for b in hat.blocks) == sp.dim_m
+    assert sum(len(b.basis) for b in hat) == sp.dim_m
 
 
 def test_preset_parameter_validation():
@@ -137,13 +137,13 @@ def test_hat_blocks_subcase1_structure(spaces):
     for n in (2, 3):
         sp = spaces[("bn_excluded_subcase1", (n,))]
         hat = sp.hat_decomposition()
-        sizes = sorted(len(b.basis) for b in hat.blocks)
+        sizes = sorted(len(b.basis) for b in hat)
         assert sizes == [3] + [4] * (n - 1)
-        g0 = hat.blocks[0]
+        g0 = hat[0]
         assert g0.alpha_prime.is_zero() and len(g0.basis) == 3
         # m-contributions away from g0 come only from the e_i +- e_1 planes;
         # the e_i planes of the same class lie inside h
-        for b in hat.blocks[1:]:
+        for b in hat[1:]:
             roots = {tuple(float(c) for c in _coords(r)) for _, r in b.roots}
             assert sum(1 for rc in roots if abs(rc[0]) == 1.0) == 2
             assert len(b.basis) == 4
@@ -157,10 +157,10 @@ def test_hat_block_of_a3_subcase_is_four_dimensional():
     # sp(2)-in-su(4) picture via the so(6)/so(5) preset instead
     sp = preset("sphere_so2n", 3)
     hat = sp.hat_decomposition()
-    sizes = sorted(len(b.basis) for b in hat.blocks)
+    sizes = sorted(len(b.basis) for b in hat)
     assert sizes == [1, 2, 2]
     # each nonzero block collects two g-planes split diagonally by h
-    for b in hat.blocks[1:]:
+    for b in hat[1:]:
         assert len(b.roots) == 2 and len(b.basis) == 2
 
 
@@ -168,7 +168,7 @@ def test_hat_trivial_when_h_holds_every_plane():
     sp = preset("sphere_un", 3)
     # h = u(2) holds one plane; the rest of m splits into 2-dim blocks
     hat = sp.hat_decomposition()
-    assert len(hat.blocks[0].basis) == 1  # g0 = t cap m only
+    assert len(hat[0].basis) == 1  # g0 = t cap m only
     # with h = su(n) inside u(n), every plane sits in h and m is the circle
     alg = realize(AlgebraSpec((("A", 2, Fraction(1)),), abelian_dim=1,
                               abelian_scales=(Fraction(3),)))
@@ -181,12 +181,12 @@ def test_hat_trivial_when_h_holds_every_plane():
                       name="U(3)/SU(3)")
     assert sp2.dim_m == 1
     hat2 = sp2.hat_decomposition()
-    assert len(hat2.blocks) == 1 and len(hat2.blocks[0].basis) == 1
+    assert len(hat2) == 1 and len(hat2[0].basis) == 1
 
 
 def _hat_summary(sp):
     """(alpha_prime, roots, basis size) of each hat block, g0 first."""
-    return [(b.alpha_prime, b.roots, len(b.basis)) for b in sp.hat_decomposition().blocks]
+    return [(b.alpha_prime, b.roots, len(b.basis)) for b in sp.hat_decomposition()]
 
 
 def test_hat_decomposition_is_pinned_across_dims_of_t_cap_m():
@@ -244,7 +244,7 @@ def test_hat_blocks_are_torus_stable(spaces):
             t = sp.algebra.zero()
             for c, tv in zip(coeff, sp.cartan_h):
                 t = t + float(c) * sp.embed(tv)
-            for b in hat.blocks:
+            for b in hat:
                 span = np.array(b.basis)
                 for vec in b.basis:
                     img = sp.to_m(sp.algebra.bracket(t, sp.from_m(vec)))

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from flagcurv.liealg import AlgebraSpec, realize
-from flagcurv.coset import SubalgebraSpec, _m_rows, build_coset, preset
+from flagcurv.coset import SubalgebraSpec, build_coset, preset
 from flagcurv.norms import Quadratic, Quartic, Randers, random_invariant_norm
+from flagcurv.rootsys import root
 from flagcurv.curvature import (
     CurvatureEngine,
     bi_invariant_oracle,
@@ -237,14 +238,32 @@ def test_zero_curvature_witnesses(name, params):
     assert abs(rep["K_general"]) < 1e-6
 
 
+def test_a_split_witness_plane_is_refused():
+    """A witness plane must lie in m: the plane of the long root 2e1 of
+    Sp(2)Sp(1)/Sp(1)Sp(1) is split (both m-norms 1/sqrt 2), so it spans no
+    pole of the exclusion argument, though its m-part has rank 2."""
+    sp = preset("sphere_spn_sp1", 2)
+    long1, mixed = root("C", 2, 2, 0), root("C", 2, 1, 1)
+    assert sp.plane_kind(0, long1) == "split" and sp.plane_kind(0, mixed) == "m"
+    assert np.allclose(np.linalg.norm(sp.plane_m(0, long1), axis=1), np.sqrt(0.5))
+    norm = Quadratic(np.eye(sp.dim_m))
+    sp.witness_planes = {"u": (0, mixed), "v": (0, root("C", 2, 1, -1))}
+    u, v = exclusion_witness_pair(sp, norm)
+    assert abs(np.linalg.norm(u) - 1.0) < 1e-12 and abs(np.linalg.norm(v) - 1.0) < 1e-12
+    for planes in ({"u": (0, long1), "v": (0, mixed)}, {"u": (0, mixed), "v": (0, long1)}):
+        sp.witness_planes = planes
+        with pytest.raises(AssertionError, match="not fully contained in m"):
+            exclusion_witness_pair(sp, norm)
+
+
 def test_witness_holds_for_any_pole_in_the_plane(bn2):
     """The exclusion argument allows any pole in the first witness plane,
     with the direction re-gauged against it."""
     rng = np.random.default_rng(13)
     norm = random_invariant_norm(bn2, 31)
     eng = CurvatureEngine(bn2, norm)
-    ub = _m_rows(bn2, [bn2.witness_planes["u"]])
-    vb = _m_rows(bn2, [bn2.witness_planes["v"]])
+    ub = bn2.plane_m(*bn2.witness_planes["u"])
+    vb = bn2.plane_m(*bn2.witness_planes["v"])
     for _ in range(5):
         c = rng.standard_normal(2)
         u = c[0] * ub[0] + c[1] * ub[1]

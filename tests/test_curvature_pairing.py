@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from flagcurv.coset import SubalgebraSpec, build_coset, parse_preset
-from flagcurv.curvature import ETA_ZERO_TOL, FD_POLE_STEP, CurvatureEngine, CurvatureReport
+from flagcurv.curvature import ETA_ZERO_TOL, CurvatureEngine, CurvatureReport
 from flagcurv.liealg import AlgebraSpec, realize
 from flagcurv.norms import Quadratic, Randers, random_invariant_norm
 
@@ -33,6 +33,9 @@ CASES = ([(p, s) for p in FINSLER for s in (0, 1)] + [(p, None) for p in NORMAL]
          + [("su(3)", 0), ("su(3)", None)])
 FLAGS = 8
 REL = 1e-9
+# relative step of the oracle's central difference, its own so that the
+# engine's complex step can shrink without moving it
+CENTRAL_STEP = 1e-5
 
 
 def _space(name):
@@ -50,14 +53,15 @@ def _engine(name, seed):
 
 def _five_solve_k(eng, u, w):
     """Flag curvature of one flag from the connection terms of Rt(u)w, each
-    solved on its own (the finite-difference poles as in flag_curvature)."""
+    solved on its own, D_eta N by a central difference of step
+    CENTRAL_STEP |u|."""
     g = eng.norm.gram(u)
     eta, _ = eng.eta(u)
     speed = np.linalg.norm(eta)
     nw = eng.connection_n(u, w)
     rt = -eng.connection_n(u, nw) - eng.connection_n(u, eng.brm(w, u)) + eng.brm(nw, u)
     if speed >= ETA_ZERO_TOL:
-        h = FD_POLE_STEP * np.linalg.norm(u)
+        h = CENTRAL_STEP * np.linalg.norm(u)
         off = h * eta / speed
         rt = rt + speed * (eng.connection_n(u + off, w) - eng.connection_n(u - off, w)) / (2.0 * h)
     zh = np.einsum("a,i,aij->j", eng.brh(w, u), w, eng.space.structure_tensors()[2])

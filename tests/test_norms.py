@@ -347,10 +347,10 @@ def test_hat_blocks_orthogonal_at_central_pole(bn2):
     hat = bn2.hat_decomposition()
     rng = np.random.default_rng(0)
     for _ in range(5):
-        c = rng.standard_normal(len(hat.blocks[0].basis))
-        u = sum(ci * bi for ci, bi in zip(c, hat.blocks[0].basis))
+        c = rng.standard_normal(len(hat[0].basis))
+        u = sum(ci * bi for ci, bi in zip(c, hat[0].basis))
         u = u / np.linalg.norm(u)
-        worst = _block_orthogonality(bn2, norm, u, [b.basis for b in hat.blocks])
+        worst = _block_orthogonality(bn2, norm, u, [b.basis for b in hat])
         assert worst < 1e-7
 
 
@@ -359,8 +359,8 @@ def test_hat_block_pole_orthogonal_to_center(bn2):
     block is Hessian-orthogonal to the zero block (odd-multiple rule)."""
     norm = random_invariant_norm(bn2, 9)
     hat = bn2.hat_decomposition()
-    g0 = hat.blocks[0].basis
-    blk = hat.blocks[1].basis
+    g0 = hat[0].basis
+    blk = hat[1].basis
     rng = np.random.default_rng(1)
     for _ in range(5):
         c = rng.standard_normal(len(blk))
@@ -378,12 +378,12 @@ def test_even_multiple_blocks_may_couple():
     norm = random_invariant_norm(sp, 3)
     hat = sp.hat_decomposition()
     # blocks: g0, then levels 1, 2, 3 of the base projection
-    lvl = {1: hat.blocks[1].basis, 2: hat.blocks[2].basis, 3: hat.blocks[3].basis}
+    lvl = {1: hat[1].basis, 2: hat[2].basis, 3: hat[3].basis}
     rng = np.random.default_rng(2)
     c = rng.standard_normal(2)
     u = sum(ci * bi for ci, bi in zip(c, lvl[1]))
     u = u / np.linalg.norm(u)
     g = norm.gram(u)
     for k in (1, 3):  # odd multiples of the pole's level are orthogonal to g0
-        worst = max(abs(x @ g @ y) for x in lvl[k] for y in hat.blocks[0].basis)
+        worst = max(abs(x @ g @ y) for x in lvl[k] for y in hat[0].basis)
         assert worst < 1e-7

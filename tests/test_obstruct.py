@@ -608,6 +608,25 @@ def test_plane_assignment_from_matrices():
     spec2 = rls2.spec
     assert rls2.assignment[lift_root(spec2, 0, root("B", 2, 1, 0)).canonical_sign()] == "m"
     assert rls2.assignment[lift_root(spec2, 0, root("B", 2, 0, 1)).canonical_sign()] == "h"
+    # plane_kind is the one reading: it gives the assignment on every preset
+    kinds = set()
+    for name, params in [("sphere_so2n", (3,)), ("sphere_un", (3,)), ("sphere_spn_u1", (2,)),
+                         ("sphere_spn_sp1", (2,)), ("aloff_wallach", (1, 2)), ("berger_sp2", ()),
+                         ("bn_excluded_subcase1", (2,)), ("a1a1_diagonal", (1,)),
+                         ("cn_excluded_subcase1", (3,))]:
+        sp = preset(name, *params)
+        assignment = sp.plane_assignment()
+        for f in sp.algebra.factors:
+            for r in f.planes:
+                kind = sp.plane_kind(f.index, r)
+                assert assignment[lift_root(sp.algebra.spec, f.index, r).canonical_sign()] == kind
+                assert sp.plane_m(f.index, r).shape == (2, sp.dim_m)
+                kinds.add(kind)
+    assert kinds == {"h", "m", "split"}
+    sp = preset("sphere_spn_sp1", 2)
+    assert sp.plane_kind(0, root("C", 2, 2, 0)) == "split"
+    with pytest.raises(ValueError, match="not a vector of the root lattice"):
+        sp.plane_m(0, long1)  # a vector of the lifted spec, not of the factor's
 
 
 def test_verify_theorem_small_bound():
