@@ -184,6 +184,31 @@ def test_hat_trivial_when_h_holds_every_plane():
     assert len(hat2) == 1 and len(hat2[0].basis) == 1
 
 
+def _gram_schmidt_rows(rows, n):
+    """The reference the hat rows replaced: Gram-Schmidt in row order,
+    dropping residuals of norm at most 1e-9."""
+    out = []
+    for w in rows:
+        for b in out:
+            w = w - (w @ b) * b
+        if np.linalg.norm(w) > 1e-9:
+            out.append(w / np.linalg.norm(w))
+    return np.reshape(out, (-1, n))
+
+
+def test_hat_rows_span_what_gram_schmidt_spans(spaces):
+    """Each block's SVD rows are orthonormal and span what a Gram-Schmidt
+    of its t cap m and plane rows spans: same size, same projector."""
+    for sp in spaces.values():
+        for b in sp.hat_decomposition():
+            rows = [sp.to_m(sp.embed(tv)) for tv in (sp.t_m if b.alpha_prime.is_zero() else ())]
+            rows += [r for f, root in b.roots for r in sp.plane_m(f, root)]
+            ref = _gram_schmidt_rows(rows, sp.dim_m)
+            assert b.basis.shape == ref.shape
+            assert np.abs(b.basis @ b.basis.T - np.eye(len(ref))).max() < 1e-12
+            assert np.abs(b.basis.T @ b.basis - ref.T @ ref).max() < 1e-12
+
+
 def _hat_summary(sp):
     """(alpha_prime, roots, basis size) of each hat block, g0 first."""
     return [(b.alpha_prime, b.roots, len(b.basis)) for b in sp.hat_decomposition()]
