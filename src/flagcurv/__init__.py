@@ -1,33 +1,32 @@
 """Exact Lie theory and numerical flag curvature for invariant Finsler
 metrics on compact homogeneous spaces.
 
-The exact names load eagerly and import no numpy.  The numeric names and
-their modules are looked up on each access (PEP 562), so `import flagcurv`
-and the exact verbs stay numpy-free and no package binding goes stale.
+Every public name and its module is looked up on first access (PEP 562), so
+`import flagcurv` loads nothing else: the exact verbs stay numpy-free, the
+numeric users never compile the exact classifier, and no package binding
+goes stale.
 """
 
 import importlib
 
-from .rootsys import AlgebraSpec, QNum, RootSystem, build_root_system
-from .obstruct import classify_space, root_level_from_coset, verify_theorem
-
 __version__ = "0.1.0"
 
-_NUMERIC = {  # module -> its public names
+_HOMES = {  # module -> its public names
+    "rootsys": ("AlgebraSpec", "QNum", "RootSystem", "build_root_system"),
+    "obstruct": ("classify_space", "root_level_from_coset", "verify_theorem"),
     "liealg": ("realize",),
     "coset": ("CosetSpace", "SubalgebraSpec", "build_coset", "preset", "rank_check"),
     "norms": ("Quadratic", "Quartic", "Randers", "random_invariant_norm"),
     "curvature": ("flag_curvature", "flag_curvature_commutative", "sample_flags",
                   "verify_exclusion_witness"),
 }
-_HOME = {name: module for module, names in _NUMERIC.items() for name in names}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = sorted(["AlgebraSpec", "QNum", "RootSystem", "build_root_system",
-                  "classify_space", "root_level_from_coset", "verify_theorem", *_HOME])
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name):
-    if name in _NUMERIC:
+    if name in _HOMES:
         return importlib.import_module(f"{__name__}.{name}")
     if name in _HOME:
         return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)

@@ -15,12 +15,12 @@ m-basis of a CosetSpace.  The two evaluation routes are
     where U is the bilinear map solved from
       <U(u,v), w>_u = (1/2)(<[w,u]_m, v>_u + <[w,v]_m, u>_u).
 
-Every CurvatureEngine operator takes one vector or a stack of them (leading
-axes, one pole or flag per row), and sample_flags evaluates its candidate
-flags as such stacks.  All contractions are row-wise: the structure tensors
-are reshaped once into matrices that each row multiplies on its own (_vm),
-and products and solves are stacked, so no row's result depends on the size
-of its stack.  Each pole carries one connection operator A(u), with
+Every CurvatureEngine operator takes one vector (run as a one-row stack) or
+a stack of them (one pole or flag per row), and sample_flags reduces the
+arrays of the stacked core _flags.  All contractions are row-wise: the
+structure tensors are reshaped once into matrices that each row multiplies
+on its own (_vm), and products and solves are stacked, so no row's result
+depends on the size of its stack.  Each pole carries one operator A(u), with
 g_u N(u, x) = A(u) x, and the quadratic form pairs every Rt term with g_u w:
 
   <N(u, x), w>_u = (A(u)' w) . x,   <N(p, w), w>_u = (A(p) w) . g_p^{-1} g_u w.
@@ -30,13 +30,16 @@ So at u only eta and N(u, w) are solved for, and D_eta N is a complex step
 <N(p, w), w>_u at the one complex pole p = u + i h eta/|eta| of every row.
 Its n-row frame is one norm evaluation (norm.pole, which also carries what
 its Cartan matrix needs; pole, cartan_at and A are analytic in p, never
-conjugated) and one 2-column LU solve for eta_p and g_p^{-1} g_u w; g_p is
-complex symmetric, so only the real frame at u has a Cholesky gate.  A
-flag stack with eta != 0 makes three solve calls and two norm evaluations,
-one with eta = 0 two and one.
+conjugated) and one 2-column solve for eta_p and g_p^{-1} g_u w; g_p is
+complex symmetric, so only the real frame at u has a Cholesky gate.  With
+Gram matrices per row (Quartic, Randers) a flag stack with eta != 0 makes
+three LU solve calls and two norm evaluations, one with eta = 0 two and
+one.  A Gram matrix that every row shares (Quadratic; then g_p = g_u) gets
+one Cholesky gate and one inverse per stack, and no LU solve.
 
 Tolerance ladder: exactness 1e-12, linear-solve residual 1e-10, route
-comparisons (commutative pair against invariant frame) 1e-5 relative.
+comparisons (commutative pair against invariant frame) 1e-5 relative; the
+complex step is h = FD_POLE_STEP |u| = 1e-20 |u|.
 """
 
 from __future__ import annotations
@@ -53,16 +56,20 @@ ETA_ZERO_TOL = 1e-10
 COMMUTE_TOL = 1e-10
 ETA_HYP_TOL = 1e-8
 DEGENERATE_TOL = 1e-10
-FD_POLE_STEP = 1e-5
+FD_POLE_STEP = 1e-20
 ZERO_K_TOL = 1e-8  # |K| below which sample_flags reports a zero flag
 CHUNK = 64  # most candidate flags sample_flags evaluates as one stack
 NOT_POSITIVE = "Hessian Gram matrix not positive definite"
 DEGENERATE = "degenerate flag: pole and direction nearly dependent"
 
 
-def _solve(a, b):
-    """Row-wise solution of a x = b for stacks a (..., d, d), b (..., d)."""
-    return np.linalg.solve(a, b[..., None])[..., 0]
+def _solver(g):
+    """b -> g^-1 b for the rows b of a stack: LU, row by row, for Gram matrices
+    g (n, d, d); one inverse, each row applying it (_vm), for a shared g (d, d)."""
+    if g.ndim > 2:
+        return lambda b: np.linalg.solve(g, b[..., None])[..., 0]
+    inv = _swap(np.linalg.inv(g))
+    return lambda b: _vm(b, inv)
 
 
 def _factors(g) -> np.ndarray:
@@ -120,16 +127,10 @@ class CurvatureEngine:
         return _vm(u, self._ad_m).reshape(u.shape + u.shape[-1:])
 
     # -- the implicit operators -------------------------------------------
-    def _pole(self, u):
-        """The norm's pole data at the rows u (norm.pole, its Gram matrices
-        broadcast to the rows)."""
-        g, *terms = self.norm.pole(u)
-        return (np.broadcast_to(g, u.shape + u.shape[-1:]), *terms)
-
     def _positive_pole(self, u):
         """The pole data at u; ValueError unless every Gram matrix has a
         Cholesky factor."""
-        pole = self._pole(u)
+        pole = self.norm.pole(u)
         if not np.all(_factors(pole[0])):
             raise ValueError(NOT_POSITIVE)
         return pole
@@ -137,15 +138,19 @@ class CurvatureEngine:
     def _gram(self, u):
         return self._positive_pole(u)[0]
 
-    def eta(self, u: np.ndarray, _g=None, _gu=None, _bu=None):
+    def eta(self, u: np.ndarray, _g=None, _gu=None, _parts=False):
         """Spray vector: <eta(u), w>_u = <u, [w,u]_m>_u for all w, and the
-        residual of its solve."""
+        residual of its solve (_g, _gu: g_u, g_u u if known; _parts: b -> g^-1 b,
+        g u and B = the matrix of [., u]_m first).  One vector: one-row stack."""
         u = np.asarray(u, dtype=float)
-        g = _g if _g is not None else self._gram(u)
-        gu = _gu if _gu is not None else _mv(g, u)
-        rhs = _mv(_bu if _bu is not None else self._ad(u), gu)
-        eta = _solve(g, rhs)
-        return eta, np.linalg.norm(_mv(g, eta) - rhs, axis=-1)
+        if u.ndim == 1:
+            return tuple(x[0] for x in self.eta(u[None], None if _g is None else _g[None]))
+        g = self._gram(u) if _g is None else _g
+        solve, gu, bu = _solver(g), _mv(g, u) if _gu is None else _gu, self._ad(u)
+        rhs = _mv(bu, gu)
+        eta = solve(rhs)
+        out = eta, np.linalg.norm(_mv(g, eta) - rhs, axis=-1)
+        return (solve, gu, bu, *out) if _parts else out
 
     def _operator(self, pole, gu, bu, eta):
         """The connection operator A = (T + B g + g B' - 2 C_u(., eta, .)) / 2
@@ -154,62 +159,83 @@ class CurvatureEngine:
         g N(u, w) = A w."""
         g = pole[0]
         a = _vm(gu, self._cm_last).reshape(bu.shape) + bu @ g + g @ _swap(bu)
-        if np.any(eta):
+        if np.any(eta) and g.ndim > 2:  # a shared g is constant in y, so C = 0
             a = a - 2.0 * self.norm.cartan_at(pole, eta)
         return 0.5 * a
 
-    def _frame(self, u, pole):
+    def _frame(self, u, pole, gu=None):
         """What eta and every connection solve at the poles u share:
-        (g_u, g_u u, B = the matrix of [., u]_m, eta, eta residual, A)."""
-        g = pole[0]
-        gu, bu = _mv(g, u), self._ad(u)
-        eta, resid = self.eta(u, _g=g, _gu=gu, _bu=bu)
-        return g, gu, bu, eta, resid, self._operator(pole, gu, bu, eta)
+        (g_u, b -> g_u^-1 b, g_u u, B = the matrix of [., u]_m, eta, eta
+        residual, A); gu: g_u u if known."""
+        solve, gu, bu, eta, resid = self.eta(u, _g=pole[0], _gu=gu, _parts=True)
+        return pole[0], solve, gu, bu, eta, resid, self._operator(pole, gu, bu, eta)
 
     def connection_n(self, u: np.ndarray, w: np.ndarray, _frame=None) -> np.ndarray:
         """Connection operator N(u, w) as an m-coordinate vector (_frame:
-        _frame(u, pole) when already built; only its g_u and A are read)."""
+        _frame(u, pole) when already built; only its solve and A are read)."""
+        w = np.asarray(w, dtype=float)
         if _frame is None:
             u = np.asarray(u, dtype=float)
+            if u.ndim == 1:  # a one-row stack, as in eta
+                return self.connection_n(u[None], w[None])[0]
             _frame = self._frame(u, self._positive_pole(u))
-        g, a = _frame[0], _frame[-1]
-        return _solve(g, _mv(a, np.asarray(w, dtype=float)))
+        return _frame[1](_mv(_frame[-1], w))
 
-    def _d_eta_term(self, u, w, gw, eta, speed, h):
+    def _d_eta_term(self, u, w, gw, eta, speed, h, solve):
         """<D_eta N(., w), w>_u as the complex step speed Im t(p) / h at the
         pole p = u + i h eta/|eta| of every row, t(p) = <N(p, w), w>_u =
         (A_p w) . z; exactly zero where h = 0.  z = g_p^-1 g_u w does not
-        depend on eta_p, so one 2-column solve gives both."""
+        depend on eta_p, so one 2-column solve gives both (solve, if g_p = g_u)."""
         p = u + 1j * (h[:, None] * (eta / np.maximum(speed, ETA_ZERO_TOL)[:, None]))
-        pole = self._pole(p)
+        pole = self.norm.pole(p)
         gp, bp = _mv(pole[0], p), self._ad(p)  # g_p p, the matrix of [., p]_m
-        sol = np.linalg.solve(pole[0], np.stack([_mv(bp, gp), gw], axis=-1))
+        rhs = np.stack([_mv(bp, gp), gw], axis=-1)
+        sol = np.linalg.solve(pole[0], rhs) if pole[0].ndim > 2 else _swap(solve(_swap(rhs)))
         t = _dot(_mv(self._operator(pole, gp, bp, sol[..., 0]), w), sol[..., 1])
         return np.divide(speed * t.imag, h, out=np.zeros_like(h), where=h > 0)
 
-    def _riemann_quadratic(self, u, w, pole):
-        """<R_u(w), w>_u for stacks u, w (pole data at u), then |eta|, the
-        eta residual and h (0 where |eta| < ETA_ZERO_TOL)."""
-        g, gu, bu, eta, resid, a = self._frame(u, pole)
-        gw, speed = _mv(g, w), np.linalg.norm(eta, axis=-1)
+    def _riemann_quadratic(self, u, w, pole, gu=None, gw=None):
+        """<R_u(w), w>_u for stacks u, w (pole data at u; gu, gw: g_u u and
+        g_u w if known), then |eta|, the eta residual, h (0 where |eta| <
+        ETA_ZERO_TOL) and |[w, u]|."""
+        g, solve, gu, bu, eta, resid, a = frame = self._frame(u, pole, gu)
+        gw, speed = _mv(g, w) if gw is None else gw, np.linalg.norm(eta, axis=-1)
         h = np.where(speed >= ETA_ZERO_TOL, FD_POLE_STEP * np.linalg.norm(u, axis=-1), 0.0)
-        rt = self._d_eta_term(u, w, gw, eta, speed, h) if np.any(h) else 0.0
+        rt = self._d_eta_term(u, w, gw, eta, speed, h, solve) if np.any(h) else 0.0
         # -N(u, N(u,w)) + N(u, [u,w]_m) - [u, N(u,w)]_m against g_u w, the
         # connection terms through <N(u, x), w>_u = (A' w) . x, so that only
         # N(u, w) needs a solve
-        nw = self.connection_n(u, w, _frame=(g, a))
-        rt = rt + _dot(_vm(nw, bu), gw) - _dot(_vm(w, a), nw + _vm(w, bu))
+        nw, bm = self.connection_n(u, w, _frame=frame), _vm(w, bu)  # bm = [w,u]_m
+        rt = rt + _dot(_vm(nw, bu), gw) - _dot(_vm(w, a), nw + bm)
         # h-term: <[[w,u]_h, w], u>_u
-        zh = _vm(w, _vm(self.brh(w, u), self._kh).reshape(bu.shape))
-        return _dot(zh, gu) + rt, speed, resid, h
+        bh = self.brh(w, u)
+        zh = _vm(w, _vm(bh, self._kh).reshape(bu.shape))
+        return _dot(zh, gu) + rt, speed, resid, h, np.sqrt(_dot(bm, bm) + _dot(bh, bh))
 
     # -- flags ---------------------------------------------------------------
-    def _flag_gate(self, u, v, g):
-        """(area^2 of the flag, whether it passes the degeneracy gate)."""
-        gu, gv = _mv(g, u), _mv(g, v)
+    def _flag_gate(self, u, v, gu, gv):
+        """(area^2 of the flag, whether it passes the degeneracy gate); gu, gv: g u, g v."""
         uu, vv = _dot(u, gu), _dot(v, gv)
         denom = uu * vv - _dot(v, gu) ** 2
         return denom, denom > DEGENERATE_TOL * uu * vv
+
+    def _flags(self, u, v):
+        """The stacked core of flag_curvature for the rows (n, d) of u and v:
+        the arrays K, |eta|, eta residual, h and |[v, u]| (NaN on rejected
+        rows), then the reason each row was rejected ('' where none: the
+        Cholesky gate of g_u, then degeneracy)."""
+        pole = self.norm.pole(u)
+        gu, gv = _mv(pole[0], u), _mv(pole[0], v)
+        denom, ok = self._flag_gate(u, v, gu, gv)
+        why = np.where(_factors(pole[0]), np.where(ok, "", DEGENERATE), NOT_POSITIVE)
+        rows = slice(None) if np.all(why == "") else np.flatnonzero(why == "")
+        if pole[0].ndim > 2:  # per-row pole data; a shared Gram matrix is every row's
+            pole = [t[rows] for t in pole]
+        out = np.full((5, len(why)), np.nan)
+        if np.any(why == ""):  # else a shared g may not even be invertible
+            out[:, rows] = self._riemann_quadratic(u[rows], v[rows], pole, gu[rows], gv[rows])
+        out[0, rows] /= denom[rows]
+        return (*out, why)
 
     def flag_curvature(self, u: np.ndarray, v: np.ndarray):
         """Flag curvature of the flag (pole u, direction v); raises
@@ -217,32 +243,21 @@ class CurvatureEngine:
         v) returns one entry per row: its CurvatureReport, or the ValueError
         of the first gate it failed (Cholesky of g_u, then degeneracy)."""
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        single, u, v = u.ndim == 1, np.atleast_2d(u), np.atleast_2d(v)
-        out = [None] * len(u)
-
-        def keep(ok, reason, rows, *arrays):
-            for r in rows[~ok]:
-                out[r] = ValueError(reason)
-            return [rows[ok]] + [a[ok] for a in arrays]
-
-        pole = self._pole(u)
-        rows, u, v, *pole = keep(_factors(pole[0]), NOT_POSITIVE, np.arange(len(u)), u, v, *pole)
-        denom, ok = self._flag_gate(u, v, pole[0])
-        rows, u, v, denom, *pole = keep(ok, DEGENERATE, rows, u, v, denom, *pole)
-        q, speed, resid, h = self._riemann_quadratic(u, v, pole)
-        for r, k, e, res, step in zip(rows, q / denom, speed, resid, h):
-            out[r] = CurvatureReport(k=float(k), method="invariant-frame", eta_norm=float(e),
-                                     solve_residual=float(res), fd_step=float(step))
-        if single and isinstance(out[0], ValueError):
+        *arrays, why = self._flags(np.atleast_2d(u), np.atleast_2d(v))
+        out = [ValueError(r) if r else CurvatureReport(float(k), "invariant-frame", *map(float, x))
+               for k, *x, _, r in zip(*arrays, why)]  # x: |eta|, residual, h
+        if u.ndim == 1 and isinstance(out[0], ValueError):
             raise out[0]
-        return out[0] if single else out
+        return out[0] if u.ndim == 1 else out
 
     def u_map(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The bilinear map U(u, v), solved against the basis."""
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        if u.ndim == 1:  # a one-row stack, as in eta
+            return self.u_map(u[None], v[None])[0]
         g = self._gram(u)
         rhs = 0.5 * (_mv(self._ad(u), _mv(g, v)) + _mv(self._ad(v), _mv(g, u)))
-        return _solve(g, rhs)
+        return _solver(g)(rhs)
 
     def flag_curvature_commutative(self, u: np.ndarray, v: np.ndarray,
                                    cross_check: bool = True) -> CurvatureReport:
@@ -257,7 +272,7 @@ class CurvatureEngine:
         eta, resid = self.eta(u, _g=g)
         if np.linalg.norm(eta) > ETA_HYP_TOL * max(float(np.linalg.norm(u)), 1.0):
             raise ValueError("commutative-pair formula inapplicable: eta(u) != 0")
-        denom, ok = self._flag_gate(u, v, g)
+        denom, ok = self._flag_gate(u, v, _mv(g, u), _mv(g, v))
         if not ok:
             raise ValueError(DEGENERATE)
         uu = self.u_map(u, v)
@@ -365,31 +380,32 @@ def sample_flags(space: CosetSpace, norm: MinkowskiNorm, n: int, seed: int) -> d
     rng = np.random.default_rng(seed)
     eng = CurvatureEngine(space, norm)
     budget = 2 * n + 8
-    kept, evaluated = [], 0  # kept: (u, v, report) of the accepted flags
-    while len(kept) < n and evaluated < budget:
-        m = min(n - len(kept), CHUNK, budget - evaluated)
+    kept, flags, evaluated = [], 0, 0  # kept: the accepted rows of u, v and _flags
+    while flags < n and evaluated < budget:
+        m = min(n - flags, CHUNK, budget - evaluated)
         # rows (u_i, v_i) in the order of one u, v draw per candidate
         u, v = np.moveaxis(rng.standard_normal((m, 2, space.dim_m)), 1, 0).copy()
         evaluated += m
-        kept += [x for x in zip(u, v, eng.flag_curvature(u, v)) if isinstance(x[2], CurvatureReport)]
-    if not kept:
+        *arrays, why = eng._flags(u, v)
+        kept.append([x[why == ""] for x in (u, v, *arrays)])
+        flags += len(kept[-1][0])
+    if not flags:
         raise ValueError(f"all {evaluated} candidate flags were rejected")
-    us, vs, reps = zip(*kept)
+    us, vs, ks, speed, resid, h, br = (np.concatenate(x) for x in zip(*kept))
     agree = []
-    for u, v, rep, br in zip(us, vs, reps, eng.br_full_norm(np.array(us), np.array(vs))):
-        if br < COMMUTE_TOL:
-            k2 = eng.flag_curvature_commutative(u, v, cross_check=False).k
-            agree.append(abs(k2 - rep.k) / max(abs(rep.k), abs(k2), 1.0))
+    for i in np.flatnonzero(br < COMMUTE_TOL):
+        k2 = eng.flag_curvature_commutative(us[i], vs[i], cross_check=False).k
+        agree.append(abs(k2 - ks[i]) / max(abs(ks[i]), abs(k2), 1.0))
     return {
-        "flags": len(reps),
-        "K_min": min(r.k for r in reps),
-        "K_max": max(r.k for r in reps),
-        "zero_flags": [{"u": u.tolist(), "v": v.tolist(), "K": r.k}
-                       for u, v, r in zip(us, vs, reps) if abs(r.k) < ZERO_K_TOL],
-        "method_agreement_max_rel_err": max(agree) if agree else None,
+        "flags": flags,
+        "K_min": float(ks.min()),
+        "K_max": float(ks.max()),
+        "zero_flags": [{"u": us[i].tolist(), "v": vs[i].tolist(), "K": float(ks[i])}
+                       for i in np.flatnonzero(np.abs(ks) < ZERO_K_TOL)],
+        "method_agreement_max_rel_err": float(max(agree)) if agree else None,
         "candidates_evaluated": evaluated,
-        "rejected": evaluated - len(reps),
-        "max_solve_residual": max(r.solve_residual for r in reps),
-        "max_eta_norm": max(r.eta_norm for r in reps),
-        "max_fd_step": max(r.fd_step for r in reps),
+        "rejected": evaluated - flags,
+        "max_solve_residual": float(resid.max()),
+        "max_eta_norm": float(speed.max()),
+        "max_fd_step": float(h.max()),
     }

@@ -33,6 +33,7 @@ PAIR_CHUNK = 1 << 17
 # bound on |n| of a lattice coordinate n/2 * sqrt(k): its float value stays
 # below 2**501, so every sum of squares the matrices take stays finite
 MAX_LATTICE_COORD = 2 ** 501
+MAX_SCALE = 2 ** 20  # factor and abelian scales s: 1/MAX_SCALE <= s <= MAX_SCALE
 
 
 def _floats(v: TVec) -> tuple:
@@ -145,6 +146,9 @@ class RealizedAlgebra:
                 raise ValueError(
                     f"no matrix realization for factor {fam}{rank}; root-level only"
                 )
+        scales = [s for *_, s in spec.factors] + list(spec.abelian_scales)
+        if not all(1 / MAX_SCALE <= s <= MAX_SCALE for s in scales):
+            raise ValueError("a factor or abelian scale lies outside [2^-20, 2^20]")
         self.spec = spec
         self.factors = []
         for idx, (fam, rank, scale) in enumerate(spec.factors):

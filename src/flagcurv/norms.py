@@ -32,7 +32,8 @@ class MinkowskiNorm:
     the norm at the poles y: a tuple of the Gram matrices g_y (the matrices
     of <u,v>_y over the declared m-basis, (..., d, d)) and then the family's
     own terms, every entry with the rows of y as leading axes, so that a row
-    mask selects from each; cartan_at(pole, v), from that tuple, the matrix
+    mask selects from each (a norm whose Gram matrix does not depend on y
+    returns it once, (d, d), as its only entry); cartan_at(pole, v), the matrix
     M[i,j] = C_y(e_i, e_j, v), (..., d, d), so that C_y(u, v, w) is
     u' M(y, v) w and C_y(u, v, .) is M(y, v) u.  gram(y) and cartan_mat(y, v)
     are the one-off forms.  All take one vector or a stack of them (leading
@@ -125,11 +126,11 @@ class Quadratic(MinkowskiNorm):
         return float(np.sqrt(max(y @ self.q @ y, 0.0)))
 
     def gram(self, y) -> np.ndarray:
-        _check_nonzero(np.asarray(y))
-        return np.broadcast_to(self.q, np.shape(y)[:-1] + self.q.shape).copy()
+        return np.broadcast_to(self.pole(y)[0], np.shape(y)[:-1] + self.q.shape).copy()
 
     def pole(self, y) -> tuple:
-        return (self.gram(y),)  # g is constant, C = 0
+        _check_nonzero(np.asarray(y))
+        return (self.q,)  # g is constant: one (d, d) for every row; C = 0
 
     def cartan_at(self, pole, v) -> np.ndarray:
         return np.zeros(np.broadcast_shapes(pole[0].shape[:-1], np.shape(v)) + (self.dim,))

@@ -771,3 +771,37 @@ def test_a_space_file_coordinate_past_the_float_bound_fails_closed(tmp_path, mak
 def test_a_large_space_file_coordinate_below_the_bound_builds(tmp_path):
     code, out, _ = invoke(["space", "build", "--file", _b2_file(tmp_path, "1e150")])
     assert code == 0 and json.loads(out)["hat_blocks"] == [3, 6]
+
+
+def _scaled_file(tmp_path, where, s):
+    """B2 with factor scale s, or A1 + R with abelian scale s, each with the
+    t cap h line of the files above at c = 1."""
+    if where == "factor":
+        path = _b2_file(tmp_path, "1")
+        key, value = "factors", [{"family": "B", "rank": 2, "scale": s}]
+    else:
+        path = _abelian_file(tmp_path, "1")
+        key, value = "abelian_scales", [s]
+    obj = json.loads(Path(path).read_text())
+    obj["algebra"][key] = value
+    return _space_file(tmp_path, obj)
+
+
+@pytest.mark.parametrize("where,s", [("factor", "1e400"), ("factor", "1e-200"),
+                                     ("abelian", "1e400"), ("abelian", "1e-200"),
+                                     ("factor", "1048577"), ("abelian", "1/1048577")])
+def test_a_space_file_scale_past_the_bound_fails_closed(tmp_path, where, s):
+    """A scale outside [2^-20, 2^20] exits 1 with a JSON error.  1e400 used
+    to exit with an OverflowError traceback, a factor scale of 1e-200 with
+    the error "", and an abelian scale of 1e-200 built hat blocks [0, 2],
+    where scale 1 gives [1, 2]."""
+    proc = _cli_process(["space", "build", "--file", _scaled_file(tmp_path, where, s)])
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert "scale lies outside [2^-20, 2^20]" in json.loads(proc.stdout)["error"]
+
+
+@pytest.mark.parametrize("s", ["1/1048576", "1", "1048576"])
+def test_a_space_file_scale_at_the_bound_builds(tmp_path, s):
+    for where, blocks in (("factor", [3, 6]), ("abelian", [1, 2])):
+        code, out, _ = invoke(["space", "build", "--file", _scaled_file(tmp_path, where, s)])
+        assert code == 0 and json.loads(out)["hat_blocks"] == blocks, (where, out)

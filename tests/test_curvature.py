@@ -313,22 +313,24 @@ def test_sampling_report_shape(bn2):
 
 
 def test_sampling_counts_rejected_flags(su2_group):
-    # every other Gram matrix is negative definite, so every other
-    # candidate fails the Cholesky factorization
+    # every other pole evaluation (one per stack of candidates) returns a
+    # negative definite Gram matrix, so every other stack fails the
+    # Cholesky factorization
     class Flaky(Quadratic):
         calls = 0
 
-        def gram(self, y):
+        def pole(self, y):
             Flaky.calls += 1
             if Flaky.calls % 2:
-                return -self.q
-            return super().gram(y)
+                return (-self.q,)
+            return super().pole(y)
 
     rep = sample_flags(su2_group, Flaky(np.eye(3)), 4, seed=0)
     assert rep["flags"] == 4
     assert rep["rejected"] == rep["candidates_evaluated"] - 4 > 0
-    with pytest.raises(ValueError, match="all 10 candidate flags were rejected"):
-        sample_flags(su2_group, Quadratic(-np.eye(3)), 1, seed=0)
+    for q in (-np.eye(3), np.zeros((3, 3))):  # a singular g is rejected, not inverted
+        with pytest.raises(ValueError, match="all 10 candidate flags were rejected"):
+            sample_flags(su2_group, Quadratic(q), 1, seed=0)
 
 
 @pytest.mark.parametrize("n", [0, -3])

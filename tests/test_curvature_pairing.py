@@ -101,15 +101,20 @@ def test_connection_pairs_through_the_operator(name, seed):
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
-@pytest.mark.parametrize("name,seed,solves,rows", [
-    ("bn_excluded_subcase1(2)", 0, 3, [16, 16]),  # spray: u, then the complex poles
-    ("berger_sp2", None, 2, [16]),                # Quadratic(I): eta = 0, no poles
+@pytest.mark.parametrize("name,seed,linalg,rows", [
+    # spray: one Cholesky gate and LU solves at u, then the complex poles
+    ("bn_excluded_subcase1(2)", 0, {"cholesky": 1, "solve": 3}, [16, 16]),
+    # Quadratic(I): eta = 0, no poles, one Gram matrix for every row
+    ("berger_sp2", None, {"cholesky": 1, "inv": 1}, [16]),
 ], ids=["spray", "no-spray"])
-def test_one_flag_stack_counts_its_solves_and_norm_calls(monkeypatch, name, seed, solves, rows):
+def test_one_flag_stack_counts_its_solves_and_norm_calls(monkeypatch, name, seed, linalg, rows):
     """Tooling guard: a flag stack solves for eta and N(u, w) at u and once,
     two columns, at the complex poles, and evaluates the norm once at u and
-    once at the poles, n rows each; a per-term solve or norm call, or a
-    return to 2n real finite-difference poles, fails this."""
+    once at the poles, n rows each; a norm whose Gram matrix every row
+    shares is factored once (one Cholesky gate, one inverse) and LU-solved
+    never.  A per-term solve or norm call, a factorization per row of a
+    shared Gram matrix, or a return to 2n real finite-difference poles
+    fails this."""
     eng = _engine(name, seed)
     u, v = np.random.default_rng(7).standard_normal((2, 16, eng.space.dim_m))
     calls = Counter()
@@ -120,7 +125,8 @@ def test_one_flag_stack_counts_its_solves_and_norm_calls(monkeypatch, name, seed
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+    for key in ("cholesky", "inv", "solve"):
+        monkeypatch.setattr(np.linalg, key, counting(key, getattr(np.linalg, key)))
     pole_rows, norm_pole = [], type(eng.norm).pole
 
     def pole(norm, y):
@@ -131,5 +137,42 @@ def test_one_flag_stack_counts_its_solves_and_norm_calls(monkeypatch, name, seed
     reps = eng.flag_curvature(u, v)
     assert all(isinstance(r, CurvatureReport) for r in reps)
     assert any(r.fd_step > 0 for r in reps) == (len(rows) == 2)
-    assert calls == {"solve": solves}
+    assert calls == linalg
     assert pole_rows == rows
+
+
+# K of four flags (rng 9) under Quadratic(Q), Q the first quadratic of
+# random_invariant_norm(space, 0): eta != 0, recorded when the engine
+# still broadcast a Quadratic's Gram matrix to every row and LU-solved it
+# there, with the complex step at 1e-5 |u|
+SHARED_PINNED = {
+    "bn_excluded_subcase1(2)": [0.22887282491334213, 0.3274949956073209, 0.5094659069494747,
+                                0.3378578563787056],
+    "a1a1_diagonal(1)": [0.524421388311487, 0.6043789962160993, 0.4083816213361197,
+                         0.37503911722773214],
+    "sphere_spn_u1(2)": [1.185828911606875, 1.0099428687653902, 1.7940013581394216,
+                         0.7499842796605574],
+}
+
+
+@pytest.mark.parametrize("name", SHARED_PINNED)
+def test_a_shared_gram_matrix_takes_the_complex_step(name):
+    """A Quadratic(Q) with eta != 0 reaches the complex step through its one
+    Gram matrix (the inverse of g_u serves g_p, the same matrix), and K
+    agrees with the per-row LU route and with the recorded values to
+    rounding: for a quadratic norm t(p) is linear in p, so the step size
+    does not enter."""
+    sp = _space(name)
+    q = random_invariant_norm(sp, 0).qs[0]
+
+    class PerRow(Quadratic):  # the same norm, its Gram matrix on every row
+        def pole(self, y):
+            return (np.broadcast_to(self.q, y.shape + y.shape[-1:]),)
+
+    u, v = np.random.default_rng(9).standard_normal((2, 4, sp.dim_m))
+    shared = CurvatureEngine(sp, Quadratic(q)).flag_curvature(u, v)
+    per_row = CurvatureEngine(sp, PerRow(q)).flag_curvature(u, v)
+    assert all(r.eta_norm > 0.3 and r.fd_step > 0 for r in shared)
+    for rep, row, want in zip(shared, per_row, SHARED_PINNED[name]):
+        assert abs(rep.k - row.k) <= 1e-14 * abs(want)
+        assert abs(rep.k - want) <= 1e-14 * abs(want)

@@ -140,8 +140,34 @@ def test_norm_kernels_give_each_row_its_own_bits(family, rows):
     y, v = rng.standard_normal((2, rows, d))
     pole, gram, cartan = norm.pole(y), norm.gram(y), norm.cartan_mat(y, v)
     assert gram.shape == cartan.shape == (rows, d, d)
-    assert np.array_equal(pole[0], gram) and all(len(t) == rows for t in pole)
+    shared = family == "Quadratic"  # its pole is its one Gram matrix, no row axes
+    if shared:
+        assert len(pole) == 1 and np.array_equal(pole[0], norm.q)
+        assert all(np.array_equal(g, pole[0]) for g in gram)
+    else:
+        assert np.array_equal(pole[0], gram) and all(len(t) == rows for t in pole)
     for i in range(rows):
-        assert all(np.array_equal(a, b[i]) for a, b in zip(norm.pole(y[i]), pole, strict=True))
+        want = pole if shared else [t[i] for t in pole]
+        assert all(np.array_equal(a, b) for a, b in zip(norm.pole(y[i]), want, strict=True))
         assert np.array_equal(norm.gram(y[i]), gram[i])
         assert np.array_equal(norm.cartan_mat(y[i], v[i]), cartan[i])
+
+
+@pytest.mark.parametrize("rows", ROWS)
+@pytest.mark.parametrize("name", PRESETS)
+def test_a_shared_gram_matrix_gives_each_row_its_own_bits(name, rows):
+    """A Quadratic norm's one Gram matrix (no row axes) is factored once per
+    stack and its inverse applied row by row; one vector runs as a one-row
+    stack, so eta, connection_n and flag_curvature of one row equal its row
+    of the stack bit for bit, the complex step of eta != 0 included."""
+    sp = _space(name)
+    engine = CurvatureEngine(sp, Quadratic(random_invariant_norm(sp, 0).qs[0]))
+    u, v, _ = _draws(engine, rows, seed=rows)
+    (eta, resid), nw = engine.eta(u), engine.connection_n(u, v)
+    reports = engine.flag_curvature(u, v)
+    assert len(reports) == rows and any(r.fd_step > 0 for r in reports)
+    for i in range(rows):
+        e, r = engine.eta(u[i])
+        assert np.array_equal(e, eta[i]) and r == resid[i], i
+        assert np.array_equal(engine.connection_n(u[i], v[i]), nw[i]), i
+        assert engine.flag_curvature(u[i], v[i]) == reports[i], i
