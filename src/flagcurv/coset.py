@@ -132,7 +132,7 @@ class CosetSpace:
 
         self._verify()
         self._hat = None
-        self._tensors = None
+        self._tensors = self._brackets = None
 
     # -- verification -----------------------------------------------------
     def _verify(self):
@@ -184,6 +184,15 @@ class CosetSpace:
             Kh = alg.bracket_coords(self.h_basis, self.m_basis, self._m_co)
             self._tensors = (Cm, Ch, Kh)
         return self._tensors
+
+    def bracket_matrices(self):
+        """The structure tensors as matrices that row vectors multiply, built
+        once: u -> the matrices of [., u]_m and [., u]_h, c -> sum_a c_a Kh[a]."""
+        if self._brackets is None:
+            (cm, ch, kh), d = self.structure_tensors(), self.dim_m
+            self._brackets = (*(np.ascontiguousarray(t.transpose(1, 0, 2).reshape(d, -1))
+                                for t in (cm, ch)), kh.reshape(self.dim_h, d * d))
+        return self._brackets
 
     # -- decompositions -------------------------------------------------------
     def hat_decomposition(self) -> list:

@@ -18,10 +18,15 @@ m-basis of a CosetSpace.  The two evaluation routes are
 Every CurvatureEngine operator takes one vector (run as a one-row stack) or
 a stack of them (one pole or flag per row), and sample_flags reduces the
 arrays of the stacked core _flags.  All contractions are row-wise: the
-structure tensors are reshaped once into matrices that each row multiplies
-on its own (_vm), and products and solves are stacked, so no row's result
-depends on the size of its stack.  Each pole carries one operator A(u), with
-g_u N(u, x) = A(u) x, and the quadratic form pairs every Rt term with g_u w:
+structure tensors are reshaped once per space into matrices that each row
+multiplies on its own (_vm), and products and solves are stacked, so no
+row's result depends on the size of its stack.  The connection operator
+A(u) = (T + B g_u + g_u B' - 2 C_u(., eta, .)) / 2 (B the matrix of [., u]_m,
+T[i,j] = sum_k Cm[i,j,k] (g_u u)_k), with g_u N(u, x) = A(u) x, is never
+formed: T is antisymmetric, so A w = S + T w / 2 and A' w = S - T w / 2 with
+S = (B g_u w + g_u [w,u]_m) / 2 - C_u(., eta, w) and T w = ad(w) g_u u, one
+real ad(w) serving u and the complex poles.  The quadratic form pairs every
+Rt term with g_u w:
 
   <N(u, x), w>_u = (A(u)' w) . x,   <N(p, w), w>_u = (A(p) w) . g_p^{-1} g_u w.
 
@@ -29,13 +34,14 @@ So at u only eta and N(u, w) are solved for, and D_eta N is a complex step
 (Squire & Trapp, SIAM Rev. 40, 1998): |eta| Im t(p) / h with t(p) =
 <N(p, w), w>_u at the one complex pole p = u + i h eta/|eta| of every row.
 Its n-row frame is one norm evaluation (norm.pole, which also carries what
-its Cartan matrix needs; pole, cartan_at and A are analytic in p, never
+its Cartan tensor needs; pole and cartan_pair are analytic in p, never
 conjugated) and one 2-column solve for eta_p and g_p^{-1} g_u w; g_p is
 complex symmetric, so only the real frame at u has a Cholesky gate.  With
 Gram matrices per row (Quartic, Randers) a flag stack with eta != 0 makes
-three LU solve calls and two norm evaluations, one with eta = 0 two and
-one.  A Gram matrix that every row shares (Quadratic; then g_p = g_u) gets
-one Cholesky gate and one inverse per stack, and no LU solve.
+three LU solve calls, two norm evaluations and two cartan_pair calls, one
+with eta = 0 two solves, one norm evaluation and no cartan_pair.  A Gram
+matrix that every row shares (Quadratic; then g_p = g_u and C = 0) gets one
+Cholesky gate and one inverse per stack, and no LU solve or cartan_pair.
 
 Tolerance ladder: exactness 1e-12, linear-solve residual 1e-10, route
 comparisons (commutative pair against invariant frame) 1e-5 relative; the
@@ -100,15 +106,8 @@ class CurvatureEngine:
             raise ValueError("norm dimension does not match dim m")
         self.space = space
         self.norm = norm
-        cm, ch, kh = space.structure_tensors()
-        d, dh = space.dim_m, space.dim_h
-        # the tensors as matrices that row vectors multiply (_vm): u -> the
-        # matrices of [., u]_m and [., u]_h, x -> sum_k Cm[., ., k] x_k and
-        # c -> sum_a c_a Kh[a]
-        self._ad_m = np.ascontiguousarray(cm.transpose(1, 0, 2).reshape(d, d * d))
-        self._ad_h = np.ascontiguousarray(ch.transpose(1, 0, 2).reshape(d, d * dh))
-        self._cm_last = np.ascontiguousarray(cm.transpose(2, 0, 1).reshape(d, d * d))
-        self._kh = kh.reshape(dh, d * d)
+        # u -> the matrices of [., u]_m and [., u]_h, c -> sum_a c_a Kh[a]
+        self._ad_m, self._ad_h, self._kh = space.bracket_matrices()
 
     # -- brackets in m-coordinates ---------------------------------------
     def brm(self, x, y):
@@ -152,61 +151,59 @@ class CurvatureEngine:
         out = eta, np.linalg.norm(_mv(g, eta) - rhs, axis=-1)
         return (solve, gu, bu, *out) if _parts else out
 
-    def _operator(self, pole, gu, bu, eta):
-        """The connection operator A = (T + B g + g B' - 2 C_u(., eta, .)) / 2
-        at the rows u of the pole data, from g u, B = the matrix of [., u]_m
-        and eta, with T[i,j] = sum_k Cm[i,j,k] (g u)_k, so that
-        g N(u, w) = A w."""
+    def _sym_w(self, pole, bx, eta, w, gw, bw):
+        """S = (B g w + g [w, x]_m) / 2 - C_x(., eta, w) at the poles x (B = bx,
+        the matrix of [., x]_m; gw, bw: g w and [w, x]_m), the symmetric part
+        of A(x) applied to w: A w = S + T w / 2 and A' w = S - T w / 2."""
         g = pole[0]
-        a = _vm(gu, self._cm_last).reshape(bu.shape) + bu @ g + g @ _swap(bu)
+        s = 0.5 * (_mv(bx, gw) + _mv(g, bw))
         if np.any(eta) and g.ndim > 2:  # a shared g is constant in y, so C = 0
-            a = a - 2.0 * self.norm.cartan_at(pole, eta)
-        return 0.5 * a
+            s = s - self.norm.cartan_pair(pole, eta, w)
+        return s
 
-    def _frame(self, u, pole, gu=None):
-        """What eta and every connection solve at the poles u share:
-        (g_u, b -> g_u^-1 b, g_u u, B = the matrix of [., u]_m, eta, eta
-        residual, A); gu: g_u u if known."""
-        solve, gu, bu, eta, resid = self.eta(u, _g=pole[0], _gu=gu, _parts=True)
-        return pole[0], solve, gu, bu, eta, resid, self._operator(pole, gu, bu, eta)
-
-    def connection_n(self, u: np.ndarray, w: np.ndarray, _frame=None) -> np.ndarray:
-        """Connection operator N(u, w) as an m-coordinate vector (_frame:
-        _frame(u, pole) when already built; only its solve and A are read)."""
-        w = np.asarray(w, dtype=float)
-        if _frame is None:
-            u = np.asarray(u, dtype=float)
+    def connection_n(self, u: np.ndarray, w: np.ndarray, _solved=None) -> np.ndarray:
+        """Connection operator N(u, w) = g_u^-1 A(u) w as an m-coordinate
+        vector (_solved: b -> g_u^-1 b and A(u) w when already known)."""
+        if _solved is None:
+            u, w = np.asarray(u, dtype=float), np.asarray(w, dtype=float)
             if u.ndim == 1:  # a one-row stack, as in eta
                 return self.connection_n(u[None], w[None])[0]
-            _frame = self._frame(u, self._positive_pole(u))
-        return _frame[1](_mv(_frame[-1], w))
+            pole = self._positive_pole(u)
+            solve, gu, bu, eta, _ = self.eta(u, _g=pole[0], _parts=True)
+            s = self._sym_w(pole, bu, eta, w, _mv(pole[0], w), _vm(w, bu))
+            _solved = solve, s + 0.5 * _mv(self._ad(w), gu)
+        return _solved[0](_solved[1])
 
-    def _d_eta_term(self, u, w, gw, eta, speed, h, solve):
+    def _d_eta_term(self, u, w, gw, adw, eta, speed, h, solve):
         """<D_eta N(., w), w>_u as the complex step speed Im t(p) / h at the
         pole p = u + i h eta/|eta| of every row, t(p) = <N(p, w), w>_u =
-        (A_p w) . z; exactly zero where h = 0.  z = g_p^-1 g_u w does not
-        depend on eta_p, so one 2-column solve gives both (solve, if g_p = g_u)."""
+        (A_p w) . z; exactly zero where h = 0 (adw: the matrix of [., w]_m).  z =
+        g_p^-1 g_u w needs no eta_p: one 2-column solve gives both (solve, if g_p = g_u)."""
         p = u + 1j * (h[:, None] * (eta / np.maximum(speed, ETA_ZERO_TOL)[:, None]))
         pole = self.norm.pole(p)
         gp, bp = _mv(pole[0], p), self._ad(p)  # g_p p, the matrix of [., p]_m
         rhs = np.stack([_mv(bp, gp), gw], axis=-1)
         sol = np.linalg.solve(pole[0], rhs) if pole[0].ndim > 2 else _swap(solve(_swap(rhs)))
-        t = _dot(_mv(self._operator(pole, gp, bp, sol[..., 0]), w), sol[..., 1])
+        apw = self._sym_w(pole, bp, sol[..., 0], w, _mv(pole[0], w), _vm(w, bp))
+        t = _dot(apw + 0.5 * _mv(adw, gp), sol[..., 1])
         return np.divide(speed * t.imag, h, out=np.zeros_like(h), where=h > 0)
 
     def _riemann_quadratic(self, u, w, pole, gu=None, gw=None):
         """<R_u(w), w>_u for stacks u, w (pole data at u; gu, gw: g_u u and
         g_u w if known), then |eta|, the eta residual, h (0 where |eta| <
         ETA_ZERO_TOL) and |[w, u]|."""
-        g, solve, gu, bu, eta, resid, a = frame = self._frame(u, pole, gu)
-        gw, speed = _mv(g, w) if gw is None else gw, np.linalg.norm(eta, axis=-1)
+        solve, gu, bu, eta, resid = self.eta(u, _g=pole[0], _gu=gu, _parts=True)
+        gw, speed = _mv(pole[0], w) if gw is None else gw, np.linalg.norm(eta, axis=-1)
         h = np.where(speed >= ETA_ZERO_TOL, FD_POLE_STEP * np.linalg.norm(u, axis=-1), 0.0)
-        rt = self._d_eta_term(u, w, gw, eta, speed, h, solve) if np.any(h) else 0.0
+        adw = self._ad(w)  # one real ad(w) for the frames at u and at the poles
+        rt = self._d_eta_term(u, w, gw, adw, eta, speed, h, solve) if np.any(h) else 0.0
         # -N(u, N(u,w)) + N(u, [u,w]_m) - [u, N(u,w)]_m against g_u w, the
         # connection terms through <N(u, x), w>_u = (A' w) . x, so that only
         # N(u, w) needs a solve
-        nw, bm = self.connection_n(u, w, _frame=frame), _vm(w, bu)  # bm = [w,u]_m
-        rt = rt + _dot(_vm(nw, bu), gw) - _dot(_vm(w, a), nw + bm)
+        bm = _vm(w, bu)  # [w,u]_m
+        s, tw = self._sym_w(pole, bu, eta, w, gw, bm), 0.5 * _mv(adw, gu)
+        nw = self.connection_n(u, w, _solved=(solve, s + tw))
+        rt = rt + _dot(_vm(nw, bu), gw) - _dot(s - tw, nw + bm)
         # h-term: <[[w,u]_h, w], u>_u
         bh = self.brh(w, u)
         zh = _vm(w, _vm(bh, self._kh).reshape(bu.shape))
@@ -387,7 +384,8 @@ def sample_flags(space: CosetSpace, norm: MinkowskiNorm, n: int, seed: int) -> d
         u, v = np.moveaxis(rng.standard_normal((m, 2, space.dim_m)), 1, 0).copy()
         evaluated += m
         *arrays, why = eng._flags(u, v)
-        kept.append([x[why == ""] for x in (u, v, *arrays)])
+        ok = why == ""
+        kept.append([x[ok] for x in (u, v, *arrays)])
         flags += len(kept[-1][0])
     if not flags:
         raise ValueError(f"all {evaluated} candidate flags were rejected")

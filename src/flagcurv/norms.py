@@ -33,24 +33,21 @@ class MinkowskiNorm:
     of <u,v>_y over the declared m-basis, (..., d, d)) and then the family's
     own terms, every entry with the rows of y as leading axes, so that a row
     mask selects from each (a norm whose Gram matrix does not depend on y
-    returns it once, (d, d), as its only entry); cartan_at(pole, v), the matrix
-    M[i,j] = C_y(e_i, e_j, v), (..., d, d), so that C_y(u, v, w) is
-    u' M(y, v) w and C_y(u, v, .) is M(y, v) u.  gram(y) and cartan_mat(y, v)
-    are the one-off forms.  All take one vector or a stack of them (leading
-    axes), one independent point per row, and raise ValueError at the
-    origin; pole and cartan_at also take complex rows, analytic in y and v
-    (no float casts, no conjugation), as a complex step needs.  The
-    constructors raise ValueError on arrays of the wrong shape, with entries
-    that are not finite or, for matrices, not symmetric."""
+    returns it once, (d, d), as its only entry); cartan_pair(pole, v, w), the
+    vector C_y(., v, w), (..., d), so that C_y(u, v, w) is
+    u . cartan_pair(pole, v, w).  gram(y) is the one-off form.  All take one
+    vector or a stack of them (leading axes), one independent point per row,
+    and raise ValueError at the origin; pole and cartan_pair also take
+    complex rows, analytic in y, v and w (no float casts, no conjugation), as
+    a complex step needs.  The constructors raise ValueError on arrays of the
+    wrong shape, with entries that are not finite or, for matrices, not
+    symmetric."""
 
     dim: int
     reversible: bool
 
     def gram(self, y) -> np.ndarray:
         return self.pole(y)[0]
-
-    def cartan_mat(self, y, v) -> np.ndarray:
-        return self.cartan_at(self.pole(y), v)
 
 
 def _check_nonzero(y: np.ndarray):
@@ -132,8 +129,8 @@ class Quadratic(MinkowskiNorm):
         _check_nonzero(np.asarray(y))
         return (self.q,)  # g is constant: one (d, d) for every row; C = 0
 
-    def cartan_at(self, pole, v) -> np.ndarray:
-        return np.zeros(np.broadcast_shapes(pole[0].shape[:-1], np.shape(v)) + (self.dim,))
+    def cartan_pair(self, pole, v, w) -> np.ndarray:
+        return np.zeros(np.broadcast_shapes(np.shape(v), np.shape(w)))
 
     def to_json(self):
         return {"family": "quadratic", "gram": self.q.tolist()}
@@ -169,21 +166,17 @@ class Randers(MinkowskiNorm):
         g = (1.0 + r) * self.q - r * _outer(a, a) + _outer(a + self.b, self.b) + _outer(self.b, a)
         return 0.5 * (g + _swap(g)), y, alpha, a
 
-    def cartan_at(self, pole, v) -> np.ndarray:
-        # C = 1/4 D^3[F^2] = 1/2 D^3[alpha beta], F^2 = alpha^2 + 2 alpha beta
-        # + beta^2, with D^2 alpha = (Q - a a') / alpha; last slot v
+    def cartan_pair(self, pole, v, w) -> np.ndarray:
+        # C = 1/4 D^3[F^2] = 1/2 D^3[alpha beta], D^2 alpha(x, .) = (Q x - (a.x) a) / alpha,
+        # D^3 alpha(., v, w) = (3 (a.v)(a.w) a - (a.w) Q v - (a.v) Q w - (v'Qw) a) / alpha^2
         _, y, alpha, a = pole
-        v = np.asarray(v)
-        qv = np.einsum("ij,...j->...i", self.q, v)
-        av = _dot(a, v)[..., None]
-        d2v = (qv - av * a) / alpha  # D^2 alpha (v, .)
-        alpha, av = alpha[..., None], av[..., None]
-        aa, qva = _outer(a, a), _outer(qv, a)
-        d3 = (3.0 * av * aa - qva - _swap(qva) - av * self.q) / alpha ** 2
-        d2 = (self.q - aa) / alpha
-        by, bv = (_dot(self.b, t)[..., None, None] for t in (y, v))
-        d2vb = _outer(d2v, self.b)
-        return 0.5 * (by * d3 + bv * d2 + d2vb + _swap(d2vb))
+        v, w = np.asarray(v), np.asarray(w)
+        qv, qw = (np.einsum("ij,...j->...i", self.q, t) for t in (v, w))
+        av, aw, vqw = _dot(a, v)[..., None], _dot(a, w)[..., None], _dot(v, qw)[..., None]
+        d3 = (3.0 * av * aw * a - aw * qv - av * qw - vqw * a) / alpha ** 2
+        by, bv, bw = (_dot(self.b, t)[..., None] for t in (y, v, w))
+        return 0.5 * (by * d3 + (bv * (qw - aw * a) + bw * (qv - av * a)
+                                 + (vqw - av * aw) * self.b) / alpha)
 
     def to_json(self):
         return {"family": "randers", "gram": self.q.tolist(), "b": self.b.tolist()}
@@ -239,21 +232,20 @@ class Quartic(MinkowskiNorm):
         g = d2p / (4.0 * sp) - _outer(dp, dp) / (8.0 * p * sp)
         return 0.5 * (g + _swap(g)), qy, p, dp, d2p
 
-    def cartan_at(self, pole, v) -> np.ndarray:
-        # C = 1/4 D^3[sqrt P], last slot v
+    def cartan_pair(self, pole, v, w) -> np.ndarray:
+        # C = 1/4 D^3[sqrt P], where D^3 P(., v, w) = 8 sum_k w_k ((y'Q_k w) Q_k v
+        # + (y'Q_k v) Q_k w + (v'Q_k w) Q_k y)
         _, qy, p, dp, d2p = pole
-        v = np.asarray(v)
+        v, w = np.asarray(v), np.asarray(w)
         wk = self.weights
-        qv = self._rows(v)
-        x = _swap(qv) @ (wk[:, None] * qy)  # sum_k w_k Q_k v (Q_k y)'
-        d3p = 8.0 * (x + _swap(x) + self._comb(wk * _mv(qy, v)))
-        dpv = _dot(dp, v)[..., None, None]
-        d2pv = _outer(_mv(d2p, v), dp)
-        sp = np.sqrt(p)
-        m = d3p / (2.0 * sp)
-        m -= (d2p * dpv + d2pv + _swap(d2pv)) / (4.0 * p * sp)
-        m += 3.0 * dpv * _outer(dp, dp) / (8.0 * p ** 2 * sp)
-        return 0.25 * m
+        qv, qw = self._rows(v), self._rows(w)
+        d3p = 8.0 * (_vm(wk * _mv(qy, w), qv) + _vm(wk * _mv(qy, v), qw)
+                     + _vm(wk * _mv(qv, w), qy))
+        d2v, d2w = _mv(d2p, v), _mv(d2p, w)
+        dpv, dpw, d2vw = (_dot(a, b)[..., None] for a, b in ((dp, v), (dp, w), (d2v, w)))
+        p, sp = p[..., 0], np.sqrt(p[..., 0])
+        return 0.25 * (d3p / (2.0 * sp) - (d2vw * dp + d2v * dpw + d2w * dpv) / (4.0 * p * sp)
+                       + 3.0 * dpv * dpw * dp / (8.0 * p ** 2 * sp))
 
     def to_json(self):
         return {
@@ -298,7 +290,7 @@ def check_invariance(norm: MinkowskiNorm, space) -> dict:
     g = norm.gram(y)
     hy, hu, hv = (np.einsum("akl,nl->nak", Kh, t) for t in (y, u, v))
     r = (np.einsum("nak,nkl,nl->na", hu, g, v) + np.einsum("nk,nkl,nal->na", u, g, hv)
-         + 2.0 * np.einsum("nk,nkl,nal->na", u, norm.cartan_mat(y, v), hy))
+         + 2.0 * np.einsum("nl,nal->na", norm.cartan_pair(norm.pole(y), u, v), hy))
     scale = np.maximum(np.abs(g).max(axis=(1, 2)), 1.0)[:, None]
     return {"max_residual": float(np.max(np.abs(r) / scale, initial=0.0)),
             "samples": INVARIANCE_SAMPLES}
@@ -326,11 +318,11 @@ def invariant_quadratic_space(space) -> list:
     iu, ju = np.triu_indices(d)  # the pairs i <= j, row by row
     units = np.zeros((len(iu), d, d))  # S_ij = E_ij + E_ji (E_ii when i = j)
     units[np.arange(len(iu)), iu, ju] = units[np.arange(len(iu)), ju, iu] = 1.0
-    # the map S -> A S - S A on the units, one d*d block of rows per A
-    stack = np.empty((len(Kh), d, d, len(iu)))
-    for A, block in zip(Kh, stack):
-        block[...] = (A @ units - units @ A).transpose(1, 2, 0)
-    return list(np.tensordot(_null_rows(stack.reshape(-1, len(iu))), units, 1))
+    # S -> A S - S A on the units, a d*d block of rows per A, Fortran-ordered
+    cols = np.empty((len(iu), len(Kh), d, d))
+    for a, A in enumerate(Kh):
+        cols[:, a] = A @ units - units @ A
+    return list(np.tensordot(_null_rows(cols.reshape(len(iu), -1).T), units, 1))
 
 
 def invariant_vectors(space) -> np.ndarray:

@@ -6,7 +6,8 @@ cancellation, and differentiates it by central differences: the Hessian
 inner product with one Richardson level, the Cartan tensor by the direct
 8-point stencil.  Only norm values enter, so the oracles are independent of
 the closed forms in `flagcurv.norms`.  A norm type without an
-extended-precision form here raises TypeError.
+extended-precision form here raises TypeError.  cartan_matrix lays the
+closed-form Cartan tensor out as a matrix, for checks that need one.
 """
 
 import mpmath
@@ -76,3 +77,10 @@ def fd_cartan(norm, y, u, v, w) -> float:
                          for i in range(len(ym))]
                     tot += su * sv * sw * f2(z)
         return float(tot / (32 * h ** 3))
+
+
+def cartan_matrix(norm, y, v) -> np.ndarray:
+    """M[..., i, j] = C_y(e_i, e_j, v), one norm.cartan_pair per basis vector e_j."""
+    pole, v = norm.pole(y), np.asarray(v)
+    return np.stack([norm.cartan_pair(pole, np.broadcast_to(e, v.shape), v)
+                     for e in np.eye(norm.dim)], axis=-1)

@@ -315,10 +315,11 @@ def test_acceptance_8_norm_layer_properties():
                         < 1e-12 * lam * norm.value(y)
                 assert np.linalg.eigvalsh(norm.gram(y)).min() > 0
                 u, v, w = (rng.standard_normal(d) for _ in range(3))
-                vals = [a @ norm.cartan_mat(y, b) @ c
+                pole = norm.pole(y)
+                vals = [a @ norm.cartan_pair(pole, b, c)
                         for a, b, c in itertools.permutations((u, v, w))]
                 assert max(vals) - min(vals) < 1e-8 * max(1.0, abs(vals[0]))
-                assert abs(y @ norm.cartan_mat(y, u) @ v) < 1e-8
+                assert abs(y @ norm.cartan_pair(pole, u, v)) < 1e-8
             y = rng.standard_normal(d)
             if norm.reversible:
                 assert norm.value(y) == norm.value(-y)

@@ -340,10 +340,10 @@ def test_sampling_needs_a_positive_count(bn2, n):
 
 
 def test_connection_matches_scalar_cartan_loop(bn2, un3):
-    """The Cartan matrix C_u(., eta, .) in the connection operator of
-    connection_n agrees with the right-hand side built from the d values
-    C_u(w, e_k, eta), each the matrix cartan_mat(u, e_k) contracted with w
-    and eta, so the two leave different slots of the tensor open."""
+    """The Cartan term C_u(., eta, w) of connection_n agrees with the
+    right-hand side built from the d values C_u(w, e_k, eta), each
+    cartan_pair(pole, e_k, eta) contracted with w, so the two leave
+    different slots of the tensor open."""
     b = un3.to_m(un3.embed(un3.t_m[0]))
     cases = [(bn2, random_invariant_norm(bn2, 5)), (un3, random_invariant_norm(un3, 2)),
              (un3, Randers(np.eye(un3.dim_m), 0.25 * b / np.linalg.norm(b)))]
@@ -358,7 +358,8 @@ def test_connection_matches_scalar_cartan_loop(bn2, un3):
             cm = sp.structure_tensors()[0]
             Bu = np.einsum("j,ijk->ik", u, cm)
             Bw = np.einsum("j,ijk->ik", w, cm)
-            cart = np.array([w @ norm.cartan_mat(u, ek) @ e for ek in np.eye(sp.dim_m)])
+            pole = norm.pole(u)
+            cart = np.array([w @ norm.cartan_pair(pole, ek, e) for ek in np.eye(sp.dim_m)])
             rhs = Bw @ (g @ u) + Bu @ (g @ w) + g @ eng.brm(w, u) - 2.0 * cart
             want = np.linalg.solve(g, 0.5 * rhs)
             got = eng.connection_n(u, w)

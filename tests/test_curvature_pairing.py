@@ -3,7 +3,8 @@ replaced, and the work the engine does per flag stack.
 
 The curvature form pairs every Rt term with g_u w, and g_u N(u, x) = A(u) x,
 so <N(u, x), w>_u = (A' w) . x and, at an offset pole p,
-<N(p, w), w>_u = (A_p w) . g_p^-1 g_u w.  The oracle below evaluates
+<N(p, w), w>_u = (A_p w) . g_p^-1 g_u w; the engine applies A and A' to w
+and never forms A.  The oracle below evaluates
 <R_u w, w>_u one flag at a time without them: eta, then N(u, w),
 N(u, N(u, w)), N(u, [w, u]_m) and N(p, w) at both poles, each its own
 connection_n call with a frame built at its pole, and D_eta N(u, w) by
@@ -18,10 +19,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fd_oracles import cartan_matrix
 from flagcurv.coset import SubalgebraSpec, build_coset, parse_preset
 from flagcurv.curvature import ETA_ZERO_TOL, CurvatureEngine, CurvatureReport
 from flagcurv.liealg import AlgebraSpec, realize
-from flagcurv.norms import Quadratic, Randers, random_invariant_norm
+from flagcurv.norms import Quadratic, Randers, _mv, _vm, random_invariant_norm
 
 # the flags-finsler and flags-normal presets of the benchmark
 FINSLER = ("sphere_un(3)", "sphere_spn_u1(2)", "sphere_spn_sp1(2)", "aloff_wallach(1,2)",
@@ -84,7 +86,9 @@ def test_engine_agrees_with_the_five_solve_formula(name, seed):
 @pytest.mark.parametrize("name,seed", [("bn_excluded_subcase1(2)", 0), ("sphere_un(3)", "randers"),
                                        ("su(3)", 1)])
 def test_connection_pairs_through_the_operator(name, seed):
-    """<N(u, x), w>_u = (A' w) . x, A the connection operator of the frame."""
+    """<N(u, x), w>_u = (A' w) . x, with A' w as the engine applies it (S -
+    T w / 2) and from the connection operator A = (T + B g + g B' -
+    2 C_u(., eta, .)) / 2 built here from the structure tensors."""
     sp = _space(name)
     if seed == "randers":
         b = sp.to_m(sp.embed(sp.t_m[0]))
@@ -93,26 +97,37 @@ def test_connection_pairs_through_the_operator(name, seed):
         norm = random_invariant_norm(sp, seed)
     eng = CurvatureEngine(sp, norm)
     u, x, w = np.random.default_rng(5).standard_normal((3, 16, sp.dim_m))
-    g, *_, a = eng._frame(u, eng._positive_pole(u))
+    pole = eng._positive_pole(u)
+    g = pole[0]
+    _, gu, bu, eta, _ = eng.eta(u, _g=g, _parts=True)
+    gw = _mv(g, w)
+    engine_atw = (eng._sym_w(pole, bu, eta, w, gw, _vm(w, bu))
+                  - 0.5 * _mv(eng._ad(w), gu))
+    cm = sp.structure_tensors()[0]
+    t = np.einsum("ijk,nk->nij", cm, gu)
+    bmat = np.einsum("nj,ijk->nik", u, cm)
+    a = 0.5 * (t + bmat @ g + g @ np.swapaxes(bmat, -1, -2)) - cartan_matrix(norm, u, eta)
     got = np.einsum("ni,nij,nj->n", eng.connection_n(u, x), g, w)
-    atw = np.einsum("ni,nij->nj", w, a)
-    want = np.einsum("nj,nj->n", atw, x)
-    scale = np.linalg.norm(atw, axis=-1) * np.linalg.norm(x, axis=-1)
-    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    for atw in (engine_atw, np.einsum("ni,nij->nj", w, a)):
+        want = np.einsum("nj,nj->n", atw, x)
+        scale = np.linalg.norm(atw, axis=-1) * np.linalg.norm(x, axis=-1)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize("name,seed,linalg,rows", [
-    # spray: one Cholesky gate and LU solves at u, then the complex poles
-    ("bn_excluded_subcase1(2)", 0, {"cholesky": 1, "solve": 3}, [16, 16]),
-    # Quadratic(I): eta = 0, no poles, one Gram matrix for every row
+    # spray: one Cholesky gate and LU solves at u, then the complex poles;
+    # one Cartan pair at u and one at the poles
+    ("bn_excluded_subcase1(2)", 0, {"cholesky": 1, "solve": 3, "cartan_pair": 2}, [16, 16]),
+    # Quadratic(I): eta = 0, no poles, one Gram matrix for every row, C = 0
     ("berger_sp2", None, {"cholesky": 1, "inv": 1}, [16]),
 ], ids=["spray", "no-spray"])
 def test_one_flag_stack_counts_its_solves_and_norm_calls(monkeypatch, name, seed, linalg, rows):
     """Tooling guard: a flag stack solves for eta and N(u, w) at u and once,
     two columns, at the complex poles, and evaluates the norm once at u and
-    once at the poles, n rows each; a norm whose Gram matrix every row
-    shares is factored once (one Cholesky gate, one inverse) and LU-solved
-    never.  A per-term solve or norm call, a factorization per row of a
+    once at the poles, n rows each, with one Cartan pair C(., eta, w) at
+    each; a norm whose Gram matrix every row shares is factored once (one
+    Cholesky gate, one inverse), LU-solved never and asked for no Cartan
+    pair.  A per-term solve or norm call, a factorization per row of a
     shared Gram matrix, or a return to 2n real finite-difference poles
     fails this."""
     eng = _engine(name, seed)
@@ -127,13 +142,15 @@ def test_one_flag_stack_counts_its_solves_and_norm_calls(monkeypatch, name, seed
 
     for key in ("cholesky", "inv", "solve"):
         monkeypatch.setattr(np.linalg, key, counting(key, getattr(np.linalg, key)))
-    pole_rows, norm_pole = [], type(eng.norm).pole
+    cls = type(eng.norm)
+    pole_rows, norm_pole = [], cls.pole
 
     def pole(norm, y):
         pole_rows.append(len(y))
         return norm_pole(norm, y)
 
-    monkeypatch.setattr(type(eng.norm), "pole", pole)
+    monkeypatch.setattr(cls, "pole", pole)
+    monkeypatch.setattr(cls, "cartan_pair", counting("cartan_pair", cls.cartan_pair))
     reps = eng.flag_curvature(u, v)
     assert all(isinstance(r, CurvatureReport) for r in reps)
     assert any(r.fd_step > 0 for r in reps) == (len(rows) == 2)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from fd_oracles import fd_cartan, fd_g_inner
+from fd_oracles import cartan_matrix, fd_cartan, fd_g_inner
 from flagcurv.coset import preset
 from flagcurv.norms import (
     MinkowskiNorm,
@@ -38,7 +38,7 @@ def test_evaluate_examples():
     # a Euclidean norm: <u, v>_y = u.v and C_y = 0 at every y
     y, u, v, w = np.arange(1.0, 4.0), np.ones(3), np.eye(3)[0], np.eye(3)[1]
     assert u @ nq.gram(y) @ v == 1.0
-    assert u @ nq.cartan_mat(y, v) @ w == 0.0
+    assert u @ nq.cartan_pair(nq.pole(y), v, w) == 0.0
 
 
 def test_quadratic_gram_is_constant():
@@ -47,7 +47,7 @@ def test_quadratic_gram_is_constant():
     for _ in range(3):
         y = RNG.standard_normal(4)
         assert np.allclose(n.gram(y), q)
-        assert RNG.standard_normal(4) @ n.cartan_mat(y, y) @ y == 0.0
+        assert RNG.standard_normal(4) @ n.cartan_pair(n.pole(y), y, y) == 0.0
 
 
 @pytest.mark.parametrize("make", [
@@ -84,21 +84,24 @@ def test_randers_gram_and_cartan_against_fd():
     for _ in range(6):
         y, u, v, w = (RNG.standard_normal(d) for _ in range(4))
         assert abs(u @ norm.gram(y) @ v - fd_g_inner(norm, y, u, v)) < 1e-8
-        assert abs(u @ norm.cartan_mat(y, v) @ w - fd_cartan(norm, y, u, v, w)) < 1e-6
+        assert abs(u @ norm.cartan_pair(norm.pole(y), v, w) - fd_cartan(norm, y, u, v, w)) < 1e-6
 
 
 @pytest.mark.parametrize("make", [
     lambda d, rng: Randers(_pd_matrix(d, rng), 0.15 * rng.standard_normal(d)),
     lambda d, rng: Quartic(0.5 + rng.random(3), [_pd_matrix(d, rng) for _ in range(3)]),
+    lambda d, rng: Quadratic(_pd_matrix(d, rng)),
 ])
 def test_cartan_mat_against_fd_oracle(make):
+    """C_y(u, v, .) from cartan_pair, and from the matrix cartan_matrix builds
+    over the basis with it, against the oracle in every slot."""
     d, rng = 4, np.random.default_rng(7)
     norm = make(d, rng)
     for _ in range(3):
         y, u, v = (rng.standard_normal(d) for _ in range(3))
-        got = u @ norm.cartan_mat(y, v)
         want = [fd_cartan(norm, y, u, v, e) for e in np.eye(d)]
-        assert np.abs(got - want).max() < 1e-6 * max(1.0, np.abs(got).max())
+        for got in (norm.cartan_pair(norm.pole(y), u, v), u @ cartan_matrix(norm, y, v)):
+            assert np.abs(got - want).max() < 1e-6 * max(1.0, np.abs(got).max())
 
 
 @pytest.mark.parametrize("make", [
@@ -107,22 +110,25 @@ def test_cartan_mat_against_fd_oracle(make):
     lambda d, rng: Quartic(0.5 + rng.random(3), [_pd_matrix(d, rng) for _ in range(3)]),
 ], ids=["quadratic", "randers", "quartic"])
 def test_pole_and_cartan_take_a_complex_step(make):
-    """pole and cartan_at are analytic in their rows: at y + i h v (and the
-    Cartan slot x + i h z) the real part is the real evaluation and the
-    imaginary part over h a derivative, here against central differences.
-    A float cast or a conjugation anywhere drops or flips the imaginary part.
-    The real parts agree to rounding: the quartic Cartan matrix sums
-    cancelling terms, which complex and real arithmetic round apart by up to
-    1.8e-14 relative over 500 draws."""
+    """pole and cartan_pair are analytic in their rows: at y + i h v (and the
+    Cartan slots x + i h z and w + i h s) the real part is the real
+    evaluation and the imaginary part over h a derivative, here against
+    central differences.  A float cast or a conjugation anywhere drops or
+    flips the imaginary part.  The real parts agree to rounding: the quartic
+    Cartan tensor sums cancelling terms, which complex and real arithmetic
+    round apart by up to 5.7e-14 relative over 500 draws."""
     d, rng, h, eps = 5, np.random.default_rng(11), 1e-20, 1e-5
     norm = make(d, rng)
+
+    def pair(t):  # C at y + t v in the slots x + t z and w + t s
+        return norm.cartan_pair(norm.pole(y + t * v), x + t * z, w + t * s)
+
     for _ in range(3):
-        y, v, x, z = (rng.standard_normal(d) for _ in range(4))
+        y, v, x, z, w, s = (rng.standard_normal(d) for _ in range(6))
         pole = norm.pole(y + 1j * h * v)
         for got, real, plus, minus in (
                 (pole[0], norm.gram(y), norm.gram(y + eps * v), norm.gram(y - eps * v)),
-                (norm.cartan_at(pole, x + 1j * h * z), norm.cartan_mat(y, x),
-                 norm.cartan_mat(y + eps * v, x + eps * z), norm.cartan_mat(y - eps * v, x - eps * z))):
+                (pair(1j * h), pair(0.0), pair(eps), pair(-eps))):
             assert np.abs(got.real - real).max() <= 1e-13 * max(1.0, np.abs(real).max())
             fd = (plus - minus) / (2.0 * eps)
             assert np.abs(got.imag / h - fd).max() <= 1e-6 * np.abs(fd).max()
@@ -134,9 +140,11 @@ def test_cartan_symmetry_and_base_annihilation():
                  Quartic([1.0, 1.0], [_pd_matrix(d, RNG) for _ in range(2)])):
         for _ in range(4):
             y, u, v, w = (RNG.standard_normal(d) for _ in range(4))
-            vals = [a @ norm.cartan_mat(y, b) @ c for a, b, c in itertools.permutations((u, v, w))]
+            pole = norm.pole(y)
+            vals = [a @ norm.cartan_pair(pole, b, c)
+                    for a, b, c in itertools.permutations((u, v, w))]
             assert max(vals) - min(vals) < 1e-8 * max(1.0, abs(vals[0]))
-            assert abs(y @ norm.cartan_mat(y, v) @ w) < 1e-9
+            assert abs(y @ norm.cartan_pair(pole, v, w)) < 1e-9
 
 
 def test_positive_definiteness_sampled():
@@ -237,12 +245,12 @@ def test_reversibility_flags():
 def test_hessian_undefined_at_origin(make):
     d = 5
     norm = make(d)
-    y, _, v = (RNG.standard_normal(d) for _ in range(3))
-    assert norm.cartan_mat(y, v).shape == (d, d)
+    y, w, v = (RNG.standard_normal(d) for _ in range(3))
+    assert norm.cartan_pair(norm.pole(y), v, w).shape == (d,)
     with pytest.raises(ValueError, match="origin"):
         norm.gram(np.zeros(d))
     with pytest.raises(ValueError, match="origin"):
-        norm.cartan_mat(np.zeros(d), v)
+        norm.pole(np.zeros(d))
 
 
 def test_fd_oracles_refuse_a_norm_without_an_extended_precision_form():

@@ -1,8 +1,8 @@
-"""Row-wise kernels of the curvature engine and the norms' Cartan matrices.
+"""Row-wise kernels of the curvature engine and the norms' Cartan tensors.
 
 Every kernel, the norms' per-pole call and flag_curvature itself give each
 row of a stack the bits that row gets alone, and every kernel equals its
-einsum definition over `structure_tensors()` (for the Cartan matrices: the
+einsum definition over `structure_tensors()` (for the Cartan tensors: the
 einsum form of the third derivative) to 1e-13 relative.  The Cartan tensor
 of a nearly Riemannian norm is a small difference of terms of the size of
 |g_y| |u| |v| / |y|, so its error is taken relative to that.
@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fd_oracles import cartan_matrix
 from flagcurv.coset import SubalgebraSpec, build_coset, parse_preset
 from flagcurv.curvature import CurvatureEngine
 from flagcurv.liealg import AlgebraSpec, realize
@@ -71,8 +72,10 @@ def _draws(engine, rows, seed=0):
 
 def _kernels(engine):
     """name -> (kernel, number of stacked arguments)."""
+    norm = engine.norm
     return {"_ad": (engine._ad, 1), "brm": (engine.brm, 2), "brh": (engine.brh, 2),
-            "connection_n": (engine.connection_n, 2), "cartan_mat": (engine.norm.cartan_mat, 2)}
+            "connection_n": (engine.connection_n, 2),
+            "cartan_pair": (lambda y, v, w: norm.cartan_pair(norm.pole(y), v, w), 3)}
 
 
 @pytest.mark.parametrize("rows", ROWS)
@@ -117,11 +120,15 @@ def test_kernels_match_their_einsum_definitions(engine):
 
 
 def test_cartan_matrices_match_their_einsum_definitions(engine):
+    """C_y(u, v, .) from cartan_pair and from the matrix C_y(., ., v) built
+    over the basis with it."""
     y, v, u = _draws(engine, 7)
-    got = np.einsum("...i,...ij->...j", u, engine.norm.cartan_mat(y, v))
-    size = (np.abs(engine.norm.gram(y)).max(axis=(-1, -2)) * np.linalg.norm(u, axis=-1)
+    norm = engine.norm
+    size = (np.abs(norm.gram(y)).max(axis=(-1, -2)) * np.linalg.norm(u, axis=-1)
             * np.linalg.norm(v, axis=-1) / np.linalg.norm(y, axis=-1))
-    _close(got, _quartic_cartan(engine.norm, y, u, v), scale=size.max())
+    want = _quartic_cartan(norm, y, u, v)
+    _close(norm.cartan_pair(norm.pole(y), u, v), want, scale=size.max())
+    _close(np.einsum("...i,...ij->...j", u, cartan_matrix(norm, y, v)), want, scale=size.max())
 
 
 def _pd_matrix(d, rng):
@@ -137,9 +144,10 @@ def test_norm_kernels_give_each_row_its_own_bits(family, rows):
             "Randers": lambda: Randers(_pd_matrix(d, rng), 0.1 * rng.standard_normal(d)),
             "Quartic": lambda: Quartic(0.5 + rng.random(3), [_pd_matrix(d, rng) for _ in range(3)]),
             }[family]()
-    y, v = rng.standard_normal((2, rows, d))
-    pole, gram, cartan = norm.pole(y), norm.gram(y), norm.cartan_mat(y, v)
-    assert gram.shape == cartan.shape == (rows, d, d)
+    y, v, w = rng.standard_normal((3, rows, d))
+    pole, gram = norm.pole(y), norm.gram(y)
+    cartan = norm.cartan_pair(pole, v, w)
+    assert gram.shape == (rows, d, d) and cartan.shape == (rows, d)
     shared = family == "Quadratic"  # its pole is its one Gram matrix, no row axes
     if shared:
         assert len(pole) == 1 and np.array_equal(pole[0], norm.q)
@@ -150,7 +158,7 @@ def test_norm_kernels_give_each_row_its_own_bits(family, rows):
         want = pole if shared else [t[i] for t in pole]
         assert all(np.array_equal(a, b) for a, b in zip(norm.pole(y[i]), want, strict=True))
         assert np.array_equal(norm.gram(y[i]), gram[i])
-        assert np.array_equal(norm.cartan_mat(y[i], v[i]), cartan[i])
+        assert np.array_equal(norm.cartan_pair(norm.pole(y[i]), v[i], w[i]), cartan[i])
 
 
 @pytest.mark.parametrize("rows", ROWS)
