@@ -38,10 +38,10 @@ its Cartan tensor needs; pole and cartan_pair are analytic in p, never
 conjugated) and one 2-column solve for eta_p and g_p^{-1} g_u w; g_p is
 complex symmetric, so only the real frame at u has a Cholesky gate.  With
 Gram matrices per row (Quartic, Randers) a flag stack with eta != 0 makes
-three LU solve calls, two norm evaluations and two cartan_pair calls, one
-with eta = 0 two solves, one norm evaluation and no cartan_pair.  A Gram
-matrix that every row shares (Quadratic; then g_p = g_u and C = 0) gets one
-Cholesky gate and one inverse per stack, and no LU solve or cartan_pair.
+three LU solve calls, two norm evaluations and one cartan_pair call (at p; the
+frame at u is its real part), one with eta = 0 two solves, one norm evaluation
+and no cartan_pair.  A Gram matrix that every row shares (Quadratic; then g_p =
+g_u and C = 0) gets one Cholesky gate and one inverse per stack, no LU solve.
 
 Tolerance ladder: exactness 1e-12, linear-solve residual 1e-10, route
 comparisons (commutative pair against invariant frame) 1e-5 relative; the
@@ -175,33 +175,39 @@ class CurvatureEngine:
         return _solved[0](_solved[1])
 
     def _d_eta_term(self, u, w, gw, adw, eta, speed, h, solve):
-        """<D_eta N(., w), w>_u as the complex step speed Im t(p) / h at the
-        pole p = u + i h eta/|eta| of every row, t(p) = <N(p, w), w>_u =
-        (A_p w) . z; exactly zero where h = 0 (adw: the matrix of [., w]_m).  z =
-        g_p^-1 g_u w needs no eta_p: one 2-column solve gives both (solve, if g_p = g_u)."""
+        """<D_eta N(., w), w>_u as the complex step speed Im t(p) / h at p = u + i h
+        eta/|eta|, t(p) = <N(p, w), w>_u = (A_p w) . z, zero where h = 0 (adw: the
+        matrix of [., w]_m; z = g_p^-1 g_u w and eta_p from one 2-column solve, solve if
+        g_p = g_u), then S, [w, u]_m and T w / 2 at u as the real parts of the frame
+        at p: Re f(u + i h e) = f(u) + O(h^2), f analytic (and p = u where h = 0)."""
         p = u + 1j * (h[:, None] * (eta / np.maximum(speed, ETA_ZERO_TOL)[:, None]))
         pole = self.norm.pole(p)
         gp, bp = _mv(pole[0], p), self._ad(p)  # g_p p, the matrix of [., p]_m
         rhs = np.stack([_mv(bp, gp), gw], axis=-1)
         sol = np.linalg.solve(pole[0], rhs) if pole[0].ndim > 2 else _swap(solve(_swap(rhs)))
-        apw = self._sym_w(pole, bp, sol[..., 0], w, _mv(pole[0], w), _vm(w, bp))
-        t = _dot(apw + 0.5 * _mv(adw, gp), sol[..., 1])
-        return np.divide(speed * t.imag, h, out=np.zeros_like(h), where=h > 0)
+        bw, tw = _vm(w, bp), 0.5 * _mv(adw, gp)
+        apw = self._sym_w(pole, bp, sol[..., 0], w, _mv(pole[0], w), bw)
+        t = _dot(apw + tw, sol[..., 1])
+        return (np.divide(speed * t.imag, h, out=np.zeros_like(h), where=h > 0),
+                apw.real, bw.real, tw.real)
 
     def _riemann_quadratic(self, u, w, pole, gu=None, gw=None):
         """<R_u(w), w>_u for stacks u, w (pole data at u; gu, gw: g_u u and
         g_u w if known), then |eta|, the eta residual, h (0 where |eta| <
-        ETA_ZERO_TOL) and |[w, u]|."""
+        ETA_ZERO_TOL) and |[w, u]|; the frame at u is the real part of p's, O(h^2)
+        off, if a row has h > 0, else built at u."""
         solve, gu, bu, eta, resid = self.eta(u, _g=pole[0], _gu=gu, _parts=True)
         gw, speed = _mv(pole[0], w) if gw is None else gw, np.linalg.norm(eta, axis=-1)
         h = np.where(speed >= ETA_ZERO_TOL, FD_POLE_STEP * np.linalg.norm(u, axis=-1), 0.0)
         adw = self._ad(w)  # one real ad(w) for the frames at u and at the poles
-        rt = self._d_eta_term(u, w, gw, adw, eta, speed, h, solve) if np.any(h) else 0.0
+        if np.any(h):
+            rt, s, bm, tw = self._d_eta_term(u, w, gw, adw, eta, speed, h, solve)
+        else:  # bm = [w,u]_m
+            rt, bm = 0.0, _vm(w, bu)
+            s, tw = self._sym_w(pole, bu, eta, w, gw, bm), 0.5 * _mv(adw, gu)
         # -N(u, N(u,w)) + N(u, [u,w]_m) - [u, N(u,w)]_m against g_u w, the
         # connection terms through <N(u, x), w>_u = (A' w) . x, so that only
         # N(u, w) needs a solve
-        bm = _vm(w, bu)  # [w,u]_m
-        s, tw = self._sym_w(pole, bu, eta, w, gw, bm), 0.5 * _mv(adw, gu)
         nw = self.connection_n(u, w, _solved=(solve, s + tw))
         rt = rt + _dot(_vm(nw, bu), gw) - _dot(s - tw, nw + bm)
         # h-term: <[[w,u]_h, w], u>_u

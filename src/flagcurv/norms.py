@@ -316,13 +316,18 @@ def invariant_quadratic_space(space) -> list:
     _, _, Kh = space.structure_tensors()
     d = space.dim_m
     iu, ju = np.triu_indices(d)  # the pairs i <= j, row by row
-    units = np.zeros((len(iu), d, d))  # S_ij = E_ij + E_ji (E_ii when i = j)
-    units[np.arange(len(iu)), iu, ju] = units[np.arange(len(iu)), ju, iu] = 1.0
-    # S -> A S - S A on the units, a d*d block of rows per A, Fortran-ordered
-    cols = np.empty((len(iu), len(Kh), d, d))
-    for a, A in enumerate(Kh):
-        cols[:, a] = A @ units - units @ A
-    return list(np.tensordot(_null_rows(cols.reshape(len(iu), -1).T), units, 1))
+    # S -> A S - S A on S_ij = E_ij + E_ji (E_ii when i = j), a d*d block of rows per A,
+    # Fortran-ordered: column s of A to column t, row t of A off row s, for (s, t) = (i, j)
+    # and (j, i); for i = j both name one entry, and an indexed -= lands once per entry;
+    # + 0.0 as the +0.0 a product sums from
+    n, s, t = np.tile(np.arange(len(iu)), 2), np.r_[iu, ju], np.r_[ju, iu]
+    cols = np.zeros((len(iu), len(Kh), d, d))
+    cols[n, :, :, t] = Kh.transpose(2, 0, 1)[s] + 0.0
+    cols[n, :, s, :] -= Kh.transpose(1, 0, 2)[t]
+    null = _null_rows(cols.reshape(len(iu), -1).T) + 0.0
+    forms = np.zeros((len(null), d, d))
+    forms[:, iu, ju] = forms[:, ju, iu] = null
+    return list(forms)
 
 
 def invariant_vectors(space) -> np.ndarray:

@@ -258,12 +258,18 @@ def _sum_or_difference_is_root(space: RootLevelSpace, g1: TVec, g2: TVec) -> boo
 
 
 def key_lemma_2_details(space: RootLevelSpace, g1: TVec, g2: TVec) -> dict:
-    """Evaluate conditions (1)-(4) of the commuting-pair exclusion lemma."""
+    """Evaluate conditions (1)-(4) of the commuting-pair exclusion lemma.
+    (1), the planes of g1, g2 in m: each g is not in Delta_h (a lower bound
+    on the isotropy roots) and, if in t cap h, has its plane assigned 'm'.  A
+    g outside t cap h needs no more: by (3) its plane is the whole t cap h-
+    isotypic part of weight +-P(g), ad(w) moves all of it (g(w) != 0), and
+    [h, m] in m, h cap m = 0 leave it no room to meet h."""
     roots = space.root_data.root_set
     if g1 not in roots or g2 not in roots:
         raise ValueError("inputs must be roots of g")
-    cond = {}
-    cond[1] = g1 not in space.h_roots and g2 not in space.h_roots
+    in_m = lambda g: g not in space.h_roots and (
+        not space.in_t_h(g) or space.assignment[space.root_data.canonical[g]] == "m")
+    cond = {1: in_m(g1) and in_m(g2)}
     cond[2] = not _sum_or_difference_is_root(space, g1, g2)
     cond[3] = _span_members(space, g1) <= {g1, -g1}
     # the roots on -g2 + span(g1, w) are the negatives of those on g2 + span(g1, w)
@@ -282,9 +288,9 @@ def key_lemma_2_check(space: RootLevelSpace, g1: TVec, g2: TVec) -> bool:
 
 def _kl2_pair_search(space: RootLevelSpace, candidates: Iterable[TVec]) -> Optional[Verdict]:
     """The exclusion by the first pair of candidate roots, in sorted order,
-    that meets the second key lemma, or None.  Conditions (1) and (2) are
-    screened first: independent, both outside Delta_h, and with neither
-    g1 + g2 nor g1 - g2 a root."""
+    that meets the second key lemma, or None.  Conditions (1), in part, and
+    (2) are screened first: independent, both outside Delta_h, and with
+    neither g1 + g2 nor g1 - g2 a root."""
     outside_h = sorted(r for r in candidates if r not in space.h_roots)
     return _first_excluded(space, (
         Witness("key_lemma_2", {"gamma1": g1, "gamma2": g2})

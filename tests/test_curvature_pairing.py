@@ -23,7 +23,7 @@ from fd_oracles import cartan_matrix
 from flagcurv.coset import SubalgebraSpec, build_coset, parse_preset
 from flagcurv.curvature import ETA_ZERO_TOL, CurvatureEngine, CurvatureReport
 from flagcurv.liealg import AlgebraSpec, realize
-from flagcurv.norms import Quadratic, Randers, _mv, _vm, random_invariant_norm
+from flagcurv.norms import Quadratic, Randers, _mv, _vm, invariant_vectors, random_invariant_norm
 
 # the flags-finsler and flags-normal presets of the benchmark
 FINSLER = ("sphere_un(3)", "sphere_spn_u1(2)", "sphere_spn_sp1(2)", "aloff_wallach(1,2)",
@@ -116,20 +116,20 @@ def test_connection_pairs_through_the_operator(name, seed):
 
 @pytest.mark.parametrize("name,seed,linalg,rows", [
     # spray: one Cholesky gate and LU solves at u, then the complex poles;
-    # one Cartan pair at u and one at the poles
-    ("bn_excluded_subcase1(2)", 0, {"cholesky": 1, "solve": 3, "cartan_pair": 2}, [16, 16]),
+    # one Cartan pair, at the poles: the frame at u is their real part
+    ("bn_excluded_subcase1(2)", 0, {"cholesky": 1, "solve": 3, "cartan_pair": 1}, [16, 16]),
     # Quadratic(I): eta = 0, no poles, one Gram matrix for every row, C = 0
     ("berger_sp2", None, {"cholesky": 1, "inv": 1}, [16]),
 ], ids=["spray", "no-spray"])
 def test_one_flag_stack_counts_its_solves_and_norm_calls(monkeypatch, name, seed, linalg, rows):
     """Tooling guard: a flag stack solves for eta and N(u, w) at u and once,
     two columns, at the complex poles, and evaluates the norm once at u and
-    once at the poles, n rows each, with one Cartan pair C(., eta, w) at
-    each; a norm whose Gram matrix every row shares is factored once (one
-    Cholesky gate, one inverse), LU-solved never and asked for no Cartan
-    pair.  A per-term solve or norm call, a factorization per row of a
-    shared Gram matrix, or a return to 2n real finite-difference poles
-    fails this."""
+    once at the poles, n rows each, with one Cartan pair C(., eta, w), at
+    the poles: the frame at u is their real part; a norm whose Gram matrix
+    every row shares is factored once (one Cholesky gate, one inverse),
+    LU-solved never and asked for no Cartan pair.  A per-term solve or norm
+    call, a factorization per row of a shared Gram matrix, a return to 2n
+    real finite-difference poles or to a real Cartan pair at u fails this."""
     eng = _engine(name, seed)
     u, v = np.random.default_rng(7).standard_normal((2, 16, eng.space.dim_m))
     calls = Counter()
@@ -156,6 +156,28 @@ def test_one_flag_stack_counts_its_solves_and_norm_calls(monkeypatch, name, seed
     assert any(r.fd_step > 0 for r in reps) == (len(rows) == 2)
     assert calls == linalg
     assert pole_rows == rows
+
+
+def test_a_stack_mixing_zero_and_nonzero_spray_gives_each_row_its_own_k():
+    """On aloff_wallach(1,2) under Randers(I, 0.3 b), b an Ad(H)-fixed unit
+    vector, a pole u parallel to b has eta = 0 exactly (g_b(b, [w, b]_m) is
+    proportional to <b, [w, b]_m> = 0), a generic one eta != 0.  A stack of
+    both takes the complex step, so its h = 0 rows read the frame at u off
+    the real part at p = u: every row must give a finite K, equal to that of
+    its one-row stack (which builds the frame at u when eta = 0).  The step
+    term must be masked to h > 0; 0/0 there gives NaN."""
+    sp = _space("aloff_wallach(1,2)")
+    b = invariant_vectors(sp)[0]
+    eng = CurvatureEngine(sp, Randers(np.eye(sp.dim_m), 0.3 * b))
+    rng = np.random.default_rng(11)
+    generic = rng.standard_normal((3, sp.dim_m))
+    u = np.array([generic[0], b, generic[1], -2.0 * b, generic[2]])
+    v = rng.standard_normal((5, sp.dim_m))
+    reps = eng.flag_curvature(u, v)
+    assert [r.fd_step > 0 for r in reps] == [True, False, True, False, True]
+    for i, rep in enumerate(reps):
+        one = eng.flag_curvature(u[i], v[i])
+        assert np.isfinite(rep.k) and abs(rep.k - one.k) <= 1e-13 * abs(one.k), (i, rep.k, one.k)
 
 
 # K of four flags (rng 9) under Quadratic(Q), Q the first quadratic of

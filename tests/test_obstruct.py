@@ -33,6 +33,7 @@ from flagcurv.rootsys import (
 )
 from flagcurv.obstruct import (
     PropagationContradiction,
+    Witness,
     _lattice_root,
     _span_members,
     angle_lemma_check,
@@ -288,6 +289,24 @@ def test_key_lemma_2_failing_pair_subcase_nine():
     assert not key_lemma_2_check(sp, g1, g2)
     # the affine scan meets e2, violating the last uniqueness condition
     assert not det[4]
+
+
+def test_key_lemma_2_needs_roots_in_t_cap_h_assigned_to_m():
+    """Row D:1 at D4 is SO(8)/SO(7), a survivor, with t cap m = R e1.  The
+    roots -e2-e3 and -e2+e3 lie in t cap h and are roots of the real
+    isotropy so(7), but not of the seeded Delta_h; condition (1) refuses
+    them, since only an 'm' assignment could put their planes in m, and
+    takes them once their planes are assigned 'm'."""
+    sp = case3_space("D", 4, sparse_tvec("D", 4, (0, 1), (1, 1)),
+                     sparse_tvec("D", 4, (1, 1), (0, -1)))
+    g1 = sparse_tvec("D", 4, (1, -1), (2, -1))
+    g2 = sparse_tvec("D", 4, (1, -1), (2, 1))
+    assert sp.in_t_h(g1) and sp.in_t_h(g2)
+    assert g1 not in sp.h_roots and g2 not in sp.h_roots
+    assert not key_lemma_2_details(sp, g1, g2)[1]
+    assert not revalidate_witness(sp, Witness("key_lemma_2", {"gamma1": g1, "gamma2": g2}))
+    sp.assignment.update({sp.root_data.canonical[g]: "m" for g in (g1, g2)})
+    assert key_lemma_2_details(sp, g1, g2)[1]
 
 
 def test_key_lemma_2_input_validation():
