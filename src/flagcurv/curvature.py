@@ -35,13 +35,14 @@ So at u only eta and N(u, w) are solved for, and D_eta N is a complex step
 <N(p, w), w>_u at the one complex pole p = u + i h eta/|eta| of every row.
 Its n-row frame is one norm evaluation (norm.pole, which also carries what
 its Cartan tensor needs; pole and cartan_pair are analytic in p, never
-conjugated) and one 2-column solve for eta_p and g_p^{-1} g_u w; g_p is
-complex symmetric, so only the real frame at u has a Cholesky gate.  With
-Gram matrices per row (Quartic, Randers) a flag stack with eta != 0 makes
-three LU solve calls, two norm evaluations and one cartan_pair call (at p; the
+conjugated) and one real 2-column solve with g_u for the imaginary parts of
+eta_p and g_p^{-1} g_u w, whose real parts are eta and w up to O(h^2); g_p is
+never factored, so only the real frame at u has a Cholesky gate.  With Gram
+matrices per row (Quartic, Randers) a flag stack with eta != 0 makes three
+real LU solve calls, two norm evaluations and one cartan_pair call (at p; the
 frame at u is its real part), one with eta = 0 two solves, one norm evaluation
 and no cartan_pair.  A Gram matrix that every row shares (Quadratic; then g_p =
-g_u and C = 0) gets one Cholesky gate and one inverse per stack, no LU solve.
+g_u and C = 0) is gated and inverted once per norm (norm.inverse), no LU solve.
 
 Tolerance ladder: exactness 1e-12, linear-solve residual 1e-10, route
 comparisons (commutative pair against invariant frame) 1e-5 relative; the
@@ -56,7 +57,7 @@ from typing import Optional
 import numpy as np
 
 from .coset import CosetSpace
-from .norms import MinkowskiNorm, _dot, _mv, _swap, _vm, random_invariant_norm
+from .norms import MinkowskiNorm, _dot, _factors, _mv, _swap, _vm, random_invariant_norm
 
 ETA_ZERO_TOL = 1e-10
 COMMUTE_TOL = 1e-10
@@ -65,26 +66,9 @@ DEGENERATE_TOL = 1e-10
 FD_POLE_STEP = 1e-20
 ZERO_K_TOL = 1e-8  # |K| below which sample_flags reports a zero flag
 CHUNK = 64  # most candidate flags sample_flags evaluates as one stack
-NOT_POSITIVE = "Hessian Gram matrix not positive definite"
-DEGENERATE = "degenerate flag: pole and direction nearly dependent"
-
-
-def _solver(g):
-    """b -> g^-1 b for the rows b of a stack: LU, row by row, for Gram matrices
-    g (n, d, d); one inverse, each row applying it (_vm), for a shared g (d, d)."""
-    if g.ndim > 2:
-        return lambda b: np.linalg.solve(g, b[..., None])[..., 0]
-    inv = _swap(np.linalg.inv(g))
-    return lambda b: _vm(b, inv)
-
-
-def _factors(g) -> np.ndarray:
-    """Mask of the matrices of the stack g with a Cholesky factorization."""
-    try:
-        np.linalg.cholesky(g)
-        return np.ones(g.shape[:-2], dtype=bool)
-    except np.linalg.LinAlgError:
-        return np.array([_factors(x) for x in g], dtype=bool) if g.ndim > 2 else np.False_
+REASONS = ("", "Hessian Gram matrix not positive definite",
+           "degenerate flag: pole and direction nearly dependent")
+NOT_POSITIVE, DEGENERATE = 1, 2  # the rejection codes of _flags (0: accepted)
 
 
 @dataclass
@@ -126,12 +110,24 @@ class CurvatureEngine:
         return _vm(u, self._ad_m).reshape(u.shape + u.shape[-1:])
 
     # -- the implicit operators -------------------------------------------
+    def _factored(self, g) -> np.ndarray:
+        """Mask of the Gram matrices g with a Cholesky factor (shared: if the norm inverts it)."""
+        return _factors(g) if g.ndim > 2 else self.norm.inverse(g) is not None
+
+    def _solver(self, g):
+        """b -> g^-1 b, rows b (n, d) or row blocks (n, k, d): LU per row or the norm's inverse."""
+        if g.ndim > 2:
+            return lambda b: _swap(np.linalg.solve(g, _swap(b.reshape(len(g), -1, g.shape[-1])))
+                                   ).reshape(b.shape)
+        inv = _swap(self.norm.inverse(g))
+        return lambda b: _vm(b, inv)  # each row applies it
+
     def _positive_pole(self, u):
         """The pole data at u; ValueError unless every Gram matrix has a
         Cholesky factor."""
         pole = self.norm.pole(u)
-        if not np.all(_factors(pole[0])):
-            raise ValueError(NOT_POSITIVE)
+        if not np.all(self._factored(pole[0])):
+            raise ValueError(REASONS[NOT_POSITIVE])
         return pole
 
     def _gram(self, u):
@@ -145,7 +141,7 @@ class CurvatureEngine:
         if u.ndim == 1:
             return tuple(x[0] for x in self.eta(u[None], None if _g is None else _g[None]))
         g = self._gram(u) if _g is None else _g
-        solve, gu, bu = _solver(g), _mv(g, u) if _gu is None else _gu, self._ad(u)
+        solve, gu, bu = self._solver(g), _mv(g, u) if _gu is None else _gu, self._ad(u)
         rhs = _mv(bu, gu)
         eta = solve(rhs)
         out = eta, np.linalg.norm(_mv(g, eta) - rhs, axis=-1)
@@ -177,17 +173,18 @@ class CurvatureEngine:
     def _d_eta_term(self, u, w, gw, adw, eta, speed, h, solve):
         """<D_eta N(., w), w>_u as the complex step speed Im t(p) / h at p = u + i h
         eta/|eta|, t(p) = <N(p, w), w>_u = (A_p w) . z, zero where h = 0 (adw: the
-        matrix of [., w]_m; z = g_p^-1 g_u w and eta_p from one 2-column solve, solve if
-        g_p = g_u), then S, [w, u]_m and T w / 2 at u as the real parts of the frame
-        at p: Re f(u + i h e) = f(u) + O(h^2), f analytic (and p = u where h = 0)."""
+        matrix of [., w]_m; [eta_p, z] = g_p^-1 [B_p g_p p, g_u w] = g_p^-1 b has the real
+        parts x = [eta, w], and solve (g_u^-1) gives the rest from Im b - Im(g_p) x), then S,
+        [w, u]_m and T w / 2 at u as the real parts of the frame at p: Re f(u + i h e) =
+        f(u) + O(h^2), f analytic (and p = u where h = 0)."""
         p = u + 1j * (h[:, None] * (eta / np.maximum(speed, ETA_ZERO_TOL)[:, None]))
         pole = self.norm.pole(p)
         gp, bp = _mv(pole[0], p), self._ad(p)  # g_p p, the matrix of [., p]_m
-        rhs = np.stack([_mv(bp, gp), gw], axis=-1)
-        sol = np.linalg.solve(pole[0], rhs) if pole[0].ndim > 2 else _swap(solve(_swap(rhs)))
+        x = np.stack([eta, w], axis=-2)  # the real parts of g_p^-1 b, b = [B_p g_p p, g_u w]
+        sol = x + 1j * solve(np.stack([_mv(bp, gp), gw], axis=-2).imag - x @ _swap(pole[0].imag))
         bw, tw = _vm(w, bp), 0.5 * _mv(adw, gp)
-        apw = self._sym_w(pole, bp, sol[..., 0], w, _mv(pole[0], w), bw)
-        t = _dot(apw + tw, sol[..., 1])
+        apw = self._sym_w(pole, bp, sol[..., 0, :], w, _mv(pole[0], w), bw)
+        t = _dot(apw + tw, sol[..., 1, :])
         return (np.divide(speed * t.imag, h, out=np.zeros_like(h), where=h > 0),
                 apw.real, bw.real, tw.real)
 
@@ -195,12 +192,12 @@ class CurvatureEngine:
         """<R_u(w), w>_u for stacks u, w (pole data at u; gu, gw: g_u u and
         g_u w if known), then |eta|, the eta residual, h (0 where |eta| <
         ETA_ZERO_TOL) and |[w, u]|; the frame at u is the real part of p's, O(h^2)
-        off, if a row has h > 0, else built at u."""
+        off, if a row has |eta| >= ETA_ZERO_TOL, else built at u."""
         solve, gu, bu, eta, resid = self.eta(u, _g=pole[0], _gu=gu, _parts=True)
         gw, speed = _mv(pole[0], w) if gw is None else gw, np.linalg.norm(eta, axis=-1)
-        h = np.where(speed >= ETA_ZERO_TOL, FD_POLE_STEP * np.linalg.norm(u, axis=-1), 0.0)
-        adw = self._ad(w)  # one real ad(w) for the frames at u and at the poles
-        if np.any(h):
+        h, adw = np.zeros_like(speed), self._ad(w)  # one real ad(w) for the frames at u and p
+        if np.any(step := speed >= ETA_ZERO_TOL):  # else no row needs |u|
+            h = np.where(step, FD_POLE_STEP * np.linalg.norm(u, axis=-1), 0.0)
             rt, s, bm, tw = self._d_eta_term(u, w, gw, adw, eta, speed, h, solve)
         else:  # bm = [w,u]_m
             rt, bm = 0.0, _vm(w, bu)
@@ -225,17 +222,20 @@ class CurvatureEngine:
     def _flags(self, u, v):
         """The stacked core of flag_curvature for the rows (n, d) of u and v:
         the arrays K, |eta|, eta residual, h and |[v, u]| (NaN on rejected
-        rows), then the reason each row was rejected ('' where none: the
-        Cholesky gate of g_u, then degeneracy)."""
+        rows), then the code of the gate that rejected each row (0 where none;
+        NOT_POSITIVE: the Cholesky gate of g_u, then DEGENERATE)."""
         pole = self.norm.pole(u)
         gu, gv = _mv(pole[0], u), _mv(pole[0], v)
         denom, ok = self._flag_gate(u, v, gu, gv)
-        why = np.where(_factors(pole[0]), np.where(ok, "", DEGENERATE), NOT_POSITIVE)
-        rows = slice(None) if np.all(why == "") else np.flatnonzero(why == "")
+        why = np.where(self._factored(pole[0]), np.where(ok, 0, DEGENERATE), NOT_POSITIVE)
+        if not why.any():  # every row accepted: no selection
+            k, *out = self._riemann_quadratic(u, v, pole, gu, gv)
+            return (k / denom, *out, why)
+        rows = np.flatnonzero(why == 0)
         if pole[0].ndim > 2:  # per-row pole data; a shared Gram matrix is every row's
             pole = [t[rows] for t in pole]
         out = np.full((5, len(why)), np.nan)
-        if np.any(why == ""):  # else a shared g may not even be invertible
+        if len(rows):  # else a shared g may not even be invertible
             out[:, rows] = self._riemann_quadratic(u[rows], v[rows], pole, gu[rows], gv[rows])
         out[0, rows] /= denom[rows]
         return (*out, why)
@@ -247,7 +247,8 @@ class CurvatureEngine:
         of the first gate it failed (Cholesky of g_u, then degeneracy)."""
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
         *arrays, why = self._flags(np.atleast_2d(u), np.atleast_2d(v))
-        out = [ValueError(r) if r else CurvatureReport(float(k), "invariant-frame", *map(float, x))
+        out = [ValueError(REASONS[r]) if r else
+               CurvatureReport(float(k), "invariant-frame", *map(float, x))
                for k, *x, _, r in zip(*arrays, why)]  # x: |eta|, residual, h
         if u.ndim == 1 and isinstance(out[0], ValueError):
             raise out[0]
@@ -260,7 +261,7 @@ class CurvatureEngine:
             return self.u_map(u[None], v[None])[0]
         g = self._gram(u)
         rhs = 0.5 * (_mv(self._ad(u), _mv(g, v)) + _mv(self._ad(v), _mv(g, u)))
-        return _solver(g)(rhs)
+        return self._solver(g)(rhs)
 
     def flag_curvature_commutative(self, u: np.ndarray, v: np.ndarray,
                                    cross_check: bool = True) -> CurvatureReport:
@@ -277,7 +278,7 @@ class CurvatureEngine:
             raise ValueError("commutative-pair formula inapplicable: eta(u) != 0")
         denom, ok = self._flag_gate(u, v, _mv(g, u), _mv(g, v))
         if not ok:
-            raise ValueError(DEGENERATE)
+            raise ValueError(REASONS[DEGENERATE])
         uu = self.u_map(u, v)
         k = float(_dot(uu, _mv(g, uu)) / denom)
         rep = CurvatureReport(k=k, method="commutative-pair", eta_norm=float(np.linalg.norm(eta)),
@@ -390,8 +391,7 @@ def sample_flags(space: CosetSpace, norm: MinkowskiNorm, n: int, seed: int) -> d
         u, v = np.moveaxis(rng.standard_normal((m, 2, space.dim_m)), 1, 0).copy()
         evaluated += m
         *arrays, why = eng._flags(u, v)
-        ok = why == ""
-        kept.append([x[ok] for x in (u, v, *arrays)])
+        kept.append([x[why == 0] for x in (u, v, *arrays)] if why.any() else (u, v, *arrays))
         flags += len(kept[-1][0])
     if not flags:
         raise ValueError(f"all {evaluated} candidate flags were rejected")

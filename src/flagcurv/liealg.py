@@ -14,7 +14,7 @@ chunks of bounded size.  Gram-Schmidt skips each projection whose inner
 product is exactly zero because the nonzero entries of the two elements
 never meet (entry (i, j) of one against entry (j, i) of the other, plus
 the abelian parts); its output is bit for bit that of the loop that takes
-every projection.
+every projection, and it stops once it holds dim g elements.
 """
 
 from __future__ import annotations
@@ -511,7 +511,7 @@ def _signed_zero(alg: RealizedAlgebra, negative: np.ndarray) -> AlgebraElement:
 def gram_schmidt(alg: RealizedAlgebra, elements: Iterable[AlgebraElement],
                  tol: float = 1e-10) -> list:
     """Orthonormalize under the bi-invariant inner product, dropping
-    numerically dependent elements: modified Gram-Schmidt in two passes.
+    numerically dependent elements: modified Gram-Schmidt in two passes, up to dim g.
 
     A projection whose inner product is zero by support is skipped, and the
     output is bit for bit that of the loop that takes every projection.
@@ -523,6 +523,8 @@ def gram_schmidt(alg: RealizedAlgebra, elements: Iterable[AlgebraElement],
     other updates, so they are applied once, after the two passes.
     """
     elements = list(elements)
+    if any(e.algebra is not alg for e in elements):
+        raise ValueError("algebra spec mismatch")
     basis: list = []
     width = sum(f.size ** 2 for f in alg.factors) + alg.spec.abelian_dim
     meets = np.zeros((len(elements), width), dtype=bool)  # row k: basis[k] transposed
@@ -530,8 +532,8 @@ def gram_schmidt(alg: RealizedAlgebra, elements: Iterable[AlgebraElement],
     # row k: the -0.0 components of 0.0 * basis[k], in the flat layout
     signs = np.zeros((len(elements), alg._flat(alg.zero()).size), dtype=bool)
     for e in elements:
-        if e.algebra is not alg:
-            raise ValueError("algebra spec mismatch")
+        if len(basis) == alg.dim:  # an orthonormal set cannot outgrow the algebra
+            break
         v, n = e.copy(), len(basis)
         mask = _support(v)  # covers the support of v
         skipped = np.zeros(n, dtype=bool)

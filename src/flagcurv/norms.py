@@ -29,25 +29,38 @@ QUARTIC_TERMS = 3  # quadratics of a random_invariant_norm
 
 class MinkowskiNorm:
     """Interface of the norm families: value(y); pole(y), one evaluation of
-    the norm at the poles y: a tuple of the Gram matrices g_y (the matrices
-    of <u,v>_y over the declared m-basis, (..., d, d)) and then the family's
-    own terms, every entry with the rows of y as leading axes, so that a row
-    mask selects from each (a norm whose Gram matrix does not depend on y
-    returns it once, (d, d), as its only entry); cartan_pair(pole, v, w), the
-    vector C_y(., v, w), (..., d), so that C_y(u, v, w) is
-    u . cartan_pair(pole, v, w).  gram(y) is the one-off form.  All take one
-    vector or a stack of them (leading axes), one independent point per row,
-    and raise ValueError at the origin; pole and cartan_pair also take
-    complex rows, analytic in y, v and w (no float casts, no conjugation), as
-    a complex step needs.  The constructors raise ValueError on arrays of the
-    wrong shape, with entries that are not finite or, for matrices, not
-    symmetric."""
+    the norm at the poles y: a tuple of the Gram matrices g_y (the matrices of
+    <u,v>_y over the declared m-basis, (..., d, d)) and then the family's own
+    terms, every entry with the rows of y as leading axes, so that a row mask
+    selects from each (a norm whose Gram matrix does not depend on y returns
+    it once, (d, d), as its only entry, and inverse(g) inverts it: a Quadratic
+    once, when built); cartan_pair(pole, v, w), the vector C_y(., v, w),
+    (..., d), so that C_y(u, v, w) is u . cartan_pair(pole, v, w).  gram(y) is
+    the one-off form.  All take one vector or a stack of them (leading axes),
+    one independent point per row, and raise ValueError at the origin; pole
+    and cartan_pair also take complex rows, analytic in y, v and w (no float
+    casts, no conjugation), as a complex step needs.  The constructors raise
+    ValueError on arrays of the wrong shape, with entries that are not finite
+    or, for matrices, not symmetric."""
 
     dim: int
     reversible: bool
 
     def gram(self, y) -> np.ndarray:
         return self.pole(y)[0]
+
+    def inverse(self, g):
+        """g^-1 for a Gram matrix g (d, d) that a pole's rows share, None unless it factors."""
+        return np.linalg.inv(g) if _factors(g) else None
+
+
+def _factors(g) -> np.ndarray:
+    """Mask of the matrices of the stack g with a Cholesky factorization."""
+    try:
+        np.linalg.cholesky(g)
+        return np.ones(g.shape[:-2], dtype=bool)
+    except np.linalg.LinAlgError:
+        return np.array([_factors(x) for x in g], dtype=bool) if g.ndim > 2 else np.False_
 
 
 def _check_nonzero(y: np.ndarray):
@@ -115,8 +128,10 @@ class Quadratic(MinkowskiNorm):
 
     def __post_init__(self):
         self.q = _square(self.q, "gram")
+        self.q.flags.writeable = False  # so that its inverse cannot go stale
         self.dim = self.q.shape[0]
         self.reversible = True
+        self._inv = super().inverse(self.q)  # the Cholesky gate and inverse of every pole
 
     def value(self, y) -> float:
         y = np.asarray(y, dtype=float)
@@ -128,6 +143,9 @@ class Quadratic(MinkowskiNorm):
     def pole(self, y) -> tuple:
         _check_nonzero(np.asarray(y))
         return (self.q,)  # g is constant: one (d, d) for every row; C = 0
+
+    def inverse(self, g):
+        return self._inv if g is self.q else super().inverse(g)
 
     def cartan_pair(self, pole, v, w) -> np.ndarray:
         return np.zeros(np.broadcast_shapes(np.shape(v), np.shape(w)))

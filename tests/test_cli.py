@@ -732,6 +732,32 @@ def test_the_preset_parameter_cap_builds_classifies_and_witnesses():
         preset("aloff_wallach", cap + 1, 1)
 
 
+@pytest.mark.parametrize("k,l", [(-3000, 2999), (-10000, 9999), (1000000, 999999)])
+def test_aloff_wallach_with_k_plus_l_small_against_k_completes_its_basis(k, l):
+    """Basis completion stops at dim g: on these valid spaces rounding left a
+    tenth element above the Gram-Schmidt drop tolerance, after the nine that
+    (-1000, 999) accepts at the same input positions, and classify exited 1
+    with "basis completion failed"."""
+    code, out, _ = invoke(["classify", "--space", f"preset:aloff_wallach({k},{l})"])
+    assert code == 0, out
+    payload = json.loads(out)
+    assert payload["verdict"]["outcome"] == "survivor"
+    assert payload["space"]["case"] == "I" and payload["space"]["hat_blocks"] == [1, 2, 2, 2]
+
+
+def test_a_flat_torus_has_zero_curvature_and_cross_checks_every_flag(tmp_path):
+    """On the torus R^2 (abelian_dim 2, no factors) every bracket vanishes:
+    K = 0 on every flag, and each flag also takes the commutative-pair route
+    (method_agreement)."""
+    path = _space_file(tmp_path, {"algebra": {"factors": [], "abelian_dim": 2}})
+    code, out, _ = invoke(["curvature", "--space", path, "--samples", "5"])
+    assert code == 0, out
+    rep = json.loads(out)
+    assert rep["flags"] == 5 and rep["K_min"] == rep["K_max"] == 0.0
+    assert rep["method_agreement_max_rel_err"] == 0.0
+    assert [f["K"] for f in rep["zero_flags"]] == [0.0] * 5
+
+
 def test_a_space_file_coordinate_past_float_range_fails_closed(tmp_path):
     one = {**_ZERO, "a": "1e400"}
     path = _space_file(tmp_path, {"algebra": _algebra(("B", 2)),

@@ -11,6 +11,7 @@ from flagcurv.norms import Quadratic, Quartic, Randers, random_invariant_norm
 from flagcurv.rootsys import root
 from flagcurv.curvature import (
     CurvatureEngine,
+    CurvatureReport,
     bi_invariant_oracle,
     exclusion_witness_pair,
     flag_curvature,
@@ -194,6 +195,35 @@ def test_degenerate_flag_rejected(bn2):
     u[0] = 1.0
     with pytest.raises(ValueError, match="degenerate"):
         flag_curvature(bn2, norm, u, 2.0 * u)
+
+
+def test_a_nearly_dependent_flag_is_rejected_by_the_tolerance_alone(bn2):
+    """v = u + 1e-6 w spans a flag of area^2 about 1e-12 |u|^2 |w|^2, positive
+    but below DEGENERATE_TOL |u|^2 |v|^2: only that tolerance rejects it, alone
+    and as one row of a stack."""
+    eng = CurvatureEngine(bn2, Quadratic(np.eye(bn2.dim_m)))
+    u, w, x, y = np.random.default_rng(41).standard_normal((4, bn2.dim_m))
+    v = u + 1e-6 * w
+    assert (u @ u) * (v @ v) - (u @ v) ** 2 > 0
+    with pytest.raises(ValueError, match="degenerate"):
+        eng.flag_curvature(u, v)
+    out = eng.flag_curvature(np.array([x, u]), np.array([y, v]))
+    assert isinstance(out[0], CurvatureReport) and "degenerate" in str(out[1])
+
+
+def test_a_quadratic_norm_not_positive_definite_rejects_every_row(bn2):
+    """A Quadratic's Cholesky gate runs once, when it is built: every row of
+    a stack is rejected as not positive definite, and eta, connection_n and
+    u_map raise."""
+    q = np.eye(bn2.dim_m)
+    q[-1, -1] = -1.0  # indefinite, but invertible
+    eng = CurvatureEngine(bn2, Quadratic(q))
+    u, v = np.random.default_rng(43).standard_normal((2, 5, bn2.dim_m))
+    out = eng.flag_curvature(u, v)
+    assert all(isinstance(r, ValueError) and "not positive definite" in str(r) for r in out)
+    for call in (eng.eta, lambda x: eng.connection_n(x, v), lambda x: eng.u_map(x, v)):
+        with pytest.raises(ValueError, match="not positive definite"):
+            call(u)
 
 
 def test_u_map_examples(bn2):

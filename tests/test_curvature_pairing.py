@@ -114,33 +114,42 @@ def test_connection_pairs_through_the_operator(name, seed):
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
+LINALG = ("cholesky", "inv", "solve")
+
+
 @pytest.mark.parametrize("name,seed,linalg,rows", [
-    # spray: one Cholesky gate and LU solves at u, then the complex poles;
-    # one Cartan pair, at the poles: the frame at u is their real part
+    # spray: one Cholesky gate and three real LU solves with g_u, the last for
+    # the imaginary parts at the complex poles; one Cartan pair, at the poles:
+    # the frame at u is their real part
     ("bn_excluded_subcase1(2)", 0, {"cholesky": 1, "solve": 3, "cartan_pair": 1}, [16, 16]),
-    # Quadratic(I): eta = 0, no poles, one Gram matrix for every row, C = 0
-    ("berger_sp2", None, {"cholesky": 1, "inv": 1}, [16]),
+    # Quadratic(I): eta = 0, no poles, one Gram matrix for every row, C = 0,
+    # gated and inverted when the norm was built
+    ("berger_sp2", None, {}, [16]),
 ], ids=["spray", "no-spray"])
 def test_one_flag_stack_counts_its_solves_and_norm_calls(monkeypatch, name, seed, linalg, rows):
     """Tooling guard: a flag stack solves for eta and N(u, w) at u and once,
-    two columns, at the complex poles, and evaluates the norm once at u and
+    two real columns with g_u, for the imaginary parts at the complex poles
+    (their real parts are eta and w), and evaluates the norm once at u and
     once at the poles, n rows each, with one Cartan pair C(., eta, w), at
     the poles: the frame at u is their real part; a norm whose Gram matrix
-    every row shares is factored once (one Cholesky gate, one inverse),
-    LU-solved never and asked for no Cartan pair.  A per-term solve or norm
-    call, a factorization per row of a shared Gram matrix, a return to 2n
-    real finite-difference poles or to a real Cartan pair at u fails this."""
+    every row shares was factored when it was built, so a stack makes no
+    Cholesky gate, inverse or LU solve and asks for no Cartan pair.  A
+    per-term solve or norm call, a factorization per stack of a shared Gram
+    matrix, a complex solve, a return to 2n real finite-difference poles or
+    to a real Cartan pair at u fails this."""
     eng = _engine(name, seed)
     u, v = np.random.default_rng(7).standard_normal((2, 16, eng.space.dim_m))
     calls = Counter()
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
-            calls[key] += 1
+            # a linear-algebra call on a complex array counts apart
+            kind = "complex " if key in LINALG and any(map(np.iscomplexobj, args)) else ""
+            calls[kind + key] += 1
             return fn(*args, **kwargs)
         return wrapper
 
-    for key in ("cholesky", "inv", "solve"):
+    for key in LINALG:
         monkeypatch.setattr(np.linalg, key, counting(key, getattr(np.linalg, key)))
     cls = type(eng.norm)
     pole_rows, norm_pole = [], cls.pole
