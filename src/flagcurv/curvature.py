@@ -17,10 +17,11 @@ m-basis of a CosetSpace.  The two evaluation routes are
 
 Every CurvatureEngine operator takes one vector (run as a one-row stack) or
 a stack of them (one pole or flag per row), and sample_flags reduces the
-arrays of the stacked core _flags.  All contractions are row-wise: the
-structure tensors are reshaped once per space into matrices that each row
-multiplies on its own (_vm), and products and solves are stacked, so no
-row's result depends on the size of its stack.  The connection operator
+arrays that the stacked core _flags returns for the accepted rows.  All
+contractions are row-wise: the structure tensors are reshaped once per
+space into matrices that each row multiplies on its own (_vm), and
+products and solves are stacked, so no row's result depends on the size
+of its stack.  The connection operator
 A(u) = (T + B g_u + g_u B' - 2 C_u(., eta, .)) / 2 (B the matrix of [., u]_m,
 T[i,j] = sum_k Cm[i,j,k] (g_u u)_k), with g_u N(u, x) = A(u) x, is never
 formed: T is antisymmetric, so A w = S + T w / 2 and A' w = S - T w / 2 with
@@ -221,24 +222,21 @@ class CurvatureEngine:
 
     def _flags(self, u, v):
         """The stacked core of flag_curvature for the rows (n, d) of u and v:
-        the arrays K, |eta|, eta residual, h and |[v, u]| (NaN on rejected
-        rows), then the code of the gate that rejected each row (0 where none;
-        NOT_POSITIVE: the Cholesky gate of g_u, then DEGENERATE)."""
+        the code of the gate that rejected each row (0 where none; NOT_POSITIVE:
+        the Cholesky gate of g_u, then DEGENERATE), the accepted rows (a slice if
+        all are, so that selecting them copies nothing), then their arrays K,
+        |eta|, eta residual, h and |[v, u]|."""
         pole = self.norm.pole(u)
         gu, gv = _mv(pole[0], u), _mv(pole[0], v)
         denom, ok = self._flag_gate(u, v, gu, gv)
         why = np.where(self._factored(pole[0]), np.where(ok, 0, DEGENERATE), NOT_POSITIVE)
-        if not why.any():  # every row accepted: no selection
-            k, *out = self._riemann_quadratic(u, v, pole, gu, gv)
-            return (k / denom, *out, why)
-        rows = np.flatnonzero(why == 0)
+        rows = slice(None) if not why.any() else np.flatnonzero(why == 0)
+        if why.all():  # no row accepted: a shared g may not even be invertible
+            return (why, rows, *np.empty((5, 0)))
         if pole[0].ndim > 2:  # per-row pole data; a shared Gram matrix is every row's
             pole = [t[rows] for t in pole]
-        out = np.full((5, len(why)), np.nan)
-        if len(rows):  # else a shared g may not even be invertible
-            out[:, rows] = self._riemann_quadratic(u[rows], v[rows], pole, gu[rows], gv[rows])
-        out[0, rows] /= denom[rows]
-        return (*out, why)
+        k, *out = self._riemann_quadratic(u[rows], v[rows], pole, gu[rows], gv[rows])
+        return (why, rows, k / denom[rows], *out)
 
     def flag_curvature(self, u: np.ndarray, v: np.ndarray):
         """Flag curvature of the flag (pole u, direction v); raises
@@ -246,10 +244,10 @@ class CurvatureEngine:
         v) returns one entry per row: its CurvatureReport, or the ValueError
         of the first gate it failed (Cholesky of g_u, then degeneracy)."""
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        *arrays, why = self._flags(np.atleast_2d(u), np.atleast_2d(v))
-        out = [ValueError(REASONS[r]) if r else
-               CurvatureReport(float(k), "invariant-frame", *map(float, x))
-               for k, *x, _, r in zip(*arrays, why)]  # x: |eta|, residual, h
+        why, _, *arrays = self._flags(np.atleast_2d(u), np.atleast_2d(v))
+        accepted = (CurvatureReport(float(k), "invariant-frame", *map(float, x))
+                    for k, *x, _ in zip(*arrays))  # x: |eta|, residual, h
+        out = [ValueError(REASONS[r]) if r else next(accepted) for r in why]
         if u.ndim == 1 and isinstance(out[0], ValueError):
             raise out[0]
         return out[0] if u.ndim == 1 else out
@@ -272,7 +270,7 @@ class CurvatureEngine:
         scale = float(np.linalg.norm(u) * np.linalg.norm(v))
         if br > COMMUTE_TOL * max(scale, 1.0):
             raise ValueError("commutative-pair formula inapplicable: [u,v] != 0")
-        g = self._gram(u)
+        g = self._gram(u[None]).reshape(len(u), len(u))  # gated as a one-row stack
         eta, resid = self.eta(u, _g=g)
         if np.linalg.norm(eta) > ETA_HYP_TOL * max(float(np.linalg.norm(u)), 1.0):
             raise ValueError("commutative-pair formula inapplicable: eta(u) != 0")
@@ -390,8 +388,8 @@ def sample_flags(space: CosetSpace, norm: MinkowskiNorm, n: int, seed: int) -> d
         # rows (u_i, v_i) in the order of one u, v draw per candidate
         u, v = np.moveaxis(rng.standard_normal((m, 2, space.dim_m)), 1, 0).copy()
         evaluated += m
-        *arrays, why = eng._flags(u, v)
-        kept.append([x[why == 0] for x in (u, v, *arrays)] if why.any() else (u, v, *arrays))
+        _, rows, *arrays = eng._flags(u, v)
+        kept.append((u[rows], v[rows], *arrays))
         flags += len(kept[-1][0])
     if not flags:
         raise ValueError(f"all {evaluated} candidate flags were rejected")

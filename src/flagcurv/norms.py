@@ -122,16 +122,17 @@ def _swap(a):
     return np.swapaxes(a, -1, -2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Quadratic(MinkowskiNorm):
     q: np.ndarray
 
     def __post_init__(self):
-        self.q = _square(self.q, "gram")
-        self.q.flags.writeable = False  # so that its inverse cannot go stale
-        self.dim = self.q.shape[0]
-        self.reversible = True
-        self._inv = super().inverse(self.q)  # the Cholesky gate and inverse of every pole
+        q = _square(self.q, "gram")
+        q.flags.writeable = False  # frozen and read-only, so that its inverse cannot go stale
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "dim", len(q))
+        object.__setattr__(self, "reversible", True)
+        object.__setattr__(self, "_inv", super().inverse(q))  # gate and inverse of every pole
 
     def value(self, y) -> float:
         y = np.asarray(y, dtype=float)
@@ -144,7 +145,7 @@ class Quadratic(MinkowskiNorm):
         _check_nonzero(np.asarray(y))
         return (self.q,)  # g is constant: one (d, d) for every row; C = 0
 
-    def inverse(self, g):
+    def inverse(self, g):  # a subclass whose pole returns another g gets it inverted anew
         return self._inv if g is self.q else super().inverse(g)
 
     def cartan_pair(self, pole, v, w) -> np.ndarray:

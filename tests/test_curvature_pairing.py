@@ -21,7 +21,8 @@ import pytest
 
 from fd_oracles import cartan_matrix
 from flagcurv.coset import SubalgebraSpec, build_coset, parse_preset
-from flagcurv.curvature import ETA_ZERO_TOL, CurvatureEngine, CurvatureReport
+from flagcurv.curvature import (ETA_ZERO_TOL, CurvatureEngine, CurvatureReport,
+                                exclusion_witness_pair)
 from flagcurv.liealg import AlgebraSpec, realize
 from flagcurv.norms import Quadratic, Randers, _mv, _vm, invariant_vectors, random_invariant_norm
 
@@ -165,6 +166,31 @@ def test_one_flag_stack_counts_its_solves_and_norm_calls(monkeypatch, name, seed
     assert any(r.fd_step > 0 for r in reps) == (len(rows) == 2)
     assert calls == linalg
     assert pole_rows == rows
+
+
+@pytest.mark.parametrize("seed,linalg", [
+    (0, {"cholesky": 2, "solve": 2}),  # random_invariant_norm: Quartic, g per row
+    (None, {"solve": 1}),  # Quadratic(I): gated and inverted when it was built
+], ids=["quartic", "quadratic"])
+def test_the_commutative_route_inverts_no_gram_matrix_of_its_own(monkeypatch, seed, linalg):
+    """Tooling guard: flag_curvature_commutative gates g_u as a one-row
+    stack, so a per-row Gram matrix gets a Cholesky gate and its LU solves
+    (eta, then U(u, v)), never an inverse; only the shared g of a Quadratic
+    is inverted, by the norm, once."""
+    eng = _engine("bn_excluded_subcase1(2)", seed)
+    u, v = exclusion_witness_pair(eng.space, random_invariant_norm(eng.space, 0))
+    calls = Counter()
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for key in LINALG:
+        monkeypatch.setattr(np.linalg, key, counting(key, getattr(np.linalg, key)))
+    eng.flag_curvature_commutative(u, v, cross_check=False)
+    assert calls == linalg
 
 
 def test_a_stack_mixing_zero_and_nonzero_spray_gives_each_row_its_own_k():

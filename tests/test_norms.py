@@ -1,5 +1,6 @@
 """Minkowski norms: values, Hessians, Cartan tensors, invariance."""
 
+import dataclasses
 import itertools
 import json
 
@@ -39,6 +40,20 @@ def test_evaluate_examples():
     y, u, v, w = np.arange(1.0, 4.0), np.ones(3), np.eye(3)[0], np.eye(3)[1]
     assert u @ nq.gram(y) @ v == 1.0
     assert u @ nq.cartan_pair(nq.pole(y), v, w) == 0.0
+
+
+def test_quadratic_gram_cannot_go_stale():
+    """A Quadratic inverts q when it is built, so q can be neither rebound
+    nor written in place; the inverse it hands out is that of q."""
+    q = _pd_matrix(4, RNG)
+    n = Quadratic(q)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        n.q = 2.0 * q
+    with pytest.raises(ValueError, match="read-only"):
+        n.q[0, 0] = 2.0
+    g = n.pole(RNG.standard_normal(4))[0]
+    assert g is n.q and np.allclose(n.inverse(g) @ q, np.eye(4))
+    assert Quadratic(-q).inverse(-q) is None  # no Cholesky factor, no inverse
 
 
 def test_quadratic_gram_is_constant():
