@@ -182,61 +182,68 @@ def cmd_verify(args) -> int:
     return 0 if rep["match"] else 3
 
 
-def build_parser() -> argparse.ArgumentParser:
+VERBS = {"roots": cmd_roots, "space": cmd_space, "classify": cmd_classify,
+         "curvature": cmd_curvature, "witness": cmd_witness, "verify": cmd_verify}
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every verb or, given a verb, the top-level parser with
+    that verb's subparser alone, whose usage still names every verb."""
     p = argparse.ArgumentParser(
         prog="flagcurv",
         description="Exact classification checks and numerical flag curvature "
                     "for invariant Finsler metrics on coset spaces.")
-    sub = p.add_subparsers(dest="verb", required=True)
+    sub = p.add_subparsers(dest="verb", required=True,
+                           metavar="{" + ",".join(VERBS) + "}" if verb else None)
 
-    pr = sub.add_parser("roots", help="dump a root system as JSON")
-    pr.add_argument("family", help="A, B, C, D, E6, E7, E8, F4 or G2")
-    pr.add_argument("rank", type=_int_in(1, MAX_RANK))
-    pr.set_defaults(fn=cmd_roots)
+    if verb in (None, "roots"):
+        pr = sub.add_parser("roots", help="dump a root system as JSON")
+        pr.add_argument("family", help="A, B, C, D, E6, E7, E8, F4 or G2")
+        pr.add_argument("rank", type=_int_in(1, MAX_RANK))
 
-    ps = sub.add_parser("space", help="build and summarize a coset space")
-    ps_sub = ps.add_subparsers(dest="space_verb", required=True)
-    psb = ps_sub.add_parser("build")
-    grp = psb.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--file")
-    grp.add_argument("--preset")
-    psb.set_defaults(fn=cmd_space)
+    if verb in (None, "space"):
+        ps = sub.add_parser("space", help="build and summarize a coset space")
+        ps_sub = ps.add_subparsers(dest="space_verb", required=True)
+        psb = ps_sub.add_parser("build")
+        grp = psb.add_mutually_exclusive_group(required=True)
+        grp.add_argument("--file")
+        grp.add_argument("--preset")
 
-    pc = sub.add_parser("classify", help="run the classification verdict")
-    pc.add_argument("--space", required=True)
-    pc.set_defaults(fn=cmd_classify)
+    if verb in (None, "classify"):
+        pc = sub.add_parser("classify", help="run the classification verdict")
+        pc.add_argument("--space", required=True)
 
-    pk = sub.add_parser("curvature", help="sample flag curvature")
-    pk.add_argument("--space", required=True)
-    pk.add_argument("--metric", default="quadratic",
-                    help="quadratic | randers[:eps] | quartic[:seed] | invariant[:seed]"
-                         " | the path of a norm JSON file")
-    pk.add_argument("--samples", type=_int_in(1, MAX_SAMPLES), default=50)
-    pk.add_argument("--seed", type=int, default=0)
-    pk.set_defaults(fn=cmd_curvature)
+    if verb in (None, "curvature"):
+        pk = sub.add_parser("curvature", help="sample flag curvature")
+        pk.add_argument("--space", required=True)
+        pk.add_argument("--metric", default="quadratic",
+                        help="quadratic | randers[:eps] | quartic[:seed] | invariant[:seed]"
+                             " | the path of a norm JSON file")
+        pk.add_argument("--samples", type=_int_in(1, MAX_SAMPLES), default=50)
+        pk.add_argument("--seed", type=int, default=0)
 
-    pw = sub.add_parser("witness", help="verify a zero-curvature witness pair")
-    pw.add_argument("--space", required=True)
-    pw.add_argument("--seed", type=int, default=0)
-    pw.set_defaults(fn=cmd_witness)
+    if verb in (None, "witness"):
+        pw = sub.add_parser("witness", help="verify a zero-curvature witness pair")
+        pw.add_argument("--space", required=True)
+        pw.add_argument("--seed", type=int, default=0)
 
-    pv = sub.add_parser("verify", help="reproduce a survivor list")
-    pv.add_argument("--theorem", type=int, choices=(1, 2, 3), required=True)
-    pv.add_argument("--max-rank", type=_int_in(1, MAX_RANK), default=8)
-    pv.add_argument("--full", action="store_true",
-                    help="include the per-subcase rows in the report")
-    pv.set_defaults(fn=cmd_verify)
+    if verb in (None, "verify"):
+        pv = sub.add_parser("verify", help="reproduce a survivor list")
+        pv.add_argument("--theorem", type=int, choices=(1, 2, 3), required=True)
+        pv.add_argument("--max-rank", type=_int_in(1, MAX_RANK), default=8)
+        pv.add_argument("--full", action="store_true",
+                        help="include the per-subcase rows in the report")
     return p
 
 
 def run(argv) -> int:
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv and argv[0] in VERBS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        return VERBS[args.verb](args)
     except (ValueError, LookupError, OSError, AssertionError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         print(f"error: {exc}", file=sys.stderr)

@@ -16,8 +16,11 @@ projection to t cap h is the exact one along w.  The searches compare the
 integral projection P(v) = c v - D(w, v) w (`rootsys.t_cap_h_projection`,
 one per (spec, w)): D is the integer Gram form of an integral multiple of
 w and c = D(w, w) > 0, so P = c pr_h, and an h-root x enters as c x.  The
-tables of P over the roots (`ProjectionTables`) belong to one space and its
-copies.
+tables of P over the roots (`ProjectionTables`: root -> P(root), the roots
+of each value and the roots in t cap h) come from one pass over the roots
+and belong to one space and its copies; Delta_h of the case-I and case-II
+candidates, t cap h membership, the scaled h-roots and the key-lemma scans
+read them, and a root's negative comes from the root data.
 
 A RootLevelSpace may carry *partial* knowledge of the isotropy root system
 Delta_h (a verified lower bound); every rule used on such spaces is sound
@@ -33,7 +36,8 @@ import functools
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from operator import add, sub
+from itertools import repeat
+from operator import add, itemgetter, mul, neg, not_, sub
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
@@ -64,47 +68,51 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True, eq=False)
 class RootData:
-    """The roots of an AlgebraSpec lifted to t, with their plane keys."""
+    """The roots of an AlgebraSpec lifted to t, with plane keys and negatives."""
 
     g_roots: tuple         # factor by factor, each in root-system order
     factor_roots: tuple    # the same roots as one tuple per factor
     factor_of: Mapping     # root -> factor index
     canonical: Mapping     # root -> canonical sign of its plane
+    negative: Mapping      # root -> its negative
     keys: tuple            # distinct plane keys in order of first appearance
     root_set: frozenset
 
 
 @functools.lru_cache(maxsize=None)
-def _factor_roots(family: str, rank: int) -> tuple:
-    return build_root_system(family, rank, _relaxed=True).roots
-
-
-@functools.lru_cache(maxsize=None)
-def _factor_canonical(family: str, rank: int) -> tuple:
-    """For each root in root order, the index of its plane's canonical sign."""
-    roots = _factor_roots(family, rank)
+def _factor_data(family: str, rank: int) -> tuple:
+    """The roots of (family, rank) in root order, their coordinate columns
+    and, per root, the index of its negative and of its plane's canonical
+    sign (the one of +-r whose first nonzero coordinate is positive)."""
+    roots = build_root_system(family, rank, _relaxed=True).roots
     index = {r: i for i, r in enumerate(roots)}
-    return tuple(index[r.canonical_sign()] for r in roots)
+    negative = tuple(index[tuple(map(neg, r))] for r in roots)
+    zero = (0,) * len(roots[0])
+    canonical = tuple(i if r > zero else j for i, (r, j) in enumerate(zip(roots, negative)))
+    return roots, tuple(zip(*roots)), negative, canonical
 
 
 @functools.lru_cache(maxsize=128)
 def _root_data(spec: AlgebraSpec) -> RootData:
     """Root data of spec, built once per spec and shared read-only.  A
     lifted root's first nonzero coordinate is its factor root's, so each
-    root's plane key is the lift of the factor root's canonical sign."""
-    factor_roots = []
-    factor_of = {}
-    canonical = {}
-    for idx, (fam, rank, _) in enumerate(spec.factors):
-        lifted = tuple(lift_root(spec, idx, r) for r in _factor_roots(fam, rank))
-        factor_roots.append(lifted)
-        for tv, c in zip(lifted, _factor_canonical(fam, rank)):
-            factor_of[tv] = idx
-            canonical[tv] = lifted[c]
-    keys = tuple(dict.fromkeys(canonical.values()))
+    root's plane key is the lift of the factor root's canonical sign, and
+    its negative the lift of the factor root's negative.  The unit spec of
+    one factor uses the factor's roots as they are."""
+    factor_roots, factor_of, canonical, negative = [], {}, {}, {}
+    for idx, ((fam, rank, _), (a, b, _)) in enumerate(zip(spec.factors, spec.blocks)):
+        roots, _, neg_index, canonical_index = _factor_data(fam, rank)
+        if spec.units[idx] is not spec:
+            pad = (0,) * a, (0,) * (spec.dim - b)
+            roots = tuple(map(spec.tvec, (pad[0] + r + pad[1] for r in roots)))
+        factor_roots.append(roots)
+        factor_of.update(zip(roots, repeat(idx)))
+        canonical.update(zip(roots, map(roots.__getitem__, canonical_index)))
+        negative.update(zip(roots, map(roots.__getitem__, neg_index)))
     g_roots = tuple(itertools.chain.from_iterable(factor_roots))
     return RootData(g_roots, tuple(factor_roots), MappingProxyType(factor_of),
-                    MappingProxyType(canonical), keys, frozenset(g_roots))
+                    MappingProxyType(canonical), MappingProxyType(negative),
+                    tuple(dict.fromkeys(canonical.values())), frozenset(g_roots))
 
 
 def _times(c, v) -> tuple:
@@ -114,23 +122,44 @@ def _times(c, v) -> tuple:
 @dataclass(frozen=True, eq=False)
 class ProjectionTables:
     """The tables of P over the roots of g, which depend on spec and w
-    only: each is built on first read, and a space's copies share them."""
+    only: one pass over the roots builds them all on first read, and a
+    space's copies share them."""
 
     projection: Projection
     root_data: RootData
+    _values: dict = field(default_factory=dict, init=False, repr=False)
 
     @functools.cached_property
-    def pr_roots(self) -> dict:
-        """root -> P(root), in root order."""
-        return {r: self.projection.scaled(r) for r in self.root_data.g_roots}
-
-    @functools.cached_property
-    def pr_classes(self) -> dict:
-        """P value -> its roots, in order of first appearance."""
+    def _one_pass(self) -> tuple:
+        """(pr_roots, pr_classes, t_h), factor by factor over the columns of
+        the factor's roots.  A root r of factor i vanishes off block i, so
+        D(w, r) reads w's block i alone; P(r) = c r - D(w, r) u, and the
+        roots with D(w, r) = 0 are those in t cap h, where P(r) = c r."""
+        (form, u), = self.projection.terms
+        spec, c, pr_roots, t_h = self.projection.spec, repeat(self.projection.scale), {}, []
+        for (fam, rank, _), (a, b, _), roots in zip(spec.factors, spec.blocks,
+                                                     self.root_data.factor_roots):
+            cols = _factor_data(fam, rank)[1]
+            terms = [map(mul, cols[j - a], repeat(form[j])) for j in range(a, b) if form[j]]
+            d = list(map(sum, zip(*terms))) if terms else [0] * len(roots)
+            p = [map(mul, cols[j - a], c) if a <= j < b else repeat(0) for j in range(len(u))]
+            p = [map(sub, q, map(mul, d, repeat(x))) if x else q for q, x in zip(p, u)]
+            pr_roots.update(zip(roots, zip(*p)))
+            t_h += itertools.compress(roots, map(not_, d))
         classes = {}
-        for r, pr in self.pr_roots.items():
-            classes.setdefault(pr, []).append(r)
-        return classes
+        for r, p in pr_roots.items():
+            classes.setdefault(p, []).append(r)
+        return pr_roots, classes, frozenset(t_h)
+
+    pr_roots = property(lambda self: self._one_pass[0])    # root -> P(root), in root order
+    pr_classes = property(lambda self: self._one_pass[1])  # P -> its roots, in order of appearance
+    t_h = property(lambda self: self._one_pass[2])         # the roots in t cap h
+
+    def values_at(self, k: int) -> set:
+        """The values of coordinate k over the projections of the roots."""
+        if k not in self._values:
+            self._values[k] = set(map(itemgetter(k), self.pr_classes))
+        return self._values[k]
 
 
 @dataclass
@@ -149,26 +178,42 @@ class RootLevelSpace:
         if self.tables is None or self.tables.projection is not proj:
             self.tables = ProjectionTables(proj, self.root_data)
         self.pr_scale = proj.scale  # c = D(w, w)
-        self.scaled, self.unscaled, self.in_t_h = proj.scaled, proj.unscaled, proj.in_t_h
+        self.scaled, self.unscaled = proj.scaled, proj.unscaled
 
     def pr_h(self, v: TVec) -> TVec:
         """Exact projection of v in t onto t cap h: v - (<w,v>/<w,w>) w."""
         return self.projection.pr_h(v)
 
+    def in_t_h(self, v) -> bool:
+        """Whether v lies in t cap h; a root reads the tables."""
+        roots = self.root_data.root_set
+        return v in self.tables.t_h if v in roots else self.projection.in_t_h(v)
+
     @functools.cached_property
     def scaled_h(self) -> frozenset:
-        """The h-roots x as c x, the scale of P."""
-        return frozenset(_times(self.pr_scale, x) for x in self.h_roots)
+        """The h-roots x as c x, the scale of P: for a root in t cap h,
+        its table entry P(x)."""
+        pr, t_h = self.tables.pr_roots, self.tables.t_h
+        return frozenset(pr[x] if x in t_h else _times(self.pr_scale, x) for x in self.h_roots)
 
 
-def make_root_level_space(spec: AlgebraSpec, w: TVec,
-                          h_roots: Iterable[TVec] = (), name: str = "") -> RootLevelSpace:
+def make_root_level_space(spec: AlgebraSpec, w: TVec, h_roots: Iterable[TVec] = (),
+                          name: str = "", h_perp: bool = False,
+                          shadows: Iterable[TVec] = ()) -> RootLevelSpace:
     """Root-level space of spec with t cap m spanned by w, every plane
-    unassigned."""
+    unassigned.  Delta_h holds h_roots, the projections to t cap h of the
+    roots in shadows and, with h_perp, every root in t cap h, each with its
+    negative (a root's from the root data); shadows and h_perp read the
+    projection tables."""
     rd = _root_data(spec)
+    tables = ProjectionTables(t_cap_h_projection(spec, (w,)), rd)
     hset = set(h_roots)
-    hset.update([-v for v in hset])  # a negative already present is not stored again
-    return RootLevelSpace(spec, rd, w, frozenset(hset), dict.fromkeys(rd.keys), name=name)
+    hset.update(tables.projection.unscaled(tables.pr_roots[r]) for r in shadows)
+    hset.update([rd.negative.get(v) or -v for v in hset])
+    if h_perp:
+        hset |= tables.t_h
+    return RootLevelSpace(spec, rd, w, frozenset(hset), dict.fromkeys(rd.keys), name=name,
+                          tables=tables)
 
 
 def root_level_from_coset(space: CosetSpace) -> RootLevelSpace:
@@ -224,15 +269,16 @@ def _span_members(space: RootLevelSpace, g1: TVec, shift: Optional[TVec] = None)
     point, looked up in the projection table when it is integral (every
     P(root) is).
     """
-    classes = space.tables.pr_classes
-    y = space.scaled(g1)
-    s = space.scaled(shift) if shift is not None else (0,) * len(y)
+    tables = space.tables
+    classes, pr = tables.pr_classes, tables.pr_roots
+    y = pr[g1]
+    s = pr[shift] if shift is not None else (0,) * len(y)
     k = next((i for i, q in enumerate(y) if q), None)
     if k is None:
         points = [s]
     else:
         points = []
-        for v in {p[k] for p in classes}:
+        for v in tables.values_at(k):
             steps = [divmod(q * (v - s[k]), y[k]) for q in y]
             if not any(rem for _, rem in steps):
                 points.append(tuple(a + q for a, (q, _) in zip(s, steps)))
@@ -248,7 +294,7 @@ def key_lemma_1_applies(space: RootLevelSpace, alpha: TVec) -> bool:
     if not space.in_t_h(alpha):
         raise ValueError("alpha is not contained in t cap h")
     # the roots on alpha + R w are the roots r with P(r) == P(alpha)
-    return len(space.tables.pr_classes[space.scaled(alpha)]) == 1
+    return len(space.tables.pr_classes[space.tables.pr_roots[alpha]]) == 1
 
 
 def _sum_or_difference_is_root(space: RootLevelSpace, g1: TVec, g2: TVec) -> bool:
@@ -271,9 +317,10 @@ def key_lemma_2_details(space: RootLevelSpace, g1: TVec, g2: TVec) -> dict:
         not space.in_t_h(g) or space.assignment[space.root_data.canonical[g]] == "m")
     cond = {1: in_m(g1) and in_m(g2)}
     cond[2] = not _sum_or_difference_is_root(space, g1, g2)
-    cond[3] = _span_members(space, g1) <= {g1, -g1}
+    neg_of = space.root_data.negative
+    cond[3] = _span_members(space, g1) <= {g1, neg_of[g1]}
     # the roots on -g2 + span(g1, w) are the negatives of those on g2 + span(g1, w)
-    cond[4] = _span_members(space, g1, shift=g2) <= {g2, -g2}
+    cond[4] = _span_members(space, g1, shift=g2) <= {g2, neg_of[g2]}
     return cond
 
 
@@ -281,7 +328,7 @@ def key_lemma_2_check(space: RootLevelSpace, g1: TVec, g2: TVec) -> bool:
     """True iff the pair (g1, g2) satisfies all four exclusion conditions,
     certifying that the space admits no positively curved reversible
     invariant metric."""
-    if g1 == g2 or g1 == -g2:
+    if g1 in (g2, space.root_data.negative.get(g2)):
         raise ValueError("roots must be linearly independent")
     return all(key_lemma_2_details(space, g1, g2).values())
 
@@ -292,10 +339,11 @@ def _kl2_pair_search(space: RootLevelSpace, candidates: Iterable[TVec]) -> Optio
     (2) are screened first: independent, both outside Delta_h, and with
     neither g1 + g2 nor g1 - g2 a root."""
     outside_h = sorted(r for r in candidates if r not in space.h_roots)
+    neg_of = space.root_data.negative
     return _first_excluded(space, (
         Witness("key_lemma_2", {"gamma1": g1, "gamma2": g2})
         for g1, g2 in itertools.combinations(outside_h, 2)
-        if g1 != -g2 and not _sum_or_difference_is_root(space, g1, g2)))
+        if g2 != neg_of[g1] and not _sum_or_difference_is_root(space, g1, g2)))
 
 
 def angle_lemma_check(space: RootLevelSpace, alpha: TVec, beta: TVec) -> bool:
@@ -304,7 +352,7 @@ def angle_lemma_check(space: RootLevelSpace, alpha: TVec, beta: TVec) -> bool:
     Precondition: pr_h(alpha) = pr_h(beta) is a root of h.
     """
     pa = space.scaled(alpha)
-    if pa != space.scaled(beta) or pa not in space.scaled_h:
+    if pa != space.scaled(beta) or space.unscaled(pa) not in space.h_roots:
         raise ValueError("hypothesis violated: projections differ or are not h-roots")
     factor_of = space.root_data.factor_of
     return (factor_of[alpha] == factor_of[beta]
@@ -314,9 +362,6 @@ def angle_lemma_check(space: RootLevelSpace, alpha: TVec, beta: TVec) -> bool:
 # ---------------------------------------------------------------------------
 # Propagation
 # ---------------------------------------------------------------------------
-
-MAX_ROUNDS = 60  # rounds of all rules before propagate_assignment gives up
-
 
 class PropagationContradiction(Exception):
     def __init__(self, trace):
@@ -342,7 +387,10 @@ def propagate_assignment(space: RootLevelSpace, rule_order: Optional[list] = Non
     projection values against known h-roots (planes of impossible values
     drop to m, as do planes whose root lies in t cap m), (f) hat classes of
     h-roots with all but one plane in m pin the last plane.  The h-roots
-    are kept at the scale of P, the projection table's.
+    are kept at the scale of P, the projection table's.  A round that
+    changes something assigns a plane or adds the h-root of a key in
+    t cap h (rule a), so the fixpoint comes within one round more than
+    there are plane keys and keys in t cap h.
     """
     sp = replace(space, assignment=dict(space.assignment))  # a working copy
     trace: list = []
@@ -458,7 +506,7 @@ def propagate_assignment(space: RootLevelSpace, rule_order: Optional[list] = Non
 
     rules = {"a": rule_a, "pin": rule_pin, "e": rule_e, "bc": rule_bc, "f": rule_f}
     order = rule_order or ["a", "pin", "e", "bc", "f"]
-    for _ in range(MAX_ROUNDS):
+    for _ in range(len(keys) + sum(map(sp.in_t_h, keys)) + 1):
         changed = False
         for name in order:
             changed |= rules[name]()
@@ -641,7 +689,8 @@ def case3_space(family: str, rank: int, alpha: TVec, beta: TVec,
     """Root-level space of a case-III subcase datum, two roots of the unit
     spec of (family, rank): t cap m is spanned by alpha - beta, and Delta_h
     is seeded with the common projection (a verified lower bound for any
-    isotropy algebra realizing the datum)."""
+    isotropy algebra realizing the datum), read off the projection so that
+    a row that needs no more (an angle row) builds no tables."""
     spec, w = unit_spec(((family, rank),)), alpha - beta
     return make_root_level_space(spec, w, [t_cap_h_projection(spec, (w,)).pr_h(alpha)],
                                  name=name)
@@ -901,7 +950,7 @@ def evaluate_subcase(sc: Subcase) -> Verdict:
         witness = Witness("root_combinatorial", p)
     elif sc.kind == "g2_rotation":
         # the hat-class ladder alpha', 2a', ..., 5a' behind the rotation trick
-        ap = space.scaled(sc.alpha)
+        ap = space.tables.pr_roots[sc.alpha]
         if not all(_times(k, ap) in space.tables.pr_classes for k in range(1, 6)):
             raise AssertionError(f"{sc.label}: G2 hat-class ladder incomplete")
         witness = Witness("root_combinatorial",
@@ -948,10 +997,7 @@ def case2_space(g2_family: str, g2_rank: int, beta: TVec,
     spec = unit_spec((("A", 1), (g2_family, g2_rank)))
     alpha = lift_root(spec, 0, sparse_tvec("A", 1, (0, 1), (1, -1)))
     w = alpha - lift_root(spec, 1, beta)
-    proj = t_cap_h_projection(spec, (w,))
-    h_roots = [proj.pr_h(alpha)] + [r for r in _root_data(spec).factor_roots[1]
-                                    if proj.in_t_h(r)]
-    return make_root_level_space(spec, w, h_roots, name=name)
+    return make_root_level_space(spec, w, name=name, h_perp=True, shadows=[alpha])
 
 
 def classify_case2(space: RootLevelSpace) -> Verdict:
@@ -969,7 +1015,8 @@ def classify_case2(space: RootLevelSpace) -> Verdict:
         raise ValueError("case-II datum without an A1 factor")
     fb = factor_of[beta]
     # Wallach-pair search in the second factor
-    verdict = _kl2_pair_search(space, [r for r in factor_roots[fb] if r != beta and r != -beta])
+    verdict = _kl2_pair_search(space, [r for r in factor_roots[fb]
+                                       if r not in (beta, space.root_data.negative[beta])])
     if verdict:
         return verdict
     fam, rank, scale = space.spec.factors[fb]
@@ -1093,7 +1140,8 @@ def classify_case1(space: RootLevelSpace) -> Verdict:
                          "zero-curvature pair certified on the matrix preset")
     beta = None
     for r in factor_roots[j]:
-        if r not in space.h_roots and tvec_dot(spec, r, w_of[j]):
+        # a root of factor j is orthogonal to w_of[j] exactly when it lies in t cap h
+        if r not in space.h_roots and not space.in_t_h(r):
             beta = r
             break
     payload = {
@@ -1240,10 +1288,7 @@ def _case1_space(label, blocks, abelian=True, h_perp=True) -> RootLevelSpace:
     w = tvec_from_parts(spec, abelian=[1] if abelian else [])
     for i, b in enumerate(blocks):
         w = w + lift_root(spec, i, b)
-    # each root is orthogonal to w exactly when it is to w's block of its factor
-    in_t_h = t_cap_h_projection(spec, (w,)).in_t_h
-    h_roots = [r for r in _root_data(spec).g_roots if in_t_h(r)] if h_perp else ()
-    return make_root_level_space(spec, w, h_roots, name=label)
+    return make_root_level_space(spec, w, name=label, h_perp=h_perp)
 
 
 def case1_candidates(max_rank: int = 8) -> list:

@@ -16,12 +16,13 @@ simple factor is the TVec of the factor's unit spec, and `tvec_dot`,
 
 The lattice's boundary is here too: root lifts, exact input checked
 against the position surds, and JSON; so is the one exact projection of t
-to t cap h along t cap m (`t_cap_h_projection`), which the coset and the
-root-level spaces share.  Lattice arithmetic uses only ints
-and Fractions.  QNum, a plain value of the field Q(sqrt2, sqrt3), only
-reads the {"a","b","c","d"} coordinates of JSON input and is the tests'
-oracle; `verify` never builds one, and `lattice_block` and `lattice_json`
-write its printed and JSON forms.  Nothing here imports numpy.
+to t cap h along t cap m (`t_cap_h_projection`, held as dense integer
+forms), which the coset and the root-level spaces share.  Lattice
+arithmetic uses only ints and Fractions.  QNum, a plain value of the field
+Q(sqrt2, sqrt3), only reads the {"a","b","c","d"} coordinates of JSON
+input and is the tests' oracle; `verify` never builds one, and
+`lattice_block` and `lattice_json` write its printed and JSON forms.
+Nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import lcm, sqrt
 from operator import add, mul, neg, sub
 from typing import Sequence
@@ -489,15 +491,15 @@ def tvec_from_parts(spec: AlgebraSpec, parts: dict = None, abelian: Sequence = (
     abelian coordinates, each exact (int, Fraction, string or QNum).  A
     coordinate must be a rational multiple of its position's surd: any
     other number is off the lattice of t, where no closed subgroup has its
-    torus (ValueError)."""
-    flat = list(zero_tvec(spec))
+    torus (ValueError).  An int (not a bool) reads directly as n = 2c."""
+    flat = [0] * spec.dim
     ab = (spec.dim - spec.abelian_dim, spec.dim, (1,) * spec.abelian_dim)
     for (a, b, k), coords, exact in [(spec.blocks[i], c, True) for i, c in (parts or {}).items()] \
             + [(ab, abelian, False)]:
         if len(coords) > b - a or exact and len(coords) != b - a:
             raise ValueError("torus vector does not match the algebra spec")
         for i, c in enumerate(coords):
-            n, kc = lattice_coord(c)
+            n, kc = (2 * c, 1) if type(c) is int else lattice_coord(c)
             if n and kc != k[i]:
                 raise ValueError(f"torus coordinate {_half(n)}{_TAG[kc]} is not a rational "
                                  f"multiple of {_SURD[k[i]]}")
@@ -755,21 +757,21 @@ class Projection:
 
     spec: AlgebraSpec
     scale: int     # c
-    terms: tuple   # per j: the nonzero (i, gram_i w_j[i]), then the nonzero (i, u_j[i])
+    terms: tuple   # per j: the form gram * w_j and u_j, both dense
 
     def scaled(self, v) -> tuple:
         """P(v), integral for a lattice v."""
-        out = [self.scale * x for x in v]
+        out = tuple(map(mul, v, repeat(self.scale)))
         for form, u in self.terms:
-            d = sum(x * v[i] for i, x in form)
+            d = sum(map(mul, form, v))
             if d:
-                for i, x in u:
-                    out[i] -= d * x
-        return tuple(out)
+                out = tuple(map(sub, out, map(mul, u, repeat(d))))
+        return out
 
     def unscaled(self, p) -> TVec:
         """The vector p / c of t (the inverse of the scaling in P)."""
-        return self.spec.tvec(_num(Fraction(x, self.scale)) for x in p)
+        c = self.scale
+        return self.spec.tvec(Fraction(x, c) if x % c else x // c for x in p)
 
     def pr_h(self, v) -> TVec:
         """The exact projection of v to t cap h along t cap m."""
@@ -778,7 +780,7 @@ class Projection:
     def in_t_h(self, v) -> bool:
         """Whether v lies in t cap h, i.e. is orthogonal to t cap m."""
         for form, _ in self.terms:
-            if sum(x * v[i] for i, x in form):
+            if sum(map(mul, form, v)):
                 return False
         return True
 
@@ -790,14 +792,14 @@ def t_cap_h_projection(spec: AlgebraSpec, basis: tuple) -> Projection:
     ws = []
     for b in basis:
         d = lcm(*(x.denominator for x in b))
-        ws.append([int(x * d) for x in b])
-    forms = [tuple((i, g * x) for i, (g, x) in enumerate(zip(spec.gram, w)) if x) for w in ws]
+        ws.append(tuple(int(x * d) for x in b))
+    forms = [tuple(map(mul, spec.gram, w)) for w in ws]
     if len(ws) == 1:  # G = [D(w, w)], so c = D(w, w) and u = w
-        c = sum(x * ws[0][i] for i, x in forms[0])
+        c = sum(map(mul, forms[0], ws[0]))
         if not c:
             raise ArithmeticError("matrix is singular")
-        return Projection(spec, c, ((forms[0], tuple((i, x) for i, x in enumerate(ws[0]) if x)),))
-    inv = exact_inverse([[sum(x * w[i] for i, x in f) for w in ws] for f in forms])
+        return Projection(spec, c, ((forms[0], ws[0]),))
+    inv = exact_inverse([[sum(map(mul, f, w)) for w in ws] for f in forms])
     c = lcm(*(x.denominator for row in inv for x in row))
     terms = []
     for f, row in zip(forms, inv):
@@ -805,5 +807,5 @@ def t_cap_h_projection(spec: AlgebraSpec, basis: tuple) -> Projection:
         for a, w in zip(row, ws):
             a = c // a.denominator * a.numerator
             u = [y + a * x for y, x in zip(u, w)]
-        terms.append((f, tuple((i, x) for i, x in enumerate(u) if x)))
+        terms.append((f, tuple(u)))
     return Projection(spec, c, tuple(terms))

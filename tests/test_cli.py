@@ -400,6 +400,51 @@ def test_verify_mismatch_exits_three(monkeypatch):
     assert not json.loads(out)["match"]
 
 
+PARSER_ARGVS = [
+    ["--help"], [], ["frobnicate"], ["-x"], ["--help", "verify"], ["space", "bogus"],
+    ["space", "build"], ["space", "build", "--help"],
+    ["space", "build", "--file", "a", "--preset", "b"],
+    ["roots", "A"], ["roots", "A", "0"], ["roots", "A", "x"], ["roots", "A", "3", "extra"],
+    ["verify", "--theorem", "4"], ["verify", "--theorem", "1", "--bogus"], ["verify", "--the", "x"],
+    ["witness", "--seed", "x", "--space", "s"], ["curvature", "--space", "s", "--metric"],
+    ["curvature", "--space", "s", "--samples", "0"],
+] + [[verb, *tail] for verb in ("roots", "space", "classify", "curvature", "witness", "verify")
+     for tail in ([], ["--help"])]
+
+
+@pytest.mark.parametrize("columns", ["40", "80"])
+def test_one_verb_parser_prints_what_the_full_parser_prints(monkeypatch, columns):
+    """`run` builds the subparser of the verb in first place only; help,
+    usage errors and exit codes are those of the parser of every verb,
+    whose usage names all the verbs, at any terminal width."""
+    from flagcurv import cli
+    monkeypatch.setenv("COLUMNS", columns)
+    one_verb = [invoke(argv) for argv in PARSER_ARGVS]
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda verb=None: full())
+    assert one_verb == [invoke(argv) for argv in PARSER_ARGVS]
+    assert sum(code == 2 for code, _, _ in one_verb) > 20
+
+
+def test_a_verb_builds_only_its_own_parsers(monkeypatch):
+    import argparse
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert invoke(["verify", "--theorem", "1", "--max-rank", "1"])[0] == 3
+    assert built == ["flagcurv", "flagcurv verify"]
+    built.clear()
+    assert invoke(["space", "build"])[0] == 2
+    assert built == ["flagcurv", "flagcurv space", "flagcurv space build"]
+    built.clear()
+    assert invoke(["frobnicate"])[0] == 2 and len(built) == 8
+
+
 def test_usage_and_validation_errors():
     assert invoke(["frobnicate"])[0] == 2
     assert invoke([])[0] == 2

@@ -129,14 +129,14 @@ def test_copies_and_the_coset_share_one_projection():
 
 
 def test_copies_share_the_projection_tables_and_free_them():
-    """The tables of (spec, w) are built on first read, shared by the
+    """The tables of (spec, w) are built in one pass on first read, shared by the
     copies of a space (propagation's among them) and freed with them:
     no cache outlives the spaces.  scaled_h follows each copy's h-roots."""
     sp = case3_space("F4", 4, sparse_tvec("F4", 4, (0, 1), (1, 1)), sparse_tvec("F4", 4, (2, -1)))
     tables = sp.tables
-    assert "pr_classes" not in vars(tables)
+    assert "_one_pass" not in vars(tables)
     classify_case(sp)
-    assert "pr_classes" in vars(tables)
+    assert "_one_pass" in vars(tables)
     b3 = case3_space("B", 3, sparse_tvec("B", 3, (0, 1), (1, 1)), sparse_tvec("B", 3, (2, -1)))
     out, _ = propagate_assignment(b3)
     copy = replace(out, assignment={}, h_roots=frozenset())
@@ -365,6 +365,30 @@ def test_propagation_no_change_on_settled_space():
     out, trace = propagate_assignment(rls)
     assert out.assignment == rls.assignment
     assert out.h_roots == rls.h_roots
+
+
+def test_propagation_bound_is_the_data_not_a_knob(monkeypatch):
+    """A round that changes something assigns a plane or adds an h-root, so
+    the fixpoint comes within (plane keys + keys in t cap h + 1) rounds.  A
+    bracket rule that assigns one plane per round, the slowest a rule can
+    go, takes one round per unassigned key and one more to see the
+    fixpoint, 36 rounds on A8, and assigns every plane."""
+    spec = AlgebraSpec((("A", 8, Fraction(1)),))
+    sp = make_root_level_space(spec, sparse_tvec("A", 8, (0, 1), (8, -1)))
+    keys = sp.root_data.keys
+    sp.assignment[keys[0]] = "m"
+    rounds = []
+
+    def one_plane_per_round(space):
+        rounds.append(space)
+        nxt = next((k for k in keys if space.assignment[k] is None), None)
+        if nxt is not None:
+            yield keys[0], keys[1], nxt
+
+    monkeypatch.setattr(obstruct, "_bracket_images", one_plane_per_round)
+    out, trace = propagate_assignment(sp, rule_order=["bc"])
+    assert len(keys) == 36 and len(rounds) == 36 and len(trace) == 35
+    assert set(out.assignment.values()) == {"m"}
 
 
 def test_propagation_fixpoint_order_independent():
