@@ -10,7 +10,8 @@ pass), matrix projections are numeric with a fixed tolerance ladder
 file-given generators in g 1e-10).  Every factor, sp(n) included, is a
 plain matrix block (sp(n) inside su(2n)), so the closure, reductivity and
 structure-tensor checks take the coordinates of all bracket pairs at once
-from RealizedAlgebra.bracket_coords.
+from RealizedAlgebra.bracket_coords: one pass each over [h, h], [h, m]
+(Kh and the reductivity residual together) and [m, m].
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .liealg import (
     RealizedAlgebra,
     _eij,
     _floats,
+    _rot,
     gram_schmidt,
     quat_block,
     quat_unit,
@@ -130,26 +132,30 @@ class CosetSpace:
         self.t_m = orthocomplement_in_t(alg.spec, self.cartan_h)
         self.projection = t_cap_h_projection(alg.spec, tuple(self.t_m))
 
-        self._verify()
+        self._kh = self._verify()
         self._hat = None
         self._tensors = self._brackets = None
 
     # -- verification -----------------------------------------------------
-    def _verify(self):
+    def _verify(self) -> np.ndarray:
+        """Check closure, orthogonality, reductivity and t cap m; returns Kh, the
+        m-part of the one [h, m] pass, whose h-part is the reductivity residual."""
         off = self.algebra.bracket_coords(self.h_basis, self.h_basis, self._m_co)
         worst = float(np.linalg.norm(off, axis=-1).max()) if off.size else 0.0
         if worst > CLOSURE_TOL:  # the part of each [h_i, h_j] in m
             raise ValueError(f"not a subalgebra: bracket closure residual {worst:.2e}")
         if self.dim_h and np.abs(self._h_co @ self._m_co.T).max() > ORTHO_TOL:
             raise AssertionError("h and m are not orthogonal")
-        hm = self.algebra.bracket_coords(self.h_basis, self.m_basis, self._h_co)
-        worst = float(np.linalg.norm(hm, axis=-1).max()) if hm.size else 0.0
+        hm = self.algebra.bracket_coords(self.h_basis, self.m_basis,
+                                         np.vstack([self._m_co, self._h_co]))
+        worst = float(np.linalg.norm(hm[..., self.dim_m:], axis=-1).max()) if hm.size else 0.0
         if worst > REDUCTIVE_TOL:
             raise AssertionError(f"reductive condition violated: {worst:.2e}")
         for tv in self.t_m:  # the h-part of each t cap m vector vanishes
             c = self.algebra.coords(self.embed(tv))
             if np.linalg.norm(self._h_co @ c) > 1e-9 * max(1.0, np.linalg.norm(c)):
                 raise AssertionError("exact t cap m does not match matrix complement")
+        return np.ascontiguousarray(hm[..., :self.dim_m])
 
     # -- coordinates --------------------------------------------------------
     def embed(self, tv: TVec) -> AlgebraElement:
@@ -171,9 +177,8 @@ class CosetSpace:
     def structure_tensors(self):
         """(Cm, Ch, Kh): m-m brackets onto m and h, and h-m brackets onto m."""
         if self._tensors is None:
-            alg = self.algebra
-            mm = alg.bracket_coords(self.m_basis, self.m_basis,
-                                    np.vstack([self._m_co, self._h_co]))
+            mm = self.algebra.bracket_coords(self.m_basis, self.m_basis,
+                                             np.vstack([self._m_co, self._h_co]))
             # keep the i < j brackets and mirror them, so Cm and Ch are
             # exactly antisymmetric in their first two slots
             upper = np.triu(np.ones((self.dim_m, self.dim_m), dtype=bool), 1)
@@ -181,8 +186,7 @@ class CosetSpace:
             mm = mm - mm.transpose(1, 0, 2)
             Cm = np.ascontiguousarray(mm[..., :self.dim_m])
             Ch = np.ascontiguousarray(mm[..., self.dim_m:])
-            Kh = alg.bracket_coords(self.h_basis, self.m_basis, self._m_co)
-            self._tensors = (Cm, Ch, Kh)
+            self._tensors = (Cm, Ch, self._kh)  # Kh from the [h, m] pass of _verify
         return self._tensors
 
     def bracket_matrices(self):
@@ -223,7 +227,7 @@ class CosetSpace:
         of its lifted root."""
         spec = self.algebra.spec
         return {lift_root(spec, f.index, r).canonical_sign(): self.plane_kind(f.index, r)
-                for f in self.algebra.factors for r in f.planes}
+                for f in self.algebra.factors for r in f.plane_keys}
 
     def __repr__(self):
         return f"CosetSpace({self.name}: dim g={self.dim_g}, dim h={self.dim_h}, dim m={self.dim_m})"
@@ -252,7 +256,7 @@ def _build_hat(space: CosetSpace) -> list:
     lexicographic order."""
     zero, groups = [], {}
     for f in space.algebra.factors:
-        for root in f.planes:
+        for root in f.plane_keys:
             pr = space.projection.pr_h(lift_root(space.algebra.spec, f.index, root))
             group = zero if pr.is_zero() else groups.setdefault(pr.canonical_sign(), [])
             group.append((f.index, root))
@@ -307,18 +311,6 @@ def rank_check(space: CosetSpace):
 # Named presets
 # ---------------------------------------------------------------------------
 
-def _so_generators(algebra: RealizedAlgebra, factor: int, rows: list) -> list:
-    f = algebra.factors[factor]
-    out = []
-    for ia, a in enumerate(rows):
-        for b in rows[ia + 1:]:
-            m = np.zeros((f.size, f.size))
-            m[a, b] = 1.0
-            m[b, a] = -1.0
-            out.append(algebra.single_block(factor, m))
-    return out
-
-
 def _negclose(vectors: Iterable[TVec]) -> tuple:
     """The vectors and their negatives, each once, in order of appearance."""
     return tuple(dict.fromkeys(w for v in vectors for w in (v, -v)))
@@ -330,7 +322,8 @@ def preset_sphere_so2n(n: int) -> CosetSpace:
         raise ValueError("sphere_so2n needs n >= 3")
     spec = AlgebraSpec((("D", n, Fraction(1)),))
     alg = realize(spec)
-    gens = _so_generators(alg, 0, list(range(1, 2 * n)))
+    gens = [alg.single_block(0, _rot(2 * n, a, b))  # so(2n-1) on the rows 1, ..., 2n-1
+            for a in range(1, 2 * n) for b in range(a + 1, 2 * n)]
     cart = [lift_root(spec, 0, sparse_tvec("D", n, (i, 1))) for i in range(1, n)]
     h_roots = [lift_root(spec, 0, r) for r in _subblock_roots("D", n, 1)]
     sub = SubalgebraSpec(cartan_h=tuple(cart), extra_generators=tuple(gens))
@@ -441,9 +434,7 @@ def preset_berger_sp2() -> CosetSpace:
             for i, T in enumerate(sym_basis):
                 m[i, j] = float((img * T).sum())
         return m
-    Lz = _eij(3, 0, 1, float) - _eij(3, 1, 0, float)
-    Lx = _eij(3, 1, 2, float) - _eij(3, 2, 1, float)
-    Ly = _eij(3, 2, 0, float) - _eij(3, 0, 2, float)
+    Lz, Lx, Ly = _rot(3, 0, 1), _rot(3, 1, 2), _rot(3, 2, 0)
     target = np.zeros((5, 5))  # embed of the exact Cartan direction (-1, 2)
     target[1, 2], target[2, 1] = -1.0, 1.0
     target[3, 4], target[4, 3] = 2.0, -2.0
@@ -575,7 +566,7 @@ def space_from_json(obj: dict) -> CosetSpace:
             if not 0 <= factor < len(spec.factors):
                 raise ValueError(f"h_roots: no factor {factor}")
             r = root(*spec.factors[factor][:2], *map(QNum.from_json, entry["root"]))
-            if r.canonical_sign() not in alg.factors[factor].planes:
+            if r.canonical_sign() not in alg.factors[factor].plane_keys:
                 raise ValueError(f"h_roots: {lattice_block(r, r.spec.weights)} "
                                  f"is not a root of factor {factor}")
             h_roots.append((factor, r))

@@ -44,6 +44,9 @@ real LU solve calls, two norm evaluations and one cartan_pair call (at p; the
 frame at u is its real part), one with eta = 0 two solves, one norm evaluation
 and no cartan_pair.  A Gram matrix that every row shares (Quadratic; then g_p =
 g_u and C = 0) is gated and inverted once per norm (norm.inverse), no LU solve.
+The commutative-pair route evaluates and gates the norm once, at u as a
+one-row stack, and solves eta and U(u, v) with one solver: one Cholesky gate
+and two LU solves with Gram matrices per row, none with a shared one.
 
 Tolerance ladder: exactness 1e-12, linear-solve residual 1e-10, route
 comparisons (commutative pair against invariant frame) 1e-5 relative; the
@@ -81,6 +84,7 @@ class CurvatureReport:
     fd_step: float = 0.0
     cross_check_k: Optional[float] = None
     cross_check_rel_err: Optional[float] = None
+    u_norm: Optional[float] = None  # |U(u, v)|_u, on the commutative-pair route
 
 
 class CurvatureEngine:
@@ -252,39 +256,47 @@ class CurvatureEngine:
             raise out[0]
         return out[0] if u.ndim == 1 else out
 
+    def _u(self, solve, bu, gu, gv, v):
+        """U(u, v) = g_u^-1 (B_u g_u v + B_v g_u u) / 2 from g_u^-1 (solve), B_u, g_u u, g_u v."""
+        return solve(0.5 * (_mv(bu, gv) + _mv(self._ad(v), gu)))
+
     def u_map(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The bilinear map U(u, v), solved against the basis."""
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
         if u.ndim == 1:  # a one-row stack, as in eta
             return self.u_map(u[None], v[None])[0]
         g = self._gram(u)
-        rhs = 0.5 * (_mv(self._ad(u), _mv(g, v)) + _mv(self._ad(v), _mv(g, u)))
-        return self._solver(g)(rhs)
+        return self._u(self._solver(g), self._ad(u), _mv(g, u), _mv(g, v), v)
 
     def flag_curvature_commutative(self, u: np.ndarray, v: np.ndarray,
                                    cross_check: bool = True) -> CurvatureReport:
         """Commutative-pair flag curvature K = |U(u,v)|_u^2 / area^2; needs
-        [u, v] = 0 and eta(u) = 0 (within tolerances), raises otherwise."""
+        [u, v] = 0 and eta(u) = 0 (within tolerances), raises otherwise.  The
+        norm is evaluated and gated once, at u as a one-row stack, and eta
+        and U(u, v) share its solver."""
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
         br = self.br_full_norm(u, v)
         scale = float(np.linalg.norm(u) * np.linalg.norm(v))
         if br > COMMUTE_TOL * max(scale, 1.0):
             raise ValueError("commutative-pair formula inapplicable: [u,v] != 0")
-        g = self._gram(u[None]).reshape(len(u), len(u))  # gated as a one-row stack
-        eta, resid = self.eta(u, _g=g)
-        if np.linalg.norm(eta) > ETA_HYP_TOL * max(float(np.linalg.norm(u)), 1.0):
+        u, v = u[None], v[None]
+        g = self._gram(u)
+        solve, gu, bu, eta, resid = self.eta(u, _g=g, _parts=True)
+        speed = float(np.linalg.norm(eta))
+        if speed > ETA_HYP_TOL * max(float(np.linalg.norm(u)), 1.0):
             raise ValueError("commutative-pair formula inapplicable: eta(u) != 0")
-        denom, ok = self._flag_gate(u, v, _mv(g, u), _mv(g, v))
-        if not ok:
+        gv = _mv(g, v)
+        denom, ok = self._flag_gate(u, v, gu, gv)
+        if not ok[0]:
             raise ValueError(REASONS[DEGENERATE])
-        uu = self.u_map(u, v)
-        k = float(_dot(uu, _mv(g, uu)) / denom)
-        rep = CurvatureReport(k=k, method="commutative-pair", eta_norm=float(np.linalg.norm(eta)),
-                              solve_residual=float(resid))
+        uv = self._u(solve, bu, gu, gv, v)
+        unorm2 = _dot(uv, _mv(g, uv))[0]
+        rep = CurvatureReport(float(unorm2 / denom[0]), "commutative-pair", speed,
+                              float(resid[0]), u_norm=float(np.sqrt(unorm2)))
         if cross_check:
-            general = self.flag_curvature(u, v)
+            general = self.flag_curvature(u[0], v[0])
             rep.cross_check_k = general.k
-            rep.cross_check_rel_err = abs(general.k - k) / max(abs(k), abs(general.k), 1.0)
+            rep.cross_check_rel_err = abs(general.k - rep.k) / max(abs(rep.k), abs(general.k), 1.0)
         return rep
 
 
@@ -359,13 +371,11 @@ def verify_exclusion_witness(space: CosetSpace, seed: int = 0) -> dict:
     nrm = random_invariant_norm(space, seed)
     eng = CurvatureEngine(space, nrm)
     u, v = exclusion_witness_pair(space, nrm)
-    uu = eng.u_map(u, v)
-    g = nrm.gram(u)
     rep = eng.flag_curvature_commutative(u, v)
     return {
         "space": space.name,
         "seed": seed,
-        "u_map_norm": float(np.sqrt(uu @ g @ uu)),
+        "u_map_norm": rep.u_norm,
         "K_commutative": rep.k,
         "K_general": rep.cross_check_k,
         "eta_norm": rep.eta_norm,

@@ -7,14 +7,16 @@ a + b j being [[a, b], [-conj b, conj a]].  The bi-invariant inner product
 is -Re tr(xy) per factor, normalized so that the Cartan generators realize
 the root-system coordinates isometrically (factor 1/2 for the orthogonal
 and symplectic families), with an optional positive scale per factor and
-the Euclidean product on the abelian part.  Coordinates over the
-orthonormal ambient basis are one product with its cached dual matrix, and
-the brackets of many pairs are one broadcast matmul per factor, taken in
-chunks of bounded size.  Gram-Schmidt skips each projection whose inner
-product is exactly zero because the nonzero entries of the two elements
-never meet (entry (i, j) of one against entry (j, i) of the other, plus
-the abelian parts); its output is bit for bit that of the loop that takes
-every projection, and it stops once it holds dim g elements.
+the Euclidean product on the abelian part.  A factor knows the canonical
+root of each of its planes (`plane_keys`, in root order) and builds a plane
+on its first lookup, so a space builds only the planes it reads.
+Coordinates over the orthonormal ambient basis are one product with its
+cached dual matrix, and the brackets of many pairs are one broadcast matmul
+per factor, taken in chunks of bounded size.  Gram-Schmidt skips each
+projection whose inner product is exactly zero because the nonzero entries
+of the two elements never meet (entry (i, j) of one against entry (j, i) of
+the other, plus the abelian parts); its output is bit for bit that of the
+loop that takes every projection, and it stops once it holds dim g elements.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ PAIR_CHUNK = 1 << 17
 # below 2**501, so every sum of squares the matrices take stays finite
 MAX_LATTICE_COORD = 2 ** 501
 MAX_SCALE = 2 ** 20  # factor and abelian scales s: 1/MAX_SCALE <= s <= MAX_SCALE
+DROP_TOL = 1e-10  # norm of the residual below which gram_schmidt drops an element
 
 
 def _floats(v: TVec) -> tuple:
@@ -118,6 +121,11 @@ def _eij(n: int, i: int, j: int, dtype) -> np.ndarray:
     return m
 
 
+def _rot(n: int, i: int, j: int, dtype=float) -> np.ndarray:
+    """E_ij - E_ji, the generator of the rotations of the (i, j) plane."""
+    return _eij(n, i, j, dtype) - _eij(n, j, i, dtype)
+
+
 def quat_block(a, b) -> np.ndarray:
     """The complex 2n x 2n block of the quaternion matrix a + b j, where
     a = w + x i and b = y + z i are complex n x n."""
@@ -150,11 +158,7 @@ class RealizedAlgebra:
         if not all(1 / MAX_SCALE <= s <= MAX_SCALE for s in scales):
             raise ValueError("a factor or abelian scale lies outside [2^-20, 2^20]")
         self.spec = spec
-        self.factors = []
-        for idx, (fam, rank, scale) in enumerate(spec.factors):
-            self.factors.append(_FactorRealization(self, idx, fam, rank, scale))
-        for f in self.factors:
-            f.init_planes()
+        self.factors = [_FactorRealization(self, idx, *f) for idx, f in enumerate(spec.factors)]
         self.dim = sum(f.dim for f in self.factors) + spec.abelian_dim
         self._ambient_basis: Optional[list] = None
         self._dual: Optional[np.ndarray] = None
@@ -300,13 +304,9 @@ class _FactorRealization:
         self.flat_len = self.size ** 2 * (2 if self.dtype is complex else 1)
         ncart = rank + 1 if fam == "A" else rank  # A uses ambient coordinates
         self.cartan = [self._cartan_matrix(i) for i in range(ncart)]
-        self.planes = {}
-
-    def init_planes(self):
-        for root in self.root_system.roots:
-            key = root.canonical_sign()
-            if key not in self.planes:
-                self.planes[key] = self._build_plane(key)
+        # canonical root of each plane -> the plane, built when first read
+        self._planes = dict.fromkeys(r.canonical_sign() for r in self.root_system.roots)
+        self.plane_keys = tuple(self._planes)  # in root order, by first appearance
 
     # -- block-level helpers ----------------------------------------------
     def zero_block(self):
@@ -331,13 +331,9 @@ class _FactorRealization:
         n = self.size
         if self.family == "A":
             return 1j * _eij(n, i, i, complex)
-        if self.family == "B":
-            # rows 2i+1, 2i+2 in zero-based indexing (row 0 is the extra axis)
-            a, b = 2 * i + 1, 2 * i + 2
-            return _eij(n, a, b, float) - _eij(n, b, a, float)
-        if self.family == "D":
-            a, b = 2 * i, 2 * i + 1
-            return _eij(n, a, b, float) - _eij(n, b, a, float)
+        if self.family in ("B", "D"):  # rows 2i, 2i+1, one higher in B (row 0: the extra axis)
+            a = 2 * i + (self.family == "B")
+            return _rot(n, a, a + 1)
         return quat_unit(self.rank, "x", [(i, i, 1)])  # sp: i*E_ii
 
     def cartan_block(self, v: Optional[TVec]):
@@ -370,12 +366,12 @@ class _FactorRealization:
                 put(d)
             for i in range(n):
                 for j in range(i + 1, n):
-                    put(_eij(n, i, j, complex) - _eij(n, j, i, complex))
+                    put(_rot(n, i, j, complex))
                     put(1j * (_eij(n, i, j, complex) + _eij(n, j, i, complex)))
         elif self.family in ("B", "D"):
             for i in range(n):
                 for j in range(i + 1, n):
-                    put(_eij(n, i, j, float) - _eij(n, j, i, float))
+                    put(_rot(n, i, j))
         else:
             r = self.rank
             for i in range(r):
@@ -395,55 +391,26 @@ class _FactorRealization:
         f = self.family
         n = self.size
         cf = _floats(root)
+        nz = [k for k, c in enumerate(cf) if abs(c) > 0.5]  # the coordinates the root uses
         if f == "A":
-            idx = [k for k, c in enumerate(cf) if abs(c) > 0.5]
-            i, j = idx
+            i, j = nz
             if cf[i] < 0:
                 i, j = j, i
-            return (
-                _eij(n, i, j, complex) - _eij(n, j, i, complex),
-                1j * (_eij(n, i, j, complex) + _eij(n, j, i, complex)),
-            )
+            return _rot(n, i, j, complex), 1j * (_eij(n, i, j, complex) + _eij(n, j, i, complex))
         if f in ("B", "D"):
             off = 1 if f == "B" else 0
 
             def rows(k):  # zero-based row pair carrying e_{k+1}
                 return 2 * k + off, 2 * k + off + 1
 
-            nz = [k for k, c in enumerate(cf) if abs(c) > 0.5]
             if len(nz) == 1:
-                k = nz[0]
-                a, b = rows(k)
-                return (
-                    _eij(n, a, 0, float) - _eij(n, 0, a, float),
-                    _eij(n, b, 0, float) - _eij(n, 0, b, float),
-                )
-            ki, kj = nz
-            ai, bi = rows(ki)
-            aj, bj = rows(kj)
-            same = cf[ki] * cf[kj] < 0  # e_i - e_j type
-            if same:
-                x = (
-                    _eij(n, ai, aj, float) + _eij(n, bi, bj, float)
-                    - _eij(n, aj, ai, float) - _eij(n, bj, bi, float)
-                )
-                y = (
-                    _eij(n, ai, bj, float) - _eij(n, bi, aj, float)
-                    + _eij(n, aj, bi, float) - _eij(n, bj, ai, float)
-                )
-            else:
-                x = (
-                    _eij(n, ai, aj, float) - _eij(n, bi, bj, float)
-                    - _eij(n, aj, ai, float) + _eij(n, bj, bi, float)
-                )
-                y = (
-                    _eij(n, ai, bj, float) + _eij(n, bi, aj, float)
-                    - _eij(n, aj, bi, float) - _eij(n, bj, ai, float)
-                )
-            return x, y
+                a, b = rows(nz[0])
+                return _rot(n, a, 0), _rot(n, b, 0)
+            (ai, bi), (aj, bj) = rows(nz[0]), rows(nz[1])
+            s = float(np.sign(cf[nz[0]] * cf[nz[1]]))  # -1 for e_i - e_j, +1 for e_i + e_j
+            return _rot(n, ai, aj) - s * _rot(n, bi, bj), _rot(n, ai, bj) + s * _rot(n, bi, aj)
         # sp(n): quaternion units of the rank x rank presentation
         r = self.rank
-        nz = [k for k, c in enumerate(cf) if abs(c) > 0.5]
         if len(nz) == 1:
             i = nz[0]
             return quat_unit(r, "y", [(i, i, 1)]), quat_unit(r, "z", [(i, i, 1)])
@@ -479,12 +446,16 @@ class _FactorRealization:
         return RootPlanePair(self.index, root, x, y)
 
     def plane(self, root: TVec) -> RootPlanePair:
-        """The plane of a root of this factor's unit spec (ValueError for a
-        vector of any other spec, even one with the same coordinates)."""
+        """The plane of a root of this factor's unit spec, built on first
+        read (ValueError for a vector of any other spec, even one with the
+        same coordinates; KeyError for a vector that is not a root)."""
         if root.spec != self.root_system.spec:
             raise ValueError(f"{root!r} is not a vector of the root lattice of "
                              f"factor {self.family}{self.rank}")
-        return self.planes[root.canonical_sign()]
+        key = root.canonical_sign()
+        if self._planes[key] is None:
+            self._planes[key] = self._build_plane(key)
+        return self._planes[key]
 
 
 def realize(spec: AlgebraSpec) -> RealizedAlgebra:
@@ -508,10 +479,10 @@ def _signed_zero(alg: RealizedAlgebra, negative: np.ndarray) -> AlgebraElement:
     return AlgebraElement(alg, blocks, flat[len(flat) - alg.spec.abelian_dim:])
 
 
-def gram_schmidt(alg: RealizedAlgebra, elements: Iterable[AlgebraElement],
-                 tol: float = 1e-10) -> list:
+def gram_schmidt(alg: RealizedAlgebra, elements: Iterable[AlgebraElement]) -> list:
     """Orthonormalize under the bi-invariant inner product, dropping
-    numerically dependent elements: modified Gram-Schmidt in two passes, up to dim g.
+    numerically dependent elements (residual norm at most DROP_TOL):
+    modified Gram-Schmidt in two passes, up to dim g.
 
     A projection whose inner product is zero by support is skipped, and the
     output is bit for bit that of the loop that takes every projection.
@@ -551,7 +522,7 @@ def gram_schmidt(alg: RealizedAlgebra, elements: Iterable[AlgebraElement],
         if flips.any():
             v = v - _signed_zero(alg, flips)
         nv = v.norm()
-        if nv > tol:
+        if nv > DROP_TOL:
             b = (1.0 / nv) * v
             meets[n], supports[n] = _support(b, transpose=True), _support(b)
             signs[n] = np.signbit(alg._flat(0.0 * b))

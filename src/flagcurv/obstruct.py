@@ -169,14 +169,11 @@ class RootLevelSpace:
     w: TVec                # spans t cap m
     h_roots: frozenset
     assignment: dict
+    tables: ProjectionTables = field(repr=False, compare=False)  # of (spec, w), shared by copies
     name: str = ""
-    # the tables of (spec, w), shared by copies
-    tables: Optional[ProjectionTables] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        proj = self.projection = t_cap_h_projection(self.spec, (self.w,))
-        if self.tables is None or self.tables.projection is not proj:
-            self.tables = ProjectionTables(proj, self.root_data)
+        proj = self.projection = self.tables.projection
         self.pr_scale = proj.scale  # c = D(w, w)
         self.scaled, self.unscaled = proj.scaled, proj.unscaled
 
@@ -198,22 +195,19 @@ class RootLevelSpace:
 
 
 def make_root_level_space(spec: AlgebraSpec, w: TVec, h_roots: Iterable[TVec] = (),
-                          name: str = "", h_perp: bool = False,
-                          shadows: Iterable[TVec] = ()) -> RootLevelSpace:
+                          name: str = "", h_perp: bool = False) -> RootLevelSpace:
     """Root-level space of spec with t cap m spanned by w, every plane
-    unassigned.  Delta_h holds h_roots, the projections to t cap h of the
-    roots in shadows and, with h_perp, every root in t cap h, each with its
-    negative (a root's from the root data); shadows and h_perp read the
-    projection tables."""
+    unassigned.  Delta_h holds h_roots and, with h_perp, every root in t cap h
+    (read off the projection tables), each with its negative (a root's from
+    the root data)."""
     rd = _root_data(spec)
     tables = ProjectionTables(t_cap_h_projection(spec, (w,)), rd)
     hset = set(h_roots)
-    hset.update(tables.projection.unscaled(tables.pr_roots[r]) for r in shadows)
     hset.update([rd.negative.get(v) or -v for v in hset])
     if h_perp:
         hset |= tables.t_h
-    return RootLevelSpace(spec, rd, w, frozenset(hset), dict.fromkeys(rd.keys), name=name,
-                          tables=tables)
+    return RootLevelSpace(spec, rd, w, frozenset(hset), dict.fromkeys(rd.keys), tables,
+                          name=name)
 
 
 def root_level_from_coset(space: CosetSpace) -> RootLevelSpace:
@@ -620,8 +614,8 @@ def _check_root_facts(space: RootLevelSpace, payload: dict) -> bool:
         "not_root": lambda v: v not in roots,
         "orthogonal": lambda u, v: not tvec_dot(spec, u, v),
         # the roots orthogonal to t_prime form a subsystem of the given size
-        "centralizer_subsystem": lambda t_prime, size: size == sum(
-            map(t_cap_h_projection(spec, tuple(t_prime)).in_t_h, roots)),
+        "centralizer_subsystem": lambda t_prime, size: size == _centralizer_size(
+            spec, roots, t_prime),
         "assignment_consistent": lambda: _assignment_consistent(space),
     }
     for tag, *args in payload.get("facts", []):
@@ -630,6 +624,13 @@ def _check_root_facts(space: RootLevelSpace, payload: dict) -> bool:
         if not holds[tag](*args):
             return False
     return True
+
+
+def _centralizer_size(spec: AlgebraSpec, roots, t_prime) -> int:
+    """How many of roots r have D(t, r) = 0 for every t of t_prime, read off
+    the integer Gram forms spec.gram * t."""
+    forms = [tuple(map(mul, spec.gram, t)) for t in t_prime]
+    return sum(not any(sum(map(mul, f, r)) for f in forms) for r in roots)
 
 
 def _bracket_images(space: RootLevelSpace):
@@ -993,11 +994,15 @@ def case2_space(g2_family: str, g2_rank: int, beta: TVec,
                 name: str = "") -> RootLevelSpace:
     """Case-II candidate: g = A1 + g2 with the diagonal h-root pairing the
     A1-root with beta; Delta_h holds the g2-roots orthogonal to beta (those
-    in t cap h, as w = alpha - beta) plus the common projection."""
+    in t cap h, as w = alpha - beta) plus the common projection, which for
+    orthogonal alpha, beta is (|beta|^2 alpha + |alpha|^2 beta) / |w|^2, so
+    that no root is projected outside the tables' pass."""
     spec = unit_spec((("A", 1), (g2_family, g2_rank)))
     alpha = lift_root(spec, 0, sparse_tvec("A", 1, (0, 1), (1, -1)))
-    w = alpha - lift_root(spec, 1, beta)
-    return make_root_level_space(spec, w, name=name, h_perp=True, shadows=[alpha])
+    beta = lift_root(spec, 1, beta)
+    a, b = tvec_dot(spec, alpha, alpha), tvec_dot(spec, beta, beta)
+    common = alpha.scale(b / (a + b)) + beta.scale(a / (a + b))
+    return make_root_level_space(spec, alpha - beta, [common], name=name, h_perp=True)
 
 
 def classify_case2(space: RootLevelSpace) -> Verdict:

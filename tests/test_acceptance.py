@@ -89,13 +89,13 @@ def test_acceptance_2_matrix_algebra_integrity(random_element):
                 assert jac.norm() < tol
                 assert abs(alg.inner(alg.bracket(x, y), z) + alg.inner(y, alg.bracket(x, z))) < tol
             f = alg.factors[0]
-            planes = list(f.planes.values())
+            planes = [f.plane(k) for k in f.plane_keys]
             for p, q in itertools.combinations(planes, 2):
                 targets = []
                 for s in (1, -1):
                     key = (p.root + q.root.scale(s)).canonical_sign()
-                    if key in f.planes:
-                        tp = f.planes[key]
+                    if key in f.plane_keys:
+                        tp = f.plane(key)
                         targets.extend([tp.x.copy(), tp.y.copy()])
                 span = gram_schmidt(alg, targets) if targets else []
                 for a in (p.x, p.y):

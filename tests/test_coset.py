@@ -387,3 +387,66 @@ def test_tvec_canonical_sign_reads_the_exact_leading_coordinate():
     assert v.canonical_sign() == v
     assert (-v).canonical_sign() == v
 
+
+
+# -- work counts: each numeric object once --------------------------------------
+
+@pytest.mark.parametrize("text", ["cn_excluded_subcase1(3)", "sphere_spn_sp1(2)",
+                                  "aloff_wallach(1,2)"])
+def test_a_space_takes_one_bracket_pass_per_kind_of_pair(monkeypatch, text):
+    """Tooling guard: building a space and reading its structure tensors takes
+    three bracket_coords passes: [h, h] onto m (closure), [h, m] onto m and h
+    (Kh and the reductivity residual at once) and [m, m] onto m and h."""
+    calls = []
+    bracket_coords = liealg.RealizedAlgebra.bracket_coords
+    monkeypatch.setattr(liealg.RealizedAlgebra, "bracket_coords", lambda alg, xs, ys, rows: (
+        calls.append((len(xs), len(ys), len(rows))) or bracket_coords(alg, xs, ys, rows)))
+    sp = parse_preset(f"preset:{text}")
+    sp.structure_tensors()
+    h, m = sp.dim_h, sp.dim_m
+    assert calls == [(h, h, m), (h, m, m + h), (m, m, m + h)]
+
+
+@pytest.mark.parametrize("text,planes", [
+    ("sphere_so2n(4)", 0), ("sphere_un(4)", 3), ("berger_sp2", 0),
+    ("bn_excluded_subcase1(2)", 1), ("cn_excluded_subcase1(3)", 2),
+])
+def test_a_preset_builds_only_the_planes_it_reads(monkeypatch, text, planes):
+    """Tooling guard: a preset builds the root planes of its h generators,
+    sampling flags builds none, a witness pair its two planes and
+    plane_assignment every plane, each plane once."""
+    from flagcurv.curvature import exclusion_witness_pair, sample_flags
+    from flagcurv.norms import Quadratic
+
+    built = []
+    build = liealg._FactorRealization._build_plane
+    monkeypatch.setattr(liealg._FactorRealization, "_build_plane",
+                        lambda f, r: built.append((f.index, r)) or build(f, r))
+    sp = parse_preset(f"preset:{text}")
+    assert len(built) == planes
+    sample_flags(sp, Quadratic(np.eye(sp.dim_m)), 5, 0)
+    assert len(built) == planes
+    if sp.witness_planes:
+        exclusion_witness_pair(sp, Quadratic(np.eye(sp.dim_m)))
+        assert len(built) == planes + 2
+    sp.plane_assignment()
+    assert sorted(built) == sorted({(f.index, k) for f in sp.algebra.factors
+                                    for k in f.plane_keys})
+
+
+def test_a_plane_a_thousandth_into_h_is_split():
+    """plane_kind's 1e-9 test: h spanned by z + 1e-3 x_alpha, z the unit x of
+    another root plane (so h is orthogonal to t), leaves the plane of alpha
+    m-norms 1 - 5e-7 and 1, which is 'split', not 'm'."""
+    from flagcurv.coset import space_from_json
+
+    spec = AlgebraSpec((("B", 2, Fraction(1)),))
+    f = realize(spec).factors[0]
+    alpha, other = root("B", 2, 1, 0), root("B", 2, 0, 1)
+    gen = f.plane(other).x.blocks[0] + 1e-3 * f.plane(alpha).x.blocks[0]
+    sp = space_from_json({"algebra": spec.to_json(), "extra_generators": [
+        {"blocks": [{"kind": "real", "data": gen.tolist()}]}]})
+    xin, yin = np.linalg.norm(sp.plane_m(0, alpha), axis=1)
+    assert abs(xin - (1 - 5e-7)) < 1e-12 and abs(yin - 1) < 1e-12
+    assert sp.plane_kind(0, alpha) == "split"
+    assert sp.plane_kind(0, other) == "split" and sp.plane_kind(0, root("B", 2, 1, 1)) == "m"

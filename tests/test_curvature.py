@@ -492,3 +492,54 @@ def test_stacked_gates_reject_exactly_the_failing_rows(bn2):
     for i, rep in enumerate(out):
         if i not in rejected:
             assert rep == eng.flag_curvature(u[i], v[i])
+
+
+# -- the gates of the commutative-pair route, pinned on each side -----------------
+
+def _commuting_pair(bn2):
+    """The witness pair of bn2 under the bi-invariant metric: [u, v] = 0."""
+    return exclusion_witness_pair(bn2, Quadratic(np.eye(bn2.dim_m)))
+
+
+@pytest.mark.parametrize("level,raises", [(0.99e-10, False), (1.01e-10, True)])
+def test_the_commute_gate_sits_at_commute_tol(bn2, level, raises):
+    """COMMUTE_TOL = 1e-10: v + t x with |[u/2, t x]| = level and
+    |u/2| |v + t x| < 1, so the bound is COMMUTE_TOL itself; eta = 0 under
+    the normal metric."""
+    u, v = _commuting_pair(bn2)
+    eng = CurvatureEngine(bn2, Quadratic(np.eye(bn2.dim_m)))
+    x = np.random.default_rng(3).standard_normal(bn2.dim_m)
+    x -= (x @ v) * v
+    t = level / eng.br_full_norm(0.5 * u, x)
+    u, v = 0.5 * u, v + t * x
+    assert np.linalg.norm(u) * np.linalg.norm(v) < 1.0
+    assert eng.br_full_norm(u, v) == pytest.approx(level, rel=1e-4)
+    if raises:
+        with pytest.raises(ValueError, match=r"\[u,v\] != 0"):
+            eng.flag_curvature_commutative(u, v, cross_check=False)
+    else:
+        eng.flag_curvature_commutative(u, v, cross_check=False)
+
+
+@pytest.mark.parametrize("level,raises", [(0.99e-8, False), (1.01e-8, True)])
+def test_the_spray_gate_sits_at_eta_hyp_tol(bn2, level, raises):
+    """ETA_HYP_TOL = 1e-8: under Quadratic(I + eps S), S symmetric and not
+    Ad(H)-invariant, eta(u) = eps (I + eps S)^-1 B_u S u, linear in eps to
+    1e-8 relative; eps puts |eta(u)| at level with |u| < 1, and [u, v] = 0
+    holds for every norm."""
+    u, v = _commuting_pair(bn2)
+    u = 0.5 * u
+    s = np.random.default_rng(4).standard_normal((bn2.dim_m,) * 2)
+    s += s.T
+
+    def engine(eps):
+        return CurvatureEngine(bn2, Quadratic(np.eye(bn2.dim_m) + eps * s))
+
+    slope = np.linalg.norm(engine(1e-8).eta(u)[0]) / 1e-8
+    eng = engine(level / slope)
+    assert np.linalg.norm(eng.eta(u)[0]) == pytest.approx(level, rel=1e-4)
+    if raises:
+        with pytest.raises(ValueError, match=r"eta\(u\) != 0"):
+            eng.flag_curvature_commutative(u, v, cross_check=False)
+    else:
+        eng.flag_curvature_commutative(u, v, cross_check=False)

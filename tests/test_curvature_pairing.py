@@ -22,9 +22,10 @@ import pytest
 from fd_oracles import cartan_matrix
 from flagcurv.coset import SubalgebraSpec, build_coset, parse_preset
 from flagcurv.curvature import (ETA_ZERO_TOL, CurvatureEngine, CurvatureReport,
-                                exclusion_witness_pair)
+                                exclusion_witness_pair, verify_exclusion_witness)
 from flagcurv.liealg import AlgebraSpec, realize
-from flagcurv.norms import Quadratic, Randers, _mv, _vm, invariant_vectors, random_invariant_norm
+from flagcurv.norms import (Quadratic, Quartic, Randers, _mv, _vm, invariant_vectors,
+                            random_invariant_norm)
 
 # the flags-finsler and flags-normal presets of the benchmark
 FINSLER = ("sphere_un(3)", "sphere_spn_u1(2)", "sphere_spn_sp1(2)", "aloff_wallach(1,2)",
@@ -169,17 +170,18 @@ def test_one_flag_stack_counts_its_solves_and_norm_calls(monkeypatch, name, seed
 
 
 @pytest.mark.parametrize("seed,linalg", [
-    (0, {"cholesky": 2, "solve": 2}),  # random_invariant_norm: Quartic, g per row
-    (None, {"solve": 1}),  # Quadratic(I): gated and inverted when it was built
+    (0, {"cholesky": 1, "solve": 2}),  # random_invariant_norm: Quartic, g per row
+    (None, {}),  # Quadratic(I): gated and inverted when it was built
 ], ids=["quartic", "quadratic"])
 def test_the_commutative_route_inverts_no_gram_matrix_of_its_own(monkeypatch, seed, linalg):
-    """Tooling guard: flag_curvature_commutative gates g_u as a one-row
-    stack, so a per-row Gram matrix gets a Cholesky gate and its LU solves
-    (eta, then U(u, v)), never an inverse; only the shared g of a Quadratic
-    is inverted, by the norm, once."""
+    """Tooling guard: flag_curvature_commutative evaluates the norm once, at u
+    as a one-row stack, and gates it once, so a per-row Gram matrix gets one
+    Cholesky gate and two LU solves (eta, then U(u, v)), never an inverse;
+    the shared g of a Quadratic was gated and inverted when the norm was
+    built, so the route factors and solves nothing."""
     eng = _engine("bn_excluded_subcase1(2)", seed)
     u, v = exclusion_witness_pair(eng.space, random_invariant_norm(eng.space, 0))
-    calls = Counter()
+    calls, poles = Counter(), []
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -189,8 +191,35 @@ def test_the_commutative_route_inverts_no_gram_matrix_of_its_own(monkeypatch, se
 
     for key in LINALG:
         monkeypatch.setattr(np.linalg, key, counting(key, getattr(np.linalg, key)))
-    eng.flag_curvature_commutative(u, v, cross_check=False)
+    cls = type(eng.norm)
+    norm_pole = cls.pole
+    monkeypatch.setattr(cls, "pole",
+                        lambda norm, y: poles.append(np.shape(y)) or norm_pole(norm, y))
+    rep = eng.flag_curvature_commutative(u, v, cross_check=False)
     assert calls == linalg
+    assert poles == [(1, eng.space.dim_m)]
+    assert rep.u_norm == pytest.approx(np.sqrt(rep.k * _area2(eng, u, v)), rel=1e-9, abs=1e-12)
+
+
+def _area2(eng, u, v):
+    g = eng.norm.gram(u)
+    return (u @ g @ u) * (v @ g @ v) - (u @ g @ v) ** 2
+
+
+@pytest.mark.parametrize("name", ["bn_excluded_subcase1(2)", "a1a1_diagonal(1)",
+                                  "cn_excluded_subcase1(3)"])
+def test_the_witness_evaluates_the_norm_at_u_twice_before_its_cross_check(monkeypatch, name):
+    """Tooling guard: verify_exclusion_witness evaluates the norm at u once to
+    pick v and once on the commutative route, which hands it |U(u, v)|_u; the
+    cross-check (flag_curvature) is stubbed out here."""
+    sp, poles, norm_pole = _space(name), [], Quartic.pole  # random_invariant_norm's family
+    monkeypatch.setattr(Quartic, "pole",
+                        lambda norm, y: poles.append(np.shape(y)) or norm_pole(norm, y))
+    monkeypatch.setattr(CurvatureEngine, "flag_curvature",
+                        lambda eng, u, v: CurvatureReport(0.0, "stub"))
+    rep = verify_exclusion_witness(sp, 0)
+    assert poles == [(sp.dim_m,), (1, sp.dim_m)]
+    assert rep["u_map_norm"] < 1e-7 and rep["K_general"] == 0.0
 
 
 def test_a_stack_mixing_zero_and_nonzero_spray_gives_each_row_its_own_k():

@@ -12,7 +12,10 @@ spells only that class's method when the class defines one.  Methods are
 reported as `Class.method`; dunders are exempt, since the interpreter calls
 them.  EXEMPT names the definitions kept without a caller, each with its
 reason; an exemption whose name gains a caller or loses its definition fails
-too, so the list cannot go stale.
+too, so the list cannot go stale.  A plain name bound as a local of the
+function it appears in (an argument, an assignment or loop target, a nested
+def) spells that local, not a definition: a loop variable `value` calls no
+method `value`.
 """
 
 import ast
@@ -26,10 +29,32 @@ EXEMPT = (
     ("tvec_to_json", "the lattice JSON form that exclusion certificates will hold"),
     ("flag_curvature_commutative", "kept for flagcurv.__all__: the one-call form of "
      "the commutative-pair route; the program calls the CurvatureEngine method"),
-)
+    ("CurvatureEngine.u_map", "the one-off form of U(u, v): the commutative-pair route "
+     "solves U with the solver of its one norm evaluation, and tests check U against "
+     "connection_n"),
+) + tuple((f"{cls}.value", "F(y) is the definition that the homogeneity, reversibility "
+           "and Euler-identity tests check the closed-form Hessians against")
+          for cls in ("Quadratic", "Quartic", "Randers"))
 
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _local_names(tree) -> set:
+    """Ids of the Name nodes that spell a local of an enclosing function:
+    its arguments, the names it stores to and its nested defs."""
+    out = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (*_DEFS, ast.Lambda)):
+            continue
+        bound = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+        for node in ast.walk(fn) if not isinstance(fn, ast.Lambda) else ():
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+                bound.add(node.id)
+            elif isinstance(node, (*_DEFS, ast.ClassDef)) and node is not fn:
+                bound.add(node.name)
+        out.update(id(n) for n in ast.walk(fn) if isinstance(n, ast.Name) and n.id in bound)
+    return out
 
 
 def _uncalled(trees):
@@ -57,8 +82,9 @@ def _uncalled(trees):
     shadowed = functions & set(methods)
     called = set()
     for _, tree in trees:
+        local = _local_names(tree)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and id(node) not in local:
                 name = node.id
             elif isinstance(node, ast.Attribute):
                 name = node.attr
@@ -123,3 +149,16 @@ def test_guard_credits_only_the_receiver_class_method():
                     "class B:\n    def load(self):\n        return 2\n")
     demo = ast.parse("from flagcurv.m import A, B\nA.load(B())\n")
     assert _uncalled([(True, src), (False, demo)]) == ["B.load"]
+
+
+def test_guard_sees_through_a_local_that_spells_a_method():
+    """A loop variable `value` is a local of its function: it calls no
+    method `value`, while an attribute `norm.value` does."""
+    src = ast.parse("class Norm:\n    def value(self):\n        return 1\n"
+                    "    def size(self):\n        return 2\n"
+                    "def total(pairs, size=0):\n    for name, value in pairs:\n"
+                    "        size += value\n    return size\n")
+    demo = ast.parse("from flagcurv.m import Norm, total\ntotal([(1, Norm())])\n")
+    assert _uncalled([(True, src), (False, demo)]) == ["Norm.size", "Norm.value"]
+    demo = ast.parse("from flagcurv.m import Norm, total\ntotal([(1, Norm().value())])\n")
+    assert _uncalled([(True, src), (False, demo)]) == ["Norm.size"]

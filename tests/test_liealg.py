@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from flagcurv import coset
+from flagcurv import coset, liealg
 from flagcurv.liealg import AlgebraSpec, _eij, gram_schmidt, realize
 from flagcurv.rootsys import root, tvec_dot
 
@@ -165,13 +165,13 @@ def test_root_plane_bracket_containment(algebras, fam, rank):
     """[g_a, g_b] lies inside g_{a+b} + g_{a-b} for all root pairs."""
     alg = algebras[(fam, rank)]
     f = alg.factors[0]
-    planes = list(f.planes.values())
+    planes = [f.plane(k) for k in f.plane_keys]
     for p, q in itertools.combinations(planes, 2):
         targets = []
         for s in (1, -1):
             key = (p.root + q.root.scale(s)).canonical_sign()
-            if key in f.planes:
-                tp = f.planes[key]
+            if key in f.plane_keys:
+                tp = f.plane(key)
                 targets.extend([tp.x.copy(), tp.y.copy()])
         span = gram_schmidt(alg, targets) if targets else []
         for a in (p.x, p.y):
@@ -183,7 +183,7 @@ def test_root_plane_bracket_containment(algebras, fam, rank):
 def test_plane_self_bracket_spans_root_line(algebras, fam, rank):
     alg = algebras[(fam, rank)]
     f = alg.factors[0]
-    for p in f.planes.values():
+    for p in map(f.plane, f.plane_keys):
         h = alg.cartan_embed([p.root])
         for a, b in [(p.x, p.y)]:
             br = alg.bracket(a, b)
@@ -333,3 +333,66 @@ def test_gram_schmidt_rejects_an_element_of_another_algebra():
     a, b = (realize(AlgebraSpec((("A", 1, Fraction(1)),))) for _ in range(2))
     with pytest.raises(ValueError, match="algebra spec mismatch"):
         gram_schmidt(a, [a.factors[0].spanning_set()[0], b.factors[0].spanning_set()[1]])
+
+
+def test_gram_schmidt_keeps_a_residual_of_1e_8_and_drops_one_of_1e_12():
+    """The drop tolerance DROP_TOL = 1e-10 sits between the two residuals."""
+    alg = realize(AlgebraSpec((("B", 2, Fraction(1)),)))
+    a, b = alg.factors[0].spanning_set()[:2]  # orthonormal rotation generators
+    assert len(gram_schmidt(alg, [a, a + 1e-8 * b])) == 2
+    assert len(gram_schmidt(alg, [a, a + 1e-12 * b])) == 1
+
+
+# -- root planes, built on first read -----------------------------------------
+
+def test_a_plane_is_built_on_its_first_read_only(monkeypatch):
+    """Realizing a factor builds no plane; a root and its negative read one
+    plane, built once; a vector that is not a root raises KeyError."""
+    built = []
+    build = liealg._FactorRealization._build_plane
+    monkeypatch.setattr(liealg._FactorRealization, "_build_plane",
+                        lambda f, r: built.append(r) or build(f, r))
+    f = realize(AlgebraSpec((("B", 3, Fraction(1)),))).factors[0]
+    assert built == [] and len(f.plane_keys) == 9
+    r = root("B", 3, 0, 1, -1)
+    p = f.plane(r)
+    assert f.plane(-r) is p and p.root == r and built == [r]
+    with pytest.raises(KeyError):
+        f.plane(root("B", 3, 2, 0, 0))
+
+
+def _four_term_span(f, key):
+    """The explicit construction of a two-root plane of so(n): one branch of
+    four E_pq terms per matrix for each sign of c_i c_j."""
+    n, off = f.size, 1 if f.family == "B" else 0
+    cf = liealg._floats(key)
+    ki, kj = [k for k, c in enumerate(cf) if abs(c) > 0.5]
+    (ai, bi), (aj, bj) = ((2 * k + off, 2 * k + off + 1) for k in (ki, kj))
+
+    def e(p, q):
+        return _eij(n, p, q, float)
+
+    if cf[ki] * cf[kj] < 0:  # e_i - e_j
+        return (e(ai, aj) + e(bi, bj) - e(aj, ai) - e(bj, bi),
+                e(ai, bj) - e(bi, aj) + e(aj, bi) - e(bj, ai))
+    return (e(ai, aj) - e(bi, bj) - e(aj, ai) + e(bj, bi),
+            e(ai, bj) + e(bi, aj) - e(aj, bi) - e(bj, ai))
+
+
+@pytest.mark.parametrize("fam,rank", [("B", r) for r in range(2, 7)]
+                         + [("D", r) for r in range(3, 7)])
+def test_two_root_planes_match_the_four_term_construction(monkeypatch, fam, rank):
+    """The sign rule x = K(a_i, a_j) - s K(b_i, b_j), y = K(a_i, b_j) +
+    s K(b_i, a_j) gives every two-root plane of so(n) byte for byte: its
+    spanning matrices and the orthonormal, oriented plane built from them."""
+    spec = AlgebraSpec(((fam, rank, Fraction(1)),))
+    f, oracle = realize(spec).factors[0], realize(spec).factors[0]
+    monkeypatch.setattr(oracle, "_plane_span", lambda key: _four_term_span(oracle, key))
+    keys = [k for k in f.plane_keys if sum(map(bool, k)) == 2]
+    assert len(keys) == rank * (rank - 1)  # the planes of +-e_i +- e_j
+    for key in keys:
+        assert [m.tobytes() for m in f._plane_span(key)] \
+            == [m.tobytes() for m in _four_term_span(f, key)]
+        got, want = f.plane(key), oracle.plane(key)
+        assert got.x.blocks[0].tobytes() == want.x.blocks[0].tobytes()
+        assert got.y.blocks[0].tobytes() == want.y.blocks[0].tobytes()

@@ -26,6 +26,7 @@ from flagcurv.rootsys import (
     build_root_system,
     solve_exact,
     sparse_tvec,
+    t_cap_h_projection,
     tvec_dot,
     tvec_to_json,
     weyl_reflect,
@@ -415,6 +416,54 @@ def test_propagation_fixpoint_order_independent():
                 rule_order=order)
 
 
+def _b2_space(assignment):
+    """B2 with t cap m spanned by e1 and the h-root e2: the hat class of e2
+    holds the planes of e2 and e1 +- e2, and e1 projects to zero."""
+    spec = AlgebraSpec((("B", 2, Fraction(1)),))
+    sp = make_root_level_space(spec, lift_root(spec, 0, root("B", 2, 1, 0)),
+                               [lift_root(spec, 0, root("B", 2, 0, 1))])
+    sp.assignment.update({lift_root(spec, 0, root("B", 2, *r)): kind
+                          for r, kind in assignment.items()})
+    return sp
+
+
+def test_rule_f_pins_the_last_plane_of_a_hat_class():
+    out, trace = propagate_assignment(_b2_space({(1, 1): "m", (1, -1): "m"}))
+    assert trace == ["projection to t cap h vanishes: plane((1, 0)) := m",
+                     "last plane of h-root (0, -1): plane((0, 1)) := h"]
+    assert set(out.assignment.values()) == {"m", "h"}
+
+
+def test_rule_f_rejects_an_h_root_whose_hat_class_lies_in_m():
+    with pytest.raises(PropagationContradiction) as exc:
+        propagate_assignment(_b2_space({(1, 1): "m", (1, -1): "m", (0, 1): "m"}))
+    assert exc.value.trace[-1] == "h-root (0, -1): every plane of its hat class lies in m"
+
+
+def test_a_plane_forced_against_its_assignment_is_a_contradiction():
+    """[g_{e1+e2}, g_{e1}] lands in g_{e2} alone, so an m-plane e1 + e2
+    against the h-plane e1 forces e2 into m, where it is assigned h."""
+    with pytest.raises(PropagationContradiction) as exc:
+        propagate_assignment(_b2_space({(1, 1): "m", (1, 0): "h", (0, 1): "h"}))
+    assert exc.value.trace[-1] == ("bracket of plane((1, 1))=m with h-plane((1, 0)): "
+                                   "plane((0, 1)) forced m but already h")
+
+
+def test_the_centralizer_fact_counts_the_roots_in_t_cap_h():
+    """The root_combinatorial fact of every reduction row counts the roots
+    orthogonal to t' off the integer Gram forms, as the projection along t'
+    does."""
+    rows = [sc for fam, rank in (("B", 5), ("C", 5), ("F4", 4))
+            for sc in case3_subcases(fam, rank) if sc.kind == "reduction"]
+    assert {sc.family for sc in rows} == {"B", "C", "F4"}
+    for sc in rows:
+        spec, t_prime = sc.alpha.spec, sc.payload["t_prime"]
+        roots = obstruct._root_data(spec).root_set
+        want = sum(map(t_cap_h_projection(spec, tuple(t_prime)).in_t_h, roots))
+        assert obstruct._centralizer_size(spec, roots, t_prime) == want \
+            == sc.payload["subsystem_size"]
+
+
 # -- subcase tables ------------------------------------------------------------
 
 def test_enumerate_case3_survivors():
@@ -660,7 +709,7 @@ def test_plane_assignment_from_matrices():
         sp = preset(name, *params)
         assignment = sp.plane_assignment()
         for f in sp.algebra.factors:
-            for r in f.planes:
+            for r in f.plane_keys:
                 kind = sp.plane_kind(f.index, r)
                 assert assignment[lift_root(sp.algebra.spec, f.index, r).canonical_sign()] == kind
                 assert sp.plane_m(f.index, r).shape == (2, sp.dim_m)
