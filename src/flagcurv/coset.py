@@ -135,6 +135,7 @@ class CosetSpace:
         self._kh = self._verify()
         self._hat = None
         self._tensors = self._brackets = None
+        self._plane_ms = {}
 
     # -- verification -----------------------------------------------------
     def _verify(self) -> np.ndarray:
@@ -207,10 +208,13 @@ class CosetSpace:
         return self._hat
 
     def plane_m(self, factor: int, root: TVec) -> np.ndarray:
-        """The (2, dim m) m-coordinates of the x and y of a root plane; root
-        is a root of the factor's unit spec."""
-        p = self.algebra.factors[factor].plane(root)
-        return np.stack([self.to_m(p.x), self.to_m(p.y)])
+        """The (2, dim m) m-coordinates of the x and y of a root plane, read-only
+        and computed once per (factor, root); root is a root of the factor's unit spec."""
+        p = self.algebra.factors[factor].plane(root)  # raises for any other vector
+        if (factor, root) not in self._plane_ms:
+            self._plane_ms[factor, root] = rows = np.stack([self.to_m(p.x), self.to_m(p.y)])
+            rows.flags.writeable = False
+        return self._plane_ms[factor, root]
 
     def plane_kind(self, factor: int, root: TVec) -> str:
         """Where a root plane lies: 'h' (both m-norms 0), 'm' (both 1) or

@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import lapack_lite  # private but present, per numpy's test_public_api
 
 # singular values below this bound span the Ad(h)-invariant null spaces
 NULL_TOL = 1e-8
@@ -315,15 +316,26 @@ def check_invariance(norm: MinkowskiNorm, space) -> dict:
             "samples": INVARIANCE_SAMPLES}
 
 
-def _null_rows(stack: np.ndarray) -> np.ndarray:
+def _null_rows(stack: np.ndarray, owned: bool = False) -> np.ndarray:
     """Orthonormal rows spanning the null space of stack (singular values below
     NULL_TOL), all of R^n for no rows.  From MNTHR_RATIO rows per column on,
     dgesdd decomposes the R of stack = QR and then forms Q U_R; taking R here
-    skips Q and U and keeps the plain SVD's vt, so the seeded norms, bit for bit."""
+    skips Q and U and keeps the plain SVD's vt, so the seeded norms, bit for bit.
+    R comes from the dgeqrf that np.linalg.qr calls, with its workspace, from
+    numpy.linalg.lapack_lite: it factors stack.T as a C-ordered array (LAPACK's
+    column-major stack) in place, the buffer itself when the caller built it for
+    this call (owned, an F-ordered stack), else one copy (np.linalg.qr takes two)."""
     if not len(stack):
         return np.eye(stack.shape[1])
-    if len(stack) >= int(MNTHR_RATIO * stack.shape[1]):
-        stack = np.linalg.qr(stack, mode="r")
+    m, n = stack.shape
+    if m >= int(MNTHR_RATIO * n):
+        a = stack.T if owned else np.array(stack.T, float, order="C")
+        tau, query = np.empty(n), np.zeros(1)
+        lapack_lite.dgeqrf(m, n, a, m, tau, query, -1, 0)  # workspace query
+        lwork = max(1, n, int(query[0]))  # np.linalg.qr's workspace, so its blocking
+        if lapack_lite.dgeqrf(m, n, a, m, tau, np.empty(lwork), lwork, 0)["info"]:
+            raise np.linalg.LinAlgError("QR factorization of the invariance stack failed")
+        stack = np.triu(a[:, :n].T)
     _, sv, vt = np.linalg.svd(stack, full_matrices=False)
     return vt[sv < NULL_TOL]
 
@@ -343,7 +355,7 @@ def invariant_quadratic_space(space) -> list:
     cols = np.zeros((len(iu), len(Kh), d, d))
     cols[n, :, :, t] = Kh.transpose(2, 0, 1)[s] + 0.0
     cols[n, :, s, :] -= Kh.transpose(1, 0, 2)[t]
-    null = _null_rows(cols.reshape(len(iu), -1).T) + 0.0
+    null = _null_rows(cols.reshape(len(iu), -1).T, owned=True) + 0.0
     forms = np.zeros((len(null), d, d))
     forms[:, iu, ju] = forms[:, ju, iu] = null
     return list(forms)

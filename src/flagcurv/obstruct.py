@@ -92,7 +92,7 @@ def _factor_data(family: str, rank: int) -> tuple:
     return roots, tuple(zip(*roots)), negative, canonical
 
 
-@functools.lru_cache(maxsize=128)
+@functools.lru_cache(maxsize=None)
 def _root_data(spec: AlgebraSpec) -> RootData:
     """Root data of spec, built once per spec and shared read-only.  A
     lifted root's first nonzero coordinate is its factor root's, so each

@@ -450,3 +450,17 @@ def test_a_plane_a_thousandth_into_h_is_split():
     assert abs(xin - (1 - 5e-7)) < 1e-12 and abs(yin - 1) < 1e-12
     assert sp.plane_kind(0, alpha) == "split"
     assert sp.plane_kind(0, other) == "split" and sp.plane_kind(0, root("B", 2, 1, 1)) == "m"
+
+
+def test_plane_m_reads_each_plane_into_m_once():
+    """plane_m caches the m-coordinates of a plane, bit for bit those of
+    its x and y, as a read-only array."""
+    sp = preset("cn_excluded_subcase1", 3)
+    for f in sp.algebra.factors:
+        for r in f.plane_keys:
+            rows = sp.plane_m(f.index, r)
+            p = f.plane(r)
+            assert rows.tobytes() == np.stack([sp.to_m(p.x), sp.to_m(p.y)]).tobytes()
+            assert sp.plane_m(f.index, r) is rows
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0] = 1.0

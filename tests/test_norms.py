@@ -3,12 +3,14 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fd_oracles import cartan_matrix, fd_cartan, fd_g_inner
-from flagcurv.coset import preset
+from flagcurv import norms
+from flagcurv.coset import parse_preset, preset
 from flagcurv.norms import (
     MinkowskiNorm,
     Quadratic,
@@ -410,3 +412,77 @@ def test_even_multiple_blocks_may_couple():
     for k in (1, 3):  # odd multiples of the pole's level are orthogonal to g0
         worst = max(abs(x @ g @ y) for x in lvl[k] for y in hat[0].basis)
         assert worst < 1e-7
+
+
+def _seeded_stack(rows, sv, seed):
+    """A rows x len(sv) stack U diag(sv) V' with random orthonormal U and V,
+    and V: its column k is the direction of the singular value sv[k]."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((rows, len(sv))))[0]
+    v = np.linalg.qr(rng.standard_normal((len(sv), len(sv))))[0]
+    return (u * sv) @ v.T, v
+
+
+@pytest.mark.parametrize("rows", [20, 8])  # the QR path and the plain SVD path
+def test_null_tol_splits_1e9_from_1e7(rows):
+    """A singular value of 1e-9 is null and one of 1e-7 is not, on both paths
+    of _null_rows, so NULL_TOL is pinned from both sides."""
+    cols = 6
+    assert (rows >= int(norms.MNTHR_RATIO * cols)) == (rows == 20)
+    stack, v = _seeded_stack(rows, [1e-9, 1e-7, 1.0, 2.0, 3.0, 4.0], seed=rows)
+    null = norms._null_rows(stack)
+    assert np.linalg.norm(null @ v[:, 0]) == pytest.approx(1.0, abs=1e-6)
+    assert np.linalg.norm(null @ v[:, 1]) < 1e-6
+
+
+@pytest.mark.parametrize("shape", [(5, 1), (20, 6)])
+def test_null_rows_leave_a_stack_they_do_not_own_unchanged(shape):
+    """An (m, 1) stack is both C- and F-ordered and a tall C-ordered one is
+    its own buffer: neither is factored in place unless owned."""
+    stack = np.random.default_rng(3).standard_normal(shape)
+    before = stack.copy()
+    assert len(stack) >= int(norms.MNTHR_RATIO * shape[1])  # the QR path
+    norms._null_rows(stack)
+    assert np.array_equal(stack, before)
+
+
+def test_null_rows_raise_when_the_qr_factorization_fails(monkeypatch):
+    class FailingLapack:
+        @staticmethod
+        def dgeqrf(*args):
+            return {"info": -4}
+
+    monkeypatch.setattr(norms, "lapack_lite", FailingLapack)
+    with pytest.raises(np.linalg.LinAlgError, match="QR factorization"):
+        norms._null_rows(np.ones((20, 6)))
+
+
+def test_invariant_forms_leave_the_structure_tensors_unchanged():
+    """invariant_vectors passes a view of the cached Kh and the invariant
+    forms factor their own stack: the cached tensors stay byte for byte."""
+    from test_null_space_bits import PRESETS
+    for name in PRESETS:
+        sp = parse_preset(f"preset:{name}")
+        before = [t.tobytes() for t in sp.structure_tensors()]
+        norms.invariant_vectors(sp)
+        norms.invariant_quadratic_space(sp)
+        random_invariant_norm(sp, 0)
+        assert [t.tobytes() for t in sp.structure_tensors()] == before, name
+
+
+def test_invariant_forms_factor_their_stack_in_place():
+    """The peak traced memory of invariant_quadratic_space on
+    cn_excluded_subcase1(4) stays near its one 6877 x 276 stack (15.2 MB);
+    a copy of the stack before the QR would double it."""
+    sp = preset("cn_excluded_subcase1", 4)
+    _, _, kh = sp.structure_tensors()
+    d = sp.dim_m
+    stack_bytes = len(kh) * d * d * (d * (d + 1) // 2) * 8
+    assert stack_bytes == 6877 * 276 * 8
+    tracemalloc.start()
+    try:
+        invariant_quadratic_space(sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * stack_bytes

@@ -2,6 +2,11 @@
 
 `norms._null_rows` decomposes the R of a QR factorization in place of a
 tall stack, the path LAPACK's dgesdd itself takes from its MNTHR cut on.
+It factors the stack in place with the dgeqrf of `numpy.linalg.lapack_lite`
+(the call `np.linalg.qr` makes after copying its input twice), overwriting
+the buffer `invariant_quadratic_space` built for it and a single copy of
+any other stack.  `lapack_lite` is the one numpy module flagcurv uses that
+numpy's `tests/test_public_api.py` lists as `PRIVATE_BUT_PRESENT_MODULES`.
 The oracle below is the earlier formula: the stack built as a list of
 blocks and a thin SVD of it (a full one for the one-row h = 0 placeholder).
 Each check runs in a fresh interpreter at one and at two BLAS threads,

@@ -730,6 +730,15 @@ def test_verify_theorem_small_bound():
     assert rep3["match"] and rep3["unresolved"]
 
 
+def test_root_data_builds_each_spec_once_at_rank_16():
+    """Parts 1-3 at rank 16 read more than 128 specs, none of them built twice."""
+    obstruct._root_data.cache_clear()
+    for part in (1, 2, 3):
+        assert verify_theorem(part, max_rank=16)["match"]
+    info = obstruct._root_data.cache_info()
+    assert info.misses == info.currsize > 128
+
+
 @pytest.mark.parametrize("max_rank,excluded", [(8, (37, 12)), (12, (57, 12))])
 def test_every_case2_and_case1_exclusion_replays_on_its_own_space(monkeypatch, max_rank,
                                                                    excluded):
