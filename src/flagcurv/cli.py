@@ -3,18 +3,22 @@
 Verbs: roots, space, classify, curvature, witness, verify.  JSON goes to
 stdout (sorted keys, deterministic given --seed), a one-line human summary
 to stderr.  Exit codes: 0 success, 1 validation failure, 2 usage error,
-3 survivor-list mismatch.  The exact verbs (roots, verify) import no
-numpy; the numeric modules load inside the verbs that use them.
+3 survivor-list mismatch, 141 stdout closed before the output is all
+written (nothing more is written).  The exact verbs (roots, verify) import
+no numpy; the numeric modules load inside the verbs that use them.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 from . import obstruct, rootsys
 
+CLOSED_STDOUT_EXIT = 141  # 128 + SIGPIPE: stdout closed before the output
 TOLERANCES = {
     "exactness": 1e-12,
     "linear_solve_residual": 1e-10,
@@ -53,7 +57,7 @@ def _json_default(o):
 
 
 def _emit(obj, summary: str) -> None:
-    print(json.dumps(obj, sort_keys=True, default=_json_default))
+    print(json.dumps(obj, sort_keys=True, default=_json_default), flush=True)
     print(summary, file=sys.stderr)
 
 
@@ -243,11 +247,18 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return VERBS[args.verb](args)
-    except (ValueError, LookupError, OSError, AssertionError) as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True))
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        try:
+            return VERBS[args.verb](args)
+        except BrokenPipeError:
+            raise  # no validation failure, and stdout takes no error
+        except (ValueError, LookupError, OSError, AssertionError) as exc:
+            _emit({"error": str(exc)}, f"error: {exc}")
+            return 1
+    except BrokenPipeError:
+        # the reader is gone (`| head`): devnull takes the interpreter's last flush
+        with contextlib.suppress(OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_STDOUT_EXIT
 
 
 def main() -> None:

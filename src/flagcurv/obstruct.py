@@ -37,7 +37,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import repeat
-from operator import add, itemgetter, mul, neg, not_, sub
+from operator import add, itemgetter, mul, not_, sub
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
@@ -72,6 +72,7 @@ class RootData:
 
     g_roots: tuple         # factor by factor, each in root-system order
     factor_roots: tuple    # the same roots as one tuple per factor
+    factor_columns: tuple  # per factor, the coordinate columns of its unit roots
     factor_of: Mapping     # root -> factor index
     canonical: Mapping     # root -> canonical sign of its plane
     negative: Mapping      # root -> its negative
@@ -80,39 +81,37 @@ class RootData:
 
 
 @functools.lru_cache(maxsize=None)
-def _factor_data(family: str, rank: int) -> tuple:
-    """The roots of (family, rank) in root order, their coordinate columns
-    and, per root, the index of its negative and of its plane's canonical
-    sign (the one of +-r whose first nonzero coordinate is positive)."""
-    roots = build_root_system(family, rank, _relaxed=True).roots
-    index = {r: i for i, r in enumerate(roots)}
-    negative = tuple(index[tuple(map(neg, r))] for r in roots)
-    zero = (0,) * len(roots[0])
-    canonical = tuple(i if r > zero else j for i, (r, j) in enumerate(zip(roots, negative)))
-    return roots, tuple(zip(*roots)), negative, canonical
-
-
-@functools.lru_cache(maxsize=None)
 def _root_data(spec: AlgebraSpec) -> RootData:
-    """Root data of spec, built once per spec and shared read-only.  A
-    lifted root's first nonzero coordinate is its factor root's, so each
-    root's plane key is the lift of the factor root's canonical sign, and
-    its negative the lift of the factor root's negative.  The unit spec of
-    one factor uses the factor's roots as they are."""
-    factor_roots, factor_of, canonical, negative = [], {}, {}, {}
-    for idx, ((fam, rank, _), (a, b, _)) in enumerate(zip(spec.factors, spec.blocks)):
-        roots, _, neg_index, canonical_index = _factor_data(fam, rank)
-        if spec.units[idx] is not spec:
-            pad = (0,) * a, (0,) * (spec.dim - b)
-            roots = tuple(map(spec.tvec, (pad[0] + r + pad[1] for r in roots)))
-        factor_roots.append(roots)
-        factor_of.update(zip(roots, repeat(idx)))
-        canonical.update(zip(roots, map(roots.__getitem__, canonical_index)))
-        negative.update(zip(roots, map(roots.__getitem__, neg_index)))
+    """Root data of spec, built once per spec and shared read-only: a unit
+    spec of one factor holds its root system's roots and root set as they
+    are, one table per (family, rank), and any other spec lifts each
+    factor's roots once, from their columns padded with zeros.  The maps
+    are read off positions.  A factor's N roots come in build_root_system's
+    order, lexicographic on the lattice ints, which a lift keeps; the root
+    set is symmetric with no zero, and negation reverses the order.  So the
+    negative of roots[i] is roots[N-1-i], the second half holds the
+    canonical signs (first nonzero coordinate positive), and the plane keys
+    in order of first appearance are that half reversed."""
+    if spec.units == (spec,):
+        rs = build_root_system(*spec.factors[0][:2], _relaxed=True)
+        factor_roots, columns, root_set = [rs.roots], [tuple(zip(*rs.roots))], rs.root_set
+    else:
+        columns, factor_roots = [_root_data(u).factor_columns[0] for u in spec.units], []
+        for cols, (a, b, _) in zip(columns, spec.blocks):
+            z = ((0,) * len(cols[0]),)  # a zero column, off the factor's block
+            factor_roots.append(tuple(map(spec.tvec, zip(*z * a, *cols, *z * (spec.dim - b)))))
+        root_set = frozenset(itertools.chain.from_iterable(factor_roots))
+    factor_of, canonical, negative, keys = {}, [], [], []
+    for i, roots in enumerate(factor_roots):
+        rev, half = roots[::-1], len(roots) // 2
+        factor_of.update(dict.fromkeys(roots, i))
+        canonical += rev[:half] + roots[half:]
+        negative += rev
+        keys += rev[:half]
     g_roots = tuple(itertools.chain.from_iterable(factor_roots))
-    return RootData(g_roots, tuple(factor_roots), MappingProxyType(factor_of),
-                    MappingProxyType(canonical), MappingProxyType(negative),
-                    tuple(dict.fromkeys(canonical.values())), frozenset(g_roots))
+    return RootData(g_roots, tuple(factor_roots), tuple(columns), MappingProxyType(factor_of),
+                    MappingProxyType(dict(zip(g_roots, canonical))),
+                    MappingProxyType(dict(zip(g_roots, negative))), tuple(keys), root_set)
 
 
 def _times(c, v) -> tuple:
@@ -137,9 +136,8 @@ class ProjectionTables:
         roots with D(w, r) = 0 are those in t cap h, where P(r) = c r."""
         (form, u), = self.projection.terms
         spec, c, pr_roots, t_h = self.projection.spec, repeat(self.projection.scale), {}, []
-        for (fam, rank, _), (a, b, _), roots in zip(spec.factors, spec.blocks,
-                                                     self.root_data.factor_roots):
-            cols = _factor_data(fam, rank)[1]
+        for (a, b, _), roots, cols in zip(spec.blocks, self.root_data.factor_roots,
+                                          self.root_data.factor_columns):
             terms = [map(mul, cols[j - a], repeat(form[j])) for j in range(a, b) if form[j]]
             d = list(map(sum, zip(*terms))) if terms else [0] * len(roots)
             p = [map(mul, cols[j - a], c) if a <= j < b else repeat(0) for j in range(len(u))]
@@ -366,9 +364,9 @@ class PropagationContradiction(Exception):
 def _crystallographic_ok(spec: AlgebraSpec, x: Sequence, r: Sequence) -> bool:
     """Necessary condition for x and r to cohabit a root system: both
     Cartan integers 2<x,r>/<r,r> and 2<x,r>/<x,x> are integers (the ratios
-    do not depend on a common scale of x and r)."""
-    xr = tvec_dot(spec, x, r)
-    return not xr or all((2 * xr / tvec_dot(spec, y, y)).denominator == 1 for y in (r, x))
+    depend neither on a common scale of x and r nor on spec.gram_den)."""
+    xr = 2 * sum(map(mul, map(mul, spec.gram, x), r))
+    return not xr or all(not xr % sum(map(mul, map(mul, spec.gram, y), y)) for y in (r, x))
 
 
 def propagate_assignment(space: RootLevelSpace, rule_order: Optional[list] = None):
@@ -1000,8 +998,8 @@ def case2_space(g2_family: str, g2_rank: int, beta: TVec,
     spec = unit_spec((("A", 1), (g2_family, g2_rank)))
     alpha = lift_root(spec, 0, sparse_tvec("A", 1, (0, 1), (1, -1)))
     beta = lift_root(spec, 1, beta)
-    a, b = tvec_dot(spec, alpha, alpha), tvec_dot(spec, beta, beta)
-    common = alpha.scale(b / (a + b)) + beta.scale(a / (a + b))
+    a, b = (sum(map(mul, map(mul, spec.gram, v), v)) for v in (alpha, beta))  # gram_den cancels
+    common = spec.tvec(map(add, _times(b, alpha), _times(a, beta))).scale(Fraction(1, a + b))
     return make_root_level_space(spec, alpha - beta, [common], name=name, h_perp=True)
 
 

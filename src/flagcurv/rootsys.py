@@ -266,11 +266,11 @@ def surd_weights(family: str, rank: int) -> tuple:
     return tuple(k)
 
 
-def _pairs(dim: int, stop: int) -> list:
-    """n-vectors of the roots +-e_i +- e_j (i < j < stop) of R^dim."""
+def _pairs(dim: int, stop: int, signs=((2, 2), (2, -2), (-2, 2), (-2, -2))) -> list:
+    """n-vectors of the roots si e_i + sj e_j (i < j < stop, (si, sj) in signs) of R^dim."""
     out = []
     for i, j in itertools.combinations(range(stop), 2):
-        for si, sj in itertools.product((2, -2), repeat=2):
+        for si, sj in signs:
             co = [0] * dim
             co[i], co[j] = si, sj
             out.append(co)
@@ -279,12 +279,11 @@ def _pairs(dim: int, stop: int) -> list:
 
 def _lattice_roots(fam: str, n: int) -> list:
     """The roots as n-vectors (coordinate = n/2 * sqrt(k))."""
-    if fam == "A":  # ambient R^{n+1}, sum-zero subspace
-        return [[2 if m == i else -2 if m == j else 0 for m in range(n + 1)]
-                for i in range(n + 1) for j in range(n + 1) if i != j]
+    if fam == "A":  # ambient R^{n+1}, sum-zero subspace: e_i - e_j
+        return _pairs(n + 1, n + 1, ((2, -2), (-2, 2)))
     if fam in ("B", "C", "D"):
         long = {"B": [2], "C": [4], "D": []}[fam]  # +-e_i or +-2 e_i
-        return _pairs(n, n) + [[s if m == i else 0 for m in range(n)]
+        return _pairs(n, n) + [[0] * i + [s] + [0] * (n - 1 - i)
                                for i in range(n) for v in long for s in (v, -v)]
     if fam == "E6":  # half-spin roots: an odd number of plus signs in all six
         signs = itertools.product((1, -1), repeat=6)
@@ -398,7 +397,8 @@ class AlgebraSpec:
         scales += sc
         den = lcm(*(s.denominator for s in scales))
         derived = {"blocks": tuple(blocks), "weights": tuple(weights), "dim": len(weights),
-                   "gram": tuple(int(s * den) * k for s, k in zip(scales, weights)),
+                   "gram": tuple(s.numerator * (den // s.denominator) * k
+                                 for s, k in zip(scales, weights)),
                    "gram_den": 4 * den,
                    "tvec": type("TVec", (TVec,), {"__slots__": (), "spec": self})}
         for name, value in derived.items():
@@ -560,10 +560,10 @@ class RootSystem:
         spec = unit_spec(((self.family, self.rank),))
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "ambient_dim", spec.dim)
-        object.__setattr__(self, "_root_set", frozenset(self.roots))
+        object.__setattr__(self, "root_set", frozenset(self.roots))
 
     def __contains__(self, v) -> bool:
-        return v in self._root_set
+        return v in self.root_set
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -601,7 +601,6 @@ def is_root(rs: RootSystem, v: TVec) -> bool:
     """Exact membership test."""
     _same_lattice(rs.spec, v)
     return v in rs
-
 
 
 _ANGLES = {

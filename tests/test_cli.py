@@ -876,3 +876,51 @@ def test_a_space_file_scale_at_the_bound_builds(tmp_path, s):
     for where, blocks in (("factor", [3, 6]), ("abelian", [1, 2])):
         code, out, _ = invoke(["space", "build", "--file", _scaled_file(tmp_path, where, s)])
         assert code == 0 and json.loads(out)["hat_blocks"] == blocks, (where, out)
+
+
+@pytest.mark.parametrize("eps,code", [(0.0, 0), (1e-5, 1)])
+def test_curvature_takes_a_norm_only_within_the_invariance_gate(tmp_path, eps, code):
+    """The norm_invariance gate (1e-8) from both sides: on sphere_un(3) the
+    gram I is invariant (residual at rounding), while I + 1e-5 E_11 has a
+    residual of about 4e-5, far below 1e-2 and far above 1e-8, and exits 1."""
+    from flagcurv.cli import TOLERANCES
+    from flagcurv.coset import preset
+    from flagcurv.norms import Quadratic, check_invariance
+    gram = _eye(5)
+    gram[1][1] += eps
+    resid = check_invariance(Quadratic(gram), preset("sphere_un", 3))["max_residual"]
+    assert (1e-6 < resid < 1e-3) if eps else resid < 1e-14
+    path = tmp_path / "norm.json"
+    path.write_text(json.dumps({"family": "quadratic", "gram": gram}))
+    argv = ["curvature", "--space", "preset:sphere_un(3)", "--metric", str(path), "--samples", "3"]
+    if code:
+        _assert_fails_closed(argv, f"above {TOLERANCES['norm_invariance']:g}")
+    else:
+        got, out, _ = invoke(argv)
+        assert got == 0 and json.loads(out)["invariance_residual"] == resid
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("argv", [["roots", "A", "3"], ["roots", "E6", "7"],
+                                  ["verify", "--theorem", "1", "--max-rank", "5", "--full"]])
+def test_a_closed_stdout_exits_with_its_code_and_nothing_more(argv, buffered):
+    """A reader that is gone before the output (`| head -c 10`), also of a
+    JSON error (E6 of rank 7): the CLI writes nothing more and exits
+    CLOSED_STDOUT_EXIT with an empty stderr.  It used to exit 1 with two
+    BrokenPipeError tracebacks (the second from its JSON error), or, with
+    block-buffered stdout and a short output, 120 from the interpreter's
+    last flush."""
+    from flagcurv.cli import CLOSED_STDOUT_EXIT
+    src = str(Path(flagcurv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)  # no reader left: the first write to the pipe fails with EPIPE
+    try:
+        proc = subprocess.run([sys.executable, "-m", "flagcurv.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (CLOSED_STDOUT_EXIT, "")

@@ -452,6 +452,30 @@ def test_a_plane_a_thousandth_into_h_is_split():
     assert sp.plane_kind(0, other) == "split" and sp.plane_kind(0, root("B", 2, 1, 1)) == "m"
 
 
+
+@pytest.mark.parametrize("t,kind", [(0.0, "h"), (1e-4, "split")])
+def test_a_plane_a_ten_thousandth_out_of_h_is_split(t, kind):
+    """plane_kind's 'h' branch from both sides.  h is the su(2) of alpha = e1
+    of B2 turned by exp(t ad x_beta), beta = e2: x_beta commutes with the
+    coroot of alpha, so h keeps it in t (t cap m stays the e2 line) and h
+    stays a subalgebra.  At t = 0 the plane of alpha lies in h; at t = 1e-4
+    both its m-norms are 1e-4, inside a 1e-3 test but not the 1e-9 one."""
+    from flagcurv.coset import space_from_json
+
+    spec = AlgebraSpec((("B", 2, Fraction(1)),))
+    f = realize(spec).factors[0]
+    alpha, beta = root("B", 2, 1, 0), root("B", 2, 0, 1)
+    w, v = np.linalg.eigh(1j * f.plane(beta).x.blocks[0])  # x_beta is real skew
+    turn = ((v * np.exp(-1j * t * w)) @ v.conj().T).real  # exp(t x_beta)
+    gens = [turn @ f.plane(alpha).x.blocks[0] @ turn.T, turn @ f.plane(alpha).y.blocks[0] @ turn.T]
+    sp = space_from_json({"algebra": spec.to_json(), "cartan_h": [tvec_to_json(spec.tvec(alpha))],
+                          "extra_generators": [{"blocks": [{"kind": "real", "data": g.tolist()}]}
+                                               for g in gens]})
+    assert sp.dim_h == 3
+    assert np.allclose(np.linalg.norm(sp.plane_m(0, alpha), axis=1), t, rtol=1e-6, atol=1e-12)
+    assert sp.plane_kind(0, alpha) == kind
+
+
 def test_plane_m_reads_each_plane_into_m_once():
     """plane_m caches the m-coordinates of a plane, bit for bit those of
     its x and y, as a read-only array."""

@@ -57,3 +57,29 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         flagcurv.no_such_name
     assert not hasattr(flagcurv, "rootsys_v2")
+
+
+# Imports the CLI with every RootSystem construction recorded, then reports
+# what was built: the root systems, the cached root data and the unit specs.
+IMPORT_PROBE = """\
+from flagcurv import rootsys
+built = []
+init = rootsys.RootSystem.__post_init__
+def record(self):
+    built.append((self.family, self.rank))
+    init(self)
+rootsys.RootSystem.__post_init__ = record
+import flagcurv.cli
+from flagcurv import obstruct
+print(len(built), obstruct._root_data.cache_info().currsize, len(rootsys._UNIT_SPECS))
+"""
+
+
+def test_importing_the_cli_builds_no_root_data():
+    """No work moves into import: a fresh `import flagcurv.cli` builds no
+    root system, no root data and no unit spec, so the classifier's cold
+    start stays inside the call that needs it."""
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0", "0"]
