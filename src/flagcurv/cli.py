@@ -19,11 +19,9 @@ import sys
 from . import obstruct, rootsys
 
 CLOSED_STDOUT_EXIT = 141  # 128 + SIGPIPE: stdout closed before the output
-TOLERANCES = {
+TOLERANCES = {  # printed by _tolerances with the closure bounds of coset
     "exactness": 1e-12,
     "linear_solve_residual": 1e-10,
-    "reductive_closure": 1e-10,
-    "subalgebra_closure": 1e-8,
     "norm_invariance": 1e-8,
     "fd_comparison_relative": 1e-5,
     "witness_u_map": 1e-7,
@@ -37,17 +35,25 @@ MAX_RANK = 16
 MAX_SAMPLES = 100_000
 
 
-def _int_in(lo: int, hi: int):
-    """argparse type: an integer in [lo, hi]."""
+def _int_in(lo: int, hi: float = float("inf")):
+    """argparse type: an integer in [lo, hi] (at least lo without hi)."""
     def parse(text: str) -> int:
         try:
             n = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if not lo <= n <= hi:
-            raise argparse.ArgumentTypeError(f"must be in [{lo}, {hi}], got {n}")
+            bound = f"in [{lo}, {hi}]" if hi < float("inf") else f"at least {lo}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {n}")
         return n
     return parse
+
+
+def _tolerances() -> dict:
+    """TOLERANCES and the closure bounds coset checks against, as the numeric verbs print them."""
+    from . import coset
+    return {**TOLERANCES, "reductive_closure": coset.REDUCTIVE_TOL,
+            "subalgebra_closure": coset.CLOSURE_TOL}
 
 
 def _json_default(o):
@@ -93,7 +99,10 @@ def _make_norm(space, text: str, seed: int):
             raise ValueError("no Ad(H)-fixed vector of m along t cap m for the Randers form")
         return norms.Randers(np.eye(space.dim_m), eps * b / nb)
     if name in ("quartic", "invariant"):
-        return norms.random_invariant_norm(space, int(arg) if colon else seed)
+        seed = int(arg) if colon else seed
+        if seed < 0:
+            raise ValueError(f"the seed of {name} must be a nonnegative integer, got {seed}")
+        return norms.random_invariant_norm(space, seed)
     with open(text) as fh:
         return norms.norm_from_json(json.load(fh))
 
@@ -155,7 +164,7 @@ def cmd_curvature(args) -> int:
     rep["space"] = space.name
     rep["metric"] = args.metric
     rep["seed"] = args.seed
-    rep["tolerances"] = TOLERANCES
+    rep["tolerances"] = _tolerances()
     _emit(rep, f"{space.name}: {rep['flags']} flags, K in "
                f"[{rep['K_min']:.6g}, {rep['K_max']:.6g}]")
     return 0
@@ -165,7 +174,7 @@ def cmd_witness(args) -> int:
     from . import curvature
     space = _load_space(args.space)
     rep = curvature.verify_exclusion_witness(space, args.seed)
-    rep["tolerances"] = TOLERANCES
+    rep["tolerances"] = _tolerances()
     ok = (rep["u_map_norm"] < TOLERANCES["witness_u_map"]
           and abs(rep["K_commutative"]) < TOLERANCES["witness_curvature"]
           and abs(rep["K_general"]) < TOLERANCES["witness_curvature"])
@@ -224,12 +233,12 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
                         help="quadratic | randers[:eps] | quartic[:seed] | invariant[:seed]"
                              " | the path of a norm JSON file")
         pk.add_argument("--samples", type=_int_in(1, MAX_SAMPLES), default=50)
-        pk.add_argument("--seed", type=int, default=0)
+        pk.add_argument("--seed", type=_int_in(0), default=0)
 
     if verb in (None, "witness"):
         pw = sub.add_parser("witness", help="verify a zero-curvature witness pair")
         pw.add_argument("--space", required=True)
-        pw.add_argument("--seed", type=int, default=0)
+        pw.add_argument("--seed", type=_int_in(0), default=0)
 
     if verb in (None, "verify"):
         pv = sub.add_parser("verify", help="reproduce a survivor list")

@@ -324,7 +324,9 @@ def _null_rows(stack: np.ndarray, owned: bool = False) -> np.ndarray:
     R comes from the dgeqrf that np.linalg.qr calls, with its workspace, from
     numpy.linalg.lapack_lite: it factors stack.T as a C-ordered array (LAPACK's
     column-major stack) in place, the buffer itself when the caller built it for
-    this call (owned, an F-ordered stack), else one copy (np.linalg.qr takes two)."""
+    this call (owned, an F-ordered stack passed as its only reference, so that it
+    is freed once R is read off, before the SVD), else one copy (np.linalg.qr
+    takes two)."""
     if not len(stack):
         return np.eye(stack.shape[1])
     m, n = stack.shape
@@ -336,8 +338,27 @@ def _null_rows(stack: np.ndarray, owned: bool = False) -> np.ndarray:
         if lapack_lite.dgeqrf(m, n, a, m, tau, np.empty(lwork), lwork, 0)["info"]:
             raise np.linalg.LinAlgError("QR factorization of the invariance stack failed")
         stack = np.triu(a[:, :n].T)
+        del a
     _, sv, vt = np.linalg.svd(stack, full_matrices=False)
     return vt[sv < NULL_TOL]
+
+
+def _commutator_stack(Kh: np.ndarray, d: int) -> np.ndarray:
+    """The F-ordered (dim h * d * d, d(d+1)/2) stack of S -> A S - S A, a d*d block
+    of rows per A in Kh, one column per S_ij = E_ij + E_ji (E_ii when i = j), the
+    pairs i <= j row by row, written in place one i at a time through views, with
+    no gathered copy of Kh: column i of A S_ij is A[:, j] and column j is A[:, i],
+    then row i of S_ij A is taken off A[j] and row j off A[i] (once for i = j);
+    + 0.0 as the +0.0 a product sums from."""
+    cols = np.zeros((d * (d + 1) // 2, len(Kh), d, d))  # column n of the stack is cols[n]
+    plus, n0 = Kh + 0.0, 0
+    for i in range(d):
+        blk, n0 = cols[n0:n0 + d - i], n0 + d - i  # the pairs (i, j), j = i, ..., d - 1
+        blk[:, :, :, i] = plus[:, :, i:].transpose(2, 0, 1)
+        np.einsum("nakn->nak", blk[:, :, :, i:])[...] = plus[:, :, i]
+        blk[:, :, i, :] -= Kh[:, i:, :].transpose(1, 0, 2)
+        np.einsum("nanl->nal", blk[1:, :, i + 1:, :])[...] -= Kh[:, i, :]
+    return cols.reshape(len(cols), -1).T
 
 
 def invariant_quadratic_space(space) -> list:
@@ -346,16 +367,9 @@ def invariant_quadratic_space(space) -> list:
     so ad(h)|_m is skew and invariance reads [ad(h), S] = 0)."""
     _, _, Kh = space.structure_tensors()
     d = space.dim_m
-    iu, ju = np.triu_indices(d)  # the pairs i <= j, row by row
-    # S -> A S - S A on S_ij = E_ij + E_ji (E_ii when i = j), a d*d block of rows per A,
-    # Fortran-ordered: column s of A to column t, row t of A off row s, for (s, t) = (i, j)
-    # and (j, i); for i = j both name one entry, and an indexed -= lands once per entry;
-    # + 0.0 as the +0.0 a product sums from
-    n, s, t = np.tile(np.arange(len(iu)), 2), np.r_[iu, ju], np.r_[ju, iu]
-    cols = np.zeros((len(iu), len(Kh), d, d))
-    cols[n, :, :, t] = Kh.transpose(2, 0, 1)[s] + 0.0
-    cols[n, :, s, :] -= Kh.transpose(1, 0, 2)[t]
-    null = _null_rows(cols.reshape(len(iu), -1).T, owned=True) + 0.0
+    iu, ju = np.triu_indices(d)
+    # the stack is built inside the call, so _null_rows holds its one reference
+    null = _null_rows(_commutator_stack(Kh, d), owned=True) + 0.0
     forms = np.zeros((len(null), d, d))
     forms[:, iu, ju] = forms[:, ju, iu] = null
     return list(forms)

@@ -510,7 +510,9 @@ def propagate_assignment(space: RootLevelSpace, rule_order: Optional[list] = Non
     return out, trace
 
 
+@functools.lru_cache(maxsize=None, typed=True)  # typed: keyed by the spec's TVec class too
 def _fmt(tv: TVec) -> str:
+    """tv as rows and traces print it, formatted once per (spec, vector)."""
     parts = [lattice_block(tv[a:b], k) for a, b, k in tv.spec.blocks if any(tv[a:b])]
     ab = [str(x) for x in tv.abelian if x]
     if ab:

@@ -284,6 +284,34 @@ def test_curvature_samples_below_one_is_a_usage_error():
         assert "--samples" in err
 
 
+@pytest.mark.parametrize("verb,space", [("curvature", "sphere_un(3)"),
+                                        ("witness", "bn_excluded_subcase1(2)")])
+def test_a_negative_seed_is_a_usage_error(verb, space):
+    code, out, err = invoke([verb, "--space", f"preset:{space}", "--seed", "-1"])
+    assert code == 2 and out == ""
+    assert "--seed: must be at least 0, got -1" in err
+
+
+@pytest.mark.parametrize("metric", ["quartic:-1", "invariant:-1"])
+def test_a_negative_norm_seed_fails_closed_naming_the_seed(metric):
+    name = metric.partition(":")[0]
+    _assert_fails_closed(["curvature", "--space", "preset:sphere_un(3)", "--metric", metric],
+                         f"the seed of {name} must be a nonnegative integer, got -1")
+
+
+def test_printed_closure_tolerances_are_the_checks_constants(monkeypatch):
+    """The closure entries of the printed table are read off the constants
+    that coset's checks compare against, so they cannot drift apart."""
+    from flagcurv import coset
+    monkeypatch.setattr(coset, "CLOSURE_TOL", 3e-9)
+    monkeypatch.setattr(coset, "REDUCTIVE_TOL", 4e-11)
+    for argv in (["curvature", "--space", "preset:sphere_un(3)", "--samples", "2"],
+                 ["witness", "--space", "preset:bn_excluded_subcase1(2)"]):
+        code, out, _ = invoke(argv)
+        tol = json.loads(out)["tolerances"]
+        assert code == 0 and (tol["subalgebra_closure"], tol["reductive_closure"]) == (3e-9, 4e-11)
+
+
 def test_curvature_summary_counts_returned_flags(monkeypatch):
     from flagcurv import curvature
 

@@ -211,6 +211,20 @@ def test_a_nearly_dependent_flag_is_rejected_by_the_tolerance_alone(bn2):
     assert isinstance(out[0], CurvatureReport) and "degenerate" in str(out[1])
 
 
+def test_a_thin_flag_above_the_degeneracy_tolerance_is_kept(bn2):
+    """v = u + 1e-4 w spans a flag of area^2 about 1e-8 |u|^2 |v|^2, a hundred
+    times DEGENERATE_TOL: it is evaluated, alone and as a row of a stack, so
+    the tolerance is pinned from above as the 1e-6 flag pins it from below."""
+    eng = CurvatureEngine(bn2, Quadratic(np.eye(bn2.dim_m)))
+    u, w, x, y = np.random.default_rng(41).standard_normal((4, bn2.dim_m))
+    v = u + 1e-4 * w
+    area = ((u @ u) * (v @ v) - (u @ v) ** 2) / ((u @ u) * (v @ v))
+    assert 1e-9 < area < 1e-7
+    assert isinstance(eng.flag_curvature(u, v), CurvatureReport)
+    out = eng.flag_curvature(np.array([x, u]), np.array([y, v]))
+    assert all(isinstance(r, CurvatureReport) for r in out)
+
+
 def test_a_quadratic_norm_not_positive_definite_rejects_every_row(bn2):
     """A Quadratic's Cholesky gate runs once, when it is built: every row of
     a stack is rejected as not positive definite, and eta, connection_n and
@@ -543,3 +557,15 @@ def test_the_spray_gate_sits_at_eta_hyp_tol(bn2, level, raises):
             eng.flag_curvature_commutative(u, v, cross_check=False)
     else:
         eng.flag_curvature_commutative(u, v, cross_check=False)
+
+
+@pytest.mark.parametrize("scale,zero", [(1e7, False), (1e9, True)])
+def test_zero_flags_are_those_below_the_zero_k_tolerance(scale, zero):
+    """The round sphere under Quadratic(scale I) has K = 1/scale on every
+    flag: 1e-7 is not a zero flag and 1e-9 is, so ZERO_K_TOL (1e-8) is pinned
+    from both sides."""
+    sp = preset("sphere_so2n", 3)
+    rep = sample_flags(sp, Quadratic(scale * np.eye(sp.dim_m)), 5, seed=0)
+    assert rep["K_min"] == pytest.approx(1.0 / scale, rel=1e-12)
+    assert rep["K_max"] == pytest.approx(1.0 / scale, rel=1e-12)
+    assert len(rep["zero_flags"]) == (rep["flags"] if zero else 0) == (5 if zero else 0)

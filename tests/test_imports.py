@@ -13,7 +13,7 @@ import flagcurv
 SRC = str(Path(flagcurv.__file__).resolve().parent.parent)
 
 # Runs `python -m flagcurv.cli ARGS` in-process, then reports on stderr
-# whether numpy was imported.
+# whether numpy and flagcurv.coset were imported.
 PROBE = """\
 import runpy, sys
 sys.argv = ["flagcurv"] + sys.argv[1:]
@@ -22,6 +22,7 @@ try:
 except SystemExit as exc:
     code = exc.code
 print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
+print("coset loaded:", "flagcurv.coset" in sys.modules, file=sys.stderr)
 sys.exit(code)
 """
 
@@ -33,7 +34,7 @@ def test_exact_verbs_never_import_numpy(argv):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("{")
-    assert proc.stderr.splitlines()[-1] == "numpy loaded: False"
+    assert proc.stderr.splitlines()[-2:] == ["numpy loaded: False", "coset loaded: False"]
 
 
 def test_numeric_names_resolve_lazily():

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -471,18 +472,46 @@ def test_invariant_forms_leave_the_structure_tensors_unchanged():
 
 
 def test_invariant_forms_factor_their_stack_in_place():
-    """The peak traced memory of invariant_quadratic_space on
-    cn_excluded_subcase1(4) stays near its one 6877 x 276 stack (15.2 MB);
-    a copy of the stack before the QR would double it."""
+    """The peak traced memory of invariant_quadratic_space stays near its one
+    rows x 276 stack (15.2 MB on cn_excluded_subcase1(4), 67.7 MB on
+    sphere_spn_sp1(6)): the stack is scattered one pair row at a time with no
+    gathered copy of Kh (a (2 D, dim h, d) gather reads 1.17x), and a copy of
+    the stack before the QR would double it."""
+    for name, param, rows, bound in (("cn_excluded_subcase1", 4, 6877, 1.07),
+                                     ("sphere_spn_sp1", 6, 30682, 1.03)):
+        sp = preset(name, param)
+        _, _, kh = sp.structure_tensors()
+        d = sp.dim_m
+        stack_bytes = len(kh) * d * d * (d * (d + 1) // 2) * 8
+        assert stack_bytes == rows * 276 * 8
+        tracemalloc.start()
+        try:
+            invariant_quadratic_space(sp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * stack_bytes, name
+
+
+def test_invariant_forms_free_their_stack_before_the_svd(monkeypatch):
+    """_null_rows holds the one reference to the stack it factors in place, so
+    the buffer is gone once R is read off, before the SVD of R runs."""
     sp = preset("cn_excluded_subcase1", 4)
-    _, _, kh = sp.structure_tensors()
-    d = sp.dim_m
-    stack_bytes = len(kh) * d * d * (d * (d + 1) // 2) * 8
-    assert stack_bytes == 6877 * 276 * 8
-    tracemalloc.start()
-    try:
-        invariant_quadratic_space(sp)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * stack_bytes
+    sp.structure_tensors()
+    buffers, alive = [], []
+    dgeqrf, svd = norms.lapack_lite.dgeqrf, np.linalg.svd
+
+    class Lapack:
+        @staticmethod
+        def dgeqrf(m, n, a, *args):
+            buffers.append(weakref.ref(a.base))
+            return dgeqrf(m, n, a, *args)
+
+    def spy(a, *args, **kwargs):
+        alive.extend(ref() is not None for ref in buffers)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(norms, "lapack_lite", Lapack)
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    invariant_quadratic_space(sp)
+    assert len(buffers) == 2 and alive == [False, False]  # the workspace query, then the QR

@@ -773,6 +773,22 @@ def test_each_exclusion_is_checked_once(monkeypatch):
     assert len(calls) == 37
 
 
+def test_each_vector_is_formatted_once(monkeypatch):
+    """Parts 1-3 at rank 8 print 418 distinct (spec, vector) pairs in 1035
+    _fmt calls (in a fresh process); the lattice blocks of each pair are
+    formatted once."""
+    obstruct._fmt.cache_clear()
+    fmt, block = obstruct._fmt, obstruct.lattice_block
+    printed, blocks = [], []
+    monkeypatch.setattr(obstruct, "_fmt", lambda tv: printed.append(tv) or fmt(tv))
+    monkeypatch.setattr(obstruct, "lattice_block", lambda *a: blocks.append(a) or block(*a))
+    for part in (1, 2, 3):
+        assert verify_theorem(part, max_rank=8)["match"]
+    distinct = {(type(tv), tv) for tv in printed}
+    assert len(printed) > 2 * len(distinct) > 0
+    assert len(blocks) == sum(any(tv[a:b]) for _, tv in distinct for a, b, _ in tv.spec.blocks)
+
+
 def test_a_witness_that_does_not_replay_is_refused(monkeypatch):
     """Every exclusion goes through the replaying constructor: with the
     replay refusing, each procedure raises an AssertionError naming the
