@@ -19,11 +19,8 @@ import sys
 from . import obstruct, rootsys
 
 CLOSED_STDOUT_EXIT = 141  # 128 + SIGPIPE: stdout closed before the output
-TOLERANCES = {  # printed by _tolerances with the closure bounds of coset
-    "exactness": 1e-12,
-    "linear_solve_residual": 1e-10,
+TOLERANCES = {  # printed by _tolerances with the bounds of coset's checks
     "norm_invariance": 1e-8,
-    "fd_comparison_relative": 1e-5,
     "witness_u_map": 1e-7,
     "witness_curvature": 1e-6,
 }
@@ -50,9 +47,9 @@ def _int_in(lo: int, hi: float = float("inf")):
 
 
 def _tolerances() -> dict:
-    """TOLERANCES and the closure bounds coset checks against, as the numeric verbs print them."""
+    """TOLERANCES and the bounds coset checks against, as the numeric verbs print them."""
     from . import coset
-    return {**TOLERANCES, "reductive_closure": coset.REDUCTIVE_TOL,
+    return {**TOLERANCES, "exactness": coset.ORTHO_TOL, "reductive_closure": coset.REDUCTIVE_TOL,
             "subalgebra_closure": coset.CLOSURE_TOL}
 
 

@@ -40,7 +40,6 @@ from .rootsys import (
 from .liealg import (
     AlgebraElement,
     RealizedAlgebra,
-    _eij,
     _floats,
     _rot,
     gram_schmidt,
@@ -119,8 +118,7 @@ class CosetSpace:
         alg = algebra
         self.dim_g = alg.dim
         self.dim_h = len(h_basis)
-        ambient = alg.ambient_basis()
-        full = gram_schmidt(alg, list(h_basis) + [b.copy() for b in ambient])
+        full = gram_schmidt(alg, list(h_basis) + alg.ambient_basis)
         if len(full) != self.dim_g:
             raise AssertionError("basis completion failed")
         self.m_basis = full[self.dim_h:]
@@ -284,8 +282,8 @@ def build_coset(algebra: RealizedAlgebra, spec: SubalgebraSpec, name: str = "cus
     gens = [_embed(algebra, tv) for tv in spec.cartan_h]
     for factor, root in spec.h_roots:
         p = algebra.factors[factor].plane(root)
-        gens.extend([p.x.copy(), p.y.copy()])
-    gens.extend(g.copy() for g in spec.extra_generators)
+        gens.extend([p.x, p.y])
+    gens.extend(spec.extra_generators)
 
     h_basis = gram_schmidt(algebra, gens)
     if len(h_basis) == algebra.dim:
@@ -418,44 +416,16 @@ def preset_aloff_wallach(k: int, l: int) -> CosetSpace:
 
 def preset_berger_sp2() -> CosetSpace:
     """Berger space Sp(2)/SU(2) = SO(5)/SO(3)_irr: the 5-dimensional
-    irreducible orthogonal representation of so(3) inside so(5)."""
+    irreducible orthogonal representation of so(3) (on the traceless
+    symmetric 3 x 3 matrices, X.S = XS - SX) inside so(5)."""
     spec = AlgebraSpec((("B", 2, Fraction(1)),))
     alg = realize(spec)
-    # so(3) acting on traceless symmetric 3x3 matrices: rho(X)S = XS - SX
-    s6 = 1.0 / np.sqrt(6.0)
-    s2 = 1.0 / np.sqrt(2.0)
-    sym_basis = [
-        s6 * np.diag([-1.0, -1.0, 2.0]),                     # weight 0
-        s2 * (_eij(3, 1, 2, float) + _eij(3, 2, 1, float)),  # weight-1 pair
-        s2 * (_eij(3, 0, 2, float) + _eij(3, 2, 0, float)),
-        s2 * (_eij(3, 0, 0, float) - _eij(3, 1, 1, float)),  # weight-2 pair
-        s2 * (_eij(3, 0, 1, float) + _eij(3, 1, 0, float)),
-    ]
-    def rho(X):
-        m = np.zeros((5, 5))
-        for j, S in enumerate(sym_basis):
-            img = X @ S - S @ X
-            for i, T in enumerate(sym_basis):
-                m[i, j] = float((img * T).sum())
-        return m
-    Lz, Lx, Ly = _rot(3, 0, 1), _rot(3, 1, 2), _rot(3, 2, 0)
-    target = np.zeros((5, 5))  # embed of the exact Cartan direction (-1, 2)
-    target[1, 2], target[2, 1] = -1.0, 1.0
-    target[3, 4], target[4, 3] = 2.0, -2.0
-    rz = rho(Lz)
-    # flip basis orientations so rho(Lz) matches the target exactly
-    flips = np.ones(5)
-    if rz[2, 1] * target[2, 1] < 0:
-        flips[2] = -1.0
-    if rz[4, 3] * target[4, 3] < 0:
-        flips[4] = -1.0
-    F = np.diag(flips)
-    def rho_f(X):
-        return F @ rho(X) @ F
-    rz = rho_f(Lz)
-    if np.abs(rz - target).max() > 1e-12:
-        raise AssertionError("spin-2 Cartan alignment failed")
-    gens = [alg.single_block(0, rho_f(X)) for X in (Lx, Ly, Lz)]
+    # L_x, L_y, L_z over the basis (weight 0; weight-1 pair; weight-2 pair)
+    # of the traceless symmetric matrices; L_z embeds the Cartan direction (-1, 2)
+    r3 = np.sqrt(3.0)
+    gens = [alg.single_block(0, L) for L in (r3 * _rot(5, 1, 0) + _rot(5, 1, 3) + _rot(5, 4, 2),
+                                             r3 * _rot(5, 0, 2) + _rot(5, 1, 4) + _rot(5, 2, 3),
+                                             _rot(5, 2, 1) + 2 * _rot(5, 3, 4))]
     alpha_prime = tvec_from_parts(spec, {0: [Fraction(-1, 5), Fraction(2, 5)]})
     cart = [tvec_from_parts(spec, {0: [-1, 2]})]
     sub = SubalgebraSpec(cartan_h=tuple(cart), extra_generators=tuple(gens))

@@ -48,9 +48,9 @@ The commutative-pair route evaluates and gates the norm once, at u as a
 one-row stack, and solves eta and U(u, v) with one solver: one Cholesky gate
 and two LU solves with Gram matrices per row, none with a shared one.
 
-Tolerance ladder: exactness 1e-12, linear-solve residual 1e-10, route
-comparisons (commutative pair against invariant frame) 1e-5 relative; the
-complex step is h = FD_POLE_STEP |u| = 1e-20 |u|.
+The linear-solve residual and the agreement of the two routes (commutative
+pair against invariant frame) are reported, not gated; the complex step is
+h = FD_POLE_STEP |u| = 1e-20 |u|.
 """
 
 from __future__ import annotations

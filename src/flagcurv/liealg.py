@@ -10,13 +10,14 @@ and symplectic families), with an optional positive scale per factor and
 the Euclidean product on the abelian part.  A factor knows the canonical
 root of each of its planes (`plane_keys`, in root order) and builds a plane
 on its first lookup, so a space builds only the planes it reads.
-Coordinates over the orthonormal ambient basis are one product with its
-cached dual matrix, and the brackets of many pairs are one broadcast matmul
-per factor, taken in chunks of bounded size.  Gram-Schmidt skips each
-projection whose inner product is exactly zero because the nonzero entries
-of the two elements never meet (entry (i, j) of one against entry (j, i) of
-the other, plus the abelian parts); its output is bit for bit that of the
-loop that takes every projection, and it stops once it holds dim g elements.
+Coordinates over the orthonormal ambient basis, built with the algebra,
+are one product with its dual matrix, and the brackets of many pairs are
+one broadcast matmul per factor, taken in chunks of bounded size.
+Gram-Schmidt skips each projection whose inner product is exactly zero
+because the nonzero entries of the two elements never meet (entry (i, j) of
+one against entry (j, i) of the other, plus the abelian parts); its output
+is bit for bit that of the loop that takes every projection, and it stops
+once it holds dim g elements.
 """
 
 from __future__ import annotations
@@ -90,9 +91,6 @@ class AlgebraElement:
             self.algebra, [c * b for b in self.blocks], c * self.abelian
         )
 
-    def __neg__(self) -> "AlgebraElement":
-        return (-1.0) * self
-
     def _check(self, o: "AlgebraElement"):
         if o.algebra is not self.algebra:
             raise ValueError("algebra spec mismatch")
@@ -160,13 +158,24 @@ class RealizedAlgebra:
         self.spec = spec
         self.factors = [_FactorRealization(self, idx, *f) for idx, f in enumerate(spec.factors)]
         self.dim = sum(f.dim for f in self.factors) + spec.abelian_dim
-        self._ambient_basis: Optional[list] = None
-        self._dual: Optional[np.ndarray] = None
         self._slices = []  # column range of each factor in the flat layout
         start = 0
         for f in self.factors:
             self._slices.append(slice(start, start + f.flat_len))
             start += f.flat_len
+        # the orthonormal ambient basis and its dual, whose row k pairs with
+        # flat(x) to give inner(x, basis[k]): -Re tr(x b) = -Re sum(x * b^T),
+        # with the abelian weights
+        raw = [e for f in self.factors for e in f.spanning_set()]
+        raw += [self.abelian_unit(k) for k in range(spec.abelian_dim)]
+        self.ambient_basis = gram_schmidt(self, raw)
+        assert len(self.ambient_basis) == self.dim
+        scales = np.array([float(s) for s in spec.abelian_scales])
+        self._dual = np.array([
+            np.concatenate([-f.weight * f.flat(np.conj(b.T))
+                            for f, b in zip(self.factors, e.blocks)] + [scales * e.abelian])
+            for e in self.ambient_basis
+        ])
 
     # -- element constructors -------------------------------------------
     def zero(self) -> AlgebraElement:
@@ -187,11 +196,8 @@ class RealizedAlgebra:
 
     # -- core operations --------------------------------------------------
     def bracket(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-        x._check(y)
-        blocks = []
-        for f, a, b in zip(self.factors, x.blocks, y.blocks):
-            blocks.append(f.commutator(a, b))
-        return AlgebraElement(self, blocks)  # abelian part of a bracket is zero
+        x._check(y)  # a bracket has no abelian part
+        return AlgebraElement(self, [a @ b - b @ a for a, b in zip(x.blocks, y.blocks)])
 
     def inner(self, x: AlgebraElement, y: AlgebraElement) -> float:
         x._check(y)
@@ -199,7 +205,7 @@ class RealizedAlgebra:
         for s, xa, ya in zip(self.spec.abelian_scales, x.abelian, y.abelian):
             out += float(s) * float(xa) * float(ya)
         for f, a, b in zip(self.factors, x.blocks, y.blocks):
-            out += f.weight * f.re_trace_product(a, b)
+            out += f.weight * float(-(a * b.T).real.sum())  # -Re tr(a b), no product formed
         return out
 
     def cartan_embed(self, vectors: Sequence[Optional[TVec]], abelian=None) -> AlgebraElement:
@@ -210,44 +216,19 @@ class RealizedAlgebra:
             blocks.append(f.cartan_block(v))
         return AlgebraElement(self, blocks, abelian)
 
-    def ambient_basis(self) -> list:
-        """Orthonormal basis of the whole algebra under the bi-invariant
-        inner product (cached, together with its dual matrix)."""
-        if self._ambient_basis is None:
-            raw = []
-            for f in self.factors:
-                raw.extend(f.spanning_set())
-            for k in range(self.spec.abelian_dim):
-                raw.append(self.abelian_unit(k))
-            basis = gram_schmidt(self, raw)
-            assert len(basis) == self.dim
-            # row k pairs with flat(x) to give inner(x, basis[k]):
-            # -Re tr(x b) = -Re sum(x * b^T), with the abelian weights
-            scales = np.array([float(s) for s in self.spec.abelian_scales])
-            self._dual = np.array([
-                np.concatenate([-f.weight * f.flat(np.conj(b.T))
-                                for f, b in zip(self.factors, e.blocks)]
-                               + [scales * e.abelian])
-                for e in basis
-            ])
-            self._ambient_basis = basis
-        return self._ambient_basis
-
     def _flat(self, x: AlgebraElement) -> np.ndarray:
         return np.concatenate([f.flat(b) for f, b in zip(self.factors, x.blocks)]
                               + [x.abelian])
 
     def coords(self, x: AlgebraElement) -> np.ndarray:
         """Coordinates of x over the orthonormal ambient basis."""
-        self.ambient_basis()
         return self._dual @ self._flat(x)
 
     def off_algebra(self, x: AlgebraElement) -> float:
         """Distance of x's matrices from the realized algebra, relative to
         their size: x minus its re-expansion from coords(x)."""
-        basis = self.ambient_basis()
         flat = self._flat(x)
-        rebuilt = np.array([self._flat(b) for b in basis]).T @ (self._dual @ flat)
+        rebuilt = np.array([self._flat(b) for b in self.ambient_basis]).T @ (self._dual @ flat)
         return float(np.linalg.norm(flat - rebuilt) / max(np.linalg.norm(flat), 1e-300))
 
     def bracket_coords(self, xs: Sequence[AlgebraElement],
@@ -256,7 +237,6 @@ class RealizedAlgebra:
         (len(xs), len(ys), len(rows)).  The xs go through in chunks, each
         with one broadcast matmul per factor and one product with the dual,
         so no temporary holds more than about PAIR_CHUNK entries."""
-        self.ambient_basis()
         rows = np.asarray(rows).reshape(-1, self.dim)
         out = np.zeros((len(xs), len(ys), len(rows)))
         if not (len(xs) and len(ys)):
@@ -311,13 +291,6 @@ class _FactorRealization:
     # -- block-level helpers ----------------------------------------------
     def zero_block(self):
         return np.zeros((self.size, self.size), dtype=self.dtype)
-
-    def commutator(self, a, b):
-        return a @ b - b @ a
-
-    def re_trace_product(self, a, b) -> float:
-        """-Re tr(a b), without forming the product."""
-        return float(-(a * b.T).real.sum())
 
     def flat(self, m) -> np.ndarray:
         """Real flattening of a block, or of a stack of blocks along the
@@ -386,16 +359,14 @@ class _FactorRealization:
 
     # -- root planes --------------------------------------------------------
     def _plane_span(self, root: TVec) -> tuple:
-        """Raw spanning matrices of the root plane, straight from the
-        standard presentations."""
+        """Raw spanning matrices of the plane of a canonical root (first
+        nonzero coordinate positive), straight from the standard presentations."""
         f = self.family
         n = self.size
         cf = _floats(root)
         nz = [k for k, c in enumerate(cf) if abs(c) > 0.5]  # the coordinates the root uses
         if f == "A":
             i, j = nz
-            if cf[i] < 0:
-                i, j = j, i
             return _rot(n, i, j, complex), 1j * (_eij(n, i, j, complex) + _eij(n, j, i, complex))
         if f in ("B", "D"):
             off = 1 if f == "B" else 0
@@ -416,8 +387,6 @@ class _FactorRealization:
             return quat_unit(r, "y", [(i, i, 1)]), quat_unit(r, "z", [(i, i, 1)])
         i, j = nz
         if cf[i] * cf[j] < 0:
-            if cf[i] < 0:
-                i, j = j, i
             return (quat_unit(r, "w", [(i, j, 1), (j, i, -1)]),
                     quat_unit(r, "x", [(i, j, 1), (j, i, 1)]))
         return (quat_unit(r, "y", [(i, j, 1), (j, i, 1)]),

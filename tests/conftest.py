@@ -7,7 +7,7 @@ def _random_element(alg, rng):
     """An element of a realized algebra with standard normal coordinates
     over its orthonormal ambient basis, summed in basis order."""
     out = alg.zero()
-    for c, b in zip(rng.standard_normal(alg.dim), alg.ambient_basis()):
+    for c, b in zip(rng.standard_normal(alg.dim), alg.ambient_basis):
         out = out + float(c) * b
     return out
 

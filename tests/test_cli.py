@@ -300,16 +300,21 @@ def test_a_negative_norm_seed_fails_closed_naming_the_seed(metric):
 
 
 def test_printed_closure_tolerances_are_the_checks_constants(monkeypatch):
-    """The closure entries of the printed table are read off the constants
-    that coset's checks compare against, so they cannot drift apart."""
+    """The closure and exactness entries of the printed table are read off
+    the constants that coset's checks compare against, so they cannot drift
+    apart; the table prints no entry that decides nothing."""
     from flagcurv import coset
     monkeypatch.setattr(coset, "CLOSURE_TOL", 3e-9)
     monkeypatch.setattr(coset, "REDUCTIVE_TOL", 4e-11)
+    monkeypatch.setattr(coset, "ORTHO_TOL", 5e-13)
     for argv in (["curvature", "--space", "preset:sphere_un(3)", "--samples", "2"],
                  ["witness", "--space", "preset:bn_excluded_subcase1(2)"]):
         code, out, _ = invoke(argv)
         tol = json.loads(out)["tolerances"]
-        assert code == 0 and (tol["subalgebra_closure"], tol["reductive_closure"]) == (3e-9, 4e-11)
+        assert code == 0 and (tol["subalgebra_closure"], tol["reductive_closure"],
+                              tol["exactness"]) == (3e-9, 4e-11, 5e-13)
+        assert sorted(tol) == ["exactness", "norm_invariance", "reductive_closure",
+                               "subalgebra_closure", "witness_curvature", "witness_u_map"]
 
 
 def test_curvature_summary_counts_returned_flags(monkeypatch):

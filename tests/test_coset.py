@@ -296,6 +296,58 @@ def test_berger_cartan_alignment(spaces):
     assert (h_dir - target).norm() < 1e-12
 
 
+def test_berger_generators_are_the_spin_2_so3(monkeypatch):
+    """The generators preset_berger_sp2 states: skew, with the brackets of
+    the 3 x 3 rotations they represent, [L_x, L_y] = -L_z cyclically,
+    Casimir -l(l+1) I = -6 I of the spin-2 irreducible, and L_z the block of
+    the embedded Cartan direction (-1, 2)."""
+    from flagcurv import coset
+
+    built = []
+    monkeypatch.setattr(coset, "build_coset", lambda alg, sub, **kw: built.append((alg, sub)))
+    coset.preset_berger_sp2()
+    alg, sub = built[0]
+    L = [g.blocks[0] for g in sub.extra_generators]
+    R = [liealg._rot(3, 1, 2), liealg._rot(3, 2, 0), liealg._rot(3, 0, 1)]
+    for k in range(3):
+        assert np.array_equal(L[k].T, -L[k])
+        for M in (R, L):
+            x, y, z = M[k], M[(k + 1) % 3], M[(k + 2) % 3]
+            assert np.abs(x @ y - y @ x + z).max() < 1e-14
+    assert np.abs(sum(x @ x for x in L) + 6 * np.eye(5)).max() < 1e-14
+    cartan = tvec_from_parts(alg.spec, {0: [-1, 2]})
+    assert np.array_equal(coset._embed(alg, cartan).blocks[0], L[2])
+
+
+@pytest.mark.parametrize("sv,rows", [(1e-7, 2), (1e-11, 1)])
+def test_m_rows_keeps_a_singular_value_of_1e_7_and_drops_one_of_1e_11(monkeypatch, sv, rows):
+    """ROW_TOL = 1e-9 sits between the two: a plane whose m-rows have
+    singular values 1 and sv spans 2 rows, or 1."""
+    from flagcurv import coset
+
+    sp = parse_preset("preset:sphere_un(3)")
+    plane = np.zeros((2, sp.dim_m))
+    plane[0, 0], plane[1, 1] = 1.0, sv
+    monkeypatch.setattr(sp, "plane_m", lambda factor, r: plane)
+    assert len(coset._m_rows(sp, [(0, None)])) == rows
+
+
+@pytest.mark.parametrize("eps,matches", [(1e-11, True), (1e-6, False)])
+def test_t_cap_m_check_from_both_sides(eps, matches):
+    """_verify's 1e-9 test of t cap m: h is the line of x_beta + eps H_1 in
+    B2 (beta = e2, H_1 the unit Cartan generator of e1) and cartan_h is empty,
+    so the exact t cap m is all of t, and the h-part of e1 is about eps."""
+    alg = realize(AlgebraSpec((("B", 2, Fraction(1)),)))
+    f = alg.factors[0]
+    gen = f.plane(root("B", 2, 0, 1)).x + eps * alg.single_block(0, f.cartan[0])
+    sub = SubalgebraSpec(extra_generators=(gen,))
+    if matches:
+        assert build_coset(alg, sub).dim_h == 1
+    else:
+        with pytest.raises(AssertionError, match="exact t cap m does not match"):
+            build_coset(alg, sub)
+
+
 def _pairwise_tensors(sp):
     """Per-pair oracle: bracket, then inner with each basis vector (the
     h- and m-bases are orthonormal)."""

@@ -249,6 +249,21 @@ def test_u_map_examples(bn2):
     assert np.linalg.norm(eng.u_map(u, v)) < 1e-7
 
 
+@pytest.mark.parametrize("delta,fallback", [(1e-14, True), (1e-10, False)])
+def test_witness_pair_falls_back_to_v0_below_1e_12(bn2, delta, fallback):
+    """exclusion_witness_pair's 1e-12 fallback from both sides.  Under
+    Q = I + delta (u' v0^T + v0 u'^T), u' the y of the u plane and v0, v1
+    the rows of the v plane, <u', v0>_u is about delta and <u', v1>_u is
+    rounding, so v = <u', v1> v0 - <u', v0> v1 has norm about delta: below
+    1e-12 v falls back to v0, above it v is -v1."""
+    (u, uprime), vb = (bn2.plane_m(*bn2.witness_planes[k]) for k in ("u", "v"))
+    q = np.eye(bn2.dim_m) + delta * (np.outer(uprime, vb[0]) + np.outer(vb[0], uprime))
+    got_u, v = exclusion_witness_pair(bn2, Quadratic(q))
+    want = vb[0] if fallback else -vb[1]
+    assert np.array_equal(got_u, u)
+    assert np.abs(v - want / np.linalg.norm(want)).max() < 1e-6
+
+
 def test_commutative_formula_gates(bn2):
     norm = random_invariant_norm(bn2, 10)
     rng = np.random.default_rng(8)

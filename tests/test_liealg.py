@@ -27,7 +27,7 @@ def test_sp_basis_blocks_are_skew_hermitian_and_symplectic():
         alg = realize(AlgebraSpec((("C", rank, Fraction(1)),)))
         n = rank
         J = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
-        basis = alg.ambient_basis()
+        basis = alg.ambient_basis
         assert len(basis) == rank * (2 * rank + 1)
         for e in basis:
             X = e.blocks[0]
@@ -396,3 +396,20 @@ def test_two_root_planes_match_the_four_term_construction(monkeypatch, fam, rank
         got, want = f.plane(key), oracle.plane(key)
         assert got.x.blocks[0].tobytes() == want.x.blocks[0].tobytes()
         assert got.y.blocks[0].tobytes() == want.y.blocks[0].tobytes()
+
+
+@pytest.mark.parametrize("tilt,aligned", [(1e-12, True), (1e-6, False)])
+def test_root_plane_alignment_check_from_both_sides(monkeypatch, tilt, aligned):
+    """_build_plane's alignment test, 1e-9 max(1, |alpha|^2) = 2e-9 for
+    alpha = e1 + e2 of B2: y tilted by `tilt` toward the unit Cartan
+    generator H_1, orthogonal to the plane, leaves [h, x] off the line of y
+    by sqrt(2) tilt."""
+    span = liealg._FactorRealization._plane_span
+    monkeypatch.setattr(liealg._FactorRealization, "_plane_span",
+                        lambda f, r: (lambda x, y: (x, y + tilt * f.cartan[0]))(*span(f, r)))
+    f = realize(AlgebraSpec((("B", 2, Fraction(1)),))).factors[0]
+    if aligned:
+        f.plane(root("B", 2, 1, 1))
+    else:
+        with pytest.raises(AssertionError, match="root plane misaligned"):
+            f.plane(root("B", 2, 1, 1))
