@@ -1080,10 +1080,6 @@ def classify_case1(space: RootLevelSpace) -> Verdict:
     if w0_nonzero:
         if not active:
             raise ValueError("degenerate candidate: m = t cap m is one-dimensional")
-        if len(active) > 2:  # with two, this is the search over all of them below
-            verdict = _kl2_pair_search(space, nonh[active[0]] + nonh[active[1]])
-            if verdict:
-                return verdict
         if len(active) == 1:
             verdict = _case1_table_match(space, active[0])
             if verdict is not None:

@@ -692,46 +692,44 @@ _A3 = lambda *c: sparse_tvec("A", 3, *c)
 _B2_BUT_E1 = [sparse_tvec("B", 2, *c) for c in ([(1, 1)], [(0, 1), (1, 1)], [(0, 1), (1, -1)])]
 
 
-@pytest.mark.parametrize("data,outcome,kind,detail,gammas", [
-    # w misses the second A1 and Delta_h is empty: the factor is not in h
+@pytest.mark.parametrize("data,outcome,kind,detail,gamma", [
+    # w misses the second A1 and Delta_h is empty: the factor is not in h,
+    # and the witness names a root of that factor
     (lambda: _case1_data([("A", 1)] * 2, [_A1, None]), "excluded", "key_lemma_1",
-     "forces the whole factor into h", {"gamma": (1, -_A1)}),
-    # three active factors with an abelian part: the first pair of the first
-    # two factors, not the (-e1 - e2, -alpha) pair of the search over all three
+     "forces the whole factor into h", (1, -_A1)),
+    # three active factors with an abelian part: a certifying pair
     (lambda: _case1_data([("B", 3), ("A", 1), ("A", 1)], [_B3((0, 1), (1, 1)), _A1, _A1],
                          [(0, _B3((0, 1), (1, -1))), (0, _B3((2, 1))), (1, _A1)], abelian=True),
-     "excluded", "key_lemma_2", "",
-     {"gamma1": (0, _B3((0, -1), (2, -1))), "gamma2": (0, _B3((0, -1), (2, 1)))}),
+     "excluded", "key_lemma_2", "", None),
     # an abelian part and Delta_h = +-(e1 - e2), orthogonal to no w: not the
     # U(3)/U(2) entry, whose h-roots are the roots orthogonal to w
     (lambda: _case1_data([("A", 2)], [sparse_tvec("A", 2, (0, 1), (1, 2), (2, -3))],
                          [(0, sparse_tvec("A", 2, (0, 1), (1, -1)))], abelian=True),
-     "unresolved", None, "abelian component present but no table entry", {}),
+     "unresolved", None, "abelian component present but no table entry", None),
     # one active factor, Delta_h off the roots orthogonal to w, a certifying pair
     (lambda: _case1_data([("A", 3)], [_A3((0, 7), (1, 2), (2, -4), (3, -5))],
                          [(0, _A3((0, 1), (2, -1)))]),
-     "excluded", "key_lemma_2", "", {"gamma1": (0, _A3((0, -1), (1, 1))),
-                                     "gamma2": (0, _A3((2, -1), (3, 1)))}),
+     "excluded", "key_lemma_2", "", None),
     # two active factors: a pair of roots not along their torus components
     (lambda: _case1_data([("A", 1), ("B", 2)], [_A1, _B2_E1], [(1, sparse_tvec("B", 2, (1, 1)))]),
-     "excluded", "key_lemma_2", "", {"gamma1": (1, sparse_tvec("B", 2, (0, -1), (1, -1))),
-                                     "gamma2": (1, sparse_tvec("B", 2, (0, -1), (1, 1)))}),
+     "excluded", "key_lemma_2", "", None),
     # two B2 factors holding all but +-e1 in h: no pair, and no A1 factor
     (lambda: _case1_data([("B", 2)] * 2, [_B2_E1, _B2_E1],
                          [(i, r) for i in (0, 1) for r in _B2_BUT_E1]),
-     "unresolved", None, "no A1 factor aligned", {}),
-], ids=["torus-fixed-factor", "three-factor-pre-search", "abelian-no-table-entry",
+     "unresolved", None, "no A1 factor aligned", None),
+], ids=["torus-fixed-factor", "three-factor-abelian-pair", "abelian-no-table-entry",
         "one-factor-pair", "two-factor-pair", "no-aligned-a1"])
-def test_classify_case1_branches(data, outcome, kind, detail, gammas):
+def test_classify_case1_branches(data, outcome, kind, detail, gamma):
     """Each branch of classify_case1 that the candidate pool never takes,
-    pinned on small data: the verdict, its witness kind and roots."""
+    pinned on small data: the verdict, its witness kind and, through
+    revalidate_witness, that the witness holds."""
     sp = data()
     assert classify_case(sp) == "I"
     v = classify_case1(sp)
     assert (v.outcome, v.witness and v.witness.kind) == (outcome, kind)
     assert detail in v.detail
-    for key, (factor, r) in gammas.items():
-        assert v.witness.payload[key] == lift_root(sp.spec, factor, r)
+    if gamma is not None:
+        assert v.witness.payload["gamma"] == lift_root(sp.spec, *gamma)
     assert v.witness is None or revalidate_witness(sp, v.witness)
 
 

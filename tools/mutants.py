@@ -15,8 +15,7 @@ script stops with exit code 1.  The checkout itself is never edited.
 
 Usage, from the root of a checkout:
 
-    python tools/mutants.py            # every mutant
-    python tools/mutants.py ROW_TOL    # the mutants whose name contains ROW_TOL
+    python tools/mutants.py
 """
 
 from __future__ import annotations
@@ -89,11 +88,6 @@ MUTANTS = [
     ("case I: degenerate-candidate ValueError deleted", OBSTRUCT,
      "            raise ValueError(\"degenerate candidate: m = t cap m is one-dimensional\")\n",
      "            pass\n"),
-    ("case I: three-factor pre-search deleted", OBSTRUCT,
-     "            verdict = _kl2_pair_search(space, nonh[active[0]] + nonh[active[1]])\n"
-     "            if verdict:\n"
-     "                return verdict\n",
-     "            pass\n"),
     ("case I: abelian unresolved verdict deleted", OBSTRUCT,
      "        return Verdict(\"unresolved\",\n"
      "                       detail=\"abelian component present but no table entry \"\n",
@@ -142,21 +136,20 @@ def fails(mutant=None) -> str:
                 f"exit code {done.returncode}")
 
 
-def main(argv) -> int:
-    chosen = [m for m in MUTANTS if not argv or any(a in m[0] for a in argv)]
+def main() -> int:
     first = fails()
     if first:
         print(f"the tests fail on the unmutated copy ({first}); no mutant was run")
         return 1
     alive = 0
-    for m in chosen:
+    for m in MUTANTS:
         by = fails(m)
         alive += not by
         print(f"killed  {m[0]}  ({m[1]}) by {by}" if by else f"ALIVE   {m[0]}  ({m[1]})",
               flush=True)
-    print(f"{len(chosen) - alive} killed, {alive} alive")
+    print(f"{len(MUTANTS) - alive} killed, {alive} alive")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
