@@ -26,6 +26,7 @@ from .rootsys import (
     AlgebraSpec,
     QNum,
     TVec,
+    _frac,
     exact_nullspace,
     lattice_block,
     lift_root,
@@ -599,7 +600,7 @@ def parse_preset(text: str) -> CosetSpace:
         if not rest.endswith(")"):
             raise ValueError("malformed preset parameters")
         args = [a.strip() for a in rest[:-1].split(",") if a.strip()]
-        params = [Fraction(a) for a in args]
+        params = [_frac(a) for a in args]
         params = [int(p) if p.denominator == 1 else p for p in params]
     else:
         name, params = body, []

@@ -13,17 +13,19 @@ on its first lookup, so a space builds only the planes it reads.
 Coordinates over the orthonormal ambient basis, built with the algebra,
 are one product with its dual matrix, and the brackets of many pairs are
 one broadcast matmul per factor, taken in chunks of bounded size.
-Gram-Schmidt skips each projection whose inner product is exactly zero
-because the nonzero entries of the two elements never meet (entry (i, j) of
-one against entry (j, i) of the other, plus the abelian parts); its output
-is bit for bit that of the loop that takes every projection, and it stops
-once it holds dim g elements.
+Gram-Schmidt holds its basis as one array, a row per element, and skips
+each projection whose inner product is exactly zero because the nonzero
+components of the two elements never meet (entry (i, j) of one against
+entry (j, i) of the other, plus the abelian parts); its output is bit for
+bit that of the loop that takes every projection, and it stops once it
+holds dim g elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import sqrt
 from typing import Iterable, Optional, Sequence
 
@@ -127,7 +129,10 @@ def _rot(n: int, i: int, j: int, dtype=float) -> np.ndarray:
 def quat_block(a, b) -> np.ndarray:
     """The complex 2n x 2n block of the quaternion matrix a + b j, where
     a = w + x i and b = y + z i are complex n x n."""
-    return np.block([[a, b], [-np.conj(b), np.conj(a)]])
+    n = len(a)
+    out = np.empty((2 * n, 2 * n), dtype=complex)
+    out[:n, :n], out[:n, n:], out[n:, :n], out[n:, n:] = a, b, -np.conj(b), np.conj(a)
+    return out
 
 
 _QUAT_UNITS = {"w": (1, 0), "x": (1j, 0), "y": (0, 1), "z": (0, 1j)}
@@ -171,11 +176,11 @@ class RealizedAlgebra:
         self.ambient_basis = gram_schmidt(self, raw)
         assert len(self.ambient_basis) == self.dim
         scales = np.array([float(s) for s in spec.abelian_scales])
-        self._dual = np.array([
-            np.concatenate([-f.weight * f.flat(np.conj(b.T))
-                            for f, b in zip(self.factors, e.blocks)] + [scales * e.abelian])
-            for e in self.ambient_basis
-        ])
+        self._dual = np.concatenate(
+            [-f.weight * f.flat(np.conj(np.array([e.blocks[k] for e in self.ambient_basis]))
+                                .transpose(0, 2, 1))
+             for k, f in enumerate(self.factors)]
+            + [scales * np.array([e.abelian for e in self.ambient_basis])], axis=1)
 
     # -- element constructors -------------------------------------------
     def zero(self) -> AlgebraElement:
@@ -243,12 +248,12 @@ class RealizedAlgebra:
             return out
         width = max([self.dim] + [f.flat_len for f in self.factors])
         step = max(1, PAIR_CHUNK // (len(ys) * width))
-        bs = [np.stack([y.blocks[k] for y in ys])[None] for k in range(len(self.factors))]
+        bs = [np.array([y.blocks[k] for y in ys])[None] for k in range(len(self.factors))]
         for i in range(0, len(xs), step):
             chunk = xs[i:i + step]
             co = np.zeros((len(chunk), len(ys), self.dim))
             for k, (f, cols, b) in enumerate(zip(self.factors, self._slices, bs)):
-                a = np.stack([x.blocks[k] for x in chunk])[:, None]
+                a = np.array([x.blocks[k] for x in chunk])[:, None]
                 co += f.flat(a @ b - b @ a) @ self._dual[:, cols].T
             out[i:i + step] = co @ rows.T
         return out
@@ -298,7 +303,7 @@ class _FactorRealization:
         m = np.ascontiguousarray(m, dtype=self.dtype)
         if self.dtype is complex:
             m = m.view(float)
-        return m.reshape(m.shape[:-2] + (-1,))
+        return m.reshape(m.shape[:-2] + (m.shape[-2] * m.shape[-1],))
 
     def _cartan_matrix(self, i: int):
         n = self.size
@@ -324,38 +329,19 @@ class _FactorRealization:
 
     def spanning_set(self) -> list:
         """Natural spanning elements of the factor, as AlgebraElements."""
-        out = []
-        n = self.size
-        alg = self.algebra
-
-        def put(block):
-            out.append(alg.single_block(self.index, block))
-
+        n, r = self.size, self.rank
         if self.family == "A":
-            for i in range(n - 1):
-                d = np.zeros((n, n), dtype=complex)
-                d[i, i] = 1j
-                d[i + 1, i + 1] = -1j
-                put(d)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    put(_rot(n, i, j, complex))
-                    put(1j * (_eij(n, i, j, complex) + _eij(n, j, i, complex)))
+            blocks = [1j * (_eij(n, i, i, complex) - _eij(n, i + 1, i + 1, complex))
+                      for i in range(n - 1)]
+            blocks += [b for i, j in combinations(range(n), 2) for b in (
+                _rot(n, i, j, complex), 1j * (_eij(n, i, j, complex) + _eij(n, j, i, complex)))]
         elif self.family in ("B", "D"):
-            for i in range(n):
-                for j in range(i + 1, n):
-                    put(_rot(n, i, j))
+            blocks = [_rot(n, i, j) for i, j in combinations(range(n), 2)]
         else:
-            r = self.rank
-            for i in range(r):
-                for part in ("x", "y", "z"):
-                    put(quat_unit(r, part, [(i, i, 1)]))
-            for i in range(r):
-                for j in range(i + 1, r):
-                    put(quat_unit(r, "w", [(i, j, 1), (j, i, -1)]))
-                    for part in ("x", "y", "z"):
-                        put(quat_unit(r, part, [(i, j, 1), (j, i, 1)]))
-        return out
+            blocks = [quat_unit(r, p, [(i, i, 1)]) for i in range(r) for p in "xyz"]
+            blocks += [quat_unit(r, p, [(i, j, 1), (j, i, -1 if p == "w" else 1)])
+                       for i, j in combinations(range(r), 2) for p in "wxyz"]
+        return [self.algebra.single_block(self.index, b) for b in blocks]
 
     # -- root planes --------------------------------------------------------
     def _plane_span(self, root: TVec) -> tuple:
@@ -432,68 +418,73 @@ def realize(spec: AlgebraSpec) -> RealizedAlgebra:
     return RealizedAlgebra(spec)
 
 
-def _support(x: AlgebraElement, transpose: bool = False) -> np.ndarray:
-    """Where x is nonzero: the entries of each block (transposed, if asked)
-    in row-major order, then the abelian components."""
-    return np.concatenate([(b.T if transpose else b).ravel() != 0 for b in x.blocks]
-                          + [x.abelian != 0])
-
-
-def _signed_zero(alg: RealizedAlgebra, negative: np.ndarray) -> AlgebraElement:
-    """The zero element that is -0.0 at the components `negative` of the
-    flat layout (`RealizedAlgebra._flat`) and +0.0 elsewhere."""
-    flat = np.where(negative, -0.0, 0.0)
-    blocks = [flat[cols].view(f.dtype).reshape(f.size, f.size)
-              for f, cols in zip(alg.factors, alg._slices)]
-    return AlgebraElement(alg, blocks, flat[len(flat) - alg.spec.abelian_dim:])
-
-
 def gram_schmidt(alg: RealizedAlgebra, elements: Iterable[AlgebraElement]) -> list:
     """Orthonormalize under the bi-invariant inner product, dropping
     numerically dependent elements (residual norm at most DROP_TOL):
-    modified Gram-Schmidt in two passes, up to dim g.
+    modified Gram-Schmidt in two passes, up to dim g.  The elements are the
+    rows of one array, in the flat layout of `RealizedAlgebra._flat`; the
+    basis fills its first rows, each element is reduced in place in the
+    next one, and the elements returned are views into it.
 
     A projection whose inner product is zero by support is skipped, and the
     output is bit for bit that of the loop that takes every projection.
-    inner(v, b) pairs v's block entry (i, j) with b's entry (j, i), plus
-    the abelian products.  Where v's nonzero entries miss b's transposed
-    nonzero entries, every product is +-0, so inner returns +0.0 (its sum
-    starts at 0.0) and v - 0.0 * b changes only zeros of v: a -0.0 facing a
-    -0.0 of 0.0 * b becomes +0.0.  Those sign changes commute with the
-    other updates, so they are applied once, after the two passes.
+    inner(v, b) pairs each part (real, imaginary) of v's entry (i, j) with
+    that of b's entry (j, i), plus the abelian parts.  Where no nonzero
+    component of v meets one of b, inner returns +0.0 (its sum starts at
+    0.0), and v - 0.0 * b only turns a -0.0 of v facing a -0.0 of 0.0 * b
+    into +0.0.  No update makes a -0.0, and these sign changes commute with
+    the updates, so they are made once, after the two passes, in the
+    elements that hold a -0.0.
     """
     elements = list(elements)
     if any(e.algebra is not alg for e in elements):
         raise ValueError("algebra spec mismatch")
+    if not elements:
+        return []
+    width = sum(f.flat_len for f in alg.factors)
+    rows = np.concatenate([f.flat(np.array([e.blocks[i] for e in elements]))
+                           for i, f in enumerate(alg.factors)]
+                          + [np.array([e.abelian for e in elements])], axis=1)
+    stacks = [rows[:, cols].view(f.dtype).reshape(len(rows), f.size, f.size)
+              for f, cols in zip(alg.factors, alg._slices)]
+    meets = np.arange(rows.shape[1])  # the component each meets in a transposed block
+    for f, cols in zip(alg.factors, alg._slices):
+        meets[cols] = meets[cols].reshape(f.size, f.size, -1).transpose(1, 0, 2).ravel()
+    signs, signed = np.zeros(rows.shape[1], dtype=bool), 0  # the -0.0s of 0.0 * rows[:signed]
     basis: list = []
-    width = sum(f.size ** 2 for f in alg.factors) + alg.spec.abelian_dim
-    meets = np.zeros((len(elements), width), dtype=bool)  # row k: basis[k] transposed
-    supports = np.zeros((len(elements), width), dtype=bool)  # row k: basis[k]
-    # row k: the -0.0 components of 0.0 * basis[k], in the flat layout
-    signs = np.zeros((len(elements), alg._flat(alg.zero()).size), dtype=bool)
-    for e in elements:
-        if len(basis) == alg.dim:  # an orthonormal set cannot outgrow the algebra
+    for i, negative_zero in enumerate((np.signbit(rows) & (rows == 0)).any(1).tolist()):
+        n = len(basis)
+        if n == alg.dim:  # an orthonormal set cannot outgrow the algebra
             break
-        v, n = e.copy(), len(basis)
-        mask = _support(v)  # covers the support of v
-        skipped = np.zeros(n, dtype=bool)
-        for _ in range(2):  # two passes for numerical stability
-            projected = np.zeros(n, dtype=bool)
-            k = 0
-            while (hits := np.flatnonzero(meets[k:n] @ mask)).size:
+        if n < i:  # an element was dropped: this one goes to the next free row
+            rows[n] = rows[i]
+        row = rows[n]
+        v = AlgebraElement(alg, [stack[n] for stack in stacks], row[width:])
+        taken = ([], [])
+        for p in range(2):  # two passes for numerical stability
+            k = 0  # hits: the basis rows from k on that v's nonzero components meet
+            while (hits := rows[k:n, meets[row.nonzero()[0]]].nonzero()[0]).size:
                 k += int(hits[0])
-                v = v - alg.inner(v, basis[k]) * basis[k]
-                mask |= supports[k]
-                projected[k] = True
+                c = alg.inner(v, basis[k])
+                for x, y in zip(v.blocks + [v.abelian], basis[k].blocks + [basis[k].abelian]):
+                    x -= c * y
+                taken[p].append(k)
                 k += 1
-            skipped |= ~projected
-        flips = skipped @ signs[:n]
-        if flips.any():
-            v = v - _signed_zero(alg, flips)
+            if not taken[0]:  # v met no row, so a second pass would take none either
+                break
+        if negative_zero:  # the sign changes of the projections skipped in a pass
+            both = set(taken[0]) & set(taken[1])
+            ks = [k for k in range(n) if k not in both] if both else slice(signed, n)
+            flips = np.signbit(np.concatenate([f.flat(0.0 * stack[ks])
+                                               for f, stack in zip(alg.factors, stacks)]
+                                              + [0.0 * rows[ks, width:]], axis=1)).any(0)
+            if not both:  # all rows skipped: signs, with the rows added since its last use
+                signs |= flips
+                flips, signed = signs, n
+            np.add(row, 0.0, out=row, where=flips)  # v - (-0.0) there
         nv = v.norm()
         if nv > DROP_TOL:
-            b = (1.0 / nv) * v
-            meets[n], supports[n] = _support(b, transpose=True), _support(b)
-            signs[n] = np.signbit(alg._flat(0.0 * b))
-            basis.append(b)
+            for x in v.blocks + [v.abelian]:
+                np.multiply(1.0 / nv, x, out=x)
+            basis.append(v)
     return basis

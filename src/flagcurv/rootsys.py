@@ -43,9 +43,13 @@ _SQRT6 = sqrt(6.0)
 
 def _frac(x) -> Fraction:
     """An exact rational from a Fraction, an int or a string.  A float or a
-    bool (JSON's 0.1 or true) is no exact input: TypeError."""
+    bool (JSON's 0.1 or true) is no exact input: TypeError.  A decimal
+    exponent past 4 digits is ValueError: Fraction builds 10**e, which takes
+    seconds from e = 10**7 on."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, str) and len(x.lower().partition("e")[2].strip().lstrip("+-0_")) > 4:
+        raise ValueError(f"the decimal exponent of {x[:30]!r} has more than 4 digits")
     if type(x) is int or isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"exact value must be a string or an integer, got {x!r}")

@@ -49,6 +49,10 @@ MUTANTS = [
      "if xin < 1e-9 and yin < 1e-9:", "if xin < 1e-3 and yin < 1e-3:"),
     ("DROP_TOL 1e-10 -> 1e-7", LIEALG,
      "DROP_TOL = 1e-10", "DROP_TOL = 1e-7"),
+    ("gram_schmidt stop at dim g deleted", LIEALG,
+     "        if n == alg.dim:  # an orthonormal set cannot outgrow the algebra\n"
+     "            break\n",
+     ""),
     # the norms
     ("NULL_TOL 1e-8 -> 1e-6", NORMS,
      "NULL_TOL = 1e-8", "NULL_TOL = 1e-6"),
