@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import sqrt
 from typing import Iterable, Optional, Sequence
 
@@ -63,13 +62,6 @@ class AlgebraElement:
             np.zeros(algebra.spec.abelian_dim)
             if abelian is None
             else np.asarray(abelian, dtype=float)
-        )
-
-    def copy(self) -> "AlgebraElement":
-        return AlgebraElement(
-            self.algebra,
-            [b.copy() for b in self.blocks],
-            self.abelian.copy(),
         )
 
     def __add__(self, o: "AlgebraElement") -> "AlgebraElement":
@@ -176,11 +168,11 @@ class RealizedAlgebra:
         self.ambient_basis = gram_schmidt(self, raw)
         assert len(self.ambient_basis) == self.dim
         scales = np.array([float(s) for s in spec.abelian_scales])
-        self._dual = np.concatenate(
-            [-f.weight * f.flat(np.conj(np.array([e.blocks[k] for e in self.ambient_basis]))
-                                .transpose(0, 2, 1))
-             for k, f in enumerate(self.factors)]
-            + [scales * np.array([e.abelian for e in self.ambient_basis])], axis=1)
+        self._dual = np.array([
+            np.concatenate([-f.weight * f.flat(np.conj(b.T))
+                            for f, b in zip(self.factors, e.blocks)] + [scales * e.abelian])
+            for e in self.ambient_basis
+        ])
 
     # -- element constructors -------------------------------------------
     def zero(self) -> AlgebraElement:
@@ -248,12 +240,12 @@ class RealizedAlgebra:
             return out
         width = max([self.dim] + [f.flat_len for f in self.factors])
         step = max(1, PAIR_CHUNK // (len(ys) * width))
-        bs = [np.array([y.blocks[k] for y in ys])[None] for k in range(len(self.factors))]
+        bs = [np.stack([y.blocks[k] for y in ys])[None] for k in range(len(self.factors))]
         for i in range(0, len(xs), step):
             chunk = xs[i:i + step]
             co = np.zeros((len(chunk), len(ys), self.dim))
             for k, (f, cols, b) in enumerate(zip(self.factors, self._slices, bs)):
-                a = np.array([x.blocks[k] for x in chunk])[:, None]
+                a = np.stack([x.blocks[k] for x in chunk])[:, None]
                 co += f.flat(a @ b - b @ a) @ self._dual[:, cols].T
             out[i:i + step] = co @ rows.T
         return out
@@ -329,19 +321,38 @@ class _FactorRealization:
 
     def spanning_set(self) -> list:
         """Natural spanning elements of the factor, as AlgebraElements."""
-        n, r = self.size, self.rank
+        out = []
+        n = self.size
+        alg = self.algebra
+
+        def put(block):
+            out.append(alg.single_block(self.index, block))
+
         if self.family == "A":
-            blocks = [1j * (_eij(n, i, i, complex) - _eij(n, i + 1, i + 1, complex))
-                      for i in range(n - 1)]
-            blocks += [b for i, j in combinations(range(n), 2) for b in (
-                _rot(n, i, j, complex), 1j * (_eij(n, i, j, complex) + _eij(n, j, i, complex)))]
+            for i in range(n - 1):
+                d = np.zeros((n, n), dtype=complex)
+                d[i, i] = 1j
+                d[i + 1, i + 1] = -1j
+                put(d)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    put(_rot(n, i, j, complex))
+                    put(1j * (_eij(n, i, j, complex) + _eij(n, j, i, complex)))
         elif self.family in ("B", "D"):
-            blocks = [_rot(n, i, j) for i, j in combinations(range(n), 2)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    put(_rot(n, i, j))
         else:
-            blocks = [quat_unit(r, p, [(i, i, 1)]) for i in range(r) for p in "xyz"]
-            blocks += [quat_unit(r, p, [(i, j, 1), (j, i, -1 if p == "w" else 1)])
-                       for i, j in combinations(range(r), 2) for p in "wxyz"]
-        return [self.algebra.single_block(self.index, b) for b in blocks]
+            r = self.rank
+            for i in range(r):
+                for part in ("x", "y", "z"):
+                    put(quat_unit(r, part, [(i, i, 1)]))
+            for i in range(r):
+                for j in range(i + 1, r):
+                    put(quat_unit(r, "w", [(i, j, 1), (j, i, -1)]))
+                    for part in ("x", "y", "z"):
+                        put(quat_unit(r, part, [(i, j, 1), (j, i, 1)]))
+        return out
 
     # -- root planes --------------------------------------------------------
     def _plane_span(self, root: TVec) -> tuple:
@@ -450,7 +461,6 @@ def gram_schmidt(alg: RealizedAlgebra, elements: Iterable[AlgebraElement]) -> li
     meets = np.arange(rows.shape[1])  # the component each meets in a transposed block
     for f, cols in zip(alg.factors, alg._slices):
         meets[cols] = meets[cols].reshape(f.size, f.size, -1).transpose(1, 0, 2).ravel()
-    signs, signed = np.zeros(rows.shape[1], dtype=bool), 0  # the -0.0s of 0.0 * rows[:signed]
     basis: list = []
     for i, negative_zero in enumerate((np.signbit(rows) & (rows == 0)).any(1).tolist()):
         n = len(basis)
@@ -473,14 +483,11 @@ def gram_schmidt(alg: RealizedAlgebra, elements: Iterable[AlgebraElement]) -> li
             if not taken[0]:  # v met no row, so a second pass would take none either
                 break
         if negative_zero:  # the sign changes of the projections skipped in a pass
-            both = set(taken[0]) & set(taken[1])
-            ks = [k for k in range(n) if k not in both] if both else slice(signed, n)
+            ks = np.arange(len(rows)) < n  # the basis rows not taken in both passes
+            ks[list(set(taken[0]) & set(taken[1]))] = False
             flips = np.signbit(np.concatenate([f.flat(0.0 * stack[ks])
                                                for f, stack in zip(alg.factors, stacks)]
                                               + [0.0 * rows[ks, width:]], axis=1)).any(0)
-            if not both:  # all rows skipped: signs, with the rows added since its last use
-                signs |= flips
-                flips, signed = signs, n
             np.add(row, 0.0, out=row, where=flips)  # v - (-0.0) there
         nv = v.norm()
         if nv > DROP_TOL:

@@ -48,7 +48,8 @@ def _frac(x) -> Fraction:
     seconds from e = 10**7 on."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, str) and len(x.lower().partition("e")[2].strip().lstrip("+-0_")) > 4:
+    if isinstance(x, str) and len(x.lower().partition("e")[2].replace("_", "").strip()
+                                  .lstrip("+-0")) > 4:
         raise ValueError(f"the decimal exponent of {x[:30]!r} has more than 4 digits")
     if type(x) is int or isinstance(x, str):
         return Fraction(x)

@@ -96,7 +96,7 @@ def test_acceptance_2_matrix_algebra_integrity(random_element):
                     key = (p.root + q.root.scale(s)).canonical_sign()
                     if key in f.plane_keys:
                         tp = f.plane(key)
-                        targets.extend([tp.x.copy(), tp.y.copy()])
+                        targets.extend([tp.x, tp.y])
                 span = gram_schmidt(alg, targets) if targets else []
                 for a in (p.x, p.y):
                     for b in (q.x, q.y):

@@ -12,6 +12,7 @@ import io
 import json
 import sys
 import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from flagcurv import cli
 from flagcurv.coset import MAX_PRESET_PARAM
 from flagcurv.liealg import MAX_LATTICE_COORD, MAX_SCALE
+from flagcurv.rootsys import _frac
 
 SWEEP = settings(max_examples=12, deadline=2000, derandomize=True,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -122,6 +124,14 @@ def test_a_long_decimal_exponent_fails_closed_at_once(argv):
     """10**(10**7) took seconds to build before the cap rejected it."""
     code, out = run_main(argv)
     assert code == 1 and "has more than 4 digits" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("text,value", [
+    ("1e1_0_0", 10 ** 100), ("-1e-0_0_9_9_9_9", -Fraction(1, 10 ** 9999)), ("1_0e+0_0_0_0_2", 1000),
+])
+def test_a_decimal_exponent_of_at_most_4_digits_is_read(text, value):
+    """The exponent's digits count, not its "_" separators or leading zeros."""
+    assert _frac(text) == value
 
 
 @pytest.mark.parametrize("where,field", [("factor", "scale"), ("abelian", "coordinate")])

@@ -154,7 +154,7 @@ def test_jacobi_and_ad_invariance_100_triples(algebras, random_element, fam, ran
 
 
 def _residual_off_span(alg, elem, span):
-    v = elem.copy()
+    v = elem
     for b in span:
         v = v - alg.inner(v, b) * b
     return v.norm()
@@ -172,7 +172,7 @@ def test_root_plane_bracket_containment(algebras, fam, rank):
             key = (p.root + q.root.scale(s)).canonical_sign()
             if key in f.plane_keys:
                 tp = f.plane(key)
-                targets.extend([tp.x.copy(), tp.y.copy()])
+                targets.extend([tp.x, tp.y])
         span = gram_schmidt(alg, targets) if targets else []
         for a in (p.x, p.y):
             for b in (q.x, q.y):
@@ -222,7 +222,7 @@ def _full_gram_schmidt(alg, elements, tol=1e-10):
     product: gram_schmidt must reproduce it bit for bit."""
     basis = []
     for e in elements:
-        v = e.copy()
+        v = e
         for _ in range(2):
             for b in basis:
                 v = v - alg.inner(v, b) * b
@@ -262,7 +262,7 @@ def test_gram_schmidt_is_bit_identical_on_spanning_sets(spec):
     alg = realize(spec)
     raw = [e for f in alg.factors for e in f.spanning_set()]
     raw += [alg.abelian_unit(k) for k in range(spec.abelian_dim)]
-    raw += [e.copy() for e in raw[:3]]
+    raw += raw[:3]
     got, fast = _inner_calls(alg, gram_schmidt, raw)
     want, full = _inner_calls(alg, _full_gram_schmidt, raw)
     assert len(got) == alg.dim
@@ -286,7 +286,7 @@ def test_gram_schmidt_is_bit_identical_on_preset_h_and_m(monkeypatch, text):
 
     def record(alg, elements, *args):
         elements = list(elements)
-        calls.append((alg, [e.copy() for e in elements]))
+        calls.append((alg, elements))
         return gram_schmidt(alg, elements, *args)
 
     with monkeypatch.context() as m:
