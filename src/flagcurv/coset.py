@@ -140,7 +140,7 @@ class CosetSpace:
     def _verify(self) -> np.ndarray:
         """Check closure, orthogonality, reductivity and t cap m; returns Kh, the
         m-part of the one [h, m] pass, whose h-part is the reductivity residual."""
-        off = self.algebra.bracket_coords(self.h_basis, self.h_basis, self._m_co)
+        off = self.algebra.bracket_coords(self.h_basis, self.h_basis, self._m_co, upper=True)
         worst = float(np.linalg.norm(off, axis=-1).max()) if off.size else 0.0
         if worst > CLOSURE_TOL:  # the part of each [h_i, h_j] in m
             raise ValueError(f"not a subalgebra: bracket closure residual {worst:.2e}")

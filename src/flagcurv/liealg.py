@@ -228,12 +228,16 @@ class RealizedAlgebra:
         rebuilt = np.array([self._flat(b) for b in self.ambient_basis]).T @ (self._dual @ flat)
         return float(np.linalg.norm(flat - rebuilt) / max(np.linalg.norm(flat), 1e-300))
 
-    def bracket_coords(self, xs: Sequence[AlgebraElement],
-                       ys: Sequence[AlgebraElement], rows: np.ndarray) -> np.ndarray:
+    def bracket_coords(self, xs: Sequence[AlgebraElement], ys: Sequence[AlgebraElement],
+                       rows: np.ndarray, upper: bool = False) -> np.ndarray:
         """rows @ coords([x_i, y_j]) for every pair, shape
         (len(xs), len(ys), len(rows)).  The xs go through in chunks, each
         with one broadcast matmul per factor and one product with the dual,
-        so no temporary holds more than about PAIR_CHUNK entries."""
+        so no temporary holds more than about PAIR_CHUNK entries.  With
+        upper (xs = ys), a chunk starting at x_i brackets the ys past y_i
+        only, so every pair i < j is taken and the pairs j <= i outside the
+        chunks read 0; the product with rows keeps its full shape, whose
+        gemm rounds as in the full pass."""
         rows = np.asarray(rows).reshape(-1, self.dim)
         out = np.zeros((len(xs), len(ys), len(rows)))
         if not (len(xs) and len(ys)):
@@ -242,11 +246,11 @@ class RealizedAlgebra:
         step = max(1, PAIR_CHUNK // (len(ys) * width))
         bs = [np.stack([y.blocks[k] for y in ys])[None] for k in range(len(self.factors))]
         for i in range(0, len(xs), step):
-            chunk = xs[i:i + step]
+            chunk, lo = xs[i:i + step], i + 1 if upper else 0
             co = np.zeros((len(chunk), len(ys), self.dim))
             for k, (f, cols, b) in enumerate(zip(self.factors, self._slices, bs)):
-                a = np.stack([x.blocks[k] for x in chunk])[:, None]
-                co += f.flat(a @ b - b @ a) @ self._dual[:, cols].T
+                a, b = np.stack([x.blocks[k] for x in chunk])[:, None], b[:, lo:]
+                co[:, lo:] += f.flat(a @ b - b @ a) @ self._dual[:, cols].T
             out[i:i + step] = co @ rows.T
         return out
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import repeat
@@ -45,6 +46,7 @@ from .rootsys import (
     AlgebraSpec,
     Projection,
     TVec,
+    _half,
     _normalize_family,
     angle as root_angle,
     build_root_system,
@@ -68,50 +70,64 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True, eq=False)
 class RootData:
-    """The roots of an AlgebraSpec lifted to t, with plane keys and negatives."""
+    """The roots of an AlgebraSpec lifted to t, with plane keys and one
+    index; a root's factor, negative and plane key are read off its
+    position."""
 
     g_roots: tuple         # factor by factor, each in root-system order
     factor_roots: tuple    # the same roots as one tuple per factor
     factor_columns: tuple  # per factor, the coordinate columns of its unit roots
-    factor_of: Mapping     # root -> factor index
-    canonical: Mapping     # root -> canonical sign of its plane
-    negative: Mapping      # root -> its negative
     keys: tuple            # distinct plane keys in order of first appearance
-    root_set: frozenset
+    index: Mapping         # root -> its position in g_roots
+    bounds: tuple          # where each factor's roots start in g_roots, then len(g_roots)
+
+    def _place(self, r) -> tuple:
+        """(i, f, e) for the root r: its position i, its factor f, and e,
+        the sum of the first and last positions of f's roots."""
+        i = self.index[r]
+        f = bisect_right(self.bounds, i) - 1
+        return i, f, self.bounds[f] + self.bounds[f + 1] - 1
+
+    def factor(self, r) -> int:
+        return self._place(r)[1]
+
+    def negative(self, r) -> TVec:
+        i, _, e = self._place(r)
+        return self.g_roots[e - i]
+
+    def canonical(self, r) -> TVec:
+        """The plane key of r, the one of r and -r in the second half."""
+        i, _, e = self._place(r)
+        return self.g_roots[max(i, e - i)]
 
 
 @functools.lru_cache(maxsize=None)
 def _root_data(spec: AlgebraSpec) -> RootData:
     """Root data of spec, built once per spec and shared read-only: a unit
-    spec of one factor holds its root system's roots and root set as they
-    are, one table per (family, rank), and any other spec lifts each
-    factor's roots once, from their columns padded with zeros.  The maps
-    are read off positions.  A factor's N roots come in build_root_system's
-    order, lexicographic on the lattice ints, which a lift keeps; the root
-    set is symmetric with no zero, and negation reverses the order.  So the
-    negative of roots[i] is roots[N-1-i], the second half holds the
-    canonical signs (first nonzero coordinate positive), and the plane keys
-    in order of first appearance are that half reversed."""
+    spec of one factor holds its root system's roots as they are, one table
+    per (family, rank), and any other spec lifts each factor's roots once,
+    from their columns padded with zeros.  The one hashed table is the
+    index, root -> position in g_roots, which also answers membership; the
+    rest is read off a position.  A factor's N roots come in
+    build_root_system's order, lexicographic on the lattice ints, which a
+    lift keeps; the root set is symmetric with no zero, and negation
+    reverses the order.  So inside a factor the negative of roots[i] is
+    roots[N-1-i], the second half holds the canonical signs (first nonzero
+    coordinate positive), and the plane keys in order of first appearance
+    are that half reversed."""
     if spec.units == (spec,):
-        rs = build_root_system(*spec.factors[0][:2], _relaxed=True)
-        factor_roots, columns, root_set = [rs.roots], [tuple(zip(*rs.roots))], rs.root_set
+        roots = build_root_system(*spec.factors[0][:2], _relaxed=True).roots
+        factor_roots, columns = [roots], [tuple(zip(*roots))]
     else:
         columns, factor_roots = [_root_data(u).factor_columns[0] for u in spec.units], []
         for cols, (a, b, _) in zip(columns, spec.blocks):
             z = ((0,) * len(cols[0]),)  # a zero column, off the factor's block
             factor_roots.append(tuple(map(spec.tvec, zip(*z * a, *cols, *z * (spec.dim - b)))))
-        root_set = frozenset(itertools.chain.from_iterable(factor_roots))
-    factor_of, canonical, negative, keys = {}, [], [], []
-    for i, roots in enumerate(factor_roots):
-        rev, half = roots[::-1], len(roots) // 2
-        factor_of.update(dict.fromkeys(roots, i))
-        canonical += rev[:half] + roots[half:]
-        negative += rev
-        keys += rev[:half]
     g_roots = tuple(itertools.chain.from_iterable(factor_roots))
-    return RootData(g_roots, tuple(factor_roots), tuple(columns), MappingProxyType(factor_of),
-                    MappingProxyType(dict(zip(g_roots, canonical))),
-                    MappingProxyType(dict(zip(g_roots, negative))), tuple(keys), root_set)
+    keys = tuple(itertools.chain.from_iterable(r[len(r) // 2:][::-1] for r in factor_roots))
+    bounds = tuple(itertools.accumulate(map(len, factor_roots), initial=0))
+    return RootData(g_roots, tuple(factor_roots), tuple(columns), keys,
+                    MappingProxyType(dict(zip(g_roots, itertools.count()))), bounds)
 
 
 def _times(c, v) -> tuple:
@@ -181,8 +197,7 @@ class RootLevelSpace:
 
     def in_t_h(self, v) -> bool:
         """Whether v lies in t cap h; a root reads the tables."""
-        roots = self.root_data.root_set
-        return v in self.tables.t_h if v in roots else self.projection.in_t_h(v)
+        return v in self.tables.t_h if v in self.root_data.index else self.projection.in_t_h(v)
 
     @functools.cached_property
     def scaled_h(self) -> frozenset:
@@ -201,7 +216,7 @@ def make_root_level_space(spec: AlgebraSpec, w: TVec, h_roots: Iterable[TVec] = 
     rd = _root_data(spec)
     tables = ProjectionTables(t_cap_h_projection(spec, (w,)), rd)
     hset = set(h_roots)
-    hset.update([rd.negative.get(v) or -v for v in hset])
+    hset.update([rd.negative(v) if v in rd.index else -v for v in hset])
     if h_perp:
         hset |= tables.t_h
     return RootLevelSpace(spec, rd, w, frozenset(hset), dict.fromkeys(rd.keys), tables,
@@ -238,9 +253,9 @@ def _case_pairs(space: RootLevelSpace):
 
 def classify_case(space: RootLevelSpace) -> str:
     """'I', 'II' or 'III' (priority III > II > I)."""
-    case, factor_of = "I", space.root_data.factor_of
+    case, factor = "I", space.root_data.factor
     for a, b in _case_pairs(space):
-        if factor_of[a] == factor_of[b]:
+        if factor(a) == factor(b):
             return "III"
         case = "II"
     return case
@@ -281,7 +296,7 @@ def key_lemma_1_applies(space: RootLevelSpace, alpha: TVec) -> bool:
     """True iff alpha is a g-root lying in t cap h and is the only root of
     g in the affine line alpha + (t cap m); a positively curved space must
     then have alpha in Delta_h with its plane inside h."""
-    if alpha not in space.root_data.root_set:
+    if alpha not in space.root_data.index:
         raise ValueError("alpha is not a root of g")
     if not space.in_t_h(alpha):
         raise ValueError("alpha is not contained in t cap h")
@@ -291,7 +306,7 @@ def key_lemma_1_applies(space: RootLevelSpace, alpha: TVec) -> bool:
 
 def _sum_or_difference_is_root(space: RootLevelSpace, g1: TVec, g2: TVec) -> bool:
     """Whether g1 + g2 or g1 - g2 is a root of g."""
-    roots = space.root_data.root_set
+    roots = space.root_data.index
     return tuple(map(add, g1, g2)) in roots or tuple(map(sub, g1, g2)) in roots
 
 
@@ -302,17 +317,17 @@ def key_lemma_2_details(space: RootLevelSpace, g1: TVec, g2: TVec) -> dict:
     g outside t cap h needs no more: by (3) its plane is the whole t cap h-
     isotypic part of weight +-P(g), ad(w) moves all of it (g(w) != 0), and
     [h, m] in m, h cap m = 0 leave it no room to meet h."""
-    roots = space.root_data.root_set
+    roots = space.root_data.index
     if g1 not in roots or g2 not in roots:
         raise ValueError("inputs must be roots of g")
     in_m = lambda g: g not in space.h_roots and (
-        not space.in_t_h(g) or space.assignment[space.root_data.canonical[g]] == "m")
+        not space.in_t_h(g) or space.assignment[space.root_data.canonical(g)] == "m")
     cond = {1: in_m(g1) and in_m(g2)}
     cond[2] = not _sum_or_difference_is_root(space, g1, g2)
     neg_of = space.root_data.negative
-    cond[3] = _span_members(space, g1) <= {g1, neg_of[g1]}
+    cond[3] = _span_members(space, g1) <= {g1, neg_of(g1)}
     # the roots on -g2 + span(g1, w) are the negatives of those on g2 + span(g1, w)
-    cond[4] = _span_members(space, g1, shift=g2) <= {g2, neg_of[g2]}
+    cond[4] = _span_members(space, g1, shift=g2) <= {g2, neg_of(g2)}
     return cond
 
 
@@ -320,7 +335,8 @@ def key_lemma_2_check(space: RootLevelSpace, g1: TVec, g2: TVec) -> bool:
     """True iff the pair (g1, g2) satisfies all four exclusion conditions,
     certifying that the space admits no positively curved reversible
     invariant metric."""
-    if g1 in (g2, space.root_data.negative.get(g2)):
+    rd = space.root_data
+    if g1 == g2 or g2 in rd.index and g1 == rd.negative(g2):
         raise ValueError("roots must be linearly independent")
     return all(key_lemma_2_details(space, g1, g2).values())
 
@@ -331,11 +347,11 @@ def _kl2_pair_search(space: RootLevelSpace, candidates: Iterable[TVec]) -> Optio
     (2) are screened first: independent, both outside Delta_h, and with
     neither g1 + g2 nor g1 - g2 a root."""
     outside_h = sorted(r for r in candidates if r not in space.h_roots)
-    neg_of = space.root_data.negative
+    negatives = map(space.root_data.negative, outside_h)
     return _first_excluded(space, (
         Witness("key_lemma_2", {"gamma1": g1, "gamma2": g2})
-        for g1, g2 in itertools.combinations(outside_h, 2)
-        if g2 != neg_of[g1] and not _sum_or_difference_is_root(space, g1, g2)))
+        for i, (g1, n1) in enumerate(zip(outside_h, negatives)) for g2 in outside_h[i + 1:]
+        if g2 != n1 and not _sum_or_difference_is_root(space, g1, g2)))
 
 
 def angle_lemma_check(space: RootLevelSpace, alpha: TVec, beta: TVec) -> bool:
@@ -346,8 +362,8 @@ def angle_lemma_check(space: RootLevelSpace, alpha: TVec, beta: TVec) -> bool:
     pa = space.scaled(alpha)
     if pa != space.scaled(beta) or space.unscaled(pa) not in space.h_roots:
         raise ValueError("hypothesis violated: projections differ or are not h-roots")
-    factor_of = space.root_data.factor_of
-    return (factor_of[alpha] == factor_of[beta]
+    factor = space.root_data.factor
+    return (factor(alpha) == factor(beta)
             and root_angle(alpha, beta) in ("pi/3", "2pi/3"))
 
 
@@ -513,8 +529,9 @@ def propagate_assignment(space: RootLevelSpace, rule_order: Optional[list] = Non
 @functools.lru_cache(maxsize=None, typed=True)  # typed: keyed by the spec's TVec class too
 def _fmt(tv: TVec) -> str:
     """tv as rows and traces print it, formatted once per (spec, vector)."""
-    parts = [lattice_block(tv[a:b], k) for a, b, k in tv.spec.blocks if any(tv[a:b])]
-    ab = [str(x) for x in tv.abelian if x]
+    spec = tv.spec
+    parts = [lattice_block(x, k) for x, k in ((tv[a:b], k) for a, b, k in spec.blocks) if any(x)]
+    ab = [_half(x) for x in tv[spec.dim - spec.abelian_dim:] if x]
     if ab:
         parts.append("ab(" + ",".join(ab) + ")")
     return "+".join(parts) if parts else "0"
@@ -607,15 +624,14 @@ def revalidate_witness(space: RootLevelSpace, witness: Witness) -> bool:
 
 def _check_root_facts(space: RootLevelSpace, payload: dict) -> bool:
     """Whether every fact (tag, *args) of the payload holds."""
-    roots = space.root_data.root_set
-    spec = space.spec
+    roots, spec = space.root_data.index, space.spec
     holds = {
         "is_root": lambda r: r in roots,
         "not_root": lambda v: v not in roots,
         "orthogonal": lambda u, v: not tvec_dot(spec, u, v),
         # the roots orthogonal to t_prime form a subsystem of the given size
         "centralizer_subsystem": lambda t_prime, size: size == _centralizer_size(
-            spec, roots, t_prime),
+            spec, space.root_data.g_roots, t_prime),
         "assignment_consistent": lambda: _assignment_consistent(space),
     }
     for tag, *args in payload.get("facts", []):
@@ -638,7 +654,7 @@ def _bracket_images(space: RootLevelSpace):
     h-plane b, and the plane of the single root among a + b, a - b: the
     bracket puts target where a is.  Assignments are read as the scan goes,
     so a caller may assign targets on the way."""
-    roots, canonical = space.root_data.root_set, space.root_data.canonical
+    roots, canonical = space.root_data.index, space.root_data.canonical
     asg = space.assignment
     keys = space.root_data.keys
     for a in keys:
@@ -649,7 +665,7 @@ def _bracket_images(space: RootLevelSpace):
                 continue
             targets = [t for t in (tuple(map(add, a, b)), tuple(map(sub, a, b))) if t in roots]
             if len(targets) == 1:  # the two-root cone case carries no containment
-                yield a, b, canonical[targets[0]]
+                yield a, b, canonical(targets[0])
 
 
 def _assignment_consistent(space: RootLevelSpace) -> bool:
@@ -965,10 +981,7 @@ def evaluate_subcase(sc: Subcase) -> Verdict:
 def enumerate_case3(family: str, rank: int) -> list:
     """All canonical case-III subcases of the family at this rank, with
     verdicts."""
-    out = []
-    for sc in case3_subcases(family, rank):
-        out.append((sc, evaluate_subcase(sc)))
-    return out
+    return [(sc, evaluate_subcase(sc)) for sc in case3_subcases(family, rank)]
 
 # ---------------------------------------------------------------------------
 # Case II
@@ -1013,15 +1026,14 @@ def classify_case2(space: RootLevelSpace) -> Verdict:
         raise ValueError("not a case-II space")
     # locate the cross-factor projection pair; the factor contributing only
     # +-alpha is the A1 side, beta is a root of the other factor
-    factor_of, factor_roots = space.root_data.factor_of, space.root_data.factor_roots
-    pair = next((a, b) for a, b in _case_pairs(space) if factor_of[a] != factor_of[b])
-    alpha, beta = sorted(pair, key=lambda r: len(factor_roots[factor_of[r]]) != 2)
-    if len(factor_roots[factor_of[alpha]]) != 2:
+    factor, factor_roots = space.root_data.factor, space.root_data.factor_roots
+    pair = next((a, b) for a, b in _case_pairs(space) if factor(a) != factor(b))
+    alpha, beta = sorted(pair, key=lambda r: len(factor_roots[factor(r)]) != 2)
+    if len(factor_roots[factor(alpha)]) != 2:
         raise ValueError("case-II datum without an A1 factor")
-    fb = factor_of[beta]
+    fb, pm_beta = factor(beta), (beta, space.root_data.negative(beta))
     # Wallach-pair search in the second factor
-    verdict = _kl2_pair_search(space, [r for r in factor_roots[fb]
-                                       if r not in (beta, space.root_data.negative[beta])])
+    verdict = _kl2_pair_search(space, [r for r in factor_roots[fb] if r not in pm_beta])
     if verdict:
         return verdict
     fam, rank, scale = space.spec.factors[fb]
@@ -1049,23 +1061,19 @@ def classify_case1(space: RootLevelSpace) -> Verdict:
     of the generator of t cap m over the abelian and simple factors."""
     if classify_case(space) != "I":
         raise ValueError("not a case-I space")
-    spec = space.spec
-    w = space.w
-    factor_roots = space.root_data.factor_roots
+    spec, w, factor_roots = space.spec, space.w, space.root_data.factor_roots
     w0_nonzero = any(w.abelian)
     active = [i for i, f in enumerate(w.factors) if not f.is_zero()]
     # each active factor's block of w, lifted to t
     w_of = {i: lift_root(spec, i, w.factors[i]) for i in active}
 
     # inactive simple factors must sit inside h entirely
-    for i in range(len(spec.factors)):
-        if i in active:
-            continue
-        for r in factor_roots[i]:
-            if r not in space.h_roots:
-                why = "root of a torus-fixed factor missing from h"
-                return _excluded(space, Witness("key_lemma_1", {"gamma": r, "detail": why}),
-                                 "first key lemma forces the whole factor into h")
+    r = next((r for i, rs in enumerate(factor_roots) if i not in active
+              for r in rs if r not in space.h_roots), None)
+    if r is not None:
+        why = "root of a torus-fixed factor missing from h"
+        return _excluded(space, Witness("key_lemma_1", {"gamma": r, "detail": why}),
+                         "first key lemma forces the whole factor into h")
     # a root inside t cap h that is alone on its affine line must be an
     # h-root; a candidate isotropy missing it is excluded outright
     why = "forced h-root missing from the candidate isotropy"
@@ -1110,12 +1118,8 @@ def classify_case1(space: RootLevelSpace) -> Verdict:
     if verdict:
         return verdict
     # one factor must now be A1 with roots along its torus component
-    a1 = None
-    for i in active:
-        ri = factor_roots[i]
-        if len(ri) == 2 and _in_affine_span([w_of[i]], ri[0]) is not None:
-            a1 = i
-            break
+    a1 = next((i for i in active if len(factor_roots[i]) == 2
+               and _in_affine_span([w_of[i]], factor_roots[i][0]) is not None), None)
     if a1 is None:
         return Verdict("unresolved",
                        detail="no certifying pair and no A1 factor aligned "
@@ -1124,11 +1128,8 @@ def classify_case1(space: RootLevelSpace) -> Verdict:
     alpha = factor_roots[a1][0]
     kind = "three_or_more_factors" if len(active) > 2 else "two_factors"
     j = others[0]
-    beta_in_line = None
-    for r in factor_roots[j]:
-        if _in_affine_span([w_of[j]], r) is not None:
-            beta_in_line = r
-            break
+    beta_in_line = next((r for r in factor_roots[j]
+                         if _in_affine_span([w_of[j]], r) is not None), None)
     if len(active) == 2 and beta_in_line is not None:
         payload = {
             "facts": [("is_root", alpha), ("is_root", beta_in_line)],
@@ -1139,12 +1140,9 @@ def classify_case1(space: RootLevelSpace) -> Verdict:
         return _excluded(space, Witness("root_combinatorial", payload),
                          "two-factor torus with a root along each component; "
                          "zero-curvature pair certified on the matrix preset")
-    beta = None
-    for r in factor_roots[j]:
-        # a root of factor j is orthogonal to w_of[j] exactly when it lies in t cap h
-        if r not in space.h_roots and not space.in_t_h(r):
-            beta = r
-            break
+    # a root of factor j is orthogonal to w_of[j] exactly when it lies in t cap h
+    beta = next((r for r in factor_roots[j]
+                 if r not in space.h_roots and not space.in_t_h(r)), None)
     payload = {
         "facts": [("is_root", alpha)] + ([("is_root", beta)] if beta else []),
         "construction": kind,
@@ -1192,10 +1190,8 @@ def _case3_rank_range(max_rank):
     out += [("B", r) for r in range(2, max_rank + 1)]
     out += [("C", r) for r in range(3, max_rank + 1)]
     out += [("D", r) for r in range(4, max_rank + 1)]
-    for fam, r in (("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2)):
-        if r <= max_rank:
-            out.append((fam, r))
-    return out
+    return out + [(fam, r) for fam, r in (("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2))
+                  if r <= max_rank]
 
 
 def _case2_scan(max_rank):
@@ -1252,9 +1248,7 @@ def verify_theorem(part: int, max_rank: int = 8) -> dict:
             expected.add("Aloff-Wallach U(3)/T^2")
     else:
         raise ValueError("part must be 1, 2 or 3")
-    survivors = set()
-    unresolved = []
-    rows = []
+    survivors, unresolved, rows = set(), [], []
     for name, row, verdict in scan:
         rows.append((row, verdict.to_json()))
         if verdict.outcome == "survivor":
@@ -1263,7 +1257,7 @@ def verify_theorem(part: int, max_rank: int = 8) -> dict:
             unresolved.append(name)
     missing = sorted(expected - survivors)
     extra = sorted(survivors - expected)
-    report = {
+    return {
         "part": part,
         "max_rank": max_rank,
         "survivors": sorted(survivors),
@@ -1277,7 +1271,6 @@ def verify_theorem(part: int, max_rank: int = 8) -> dict:
         "match": bool(rows) and not missing and not extra
                  and (part != 3 or max_rank < 2 or bool(unresolved)),
     }
-    return report
 
 
 def _case1_space(label, blocks, abelian=True, h_perp=True) -> RootLevelSpace:
@@ -1356,7 +1349,7 @@ def _pair_signature(spec: AlgebraSpec, alpha: TVec, beta: TVec):
 
 def match_case3_subcase(space: RootLevelSpace, alpha: TVec, beta: TVec) -> Subcase:
     """Find the canonical subcase with the same pair signature."""
-    fam, rank, _ = space.spec.factors[space.root_data.factor_of[alpha]]
+    fam, rank, _ = space.spec.factors[space.root_data.factor(alpha)]
     sig = _pair_signature(space.spec, alpha, beta)
     rows = case3_subcases(fam, rank)
     for sc in rows:
@@ -1375,8 +1368,8 @@ def classify_space(space: RootLevelSpace) -> dict:
         verdict = (classify_case1 if case == "I" else classify_case2)(space)
         return {"case": case, "verdict": verdict.to_json()}
     # case III: locate a same-factor pair and match the canonical table
-    factor_of = space.root_data.factor_of
-    pair = next((a, b) for a, b in _case_pairs(space) if factor_of[a] == factor_of[b])
+    factor = space.root_data.factor
+    pair = next((a, b) for a, b in _case_pairs(space) if factor(a) == factor(b))
     sc = match_case3_subcase(space, *pair)
     verdict = evaluate_subcase(sc)
     return {"case": "III", "subcase": sc.describe(), "verdict": verdict.to_json()}

@@ -222,8 +222,10 @@ def lattice_json(n, k: int) -> dict:
     return dict(zip("abcd", (_half(n) if j == k else "0" for j in (1, 2, 3, 6))))
 
 
-def lattice_block(ns, ks) -> str:
-    """Lattice coordinates n/2 * sqrt(k) as QNum prints them: "(1, -1/2*r3)"."""
+@functools.lru_cache(maxsize=4096)
+def lattice_block(ns: tuple, ks: tuple) -> str:
+    """Lattice coordinates n/2 * sqrt(k) as QNum prints them: "(1, -1/2*r3)",
+    formatted once per block."""
     return "(" + ", ".join(_half(n) + _TAG[k] if n else "0" for n, k in zip(ns, ks)) + ")"
 
 
@@ -369,7 +371,9 @@ class AlgebraSpec:
     compared: `blocks` ((start, stop, surd weights) per factor), `weights`
     (the surd weight of every position), `gram` (an integer weight per
     position) and `gram_den`, with tvec_dot(u, v) = sum(gram * u * v) /
-    gram_den, and `tvec`, this spec's TVec class.
+    gram_den, and `tvec`, this spec's TVec class.  The hash, of the family
+    names and the Gram weights that equal specs share, is taken once, as
+    every cache keyed by a spec reads it.
     """
 
     factors: tuple  # of (family, rank, scale: Fraction)
@@ -377,37 +381,32 @@ class AlgebraSpec:
     abelian_scales: tuple = ()
 
     def __post_init__(self):
-        norm = []
-        for fam, rank, scale in self.factors:
-            s = _frac(scale)
-            if s <= 0:
-                raise ValueError("factor scale must be positive")
-            norm.append((fam.upper(), int(rank), s))
-        object.__setattr__(self, "factors", tuple(norm))
+        factors = tuple((fam.upper(), int(rank), _frac(s)) for fam, rank, s in self.factors)
+        if any(s.numerator <= 0 for _, _, s in factors):  # a Fraction's denominator is positive
+            raise ValueError("factor scale must be positive")
         if self.abelian_dim < 0:
             raise ValueError("abelian_dim must be nonnegative")
-        sc = tuple(map(_frac, self.abelian_scales))
-        if not sc:
-            sc = tuple(Fraction(1) for _ in range(self.abelian_dim))
-        if len(sc) != self.abelian_dim or any(s <= 0 for s in sc):
+        sc = tuple(map(_frac, self.abelian_scales)) or (Fraction(1),) * self.abelian_dim
+        if len(sc) != self.abelian_dim or any(s.numerator <= 0 for s in sc):
             raise ValueError("abelian_scales must list one positive weight per abelian coordinate")
-        object.__setattr__(self, "abelian_scales", sc)
-        blocks, weights, scales = [], [], []
-        for fam, rank, s in self.factors:
+        den = lcm(*(s.denominator for _, _, s in factors), *(s.denominator for s in sc))
+        blocks, weights, gram = [], [], []
+        for fam, rank, s in factors:
             k = surd_weights(fam, rank)
             blocks.append((len(weights), len(weights) + len(k), k))
             weights += k
-            scales += [s] * len(k)
+            gram += map(mul, k, repeat(s.numerator * (den // s.denominator)))
         weights += [1] * self.abelian_dim
-        scales += sc
-        den = lcm(*(s.denominator for s in scales))
-        derived = {"blocks": tuple(blocks), "weights": tuple(weights), "dim": len(weights),
-                   "gram": tuple(s.numerator * (den // s.denominator) * k
-                                 for s, k in zip(scales, weights)),
-                   "gram_den": 4 * den,
-                   "tvec": type("TVec", (TVec,), {"__slots__": (), "spec": self})}
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        gram += [s.numerator * (den // s.denominator) for s in sc]
+        gram = tuple(gram)
+        self.__dict__.update(
+            factors=factors, abelian_scales=sc, blocks=tuple(blocks), weights=tuple(weights),
+            dim=len(weights), gram=gram, gram_den=4 * den,
+            tvec=type("TVec", (TVec,), {"__slots__": (), "spec": self}),
+            _hash=hash((tuple(fam for fam, _, _ in factors), gram, den)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @functools.cached_property
     def units(self) -> tuple:
@@ -565,7 +564,11 @@ class RootSystem:
         spec = unit_spec(((self.family, self.rank),))
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "ambient_dim", spec.dim)
-        object.__setattr__(self, "root_set", frozenset(self.roots))
+
+    @functools.cached_property
+    def root_set(self) -> frozenset:
+        """The roots as a set, built on its first read."""
+        return frozenset(self.roots)
 
     def __contains__(self, v) -> bool:
         return v in self.root_set

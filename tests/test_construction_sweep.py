@@ -4,7 +4,9 @@ MAX_PRESET_PARAM and space files whose scales sit around MAX_SCALE and whose
 coordinates sit around MAX_LATTICE_COORD, each bound reached from both
 sides, and exact values spelled with decimal exponents.  Every run must end
 within the sweep's deadline with an exit code in {0, 1, 2, 3}, no
-traceback, no warning and JSON (a report or an error) on stdout.
+traceback, no warning and JSON (a report or an error) on stdout.  The
+integer arguments of `verify` (--theorem, --max-rank) and `roots` (the
+rank) take every spelling of a list around their bounds, exit 0, 2 or 3.
 """
 
 import contextlib
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flagcurv import cli
+from flagcurv import cli, obstruct
 from flagcurv.coset import MAX_PRESET_PARAM
 from flagcurv.liealg import MAX_LATTICE_COORD, MAX_SCALE
 from flagcurv.rootsys import _frac
@@ -143,3 +145,57 @@ def test_a_space_file_value_with_a_long_decimal_exponent_fails_closed(tmp_path, 
     path.write_text(json.dumps(obj))
     code, out = run_main(["space", "build", "--file", str(path)])
     assert code == 1 and "has more than 4 digits" in json.loads(out)["error"]
+
+
+# integer arguments: the bounds 1 and MAX_RANK from both sides, negatives,
+# a float, the empty string, a number past every machine int and spellings
+# int() reads
+INTS = ["0", "1", "2", "3", str(cli.MAX_RANK), str(cli.MAX_RANK + 1), "-1", f"-{cli.MAX_RANK}",
+        "8.0", "", str(10 ** 30), " 3", "+2", "1e1"]
+RUN_RANK = 3  # a verify scan runs at this rank at most, so the sweep stays fast
+
+
+def _int(text):
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("theorem,rank", [(t, "2") for t in INTS]
+                         + [(str(1 + i % 3), r) for i, r in enumerate(INTS)]
+                         + [(t, None) for t in ("1", "2", "3")])
+def test_verify_integer_arguments_around_their_bounds(theorem, rank):
+    """--theorem is one of 1, 2, 3 and --max-rank (default 8) an integer in
+    [1, MAX_RANK]; anything else is a usage error, exit 2.  A valid scan
+    asks verify_theorem for its rank, which runs at RUN_RANK at most, and
+    prints its report, exit 0 or 3."""
+    asked = []
+    real = obstruct.verify_theorem
+
+    def capped(part, max_rank):
+        asked.append((part, max_rank))
+        return real(part, max_rank=min(max_rank, RUN_RANK))
+
+    argv = ["verify", "--theorem", theorem] + ([] if rank is None else ["--max-rank", rank])
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(obstruct, "verify_theorem", capped)
+        code, out = run_main(argv)
+    t, r = _int(theorem), 8 if rank is None else _int(rank)
+    if t in (1, 2, 3) and r is not None and 1 <= r <= cli.MAX_RANK:
+        assert code in (0, 3) and asked == [(t, r)], (argv, code)
+        assert json.loads(out)["match"] == (code == 0)
+    else:
+        assert code == 2 and not asked and not out, (argv, code)
+
+
+@pytest.mark.parametrize("rank", INTS)
+def test_roots_rank_around_its_bounds(rank):
+    """The rank of `roots` is an integer in [1, MAX_RANK], else exit 2; A_n
+    has every rank from 1 and n(n + 1) roots."""
+    code, out = run_main(["roots", "A", rank])
+    n = _int(rank)
+    if n is not None and 1 <= n <= cli.MAX_RANK:
+        assert code == 0 and len(json.loads(out)["roots"]) == n * (n + 1), (rank, code)
+    else:
+        assert code == 2 and not out, (rank, code)

@@ -348,6 +348,64 @@ def test_t_cap_m_check_from_both_sides(eps, matches):
             build_coset(alg, sub)
 
 
+def _su2_of_a_pushed_off(eps):
+    """The su(2) of alpha = e1 - e2 in su(3), with x_alpha pushed off it by
+    eps x_beta (beta = e2 - e3): [h, h] leaves h by sqrt2 eps, and by
+    ad-invariance [h, m] leaves m by as much."""
+    alg = realize(AlgebraSpec((("A", 2, Fraction(1)),)))
+    f = alg.factors[0]
+    x = f.plane(root("A", 2, 1, -1, 0))
+    gen = x.x + eps * f.plane(root("A", 2, 0, 1, -1)).x
+    sub = SubalgebraSpec(cartan_h=(tvec_from_parts(alg.spec, {0: [1, -1, 0]}),),
+                         extra_generators=(gen, x.y))
+    return alg, sub
+
+
+@pytest.mark.parametrize("eps,closed", [(1e-7, False), (1e-9, True)])
+def test_closure_check_from_both_sides(eps, closed):
+    """CLOSURE_TOL = 1e-8 sits between the residuals 1.4e-7 and 1.4e-9: the
+    first is no subalgebra (ValueError), the second passes closure and
+    fails the tighter reductivity check."""
+    alg, sub = _su2_of_a_pushed_off(eps)
+    with pytest.raises(AssertionError if closed else ValueError,
+                       match="reductive condition" if closed else "not a subalgebra"):
+        build_coset(alg, sub)
+
+
+@pytest.mark.parametrize("eps,reductive", [(1e-9, False), (1e-11, True)])
+def test_reductivity_check_from_both_sides(eps, reductive):
+    """REDUCTIVE_TOL = 1e-10 sits between the residuals 1.4e-9 and 1.4e-11."""
+    alg, sub = _su2_of_a_pushed_off(eps)
+    if reductive:
+        assert build_coset(alg, sub).dim_h == 3
+    else:
+        with pytest.raises(AssertionError, match="reductive condition violated"):
+            build_coset(alg, sub)
+
+
+CLOSURE_PRESETS = sorted({(n, p) for n, p, _ in PRESETS} | {
+    ("sphere_spn_sp1", (6,)), ("sphere_so2n", (6,)), ("cn_excluded_subcase1", (4,)),
+    ("bn_excluded_subcase1", (6,)), ("sphere_spn_u1", (5,)), ("aloff_wallach", (1, 2))})
+
+
+@pytest.mark.parametrize("name,params", CLOSURE_PRESETS)
+def test_the_closure_pass_over_pairs_i_below_j_keeps_the_bits(name, params):
+    """The closure pass brackets the pairs i < j of h only.  Every pair it
+    takes has the bits of the all-pairs pass, whose coordinates are
+    exactly antisymmetric with 0 on the diagonal, so the residual is the
+    all-pairs maximum to the bit."""
+    sp = preset(name, *params)
+    alg, h = sp.algebra, sp.h_basis
+    full = alg.bracket_coords(h, h, sp._m_co)
+    upper = alg.bracket_coords(h, h, sp._m_co, upper=True)
+    i, j = np.triu_indices(len(h), 1)
+    assert np.array_equal(upper[i, j], full[i, j])
+    assert np.array_equal(full, -full.transpose(1, 0, 2))
+    assert not np.diagonal(full, axis1=0, axis2=1).any()
+    assert np.linalg.norm(upper, axis=-1).max(initial=0.0) \
+        == np.linalg.norm(full, axis=-1).max(initial=0.0)
+
+
 def _pairwise_tensors(sp):
     """Per-pair oracle: bracket, then inner with each basis vector (the
     h- and m-bases are orthonormal)."""
@@ -451,12 +509,12 @@ def test_a_space_takes_one_bracket_pass_per_kind_of_pair(monkeypatch, text):
     (Kh and the reductivity residual at once) and [m, m] onto m and h."""
     calls = []
     bracket_coords = liealg.RealizedAlgebra.bracket_coords
-    monkeypatch.setattr(liealg.RealizedAlgebra, "bracket_coords", lambda alg, xs, ys, rows: (
-        calls.append((len(xs), len(ys), len(rows))) or bracket_coords(alg, xs, ys, rows)))
+    monkeypatch.setattr(liealg.RealizedAlgebra, "bracket_coords", lambda alg, xs, ys, rows, **kw: (
+        calls.append((len(xs), len(ys), len(rows), kw)) or bracket_coords(alg, xs, ys, rows, **kw)))
     sp = parse_preset(f"preset:{text}")
     sp.structure_tensors()
     h, m = sp.dim_h, sp.dim_m
-    assert calls == [(h, h, m), (h, m, m + h), (m, m, m + h)]
+    assert calls == [(h, h, m, {"upper": True}), (h, m, m + h, {}), (m, m, m + h, {})]
 
 
 @pytest.mark.parametrize("text,planes", [

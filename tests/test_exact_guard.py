@@ -156,5 +156,5 @@ def test_root_data_of_the_survivor_lists_holds_ints(monkeypatch):
         assert obstruct.verify_theorem(part)["match"]
     assert len(seen) > 20
     for spec, rd in seen.items():
-        vectors = list(rd.g_roots) + list(rd.canonical.values())
+        vectors = list(rd.g_roots) + list(map(rd.canonical, rd.g_roots))
         assert all(type(x) is int for tv in vectors for x in tv), spec

@@ -307,7 +307,7 @@ def test_key_lemma_2_needs_roots_in_t_cap_h_assigned_to_m():
     assert g1 not in sp.h_roots and g2 not in sp.h_roots
     assert not key_lemma_2_details(sp, g1, g2)[1]
     assert not revalidate_witness(sp, Witness("key_lemma_2", {"gamma1": g1, "gamma2": g2}))
-    sp.assignment.update({sp.root_data.canonical[g]: "m" for g in (g1, g2)})
+    sp.assignment.update({sp.root_data.canonical(g): "m" for g in (g1, g2)})
     assert key_lemma_2_details(sp, g1, g2)[1]
 
 
@@ -459,7 +459,7 @@ def test_the_centralizer_fact_counts_the_roots_in_t_cap_h():
     assert {sc.family for sc in rows} == {"B", "C", "F4"}
     for sc in rows:
         spec, t_prime = sc.alpha.spec, sc.payload["t_prime"]
-        roots = obstruct._root_data(spec).root_set
+        roots = obstruct._root_data(spec).g_roots
         want = sum(map(t_cap_h_projection(spec, tuple(t_prime)).in_t_h, roots))
         assert obstruct._centralizer_size(spec, roots, t_prime) == want \
             == sc.payload["subsystem_size"]

@@ -67,7 +67,7 @@ def test_one_pass_tables_match_a_per_root_rebuild(spec, data):
     assert tables.t_h == t_h
     assert all(sp.in_t_h(r) == (r in t_h) for r in roots)
     negative = sp.root_data.negative
-    assert all(negative[r] == -r for r in roots)
+    assert all(negative(r) == -r for r in roots)
     assert sp.h_roots == set(h) | {-v for v in h} | (t_h if h_perp else set())
     assert sp.scaled_h == {tuple(c * x for x in v) for v in sp.h_roots}
 

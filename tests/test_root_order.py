@@ -3,11 +3,17 @@ sorted root order.  The oracle is the hashing definition it replaced: an
 index of the roots, each root's negative looked up in it, and the plane
 key of a root the one of +-r whose first nonzero coordinate is positive."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from operator import neg
+from pathlib import Path
 
 import pytest
 
+import flagcurv
 from flagcurv import obstruct
 from flagcurv.cli import MAX_RANK
 from flagcurv.rootsys import AlgebraSpec, build_root_system, unit_spec
@@ -47,12 +53,16 @@ def _check(spec: AlgebraSpec) -> None:
     want = _hashing_oracle(spec)
     assert rd.factor_roots == want["factor_roots"]
     assert rd.g_roots == sum(want["factor_roots"], ())
-    assert rd.root_set == frozenset(rd.g_roots)
-    # the maps hold the same items in the same order, and so do the keys
-    assert list(rd.factor_of.items()) == want["factor_of"]
-    assert list(rd.canonical.items()) == want["canonical"]
-    assert list(rd.negative.items()) == want["negative"]
+    # the index holds every root once, at its position
+    assert list(rd.index.items()) == list(zip(rd.g_roots, range(len(rd.g_roots))))
+    # read off the positions, the maps hold the same items in the same
+    # order, and so do the keys
+    assert [(r, rd.factor(r)) for r in rd.index] == want["factor_of"]
+    assert [(r, rd.canonical(r)) for r in rd.index] == want["canonical"]
+    assert [(r, rd.negative(r)) for r in rd.index] == want["negative"]
     assert rd.keys == want["keys"]
+    # a plain tuple reads the stored vector, as a sum of two roots does
+    assert all(rd.canonical(tuple(r)) is rd.canonical(r) for r in rd.g_roots)
     for unit, cols in zip(spec.units, rd.factor_columns):
         assert cols == tuple(zip(*build_root_system(*unit.factors[0][:2], _relaxed=True).roots))
     assert all(type(x) is int for r in rd.g_roots for x in r)
@@ -71,6 +81,7 @@ def test_the_sorted_order_gives_negatives_and_plane_keys(family, rank):
     spec = unit_spec(((family, rank),))
     _check(spec)
     assert all(r.spec is spec for r in obstruct._root_data(spec).g_roots)
+    assert rs.root_set == frozenset(roots) and all(r in rs for r in roots)
 
 
 @pytest.mark.parametrize("family,rank", [(f, lo + 2) for f, lo in LOWEST.items()] + FIXED)
@@ -86,3 +97,52 @@ def test_a_lifted_product_spec_keeps_the_positions(family, rank):
 def test_a_case_two_spec_keeps_the_positions():
     """The A1 + X specs of part 2 of the survivor lists."""
     _check(unit_spec((("A", 1), ("C", 5))))
+
+
+# Runs `verify --theorem 2` at rank 8 in a fresh interpreter with every
+# RootSystem construction, every read of a root set and every RootData
+# recorded, then prints what each RootData holds.
+COLD_PROBE = """\
+import contextlib, io, json
+from collections import Counter
+from types import MappingProxyType
+from flagcurv import cli, obstruct, rootsys
+
+built, set_reads = Counter(), []
+init, root_set = rootsys.RootSystem.__post_init__, rootsys.RootSystem.root_set.func
+def record(self):
+    built[self.family, self.rank] += 1
+    init(self)
+def read(self):
+    set_reads.append((self.family, self.rank))
+    return root_set(self)
+rootsys.RootSystem.__post_init__ = record
+rootsys.RootSystem.root_set = property(read)
+data, build = [], obstruct._root_data
+def keep(spec):
+    data.append(build(spec))
+    return data[-1]
+obstruct._root_data = keep
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(["verify", "--theorem", "2", "--full"])
+held = [sorted(type(v).__name__ for v in vars(rd).values()
+               if isinstance(v, (dict, MappingProxyType, set, frozenset))) for rd in set(data)]
+print(json.dumps({"code": code, "built": sorted(built.values()), "systems": len(built),
+                  "set_reads": set_reads, "held": held}))
+"""
+
+
+def test_a_cold_verify_builds_each_root_system_once_and_one_index_per_spec():
+    """Tooling guard of the cold start, with no timing: part 2 at rank 8
+    builds each (family, rank) root system once and reads no root set,
+    and each spec's root data holds one hashed table, the index of
+    positions, and no set."""
+    src = str(Path(flagcurv.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", COLD_PROBE], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["code"] == 0 and report["systems"] > 20
+    assert set(report["built"]) == {1} and report["set_reads"] == []
+    assert len(report["held"]) > 40
+    assert all(held == ["mappingproxy"] for held in report["held"])

@@ -41,6 +41,10 @@ MUTANTS = [
     # the matrix layer's gates
     ("coset.ROW_TOL 1e-9 -> 1e-5", COSET,
      "ROW_TOL = 1e-9", "ROW_TOL = 1e-5"),
+    ("coset.CLOSURE_TOL 1e-8 -> 1e-2", COSET,
+     "CLOSURE_TOL = 1e-8", "CLOSURE_TOL = 1e-2"),
+    ("coset.REDUCTIVE_TOL 1e-10 -> 1e-4", COSET,
+     "REDUCTIVE_TOL = 1e-10", "REDUCTIVE_TOL = 1e-4"),
     ("t cap m check 1e-9 -> 1e-3", COSET,
      "> 1e-9 * max(1.0, np.linalg.norm(c))", "> 1e-3 * max(1.0, np.linalg.norm(c))"),
     ("root-plane alignment 1e-9 -> 1e-3", LIEALG,
@@ -85,10 +89,10 @@ MUTANTS = [
      "if np.linalg.norm(v) < 1e-12:", "if np.linalg.norm(v) < 1e-30:"),
     # classify_case1's branches, each deleted
     ("case I: torus-fixed factor exclusion deleted", OBSTRUCT,
-     "                return _excluded(space, Witness(\"key_lemma_1\", "
+     "        return _excluded(space, Witness(\"key_lemma_1\", "
      "{\"gamma\": r, \"detail\": why}),\n"
-     "                                 \"first key lemma forces the whole factor into h\")\n",
-     "                pass\n"),
+     "                         \"first key lemma forces the whole factor into h\")\n",
+     "        pass\n"),
     ("case I: degenerate-candidate ValueError deleted", OBSTRUCT,
      "            raise ValueError(\"degenerate candidate: m = t cap m is one-dimensional\")\n",
      "            pass\n"),
